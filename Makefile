@@ -1,12 +1,19 @@
-.PHONY: verify build test clippy doc bench-alloc bench-scalability bench-fault-latency bench-key-pressure bench-firehose bench-production bench-anomaly bench-smoke trace-demo serve
+.PHONY: verify build test test-benchmark clippy doc bench-alloc bench-scalability bench-fault-latency bench-key-pressure bench-firehose bench-production bench-anomaly bench-smoke trace-demo serve
 
-verify: build test clippy doc
+verify: build test test-benchmark clippy doc
 
 build:
 	cargo build --release
 
 test:
 	cargo test -q --workspace
+
+# `benchmark/` is its own workspace (BENCHMARK.json drives it from a
+# fresh checkout), so `cargo test --workspace` never compiles it: build
+# and smoke-test it here so a public-API removal that breaks it fails
+# verification.
+test-benchmark:
+	cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 clippy:
 	cargo clippy --all-targets -- -D warnings

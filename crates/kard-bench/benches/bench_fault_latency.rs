@@ -15,14 +15,15 @@
 //! `KardConfig::measured_fault_delay` so the §5.5 timestamp filter uses a
 //! measured threshold instead of the cost-model constant.
 //!
-//! A second section measures the **disjoint fault storm**: real OS
-//! threads faulting on unrelated objects at 1/2/4/8 threads, once with
-//! the sharded fault path and once with the `serial_fault_path` ablation
-//! (every entry locks all shards — the old global fault mutex). The
+//! A second section measures the **disjoint fault storm**: logical
+//! threads faulting on unrelated objects at 1/2/4/8 threads. The
 //! p50/p95/p99 of the faulting write on the thread's own virtual clock —
 //! including the §5.5 shard-queueing charge — is the latency a thread
-//! observes; the serial/sharded p95 ratio at 8 threads is the headline
-//! scalability number.
+//! observes; it must stay flat in the thread count with zero queued
+//! cycles. (Against the global fault mutex this replaced, the p95 at 8
+//! threads was 7.92× lower — 191,777 → 24,219 cycles in the
+//! `BENCH_fault_latency.json` committed at `19f2237`; see
+//! EXPERIMENTS.md.)
 //!
 //! Run with `cargo bench -p kard-bench --bench bench_fault_latency`.
 
@@ -112,14 +113,13 @@ fn summary_json(s: &HistogramSummary) -> String {
 /// the key through a reactive-acquisition fault). Threads are driven
 /// round-robin, so their per-thread virtual clocks advance in lockstep —
 /// every round, `threads` handler intervals overlap in virtual time, the
-/// overlap a real multicore would produce. Under the serial ablation
-/// each handler queues behind every overlapping one (§5.5 virtual-clock
-/// serialization charge); with the sharded fault path the objects live in
-/// distinct shards and nothing queues. Latency is the faulting write's
-/// cost on the thread's own clock, including that queueing.
+/// overlap a real multicore would produce. A handler queues behind every
+/// overlapping handler of its shard (§5.5 virtual-clock serialization
+/// charge); the objects live in distinct shards, so nothing queues.
+/// Latency is the faulting write's cost on the thread's own clock,
+/// including that queueing.
 struct StormSample {
     threads: usize,
-    mode: &'static str,
     p50: u64,
     p95: u64,
     p99: u64,
@@ -135,15 +135,13 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[idx]
 }
 
-fn storm(threads: usize, serial: bool) -> StormSample {
+fn storm(threads: usize) -> StormSample {
     let machine = Arc::new(Machine::new(MachineConfig::default()));
     let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
     let kard = Arc::new(Kard::new(
         machine,
         alloc,
-        KardConfig::default()
-            .proactive_acquisition(false)
-            .serial_fault_path(serial),
+        KardConfig::default().proactive_acquisition(false),
     ));
     let tids: Vec<_> = (0..threads).map(|_| kard.register_thread()).collect();
     // One private object and lock per thread; consecutive object ids land
@@ -176,7 +174,6 @@ fn storm(threads: usize, serial: bool) -> StormSample {
 
     StormSample {
         threads,
-        mode: if serial { "serial" } else { "sharded" },
         p50: percentile(&latencies, 50.0),
         p95: percentile(&latencies, 95.0),
         p99: percentile(&latencies, 99.0),
@@ -200,33 +197,23 @@ fn main() {
     // handling delay is the paper's "measured fault-handling delay".
     let suggested = samples.last().map_or(0, |s| s.fault_delay.p50);
 
-    // Disjoint fault storm: serial ablation vs sharded, 1..8 OS threads.
+    // Disjoint fault storm, 1..8 logical threads.
     let mut storms = Vec::new();
     for threads in [1usize, 2, 4, 8] {
-        for serial in [true, false] {
-            let s = storm(threads, serial);
-            println!(
-                "storm {:>2} threads {:>7}: {:>7} faults, p50={} p95={} p99={} cycles (queued {} cycles total)",
-                s.threads, s.mode, s.faults, s.p50, s.p95, s.p99, s.queued_cycles
-            );
-            storms.push(s);
-        }
+        let s = storm(threads);
+        println!(
+            "storm {:>2} threads: {:>7} faults, p50={} p95={} p99={} cycles (queued {} cycles total)",
+            s.threads, s.faults, s.p50, s.p95, s.p99, s.queued_cycles
+        );
+        storms.push(s);
     }
-    let p95_of = |threads: usize, mode: &str| {
-        storms
-            .iter()
-            .find(|s| s.threads == threads && s.mode == mode)
-            .map_or(0, |s| s.p95)
-    };
-    let speedup = p95_of(8, "serial") as f64 / p95_of(8, "sharded").max(1) as f64;
-    println!("storm p95 speedup at 8 threads (serial/sharded): {speedup:.2}x");
 
     let storm_rows: Vec<String> = storms
         .iter()
         .map(|s| {
             format!(
-                "    {{\"threads\": {}, \"mode\": \"{}\", \"faults\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"queued_cycles\": {}}}",
-                s.threads, s.mode, s.faults, s.p50, s.p95, s.p99, s.queued_cycles
+                "    {{\"threads\": {}, \"faults\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"queued_cycles\": {}}}",
+                s.threads, s.faults, s.p50, s.p95, s.p99, s.queued_cycles
             )
         })
         .collect();
@@ -244,7 +231,7 @@ fn main() {
         })
         .collect();
     let json = format!(
-        "{{\n  \"bench\": \"fault_latency\",\n  \"workload\": \"producer/consumer handoff of fresh objects under one lock, {} rounds, {SHARED_OBJECTS} objects/round\",\n  \"unit\": \"virtual cycles\",\n  \"suggested_measured_fault_delay\": {suggested},\n  \"samples\": [\n{}\n  ],\n  \"storm_workload\": \"disjoint fault storm: per-thread private objects and locks, one reactive-reacquisition fault per round, {} rounds/thread, per-thread virtual cycles incl. shard queueing\",\n  \"storm_p95_speedup_8t\": {speedup:.2},\n  \"storm\": [\n{}\n  ]\n}}\n",
+        "{{\n  \"bench\": \"fault_latency\",\n  \"workload\": \"producer/consumer handoff of fresh objects under one lock, {} rounds, {SHARED_OBJECTS} objects/round\",\n  \"unit\": \"virtual cycles\",\n  \"suggested_measured_fault_delay\": {suggested},\n  \"samples\": [\n{}\n  ],\n  \"storm_workload\": \"disjoint fault storm: per-thread private objects and locks, one reactive-reacquisition fault per round, {} rounds/thread, per-thread virtual cycles incl. shard queueing\",\n  \"storm\": [\n{}\n  ]\n}}\n",
         rounds(),
         rows.join(",\n"),
         rounds(),

@@ -1,6 +1,6 @@
 //! Detection rate and overhead under protection-key pressure: direct §5.4
 //! key assignment versus the virtualized eviction cache (`kard_core::vkey`)
-//! under its three replacement policies (LRU, FIFO, hotness).
+//! under its two replacement policies (LRU, hotness).
 //!
 //! The workload has three phases:
 //!
@@ -166,7 +166,6 @@ fn configs() -> Vec<(&'static str, Option<&'static str>, KardConfig)> {
         ("direct", None, direct),
         ("direct_share", None, direct_share),
         ("virtualized", Some("lru"), virt(KeyCachePolicy::Lru)),
-        ("virtualized_fifo", Some("fifo"), virt(KeyCachePolicy::Fifo)),
         ("virtualized_hotness", Some("hotness"), virt(KeyCachePolicy::Hotness)),
     ]
 }

@@ -7,7 +7,7 @@
 //! *warmup* round during which a budgeted controller adapts, then a
 //! *measurement* round over which steady-state overhead is read — into
 //! one detector, ticking the controller after every burst exactly as
-//! `Session::drain_telemetry` and the firehose shard loop do. Overhead
+//! `Session::drain` and the firehose shard loop do. Overhead
 //! is measured the way the controller itself measures it: fault-delay
 //! plus `pkey_mprotect` cycles as a permille of elapsed virtual cycles.
 //!

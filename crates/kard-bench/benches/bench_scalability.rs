@@ -3,22 +3,24 @@
 //!
 //! The original Figure 5 experiments measure *simulated* overhead versus
 //! thread count; this bench instead measures the detector's own
-//! synchronization, in three modes:
+//! synchronization, in two modes:
 //!
 //! * `private_lock_free` — each program thread owns a private lock and
-//!   private objects, with the zero-lock section path on
-//!   ([`KardConfig::lock_free_sections`]). The workload is embarrassingly
-//!   parallel at the program level, so any slowdown versus one thread is
-//!   contention inside the detector. After two warm entries per thread
-//!   (cold cache, then plan rebuild), the steady state is a generation-
-//!   validated cache hit plus one CAS — zero shared lock acquisitions.
-//! * `private_locked` — the same workload with `lock_free_sections(false)`,
-//!   i.e. the PR 1 fully locked path, kept as the ablation/reference.
+//!   private objects. The workload is embarrassingly parallel at the
+//!   program level, so any slowdown versus one thread is contention
+//!   inside the detector. After two warm entries per thread (cold cache,
+//!   then plan rebuild), the steady state is a generation-validated cache
+//!   hit plus one CAS — zero shared lock acquisitions.
 //! * `shared_contending` — all threads serialize on one real
 //!   `std::sync::Mutex` and enter the *same* section over shared objects.
 //!   Program-level contention dominates; the detector's job is just not to
 //!   add lock traffic on top (the section key hands off holder-to-holder
-//!   by CAS in lock-free mode).
+//!   by CAS).
+//!
+//! The always-locked entry path this sweep used to compare against
+//! (`private_locked`: 8.00 locks/entry, 3.54× slower at 8 threads in the
+//! `BENCH_scalability.json` committed at `562b48e`) is retired; see
+//! EXPERIMENTS.md.
 //!
 //! Run with `cargo bench -p kard-bench --bench bench_scalability`; emits
 //! `BENCH_scalability.json` at the repository root. Exits nonzero if the
@@ -51,7 +53,6 @@ const WARM_ENTRIES: u64 = 2;
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Mode {
     PrivateLockFree,
-    PrivateLocked,
     SharedContending,
 }
 
@@ -59,15 +60,7 @@ impl Mode {
     fn label(self) -> &'static str {
         match self {
             Mode::PrivateLockFree => "private_lock_free",
-            Mode::PrivateLocked => "private_locked",
             Mode::SharedContending => "shared_contending",
-        }
-    }
-
-    fn config(self) -> KardConfig {
-        match self {
-            Mode::PrivateLocked => KardConfig::default().lock_free_sections(false),
-            _ => KardConfig::default(),
         }
     }
 }
@@ -84,7 +77,7 @@ struct Sample {
 fn run(mode: Mode, threads: usize) -> Sample {
     let machine = Arc::new(Machine::new(MachineConfig::default()));
     let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
-    let kard = Arc::new(Kard::new(machine, alloc, mode.config()));
+    let kard = Arc::new(Kard::new(machine, alloc, KardConfig::default()));
 
     let tids: Vec<_> = (0..threads).map(|_| kard.register_thread()).collect();
     let shared = mode == Mode::SharedContending;
@@ -171,11 +164,7 @@ fn sample_row(s: &Sample) -> String {
 }
 
 fn main() {
-    const MODES: [Mode; 3] = [
-        Mode::PrivateLockFree,
-        Mode::PrivateLocked,
-        Mode::SharedContending,
-    ];
+    const MODES: [Mode; 2] = [Mode::PrivateLockFree, Mode::SharedContending];
     let mut mode_blocks = Vec::new();
     let mut speedups = Vec::new();
     let mut gate_failed = false;

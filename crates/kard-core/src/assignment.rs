@@ -279,7 +279,7 @@ fn claim_hardware_key(
 /// `group_hotness` scores a candidate victim's member set for the
 /// [`KeyCachePolicy::Hotness`](crate::vkey::KeyCachePolicy::Hotness)
 /// policy (the detector reads [`crate::sidemeta`] counters); it is never
-/// called under Lru or Fifo, so `|_| 0` is the ablation-exact stub.
+/// called under LRU, so `|_| 0` is the exact stub there.
 #[allow(clippy::too_many_arguments)] // a policy decision needs the full fault context
 pub fn choose_virtual(
     vkeys: &mut VKeyTable,

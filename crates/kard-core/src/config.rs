@@ -71,33 +71,6 @@ pub struct KardConfig {
     /// Replacement policy of the hardware-key cache; only consulted when
     /// [`KardConfig::virtual_keys`] is on.
     pub key_cache_policy: KeyCachePolicy,
-    /// Ablation: serialize the whole fault path behind every fault shard
-    /// at once, reproducing the old global fault-mutex behaviour. Off by
-    /// default — faults on unrelated objects then run in parallel, each
-    /// serialized only by its object's own fault shard
-    /// ([`crate::faultshard`]). The fault-latency benchmark runs both
-    /// modes to measure what sharding buys.
-    pub serial_fault_path: bool,
-    /// Take the lock-free section entry/exit fast path: a no-conflict
-    /// `lock_enter`/`lock_exit` pair then costs zero shared lock
-    /// acquisitions (generation-validated per-thread section caches, a CAS
-    /// on the key's holder word, per-thread bookkeeping). On by default;
-    /// turning it off restores the fully locked path as the
-    /// ablation/reference — both modes produce byte-identical reports and
-    /// stats. See the locking-discipline notes in [`crate::detector`].
-    pub lock_free_sections: bool,
-    /// Resolve object→domain and object→virtual-key metadata through the
-    /// flat side-metadata tables ([`crate::sidemeta`]) on the fast paths:
-    /// section-entry planning reads domains with one acquire load per
-    /// object instead of a domain-shard lock, and the free path skips the
-    /// vkey-table lock for objects that never joined a group. On by
-    /// default; turning it off restores the mutexed-table reads as the
-    /// ablation/reference — both modes produce byte-identical reports and
-    /// stats (`tests/sidemeta_equivalence.rs`). Writes always go through
-    /// the mutexed tables (the source of truth) with the side-metadata
-    /// words updated under the same locks, so this switch gates only who
-    /// answers reads.
-    pub side_metadata: bool,
     /// Production mode ([`crate::budget`]): run the overhead-budget
     /// controller. When on, newly identified sharable objects are
     /// sampled/skipped per the controller's current policy and
@@ -148,9 +121,6 @@ impl KardConfig {
             measured_fault_delay: None,
             virtual_keys: false,
             key_cache_policy: KeyCachePolicy::Lru,
-            serial_fault_path: false,
-            lock_free_sections: true,
-            side_metadata: true,
             production: false,
             overhead_budget: None,
             sample_permille: 1000,
@@ -178,9 +148,6 @@ impl KardConfig {
             measured_fault_delay: None,
             virtual_keys: false,
             key_cache_policy: KeyCachePolicy::Lru,
-            serial_fault_path: false,
-            lock_free_sections: true,
-            side_metadata: true,
             production: false,
             overhead_budget: None,
             sample_permille: 1000,
@@ -260,27 +227,6 @@ impl KardConfig {
         self
     }
 
-    /// Builder-style setter for [`KardConfig::serial_fault_path`].
-    #[must_use]
-    pub fn serial_fault_path(mut self, on: bool) -> KardConfig {
-        self.serial_fault_path = on;
-        self
-    }
-
-    /// Builder-style setter for [`KardConfig::lock_free_sections`].
-    #[must_use]
-    pub fn lock_free_sections(mut self, on: bool) -> KardConfig {
-        self.lock_free_sections = on;
-        self
-    }
-
-    /// Builder-style setter for [`KardConfig::side_metadata`].
-    #[must_use]
-    pub fn side_metadata(mut self, on: bool) -> KardConfig {
-        self.side_metadata = on;
-        self
-    }
-
     /// Builder-style setter for [`KardConfig::production`].
     #[must_use]
     pub fn production(mut self, on: bool) -> KardConfig {
@@ -333,7 +279,6 @@ impl KardConfig {
                 "virtualized ({pool}-key {policy} cache over unbounded virtual keys)",
                 policy = match self.key_cache_policy {
                     KeyCachePolicy::Lru => "LRU",
-                    KeyCachePolicy::Fifo => "FIFO",
                     KeyCachePolicy::Hotness => "hotness",
                 }
             )
@@ -370,9 +315,6 @@ mod tests {
         assert_eq!(c.measured_fault_delay, None, "cost-model delay by default");
         assert!(!c.virtual_keys, "the paper's detector works on raw keys");
         assert_eq!(c.key_cache_policy, KeyCachePolicy::Lru);
-        assert!(!c.serial_fault_path, "the sharded fault path is the default");
-        assert!(c.lock_free_sections, "the zero-lock section path is the default");
-        assert!(c.side_metadata, "flat metadata reads are the default");
         assert!(!c.production, "the paper's detector monitors everything");
         assert_eq!(c.overhead_budget, None, "no budget until asked for one");
         assert_eq!(c.sample_permille, 1000, "full-width sample by default");
@@ -385,13 +327,10 @@ mod tests {
     fn builder_setters_compose_over_presets() {
         let c = KardConfig::paper()
             .virtual_keys(true)
-            .key_cache_policy(KeyCachePolicy::Fifo)
+            .key_cache_policy(KeyCachePolicy::Hotness)
             .interleave_exit_delay(500)
             .measured_fault_delay(Some(24_000))
             .exhaustion(ExhaustionPolicy::ShareOnly)
-            .serial_fault_path(true)
-            .lock_free_sections(false)
-            .side_metadata(false)
             .timestamp_filter(false)
             .production(true)
             .overhead_budget(Some(50))
@@ -402,13 +341,10 @@ mod tests {
         assert_eq!(c.overhead_budget, Some(50));
         assert_eq!(c.sample_permille, 250);
         assert_eq!(c.sample_seed, 0xfeed);
-        assert_eq!(c.key_cache_policy, KeyCachePolicy::Fifo);
+        assert_eq!(c.key_cache_policy, KeyCachePolicy::Hotness);
         assert_eq!(c.interleave_exit_delay, 500);
         assert_eq!(c.measured_fault_delay, Some(24_000));
         assert_eq!(c.exhaustion, ExhaustionPolicy::ShareOnly);
-        assert!(c.serial_fault_path);
-        assert!(!c.lock_free_sections, "locked ablation mode selectable");
-        assert!(!c.side_metadata, "mutexed-table ablation mode selectable");
         assert!(!c.timestamp_filter);
         assert!(c.proactive_acquisition, "untouched fields keep the preset");
     }
@@ -424,8 +360,6 @@ mod tests {
             c.key_mode_description(13),
             "virtualized (13-key LRU cache over unbounded virtual keys)"
         );
-        c.key_cache_policy = KeyCachePolicy::Fifo;
-        assert!(c.key_mode_description(13).contains("FIFO"));
         c.key_cache_policy = KeyCachePolicy::Hotness;
         assert!(c.key_mode_description(13).contains("hotness"));
     }

@@ -20,17 +20,21 @@
 //!   [`SlotRegistry`] and guarded by an [`OwnedCell`] engage CAS, so
 //!   neither finding nor opening a thread's own state takes any shared
 //!   lock;
-//! * **sharded domains**: the object→domain map is split across
-//!   `DOMAIN_SHARDS` independently locked shards keyed by object id;
+//! * **lock-free domains**: an object's protection domain is one atomic
+//!   word in the flat side metadata ([`crate::sidemeta`]), reached only
+//!   through `set_domain` / `domain_of` / `take_domain` (store / load /
+//!   swap). Objects whose pages lie beyond the table's capacity
+//!   keep their domain in a small sharded overflow map behind the same
+//!   three helpers;
 //! * **per-concern locks**: the key-section map, the section-object map,
 //!   the interleaver, and the race-record store each have their own
-//!   narrow lock — but under [`KardConfig::lock_free_sections`] the
-//!   *common* (no-conflict) section entry/exit never reaches any of them:
-//!   proactive key acquisition rides a per-thread plan cache validated by
-//!   a global generation counter plus one CAS on the key's holder word
-//!   ([`KeyWords`]), and key release is one CAS the same way. Any
-//!   mismatch — stale generation, contended key, multi-key plan — falls
-//!   back to the locked slow path, which stays byte-equivalent;
+//!   narrow lock — but the *common* (no-conflict) section entry/exit
+//!   never reaches any of them: proactive key acquisition rides a
+//!   per-thread plan cache validated by a global generation counter plus
+//!   one CAS on the key's holder word ([`KeyWords`]), and key release is
+//!   one CAS the same way. Any mismatch — nested entry, stale generation,
+//!   contended key, multi-key plan — falls back to the locked slow path,
+//!   which accounts the same charges, events, and stats;
 //! * **lock-free counters**: statistics and the active-section count are
 //!   relaxed atomics ([`AtomicStats`]);
 //! * **per-thread armed/participating flags**: delay injection (§5.5) and
@@ -65,9 +69,8 @@
 //!    affected object's shard, so faults on unrelated objects run fully
 //!    in parallel while every operation racing on the *same* object
 //!    keeps mutual exclusion. `on_thread_exit` (whose page retirement
-//!    can affect any object) locks all shards in ascending index order,
-//!    as does every entry under the `serial_fault_path` ablation. The
-//!    shards sit at the **top** of the lock order: a blocking shard
+//!    can affect any object) locks all shards in ascending index order.
+//!    The shards sit at the **top** of the lock order: a blocking shard
 //!    acquisition is legal only while holding no other detector lock;
 //! 2. with a fault shard held, the arming sequence in `handle_pool_fault`
 //!    holds the key-table guard across the interleaver and thread-registry
@@ -138,9 +141,9 @@ use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Number of independently locked shards of the object→domain map. Object
-/// ids are dense, so a simple modulo spreads neighboring objects across
-/// different locks.
+/// Number of independently locked shards of the overflow object→domain
+/// map. Object ids are dense, so a simple modulo spreads neighboring
+/// objects across different locks.
 const DOMAIN_SHARDS: usize = 16;
 
 /// What the fault handler tells the access loop to do next.
@@ -352,8 +355,12 @@ pub struct Kard {
     /// Registered threads, indexed by dense `ThreadId`. Published once at
     /// registration; lookup and iteration are lock-free.
     threads: SlotRegistry<ThreadSlot>,
-    /// Object→domain map, sharded by object id.
-    domains: Vec<TrackedMutex<HashMap<ObjectId, Domain>>>,
+    /// Overflow object→domain store, sharded by object id: holds only
+    /// objects whose first page [`SideMetadata::fits`] rejects (or that
+    /// the allocator's lock-free extent index cannot resolve). Everything
+    /// else keeps its domain in `sidemeta`. Touched only by `set_domain`,
+    /// `domain_of`, and `take_domain`.
+    overflow_domains: Vec<TrackedMutex<HashMap<ObjectId, Domain>>>,
     /// The section-object map (§5.3, Figure 3a).
     sections: TrackedRwLock<SectionObjectMap>,
     /// The key-section map (§5.4, Figure 3b). Acquired only through
@@ -373,15 +380,12 @@ pub struct Kard {
     /// with `keys`, `keys` is always acquired first (order: `keys` →
     /// `vkeys`, never the reverse).
     vkeys: TrackedMutex<VKeyTable>,
-    /// Flat page-granular side metadata (see [`crate::sidemeta`]): the
-    /// lock-free mirror of the domain shards and vkey membership, plus the
-    /// hotness counters that drive
+    /// Flat page-granular side metadata (see [`crate::sidemeta`]): every
+    /// in-capacity object's domain word, the lock-free mirror of vkey
+    /// membership, and the hotness counters that drive
     /// [`KeyCachePolicy::Hotness`](crate::vkey::KeyCachePolicy::Hotness)
-    /// eviction.
-    /// Written through (under the same locks as the maps it mirrors,
-    /// before the `cache_gen` bump); read on the fast path only when
-    /// [`KardConfig::side_metadata`] is on. Hotness counters are bumped in
-    /// both modes so the eviction policy is mode-independent.
+    /// eviction. Written before the `cache_gen` bump of the mutation it
+    /// records.
     sidemeta: SideMetadata,
     /// The protection-interleaving engine (§5.5, Figure 4).
     interleaver: TrackedMutex<Interleaver>,
@@ -437,9 +441,9 @@ impl Kard {
             alloc,
             config,
             layout,
-            fault_shards: FaultShards::new(config.serial_fault_path),
+            fault_shards: FaultShards::new(),
             threads: SlotRegistry::new(),
-            domains: (0..DOMAIN_SHARDS)
+            overflow_domains: (0..DOMAIN_SHARDS)
                 .map(|_| TrackedMutex::new(HashMap::new(), tracked(&counter)))
                 .collect(),
             sections: TrackedRwLock::new(SectionObjectMap::new(), tracked(&counter)),
@@ -478,28 +482,49 @@ impl Kard {
         }
     }
 
-    // ---- side-metadata write-through -----------------------------------
+    // ---- side metadata ---------------------------------------------------
     //
-    // Each helper mirrors one authoritative-map mutation into the flat
-    // side-metadata tables. Callers invoke them while still holding the
-    // lock that guards the map being mirrored (domain shard, `vkeys`),
-    // and *before* the `cache_gen` bump for that mutation, so the seqlock
-    // protocol that already protects cached section plans also covers
-    // side-metadata staleness: a plan built from a stale metadata read
-    // fails generation re-validation exactly like one built from a stale
-    // map read.
+    // Every write below lands *before* the `cache_gen` bump for the
+    // mutation it records, so the seqlock protocol that protects cached
+    // section plans also covers metadata staleness: a plan built from a
+    // stale word fails generation re-validation.
 
-    /// Mirror `id`'s domain into the side metadata (every page; objects
-    /// span `pages_of(id).1` consecutive virtual pages).
-    fn meta_set_domain(&self, id: ObjectId, domain: Domain) {
-        if let Some((first, count)) = self.alloc.pages_of(id) {
-            for i in 0..count {
-                self.sidemeta.set_domain(VirtPage(first.0 + i), domain);
+    /// `id`'s first page when its domain lives in the side metadata:
+    /// the allocator's lock-free extent index knows the object and the
+    /// page is inside the table's capacity. `None` sends `set_domain`,
+    /// `domain_of`, and `take_domain` to the overflow map.
+    fn meta_page(&self, id: ObjectId) -> Option<VirtPage> {
+        self.alloc
+            .pages_of(id)
+            .map(|(first, _)| first)
+            .filter(|&first| SideMetadata::fits(first))
+    }
+
+    /// Record `id`'s domain: one store on its side-metadata word (a locked
+    /// insert for an overflow object). Last-writer-wins; every caller
+    /// after allocation holds the object's fault shard or a
+    /// [`crate::faultshard::ShardClaims`] claim on it.
+    fn set_domain(&self, id: ObjectId, domain: Domain) {
+        match self.meta_page(id) {
+            Some(page) => self.sidemeta.set_domain(page, domain),
+            None => {
+                self.domain_shard(id).lock().insert(id, domain);
             }
         }
     }
 
-    /// Mirror `id`'s group membership into the side metadata.
+    /// Forget `id`'s domain and return it: one swap (a locked remove for
+    /// an overflow object). Must run before the allocator forgets the
+    /// object's page extent.
+    fn take_domain(&self, id: ObjectId) -> Option<Domain> {
+        match self.meta_page(id) {
+            Some(page) => self.sidemeta.take_domain(page),
+            None => self.domain_shard(id).lock().remove(&id),
+        }
+    }
+
+    /// Mirror `id`'s group membership into the side metadata (every page;
+    /// objects span `pages_of(id).1` consecutive virtual pages).
     fn meta_set_vkey(&self, id: ObjectId, vkey: Option<VirtualKey>) {
         if let Some((first, count)) = self.alloc.pages_of(id) {
             for i in 0..count {
@@ -508,13 +533,12 @@ impl Kard {
         }
     }
 
-    /// Drop every side-metadata word for a freed object. Must run before
-    /// the allocator forgets the object's page extent.
+    /// Drop `id`'s membership and hotness words (object freed). Must run
+    /// before the allocator forgets the object's page extent.
     fn meta_clear(&self, id: ObjectId) {
         if let Some((first, count)) = self.alloc.pages_of(id) {
             for i in 0..count {
                 let page = VirtPage(first.0 + i);
-                self.sidemeta.clear_domain(page);
                 self.sidemeta.set_vkey(page, None);
                 self.sidemeta.reset_hot(page);
             }
@@ -523,9 +547,6 @@ impl Kard {
 
     /// Bump `id`'s hotness (first page only — group heat takes the max
     /// over members, so one representative page per object suffices).
-    /// Called in *both* side-metadata modes so the `Hotness` eviction
-    /// policy behaves identically under the `side_metadata(false)`
-    /// ablation.
     fn meta_bump_hot(&self, id: ObjectId) {
         if let Some((first, _)) = self.alloc.pages_of(id) {
             self.sidemeta.bump_hot(first);
@@ -551,17 +572,6 @@ impl Kard {
         self.alloc
             .pages_of(id)
             .map_or(0, |(first, _)| self.sidemeta.hot(first))
-    }
-
-    /// Lock-free domain read from the side metadata. `None` means the
-    /// metadata has no verdict (object unknown, or the mode is off) and
-    /// the caller must fall back to the locked shard.
-    fn meta_domain(&self, id: ObjectId) -> Option<Domain> {
-        if !self.config.side_metadata {
-            return None;
-        }
-        let (first, _) = self.alloc.pages_of(id)?;
-        self.sidemeta.domain(first)
     }
 
     /// The simulated machine under this detector.
@@ -667,9 +677,9 @@ impl Kard {
         (hits, misses)
     }
 
-    /// The domain-map shard owning `id`.
+    /// The overflow-map shard owning `id`.
     fn domain_shard(&self, id: ObjectId) -> &TrackedMutex<HashMap<ObjectId, Domain>> {
-        &self.domains[id.0 as usize % DOMAIN_SHARDS]
+        &self.overflow_domains[id.0 as usize % DOMAIN_SHARDS]
     }
 
     /// The PKRU policy for a thread outside any critical section: default
@@ -702,11 +712,7 @@ impl Kard {
                 .protect(t, info.id, self.layout.not_accessed)
                 .expect("k_na is always valid");
         }
-        {
-            let mut shard = self.domain_shard(info.id).lock();
-            shard.insert(info.id, Domain::NotAccessed);
-            self.meta_set_domain(info.id, Domain::NotAccessed);
-        }
+        self.set_domain(info.id, Domain::NotAccessed);
         info
     }
 
@@ -719,11 +725,7 @@ impl Kard {
                 .protect(t, info.id, self.layout.not_accessed)
                 .expect("k_na is always valid");
         }
-        {
-            let mut shard = self.domain_shard(info.id).lock();
-            shard.insert(info.id, Domain::NotAccessed);
-            self.meta_set_domain(info.id, Domain::NotAccessed);
-        }
+        self.set_domain(info.id, Domain::NotAccessed);
         info
     }
 
@@ -738,27 +740,23 @@ impl Kard {
         let shard = self.fault_shards.enter_object(id);
         self.note_fault_entry(t, &shard);
         // Read the mirrored membership word *before* scrubbing the
-        // metadata: with side metadata on, a never-grouped object can
-        // skip the `vkeys` mutex below. Safe because this object's
-        // membership only ever changes under its fault shard, held here.
-        let mirror_grouped = self.config.side_metadata
+        // metadata: a never-grouped object can skip the `vkeys` mutex
+        // below. Safe because this object's membership only ever changes
+        // under its fault shard, held here. An overflow object has no
+        // membership word, so it always asks the table.
+        let maybe_grouped = self.config.virtual_keys
             && self
-                .alloc
-                .pages_of(id)
-                .is_some_and(|(first, _)| self.sidemeta.vkey(first).is_some());
-        let prev = {
-            let mut shard = self.domain_shard(id).lock();
-            let prev = shard.remove(&id);
-            // Scrub every side-metadata word now, while the allocator
-            // still remembers the object's page extent (`alloc.free`
-            // below forgets it).
-            self.meta_clear(id);
-            prev
-        };
+                .meta_page(id)
+                .is_none_or(|page| self.sidemeta.vkey(page).is_some());
+        // Scrub every side-metadata word now, while the allocator still
+        // remembers the object's page extent (`alloc.free` below forgets
+        // it).
+        let prev = self.take_domain(id);
+        self.meta_clear(id);
         if let Some(Domain::ReadWrite(key)) = prev {
             self.lock_keys().unassign_object(key, id);
         }
-        if self.config.virtual_keys && (mirror_grouped || !self.config.side_metadata) {
+        if maybe_grouped {
             // Group membership outlives domain demotion (an evicted
             // object is Read-only but still grouped), so the free must
             // drop it explicitly.
@@ -843,52 +841,50 @@ impl Kard {
         new_pkru.set_permission(self.layout.not_accessed, Permission::NoAccess);
         let entered = self.machine.now();
 
-        if self.config.lock_free_sections {
-            // Plan the entry under the thread's own cell. Eligible only at
-            // nesting depth zero with nothing held, so the cached plan's
-            // empty-context simulation matches reality. `None` = nested
-            // (not the fast path's business); `Some(None)` = eligible but
-            // no replayable plan.
-            let plan: Option<Option<FastPlan>> = slot.ctx.with(|ctx| {
-                if !ctx.frames.is_empty() || !ctx.held.is_empty() {
-                    return None;
-                }
-                if !self.config.proactive_acquisition {
-                    // Nothing to look up or acquire: the slow path would
-                    // charge and grant nothing either.
-                    return Some(Some(FastPlan {
-                        proactive: false,
-                        gen: 0,
-                        wanted_len: 0,
-                        target: None,
-                    }));
-                }
-                let gen = self.cache_gen.load(Ordering::SeqCst);
-                Some(match ctx.section_cache.get(&(section, mode)) {
-                    Some(e) if e.fast && e.gen == gen => Some(FastPlan {
-                        proactive: true,
-                        gen,
-                        wanted_len: e.wanted_len,
-                        target: e.target,
-                    }),
-                    _ => None,
-                })
+        // Plan the entry under the thread's own cell. Eligible only at
+        // nesting depth zero with nothing held, so the cached plan's
+        // empty-context simulation matches reality. `None` = nested
+        // (not the fast path's business); `Some(None)` = eligible but
+        // no replayable plan.
+        let plan: Option<Option<FastPlan>> = slot.ctx.with(|ctx| {
+            if !ctx.frames.is_empty() || !ctx.held.is_empty() {
+                return None;
+            }
+            if !self.config.proactive_acquisition {
+                // Nothing to look up or acquire: the slow path would
+                // charge and grant nothing either.
+                return Some(Some(FastPlan {
+                    proactive: false,
+                    gen: 0,
+                    wanted_len: 0,
+                    target: None,
+                }));
+            }
+            let gen = self.cache_gen.load(Ordering::SeqCst);
+            Some(match ctx.section_cache.get(&(section, mode)) {
+                Some(e) if e.fast && e.gen == gen => Some(FastPlan {
+                    proactive: true,
+                    gen,
+                    wanted_len: e.wanted_len,
+                    target: e.target,
+                }),
+                _ => None,
+            })
+        });
+        if let Some(eligible) = plan {
+            let committed = eligible.is_some_and(|plan| {
+                self.commit_fast_enter(
+                    t, slot, section, lock, &saved_pkru, &mut new_pkru, entered, plan,
+                )
             });
-            if let Some(eligible) = plan {
-                let committed = eligible.is_some_and(|plan| {
-                    self.commit_fast_enter(
-                        t, slot, section, lock, &saved_pkru, &mut new_pkru, entered, plan,
-                    )
-                });
-                if committed {
-                    if self.config.proactive_acquisition {
-                        slot.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    }
-                    return;
-                }
+            if committed {
                 if self.config.proactive_acquisition {
-                    slot.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    slot.cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
+                return;
+            }
+            if self.config.proactive_acquisition {
+                slot.cache_misses.fetch_add(1, Ordering::Relaxed);
             }
         }
 
@@ -905,12 +901,13 @@ impl Kard {
         if self.config.proactive_acquisition {
             // Figure 3b: look up the section-object map, then try to
             // acquire each object's key from the key-section map. The
-            // wanted list and each object's domain are read under their
-            // own (briefly held) locks; the acquisitions then run under
-            // one key-table guard. The generation is snapshotted *before*
-            // the map reads (seqlock read protocol): if any invalidating
-            // mutation lands while we read, its bump postdates `gen` and
-            // the cached plan below can never validate.
+            // wanted list is read under its own (briefly held) lock and
+            // each object's domain with one load; the acquisitions then
+            // run under one key-table guard. The generation is
+            // snapshotted *before* the map reads (seqlock read protocol):
+            // if any invalidating mutation lands while we read, its bump
+            // postdates `gen` and the cached plan below can never
+            // validate.
             let gen = self.cache_gen.load(Ordering::SeqCst);
             let wanted = self.sections.read().objects_of(section);
             self.machine
@@ -921,24 +918,16 @@ impl Kard {
                 let perm = mode.cap(perm);
                 // This section is about to touch `obj`: feed the hotness
                 // counter that keeps its group resident under the
-                // `Hotness` eviction policy. Bumped in both side-metadata
-                // modes so the policy is mode-independent.
+                // `Hotness` eviction policy.
                 self.meta_bump_hot(obj);
-                // Domain read: side metadata answers lock-free when the
-                // mode is on; a miss (or the ablation) falls back to the
-                // authoritative locked shard. Staleness is covered by the
-                // `gen` snapshot above either way.
-                let domain = self
-                    .meta_domain(obj)
-                    .or_else(|| self.domain_shard(obj).lock().get(&obj).copied());
-                let Some(Domain::ReadWrite(key)) = domain else {
+                // Staleness of the domain read is covered by the `gen`
+                // snapshot above.
+                let Some(Domain::ReadWrite(key)) = self.domain_of(obj) else {
                     continue; // RO-domain objects need no key to read.
                 };
                 targets.push((key, perm));
             }
-            if self.config.lock_free_sections {
-                cache_update = Some(Self::plan_from_targets(gen, wanted_len, &targets));
-            }
+            cache_update = Some(Self::plan_from_targets(gen, wanted_len, &targets));
             let mut keys = self.lock_keys();
             for (key, perm) in targets {
                 let prev = keys.holder_perm(key, t);
@@ -1039,7 +1028,7 @@ impl Kard {
         if plan.proactive {
             // Replay exactly the locked path's map charges, grant event,
             // and stat bump for this plan (folded into one charge), so
-            // both modes account the same machine work for the same
+            // both paths account the same machine work for the same
             // logical entry.
             let mut map_ops = plan.wanted_len + 1;
             if let Some((key, perm)) = plan.target {
@@ -1118,13 +1107,12 @@ impl Kard {
         // Undo the frame's key-table changes. A newly-acquired key whose
         // holder word is still fast-published releases with one CAS
         // (stamping the §5.4 release time into the word's side slots);
-        // everything else — downgrades, materialized holds, the entire
-        // ablation mode — batches under one key-table guard.
+        // everything else — downgrades, materialized holds — batches
+        // under one key-table guard.
         let mut slow_releases: Vec<(ProtectionKey, Option<Perm>)> = Vec::new();
         for &(key, prev, eff) in releases.iter() {
             self.machine.charge(t, cost.map_op);
-            let fast_done = self.config.lock_free_sections
-                && prev.is_none()
+            let fast_done = prev.is_none()
                 && eff.is_some_and(|perm| self.words.try_fast_release(key, t, perm, now));
             if !fast_done {
                 slow_releases.push((key, prev));
@@ -1157,11 +1145,9 @@ impl Kard {
         // mirrors exactly that membership (every bump happens under the
         // guards that publish the participation, every decrement under
         // the removal), so when it reads zero
-        // `thread_left_critical_sections` would be a no-op and the
-        // lock-free mode skips the interleaver lock entirely.
-        let consult_interleaver =
-            !self.config.lock_free_sections || slot.participating.load(Ordering::Relaxed) > 0;
-        if outside_now && consult_interleaver {
+        // `thread_left_critical_sections` would be a no-op and the exit
+        // skips the interleaver lock entirely.
+        if outside_now && slot.participating.load(Ordering::Relaxed) > 0 {
             let (finished, armed_removed, removed) =
                 self.interleaver.lock().thread_left_critical_sections(t);
             if armed_removed > 0 {
@@ -1205,11 +1191,7 @@ impl Kard {
                     };
                     if let Some(key) = target {
                         self.lock_keys().assign_object(key, fin.object);
-                        {
-                            let mut dshard = self.domain_shard(fin.object).lock();
-                            dshard.insert(fin.object, Domain::ReadWrite(key));
-                            self.meta_set_domain(fin.object, Domain::ReadWrite(key));
-                        }
+                        self.set_domain(fin.object, Domain::ReadWrite(key));
                         self.alloc
                             .protect(t, fin.object, key)
                             .expect("pool key is valid");
@@ -1226,11 +1208,7 @@ impl Kard {
                             pack_domains(DomainCode::Suspended, DomainCode::ReadWrite),
                         );
                     } else {
-                        {
-                            let mut dshard = self.domain_shard(fin.object).lock();
-                            dshard.insert(fin.object, Domain::ReadOnly);
-                            self.meta_set_domain(fin.object, Domain::ReadOnly);
-                        }
+                        self.set_domain(fin.object, Domain::ReadOnly);
                         self.alloc
                             .protect(t, fin.object, self.layout.read_only)
                             .expect("k_ro is valid");
@@ -1346,6 +1324,16 @@ impl Kard {
             }
         };
         self.note_fault_entry(fault.thread, &shard);
+        // The fault names the key the page carried when the access was
+        // checked, but a handler that held this shard first may have
+        // re-protected the object since (identification, migration,
+        // interleave suspension). A stale fault describes protection that
+        // no longer exists — acting on it would, say, arm an interleaving
+        // on a suspended object — so drop it and let the access re-execute
+        // against the current key. Never taken in a single-threaded run.
+        if self.machine.page_key(fault.page) != Some(fault.pkey) {
+            return Ok(FaultAction::Retry);
+        }
         // §5.5 serialization charge: queue (in virtual time) behind any
         // earlier handler of a held shard whose interval overlaps this
         // fault's delivery on the thread's own clock. Single-threaded
@@ -1451,11 +1439,7 @@ impl Kard {
                     info.id.0,
                     pack_domains(DomainCode::NotAccessed, DomainCode::ReadOnly),
                 );
-                {
-                    let mut shard = self.domain_shard(info.id).lock();
-                    shard.insert(info.id, Domain::ReadOnly);
-                    self.meta_set_domain(info.id, Domain::ReadOnly);
-                }
+                self.set_domain(info.id, Domain::ReadOnly);
                 self.sections.write().record(section, info.id, Perm::Read);
                 self.alloc
                     .protect(t, info.id, self.layout.read_only)
@@ -1630,11 +1614,7 @@ impl Kard {
             pack_domains(DomainCode::ReadWrite, DomainCode::Suspended),
         );
         self.lock_keys().unassign_object(ikey, info.id);
-        {
-            let mut shard = self.domain_shard(info.id).lock();
-            shard.insert(info.id, Domain::Suspended);
-            self.meta_set_domain(info.id, Domain::Suspended);
-        }
+        self.set_domain(info.id, Domain::Suspended);
         self.alloc
             .protect(t, info.id, ProtectionKey::DEFAULT)
             .expect("default key is valid");
@@ -1837,11 +1817,7 @@ impl Kard {
                         };
                         if let Some(ikey) = armed_key {
                             self.note_held_and_record(t, ikey, perm_for(fault.access));
-                            {
-                                let mut dshard = self.domain_shard(info.id).lock();
-                                dshard.insert(info.id, Domain::ReadWrite(ikey));
-                                self.meta_set_domain(info.id, Domain::ReadWrite(ikey));
-                            }
+                            self.set_domain(info.id, Domain::ReadWrite(ikey));
                             self.alloc.protect(t, info.id, ikey).expect("valid key");
                             self.grant_in_context(t, ikey);
                             // Arming rebound the object to the interleaved
@@ -1956,11 +1932,7 @@ impl Kard {
         };
         self.machine.charge(t, cost.map_op * 2);
 
-        {
-            let mut dshard = self.domain_shard(info.id).lock();
-            dshard.insert(info.id, Domain::ReadWrite(key));
-            self.meta_set_domain(info.id, Domain::ReadWrite(key));
-        }
+        self.set_domain(info.id, Domain::ReadWrite(key));
         self.sections.write().record(section, info.id, Perm::Write);
         self.alloc.protect(t, info.id, key).expect("pool key valid");
 
@@ -2071,11 +2043,7 @@ impl Kard {
                 // domain; their next write re-identifies them (§5.4).
                 for &obj in evicted {
                     if self.alloc.object(obj).is_some() {
-                        {
-                            let mut dshard = self.domain_shard(obj).lock();
-                            dshard.insert(obj, Domain::ReadOnly);
-                            self.meta_set_domain(obj, Domain::ReadOnly);
-                        }
+                        self.set_domain(obj, Domain::ReadOnly);
                         self.alloc
                             .protect(t, obj, self.layout.read_only)
                             .expect("k_ro is valid");
@@ -2240,11 +2208,7 @@ impl Kard {
             .filter(|&obj| self.alloc.object(obj).is_some())
             .collect();
         for &obj in &live {
-            {
-                let mut dshard = self.domain_shard(obj).lock();
-                dshard.insert(obj, Domain::ReadOnly);
-                self.meta_set_domain(obj, Domain::ReadOnly);
-            }
+            self.set_domain(obj, Domain::ReadOnly);
             AtomicStats::bump(&self.stats.read_only_migrations);
             self.emit(
                 t,
@@ -2516,8 +2480,8 @@ impl Kard {
     /// arming backoff). Returns `None` when production mode is off or no
     /// virtual time has elapsed.
     ///
-    /// Call it wherever telemetry is drained — `Session::drain_telemetry`
-    /// and the firehose shard loops do. The work integral only grows while
+    /// Call it wherever telemetry is drained — `Session::drain` and the
+    /// firehose shard loops do. The work integral only grows while
     /// telemetry is enabled (the cycle histograms gate on it), so a
     /// production run that wants *adaptive* budgeting must record
     /// telemetry; without it the controller still applies the static
@@ -2561,10 +2525,14 @@ impl Kard {
             .key_mode_description(self.layout.read_write_pool().count())
     }
 
-    /// The current protection domain of an object, if tracked.
+    /// The current protection domain of an object, if tracked: one
+    /// acquire load (a locked lookup for an overflow object).
     #[must_use]
     pub fn domain_of(&self, id: ObjectId) -> Option<Domain> {
-        self.domain_shard(id).lock().get(&id).copied()
+        match self.meta_page(id) {
+            Some(page) => self.sidemeta.domain(page),
+            None => self.domain_shard(id).lock().get(&id).copied(),
+        }
     }
 
     /// Objects recorded for a section in the section-object map.
@@ -3039,6 +3007,31 @@ mod tests {
         kard.write(t2, o.base, site(0xc));
         assert!(kard.reports().is_empty());
         assert_eq!(kard.stats().races_filtered_timestamp, 1);
+    }
+
+    #[test]
+    fn stale_fault_is_dropped_not_replayed() {
+        // A fault raised against `k_na` whose handler only gets the
+        // object's fault shard after another handler identified the
+        // object: the protection it describes is gone.
+        let (machine, kard) = setup();
+        let t = kard.register_thread();
+        let o = kard.on_alloc(t, 32);
+        kard.lock_enter(t, LockId(1), site(0xa));
+        kard.read(t, o.base, site(0xa1)); // identifies: page now carries k_ro
+        let stale = GpFault {
+            thread: t,
+            addr: o.base,
+            page: o.base.page(),
+            pkey: kard.layout.not_accessed,
+            access: AccessKind::Read,
+            ip: site(0xa2),
+            tsc: machine.now(),
+        };
+        assert_eq!(kard.handle_fault(stale), Ok(FaultAction::Retry));
+        assert_eq!(kard.stats().objects_identified, 1, "not identified twice");
+        assert_eq!(kard.domain_of(o.id), Some(Domain::ReadOnly));
+        kard.lock_exit(t, LockId(1));
     }
 
     #[test]

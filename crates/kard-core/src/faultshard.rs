@@ -13,9 +13,9 @@
 //! that must be mutually exclusive with a concurrent fault on object `O`
 //! (the fault handler itself, `O`'s free, the restoration of `O` after a
 //! finished interleaving) locks `shard_of(O)`; operations touching every
-//! object (`on_thread_exit`'s magazine retirement, the serial-ablation
-//! mode) lock all shards in ascending index order. Faults on objects in
-//! different shards proceed fully in parallel.
+//! object (`on_thread_exit`'s magazine retirement) lock all shards in
+//! ascending index order. Faults on objects in different shards proceed
+//! fully in parallel.
 //!
 //! # Why object id, not virtual key
 //!
@@ -75,8 +75,8 @@ pub struct FaultShardStats {
     /// above 1 are parallelism the old global fault mutex forbade.
     pub max_in_flight: u64,
     /// Total virtual cycles fault handlers spent queued behind earlier
-    /// handlers of the same shard (every shard, in serial mode) — the
-    /// §5.5 serialization cost on each thread's virtual clock.
+    /// handlers of the same shard — the §5.5 serialization cost on each
+    /// thread's virtual clock.
     pub queued_cycles: u64,
 }
 
@@ -106,16 +106,12 @@ pub struct FaultShards {
     free_at: Vec<AtomicU64>,
     /// Total cycles charged through [`FaultPathGuard::queue_wait`].
     queued: AtomicU64,
-    /// Serial-ablation mode: every entry locks all shards, reproducing
-    /// the old global-mutex behaviour (used as the benchmark baseline).
-    serial: bool,
 }
 
 impl FaultShards {
-    /// A fresh shard array. `serial` selects the all-shards ablation mode
-    /// ([`crate::KardConfig::serial_fault_path`]).
+    /// A fresh shard array.
     #[must_use]
-    pub fn new(serial: bool) -> FaultShards {
+    pub fn new() -> FaultShards {
         let per_shard: Vec<Arc<AtomicU64>> =
             (0..FAULT_SHARDS).map(|_| Arc::new(AtomicU64::new(0))).collect();
         FaultShards {
@@ -129,17 +125,12 @@ impl FaultShards {
             contended: AtomicU64::new(0),
             free_at: (0..FAULT_SHARDS).map(|_| AtomicU64::new(0)).collect(),
             queued: AtomicU64::new(0),
-            serial,
         }
     }
 
-    /// Serialize a fault-path operation on `id`: lock its shard (every
-    /// shard in serial mode). Blocking — callers must hold no other
-    /// detector lock.
+    /// Serialize a fault-path operation on `id`: lock its shard.
+    /// Blocking — callers must hold no other detector lock.
     pub fn enter_object(&self, id: ObjectId) -> FaultPathGuard<'_> {
-        if self.serial {
-            return self.enter_all();
-        }
         let idx = shard_of(id);
         let (guard, contended) = match self.shards[idx].try_lock() {
             Some(g) => (g, false),
@@ -153,8 +144,7 @@ impl FaultShards {
 
     /// Serialize against the *whole* fault path: lock every shard in
     /// ascending index order. Used by `on_thread_exit` (magazine
-    /// retirement unmaps pages any handler might touch) and by the
-    /// serial-ablation mode.
+    /// retirement unmaps pages any handler might touch).
     pub fn enter_all(&self) -> FaultPathGuard<'_> {
         let mut contended = false;
         let guards = self
@@ -231,18 +221,17 @@ impl FaultShards {
             queued_cycles: self.queued.load(Ordering::Relaxed),
         }
     }
+}
 
-    /// Whether the serial-ablation mode is active.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.serial
+impl Default for FaultShards {
+    fn default() -> Self {
+        FaultShards::new()
     }
 }
 
 impl std::fmt::Debug for FaultShards {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("FaultShards")
-            .field("serial", &self.serial)
             .field("stats", &self.stats())
             .finish()
     }
@@ -285,10 +274,8 @@ impl FaultPathGuard<'_> {
     /// behind the latest earlier handler of any held shard. Threads run
     /// identical virtual work at identical rates, so two handlers whose
     /// virtual intervals overlap *would* have collided on real parallel
-    /// hardware — charging the overlap models the old global mutex
-    /// (serial mode: every shard is held, so every handler queues) and
-    /// the sharded replacement (only same-shard handlers queue) with the
-    /// same yardstick, independent of how many host cores exist to
+    /// hardware — charging the overlap makes same-shard handlers queue
+    /// (and only those), independent of how many host cores exist to
     /// overlap them in real time. The wait is also added to
     /// [`FaultShardStats::queued_cycles`].
     #[must_use]
@@ -342,9 +329,8 @@ pub struct ShardClaims<'a> {
 impl ShardClaims<'_> {
     /// Try to claim the shards of every object in `members`, atomically:
     /// on any refusal the shards claimed by *this call* are released
-    /// again. Shards already covered (pre-held by the primary guard, all
-    /// shards in serial mode, or claimed by an earlier successful call)
-    /// are skipped.
+    /// again. Shards already covered (pre-held by the primary guard or
+    /// claimed by an earlier successful call) are skipped.
     pub fn claim(&mut self, members: &[ObjectId]) -> bool {
         let start = self.claimed.len();
         for &obj in members {
@@ -364,9 +350,7 @@ impl ShardClaims<'_> {
     }
 
     fn covers(&self, idx: usize) -> bool {
-        self.shards.serial
-            || self.preheld.contains(&idx)
-            || self.claimed.iter().any(|&(i, _)| i == idx)
+        self.preheld.contains(&idx) || self.claimed.iter().any(|&(i, _)| i == idx)
     }
 }
 
@@ -376,7 +360,7 @@ mod tests {
 
     #[test]
     fn disjoint_objects_lock_disjoint_shards() {
-        let shards = FaultShards::new(false);
+        let shards = FaultShards::new();
         let a = shards.enter_object(ObjectId(0));
         let b = shards.enter_object(ObjectId(1));
         assert_eq!(a.held_indices(), vec![0]);
@@ -393,7 +377,7 @@ mod tests {
 
     #[test]
     fn same_shard_objects_serialize() {
-        let shards = FaultShards::new(false);
+        let shards = FaultShards::new();
         let a = shards.enter_object(ObjectId(3));
         // Probe shard 3 from another operation with a non-blocking claim:
         // an object with the same index mod FAULT_SHARDS is refused while
@@ -407,9 +391,9 @@ mod tests {
     }
 
     #[test]
-    fn serial_mode_locks_everything() {
-        let shards = FaultShards::new(true);
-        let g = shards.enter_object(ObjectId(5));
+    fn enter_all_locks_every_shard_once() {
+        let shards = FaultShards::new();
+        let g = shards.enter_all();
         assert_eq!(g.held_indices().len(), FAULT_SHARDS);
         drop(g);
         assert!(shards.per_shard_acquisitions().iter().all(|&c| c == 1));
@@ -417,7 +401,7 @@ mod tests {
 
     #[test]
     fn claims_skip_preheld_and_roll_back_on_refusal() {
-        let shards = FaultShards::new(false);
+        let shards = FaultShards::new();
         let primary = shards.enter_object(ObjectId(0));
         let blocker = shards.enter_object(ObjectId(9));
 
@@ -437,7 +421,7 @@ mod tests {
 
     #[test]
     fn claim_is_idempotent_per_shard() {
-        let shards = FaultShards::new(false);
+        let shards = FaultShards::new();
         let primary = shards.enter_object(ObjectId(1));
         let mut claims = shards.claims(&primary);
         // Two members in the same shard: one lock, one skip.

@@ -1,19 +1,21 @@
 //! Flat side-metadata tables: object→domain/key/hotness in O(1), no locks.
 //!
-//! PRs 4–6 made allocation, the fault path, and section entry/exit
-//! lock-free, but the detector's *metadata* still lived in hash-and-lock
-//! structures: a 16-way sharded `HashMap<ObjectId, Domain>` and a mutexed
-//! virtual-key membership map. This module replaces both on the read side
-//! with the mmtk-style side-metadata idiom: a flat array indexed by
-//! page-granular address, where every entry is a few atomic words that are
-//! published under the writer's existing lock and read with a single
-//! acquire load.
+//! The detector's per-object metadata — protection domain, virtual-key
+//! membership, hotness — lives here in the mmtk-style side-metadata idiom:
+//! a flat array indexed by page-granular address, where every entry is a
+//! few atomic words written with one store and read with one acquire
+//! load. The domain word is the *only* record of an in-capacity object's
+//! domain; the membership word mirrors the mutexed [`crate::vkey`] table.
+//! (The hash-and-lock tables this replaced — a 16-way sharded
+//! `HashMap<ObjectId, Domain>` answering every read — last existed at
+//! commit `5e877f8`.)
 //!
 //! Two structural facts make a page-indexed table exactly object-granular:
 //!
 //! * **One object per virtual page** (§5.3): consolidation shares physical
 //!   frames, never virtual pages, so `page → metadata` *is*
-//!   `object → metadata`.
+//!   `object → metadata`. A multi-page object's domain word lives at its
+//!   first page.
 //! * **Virtual pages are a dense bump sequence** from
 //!   [`kard_sim::MMAP_BASE_PAGE`] and are never reused, so
 //!   [`kard_sim::dense_page_index`] keys a chunked array with no hashing
@@ -34,19 +36,21 @@
 //! immutable as a container — only its atomic words change. An idle table
 //! costs one pointer per chunk.
 //!
-//! **Who writes, who reads.** The mutexed tables remain the source of
-//! truth: every domain-map mutation writes the slot's domain word *while
-//! the domain shard lock is held*, and every membership change writes the
-//! vkey word under the `keys → vkeys` lock order, both *before* the
-//! detector's `cache_gen` bump. Readers (`KardConfig::side_metadata`, the
-//! default) take no locks at all: the section-entry planner and the
-//! free-path membership probe do one acquire load per object, and the
-//! generational plan validation that already guards the lock-free entry
-//! path (PR 6) covers side-metadata staleness for free — a plan built
-//! from stale side metadata fails its `cache_gen` re-validation exactly
-//! like one built from a stale map read. With `side_metadata(false)` the
-//! locked reads return, byte-identical by the `sidemeta_equivalence`
-//! property test.
+//! **Who writes, who reads.** The domain word is written by the
+//! detector's three domain helpers (`set_domain` / `domain_of` /
+//! `take_domain`: store / load / swap) with no lock of its own — every
+//! writer after allocation already runs under the object's fault shard or
+//! a `ShardClaims` claim, and the word is last-writer-wins exactly as a
+//! locked map insert would be. The vkey word is written under the
+//! `keys → vkeys` lock order next to the membership-map mutation. Both
+//! land *before* the detector's `cache_gen` bump. Readers take no locks
+//! at all: the section-entry planner and the free-path membership probe
+//! do one acquire load per object, and the generational plan validation
+//! that already guards the lock-free entry path covers side-metadata
+//! staleness for free — a plan built from a stale word fails its
+//! `cache_gen` re-validation. Pages beyond the table's fixed capacity
+//! ([`SideMetadata::fits`]) are not recorded here; the detector keeps
+//! those objects' domains in a small mutexed overflow map.
 //!
 //! **Hotness.** The `hot` word is a saturating per-page counter bumped
 //! (relaxed `fetch_add`) on section entry and fault handling. It drives
@@ -58,8 +62,7 @@
 //! group that faults or is planned every round keeps pulling ahead of
 //! one touched once per scan, which is exactly the separation the victim
 //! sort needs (decaying on demotion was tried and collapses both to the
-//! same fixpoint). [`SideMetadata::cool`] remains available as a decay
-//! primitive for policies that want aging.
+//! same fixpoint).
 //!
 //! **Holder words.** The third piece of per-object metadata — who holds
 //! the protecting key — is already a flat atomic structure: the per-key
@@ -78,8 +81,7 @@ const PAGE_CHUNK: usize = 1 << 12;
 const PAGE_CHUNKS: usize = 1 << 12; // capacity: 16Mi pages (64 GiB of VA)
 
 /// Saturation ceiling of the hotness counter. High enough that ordering
-/// among live groups is preserved for any realistic run, small enough
-/// that a halving cascade cools a retired group quickly.
+/// among live groups is preserved for any realistic run.
 pub const HOT_MAX: u64 = u32::MAX as u64;
 
 const DOMAIN_NOT_ACCESSED: u64 = 1;
@@ -141,8 +143,8 @@ impl SideMetadata {
         (dense < PAGE_CHUNK * PAGE_CHUNKS).then_some(dense)
     }
 
-    /// Whether `page` is within the table's fixed capacity. Out-of-range
-    /// pages keep their metadata in the mutexed tables only.
+    /// Whether `page` is within the table's fixed capacity. The detector
+    /// keeps out-of-range objects' domains in its overflow map instead.
     #[must_use]
     pub fn fits(page: VirtPage) -> bool {
         Self::slot_index(page).is_some()
@@ -164,26 +166,22 @@ impl SideMetadata {
         Some(&chunk[idx % PAGE_CHUNK])
     }
 
-    /// Publish `page`'s protection domain. Called with the page's domain
-    /// shard lock held, immediately adjacent to the map mutation, so the
-    /// word and the map never disagree for longer than the writer's
-    /// critical section (which `cache_gen` already fences for planners).
+    /// Publish `page`'s protection domain: one release store, before the
+    /// writer's `cache_gen` bump. A no-op for pages that do not
+    /// [`fit`](SideMetadata::fits).
     pub fn set_domain(&self, page: VirtPage, domain: Domain) {
         if let Some(cell) = self.cell(page) {
             cell.domain.store(encode_domain(domain), Ordering::Release);
         }
     }
 
-    /// Remove `page`'s domain word (object freed).
-    pub fn clear_domain(&self, page: VirtPage) {
-        if let Some(cell) = self.peek(page) {
-            cell.domain.store(0, Ordering::Release);
-        }
+    /// Remove and return `page`'s domain (object freed): one swap.
+    pub fn take_domain(&self, page: VirtPage) -> Option<Domain> {
+        decode_domain(self.peek(page)?.domain.swap(0, Ordering::AcqRel))
     }
 
     /// `page`'s protection domain: one acquire load, no locks. `None`
-    /// means "not recorded here" — absent, freed, or out of capacity —
-    /// and the caller must fall back to the locked map.
+    /// means no domain is recorded — never set, or taken by a free.
     #[must_use]
     pub fn domain(&self, page: VirtPage) -> Option<Domain> {
         decode_domain(self.peek(page)?.domain.load(Ordering::Acquire))
@@ -234,18 +232,6 @@ impl SideMetadata {
         self.peek(page).map_or(0, |cell| cell.hot.load(Ordering::Relaxed))
     }
 
-    /// Halve `page`'s hotness. An aging primitive for policies that want
-    /// decay; the built-in hotness policy does *not* call it (see module
-    /// docs — accumulation is the signal). Atomic read-modify-write:
-    /// concurrent bumps are folded, not lost.
-    pub fn cool(&self, page: VirtPage) {
-        if let Some(cell) = self.peek(page) {
-            let _ = cell
-                .hot
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(v / 2));
-        }
-    }
-
     /// Reset `page`'s hotness to zero (object freed; virtual pages are
     /// never reused, so this is bookkeeping hygiene, not correctness).
     pub fn reset_hot(&self, page: VirtPage) {
@@ -283,8 +269,9 @@ mod tests {
             m.set_domain(page(3), domain);
             assert_eq!(m.domain(page(3)), Some(domain));
         }
-        m.clear_domain(page(3));
+        assert_eq!(m.take_domain(page(3)), Some(Domain::Suspended));
         assert_eq!(m.domain(page(3)), None);
+        assert_eq!(m.take_domain(page(3)), None, "taken once");
     }
 
     #[test]
@@ -309,14 +296,12 @@ mod tests {
     }
 
     #[test]
-    fn hotness_bumps_cools_and_saturates() {
+    fn hotness_bumps_resets_and_saturates() {
         let m = SideMetadata::new();
         for _ in 0..10 {
             m.bump_hot(page(1));
         }
         assert_eq!(m.hot(page(1)), 10);
-        m.cool(page(1));
-        assert_eq!(m.hot(page(1)), 5);
         m.reset_hot(page(1));
         assert_eq!(m.hot(page(1)), 0);
         // Saturation: a counter at the ceiling stays there.

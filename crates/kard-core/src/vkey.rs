@@ -63,9 +63,6 @@ pub enum KeyCachePolicy {
     /// sections, so LRU tracks the §5.4 working set well.
     #[default]
     Lru,
-    /// Evict the least-recently-*bound* group, ignoring hits. Cheaper to
-    /// reason about; kept as an ablation of how much recency matters.
-    Fifo,
     /// Evict the *coldest* group: candidates are scored by the saturating
     /// side-metadata hotness counters of their member pages
     /// ([`crate::sidemeta`], bumped on section entry and fault handling),
@@ -121,8 +118,6 @@ struct Group {
     binding: Option<ProtectionKey>,
     /// Objects belonging to the group.
     members: BTreeSet<ObjectId>,
-    /// Cache clock at binding time (FIFO stamp).
-    bound_at: u64,
     /// Cache clock at the last hit/fill/revival (LRU stamp).
     touched_at: u64,
     /// Holders stripped at eviction time; drained by revival. Empty while
@@ -203,7 +198,6 @@ impl VKeyTable {
         let group = self.group_mut(v);
         assert!(group.binding.is_none(), "{v} is already bound");
         group.binding = Some(key);
-        group.bound_at = clock;
         group.touched_at = clock;
     }
 
@@ -294,8 +288,8 @@ impl VKeyTable {
     /// `group_hotness` scores a candidate's member set — under
     /// [`KeyCachePolicy::Hotness`] the detector supplies the maximum
     /// side-metadata hotness over the members' pages and the *coldest*
-    /// group evicts first (LRU stamp breaking ties); the other policies
-    /// never call it, so `|_| 0` reproduces them exactly.
+    /// group evicts first (LRU stamp breaking ties); LRU never calls it,
+    /// so `|_| 0` reproduces it exactly.
     ///
     /// `claim_members` is the fault-shard claiming hook: candidates are
     /// offered in preference order, and the first whose member set the
@@ -316,15 +310,11 @@ impl VKeyTable {
             .iter()
             .map(|(&key, &v)| {
                 let group = &self.groups[&v];
-                let stamp = match self.policy {
-                    KeyCachePolicy::Lru | KeyCachePolicy::Hotness => group.touched_at,
-                    KeyCachePolicy::Fifo => group.bound_at,
-                };
                 let heat = match self.policy {
                     KeyCachePolicy::Hotness => group_hotness(&self.members_of(v)),
-                    KeyCachePolicy::Lru | KeyCachePolicy::Fifo => 0,
+                    KeyCachePolicy::Lru => 0,
                 };
-                (holder_count(key) > 0, !group.members.is_empty(), heat, stamp, v.0, v)
+                (holder_count(key) > 0, !group.members.is_empty(), heat, group.touched_at, v.0, v)
             })
             .collect();
         candidates.sort();
@@ -432,19 +422,6 @@ mod tests {
         t.bind(b, ProtectionKey(2));
         t.touch(a); // b is now the LRU group.
         assert_eq!(t.victim(holder_free, |_| 0, |_| true), Some(b));
-    }
-
-    #[test]
-    fn fifo_victim_ignores_touches() {
-        let mut t = VKeyTable::new(KeyCachePolicy::Fifo);
-        let a = t.create();
-        let b = t.create();
-        t.add_member(a, ObjectId(1));
-        t.add_member(b, ObjectId(2));
-        t.bind(a, ProtectionKey(1));
-        t.bind(b, ProtectionKey(2));
-        t.touch(a);
-        assert_eq!(t.victim(holder_free, |_| 0, |_| true), Some(a), "bound first, evicted first");
     }
 
     #[test]

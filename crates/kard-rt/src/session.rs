@@ -5,11 +5,9 @@ use crate::thread::SimThread;
 use kard_alloc::KardAlloc;
 use kard_core::{Kard, KardConfig, KardSnapshot};
 use kard_sim::{Machine, MachineConfig};
-use kard_telemetry::{export, DrainContext, Drained, Telemetry, TelemetryConsumer};
+use kard_telemetry::{DrainContext, Drained, Telemetry, TelemetryConsumer};
 use parking_lot::Mutex;
 use std::fmt;
-use std::io;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -300,36 +298,6 @@ impl Session {
         }
         batch
     }
-
-    /// Thin shim over [`Session::drain`], kept for source compatibility
-    /// with pre-observer callers. New code should call `drain()`.
-    #[must_use]
-    pub fn drain_telemetry(&self) -> Drained {
-        self.drain()
-    }
-
-    /// Drain the rings and write the run's trace files into `dir`:
-    /// `events.jsonl` (JSON-Lines, one event per line) and `trace.json`
-    /// (Chrome `trace_event` format, loadable in Perfetto or
-    /// `chrome://tracing`). Returns the drained batch for further
-    /// inspection.
-    ///
-    /// A thin shim over [`Session::drain`] plus the
-    /// [`export`] functions; sessions that want streaming export instead
-    /// register a [`kard_telemetry::JsonLinesSink`] /
-    /// [`kard_telemetry::ChromeTraceSink`] via
-    /// [`SessionBuilder::observe`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors from creating `dir` or its files.
-    pub fn write_trace_files(&self, dir: &Path) -> io::Result<Drained> {
-        let drained = self.drain();
-        std::fs::create_dir_all(dir)?;
-        std::fs::write(dir.join("events.jsonl"), export::json_lines(&drained.events))?;
-        std::fs::write(dir.join("trace.json"), export::chrome_trace(&drained.events))?;
-        Ok(drained)
-    }
 }
 
 impl Default for Session {
@@ -367,11 +335,11 @@ mod tests {
                 key_layout: KeyLayout::with_total_keys(34),
                 ..MachineConfig::default()
             })
-            .config(KardConfig::paper().serial_fault_path(true))
+            .config(KardConfig::paper().virtual_keys(true))
             .telemetry(true)
             .build();
         assert_eq!(session.machine().key_layout().total_keys, 34);
-        assert!(session.kard().config().serial_fault_path);
+        assert!(session.kard().config().virtual_keys);
         assert!(session.telemetry().enabled(), "telemetry pre-enabled");
         let defaults = Session::builder().build();
         assert!(!defaults.telemetry().enabled(), "off unless requested");
@@ -437,7 +405,7 @@ mod tests {
             let _g = t.enter(&m, CodeSite(0x10));
             t.write(&o, 0, CodeSite(0x11));
         }
-        let drained = session.drain_telemetry();
+        let drained = session.drain();
         assert_eq!(drained.dropped, 0);
         for kind in [
             EventKind::ObjectAlloc,
@@ -515,7 +483,7 @@ mod tests {
     fn exporter_sinks_register_as_consumers() {
         use kard_sim::CodeSite;
         use kard_telemetry::JsonLinesSink;
-        use std::io::Write;
+        use std::io::{self, Write};
 
         #[derive(Clone, Default)]
         struct SharedBuf(Arc<Mutex<Vec<u8>>>);
@@ -544,31 +512,5 @@ mod tests {
         let batch = session.drain();
         let text = String::from_utf8(buf.0.lock().clone()).unwrap();
         assert_eq!(text.lines().count(), batch.events.len());
-    }
-
-    #[test]
-    fn write_trace_files_emits_both_formats() {
-        use kard_sim::CodeSite;
-
-        let session = Session::new();
-        session.enable_telemetry(true);
-        let t = session.spawn_thread();
-        let o = t.alloc(32);
-        let m = session.new_mutex();
-        {
-            let _g = t.enter(&m, CodeSite(0x10));
-            t.write(&o, 0, CodeSite(0x11));
-        }
-        let dir = std::env::temp_dir().join(format!(
-            "kard-trace-test-{}",
-            std::process::id()
-        ));
-        let drained = session.write_trace_files(&dir).expect("trace files");
-        assert!(!drained.events.is_empty());
-        let jsonl = std::fs::read_to_string(dir.join("events.jsonl")).unwrap();
-        assert_eq!(jsonl.lines().count(), drained.events.len());
-        let chrome = std::fs::read_to_string(dir.join("trace.json")).unwrap();
-        assert!(chrome.starts_with("{\"traceEvents\":["));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

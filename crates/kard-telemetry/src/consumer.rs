@@ -3,10 +3,7 @@
 //! Everything that runs at drain time — trace exporters, the anomaly
 //! analyzer, the overhead-budget tick — implements one trait:
 //! [`TelemetryConsumer`]. A session drains its rings once and fans the
-//! single [`Drained`] batch out to every registered consumer, replacing
-//! the previous ad-hoc surface where `drain_telemetry`,
-//! `write_trace_files`, and `production_tick` were each wired
-//! separately.
+//! single [`Drained`] batch out to every registered consumer.
 //!
 //! Consumers run on the collector's side of the telemetry protocol:
 //! they are free to allocate, take their own locks, and do I/O. The one

@@ -10,10 +10,11 @@
 //! Run with: `cargo run --example telemetry` (or `make trace-demo`).
 
 use kard::rt::KardExecutor;
-use kard::telemetry::HistogramSummary;
+use kard::telemetry::{export, HistogramSummary, JsonLinesSink};
 use kard::workloads::apps;
 use kard::Session;
 use kard_trace::replay::replay;
+use std::fs::{self, File};
 use std::path::Path;
 
 fn print_summary(name: &str, s: &HistogramSummary) {
@@ -33,13 +34,21 @@ fn main() {
     let model = apps::nginx(workers, requests);
     println!("Tracing the NGINX model: 1 master + {workers} workers, {requests} requests each\n");
 
-    let session = Session::new();
-    session.enable_telemetry(true);
+    // `events.jsonl` streams out of every drain through a registered
+    // sink; `trace.json` is one whole document, rendered from the batch.
+    let dir = Path::new("target/trace-demo");
+    fs::create_dir_all(dir).expect("create trace dir");
+    let jsonl = File::create(dir.join("events.jsonl")).expect("create events.jsonl");
+    let session = Session::builder()
+        .telemetry(true)
+        .observe(JsonLinesSink::new(jsonl))
+        .build();
     let mut exec = KardExecutor::new(session.kard().clone());
     replay(&model.program.trace_round_robin(), &mut exec);
 
-    let dir = Path::new("target/trace-demo");
-    let drained = session.write_trace_files(dir).expect("write trace files");
+    let drained = session.drain();
+    fs::write(dir.join("trace.json"), export::chrome_trace(&drained.events))
+        .expect("write trace.json");
     println!(
         "Captured {} events ({} dropped) into {}/",
         drained.events.len(),

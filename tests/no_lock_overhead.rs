@@ -197,7 +197,7 @@ fn enabled_telemetry_keeps_fault_free_path_lock_free() {
     let after = session.kard().detector_lock_acquisitions();
     assert_eq!(after - before, 0, "recording must not take detector locks");
 
-    let drained = session.drain_telemetry();
+    let drained = session.drain();
     assert_eq!(drained.dropped, 0);
     assert_eq!(
         session.kard().detector_lock_acquisitions(),

@@ -1,183 +1,55 @@
-//! The side-metadata tables (`kard::core::sidemeta`) are an *optimization*,
-//! not a semantics change: with [`KardConfig::side_metadata`] on, the
-//! detector answers fast-path domain and membership questions from flat
-//! publish-once atomic tables instead of the mutexed maps — and every
-//! observable output must stay byte-identical to the mutexed ablation.
+//! An object's protection domain lives in one place: a word of the flat
+//! side-metadata tables (`kard::core::sidemeta`), written with a store,
+//! read with a load, retired with a swap. Only objects whose pages lie
+//! beyond the table's capacity fall back to the detector's mutexed
+//! overflow map. None of that may change what the detector reports.
 //!
-//! Three claims are checked:
-//!
-//! 1. **Storm equivalence.** The shard-contention mixed storm (private
-//!    churn + deterministic cross-lock conflict pairs, from real OS
-//!    threads) produces identical race fingerprints and detector stats in
-//!    both modes, concurrently and single-threaded.
-//! 2. **Program equivalence (property).** Random locked/unlocked/padded
-//!    programs replayed deterministically report byte-identical races and
-//!    stats in both modes — under the direct §5.4 policy and under the
-//!    hotness-policy virtualized cache (whose heat counters are fed in
-//!    both modes precisely so this holds).
-//! 3. **Lock economy.** Side-metadata reads really are lock-free: a warmed
-//!    section entry/exit takes zero shared-lock acquisitions, and a
-//!    section-plan rebuild over identified objects takes strictly fewer
-//!    lock acquisitions than the mutexed ablation (it skips every
-//!    domain-shard lock).
+//! 1. **Soundness against an independent referee (property).** Random
+//!    locked/unlocked/padded programs are replayed into Kard and into the
+//!    Eraser lockset detector of `kard::baselines`; every object Kard
+//!    reports — under the direct §5.4 policy and under the hotness-policy
+//!    virtualized cache — must also be a lockset violation on that trace.
+//!    (Concurrent-vs-sequential report equality on real OS threads is
+//!    `tests/shard_contention.rs`.)
+//! 2. **Lock economy and the overflow branch.** A warmed section
+//!    entry/exit takes zero shared-lock acquisitions; a section-plan
+//!    rebuild reads every wanted object's domain without a lock; an
+//!    in-capacity object's alloc → identify → migrate → free takes no
+//!    domain-shard lock at all, while an out-of-capacity object walks the
+//!    same sequence through the overflow map and leaves nothing behind.
 
-use std::sync::{Arc, Barrier};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use kard::alloc::KardAlloc;
-use kard::core::report::RaceFingerprint;
-use kard::core::{DetectorStats, KeyCachePolicy};
+use kard::baselines::Lockset;
+use kard::core::{Domain, KeyCachePolicy};
 use kard::sim::{CodeSite, Machine, MachineConfig};
 use kard::trace::replay::replay;
-use kard::trace::schedule::interleave_round_robin;
+use kard::trace::schedule::{interleave_round_robin, sequential};
 use kard::trace::{ObjectTag, ThreadProgram, Trace};
 use kard::{Kard, KardConfig, KardExecutor, LockId, Session};
 use proptest::prelude::*;
 
-fn fresh_kard_with(config: KardConfig) -> Arc<Kard> {
+/// A detector over a fresh machine whose page bump pointer was first
+/// advanced by `skip_pages` (0 = the normal, in-capacity case).
+fn fresh_kard_at(config: KardConfig, skip_pages: u64) -> Arc<Kard> {
     let machine = Arc::new(Machine::new(MachineConfig::default()));
+    machine.reserve_pages(skip_pages);
     let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
     Arc::new(Kard::new(machine, alloc, config))
 }
 
-fn fingerprints(kard: &Kard) -> Vec<RaceFingerprint> {
-    let mut fps: Vec<_> = kard.reports().iter().map(|r| r.fingerprint()).collect();
-    fps.sort_by_key(|fp| format!("{fp:?}"));
-    fps
+fn fresh_kard() -> Arc<Kard> {
+    fresh_kard_at(KardConfig::default(), 0)
 }
 
-// --- 1. The shard-contention mixed storm, both modes ------------------------
+// --- 1. Property: every Kard report is a lockset violation ------------------
 
-const PAIRS: usize = 4;
-const STORM_THREADS: usize = 8;
-
-fn holder_site(pair: usize) -> CodeSite {
-    CodeSite(0x1000 + pair as u64)
-}
-
-fn faulter_site(pair: usize) -> CodeSite {
-    CodeSite(0x2000 + pair as u64)
-}
-
-/// One churn round: a fresh private object written inside a section on a
-/// private lock, then freed — race-free, but the full fault path runs.
-fn storm_round(kard: &Kard, t: kard::ThreadId, lock: LockId, site: CodeSite) {
-    let obj = kard.on_alloc(t, 64);
-    kard.lock_enter(t, lock, site);
-    kard.write(t, obj.base, site);
-    kard.read(t, obj.base.offset(8), site);
-    kard.lock_exit(t, lock);
-    kard.on_free(t, obj.id);
-}
-
-fn private_churn(kard: &Kard, t: kard::ThreadId) {
-    let lock = LockId(500 + t.0 as u64);
-    let site = CodeSite(0x5000 + t.0 as u64);
-    for _ in 0..16 {
-        storm_round(kard, t, lock, site);
-    }
-}
-
-/// Pair `p`'s holder writes the pair object under lock `2p`; the faulter
-/// writes it under lock `2p + 1` while the holder is still inside — a
-/// deterministic inconsistent-lock-usage race.
-fn pair_conflict(
-    kard: &Kard,
-    t: kard::ThreadId,
-    pair: usize,
-    role: usize,
-    obj: &kard::alloc::ObjectInfo,
-    sync: Option<&(Arc<Barrier>, Arc<Barrier>)>,
-) {
-    if role == 0 {
-        kard.lock_enter(t, LockId(2 * pair as u64), holder_site(pair));
-        kard.write(t, obj.base, holder_site(pair));
-        if let Some((wrote, done)) = sync {
-            wrote.wait();
-            done.wait();
-        }
-        kard.lock_exit(t, LockId(2 * pair as u64));
-    } else {
-        if let Some((wrote, _)) = sync {
-            wrote.wait();
-        }
-        kard.lock_enter(t, LockId(2 * pair as u64 + 1), faulter_site(pair));
-        kard.write(t, obj.base, faulter_site(pair));
-        kard.lock_exit(t, LockId(2 * pair as u64 + 1));
-        if let Some((_, done)) = sync {
-            done.wait();
-        }
-    }
-}
-
-/// Run the mixed private/shared storm; returns sorted fingerprints and the
-/// stats with the only schedule-dependent counter scrubbed.
-fn mixed_storm(kard: &Arc<Kard>, concurrent: bool) -> (Vec<RaceFingerprint>, DetectorStats) {
-    let threads: Vec<_> = (0..STORM_THREADS).map(|_| kard.register_thread()).collect();
-    let objects: Vec<_> = (0..PAIRS).map(|_| kard.on_alloc(threads[0], 64)).collect();
-
-    if concurrent {
-        let barriers: Vec<_> = (0..PAIRS)
-            .map(|_| (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2))))
-            .collect();
-        std::thread::scope(|s| {
-            for (k, &t) in threads.iter().enumerate() {
-                let kard = Arc::clone(kard);
-                let (pair, role) = (k / 2, k % 2);
-                let obj = objects.get(pair).copied();
-                let sync = (pair < PAIRS)
-                    .then(|| (Arc::clone(&barriers[pair].0), Arc::clone(&barriers[pair].1)));
-                s.spawn(move || {
-                    private_churn(&kard, t);
-                    if let Some(obj) = obj.filter(|_| k < 2 * PAIRS) {
-                        pair_conflict(&kard, t, pair, role, &obj, sync.as_ref());
-                    }
-                    private_churn(&kard, t);
-                });
-            }
-        });
-    } else {
-        for &t in &threads {
-            private_churn(kard, t);
-        }
-        for pair in 0..PAIRS {
-            let (holder, faulter) = (threads[2 * pair], threads[2 * pair + 1]);
-            let obj = &objects[pair];
-            kard.lock_enter(holder, LockId(2 * pair as u64), holder_site(pair));
-            kard.write(holder, obj.base, holder_site(pair));
-            pair_conflict(kard, faulter, pair, 1, obj, None);
-            kard.lock_exit(holder, LockId(2 * pair as u64));
-        }
-        for &t in &threads {
-            private_churn(kard, t);
-        }
-    }
-
-    let mut stats = kard.stats();
-    stats.max_concurrent_sections = 0;
-    (fingerprints(kard), stats)
-}
-
-#[test]
-fn storm_reports_identically_with_and_without_side_metadata() {
-    let meta = fresh_kard_with(KardConfig::default().side_metadata(true));
-    let (meta_fps, meta_stats) = mixed_storm(&meta, true);
-
-    let mutexed = fresh_kard_with(KardConfig::default().side_metadata(false));
-    let (mutexed_fps, mutexed_stats) = mixed_storm(&mutexed, true);
-
-    let sequential = fresh_kard_with(KardConfig::default().side_metadata(true));
-    let (seq_fps, seq_stats) = mixed_storm(&sequential, false);
-
-    assert_eq!(meta_fps.len(), PAIRS, "one report per conflicting pair");
-    assert_eq!(meta_fps, mutexed_fps, "side metadata == mutexed ablation");
-    assert_eq!(meta_fps, seq_fps, "side metadata == sequential reference");
-    assert_eq!(meta_stats, mutexed_stats, "stats: side metadata == mutexed");
-    assert_eq!(meta_stats, seq_stats, "stats: side metadata == sequential");
-}
-
-// --- 2. Property: replayed programs are byte-identical across modes ---------
-
-const OBJECTS: u64 = 6;
+/// More objects than the 13 pool keys, so the direct policy recycles keys
+/// and the virtualized cache evicts groups while the property runs.
+const OBJECTS: u64 = 18;
+const WORKERS: usize = 3;
 
 #[derive(Clone, Debug)]
 enum Step {
@@ -195,29 +67,38 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn build(per_thread: &[Vec<Step>]) -> Vec<ThreadProgram> {
-    per_thread
+/// Two choices make "Kard reported it ⇒ lockset flags it" hold per object,
+/// not just per trace:
+///
+/// * every `(lock, object)` pair is its own section, so §5.4 rule-1
+///   held-key reuse never groups two objects under one key and a report
+///   names the object the holder's section really accesses (with one call
+///   site per lock, key grouping yields the paper's pigz-class reports on
+///   objects the holder never touched — not lockset violations);
+/// * an owner thread allocates every object and reads it once, unlocked,
+///   before any worker runs. Kard never sees those reads (a Not-accessed
+///   object outside a critical section is freely accessible); Eraser
+///   spends its first-owner forgiveness on them, so every worker access
+///   refines the candidate set.
+fn build(per_thread: &[Vec<Step>]) -> Trace {
+    let mut owner = ThreadProgram::new();
+    for o in 0..OBJECTS {
+        owner.alloc(ObjectTag(o), 32);
+        owner.read(ObjectTag(o), 0, CodeSite(0xf000 + o));
+    }
+    let mut prologue = vec![ThreadProgram::new(); WORKERS];
+    prologue.push(owner);
+
+    let workers: Vec<ThreadProgram> = per_thread
         .iter()
         .enumerate()
         .map(|(t, steps)| {
             let mut p = ThreadProgram::new();
-            // Thread 0 allocates everything; the others pad one op per
-            // allocation so no access precedes its allocation under
-            // round-robin scheduling.
-            if t == 0 {
-                for o in 0..OBJECTS {
-                    p.alloc(ObjectTag(o), 32);
-                }
-            } else {
-                for _ in 0..OBJECTS {
-                    p.compute(1);
-                }
-            }
             for (i, step) in steps.iter().enumerate() {
                 let ip = CodeSite(0x1000 * (t as u64 + 1) + i as u64);
                 match *step {
                     Step::Locked { o, lock, write } => {
-                        p.lock(LockId(lock + 1), CodeSite(0x100 + lock));
+                        p.lock(LockId(lock + 1), CodeSite(0x100 + lock * OBJECTS + o));
                         if write {
                             p.write(ObjectTag(o), 0, ip);
                         } else {
@@ -235,61 +116,66 @@ fn build(per_thread: &[Vec<Step>]) -> Vec<ThreadProgram> {
             }
             p
         })
-        .collect()
+        .collect();
+    sequential(&prologue).then(interleave_round_robin(&workers))
 }
 
-fn replay_with(trace: &Trace, config: KardConfig) -> (Vec<kard::RaceRecord>, DetectorStats) {
+/// Tags of the objects Kard reports on `trace`. The owner allocates tags
+/// `0..OBJECTS` in order before anything else runs, so object id == tag.
+fn kard_raced_tags(trace: &Trace, config: KardConfig) -> BTreeSet<u64> {
     let session = Session::builder().config(config).build();
     let mut exec = KardExecutor::new(session.kard().clone());
     replay(trace, &mut exec);
-    (exec.reports(), exec.stats())
+    let raced: BTreeSet<u64> = exec.reports().iter().map(|r| r.object.0).collect();
+    assert!(raced.iter().all(|&o| o < OBJECTS), "ids are tags: {raced:?}");
+    raced
 }
 
-fn hotness_virtualized(side_metadata: bool) -> KardConfig {
-    let mut c = KardConfig::paper();
-    c.virtual_keys = true;
-    c.key_cache_policy = KeyCachePolicy::Hotness;
-    c.side_metadata = side_metadata;
-    c
+fn hotness_virtualized() -> KardConfig {
+    KardConfig::paper()
+        .virtual_keys(true)
+        .key_cache_policy(KeyCachePolicy::Hotness)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every race report and every statistic must be byte-identical
-    /// between the side-metadata and mutexed modes — under the direct
-    /// policy and under the hotness-policy virtualized cache (the
-    /// policy's heat counters are deliberately fed in both modes so the
-    /// eviction order cannot diverge).
+    /// The referee is an independent detector on the same trace, not an
+    /// older mode of this one: ILU races are inconsistent lock usage
+    /// caught in the act, so every object Kard reports must also have an
+    /// empty Eraser candidate lockset — under the direct policy and under
+    /// the hotness-policy virtualized cache.
     #[test]
-    fn side_metadata_mode_is_byte_identical(
-        a in prop::collection::vec(step_strategy(), 1..20),
-        b in prop::collection::vec(step_strategy(), 1..20),
-        c in prop::collection::vec(step_strategy(), 1..20),
+    fn kard_reports_are_lockset_violations(
+        a in prop::collection::vec(step_strategy(), 1..40),
+        b in prop::collection::vec(step_strategy(), 1..40),
+        c in prop::collection::vec(step_strategy(), 1..40),
     ) {
-        let trace = interleave_round_robin(&build(&[a, b, c]));
+        let trace = build(&[a, b, c]);
 
-        let (mr, ms) = replay_with(&trace, KardConfig::paper().side_metadata(true));
-        let (xr, xs) = replay_with(&trace, KardConfig::paper().side_metadata(false));
-        prop_assert_eq!(mr, xr, "direct-policy race reports diverged");
-        prop_assert_eq!(ms, xs, "direct-policy statistics diverged");
+        let mut lockset = Lockset::new();
+        replay(&trace, &mut lockset);
+        let violations: BTreeSet<u64> = lockset.races().iter().map(|r| r.tag.0).collect();
 
-        let (hr, hs) = replay_with(&trace, hotness_virtualized(true));
-        let (gr, gs) = replay_with(&trace, hotness_virtualized(false));
-        prop_assert_eq!(hr, gr, "hotness-policy race reports diverged");
-        prop_assert_eq!(hs, gs, "hotness-policy statistics diverged");
+        for (mode, config) in [
+            ("direct", KardConfig::paper()),
+            ("hotness-virtualized", hotness_virtualized()),
+        ] {
+            let raced = kard_raced_tags(&trace, config);
+            prop_assert!(
+                raced.is_subset(&violations),
+                "{} kard reported {:?}, lockset only {:?}",
+                mode, raced, violations
+            );
+        }
     }
 }
 
-// --- 3. Lock economy --------------------------------------------------------
+// --- 2. Lock economy and the overflow branch --------------------------------
 
 #[test]
 fn warmed_sidemeta_entry_takes_zero_shared_locks() {
-    let kard = fresh_kard_with(
-        KardConfig::default()
-            .lock_free_sections(true)
-            .side_metadata(true),
-    );
+    let kard = fresh_kard();
     let t = kard.register_thread();
     let obj = kard.on_alloc(t, 64);
     let (lock, site) = (LockId(1), CodeSite(0x10));
@@ -310,39 +196,98 @@ fn warmed_sidemeta_entry_takes_zero_shared_locks() {
     );
 }
 
-/// With the plan cache disabled every entry rebuilds its plan by reading
-/// each wanted object's domain: the side-metadata mode answers those reads
-/// from the flat tables and must skip every domain-shard lock the mutexed
-/// ablation takes.
+/// The identification faults of a first visit invalidate the section's
+/// cached plan, so the next entry rebuilds it by reading each wanted
+/// object's domain. Those reads are side-metadata loads: the rebuild's
+/// whole lock bill is the section-object map read plus the key-table
+/// guard at entry and the key-table guard releasing the (slow-acquired)
+/// key at exit — independent of how many objects the plan spans.
 #[test]
-fn plan_rebuild_skips_domain_shard_locks_under_side_metadata() {
-    const OBJS: usize = 8;
-    let rebuild_locks = |side_metadata: bool| {
-        let kard = fresh_kard_with(
-            KardConfig::default()
-                .lock_free_sections(false)
-                .side_metadata(side_metadata),
-        );
+fn plan_rebuild_takes_no_domain_shard_locks() {
+    let rebuild_locks = |objs: usize| {
+        let kard = fresh_kard();
         let t = kard.register_thread();
         let (lock, site) = (LockId(1), CodeSite(0x10));
-        let objs: Vec<_> = (0..OBJS).map(|_| kard.on_alloc(t, 64)).collect();
+        let objs: Vec<_> = (0..objs).map(|_| kard.on_alloc(t, 64)).collect();
         kard.lock_enter(t, lock, site);
         for o in &objs {
             kard.write(t, o.base, site);
         }
         kard.lock_exit(t, lock);
-        // Re-entry: the section-object map lists all OBJS objects, so the
-        // plan rebuild reads OBJS domains.
+        // Re-entry: the section-object map lists every object, so the
+        // plan rebuild reads that many domains.
         let before = kard.detector_lock_acquisitions();
         kard.lock_enter(t, lock, site);
         kard.lock_exit(t, lock);
         kard.detector_lock_acquisitions() - before
     };
-    let with_meta = rebuild_locks(true);
-    let without = rebuild_locks(false);
-    assert!(
-        with_meta + OBJS as u64 <= without,
-        "side metadata must skip all {OBJS} domain-shard reads: \
-         {with_meta} locks with, {without} without"
-    );
+    assert_eq!(rebuild_locks(8), 3, "sections + keys at entry, keys at exit");
+    assert_eq!(rebuild_locks(1), 3, "no per-object lock in a rebuild");
+}
+
+/// Pages the side-metadata table can index (its fixed capacity). Skipping
+/// this many puts every later allocation in the overflow map.
+const SIDEMETA_PAGES: u64 = 1 << 24;
+
+/// Walk one two-page object through alloc → identify (Read-only) →
+/// migrate (Read-write) → free, asserting `domain_of` after each step;
+/// returns the detector-lock acquisitions of each step. (Two pages: the
+/// allocator's dedicated path, the one that accepts out-of-capacity
+/// pages.)
+fn domain_lifecycle(kard: &Kard) -> [u64; 4] {
+    let t = kard.register_thread();
+    let (lock, site) = (LockId(1), CodeSite(0x10));
+    let locks = || kard.detector_lock_acquisitions();
+
+    let at = locks();
+    let obj = kard.on_alloc(t, 8192);
+    let alloc = locks() - at;
+    assert_eq!(kard.domain_of(obj.id), Some(Domain::NotAccessed));
+
+    kard.lock_enter(t, lock, site);
+    let at = locks();
+    kard.read(t, obj.base, site);
+    let identify = locks() - at;
+    assert_eq!(kard.domain_of(obj.id), Some(Domain::ReadOnly));
+    let at = locks();
+    kard.write(t, obj.base, site);
+    let migrate = locks() - at;
+    assert!(matches!(kard.domain_of(obj.id), Some(Domain::ReadWrite(_))));
+    kard.lock_exit(t, lock);
+
+    let at = locks();
+    kard.on_free(t, obj.id);
+    let free = locks() - at;
+    assert_eq!(kard.domain_of(obj.id), None, "the free leaves no entry");
+    [alloc, identify, migrate, free]
+}
+
+/// Each lifecycle step writes the object's domain exactly once. In
+/// capacity that write is a side-metadata word operation — an allocation
+/// takes no detector lock at all; past the table's capacity the same
+/// sequence runs through the overflow map, so every step costs exactly one
+/// more (domain-shard) lock, `domain_of` still tracks each step, and the
+/// free removes the entry — and, under virtualization, the group
+/// membership the object joined.
+#[test]
+fn domain_store_is_lock_free_in_capacity_and_mapped_beyond_it() {
+    for config in [KardConfig::paper(), hotness_virtualized()] {
+        let near = domain_lifecycle(&fresh_kard_at(config, 0));
+        assert_eq!(near[0], 0, "an in-capacity alloc is one word store");
+
+        let kard = fresh_kard_at(config, SIDEMETA_PAGES);
+        let far = domain_lifecycle(&kard);
+        assert_eq!(far, near.map(|n| n + 1), "one domain-shard lock per step");
+
+        if config.virtual_keys {
+            // A second group after the free: had the freed overflow
+            // object stayed a member, two groups would be live.
+            let t = kard.register_thread();
+            let other = kard.on_alloc(t, 8192);
+            kard.lock_enter(t, LockId(2), CodeSite(0x20));
+            kard.write(t, other.base, CodeSite(0x20));
+            kard.lock_exit(t, LockId(2));
+            assert_eq!(kard.vkey_stats().peak_pressure, 1, "membership freed too");
+        }
+    }
 }

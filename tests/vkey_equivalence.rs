@@ -19,7 +19,7 @@
 //! thread 0 performs every allocation up front while other threads pad, so
 //! no access can precede its allocation in the interleaving.
 
-use kard::core::{DetectorStats, KeyCachePolicy, VKeyStats};
+use kard::core::{DetectorStats, VKeyStats};
 use kard::trace::replay::replay;
 use kard::trace::schedule::interleave_round_robin;
 use kard::trace::{ObjectTag, ThreadProgram, Trace};
@@ -182,16 +182,6 @@ fn above_ceiling_virtualized_evicts_and_never_shares() {
     assert_eq!(vstats.peak_pressure, 20);
     assert_eq!(vs.key_shares, 0);
     assert!(vr.is_empty(), "each thread touches only its own object");
-}
-
-#[test]
-fn fifo_policy_also_never_shares() {
-    let mut config = virtualized(true);
-    config.key_cache_policy = KeyCachePolicy::Fifo;
-    let trace = interleave_round_robin(&saturating_programs(20, 4));
-    let (_, _, vstats) = run(&trace, config);
-    assert_eq!(vstats.shares, 0);
-    assert!(vstats.evictions >= 7);
 }
 
 // --- Directed: the revival detection edge ----------------------------------
