@@ -1175,6 +1175,14 @@ impl Kard {
                     if self.alloc.object(fin.object).is_none() {
                         continue; // Freed while suspended.
                     }
+                    // The interleaving left the engine before this guard was
+                    // taken, so a fault handler that held the shard first may
+                    // have armed a new one on the object; that one owns its
+                    // protection now, and restoring the old key under it
+                    // would hand a suspended object back to the race checker.
+                    if self.interleaver.lock().is_active(fin.object) {
+                        continue;
+                    }
                     // Under virtualization the object's *group* owns the
                     // binding, and the cache may have moved on while the
                     // interleaving wound down: restore onto the group's
@@ -1359,15 +1367,8 @@ impl Kard {
         } else if fault.pkey == self.layout.read_only {
             self.handle_read_only_write(&fault, &info, offset, &shard)
         } else if self.layout.is_read_write_key(fault.pkey) {
-            let interleaved = {
-                let il = self.interleaver.lock();
-                il.is_armed(info.id) && il.interleaved_key(info.id) == Some(fault.pkey)
-            };
-            if interleaved {
-                self.handle_interleave_fault(&fault, &info, offset)
-            } else {
-                self.handle_pool_fault(&fault, &info, offset)
-            }
+            self.handle_interleave_fault(&fault, &info, offset)
+                .unwrap_or_else(|| self.handle_pool_fault(&fault, &info, offset))
         } else {
             panic!("#GP with unexpected key {}: {fault}", fault.pkey);
         };
@@ -1555,15 +1556,18 @@ impl Kard {
     }
 
     /// Counterpart fault during protection interleaving (§5.5, Figure 4).
+    /// `None` when the object has no armed interleaving on the faulted key,
+    /// so the fault belongs to [`Kard::handle_pool_fault`]. The armed check
+    /// and the observation share one interleaver guard: the last
+    /// participant's section exit retires an interleaving under that guard
+    /// alone, without the object's fault shard.
     fn handle_interleave_fault(
         &self,
         fault: &GpFault,
         info: &ObjectInfo,
         offset: u64,
-    ) -> FaultAction {
-        AtomicStats::bump(&self.stats.interleave_faults);
+    ) -> Option<FaultAction> {
         let t = fault.thread;
-        self.emit(t, EventKind::FaultInterleave, info.id.0, 0);
         let section = self.current_section(t);
         let obs = Observation {
             thread: t,
@@ -1572,10 +1576,13 @@ impl Kard {
             kind: fault.access,
             ip: fault.ip,
         };
-        let (idx, ikey, verdict, disarmed) = {
+        let ikey = fault.pkey;
+        let (idx, verdict, disarmed) = {
             let mut il = self.interleaver.lock();
+            if !il.is_armed(info.id) || il.interleaved_key(info.id) != Some(ikey) {
+                return None;
+            }
             let idx = il.record_index(info.id).expect("armed");
-            let ikey = il.interleaved_key(info.id).expect("armed");
             let (verdict, disarmed, joined) = il.observe(info.id, obs);
             if joined {
                 // Published while the interleaver guard is still held, so
@@ -1583,8 +1590,10 @@ impl Kard {
                 // counter reflects it.
                 self.slot(t).participating.fetch_add(1, Ordering::Relaxed);
             }
-            (idx, ikey, verdict, disarmed)
+            (idx, verdict, disarmed)
         };
+        AtomicStats::bump(&self.stats.interleave_faults);
+        self.emit(t, EventKind::FaultInterleave, info.id.0, 0);
         for th in disarmed {
             let prev = self.slot(th).armed.fetch_sub(1, Ordering::Relaxed);
             debug_assert!(prev > 0, "armed counter underflow");
@@ -1621,7 +1630,7 @@ impl Kard {
         // The object left the Read-write domain: invalidate cached plans
         // after the suspension is applied.
         self.cache_gen.fetch_add(1, Ordering::SeqCst);
-        FaultAction::Retry
+        Some(FaultAction::Retry)
     }
 
     /// Faults on read-write pool keys: reactive acquisition or race
@@ -1740,7 +1749,7 @@ impl Kard {
                     // detection stage (§5.5 exit stalls), and suppressing
                     // them sheds load without touching what is monitored.
                     && !self.budget.suppress_arming()
-                    && !self.interleaver.lock().is_armed(info.id)
+                    && !self.interleaver.lock().is_active(info.id)
                 {
                     if let (Some(idx), Some(sec)) = (idx, section) {
                         // A key to re-protect the object with: one already
@@ -3031,6 +3040,33 @@ mod tests {
         assert_eq!(kard.handle_fault(stale), Ok(FaultAction::Retry));
         assert_eq!(kard.stats().objects_identified, 1, "not identified twice");
         assert_eq!(kard.domain_of(o.id), Some(Domain::ReadOnly));
+        kard.lock_exit(t, LockId(1));
+    }
+
+    #[test]
+    fn interleave_fault_without_an_armed_interleaving_falls_through() {
+        // The last participant's exit retires an interleaving under the
+        // interleaver guard alone, so a counterpart fault can find it
+        // gone: that is a pool fault, not a panic.
+        let (machine, kard) = setup();
+        let t = kard.register_thread();
+        let o = kard.on_alloc(t, 32);
+        kard.lock_enter(t, LockId(1), site(0xa));
+        kard.write(t, o.base, site(0xa1));
+        let Some(Domain::ReadWrite(key)) = kard.domain_of(o.id) else {
+            panic!("a section write identifies into the Read-write domain");
+        };
+        let fault = GpFault {
+            thread: t,
+            addr: o.base,
+            page: o.base.page(),
+            pkey: key,
+            access: AccessKind::Write,
+            ip: site(0xa2),
+            tsc: machine.now(),
+        };
+        assert_eq!(kard.handle_interleave_fault(&fault, &o, 0), None);
+        assert_eq!(kard.stats().interleave_faults, 0);
         kard.lock_exit(t, LockId(1));
     }
 

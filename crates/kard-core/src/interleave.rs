@@ -156,6 +156,13 @@ impl Interleaver {
             .is_some_and(|s| s.phase == Phase::Armed)
     }
 
+    /// Whether `object` has an interleaving in either phase, armed or
+    /// suspended — [`Interleaver::begin`] requires that it has none.
+    #[must_use]
+    pub fn is_active(&self, object: ObjectId) -> bool {
+        self.active.contains_key(&object)
+    }
+
     /// The key the object was re-protected with, if armed.
     #[must_use]
     pub fn interleaved_key(&self, object: ObjectId) -> Option<ProtectionKey> {
@@ -326,6 +333,7 @@ mod tests {
         let (verdict, disarmed, joined) = il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
         assert_eq!(verdict, Verdict::Confirmed(obs(2, 8, AccessKind::Read)));
         assert!(!il.is_armed(ObjectId(1)), "suspended after verdict");
+        assert!(il.is_active(ObjectId(1)), "and may not be begun again");
         assert_eq!(
             disarmed,
             vec![ThreadId(1), ThreadId(2)],

@@ -32,14 +32,18 @@ fn chaos_run_is_sound() {
             for round in 0..120u64 {
                 let pick = (round as usize + worker) % mutexes.len();
                 match round % 5 {
-                    // Nested mutex sections over consistent objects.
+                    // Nested mutex sections over consistent objects. The
+                    // pair is taken in index order: all six workers reach
+                    // this arm on the same rounds with six distinct picks,
+                    // and pick-then-next would be a cycle that deadlocks
+                    // the program itself.
                     0 => {
-                        let outer = &mutexes[pick];
-                        let inner = &mutexes[(pick + 1) % mutexes.len()];
-                        let g1 = t.enter(outer, CodeSite(0x1000 + pick as u64));
-                        t.write(&shared[pick], 0, CodeSite(0x2000));
-                        let g2 = t.enter(inner, CodeSite(0x1000 + (pick as u64 + 1) % 6));
-                        t.write(&shared[(pick + 1) % 6], 0, CodeSite(0x2001));
+                        let next = (pick + 1) % mutexes.len();
+                        let (outer, inner) = (pick.min(next), pick.max(next));
+                        let g1 = t.enter(&mutexes[outer], CodeSite(0x1000 + outer as u64));
+                        t.write(&shared[outer], 0, CodeSite(0x2000));
+                        let g2 = t.enter(&mutexes[inner], CodeSite(0x1000 + inner as u64));
+                        t.write(&shared[inner], 0, CodeSite(0x2001));
                         drop(g2);
                         drop(g1);
                     }
