@@ -388,7 +388,9 @@ impl KardAlloc {
             && thread.0 < MAX_MAGAZINES
             && self.cons.fits(id)
         {
-            return self.alloc_magazine(thread, id, size, rounded);
+            if let Some(info) = self.alloc_magazine(thread, id, size, rounded) {
+                return info;
+            }
         }
 
         let record = if rounded < PAGE_SIZE {
@@ -409,15 +411,23 @@ impl KardAlloc {
     }
 
     /// Tier-1 fast path: pop a prepared slot from the owning thread's
-    /// magazine and publish the object's metadata lock-free.
-    fn alloc_magazine(&self, thread: ThreadId, id: ObjectId, size: u64, rounded: u64) -> ObjectInfo {
+    /// magazine and publish the object's metadata lock-free. `None` once
+    /// the machine's pages have outrun the lock-free page index: the
+    /// caller then allocates through the sharded maps.
+    fn alloc_magazine(
+        &self,
+        thread: ThreadId,
+        id: ObjectId,
+        size: u64,
+        rounded: u64,
+    ) -> Option<ObjectInfo> {
         let mag = Arc::clone(self.magazine(thread));
         let guard = mag.engage();
         let inner = guard.inner();
         let class = class_of(rounded);
         let fast = !inner.classes[class].prepared.is_empty();
-        if !fast {
-            self.refill(thread, inner, &mag, class, rounded);
+        if !fast && !self.refill(thread, inner, &mag, class, rounded) {
+            return None;
         }
         let slot = inner.classes[class]
             .prepared
@@ -457,13 +467,20 @@ impl KardAlloc {
             }
         }
         self.emit(thread, EventKind::ObjectAlloc, id.0, size);
-        rec.info()
+        Some(rec.info())
     }
 
     /// Tier-2 slow path: drain remote frees, retire dirty pages, and
     /// provision a fresh batch of prepared slots for `class` with one
     /// batched `mmap` (+ one batched `pkey_mprotect` when a provision
     /// key is declared).
+    ///
+    /// Returns `false`, having mapped nothing (the reservation it
+    /// abandons is address space only), when the batch's pages fall
+    /// outside [`PageIndex`] capacity. Pages are a never-reused bump
+    /// sequence, so every later batch would too; and since only
+    /// in-capacity batches are ever prepared, popping a slot needs no
+    /// check.
     fn refill(
         &self,
         thread: ThreadId,
@@ -471,7 +488,7 @@ impl KardAlloc {
         mag: &Magazine,
         class: usize,
         rounded: u64,
-    ) {
+    ) -> bool {
         let drained = mag.remote.drain();
         if !drained.is_empty() {
             self.stats
@@ -485,6 +502,10 @@ impl KardAlloc {
 
         let cache = &mut inner.classes[class];
         let batch = cache.next_batch.max(self.config.initial_batch);
+        let first = self.machine.reserve_pages(batch as u64);
+        if !self.page_index.fits(first.add(batch as u64 - 1)) {
+            return false;
+        }
         cache.next_batch = (batch * 2).min(self.config.max_batch);
 
         // Source physical extents: class-local raw cache, then the
@@ -522,7 +543,6 @@ impl KardAlloc {
 
         // Provision: fresh pages (never reused), one batched mmap, one
         // batched pkey_mprotect.
-        let first = self.machine.reserve_pages(raws.len() as u64);
         let pairs: Vec<(VirtPage, PhysFrame)> = raws
             .iter()
             .enumerate()
@@ -561,6 +581,7 @@ impl KardAlloc {
             rounded,
             cache.prepared.len() as u64,
         );
+        true
     }
 
     /// Batch-unmap every dirty page and recycle the physical extents
@@ -1379,6 +1400,31 @@ mod tests {
         alloc.on_thread_exit(t);
         // Every page the magazine ever mapped is unmapped again.
         assert_eq!(machine.mapped_pages(), 0, "was {mapped_live} while live");
+        assert_eq!(alloc.stats().live_objects, 0);
+    }
+
+    /// Pages are never reused, so churn alone walks a long-lived allocator
+    /// past the lock-free page index. Small objects then live in the
+    /// sharded maps like any other out-of-capacity object.
+    #[test]
+    fn small_objects_past_page_index_capacity_fall_back_to_the_sharded_maps() {
+        let (machine, t, alloc) = setup_magazine();
+        let first = alloc.alloc(t, 64); // leaves in-capacity prepared stock
+        let _ = machine.reserve_pages(1 << 24);
+        let mut objs: Vec<_> = (0..8).map(|_| alloc.alloc(t, 64)).collect();
+        assert!(alloc.page_index.fits(objs[0].first_page), "stock is used up first");
+        assert!(!alloc.page_index.fits(objs[7].first_page), "then capacity is crossed");
+        objs.push(first);
+        for o in &objs {
+            assert_eq!(alloc.object_at(o.base).unwrap().id, o.id);
+            assert_eq!(alloc.pages_of(o.id), Some((o.first_page, 1)));
+        }
+        for o in &objs {
+            alloc.free(t, o.id);
+            assert!(alloc.object_at(o.base).is_none());
+        }
+        alloc.on_thread_exit(t);
+        assert_eq!(machine.mapped_pages(), 0, "no page stranded");
         assert_eq!(alloc.stats().live_objects, 0);
     }
 

@@ -1,9 +1,13 @@
-//! The experiment harness: one function per table and figure of the paper.
+//! The experiment harness: one function per table and figure of the paper,
+//! and one per extension experiment.
 //!
-//! Every function is pure with respect to its inputs (scale, threads,
-//! seed), returns a structured result, and implements `Display` so the
-//! `kard-tables` binary can print the same rows/series the paper reports.
-//! EXPERIMENTS.md is regenerated from these outputs.
+//! Every number here is read off the simulator's virtual clock, so every
+//! function is pure with respect to its inputs (scale, threads, seed): it
+//! returns a structured, serializable result, and a `*_text` / `text`
+//! sibling renders the rows the `kard-tables` binary prints. Two golden
+//! files at the repository root pin that output (`tests/golden.rs`);
+//! EXPERIMENTS.md is regenerated from it. Wall-clock measurements live in
+//! `benchmark/`, not here.
 //!
 //! | Paper artifact | Function |
 //! |---|---|
@@ -20,13 +24,42 @@
 //! | Figure 5 (scalability) | [`figures::fig5`] |
 //! | §7.2 NGINX file-size sweep | [`extras::nginx_sweep`] |
 //! | §3.1 ILU share of real races | [`extras::ilu_share`] |
+//! | §7.3 schedule sensitivity | [`extras::sensitivity`] |
 //! | DESIGN.md ablations | [`extras::ablation`] |
+//! | Key pressure: direct vs virtualized keys | [`extensions::keypressure::sweep`] |
+//! | Production-mode budget Pareto curve | [`extensions::production::sweep`] |
+//! | Anomaly analyzer on injected regressions | [`extensions::anomaly::sweep`] |
+//! | Fault-path latency and the disjoint storm | [`extensions::faultlatency::sweep`] |
+//! | Allocator tiers: sharded vs magazine | [`extensions::alloctiers::sweep`] |
 
 #![warn(missing_docs)]
 
+pub mod extensions;
 pub mod extras;
 pub mod figures;
 pub mod tables;
+
+/// What `kard-tables` prints for `sections`: the key-assignment mode the
+/// default configuration runs under, then each experiment's text —
+/// followed by a rule when `ruled` (the `all` and `extensions` groups).
+#[must_use]
+pub fn render(sections: impl IntoIterator<Item = String>, ruled: bool) -> String {
+    let pool = kard_sim::MachineConfig::default()
+        .key_layout
+        .read_write_pool()
+        .count();
+    let key_mode = kard_core::KardConfig::default().key_mode_description(pool);
+    let mut out = format!("key mode: {key_mode}\n\n");
+    for section in sections {
+        out.push_str(&section);
+        out.push('\n');
+        if ruled {
+            out.push_str(&"=".repeat(100));
+            out.push('\n');
+        }
+    }
+    out
+}
 
 /// Format a percentage with sign and one decimal.
 #[must_use]

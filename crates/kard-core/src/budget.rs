@@ -33,7 +33,7 @@
 //! fraction of identified sharable objects that remained monitored. That
 //! number is the honest companion to the overhead number — production mode
 //! is a knob on a Pareto curve, not a free lunch, and
-//! `BENCH_production_mode.json` plots exactly that curve.
+//! `kard-tables production` plots exactly that curve.
 //!
 //! Nothing here takes a lock and nothing here writes an event ring; the
 //! `no_lock_overhead` suite holds production mode to the same zero-cost

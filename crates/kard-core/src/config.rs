@@ -54,10 +54,9 @@ pub struct KardConfig {
     /// Measured average fault-handling delay in cycles, used by the
     /// release-timestamp filter (§5.5) in place of the cost model's
     /// *assumed* delay. The paper derives its 24,000-cycle threshold from
-    /// measurement on the evaluation machine; `kard-bench`'s fault-latency
-    /// benchmark produces the equivalent number for this reproduction
-    /// (BENCH_fault_latency.json) to feed back here. `None` falls back to
-    /// `CostModel::fault_handling`.
+    /// measurement on the evaluation machine; `kard-tables faultlatency`
+    /// prints the equivalent number for this reproduction to feed back
+    /// here. `None` falls back to `CostModel::fault_handling`.
     pub measured_fault_delay: Option<u64>,
     /// Virtualize protection keys (see [`crate::vkey`]): give every
     /// shared-object group its own unbounded virtual key and run the 13

@@ -1675,9 +1675,9 @@ impl Kard {
             // within one average delay of handler entry means the key *was*
             // held when the fault occurred — i.e. the release postdates
             // `fault.tsc`.
-            // The window width is the *measured* average delay when the
-            // benchmark has fed one back (BENCH_fault_latency.json), else
-            // the cost model's assumed constant.
+            // The window width is the *measured* average delay when one
+            // has been fed back (`kard-tables faultlatency`), else the
+            // cost model's assumed constant.
             let fault_delay = self
                 .config
                 .measured_fault_delay

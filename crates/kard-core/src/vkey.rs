@@ -156,12 +156,6 @@ impl VKeyTable {
         }
     }
 
-    /// The configured replacement policy.
-    #[must_use]
-    pub fn policy(&self) -> KeyCachePolicy {
-        self.policy
-    }
-
     /// Mint a fresh virtual key with an empty, unbound group.
     pub fn create(&mut self) -> VirtualKey {
         let v = VirtualKey(self.next);

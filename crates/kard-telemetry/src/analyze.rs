@@ -80,7 +80,7 @@ impl MetricKind {
         MetricKind::ALL.get(raw as usize).copied()
     }
 
-    /// Stable snake_case name (used in `/statsz`, `BENCH_anomaly.json`,
+    /// Stable snake_case name (used in `/statsz`, `kard-tables anomaly`,
     /// and the JSON-Lines exporter).
     #[must_use]
     pub fn name(self) -> &'static str {

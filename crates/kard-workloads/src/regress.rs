@@ -21,9 +21,9 @@
 //!   but section-hold p95 drifts up until the CUSUM accumulates enough
 //!   to fire.
 //!
-//! `BENCH_anomaly.json` (see `benches/bench_anomaly.rs`) gates on these
-//! shapes: every injected regression must be flagged on its expected
-//! metric within the run, with at most one false positive on
+//! `kard-tables anomaly` (`kard-bench`'s `extensions::anomaly`) gates on
+//! these shapes: every injected regression must be flagged on its
+//! expected metric within the run, with at most one false positive on
 //! [`clean`].
 
 use kard_core::{LockId, MetricKind};
@@ -57,7 +57,7 @@ impl Regression {
         Regression::LatencyCreep,
     ];
 
-    /// Stable snake_case name (used in `BENCH_anomaly.json`).
+    /// Stable snake_case name (the `kard-tables anomaly` scenario label).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -5,8 +5,8 @@
 //! exactly this shape — many independent sessions arriving at once, each
 //! sending a tight burst of section-heavy traffic and then going away.
 //! This module generates that traffic as plain [`kard_trace::Event`]
-//! batches so every harness (the overload integration test, the
-//! `bench_firehose` sweep, the `firehose_client` example) drives the
+//! batches so every harness (the overload integration test, `benchmark/`'s
+//! `fire_storm` workload, the `firehose_client` example) drives the
 //! server with the same generator instead of inventing its own.
 //!
 //! Each session is a self-contained multi-threaded logical program,

@@ -22,10 +22,10 @@
 //!   traffic.
 //!
 //! Both generators emit [`StormSession`]s, so everything that consumes
-//! storms — the firehose tests and benches, `bench_production_mode`'s
-//! sweep — drives these shapes through the same replay path, and racy
-//! variants plant exactly [`StormSession::expected_races`] Figure 1a-style
-//! inconsistent-lock pairs. [`TrafficShape`] is the registry harnesses
+//! storms — the firehose tests, `kard-tables production` — drives these
+//! shapes through the same replay path, and racy variants plant exactly
+//! [`StormSession::expected_races`] Figure 1a-style inconsistent-lock
+//! pairs. [`TrafficShape`] is the registry harnesses
 //! iterate to sweep every shape uniformly.
 
 use crate::storm::{self, StormConfig, StormSession};
@@ -295,8 +295,8 @@ pub fn pool_sessions(cfg: &TaskPoolConfig) -> Vec<StormSession> {
     (0..cfg.sessions).map(|i| pool_session(cfg, i)).collect()
 }
 
-/// Registry of the burst-traffic generators, so sweeps (firehose benches,
-/// the production-mode Pareto harness) can iterate every shape through one
+/// Registry of the burst-traffic generators, so sweeps (the
+/// production-mode Pareto experiment) can iterate every shape through one
 /// interface instead of hard-coding the storm generator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TrafficShape {
@@ -313,7 +313,7 @@ impl TrafficShape {
     pub const ALL: [TrafficShape; 3] =
         [TrafficShape::Storm, TrafficShape::WorkSteal, TrafficShape::TaskPool];
 
-    /// Stable name, used in bench JSON rows and session prefixes.
+    /// Stable name, used in experiment rows and session prefixes.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

@@ -13,9 +13,10 @@
 //!    at-threshold score, with the window index pointing into the run.
 //!
 //! The end-to-end versions of these properties (real workloads through
-//! a real session) live in `benches/bench_anomaly.rs` and the firehose
-//! integration tests; these stay at the reduced [`WindowSample`] level
-//! so proptest can sweep levels and noise shapes cheaply.
+//! a real session) live in `kard-bench`'s `extensions::anomaly` tests and
+//! the firehose integration tests; these stay at the reduced
+//! [`WindowSample`] level so proptest can sweep levels and noise shapes
+//! cheaply.
 
 use kard::telemetry::{Analyzer, AnalyzerConfig, MetricKind, WindowSample};
 use proptest::prelude::*;

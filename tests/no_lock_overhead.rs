@@ -275,44 +275,72 @@ fn fault_on_one_object_never_touches_another_objects_shard() {
 /// enter → write → exit round on an uncontended private lock acquires
 /// **zero** shared detector locks. Entry replays the memoized plan and
 /// CASes the key's holder word; exit releases through the same words.
+///
+/// Checked exactly on one thread, then on 8 real OS threads hammering
+/// one detector, each on its own lock, section and objects: whatever the
+/// interleaving, at most one detector lock per two entries.
 #[test]
 fn no_conflict_section_entry_takes_zero_shared_locks() {
-    let session = Session::new();
-    let kard = session.kard();
-    let t = kard.register_thread();
-    let obj = kard.on_alloc(t, 64);
-    let (lock, site) = (kard::LockId(7), CodeSite(0xA00));
+    const ENTRIES: u64 = 10_000;
+    for threads in [1usize, 8] {
+        let session = Session::new();
+        let kard = session.kard();
+        let workers: Vec<_> = (0..threads as u64)
+            .map(|k| {
+                let t = kard.register_thread();
+                let objs: Vec<_> = (0..4).map(|_| kard.on_alloc(t, 64)).collect();
+                (t, kard::LockId(7 + k), CodeSite(0xA00 + k), objs)
+            })
+            .collect();
 
-    // Warm-up round 1: cold cache, and the write's identification fault
-    // mutates the section-object map (invalidating the fresh plan).
-    // Warm-up round 2: re-plans against the now-stable maps and acquires
-    // the object's key proactively. From round 3 on the plan replays.
-    for _ in 0..2 {
-        kard.lock_enter(t, lock, site);
-        kard.write(t, obj.base, site);
-        kard.lock_exit(t, lock);
+        // Warm-up round 1: cold cache, and the writes' identification
+        // faults mutate the section-object map (invalidating the fresh
+        // plan). Warm-up round 2: re-plans against the now-stable maps and
+        // acquires the objects' key proactively. From round 3 on the plan
+        // replays.
+        for _ in 0..2 {
+            for (t, lock, site, objs) in &workers {
+                kard.lock_enter(*t, *lock, *site);
+                for o in objs {
+                    kard.write(*t, o.base, *site);
+                }
+                kard.lock_exit(*t, *lock);
+            }
+        }
+
+        let (hits_before, _) = kard.section_cache_stats();
+        let before = kard.detector_lock_acquisitions();
+        let start = std::sync::Barrier::new(threads);
+        std::thread::scope(|s| {
+            for (t, lock, site, objs) in &workers {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..ENTRIES {
+                        kard.lock_enter(*t, *lock, *site);
+                        kard.write(*t, objs[i as usize % 4].base.offset((i % 8) * 8), *site);
+                        kard.lock_exit(*t, *lock);
+                    }
+                });
+            }
+        });
+        let locks = kard.detector_lock_acquisitions() - before;
+        let hits = kard.section_cache_stats().0 - hits_before;
+
+        if threads == 1 {
+            assert_eq!(
+                locks, 0,
+                "a warmed no-conflict section round must acquire zero shared detector locks"
+            );
+            assert_eq!(hits, ENTRIES, "every warmed entry must replay the cached plan");
+        } else {
+            assert!(
+                locks * 2 <= ENTRIES * threads as u64,
+                "{locks} detector locks over {ENTRIES} warmed private entries on each of \
+                 {threads} OS threads: the zero-lock section path has regressed"
+            );
+        }
     }
-
-    let (hits_before, _) = kard.section_cache_stats();
-    let before = kard.detector_lock_acquisitions();
-    for i in 0..100u64 {
-        kard.lock_enter(t, lock, site);
-        kard.write(t, obj.base.offset((i % 8) * 8), site);
-        kard.lock_exit(t, lock);
-    }
-    let after = kard.detector_lock_acquisitions();
-    let (hits_after, _) = kard.section_cache_stats();
-
-    assert_eq!(
-        after - before,
-        0,
-        "a warmed no-conflict section round must acquire zero shared detector locks"
-    );
-    assert_eq!(
-        hits_after - hits_before,
-        100,
-        "every warmed entry must replay the cached plan"
-    );
 }
 
 /// The cache-coherence half of the tentpole: a plan-relevant mutation

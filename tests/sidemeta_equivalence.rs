@@ -229,18 +229,16 @@ fn plan_rebuild_takes_no_domain_shard_locks() {
 /// this many puts every later allocation in the overflow map.
 const SIDEMETA_PAGES: u64 = 1 << 24;
 
-/// Walk one two-page object through alloc → identify (Read-only) →
+/// Walk one small object through alloc → identify (Read-only) →
 /// migrate (Read-write) → free, asserting `domain_of` after each step;
-/// returns the detector-lock acquisitions of each step. (Two pages: the
-/// allocator's dedicated path, the one that accepts out-of-capacity
-/// pages.)
+/// returns the detector-lock acquisitions of each step.
 fn domain_lifecycle(kard: &Kard) -> [u64; 4] {
     let t = kard.register_thread();
     let (lock, site) = (LockId(1), CodeSite(0x10));
     let locks = || kard.detector_lock_acquisitions();
 
     let at = locks();
-    let obj = kard.on_alloc(t, 8192);
+    let obj = kard.on_alloc(t, 64);
     let alloc = locks() - at;
     assert_eq!(kard.domain_of(obj.id), Some(Domain::NotAccessed));
 
@@ -283,7 +281,7 @@ fn domain_store_is_lock_free_in_capacity_and_mapped_beyond_it() {
             // A second group after the free: had the freed overflow
             // object stayed a member, two groups would be live.
             let t = kard.register_thread();
-            let other = kard.on_alloc(t, 8192);
+            let other = kard.on_alloc(t, 64);
             kard.lock_enter(t, LockId(2), CodeSite(0x20));
             kard.write(t, other.base, CodeSite(0x20));
             kard.lock_exit(t, LockId(2));
