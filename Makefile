@@ -16,7 +16,7 @@ test-benchmark:
 	cargo test --release --offline --manifest-path benchmark/Cargo.toml
 
 clippy:
-	cargo clippy --all-targets -- -D warnings
+	cargo clippy --workspace --all-targets -- -D warnings
 
 # Workspace-wide so every crate's #![deny(missing_docs)] and intra-doc
 # links are checked, not just the umbrella crate's.

@@ -16,7 +16,7 @@
 //!    `munmap`, and provisions a whole batch of fresh slots with one
 //!    batched `mmap` + one batched `pkey_mprotect` — the per-slot
 //!    syscall cost is amortized B-fold (B adapts from
-//!    [`AllocConfig::initial_batch`] up to [`AllocConfig::max_batch`]).
+//!    [`INITIAL_BATCH`] up to [`MAX_BATCH`]).
 //!    Only here may the sharded global pool and the open bump frame
 //!    (both behind acquisition-counted locks) be consulted.
 //! 3. **Lock-free remote free** ([`crate::remote_free`]): a free on a
@@ -29,8 +29,8 @@
 //! ([`crate::table`]) indexed by the dense, never-reused object ids and
 //! virtual page numbers, so the fault handler resolves any thread's
 //! objects without locks. Dedicated (≥ page) objects and globals are
-//! rare and keep sharded-map records. With
-//! [`AllocConfig::magazines`] off ([`KardAlloc::sharded`]) every
+//! rare and keep sharded-map records. Built with
+//! [`KardAlloc::sharded`] instead of [`KardAlloc::new`], every
 //! allocation takes the PR 1 sharded path — the paper's per-allocation
 //! `mmap` model — which the benchmarks use as the baseline and the
 //! paper-semantics tests use for exact-count assertions.
@@ -47,7 +47,7 @@
 use crate::magazine::{class_of, class_size, MagInner, Magazine, PreparedSlot};
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
 use crate::remote_free::RetiredSlot;
-use crate::table::{ConsRecord, ConsTable, ObjPages, PageIndex};
+use crate::table::{ConsRecord, ConsTable, PageIndex};
 use kard_sim::{
     Machine, PhysFrame, ProtectError, ProtectionKey, ThreadId, VirtAddr, VirtPage, PAGE_SIZE,
 };
@@ -68,31 +68,15 @@ pub const ALLOC_SHARDS: usize = 16;
 /// ring table; threads beyond it fall back to the sharded path).
 pub const MAX_MAGAZINES: usize = kard_telemetry::MAX_THREADS;
 
-/// Tuning knobs for the three-tier allocator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AllocConfig {
-    /// Use per-thread magazines (tier 1). Off = the PR 1 sharded
-    /// baseline: every allocation pays its own `mmap` and shard lock.
-    pub magazines: bool,
-    /// First refill batch per size class (slots).
-    pub initial_batch: usize,
-    /// Ceiling the adaptive refill batch doubles up to (slots).
-    pub max_batch: usize,
-    /// Dirty-list length that triggers a batched page retirement outside
-    /// refills.
-    pub retire_batch: usize,
-}
+/// First magazine refill batch per size class (slots).
+pub const INITIAL_BATCH: usize = 4;
 
-impl Default for AllocConfig {
-    fn default() -> AllocConfig {
-        AllocConfig {
-            magazines: true,
-            initial_batch: 4,
-            max_batch: 32,
-            retire_batch: 32,
-        }
-    }
-}
+/// Ceiling the adaptive refill batch doubles up to (slots).
+pub const MAX_BATCH: usize = 32;
+
+/// Dirty-list length that triggers a batched page retirement outside
+/// refills.
+pub const RETIRE_BATCH: usize = 32;
 
 /// Allocator statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
@@ -179,16 +163,15 @@ type SlotMap = HashMap<u64, Vec<(PhysFrame, u64)>>;
 /// The consolidated unique-page allocator (see [crate docs](crate)).
 pub struct KardAlloc {
     machine: Arc<Machine>,
-    config: AllocConfig,
+    /// Per-thread magazines (tier 1) in use: [`KardAlloc::new`]. Off =
+    /// [`KardAlloc::sharded`], where every allocation pays its own `mmap`
+    /// and shard lock.
+    magazine_mode: bool,
     /// Lock-free metadata for consolidated objects (any thread's
     /// magazine), resolvable from the fault handler without locks.
     cons: ConsTable,
     /// Lock-free page→object index over the dense reservation sequence.
     page_index: PageIndex,
-    /// Lock-free object→pages index (the reverse of `page_index`),
-    /// registered on every map and cleared on unmap. Detector-side flat
-    /// metadata resolves object extents through this without locks.
-    obj_pages: ObjPages,
     /// Per-thread magazines, materialized on first use (same fixed
     /// `OnceLock` table shape as the telemetry rings).
     magazines: Box<[OnceLock<Arc<Magazine>>]>,
@@ -218,11 +201,11 @@ pub struct KardAlloc {
 }
 
 impl KardAlloc {
-    /// A fresh allocator over `machine` (conceptually: `memfd_create`)
-    /// with the default three-tier configuration (magazines on).
+    /// A fresh three-tier allocator over `machine` (conceptually:
+    /// `memfd_create`), per-thread magazines on.
     #[must_use]
     pub fn new(machine: Arc<Machine>) -> KardAlloc {
-        KardAlloc::with_config(machine, AllocConfig::default())
+        KardAlloc::build(machine, true)
     }
 
     /// The PR 1 sharded baseline: no magazines, every allocation pays
@@ -231,35 +214,18 @@ impl KardAlloc {
     /// baseline run here.
     #[must_use]
     pub fn sharded(machine: Arc<Machine>) -> KardAlloc {
-        KardAlloc::with_config(
-            machine,
-            AllocConfig {
-                magazines: false,
-                ..AllocConfig::default()
-            },
-        )
+        KardAlloc::build(machine, false)
     }
 
-    /// An allocator with an explicit configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical batch bounds (zero, or max < initial).
-    #[must_use]
-    pub fn with_config(machine: Arc<Machine>, config: AllocConfig) -> KardAlloc {
-        assert!(
-            config.initial_batch > 0 && config.max_batch >= config.initial_batch,
-            "batch bounds must satisfy 0 < initial_batch <= max_batch"
-        );
+    fn build(machine: Arc<Machine>, magazine_mode: bool) -> KardAlloc {
         let lock_acquisitions = Arc::new(AtomicU64::new(0));
         let tracked = |_: usize| -> TrackedMutex<HashMap<ObjectId, ObjectRecord>> {
             TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions))
         };
         KardAlloc {
-            config,
-            cons: ConsTable::new(),
-            page_index: PageIndex::new(),
-            obj_pages: ObjPages::new(),
+            magazine_mode,
+            cons: ConsTable::default(),
+            page_index: PageIndex::default(),
             magazines: (0..MAX_MAGAZINES).map(|_| OnceLock::new()).collect(),
             objects: (0..ALLOC_SHARDS).map(tracked).collect(),
             pages: (0..ALLOC_SHARDS)
@@ -282,12 +248,6 @@ impl KardAlloc {
     #[must_use]
     pub fn machine(&self) -> &Arc<Machine> {
         &self.machine
-    }
-
-    /// The active configuration.
-    #[must_use]
-    pub fn config(&self) -> AllocConfig {
-        self.config
     }
 
     /// The telemetry hub shared by every component built on this
@@ -383,7 +343,7 @@ impl KardAlloc {
         let rounded = Self::round_up(size);
         let id = ObjectId(self.next_id.fetch_add(1, Ordering::Relaxed));
 
-        if self.config.magazines
+        if self.magazine_mode
             && rounded < PAGE_SIZE
             && thread.0 < MAX_MAGAZINES
             && self.cons.fits(id)
@@ -422,7 +382,7 @@ impl KardAlloc {
         rounded: u64,
     ) -> Option<ObjectInfo> {
         let mag = Arc::clone(self.magazine(thread));
-        let guard = mag.engage();
+        let mut guard = mag.engage();
         let inner = guard.inner();
         let class = class_of(rounded);
         let fast = !inner.classes[class].prepared.is_empty();
@@ -450,7 +410,6 @@ impl KardAlloc {
         // finds a live record behind it.
         self.cons.publish(&rec);
         self.page_index.insert(slot.page, id);
-        self.obj_pages.insert(id, slot.page, 1);
 
         self.stats.allocations.fetch_add(1, Ordering::Relaxed);
         self.stats.live_objects.fetch_add(1, Ordering::Relaxed);
@@ -501,12 +460,12 @@ impl KardAlloc {
         self.flush_dirty(thread, inner);
 
         let cache = &mut inner.classes[class];
-        let batch = cache.next_batch.max(self.config.initial_batch);
+        let batch = cache.next_batch.max(INITIAL_BATCH);
         let first = self.machine.reserve_pages(batch as u64);
         if !self.page_index.fits(first.add(batch as u64 - 1)) {
             return false;
         }
-        cache.next_batch = (batch * 2).min(self.config.max_batch);
+        cache.next_batch = (batch * 2).min(MAX_BATCH);
 
         // Source physical extents: class-local raw cache, then the
         // sharded global pool, then bump allocation in the open frame.
@@ -597,7 +556,7 @@ impl KardAlloc {
         self.stats
             .pages_retired
             .fetch_add(pages.len() as u64, Ordering::Relaxed);
-        let raw_cap = self.config.max_batch * 2;
+        let raw_cap = MAX_BATCH * 2;
         for slot in inner.dirty.drain(..) {
             let cache = &mut inner.classes[class_of(slot.rounded)];
             if cache.raw.len() < raw_cap {
@@ -722,7 +681,6 @@ impl KardAlloc {
                 self.page_shard(page).lock().insert(page, info.id);
             }
         }
-        self.obj_pages.insert(info.id, info.first_page, info.page_count);
         self.object_shard(info.id).lock().insert(info.id, record);
     }
 
@@ -802,7 +760,6 @@ impl KardAlloc {
                 .unmap_page(thread, page)
                 .expect("object pages must be mapped");
         }
-        self.obj_pages.clear(record.info.id);
         match record.backing {
             Backing::Consolidated { frame, offset } => {
                 // The slot returns to the pool; frames holding consolidated
@@ -826,7 +783,6 @@ impl KardAlloc {
     /// Free of a lock-free-table object: route the slot to its owner.
     fn free_magazine(&self, thread: ThreadId, rec: ConsRecord) {
         self.page_index.clear(rec.base.page());
-        self.obj_pages.clear(rec.id);
         let slot = RetiredSlot {
             page: rec.base.page(),
             frame: rec.frame,
@@ -835,10 +791,10 @@ impl KardAlloc {
         };
         if rec.owner == thread {
             let mag = Arc::clone(self.magazine(thread));
-            let guard = mag.engage();
+            let mut guard = mag.engage();
             let inner = guard.inner();
             inner.dirty.push(slot);
-            if inner.dirty.len() >= self.config.retire_batch {
+            if inner.dirty.len() >= RETIRE_BATCH {
                 self.flush_dirty(thread, inner);
             }
         } else {
@@ -882,13 +838,13 @@ impl KardAlloc {
     /// allocate again afterwards (with a fresh, open-pool-backed
     /// magazine whose remote queue stays closed).
     pub fn on_thread_exit(&self, thread: ThreadId) {
-        if !self.config.magazines || thread.0 >= MAX_MAGAZINES {
+        if !self.magazine_mode || thread.0 >= MAX_MAGAZINES {
             return;
         }
         let Some(mag) = self.magazines[thread.0].get().map(Arc::clone) else {
             return;
         };
-        let guard = mag.engage();
+        let mut guard = mag.engage();
         let inner = guard.inner();
         let drained = mag.remote.close();
         if !drained.is_empty() {
@@ -925,7 +881,7 @@ impl KardAlloc {
                     .or_default()
                     .append(&mut cache.raw);
             }
-            cache.next_batch = self.config.initial_batch;
+            cache.next_batch = INITIAL_BATCH;
         }
     }
 
@@ -955,16 +911,6 @@ impl KardAlloc {
             return Some(rec.info());
         }
         self.object_shard(id).lock().get(&id).map(|r| r.info)
-    }
-
-    /// The page extent `(first_page, page_count)` of object `id`, resolved
-    /// entirely lock-free from the object→pages index — the detector's
-    /// side-metadata tables key on this without touching allocator shard
-    /// locks. `None` for freed, unknown, or out-of-capacity objects (the
-    /// caller falls back to a locked [`KardAlloc::object`] lookup).
-    #[must_use]
-    pub fn pages_of(&self, id: ObjectId) -> Option<(VirtPage, u64)> {
-        self.obj_pages.get(id)
     }
 
     /// All live objects (snapshot), in allocation order.
@@ -1417,7 +1363,6 @@ mod tests {
         objs.push(first);
         for o in &objs {
             assert_eq!(alloc.object_at(o.base).unwrap().id, o.id);
-            assert_eq!(alloc.pages_of(o.id), Some((o.first_page, 1)));
         }
         for o in &objs {
             alloc.free(t, o.id);

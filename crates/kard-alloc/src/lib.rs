@@ -53,5 +53,8 @@ pub mod metadata;
 pub mod remote_free;
 pub mod table;
 
-pub use allocator::{AllocConfig, AllocStats, KardAlloc, ALLOC_GRANULE, MAX_MAGAZINES};
+pub use allocator::{
+    AllocStats, KardAlloc, ALLOC_GRANULE, INITIAL_BATCH, MAX_BATCH, MAX_MAGAZINES, RETIRE_BATCH,
+};
 pub use metadata::{ObjectId, ObjectInfo, ObjectKind};
+pub use table::IdSpine;

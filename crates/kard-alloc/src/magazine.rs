@@ -58,7 +58,7 @@ pub struct ClassCache {
     pub prepared: Vec<PreparedSlot>,
     /// Recycled physical extents awaiting re-provisioning.
     pub raw: Vec<(PhysFrame, u64)>,
-    /// Adaptive refill size (doubles up to the configured maximum).
+    /// Adaptive refill size (doubles up to [`crate::MAX_BATCH`]).
     pub next_batch: usize,
 }
 
@@ -141,11 +141,11 @@ pub struct Engaged<'a> {
 
 impl Engaged<'_> {
     /// The owner-only interior.
-    #[allow(clippy::mut_from_ref)] // Exclusivity is enforced by the engage CAS.
     #[must_use]
-    pub fn inner(&self) -> &mut MagInner {
+    pub fn inner(&mut self) -> &mut MagInner {
         // SAFETY: the engage CAS guarantees this guard is the only live
-        // entry, so handing out `&mut` cannot alias.
+        // entry, and `&mut self` that no reference handed out by an
+        // earlier call on it is still alive, so this `&mut` cannot alias.
         unsafe { &mut *self.mag.inner.get() }
     }
 }
@@ -173,10 +173,10 @@ mod tests {
     fn engage_is_exclusive_and_reentrant_after_drop() {
         let m = Magazine::new();
         {
-            let g = m.engage();
+            let mut g = m.engage();
             g.inner().dirty.clear();
         }
-        let g2 = m.engage();
+        let mut g2 = m.engage();
         assert!(g2.inner().classes.len() == NUM_CLASSES);
     }
 

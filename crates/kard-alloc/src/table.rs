@@ -22,16 +22,16 @@
 //! intact forever — a racing reader that loads fields while the state
 //! flips still reads consistent values.
 //!
-//! Chunks are `OnceLock`-materialized so an idle table costs only the
-//! spine. Ids or pages beyond the fixed capacity fall back to the
-//! allocator's sharded maps (the caller checks [`ConsTable::fits`] /
-//! [`PageIndex::fits`]); capacity is sized so the fallback is never hit
-//! by the workloads in this repository.
+//! Both tables are clients of the one publish-once chunked table,
+//! [`kard_sim::Spine`]: chunks materialize on first write, so an idle
+//! table costs only the spine. Ids or pages beyond the fixed capacity
+//! fall back to the allocator's sharded maps (the caller checks
+//! [`ConsTable::fits`] / [`PageIndex::fits`]); capacity is sized so the
+//! fallback is never hit by the workloads in this repository.
 
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
-use kard_sim::{dense_page_index, PhysFrame, ThreadId, VirtAddr, VirtPage, MMAP_BASE_PAGE};
+use kard_sim::{dense_page_index, PhysFrame, Spine, ThreadId, VirtAddr, VirtPage};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// Cell is unpublished (or the id was never a consolidated object).
 pub const STATE_EMPTY: u64 = 0;
@@ -40,8 +40,11 @@ pub const STATE_LIVE: u64 = 1;
 /// The object has been freed (payload remains readable but stale).
 pub const STATE_DEAD: u64 = 2;
 
-const CHUNK: usize = 1 << 10;
-const CHUNKS: usize = 1 << 12; // capacity: 4Mi consolidated objects
+/// The geometry of every table indexed by [`ObjectId`] — this crate's
+/// [`ConsTable`], the detector's side metadata — and so their one shared
+/// capacity: 16 Mi ids. An object is at least a page, so this is no
+/// smaller than [`PageIndex`]'s 16 Mi pages.
+pub type IdSpine<T> = Spine<T, 12, { 1 << 12 }>;
 
 /// Immutable snapshot of one consolidated object's metadata.
 #[derive(Clone, Copy, Debug)]
@@ -79,6 +82,8 @@ impl ConsRecord {
     }
 }
 
+/// All-zero by default: `state` starts at [`STATE_EMPTY`].
+#[derive(Default)]
 struct ConsCell {
     state: AtomicU64,
     base: AtomicU64,
@@ -90,18 +95,6 @@ struct ConsCell {
 }
 
 impl ConsCell {
-    fn zeroed() -> ConsCell {
-        ConsCell {
-            state: AtomicU64::new(STATE_EMPTY),
-            base: AtomicU64::new(0),
-            size: AtomicU64::new(0),
-            rounded: AtomicU64::new(0),
-            frame: AtomicU64::new(0),
-            offset: AtomicU64::new(0),
-            owner: AtomicU64::new(0),
-        }
-    }
-
     fn record(&self, id: ObjectId) -> ConsRecord {
         ConsRecord {
             id,
@@ -116,38 +109,33 @@ impl ConsCell {
 }
 
 /// Publish-once table of consolidated objects, indexed by dense id.
+/// Empty by [`Default`] (which allocates only the chunk spine).
+#[derive(Default)]
 pub struct ConsTable {
-    chunks: Box<[OnceLock<Box<[ConsCell]>>]>,
+    cells: IdSpine<ConsCell>,
 }
 
 impl ConsTable {
-    /// An empty table (allocates only the chunk spine).
-    #[must_use]
-    pub fn new() -> ConsTable {
-        ConsTable {
-            chunks: (0..CHUNKS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
     /// Whether `id` is within the table's fixed capacity.
     #[must_use]
     pub fn fits(&self, id: ObjectId) -> bool {
-        (id.0 as usize) < CHUNK * CHUNKS
-    }
-
-    fn cell(&self, id: ObjectId) -> &ConsCell {
-        let idx = id.0 as usize;
-        let chunk = self.chunks[idx / CHUNK]
-            .get_or_init(|| (0..CHUNK).map(|_| ConsCell::zeroed()).collect());
-        &chunk[idx % CHUNK]
+        (id.0 as usize) < IdSpine::<ConsCell>::CAPACITY
     }
 
     /// Publish a freshly allocated object. The release store of
     /// [`STATE_LIVE`] is the linearization point; callers must index the
     /// page *after* this returns so a page-index hit always finds a live
     /// cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rec.id` is outside the table's capacity (callers gate
+    /// on [`ConsTable::fits`] and keep such objects in the sharded maps).
     pub fn publish(&self, rec: &ConsRecord) {
-        let cell = self.cell(rec.id);
+        let cell = self
+            .cells
+            .get_or_publish(rec.id.0 as usize)
+            .expect("id outside table capacity");
         debug_assert_eq!(cell.state.load(Ordering::Relaxed), STATE_EMPTY);
         cell.base.store(rec.base.0, Ordering::Relaxed);
         cell.size.store(rec.size, Ordering::Relaxed);
@@ -161,16 +149,8 @@ impl ConsTable {
     /// The record of `id` if it is a live consolidated object.
     #[must_use]
     pub fn live(&self, id: ObjectId) -> Option<ConsRecord> {
-        if !self.fits(id) {
-            return None;
-        }
-        let cell = self.chunks[id.0 as usize / CHUNK].get()?;
-        let cell = &cell[id.0 as usize % CHUNK];
-        if cell.state.load(Ordering::Acquire) == STATE_LIVE {
-            Some(cell.record(id))
-        } else {
-            None
-        }
+        let cell = self.cells.get(id.0 as usize)?;
+        (cell.state.load(Ordering::Acquire) == STATE_LIVE).then(|| cell.record(id))
     }
 
     /// Claim `id` for freeing: exactly one caller wins the `LIVE → DEAD`
@@ -182,11 +162,7 @@ impl ConsTable {
     ///
     /// Panics on double free of a consolidated object.
     pub fn claim_free(&self, id: ObjectId) -> Option<ConsRecord> {
-        if !self.fits(id) {
-            return None;
-        }
-        let cell = self.chunks[id.0 as usize / CHUNK].get()?;
-        let cell = &cell[id.0 as usize % CHUNK];
+        let cell = self.cells.get(id.0 as usize)?;
         match cell.state.compare_exchange(
             STATE_LIVE,
             STATE_DEAD,
@@ -203,28 +179,17 @@ impl ConsTable {
     /// are the index, so no sort is needed).
     #[must_use]
     pub fn live_objects(&self) -> Vec<ObjectInfo> {
-        let mut out = Vec::new();
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            let Some(cells) = chunk.get() else { continue };
-            for (i, cell) in cells.iter().enumerate() {
-                if cell.state.load(Ordering::Acquire) == STATE_LIVE {
-                    let id = ObjectId((c * CHUNK + i) as u64);
-                    out.push(cell.record(id).info());
-                }
-            }
-        }
-        out
+        self.cells
+            .iter()
+            .filter(|(_, cell)| cell.state.load(Ordering::Acquire) == STATE_LIVE)
+            .map(|(id, cell)| cell.record(ObjectId(id as u64)).info())
+            .collect()
     }
 }
 
-impl Default for ConsTable {
-    fn default() -> Self {
-        ConsTable::new()
-    }
-}
-
-const PAGE_CHUNK: usize = 1 << 12;
-const PAGE_CHUNKS: usize = 1 << 12; // capacity: 16Mi pages (64 GiB of VA)
+/// The page index's geometry, and so the one bound on "page in
+/// capacity": 16 Mi pages (64 GiB of VA).
+type PageSlots = Spine<AtomicU64, 12, { 1 << 12 }>;
 
 /// Lock-free page→object index over the dense reservation sequence.
 ///
@@ -234,34 +199,22 @@ const PAGE_CHUNKS: usize = 1 << 12; // capacity: 16Mi pages (64 GiB of VA)
 /// both of which are ordered against the [`ConsTable`] state transitions
 /// by the insert-after-publish / clear-before-claim protocol documented
 /// on the allocator.
+#[derive(Default)]
 pub struct PageIndex {
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
+    slots: PageSlots,
 }
 
 impl PageIndex {
-    /// An empty index (allocates only the chunk spine).
-    #[must_use]
-    pub fn new() -> PageIndex {
-        PageIndex {
-            chunks: (0..PAGE_CHUNKS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
+    /// `page`'s slot number if it is within the index's fixed capacity.
     fn slot_index(page: VirtPage) -> Option<usize> {
         let dense = dense_page_index(page)? as usize;
-        (dense < PAGE_CHUNK * PAGE_CHUNKS).then_some(dense)
+        (dense < PageSlots::CAPACITY).then_some(dense)
     }
 
     /// Whether `page` is within the index's fixed capacity.
     #[must_use]
     pub fn fits(&self, page: VirtPage) -> bool {
         Self::slot_index(page).is_some()
-    }
-
-    fn slot(&self, idx: usize) -> &AtomicU64 {
-        let chunk = self.chunks[idx / PAGE_CHUNK]
-            .get_or_init(|| (0..PAGE_CHUNK).map(|_| AtomicU64::new(0)).collect());
-        &chunk[idx % PAGE_CHUNK]
     }
 
     /// Record `page → id`. The caller must have published the object's
@@ -272,14 +225,16 @@ impl PageIndex {
     /// Panics if `page` is outside the index capacity (callers gate on
     /// [`PageIndex::fits`] and keep such objects in the sharded maps).
     pub fn insert(&self, page: VirtPage, id: ObjectId) {
-        let idx = Self::slot_index(page).expect("page outside index capacity");
-        self.slot(idx).store(id.0 + 1, Ordering::Release);
+        Self::slot_index(page)
+            .and_then(|idx| self.slots.get_or_publish(idx))
+            .expect("page outside index capacity")
+            .store(id.0 + 1, Ordering::Release);
     }
 
     /// Remove the owner of `page` (on free).
     pub fn clear(&self, page: VirtPage) {
-        if let Some(idx) = Self::slot_index(page) {
-            self.slot(idx).store(0, Ordering::Release);
+        if let Some(slot) = Self::slot_index(page).and_then(|idx| self.slots.get(idx)) {
+            slot.store(0, Ordering::Release);
         }
     }
 
@@ -289,111 +244,18 @@ impl PageIndex {
     /// sharded fallback map.
     #[allow(clippy::result_unit_err)] // Err is purely "not covered here".
     pub fn get(&self, page: VirtPage) -> Result<Option<ObjectId>, ()> {
-        let Some(idx) = Self::slot_index(page) else {
-            return Err(());
-        };
-        let Some(chunk) = self.chunks[idx / PAGE_CHUNK].get() else {
-            return Ok(None);
-        };
-        match chunk[idx % PAGE_CHUNK].load(Ordering::Acquire) {
-            0 => Ok(None),
-            raw => Ok(Some(ObjectId(raw - 1))),
-        }
-    }
-}
-
-impl Default for PageIndex {
-    fn default() -> Self {
-        PageIndex::new()
-    }
-}
-
-/// Lock-free object→pages index over the dense object-id sequence — the
-/// reverse of [`PageIndex`].
-///
-/// Each slot packs an object's page extent into one `u64`:
-/// `page_count << 40 | (dense first page + 1)`, where `0` means "not
-/// registered". Detector-side flat metadata (the side-metadata tables of
-/// `kard-core`) needs object→page resolution on paths that must not take
-/// the allocator's sharded locks — section entry, victim scoring — and
-/// every registered object's extent is immutable for its lifetime, so a
-/// release-published word per id suffices. Ids beyond the fixed capacity
-/// (or pages beyond the dense region) simply stay unregistered; readers
-/// fall back to the locked metadata maps.
-pub struct ObjPages {
-    chunks: Box<[OnceLock<Box<[AtomicU64]>>]>,
-}
-
-const PAGES_SHIFT: u32 = 40;
-
-impl ObjPages {
-    /// An empty index (allocates only the chunk spine).
-    #[must_use]
-    pub fn new() -> ObjPages {
-        ObjPages {
-            chunks: (0..CHUNKS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    fn pack(first: VirtPage, count: u64) -> Option<u64> {
-        let dense = dense_page_index(first)?;
-        (dense + 1 < (1 << PAGES_SHIFT) && count < (1 << (64 - PAGES_SHIFT)))
-            .then_some(count << PAGES_SHIFT | (dense + 1))
-    }
-
-    fn slot(&self, id: ObjectId) -> Option<&AtomicU64> {
-        let idx = id.0 as usize;
-        if idx >= CHUNK * CHUNKS {
-            return None;
-        }
-        let chunk = self.chunks[idx / CHUNK]
-            .get_or_init(|| (0..CHUNK).map(|_| AtomicU64::new(0)).collect());
-        Some(&chunk[idx % CHUNK])
-    }
-
-    /// Record `id → (first, count)`. A no-op when the id or page range is
-    /// outside the dense capacity (readers then fall back to the locked
-    /// maps, same contract as [`PageIndex`]).
-    pub fn insert(&self, id: ObjectId, first: VirtPage, count: u64) {
-        if let (Some(slot), Some(packed)) = (self.slot(id), Self::pack(first, count)) {
-            slot.store(packed, Ordering::Release);
-        }
-    }
-
-    /// Forget `id` (on free).
-    pub fn clear(&self, id: ObjectId) {
-        if let Some(slot) = self.slot(id) {
-            slot.store(0, Ordering::Release);
-        }
-    }
-
-    /// The page extent registered for `id`, if any.
-    #[must_use]
-    pub fn get(&self, id: ObjectId) -> Option<(VirtPage, u64)> {
-        let idx = id.0 as usize;
-        if idx >= CHUNK * CHUNKS {
-            return None;
-        }
-        let chunk = self.chunks[idx / CHUNK].get()?;
-        match chunk[idx % CHUNK].load(Ordering::Acquire) {
-            0 => None,
-            raw => Some((
-                VirtPage(MMAP_BASE_PAGE.0 + (raw & ((1 << PAGES_SHIFT) - 1)) - 1),
-                raw >> PAGES_SHIFT,
-            )),
-        }
-    }
-}
-
-impl Default for ObjPages {
-    fn default() -> Self {
-        ObjPages::new()
+        let idx = Self::slot_index(page).ok_or(())?;
+        Ok(match self.slots.get(idx).map(|slot| slot.load(Ordering::Acquire)) {
+            None | Some(0) => None,
+            Some(raw) => Some(ObjectId(raw - 1)),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kard_sim::MMAP_BASE_PAGE;
 
     fn rec(id: u64, page: u64) -> ConsRecord {
         ConsRecord {
@@ -409,7 +271,7 @@ mod tests {
 
     #[test]
     fn publish_then_live_round_trips() {
-        let t = ConsTable::new();
+        let t = ConsTable::default();
         let r = rec(5, 0);
         t.publish(&r);
         let got = t.live(ObjectId(5)).unwrap();
@@ -421,7 +283,7 @@ mod tests {
 
     #[test]
     fn claim_free_is_exclusive_and_final() {
-        let t = ConsTable::new();
+        let t = ConsTable::default();
         t.publish(&rec(9, 0));
         assert!(t.claim_free(ObjectId(9)).is_some());
         assert!(t.live(ObjectId(9)).is_none(), "dead after claim");
@@ -431,7 +293,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "already-freed")]
     fn double_claim_panics() {
-        let t = ConsTable::new();
+        let t = ConsTable::default();
         t.publish(&rec(2, 0));
         let _ = t.claim_free(ObjectId(2));
         let _ = t.claim_free(ObjectId(2));
@@ -439,7 +301,7 @@ mod tests {
 
     #[test]
     fn live_objects_in_id_order() {
-        let t = ConsTable::new();
+        let t = ConsTable::default();
         for id in [7u64, 3, 5] {
             t.publish(&rec(id, id));
         }
@@ -448,22 +310,8 @@ mod tests {
     }
 
     #[test]
-    fn obj_pages_round_trips_extents() {
-        let idx = ObjPages::new();
-        let first = VirtPage(MMAP_BASE_PAGE.0 + 9);
-        assert_eq!(idx.get(ObjectId(4)), None);
-        idx.insert(ObjectId(4), first, 3);
-        assert_eq!(idx.get(ObjectId(4)), Some((first, 3)));
-        idx.clear(ObjectId(4));
-        assert_eq!(idx.get(ObjectId(4)), None);
-        // Pages below the dense region are silently not registered.
-        idx.insert(ObjectId(5), VirtPage(0), 1);
-        assert_eq!(idx.get(ObjectId(5)), None);
-    }
-
-    #[test]
     fn page_index_insert_get_clear() {
-        let idx = PageIndex::new();
+        let idx = PageIndex::default();
         let page = VirtPage(MMAP_BASE_PAGE.0 + 17);
         assert_eq!(idx.get(page), Ok(None));
         idx.insert(page, ObjectId(0));

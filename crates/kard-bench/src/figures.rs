@@ -4,9 +4,8 @@ use crate::pct;
 use kard_alloc::KardAlloc;
 use kard_core::algorithm::KeyEnforced;
 use kard_core::{LockId, SectionId};
-use kard_rt::{KardExecutor, Session};
+use kard_rt::Session;
 use kard_sim::{CodeSite, Machine, MachineConfig, PAGE_SIZE};
-use kard_trace::replay::replay;
 use kard_workloads::runner::run_workload;
 use kard_workloads::spec::geomean_pct;
 use kard_workloads::synth::SynthConfig;
@@ -387,15 +386,6 @@ pub fn fig5_text(scale: f64) -> String {
     }
     out.push_str("(paper: 5.8 / 12.4 / 19.0%)\n");
     out
-}
-
-/// Which executor events the figures replay helper needs.
-#[must_use]
-pub fn replay_model_reports(model: &kard_workloads::apps::AppModel) -> usize {
-    let session = Session::new();
-    let mut exec = KardExecutor::new(session.kard().clone());
-    replay(&model.program.trace_round_robin(), &mut exec);
-    exec.reports().len()
 }
 
 #[cfg(test)]

@@ -33,9 +33,6 @@ pub struct KardConfig {
     /// Apply the release-timestamp filter: treat a key released less than
     /// one fault-handling delay before the fault as still held (§5.5).
     pub timestamp_filter: bool,
-    /// Prune redundant reports of the same object/offset/section pair
-    /// (§5.5, "automated pruning").
-    pub prune_redundant: bool,
     /// Key-pool exhaustion policy (§5.4).
     pub exhaustion: ExhaustionPolicy,
     /// Delay injection (§5.5): when a thread with an *armed* protection
@@ -113,7 +110,6 @@ impl KardConfig {
             proactive_acquisition: true,
             protection_interleaving: true,
             timestamp_filter: true,
-            prune_redundant: true,
             exhaustion: ExhaustionPolicy::RecycleThenShare,
             interleave_exit_delay: 0,
             prefer_fresh_keys: false,
@@ -140,7 +136,6 @@ impl KardConfig {
             proactive_acquisition: true,
             protection_interleaving: false,
             timestamp_filter: false,
-            prune_redundant: true,
             exhaustion: ExhaustionPolicy::RecycleThenShare,
             interleave_exit_delay: 0,
             prefer_fresh_keys: true,
@@ -174,13 +169,6 @@ impl KardConfig {
     #[must_use]
     pub fn timestamp_filter(mut self, on: bool) -> KardConfig {
         self.timestamp_filter = on;
-        self
-    }
-
-    /// Builder-style setter for [`KardConfig::prune_redundant`].
-    #[must_use]
-    pub fn prune_redundant(mut self, on: bool) -> KardConfig {
-        self.prune_redundant = on;
         self
     }
 
@@ -307,7 +295,6 @@ mod tests {
         assert!(c.proactive_acquisition);
         assert!(c.protection_interleaving);
         assert!(c.timestamp_filter);
-        assert!(c.prune_redundant);
         assert_eq!(c.exhaustion, ExhaustionPolicy::RecycleThenShare);
         assert!(!c.prefer_fresh_keys);
         assert_eq!(c.interleave_exit_delay, 0, "delay injection is opt-in");

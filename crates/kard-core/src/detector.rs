@@ -17,15 +17,15 @@
 //! * **per-thread state** (`ThreadSlot`): each thread's critical-section
 //!   frames, held keys, unique-section set, and section-plan cache live in
 //!   that thread's own slot — published once into a lock-free
-//!   [`SlotRegistry`] and guarded by an [`OwnedCell`] engage CAS, so
+//!   [`Registry`] and guarded by an [`OwnedCell`] engage CAS, so
 //!   neither finding nor opening a thread's own state takes any shared
 //!   lock;
 //! * **lock-free domains**: an object's protection domain is one atomic
-//!   word in the flat side metadata ([`crate::sidemeta`]), reached only
-//!   through `set_domain` / `domain_of` / `take_domain` (store / load /
-//!   swap). Objects whose pages lie beyond the table's capacity
-//!   keep their domain in a small sharded overflow map behind the same
-//!   three helpers;
+//!   word in the flat side metadata ([`crate::sidemeta`]), indexed by
+//!   object id and reached through `set_domain` / `domain` /
+//!   `take_domain` (store / load / swap). Ids beyond the table's
+//!   capacity keep their domain in a small sharded overflow map that
+//!   the side metadata owns, behind the same three calls;
 //! * **per-concern locks**: the key-section map, the section-object map,
 //!   the interleaver, and the race-record store each have their own
 //!   narrow lock — but the *common* (no-conflict) section entry/exit
@@ -119,20 +119,20 @@ use crate::error::KardError;
 use crate::faultshard::{FaultPathGuard, FaultShardStats, FaultShards};
 use crate::interleave::{Interleaver, Observation, Verdict};
 use crate::keymap::{KeyTable, KeyWords};
-use crate::registry::{FastBuildHasher, OwnedCell, SlotRegistry};
+use crate::registry::{FastBuildHasher, OwnedCell};
 use crate::report::{RaceFingerprint, RaceRecord, RaceSide};
 use crate::sections::SectionObjectMap;
 use crate::sidemeta::SideMetadata;
 use crate::stats::{AtomicStats, DetectorStats, KardSnapshot};
 use crate::sync::{TrackedMutex, TrackedRwLock};
 use crate::types::{LockId, Perm, SectionId, SectionMode};
-use crate::vkey::{LogicalHolder, VKeyStats, VKeyTable, VirtualKey};
+use crate::vkey::{LogicalHolder, VKeyStats, VKeyTable};
 use kard_alloc::{KardAlloc, ObjectId, ObjectInfo};
 use kard_telemetry::event::{pack_domains, DomainCode, GRANT_PROACTIVE, GRANT_REACTIVE};
 use kard_telemetry::{Analyzer, AnomalySignal, AnomalyStats, Drained, EventKind, Telemetry};
 use kard_sim::{
     AccessKind, CodeSite, CostModel, GpFault, KeyLayout, Machine, Permission, Pkru, ProtectionKey,
-    ThreadId, VirtAddr, VirtPage,
+    Registry, ThreadId, VirtAddr,
 };
 use parking_lot::MutexGuard;
 use std::collections::{HashMap, HashSet};
@@ -140,11 +140,6 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Number of independently locked shards of the overflow object→domain
-/// map. Object ids are dense, so a simple modulo spreads neighboring
-/// objects across different locks.
-const DOMAIN_SHARDS: usize = 16;
 
 /// What the fault handler tells the access loop to do next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -254,7 +249,11 @@ struct ThreadCtx {
     section_cache: HashMap<(SectionId, SectionMode), CachedEntry, FastBuildHasher>,
 }
 
-/// One registered thread's detector-private state.
+/// One registered thread's detector-private state. Slots sit side by
+/// side in the registry's chunks, so each is aligned to its own cache
+/// lines: the owning thread's entry/exit traffic (the engage CAS, the
+/// per-thread counters) never false-shares with a neighbour's.
+#[repr(align(128))]
 struct ThreadSlot {
     /// Frames, held keys, and per-thread caches — engaged by the owning
     /// thread's entry/exit calls, the (serialized) fault path, and rare
@@ -354,13 +353,7 @@ pub struct Kard {
     fault_shards: FaultShards,
     /// Registered threads, indexed by dense `ThreadId`. Published once at
     /// registration; lookup and iteration are lock-free.
-    threads: SlotRegistry<ThreadSlot>,
-    /// Overflow object→domain store, sharded by object id: holds only
-    /// objects whose first page [`SideMetadata::fits`] rejects (or that
-    /// the allocator's lock-free extent index cannot resolve). Everything
-    /// else keeps its domain in `sidemeta`. Touched only by `set_domain`,
-    /// `domain_of`, and `take_domain`.
-    overflow_domains: Vec<TrackedMutex<HashMap<ObjectId, Domain>>>,
+    threads: Registry<ThreadSlot>,
     /// The section-object map (§5.3, Figure 3a).
     sections: TrackedRwLock<SectionObjectMap>,
     /// The key-section map (§5.4, Figure 3b). Acquired only through
@@ -380,12 +373,14 @@ pub struct Kard {
     /// with `keys`, `keys` is always acquired first (order: `keys` →
     /// `vkeys`, never the reverse).
     vkeys: TrackedMutex<VKeyTable>,
-    /// Flat page-granular side metadata (see [`crate::sidemeta`]): every
-    /// in-capacity object's domain word, the lock-free mirror of vkey
-    /// membership, and the hotness counters that drive
+    /// Flat id-indexed side metadata (see [`crate::sidemeta`]): every
+    /// object's domain, the lock-free mirror of vkey membership, and the
+    /// hotness counters that drive
     /// [`KeyCachePolicy::Hotness`](crate::vkey::KeyCachePolicy::Hotness)
-    /// eviction. Written before the `cache_gen` bump of the mutation it
-    /// records.
+    /// eviction. Every write lands *before* the `cache_gen` bump of the
+    /// mutation it records, so the seqlock protocol that protects cached
+    /// section plans also covers metadata staleness: a plan built from a
+    /// stale word fails generation re-validation.
     sidemeta: SideMetadata,
     /// The protection-interleaving engine (§5.5, Figure 4).
     interleaver: TrackedMutex<Interleaver>,
@@ -442,10 +437,7 @@ impl Kard {
             config,
             layout,
             fault_shards: FaultShards::new(),
-            threads: SlotRegistry::new(),
-            overflow_domains: (0..DOMAIN_SHARDS)
-                .map(|_| TrackedMutex::new(HashMap::new(), tracked(&counter)))
-                .collect(),
+            threads: Registry::new(),
             sections: TrackedRwLock::new(SectionObjectMap::new(), tracked(&counter)),
             keys: TrackedMutex::new(KeyTable::new(&layout), tracked(&counter)),
             words: KeyWords::new(&layout),
@@ -454,7 +446,7 @@ impl Kard {
                 VKeyTable::new(config.key_cache_policy),
                 tracked(&counter),
             ),
-            sidemeta: SideMetadata::new(),
+            sidemeta: SideMetadata::new(&counter),
             interleaver: TrackedMutex::new(Interleaver::new(), tracked(&counter)),
             records: TrackedMutex::new(RecordStore::default(), tracked(&counter)),
             stats: AtomicStats::default(),
@@ -482,96 +474,21 @@ impl Kard {
         }
     }
 
-    // ---- side metadata ---------------------------------------------------
-    //
-    // Every write below lands *before* the `cache_gen` bump for the
-    // mutation it records, so the seqlock protocol that protects cached
-    // section plans also covers metadata staleness: a plan built from a
-    // stale word fails generation re-validation.
-
-    /// `id`'s first page when its domain lives in the side metadata:
-    /// the allocator's lock-free extent index knows the object and the
-    /// page is inside the table's capacity. `None` sends `set_domain`,
-    /// `domain_of`, and `take_domain` to the overflow map.
-    fn meta_page(&self, id: ObjectId) -> Option<VirtPage> {
-        self.alloc
-            .pages_of(id)
-            .map(|(first, _)| first)
-            .filter(|&first| SideMetadata::fits(first))
-    }
-
-    /// Record `id`'s domain: one store on its side-metadata word (a locked
-    /// insert for an overflow object). Last-writer-wins; every caller
-    /// after allocation holds the object's fault shard or a
-    /// [`crate::faultshard::ShardClaims`] claim on it.
-    fn set_domain(&self, id: ObjectId, domain: Domain) {
-        match self.meta_page(id) {
-            Some(page) => self.sidemeta.set_domain(page, domain),
-            None => {
-                self.domain_shard(id).lock().insert(id, domain);
-            }
-        }
-    }
-
-    /// Forget `id`'s domain and return it: one swap (a locked remove for
-    /// an overflow object). Must run before the allocator forgets the
-    /// object's page extent.
-    fn take_domain(&self, id: ObjectId) -> Option<Domain> {
-        match self.meta_page(id) {
-            Some(page) => self.sidemeta.take_domain(page),
-            None => self.domain_shard(id).lock().remove(&id),
-        }
-    }
-
-    /// Mirror `id`'s group membership into the side metadata (every page;
-    /// objects span `pages_of(id).1` consecutive virtual pages).
-    fn meta_set_vkey(&self, id: ObjectId, vkey: Option<VirtualKey>) {
-        if let Some((first, count)) = self.alloc.pages_of(id) {
-            for i in 0..count {
-                self.sidemeta.set_vkey(VirtPage(first.0 + i), vkey);
-            }
-        }
-    }
-
-    /// Drop `id`'s membership and hotness words (object freed). Must run
-    /// before the allocator forgets the object's page extent.
-    fn meta_clear(&self, id: ObjectId) {
-        if let Some((first, count)) = self.alloc.pages_of(id) {
-            for i in 0..count {
-                let page = VirtPage(first.0 + i);
-                self.sidemeta.set_vkey(page, None);
-                self.sidemeta.reset_hot(page);
-            }
-        }
-    }
-
-    /// Bump `id`'s hotness (first page only — group heat takes the max
-    /// over members, so one representative page per object suffices).
-    fn meta_bump_hot(&self, id: ObjectId) {
-        if let Some((first, _)) = self.alloc.pages_of(id) {
-            self.sidemeta.bump_hot(first);
-        }
-    }
-
     /// Score a candidate victim group for [`KeyCachePolicy::Hotness`]:
     /// the heat of its hottest member (a group stays resident as long as
     /// *any* member is hot).
     fn group_heat(&self, members: &[ObjectId]) -> u64 {
         members
             .iter()
-            .filter_map(|&id| self.alloc.pages_of(id))
-            .map(|(first, _)| self.sidemeta.hot(first))
+            .map(|&id| self.sidemeta.hot(id))
             .max()
             .unwrap_or(0)
     }
 
-    /// Current side-metadata heat of an object (first page, like
-    /// [`Kard::meta_bump_hot`]): the signal the budget controller's
-    /// hotness-promotion override reads. One relaxed load.
-    fn object_heat(&self, id: ObjectId) -> u64 {
-        self.alloc
-            .pages_of(id)
-            .map_or(0, |(first, _)| self.sidemeta.hot(first))
+    /// The side metadata, for the unit tests that live next to it.
+    #[cfg(test)]
+    pub(crate) fn sidemeta(&self) -> &SideMetadata {
+        &self.sidemeta
     }
 
     /// The simulated machine under this detector.
@@ -644,7 +561,7 @@ impl Kard {
 
     /// The slot of a thread that may not be registered.
     fn try_slot(&self, t: ThreadId) -> Option<&ThreadSlot> {
-        self.threads.get(t.0).map(Arc::as_ref)
+        self.threads.get(t.0)
     }
 
     /// Acquire the key table with the lock-free holder words folded in.
@@ -677,11 +594,6 @@ impl Kard {
         (hits, misses)
     }
 
-    /// The overflow-map shard owning `id`.
-    fn domain_shard(&self, id: ObjectId) -> &TrackedMutex<HashMap<ObjectId, Domain>> {
-        &self.overflow_domains[id.0 as usize % DOMAIN_SHARDS]
-    }
-
     /// The PKRU policy for a thread outside any critical section: default
     /// key read-write, `k_ro` read-only (everyone can read the Read-only
     /// domain), `k_na` read-write (non-critical code touches Not-accessed
@@ -698,7 +610,7 @@ impl Kard {
     pub fn register_thread(&self) -> ThreadId {
         let t = self.machine.register_thread();
         self.machine.wrpkru(t, self.base_pkru());
-        self.threads.publish(t.0, Arc::new(ThreadSlot::new()));
+        self.threads.publish(t.0, ThreadSlot::new());
         self.telemetry.ensure_thread(t.0);
         t
     }
@@ -712,7 +624,7 @@ impl Kard {
                 .protect(t, info.id, self.layout.not_accessed)
                 .expect("k_na is always valid");
         }
-        self.set_domain(info.id, Domain::NotAccessed);
+        self.sidemeta.set_domain(info.id, Domain::NotAccessed);
         info
     }
 
@@ -725,7 +637,7 @@ impl Kard {
                 .protect(t, info.id, self.layout.not_accessed)
                 .expect("k_na is always valid");
         }
-        self.set_domain(info.id, Domain::NotAccessed);
+        self.sidemeta.set_domain(info.id, Domain::NotAccessed);
         info
     }
 
@@ -742,17 +654,10 @@ impl Kard {
         // Read the mirrored membership word *before* scrubbing the
         // metadata: a never-grouped object can skip the `vkeys` mutex
         // below. Safe because this object's membership only ever changes
-        // under its fault shard, held here. An overflow object has no
-        // membership word, so it always asks the table.
-        let maybe_grouped = self.config.virtual_keys
-            && self
-                .meta_page(id)
-                .is_none_or(|page| self.sidemeta.vkey(page).is_some());
-        // Scrub every side-metadata word now, while the allocator still
-        // remembers the object's page extent (`alloc.free` below forgets
-        // it).
-        let prev = self.take_domain(id);
-        self.meta_clear(id);
+        // under its fault shard, held here.
+        let maybe_grouped = self.config.virtual_keys && self.sidemeta.maybe_grouped(id);
+        let prev = self.sidemeta.take_domain(id);
+        self.sidemeta.clear(id);
         if let Some(Domain::ReadWrite(key)) = prev {
             self.lock_keys().unassign_object(key, id);
         }
@@ -919,7 +824,7 @@ impl Kard {
                 // This section is about to touch `obj`: feed the hotness
                 // counter that keeps its group resident under the
                 // `Hotness` eviction policy.
-                self.meta_bump_hot(obj);
+                self.sidemeta.bump_hot(obj);
                 // Staleness of the domain read is covered by the `gen`
                 // snapshot above.
                 let Some(Domain::ReadWrite(key)) = self.domain_of(obj) else {
@@ -1199,7 +1104,7 @@ impl Kard {
                     };
                     if let Some(key) = target {
                         self.lock_keys().assign_object(key, fin.object);
-                        self.set_domain(fin.object, Domain::ReadWrite(key));
+                        self.sidemeta.set_domain(fin.object, Domain::ReadWrite(key));
                         self.alloc
                             .protect(t, fin.object, key)
                             .expect("pool key is valid");
@@ -1216,7 +1121,7 @@ impl Kard {
                             pack_domains(DomainCode::Suspended, DomainCode::ReadWrite),
                         );
                     } else {
-                        self.set_domain(fin.object, Domain::ReadOnly);
+                        self.sidemeta.set_domain(fin.object, Domain::ReadOnly);
                         self.alloc
                             .protect(t, fin.object, self.layout.read_only)
                             .expect("k_ro is valid");
@@ -1354,7 +1259,7 @@ impl Kard {
         // Every fault is a demonstrated touch: feed the hotness counter
         // so the faulted object's group competes for hardware-key
         // residency under the `Hotness` eviction policy.
-        self.meta_bump_hot(info.id);
+        self.sidemeta.bump_hot(info.id);
         self.emit(
             fault.thread,
             EventKind::FaultEnter,
@@ -1413,7 +1318,7 @@ impl Kard {
         // section-map entry is created, and none of the §5.3 counters move
         // — the skip is accounted only by the controller and its event.
         if self.budget.active() {
-            let heat = self.object_heat(info.id);
+            let heat = self.sidemeta.hot(info.id);
             if self.budget.decide(info.id.0, heat) == BudgetDecision::Skipped {
                 self.emit(t, EventKind::BudgetSkip, info.id.0, heat);
                 self.alloc
@@ -1440,7 +1345,7 @@ impl Kard {
                     info.id.0,
                     pack_domains(DomainCode::NotAccessed, DomainCode::ReadOnly),
                 );
-                self.set_domain(info.id, Domain::ReadOnly);
+                self.sidemeta.set_domain(info.id, Domain::ReadOnly);
                 self.sections.write().record(section, info.id, Perm::Read);
                 self.alloc
                     .protect(t, info.id, self.layout.read_only)
@@ -1478,7 +1383,7 @@ impl Kard {
             // inert record (plans never acquire keys for Read-only
             // objects, so nothing downstream reads it again).
             if self.budget.active() {
-                let heat = self.object_heat(info.id);
+                let heat = self.sidemeta.hot(info.id);
                 if self.budget.decide(info.id.0, heat) == BudgetDecision::Skipped {
                     self.emit(t, EventKind::BudgetSkip, info.id.0, heat);
                     self.alloc
@@ -1623,7 +1528,7 @@ impl Kard {
             pack_domains(DomainCode::ReadWrite, DomainCode::Suspended),
         );
         self.lock_keys().unassign_object(ikey, info.id);
-        self.set_domain(info.id, Domain::Suspended);
+        self.sidemeta.set_domain(info.id, Domain::Suspended);
         self.alloc
             .protect(t, info.id, ProtectionKey::DEFAULT)
             .expect("default key is valid");
@@ -1826,7 +1731,7 @@ impl Kard {
                         };
                         if let Some(ikey) = armed_key {
                             self.note_held_and_record(t, ikey, perm_for(fault.access));
-                            self.set_domain(info.id, Domain::ReadWrite(ikey));
+                            self.sidemeta.set_domain(info.id, Domain::ReadWrite(ikey));
                             self.alloc.protect(t, info.id, ikey).expect("valid key");
                             self.grant_in_context(t, ikey);
                             // Arming rebound the object to the interleaved
@@ -1941,7 +1846,7 @@ impl Kard {
         };
         self.machine.charge(t, cost.map_op * 2);
 
-        self.set_domain(info.id, Domain::ReadWrite(key));
+        self.sidemeta.set_domain(info.id, Domain::ReadWrite(key));
         self.sections.write().record(section, info.id, Perm::Write);
         self.alloc.protect(t, info.id, key).expect("pool key valid");
 
@@ -2052,7 +1957,7 @@ impl Kard {
                 // domain; their next write re-identifies them (§5.4).
                 for &obj in evicted {
                     if self.alloc.object(obj).is_some() {
-                        self.set_domain(obj, Domain::ReadOnly);
+                        self.sidemeta.set_domain(obj, Domain::ReadOnly);
                         self.alloc
                             .protect(t, obj, self.layout.read_only)
                             .expect("k_ro is valid");
@@ -2160,7 +2065,7 @@ impl Kard {
             // table is still locked: the membership word answers the
             // lock-free "was this object ever grouped?" question on the
             // free path. Idempotent on hits.
-            self.meta_set_vkey(info.id, Some(va.vkey()));
+            self.sidemeta.set_vkey(info.id, va.vkey());
             (va, pressure)
         };
         if self.telemetry.enabled() {
@@ -2217,7 +2122,7 @@ impl Kard {
             .filter(|&obj| self.alloc.object(obj).is_some())
             .collect();
         for &obj in &live {
-            self.set_domain(obj, Domain::ReadOnly);
+            self.sidemeta.set_domain(obj, Domain::ReadOnly);
             AtomicStats::bump(&self.stats.read_only_migrations);
             self.emit(
                 t,
@@ -2309,18 +2214,15 @@ impl Kard {
     /// record's index if it was (newly) stored.
     fn push_record(&self, record: RaceRecord) -> Option<usize> {
         let mut store = self.records.lock();
-        if self.config.prune_redundant {
-            let fp = record.fingerprint();
-            if !store.seen.insert(fp) {
-                AtomicStats::bump(&self.stats.races_pruned_redundant);
-                self.emit(
-                    record.faulting.thread,
-                    EventKind::RacePruneRedundant,
-                    record.object.0,
-                    0,
-                );
-                return None;
-            }
+        if !store.seen.insert(record.fingerprint()) {
+            AtomicStats::bump(&self.stats.races_pruned_redundant);
+            self.emit(
+                record.faulting.thread,
+                EventKind::RacePruneRedundant,
+                record.object.0,
+                0,
+            );
+            return None;
         }
         self.emit(
             record.faulting.thread,
@@ -2538,10 +2440,7 @@ impl Kard {
     /// acquire load (a locked lookup for an overflow object).
     #[must_use]
     pub fn domain_of(&self, id: ObjectId) -> Option<Domain> {
-        match self.meta_page(id) {
-            Some(page) => self.sidemeta.domain(page),
-            None => self.domain_shard(id).lock().get(&id).copied(),
-        }
+        self.sidemeta.domain(id)
     }
 
     /// Objects recorded for a section in the section-object map.

@@ -1,16 +1,15 @@
-//! Lock-free per-thread state: a publish-once thread registry and a
-//! spin-owned context cell.
+//! Lock-free per-thread state: a spin-owned context cell (and the fast
+//! hasher of the thread-private maps inside it).
 //!
 //! PR 6's zero-lock section path removes the two shared locks that every
 //! `lock_enter`/`lock_exit` pair used to take just to *find and open* the
 //! calling thread's own state: the `threads` [`TrackedRwLock`] around the
-//! slot vector and the per-slot `TrackedMutex` around the context. Both
-//! are replaced here:
+//! slot vector and the per-slot `TrackedMutex` around the context:
 //!
-//! * [`SlotRegistry`] publishes each thread's slot exactly once into a
-//!   chunked table of [`OnceLock`] cells — the publish-once CAS idiom from
-//!   the kard-alloc cons tables, applied to thread registration. Lookup is
-//!   two lock-free acquire loads; iteration (stats, snapshots, the
+//! * each thread's slot is published exactly once into a
+//!   [`kard_sim::Registry`] — the shared publish-once spine, the same
+//!   type the machine keeps its own thread table on. Lookup is two
+//!   lock-free acquire loads; iteration (stats, snapshots, the
 //!   read-only-write scan) walks the published prefix without excluding
 //!   concurrent registration.
 //! * [`OwnedCell`] guards a thread's mutable context with a single
@@ -22,7 +21,7 @@
 //!   holders never block while engaged, so the wait is bounded by a few
 //!   dozen instructions.
 //!
-//! Neither structure counts toward [`crate::Kard::detector_lock_acquisitions`]:
+//! Neither counts toward [`crate::Kard::detector_lock_acquisitions`]:
 //! that counter measures *shared lock* traffic, and these are the
 //! structures that remove it.
 //!
@@ -30,8 +29,7 @@
 
 use std::cell::UnsafeCell;
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A non-cryptographic multiply-rotate hasher (the rustc `FxHash`
 /// construction) for the detector's *thread-private* maps, where keys are
@@ -100,11 +98,6 @@ impl Hasher for FastHasher {
     }
 }
 
-/// Chunk size (slots per lazily-allocated chunk) of a [`SlotRegistry`].
-const CHUNK: usize = 64;
-/// Number of chunks — bounds registered threads at `CHUNK * CHUNKS`.
-const CHUNKS: usize = 64;
-
 /// Exclusive-access cell engaged by a compare-and-swap, not a lock.
 ///
 /// `with` spins until it wins the `engaged` flag, runs the closure with
@@ -162,90 +155,10 @@ impl<T: std::fmt::Debug> std::fmt::Debug for OwnedCell<T> {
     }
 }
 
-/// One published chunk of a [`SlotRegistry`].
-type SlotChunk<T> = Box<[OnceLock<Arc<T>>]>;
-
-/// A grow-only, publish-once table of `Arc<T>` indexed by dense ids.
-///
-/// Slots are published at registration time and never move or disappear,
-/// so readers need no lock: `get` is two `OnceLock` acquire loads, and
-/// `iter` walks indices `0..len()` (the `len` counter is raised *after*
-/// the slot is published, so every index below it resolves).
-pub struct SlotRegistry<T> {
-    chunks: Box<[OnceLock<SlotChunk<T>>]>,
-    len: AtomicUsize,
-}
-
-impl<T> SlotRegistry<T> {
-    /// An empty registry with capacity for `CHUNK * CHUNKS` slots.
-    pub fn new() -> SlotRegistry<T> {
-        SlotRegistry {
-            chunks: (0..CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(0),
-        }
-    }
-
-    /// Publish `slot` at `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is beyond the fixed capacity or already
-    /// published — ids come from the machine's monotone thread
-    /// registration, so either indicates a caller bug.
-    pub fn publish(&self, index: usize, slot: Arc<T>) {
-        let chunk = self
-            .chunks
-            .get(index / CHUNK)
-            .unwrap_or_else(|| panic!("thread registry capacity ({}) exceeded", CHUNK * CHUNKS))
-            .get_or_init(|| (0..CHUNK).map(|_| OnceLock::new()).collect());
-        assert!(
-            chunk[index % CHUNK].set(slot).is_ok(),
-            "slot {index} published twice"
-        );
-        self.len.fetch_max(index + 1, Ordering::Release);
-    }
-
-    /// The published slot for `index`, if any.
-    #[must_use]
-    pub fn get(&self, index: usize) -> Option<&Arc<T>> {
-        self.chunks.get(index / CHUNK)?.get()?[index % CHUNK].get()
-    }
-
-    /// Number of slots published so far (indices `0..len` all resolve).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    /// Whether no slot has been published yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Walk every published slot with its index, in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &Arc<T>)> {
-        (0..self.len()).filter_map(|i| Some((i, self.get(i)?)))
-    }
-}
-
-impl<T> Default for SlotRegistry<T> {
-    fn default() -> Self {
-        SlotRegistry::new()
-    }
-}
-
-impl<T> std::fmt::Debug for SlotRegistry<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SlotRegistry")
-            .field("len", &self.len())
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
 
     #[test]
     fn fast_hasher_is_deterministic_and_spreads_small_ids() {
@@ -304,54 +217,5 @@ mod tests {
         let panicked = std::thread::spawn(move || inner.with(|_| panic!("boom"))).join();
         assert!(panicked.is_err());
         assert_eq!(cell.with(|v| *v), 0, "cell usable after a panicking visitor");
-    }
-
-    #[test]
-    fn registry_publishes_and_resolves_dense_ids() {
-        let reg = SlotRegistry::new();
-        assert!(reg.is_empty());
-        for i in 0..200 {
-            reg.publish(i, Arc::new(i));
-        }
-        assert_eq!(reg.len(), 200);
-        assert_eq!(**reg.get(137).unwrap(), 137);
-        assert!(reg.get(200).is_none());
-        let sum: usize = reg.iter().map(|(_, v)| **v).sum();
-        assert_eq!(sum, (0..200).sum());
-    }
-
-    #[test]
-    #[should_panic(expected = "published twice")]
-    fn registry_rejects_double_publish() {
-        let reg = SlotRegistry::new();
-        reg.publish(0, Arc::new(0));
-        reg.publish(0, Arc::new(0));
-    }
-
-    #[test]
-    fn registry_readers_see_concurrent_publishes() {
-        let reg = Arc::new(SlotRegistry::new());
-        std::thread::scope(|s| {
-            let writer = Arc::clone(&reg);
-            s.spawn(move || {
-                for i in 0..500 {
-                    writer.publish(i, Arc::new(i));
-                }
-            });
-            let reader = Arc::clone(&reg);
-            s.spawn(move || {
-                loop {
-                    let n = reader.len();
-                    // Every index below the published length must resolve.
-                    for i in 0..n {
-                        assert_eq!(**reader.get(i).unwrap(), i);
-                    }
-                    if n == 500 {
-                        break;
-                    }
-                    std::hint::spin_loop();
-                }
-            });
-        });
     }
 }

@@ -1,58 +1,51 @@
-//! Flat side-metadata tables: object→domain/key/hotness in O(1), no locks.
+//! Flat side metadata: object id → domain/key/hotness in O(1), no locks.
 //!
 //! The detector's per-object metadata — protection domain, virtual-key
-//! membership, hotness — lives here in the mmtk-style side-metadata idiom:
-//! a flat array indexed by page-granular address, where every entry is a
-//! few atomic words written with one store and read with one acquire
-//! load. The domain word is the *only* record of an in-capacity object's
+//! membership, hotness — lives here, one cell of three atomic words per
+//! object, each written with one store and read with one acquire load.
+//! The domain word is the *only* record of an in-capacity object's
 //! domain; the membership word mirrors the mutexed [`crate::vkey`] table.
-//! (The hash-and-lock tables this replaced — a 16-way sharded
-//! `HashMap<ObjectId, Domain>` answering every read — last existed at
-//! commit `5e877f8`.)
-//!
-//! Two structural facts make a page-indexed table exactly object-granular:
-//!
-//! * **One object per virtual page** (§5.3): consolidation shares physical
-//!   frames, never virtual pages, so `page → metadata` *is*
-//!   `object → metadata`. A multi-page object's domain word lives at its
-//!   first page.
-//! * **Virtual pages are a dense bump sequence** from
-//!   [`kard_sim::MMAP_BASE_PAGE`] and are never reused, so
-//!   [`kard_sim::dense_page_index`] keys a chunked array with no hashing
-//!   and no ABA.
-//!
-//! Each page slot holds three independent atomic words:
 //!
 //! ```text
-//!   address ──▶ page = addr >> 12 ──▶ dense = page - MMAP_BASE_PAGE
-//!     dense ──▶ chunk[dense / 4096].cell[dense % 4096]:
-//!        domain word   0 = absent | code(1..=4) | (hw key + 1) << 8
-//!        vkey word     0 = none   | virtual key + 1
-//!        hot word      saturating hotness counter (relaxed)
+//!   ObjectId ──▶ cells[id]:
+//!      domain word   0 = absent | code(1..=4) | (hw key + 1) << 8
+//!      vkey word     0 = none   | virtual key + 1
+//!      hot word      saturating hotness counter (relaxed)
 //! ```
 //!
-//! **Publish-once chunks.** The chunk spine is a fixed array of
-//! `OnceLock`s; a chunk materializes zeroed on first write and is then
-//! immutable as a container — only its atomic words change. An idle table
-//! costs one pointer per chunk.
+//! **Why ids.** The mmtk card table this idiom comes from is indexed by
+//! address because a write barrier starts from an address. Every caller
+//! here starts from an [`ObjectId`] — the fault handler has already
+//! resolved its address through the allocator, section plans and group
+//! member lists hold ids — and ids are exactly as dense and never-reused
+//! as the unique pages of §5.3 (`next_id` is a bump counter), so the id
+//! is the index: no id → page detour, no hashing, no ABA, and one cell
+//! per object however many pages it spans.
 //!
-//! **Who writes, who reads.** The domain word is written by the
-//! detector's three domain helpers (`set_domain` / `domain_of` /
-//! `take_domain`: store / load / swap) with no lock of its own — every
-//! writer after allocation already runs under the object's fault shard or
-//! a `ShardClaims` claim, and the word is last-writer-wins exactly as a
-//! locked map insert would be. The vkey word is written under the
-//! `keys → vkeys` lock order next to the membership-map mutation. Both
-//! land *before* the detector's `cache_gen` bump. Readers take no locks
-//! at all: the section-entry planner and the free-path membership probe
-//! do one acquire load per object, and the generational plan validation
-//! that already guards the lock-free entry path covers side-metadata
-//! staleness for free — a plan built from a stale word fails its
-//! `cache_gen` re-validation. Pages beyond the table's fixed capacity
-//! ([`SideMetadata::fits`]) are not recorded here; the detector keeps
-//! those objects' domains in a small mutexed overflow map.
+//! **One capacity, and who owns what lies past it.** The cells sit on
+//! [`kard_alloc::IdSpine`], the geometry every id-indexed table shares
+//! (16 Mi ids; chunks materialize zeroed on first write, an idle table
+//! costs one pointer per chunk). An id past it has no cell. This module
+//! owns that case too: the domain — the one word the detector cannot do
+//! without — goes to a small sharded map whose mutexes count on the
+//! detector's lock counter, so each domain operation on such an object
+//! costs exactly one lock; membership and hotness are simply not
+//! recorded ([`SideMetadata::maybe_grouped`] answers "ask the vkey
+//! table", heat reads 0). No caller tests the capacity.
 //!
-//! **Hotness.** The `hot` word is a saturating per-page counter bumped
+//! **Who writes, who reads.** The domain word is written with no lock of
+//! its own — every writer after allocation already runs under the
+//! object's fault shard or a `ShardClaims` claim, and the word is
+//! last-writer-wins exactly as a locked map insert would be. The vkey
+//! word is written under the `keys → vkeys` lock order next to the
+//! membership-map mutation. Both land *before* the detector's
+//! `cache_gen` bump. Readers take no locks at all: the section-entry
+//! planner and the free-path membership probe do one acquire load per
+//! object, and the generational plan validation that already guards the
+//! lock-free entry path covers side-metadata staleness for free — a plan
+//! built from a stale word fails its `cache_gen` re-validation.
+//!
+//! **Hotness.** The `hot` word is a saturating per-object counter bumped
 //! (relaxed `fetch_add`) on section entry and fault handling. It drives
 //! [`crate::vkey::KeyCachePolicy::Hotness`]: eviction prefers the
 //! *coldest* resident group, so hot groups keep their hardware key and
@@ -69,16 +62,29 @@
 //! holder words of PR 6 (`keymap::KeyWords`). The domain word stores the
 //! hardware key precisely so the composition stays lock-free: one acquire
 //! load here yields the key, one relaxed load of that key's holder word
-//! yields the holder, with no per-page duplication to keep coherent.
+//! yields the holder, with no per-object duplication to keep coherent.
 
 use crate::domains::Domain;
+use crate::sync::TrackedMutex;
 use crate::vkey::VirtualKey;
-use kard_sim::{dense_page_index, ProtectionKey, VirtPage};
+use kard_alloc::ObjectId;
+use kard_sim::ProtectionKey;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
-const PAGE_CHUNK: usize = 1 << 12;
-const PAGE_CHUNKS: usize = 1 << 12; // capacity: 16Mi pages (64 GiB of VA)
+/// The cell table: the shared id geometry.
+#[cfg(not(test))]
+type Cells = kard_alloc::IdSpine<MetaCell>;
+/// Unit tests shrink the table to two chunks so the overflow store is
+/// reached by burning 8 Ki ids instead of 16 Mi.
+#[cfg(test)]
+type Cells = kard_sim::Spine<MetaCell, 12, 2>;
+
+/// Number of independently locked shards of the overflow domain map.
+/// Object ids are dense, so a simple modulo spreads neighboring objects
+/// across different locks.
+const OVERFLOW_SHARDS: usize = 16;
 
 /// Saturation ceiling of the hotness counter. High enough that ordering
 /// among live groups is preserved for any realistic run.
@@ -108,157 +114,166 @@ fn decode_domain(word: u64) -> Option<Domain> {
     }
 }
 
+#[derive(Default)]
 struct MetaCell {
     domain: AtomicU64,
     vkey: AtomicU64,
     hot: AtomicU64,
 }
 
-impl MetaCell {
-    fn zeroed() -> MetaCell {
-        MetaCell {
-            domain: AtomicU64::new(0),
-            vkey: AtomicU64::new(0),
-            hot: AtomicU64::new(0),
-        }
-    }
-}
-
-/// The flat page-indexed metadata space (see [module docs](self)).
+/// The flat id-indexed metadata space (see [module docs](self)).
 pub struct SideMetadata {
-    chunks: Box<[OnceLock<Box<[MetaCell]>>]>,
+    cells: Cells,
+    /// Domains of objects whose id is past the cells' capacity.
+    overflow: Box<[TrackedMutex<HashMap<ObjectId, Domain>>]>,
 }
 
 impl SideMetadata {
-    /// An empty table (allocates only the chunk spine).
+    /// An empty table (allocates only the chunk spine) whose overflow
+    /// mutexes count their acquisitions on `lock_counter`.
     #[must_use]
-    pub fn new() -> SideMetadata {
+    pub fn new(lock_counter: &Arc<AtomicU64>) -> SideMetadata {
         SideMetadata {
-            chunks: (0..PAGE_CHUNKS).map(|_| OnceLock::new()).collect(),
+            cells: Cells::new(),
+            overflow: (0..OVERFLOW_SHARDS)
+                .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(lock_counter)))
+                .collect(),
         }
     }
 
-    fn slot_index(page: VirtPage) -> Option<usize> {
-        let dense = dense_page_index(page)? as usize;
-        (dense < PAGE_CHUNK * PAGE_CHUNKS).then_some(dense)
+    /// "Id in capacity": whether `id` has a cell (else only its domain is
+    /// kept, in the overflow map).
+    fn fits(id: ObjectId) -> bool {
+        (id.0 as usize) < Cells::CAPACITY
     }
 
-    /// Whether `page` is within the table's fixed capacity. The detector
-    /// keeps out-of-range objects' domains in its overflow map instead.
-    #[must_use]
-    pub fn fits(page: VirtPage) -> bool {
-        Self::slot_index(page).is_some()
+    /// `id`'s cell, materializing its chunk (write paths). `None` past
+    /// capacity.
+    fn cell(&self, id: ObjectId) -> Option<&MetaCell> {
+        self.cells.get_or_publish(id.0 as usize)
     }
 
-    /// The cell for `page`, materializing its chunk (write paths).
-    fn cell(&self, page: VirtPage) -> Option<&MetaCell> {
-        let idx = Self::slot_index(page)?;
-        let chunk = self.chunks[idx / PAGE_CHUNK]
-            .get_or_init(|| (0..PAGE_CHUNK).map(|_| MetaCell::zeroed()).collect());
-        Some(&chunk[idx % PAGE_CHUNK])
+    /// `id`'s cell if its chunk exists (read paths — never materializes,
+    /// so cold reads stay allocation-free).
+    fn peek(&self, id: ObjectId) -> Option<&MetaCell> {
+        self.cells.get(id.0 as usize)
     }
 
-    /// The cell for `page` if its chunk exists (read paths — never
-    /// materializes, so cold reads stay allocation-free).
-    fn peek(&self, page: VirtPage) -> Option<&MetaCell> {
-        let idx = Self::slot_index(page)?;
-        let chunk = self.chunks[idx / PAGE_CHUNK].get()?;
-        Some(&chunk[idx % PAGE_CHUNK])
+    fn overflow(&self, id: ObjectId) -> &TrackedMutex<HashMap<ObjectId, Domain>> {
+        &self.overflow[id.0 as usize % OVERFLOW_SHARDS]
     }
 
-    /// Publish `page`'s protection domain: one release store, before the
-    /// writer's `cache_gen` bump. A no-op for pages that do not
-    /// [`fit`](SideMetadata::fits).
-    pub fn set_domain(&self, page: VirtPage, domain: Domain) {
-        if let Some(cell) = self.cell(page) {
-            cell.domain.store(encode_domain(domain), Ordering::Release);
-        }
-    }
-
-    /// Remove and return `page`'s domain (object freed): one swap.
-    pub fn take_domain(&self, page: VirtPage) -> Option<Domain> {
-        decode_domain(self.peek(page)?.domain.swap(0, Ordering::AcqRel))
-    }
-
-    /// `page`'s protection domain: one acquire load, no locks. `None`
-    /// means no domain is recorded — never set, or taken by a free.
-    #[must_use]
-    pub fn domain(&self, page: VirtPage) -> Option<Domain> {
-        decode_domain(self.peek(page)?.domain.load(Ordering::Acquire))
-    }
-
-    /// Publish `page`'s virtual-key membership (or `None` on removal).
-    /// Called under the `keys → vkeys` lock order, adjacent to the
-    /// membership-map mutation.
-    pub fn set_vkey(&self, page: VirtPage, vkey: Option<VirtualKey>) {
-        let word = vkey.map_or(0, |v| v.0 + 1);
-        if word == 0 {
-            // Removal must not materialize a chunk for a page that never
-            // had metadata.
-            if let Some(cell) = self.peek(page) {
-                cell.vkey.store(0, Ordering::Release);
+    /// Record `id`'s protection domain: one release store (a locked
+    /// insert past capacity), before the writer's `cache_gen` bump.
+    /// Last-writer-wins; every caller after allocation holds the object's
+    /// fault shard or a [`crate::faultshard::ShardClaims`] claim on it.
+    pub fn set_domain(&self, id: ObjectId, domain: Domain) {
+        match self.cell(id) {
+            Some(cell) => cell.domain.store(encode_domain(domain), Ordering::Release),
+            None => {
+                self.overflow(id).lock().insert(id, domain);
             }
-        } else if let Some(cell) = self.cell(page) {
-            cell.vkey.store(word, Ordering::Release);
         }
     }
 
-    /// `page`'s group, if it belongs to one: one acquire load, no locks.
+    /// Forget `id`'s domain and return it (object freed): one swap (a
+    /// locked remove past capacity).
+    pub fn take_domain(&self, id: ObjectId) -> Option<Domain> {
+        if Self::fits(id) {
+            decode_domain(self.peek(id)?.domain.swap(0, Ordering::AcqRel))
+        } else {
+            self.overflow(id).lock().remove(&id)
+        }
+    }
+
+    /// `id`'s protection domain: one acquire load, no locks (a locked
+    /// lookup past capacity). `None` means no domain is recorded — never
+    /// set, or taken by a free.
     #[must_use]
-    pub fn vkey(&self, page: VirtPage) -> Option<VirtualKey> {
-        match self.peek(page)?.vkey.load(Ordering::Acquire) {
+    pub fn domain(&self, id: ObjectId) -> Option<Domain> {
+        if Self::fits(id) {
+            decode_domain(self.peek(id)?.domain.load(Ordering::Acquire))
+        } else {
+            self.overflow(id).lock().get(&id).copied()
+        }
+    }
+
+    /// Publish `id`'s virtual-key membership. Called under the
+    /// `keys → vkeys` lock order, adjacent to the membership-map
+    /// mutation. Not recorded past capacity.
+    pub fn set_vkey(&self, id: ObjectId, vkey: VirtualKey) {
+        if let Some(cell) = self.cell(id) {
+            cell.vkey.store(vkey.0 + 1, Ordering::Release);
+        }
+    }
+
+    /// `id`'s group, if one is recorded: one acquire load, no locks.
+    #[must_use]
+    pub fn vkey(&self, id: ObjectId) -> Option<VirtualKey> {
+        match self.peek(id)?.vkey.load(Ordering::Acquire) {
             0 => None,
             raw => Some(VirtualKey(raw - 1)),
         }
     }
 
-    /// Bump `page`'s hotness counter (relaxed, saturating at [`HOT_MAX`]).
+    /// Whether `id` may belong to a group: its membership word is set,
+    /// or it is past capacity and has no word, so only the vkey table
+    /// knows. `false` lets a free skip the `vkeys` mutex.
+    #[must_use]
+    pub fn maybe_grouped(&self, id: ObjectId) -> bool {
+        !Self::fits(id) || self.vkey(id).is_some()
+    }
+
+    /// Bump `id`'s hotness counter (relaxed, saturating at [`HOT_MAX`]).
     /// Fired on section entry for each planned object and on every fault
-    /// the page takes. The saturation check is load-then-add, so a burst
-    /// of concurrent bumps can overshoot the ceiling by the burst width —
-    /// harmless for a replacement heuristic, and what keeps the hot path
-    /// a single `fetch_add`.
-    pub fn bump_hot(&self, page: VirtPage) {
-        if let Some(cell) = self.cell(page) {
+    /// the object takes. The saturation check is load-then-add, so a
+    /// burst of concurrent bumps can overshoot the ceiling by the burst
+    /// width — harmless for a replacement heuristic, and what keeps the
+    /// hot path a single `fetch_add`.
+    pub fn bump_hot(&self, id: ObjectId) {
+        if let Some(cell) = self.cell(id) {
             if cell.hot.load(Ordering::Relaxed) < HOT_MAX {
                 cell.hot.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// `page`'s current hotness (relaxed).
+    /// `id`'s current hotness (relaxed; 0 past capacity).
     #[must_use]
-    pub fn hot(&self, page: VirtPage) -> u64 {
-        self.peek(page).map_or(0, |cell| cell.hot.load(Ordering::Relaxed))
+    pub fn hot(&self, id: ObjectId) -> u64 {
+        self.peek(id).map_or(0, |cell| cell.hot.load(Ordering::Relaxed))
     }
 
-    /// Reset `page`'s hotness to zero (object freed; virtual pages are
+    /// Drop `id`'s membership and hotness words (object freed; ids are
     /// never reused, so this is bookkeeping hygiene, not correctness).
-    pub fn reset_hot(&self, page: VirtPage) {
-        if let Some(cell) = self.peek(page) {
+    pub fn clear(&self, id: ObjectId) {
+        if let Some(cell) = self.peek(id) {
+            cell.vkey.store(0, Ordering::Release);
             cell.hot.store(0, Ordering::Relaxed);
         }
-    }
-}
-
-impl Default for SideMetadata {
-    fn default() -> Self {
-        SideMetadata::new()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kard_sim::MMAP_BASE_PAGE;
+    use crate::vkey::KeyCachePolicy;
+    use crate::{Kard, KardConfig, LockId};
+    use kard_alloc::KardAlloc;
+    use kard_sim::{CodeSite, Machine, MachineConfig, PAGE_SIZE};
 
-    fn page(n: u64) -> VirtPage {
-        VirtPage(MMAP_BASE_PAGE.0 + n)
+    fn table() -> (SideMetadata, Arc<AtomicU64>) {
+        let locks = Arc::new(AtomicU64::new(0));
+        (SideMetadata::new(&locks), locks)
     }
+
+    /// The first id without a cell.
+    const PAST: ObjectId = ObjectId(Cells::CAPACITY as u64);
 
     #[test]
     fn domain_words_round_trip_every_variant() {
-        let m = SideMetadata::new();
+        let (m, _) = table();
+        let id = ObjectId(3);
         for domain in [
             Domain::NotAccessed,
             Domain::ReadOnly,
@@ -266,59 +281,196 @@ mod tests {
             Domain::ReadWrite(ProtectionKey(13)),
             Domain::Suspended,
         ] {
-            m.set_domain(page(3), domain);
-            assert_eq!(m.domain(page(3)), Some(domain));
+            m.set_domain(id, domain);
+            assert_eq!(m.domain(id), Some(domain));
         }
-        assert_eq!(m.take_domain(page(3)), Some(Domain::Suspended));
-        assert_eq!(m.domain(page(3)), None);
-        assert_eq!(m.take_domain(page(3)), None, "taken once");
+        assert_eq!(m.take_domain(id), Some(Domain::Suspended));
+        assert_eq!(m.domain(id), None);
+        assert_eq!(m.take_domain(id), None, "taken once");
     }
 
     #[test]
-    fn absent_pages_read_as_none_without_materializing() {
-        let m = SideMetadata::new();
-        assert_eq!(m.domain(page(100)), None);
-        assert_eq!(m.vkey(page(100)), None);
-        assert_eq!(m.hot(page(100)), 0);
-        assert_eq!(m.domain(VirtPage(0)), None, "below the dense region");
+    fn absent_ids_read_as_none_without_materializing() {
+        let (m, locks) = table();
+        let id = ObjectId(100);
+        assert_eq!(m.domain(id), None);
+        assert_eq!(m.take_domain(id), None);
+        assert_eq!(m.vkey(id), None);
+        assert!(!m.maybe_grouped(id));
+        assert_eq!(m.hot(id), 0);
+        m.clear(id);
+        assert_eq!(m.cells.iter().count(), 0, "a read materialized a chunk");
+        assert_eq!(locks.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn vkey_membership_round_trips() {
-        let m = SideMetadata::new();
-        assert_eq!(m.vkey(page(7)), None);
-        m.set_vkey(page(7), Some(VirtualKey(0)));
-        assert_eq!(m.vkey(page(7)), Some(VirtualKey(0)));
-        m.set_vkey(page(7), Some(VirtualKey(41)));
-        assert_eq!(m.vkey(page(7)), Some(VirtualKey(41)));
-        m.set_vkey(page(7), None);
-        assert_eq!(m.vkey(page(7)), None);
+        let (m, _) = table();
+        let id = ObjectId(7);
+        assert_eq!(m.vkey(id), None);
+        m.set_vkey(id, VirtualKey(0));
+        assert_eq!(m.vkey(id), Some(VirtualKey(0)));
+        m.set_vkey(id, VirtualKey(41));
+        assert_eq!(m.vkey(id), Some(VirtualKey(41)));
+        assert!(m.maybe_grouped(id));
+        m.clear(id);
+        assert_eq!(m.vkey(id), None);
+        assert!(!m.maybe_grouped(id));
     }
 
     #[test]
     fn hotness_bumps_resets_and_saturates() {
-        let m = SideMetadata::new();
+        let (m, _) = table();
         for _ in 0..10 {
-            m.bump_hot(page(1));
+            m.bump_hot(ObjectId(1));
         }
-        assert_eq!(m.hot(page(1)), 10);
-        m.reset_hot(page(1));
-        assert_eq!(m.hot(page(1)), 0);
+        assert_eq!(m.hot(ObjectId(1)), 10);
+        m.clear(ObjectId(1));
+        assert_eq!(m.hot(ObjectId(1)), 0);
         // Saturation: a counter at the ceiling stays there.
-        let cell = m.cell(page(2)).unwrap();
+        let cell = m.cell(ObjectId(2)).unwrap();
         cell.hot.store(HOT_MAX, Ordering::Relaxed);
-        m.bump_hot(page(2));
-        assert_eq!(m.hot(page(2)), HOT_MAX);
+        m.bump_hot(ObjectId(2));
+        assert_eq!(m.hot(ObjectId(2)), HOT_MAX);
     }
 
     #[test]
-    fn out_of_capacity_pages_are_ignored_not_panicked() {
-        let m = SideMetadata::new();
-        let far = VirtPage(MMAP_BASE_PAGE.0 + (1 << 30));
-        assert!(!SideMetadata::fits(far));
-        m.set_domain(far, Domain::ReadOnly);
-        m.bump_hot(far);
-        assert_eq!(m.domain(far), None);
-        assert_eq!(m.hot(far), 0);
+    fn ids_past_capacity_keep_only_a_locked_domain() {
+        let (m, locks) = table();
+        let last = ObjectId(PAST.0 - 1);
+        m.set_domain(last, Domain::ReadOnly);
+        assert_eq!(m.domain(last), Some(Domain::ReadOnly));
+        assert_eq!(locks.load(Ordering::Relaxed), 0, "the last cell is a cell");
+
+        m.set_domain(PAST, Domain::ReadOnly);
+        assert_eq!(m.domain(PAST), Some(Domain::ReadOnly));
+        assert_eq!(locks.load(Ordering::Relaxed), 2, "one lock per domain operation");
+        // No membership or hotness word: the free path must ask the table.
+        m.set_vkey(PAST, VirtualKey(5));
+        m.bump_hot(PAST);
+        m.clear(PAST);
+        assert_eq!((m.vkey(PAST), m.hot(PAST)), (None, 0));
+        assert!(m.maybe_grouped(PAST));
+        assert_eq!(locks.load(Ordering::Relaxed), 2, "only domains are kept");
+        assert_eq!(m.take_domain(PAST), Some(Domain::ReadOnly));
+        assert_eq!(m.domain(PAST), None);
+        assert!(m.overflow.iter().all(|shard| shard.lock().is_empty()));
+    }
+
+    fn kard(config: KardConfig) -> Kard {
+        let machine = Arc::new(Machine::new(MachineConfig::default()));
+        let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
+        Kard::new(machine, alloc, config)
+    }
+
+    fn hotness_virtualized() -> KardConfig {
+        KardConfig::paper()
+            .virtual_keys(true)
+            .key_cache_policy(KeyCachePolicy::Hotness)
+    }
+
+    /// What the page-keyed table could not state: an object spanning
+    /// several pages has one domain, one membership and one heat, in one
+    /// cell, and a free leaves none of them behind.
+    #[test]
+    fn a_three_page_object_lives_in_one_cell_until_freed() {
+        let kard = kard(hotness_virtualized());
+        let t = kard.register_thread();
+        let obj = kard.on_alloc(t, 3 * PAGE_SIZE);
+        assert_eq!(obj.page_count, 3);
+        let site = CodeSite(0x10);
+        kard.lock_enter(t, LockId(1), site);
+        // Touch every page: all three fault or hit under the one key.
+        for page in 0..3 {
+            kard.write(t, obj.base.offset(page * PAGE_SIZE), site);
+        }
+        kard.lock_exit(t, LockId(1));
+
+        let m = kard.sidemeta();
+        assert!(matches!(m.domain(obj.id), Some(Domain::ReadWrite(_))));
+        assert!(m.vkey(obj.id).is_some());
+        assert!(m.hot(obj.id) > 0);
+        let used = |m: &SideMetadata| {
+            let word = |w: &AtomicU64| w.load(Ordering::Relaxed) != 0;
+            m.cells
+                .iter()
+                .filter(|(_, c)| word(&c.domain) || word(&c.vkey) || word(&c.hot))
+                .map(|(id, _)| id as u64)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(used(m), vec![obj.id.0], "one object, one cell");
+
+        kard.on_free(t, obj.id);
+        assert_eq!(used(m), Vec::<u64>::new(), "the free scrubs the cell");
+        assert_eq!(kard.domain_of(obj.id), None);
+    }
+
+    /// Walk one small object through alloc → identify (Read-only) →
+    /// migrate (Read-write) → free, asserting `domain_of` after each step;
+    /// returns the detector-lock acquisitions of each step.
+    fn domain_lifecycle(kard: &Kard) -> [u64; 4] {
+        let t = kard.register_thread();
+        let (lock, site) = (LockId(1), CodeSite(0x10));
+        let locks = || kard.detector_lock_acquisitions();
+
+        let at = locks();
+        let obj = kard.on_alloc(t, 64);
+        let alloc = locks() - at;
+        assert_eq!(kard.domain_of(obj.id), Some(Domain::NotAccessed));
+
+        kard.lock_enter(t, lock, site);
+        let at = locks();
+        kard.read(t, obj.base, site);
+        let identify = locks() - at;
+        assert_eq!(kard.domain_of(obj.id), Some(Domain::ReadOnly));
+        let at = locks();
+        kard.write(t, obj.base, site);
+        let migrate = locks() - at;
+        assert!(matches!(kard.domain_of(obj.id), Some(Domain::ReadWrite(_))));
+        kard.lock_exit(t, lock);
+
+        let at = locks();
+        kard.on_free(t, obj.id);
+        let free = locks() - at;
+        assert_eq!(kard.domain_of(obj.id), None, "the free leaves no entry");
+        [alloc, identify, migrate, free]
+    }
+
+    /// Each lifecycle step writes the object's domain exactly once. In
+    /// capacity that write is a side-metadata word operation — an
+    /// allocation takes no detector lock at all; past the table's
+    /// capacity the same sequence runs through the overflow map, so every
+    /// step costs exactly one more (overflow-shard) lock, `domain_of`
+    /// still tracks each step, and the free removes the entry — and,
+    /// under virtualization, the group membership the object joined.
+    #[test]
+    fn domain_store_is_lock_free_in_capacity_and_mapped_beyond_it() {
+        for config in [KardConfig::paper(), hotness_virtualized()] {
+            let near = domain_lifecycle(&kard(config));
+            assert_eq!(near[0], 0, "an in-capacity alloc is one word store");
+
+            // Burn every id that has a cell (straight through the
+            // allocator: the detector never sees these objects).
+            let kard = kard(config);
+            let t = kard.register_thread();
+            for _ in 0..Cells::CAPACITY {
+                let burnt = kard.alloc().alloc(t, 64);
+                kard.alloc().free(t, burnt.id);
+            }
+            let far = domain_lifecycle(&kard);
+            assert_eq!(far, near.map(|n| n + 1), "one overflow-shard lock per step");
+            assert!(kard.sidemeta().overflow.iter().all(|shard| shard.lock().is_empty()));
+
+            if config.virtual_keys {
+                // A second group after the free: had the freed overflow
+                // object stayed a member, two groups would be live.
+                let t = kard.register_thread();
+                let other = kard.on_alloc(t, 64);
+                kard.lock_enter(t, LockId(2), CodeSite(0x20));
+                kard.write(t, other.base, CodeSite(0x20));
+                kard.lock_exit(t, LockId(2));
+                assert_eq!(kard.vkey_stats().peak_pressure, 1, "membership freed too");
+            }
+        }
     }
 }

@@ -471,6 +471,11 @@ impl ShardEngine {
                 if state.threads.len() >= config.max_session_threads {
                     return Err("session thread cap exceeded");
                 }
+                // Thread ids are never reused, so the shard's one
+                // long-lived detector eventually runs out of them.
+                if kard.machine().thread_count() >= kard_sim::THREAD_CAPACITY {
+                    return Err("shard thread capacity exhausted");
+                }
                 let t = kard.register_thread();
                 state.threads.insert(event.thread, t);
                 state.thread_names.insert(t.0, event.thread);

@@ -139,6 +139,55 @@ fn invalid_events_are_rejected_never_fatal() {
     server.join();
 }
 
+/// Thread ids are never reused, so a shard's one long-lived detector runs
+/// out of them after `THREAD_CAPACITY` registrations. That must end in
+/// counted rejections, not a shard panic: the sessions already attached
+/// keep being served on the threads they have.
+#[test]
+fn thread_capacity_exhaustion_is_rejected_never_fatal() {
+    let server = start(ServerConfig {
+        shards: 1,
+        max_session_threads: usize::MAX,
+        ..ServerConfig::default()
+    });
+    let addr = server.tcp_addr().unwrap();
+    let write = |thread| Event { thread, op: Op::Write { tag: ObjectTag(1), offset: 0, ip: CodeSite(2) } };
+
+    let mut resident = FirehoseClient::connect(addr, "resident").unwrap();
+    resident
+        .send_batch(&[Event { thread: 0, op: Op::Alloc { tag: ObjectTag(1), size: 64 } }])
+        .unwrap();
+    assert_eq!(resident.flush().unwrap().applied, 1);
+
+    // One client registers every thread id the shard has left, and 50
+    // more (standing in for ~2,048 well-behaved two-thread sessions).
+    let mut hog = FirehoseClient::connect(addr, "hog").unwrap();
+    let left = kard_sim::THREAD_CAPACITY - 1;
+    let asked: Vec<Event> = (0..left + 50)
+        .map(|thread| Event { thread, op: Op::Compute { cycles: 1 } })
+        .collect();
+    for chunk in asked.chunks(1024) {
+        hog.send_batch(chunk).unwrap();
+    }
+    let summary = hog.flush().unwrap();
+    assert_eq!(summary.applied, left as u64);
+    assert_eq!(summary.rejected, 50);
+
+    // The shard is alive: the resident session's registered thread still
+    // applies, and a thread it has not registered is one more rejection.
+    resident.send_batch(&[write(0), write(1)]).unwrap();
+    let summary = resident.flush().unwrap();
+    assert_eq!((summary.applied, summary.rejected), (2, 1));
+    let stats = resident.stats().unwrap();
+    assert_eq!(stats.shards[0].rejected, 51, "/statsz counts every rejection");
+    assert_eq!(stats.shards[0].active_sessions, 2);
+
+    hog.bye().unwrap();
+    resident.bye().unwrap();
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn out_of_bounds_offsets_are_rejected() {
     let server = start(ServerConfig::default());

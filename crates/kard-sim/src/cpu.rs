@@ -12,12 +12,12 @@ use crate::mem::{PhysFrame, VirtAddr, VirtPage};
 use crate::page_table::{AddressSpace, MapError, ProtectError};
 use crate::phys::{MemStats, PhysMemory};
 use crate::pkru::Pkru;
+use crate::spine::Registry;
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Identifier of a simulated thread, assigned by [`Machine::register_thread`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -139,91 +139,6 @@ struct ThreadEntry {
     birth: u64,
 }
 
-const THREAD_CHUNK: usize = 64;
-const THREAD_CHUNKS: usize = 64;
-
-/// One published chunk of the thread table.
-type ThreadChunk = Box<[OnceLock<ThreadEntry>]>;
-
-/// Publish-once thread table: a chunked `OnceLock` tree in the style of
-/// the allocator's cons tables. Reaching a registered thread's state is
-/// two lock-free loads plus that thread's own (uncontended) mutex;
-/// registration — the cold path — appends under a small lock. The
-/// reader-writer lock this replaces turned *every* simulated
-/// instruction's cycle charge into a shared atomic update, which is
-/// exactly the internal-synchronization scaling cost the detector's
-/// lock-free section path exists to avoid.
-struct ThreadTable {
-    chunks: Box<[OnceLock<ThreadChunk>]>,
-    len: AtomicUsize,
-    reg: Mutex<()>,
-}
-
-impl ThreadTable {
-    fn new() -> ThreadTable {
-        ThreadTable {
-            chunks: (0..THREAD_CHUNKS).map(|_| OnceLock::new()).collect(),
-            len: AtomicUsize::new(0),
-            reg: Mutex::new(()),
-        }
-    }
-
-    fn push(&self, state: ThreadState, pkru: Pkru) -> usize {
-        let _reg = self.reg.lock();
-        // Stamp the newcomer's birth at the frontier of every live
-        // thread's timeline (under the registration lock, so two
-        // concurrent registrations cannot miss each other).
-        let birth = self
-            .iter()
-            .map(|e| e.birth + e.cycles.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
-        let index = self.len.load(Ordering::Relaxed);
-        let (chunk, slot) = (index / THREAD_CHUNK, index % THREAD_CHUNK);
-        assert!(chunk < THREAD_CHUNKS, "thread capacity exhausted");
-        let chunk = self.chunks[chunk]
-            .get_or_init(|| (0..THREAD_CHUNK).map(|_| OnceLock::new()).collect());
-        let entry = ThreadEntry {
-            state: Mutex::new(state),
-            pkru: PkruCell::new(pkru),
-            cycles: AtomicU64::new(0),
-            birth,
-        };
-        assert!(chunk[slot].set(entry).is_ok(), "slot taken");
-        self.len.store(index + 1, Ordering::Release);
-        index
-    }
-
-    fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
-    }
-
-    fn get(&self, index: usize) -> Option<&ThreadEntry> {
-        // No length check: an unpublished slot's `OnceLock` is empty, so
-        // out-of-range indices already resolve to `None`.
-        self.chunks
-            .get(index / THREAD_CHUNK)?
-            .get()?
-            .get(index % THREAD_CHUNK)?
-            .get()
-    }
-
-    fn iter(&self) -> impl Iterator<Item = &ThreadEntry> {
-        // Walk published chunks directly instead of re-resolving every
-        // index through `get` — `now()` sums this on the detector's hot
-        // path. `take(len)` bounds the walk to entries published before
-        // the call even if registrations land concurrently.
-        let len = self.len();
-        self.chunks
-            .iter()
-            .take(len.div_ceil(THREAD_CHUNK).max(1))
-            .filter_map(|chunk| chunk.get())
-            .flat_map(|chunk| chunk.iter())
-            .filter_map(|slot| slot.get())
-            .take(len)
-    }
-}
-
 const COUNTER_SHARDS: usize = 16;
 
 /// One padded shard of the operation counters, written only by the
@@ -274,7 +189,14 @@ pub struct Machine {
     config: MachineConfig,
     phys: Mutex<PhysMemory>,
     aspace: parking_lot::RwLock<AddressSpace>,
-    threads: ThreadTable,
+    /// Registered threads on the shared [`Registry`] spine: reaching a
+    /// thread's state is two lock-free loads plus that thread's own
+    /// (uncontended) mutex, so the per-instruction cycle charge never
+    /// touches a shared word.
+    threads: Registry<ThreadEntry>,
+    /// Serialises registration — the cold path — so birth stamps and ids
+    /// are assigned atomically.
+    registration: Mutex<()>,
     shards: Box<[CounterShard]>,
 }
 
@@ -287,7 +209,8 @@ impl Machine {
             config,
             phys: Mutex::new(PhysMemory::new()),
             aspace: parking_lot::RwLock::new(AddressSpace::new(total_keys)),
-            threads: ThreadTable::new(),
+            threads: Registry::new(),
+            registration: Mutex::new(()),
             shards: (0..COUNTER_SHARDS).map(|_| CounterShard::default()).collect(),
         }
     }
@@ -310,13 +233,36 @@ impl Machine {
 
     /// Register a new thread. Its PKRU starts fully permissive, matching
     /// the architectural reset state (PKRU = 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics once [`crate::THREAD_CAPACITY`] threads are registered
+    /// (ids are never reused); a caller registering on behalf of an
+    /// outside client checks [`Machine::thread_count`] first.
     pub fn register_thread(&self) -> ThreadId {
-        ThreadId(self.threads.push(
-            ThreadState {
-                tlb: Tlb::new(self.config.tlb),
+        let _registration = self.registration.lock();
+        // Stamp the newcomer's birth at the frontier of every live
+        // thread's timeline (under the registration lock, so two
+        // concurrent registrations cannot miss each other).
+        let birth = self
+            .threads
+            .iter()
+            .map(|(_, e)| e.birth + e.cycles.load(Ordering::Relaxed))
+            .max()
+            .unwrap_or(0);
+        let index = self.threads.len();
+        self.threads.publish(
+            index,
+            ThreadEntry {
+                state: Mutex::new(ThreadState {
+                    tlb: Tlb::new(self.config.tlb),
+                }),
+                pkru: PkruCell::new(Pkru::allow_all(&self.config.key_layout)),
+                cycles: AtomicU64::new(0),
+                birth,
             },
-            Pkru::allow_all(&self.config.key_layout),
-        ))
+        );
+        ThreadId(index)
     }
 
     /// Number of registered threads.
@@ -347,7 +293,7 @@ impl Machine {
     pub fn now(&self) -> u64 {
         self.threads
             .iter()
-            .map(|e| e.cycles.load(Ordering::Relaxed))
+            .map(|(_, e)| e.cycles.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -537,8 +483,7 @@ impl Machine {
     /// Propagates mapping errors (which indicate simulator bugs here).
     pub fn mmap_one_page(&self) -> Result<VirtPage, MapError> {
         let thread = ThreadId(0);
-        let threads_empty = self.threads.len() == 0;
-        if threads_empty {
+        if self.threads.is_empty() {
             let _ = self.register_thread();
         }
         let frame = self.alloc_frame(thread);
@@ -617,7 +562,7 @@ impl Machine {
     }
 
     fn invalidate_tlbs(&self, page: VirtPage) {
-        for entry in self.threads.iter() {
+        for (_, entry) in self.threads.iter() {
             entry.state.lock().tlb.invalidate(page);
         }
     }
@@ -746,7 +691,7 @@ impl Machine {
     #[must_use]
     pub fn tlb_stats(&self) -> TlbStats {
         let mut total = TlbStats::default();
-        for entry in self.threads.iter() {
+        for (_, entry) in self.threads.iter() {
             total.merge(entry.state.lock().tlb.stats());
         }
         total

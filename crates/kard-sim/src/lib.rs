@@ -67,10 +67,10 @@ pub mod cpu;
 pub mod fault;
 pub mod keys;
 pub mod mem;
-pub mod native;
 pub mod page_table;
 pub mod phys;
 pub mod pkru;
+pub mod spine;
 pub mod tlb;
 
 pub use cost::{CostModel, CycleCount};
@@ -78,8 +78,8 @@ pub use cpu::{Machine, MachineConfig, MachineCounters, ProtectionMechanism, Thre
 pub use fault::{AccessKind, CodeSite, GpFault};
 pub use keys::{KeyLayout, ProtectionKey};
 pub use mem::{PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-pub use native::{probe_mpk, MpkSupport};
 pub use page_table::{dense_page_index, AddressSpace, MapError, Mapping, ProtectError, MMAP_BASE_PAGE};
 pub use phys::{MemStats, PhysMemory};
 pub use pkru::{Permission, Pkru};
+pub use spine::{Registry, Spine, THREAD_CAPACITY};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -1,0 +1,299 @@
+//! The one publish-once chunked table under every dense-index structure.
+//!
+//! Object ids, virtual pages and thread ids are all dense bump sequences
+//! that are never reused, so every table keyed by one of them has the
+//! same shape: a fixed array of [`OnceLock`] chunk pointers (the spine),
+//! each chunk a boxed slice of default-initialised cells that
+//! materialises on first write and never moves or disappears afterwards.
+//! Readers need no lock — two acquire loads reach a cell — and an idle
+//! table costs only the spine. [`Spine`] is that shape, written once; the
+//! allocator's cons table and page index, the detector's side metadata
+//! and both thread tables ([`Registry`]) are thin clients that only
+//! decide what a cell holds.
+//!
+//! Chunk geometry is a pair of const parameters so index math compiles
+//! to a shift and a mask: [`Registry::get`] sits under
+//! [`crate::Machine::charge`], the hottest call in the simulator.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
+
+/// A grow-only table of `CHUNKS` lazily published chunks of
+/// `1 << CHUNK_BITS` cells each, indexed by a dense `usize`.
+///
+/// Cells start as `T::default()` and are only ever mutated through their
+/// own interior mutability (atomics, `OnceLock`s); the table itself hands
+/// out `&T`.
+pub struct Spine<T, const CHUNK_BITS: u32, const CHUNKS: usize> {
+    chunks: Box<[OnceLock<Box<[T]>>]>,
+}
+
+impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS> {
+    /// Number of indices the table covers. An index at or past it has no
+    /// cell: both accessors return `None` and the client falls back to
+    /// whatever overflow store it keeps.
+    pub const CAPACITY: usize = CHUNKS << CHUNK_BITS;
+
+    const MASK: usize = (1 << CHUNK_BITS) - 1;
+
+    /// An empty table (allocates only the chunk spine).
+    #[must_use]
+    pub fn new() -> Self {
+        Spine {
+            chunks: (0..CHUNKS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The cell at `index` if its chunk has been published. Never
+    /// materialises, so cold reads stay allocation-free. `None` past
+    /// [`Spine::CAPACITY`] too.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<&T> {
+        self.chunks
+            .get(index >> CHUNK_BITS)?
+            .get()?
+            .get(index & Self::MASK)
+    }
+
+    /// Every cell of every published chunk with its index, in index
+    /// order. Chunks published while the walk runs may or may not be
+    /// seen.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        self.chunks
+            .iter()
+            .enumerate()
+            .filter_map(|(c, chunk)| Some((c, chunk.get()?)))
+            .flat_map(|(c, cells)| {
+                cells
+                    .iter()
+                    .enumerate()
+                    .map(move |(i, cell)| ((c << CHUNK_BITS) | i, cell))
+            })
+    }
+}
+
+impl<T: Default, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS> {
+    /// The cell at `index`, publishing its chunk (all cells
+    /// `T::default()`) if this is the chunk's first touch; exactly one of
+    /// any racing first touches publishes. `None` past
+    /// [`Spine::CAPACITY`].
+    #[must_use]
+    pub fn get_or_publish(&self, index: usize) -> Option<&T> {
+        self.chunks
+            .get(index >> CHUNK_BITS)?
+            .get_or_init(|| (0..=Self::MASK).map(|_| T::default()).collect())
+            .get(index & Self::MASK)
+    }
+}
+
+impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Default for Spine<T, CHUNK_BITS, CHUNKS> {
+    fn default() -> Self {
+        Spine::new()
+    }
+}
+
+/// The chunk table under a [`Registry`].
+type Slots<T> = Spine<OnceLock<T>, 6, 64>;
+
+/// Threads a [`Registry`] — and so a [`crate::Machine`] and any detector
+/// over it — can register. Thread ids are never reused, so a long-lived
+/// machine must check [`crate::Machine::thread_count`] against this
+/// before registering on behalf of an outside client.
+pub const THREAD_CAPACITY: usize = Slots::<()>::CAPACITY;
+
+/// A grow-only, publish-once table of `T` indexed by dense thread id:
+/// a [`Spine`] of `OnceLock<T>` plus the published length.
+///
+/// Values are published at registration and never move or disappear, so
+/// [`Registry::get`] is lock-free and [`Registry::iter`] walks the
+/// published prefix without excluding concurrent registration.
+pub struct Registry<T> {
+    slots: Slots<T>,
+    len: AtomicUsize,
+}
+
+impl<T> Registry<T> {
+    /// An empty registry.
+    #[must_use]
+    pub fn new() -> Registry<T> {
+        Registry {
+            slots: Spine::new(),
+            len: AtomicUsize::new(0),
+        }
+    }
+
+    /// Publish `value` at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is at or past [`THREAD_CAPACITY`] or already
+    /// published — indices come from a monotone registration counter the
+    /// caller checks against the capacity, so either is a caller bug.
+    pub fn publish(&self, index: usize, value: T) {
+        let slot = self
+            .slots
+            .get_or_publish(index)
+            .unwrap_or_else(|| panic!("thread capacity ({THREAD_CAPACITY}) exceeded"));
+        assert!(slot.set(value).is_ok(), "slot {index} published twice");
+        // Raised after the value is set, so an index below `len` whose
+        // registration has returned always resolves.
+        self.len.fetch_max(index + 1, Ordering::Release);
+    }
+
+    /// The value published at `index`, if any.
+    #[inline]
+    #[must_use]
+    pub fn get(&self, index: usize) -> Option<&T> {
+        self.slots.get(index)?.get()
+    }
+
+    /// One past the highest index published so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Whether nothing has been published yet.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every published value with its index, in index order, bounded to
+    /// what was published before the call.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
+        let len = self.len();
+        self.slots
+            .iter()
+            .take_while(move |&(i, _)| i < len)
+            .filter_map(|(i, slot)| Some((i, slot.get()?)))
+    }
+}
+
+impl<T> Default for Registry<T> {
+    fn default() -> Self {
+        Registry::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicU64;
+    use std::sync::Barrier;
+
+    /// 4 chunks of 4 cells: every boundary is a handful of indices away.
+    type Tiny<T> = Spine<T, 2, 4>;
+
+    #[test]
+    fn get_on_an_untouched_chunk_is_none_and_allocates_nothing() {
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Default for Counted {
+            fn default() -> Counted {
+                BUILT.fetch_add(1, Ordering::Relaxed);
+                Counted
+            }
+        }
+        let spine = Tiny::<Counted>::new();
+        assert!(spine.get(5).is_none());
+        assert_eq!(BUILT.load(Ordering::Relaxed), 0, "a read built cells");
+        assert_eq!(spine.iter().count(), 0);
+        // First touch builds exactly that chunk; its neighbours stay cold.
+        assert!(spine.get_or_publish(5).is_some());
+        assert_eq!(BUILT.load(Ordering::Relaxed), 4);
+        assert!(spine.get(4).is_some(), "same chunk");
+        assert!(spine.get(3).is_none() && spine.get(8).is_none());
+    }
+
+    #[test]
+    fn capacity_is_the_first_index_without_a_cell() {
+        let spine = Tiny::<AtomicU64>::new();
+        assert_eq!(Tiny::<AtomicU64>::CAPACITY, 16);
+        spine.get_or_publish(15).unwrap().store(7, Ordering::Relaxed);
+        assert_eq!(spine.get(15).unwrap().load(Ordering::Relaxed), 7);
+        assert!(spine.get_or_publish(16).is_none());
+        assert!(spine.get(16).is_none());
+        assert!(spine.get(usize::MAX).is_none());
+    }
+
+    #[test]
+    fn racing_first_touches_publish_exactly_one_chunk() {
+        let spine = Tiny::<AtomicU64>::new();
+        let barrier = Barrier::new(8);
+        let cells: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        std::ptr::from_ref(spine.get_or_publish(9).unwrap()) as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(cells.iter().all(|&c| c == cells[0]), "one cell for everyone");
+        assert_eq!(spine.iter().count(), 4, "one chunk's worth of cells");
+    }
+
+    #[test]
+    fn iteration_yields_only_published_cells() {
+        let spine = Tiny::<AtomicU64>::new();
+        let _ = spine.get_or_publish(13);
+        let _ = spine.get_or_publish(6);
+        let indices: Vec<usize> = spine.iter().map(|(i, _)| i).collect();
+        assert_eq!(indices, vec![4, 5, 6, 7, 12, 13, 14, 15]);
+    }
+
+    #[test]
+    fn registry_publishes_and_resolves_dense_ids() {
+        let reg = Registry::new();
+        assert!(reg.is_empty());
+        for i in 0..200 {
+            reg.publish(i, i);
+        }
+        assert_eq!(reg.len(), 200);
+        assert_eq!(reg.get(137), Some(&137));
+        assert!(reg.get(200).is_none());
+        assert!(reg.get(THREAD_CAPACITY).is_none());
+        assert!(reg.iter().map(|(i, v)| (i, *v)).eq((0..200).zip(0..200)));
+    }
+
+    #[test]
+    #[should_panic(expected = "published twice")]
+    fn registry_rejects_double_publish() {
+        let reg = Registry::new();
+        reg.publish(0, 0);
+        reg.publish(0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "thread capacity (4096) exceeded")]
+    fn registry_rejects_an_index_past_capacity() {
+        Registry::new().publish(THREAD_CAPACITY, 0);
+    }
+
+    #[test]
+    fn registry_readers_see_concurrent_publishes() {
+        let reg = Registry::new();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 0..500 {
+                    reg.publish(i, i);
+                }
+            });
+            s.spawn(|| loop {
+                let n = reg.len();
+                // Every index below the published length must resolve.
+                for i in 0..n {
+                    assert_eq!(reg.get(i), Some(&i));
+                }
+                if n == 500 {
+                    break;
+                }
+                std::hint::spin_loop();
+            });
+        });
+    }
+}

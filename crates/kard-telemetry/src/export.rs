@@ -117,7 +117,7 @@ mod tests {
             let serde_json::Value::Object(obj) = v else {
                 panic!("each line is an object")
             };
-            let mut keys: Vec<&str> = obj.iter().map(|(k, _)| k.as_str()).collect();
+            let mut keys: Vec<&str> = obj.keys().map(String::as_str).collect();
             keys.sort_unstable();
             assert_eq!(keys, ["a", "b", "kind", "thread", "tsc"]);
         }

@@ -9,7 +9,7 @@
 //! bounds instead, plus the cross-thread ownership protocol (remote
 //! frees, refill drains, flush-on-exit).
 
-use kard::alloc::{AllocConfig, KardAlloc, ObjectId, ALLOC_GRANULE};
+use kard::alloc::{KardAlloc, ObjectId, ALLOC_GRANULE, MAX_BATCH};
 use kard::sim::{Machine, MachineConfig, ThreadId, PAGE_SIZE};
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -125,7 +125,7 @@ proptest! {
         let machine = Arc::new(Machine::new(MachineConfig::default()));
         let t = machine.register_thread();
         let alloc = KardAlloc::new(Arc::clone(&machine));
-        let slack = AllocConfig::default().max_batch as u64;
+        let slack = MAX_BATCH as u64;
         for _ in 0..count {
             let _ = alloc.alloc(t, 32);
         }

@@ -1,8 +1,8 @@
-//! An object's protection domain lives in one place: a word of the flat
-//! side-metadata tables (`kard::core::sidemeta`), written with a store,
-//! read with a load, retired with a swap. Only objects whose pages lie
-//! beyond the table's capacity fall back to the detector's mutexed
-//! overflow map. None of that may change what the detector reports.
+//! An object's protection domain lives in one place: a word of the flat,
+//! id-indexed side metadata (`kard::core::sidemeta`), written with a
+//! store, read with a load, retired with a swap. Only ids beyond the
+//! table's capacity fall back to its mutexed overflow map. None of that
+//! may change what the detector reports.
 //!
 //! 1. **Soundness against an independent referee (property).** Random
 //!    locked/unlocked/padded programs are replayed into Kard and into the
@@ -11,19 +11,20 @@
 //!    virtualized cache — must also be a lockset violation on that trace.
 //!    (Concurrent-vs-sequential report equality on real OS threads is
 //!    `tests/shard_contention.rs`.)
-//! 2. **Lock economy and the overflow branch.** A warmed section
+//! 2. **Lock economy.** A warmed section
 //!    entry/exit takes zero shared-lock acquisitions; a section-plan
 //!    rebuild reads every wanted object's domain without a lock; an
-//!    in-capacity object's alloc → identify → migrate → free takes no
-//!    domain-shard lock at all, while an out-of-capacity object walks the
-//!    same sequence through the overflow map and leaves nothing behind.
+//!    allocation takes none at all. (The step-by-step lock bill of alloc →
+//!    identify → migrate → free, in capacity and through the overflow
+//!    map, needs 16 Mi ids burnt to get past capacity, so it runs as a
+//!    unit test next to `sidemeta.rs` against a two-chunk table.)
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use kard::alloc::KardAlloc;
 use kard::baselines::Lockset;
-use kard::core::{Domain, KeyCachePolicy};
+use kard::core::KeyCachePolicy;
 use kard::sim::{CodeSite, Machine, MachineConfig};
 use kard::trace::replay::replay;
 use kard::trace::schedule::{interleave_round_robin, sequential};
@@ -31,17 +32,10 @@ use kard::trace::{ObjectTag, ThreadProgram, Trace};
 use kard::{Kard, KardConfig, KardExecutor, LockId, Session};
 use proptest::prelude::*;
 
-/// A detector over a fresh machine whose page bump pointer was first
-/// advanced by `skip_pages` (0 = the normal, in-capacity case).
-fn fresh_kard_at(config: KardConfig, skip_pages: u64) -> Arc<Kard> {
+fn fresh_kard(config: KardConfig) -> Arc<Kard> {
     let machine = Arc::new(Machine::new(MachineConfig::default()));
-    machine.reserve_pages(skip_pages);
     let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
     Arc::new(Kard::new(machine, alloc, config))
-}
-
-fn fresh_kard() -> Arc<Kard> {
-    fresh_kard_at(KardConfig::default(), 0)
 }
 
 // --- 1. Property: every Kard report is a lockset violation ------------------
@@ -171,13 +165,14 @@ proptest! {
     }
 }
 
-// --- 2. Lock economy and the overflow branch --------------------------------
+// --- 2. Lock economy --------------------------------------------------------
 
 #[test]
 fn warmed_sidemeta_entry_takes_zero_shared_locks() {
-    let kard = fresh_kard();
+    let kard = fresh_kard(KardConfig::default());
     let t = kard.register_thread();
     let obj = kard.on_alloc(t, 64);
+    assert_eq!(kard.detector_lock_acquisitions(), 0, "an alloc is one word store");
     let (lock, site) = (LockId(1), CodeSite(0x10));
     // Warm up: identify the object, build and validate the section plan.
     for _ in 0..3 {
@@ -205,7 +200,7 @@ fn warmed_sidemeta_entry_takes_zero_shared_locks() {
 #[test]
 fn plan_rebuild_takes_no_domain_shard_locks() {
     let rebuild_locks = |objs: usize| {
-        let kard = fresh_kard();
+        let kard = fresh_kard(KardConfig::default());
         let t = kard.register_thread();
         let (lock, site) = (LockId(1), CodeSite(0x10));
         let objs: Vec<_> = (0..objs).map(|_| kard.on_alloc(t, 64)).collect();
@@ -223,69 +218,4 @@ fn plan_rebuild_takes_no_domain_shard_locks() {
     };
     assert_eq!(rebuild_locks(8), 3, "sections + keys at entry, keys at exit");
     assert_eq!(rebuild_locks(1), 3, "no per-object lock in a rebuild");
-}
-
-/// Pages the side-metadata table can index (its fixed capacity). Skipping
-/// this many puts every later allocation in the overflow map.
-const SIDEMETA_PAGES: u64 = 1 << 24;
-
-/// Walk one small object through alloc → identify (Read-only) →
-/// migrate (Read-write) → free, asserting `domain_of` after each step;
-/// returns the detector-lock acquisitions of each step.
-fn domain_lifecycle(kard: &Kard) -> [u64; 4] {
-    let t = kard.register_thread();
-    let (lock, site) = (LockId(1), CodeSite(0x10));
-    let locks = || kard.detector_lock_acquisitions();
-
-    let at = locks();
-    let obj = kard.on_alloc(t, 64);
-    let alloc = locks() - at;
-    assert_eq!(kard.domain_of(obj.id), Some(Domain::NotAccessed));
-
-    kard.lock_enter(t, lock, site);
-    let at = locks();
-    kard.read(t, obj.base, site);
-    let identify = locks() - at;
-    assert_eq!(kard.domain_of(obj.id), Some(Domain::ReadOnly));
-    let at = locks();
-    kard.write(t, obj.base, site);
-    let migrate = locks() - at;
-    assert!(matches!(kard.domain_of(obj.id), Some(Domain::ReadWrite(_))));
-    kard.lock_exit(t, lock);
-
-    let at = locks();
-    kard.on_free(t, obj.id);
-    let free = locks() - at;
-    assert_eq!(kard.domain_of(obj.id), None, "the free leaves no entry");
-    [alloc, identify, migrate, free]
-}
-
-/// Each lifecycle step writes the object's domain exactly once. In
-/// capacity that write is a side-metadata word operation — an allocation
-/// takes no detector lock at all; past the table's capacity the same
-/// sequence runs through the overflow map, so every step costs exactly one
-/// more (domain-shard) lock, `domain_of` still tracks each step, and the
-/// free removes the entry — and, under virtualization, the group
-/// membership the object joined.
-#[test]
-fn domain_store_is_lock_free_in_capacity_and_mapped_beyond_it() {
-    for config in [KardConfig::paper(), hotness_virtualized()] {
-        let near = domain_lifecycle(&fresh_kard_at(config, 0));
-        assert_eq!(near[0], 0, "an in-capacity alloc is one word store");
-
-        let kard = fresh_kard_at(config, SIDEMETA_PAGES);
-        let far = domain_lifecycle(&kard);
-        assert_eq!(far, near.map(|n| n + 1), "one domain-shard lock per step");
-
-        if config.virtual_keys {
-            // A second group after the free: had the freed overflow
-            // object stayed a member, two groups would be live.
-            let t = kard.register_thread();
-            let other = kard.on_alloc(t, 64);
-            kard.lock_enter(t, LockId(2), CodeSite(0x20));
-            kard.write(t, other.base, CodeSite(0x20));
-            kard.lock_exit(t, LockId(2));
-            assert_eq!(kard.vkey_stats().peak_pressure, 1, "membership freed too");
-        }
-    }
 }
