@@ -587,7 +587,7 @@ impl Kard {
     #[must_use]
     pub fn section_cache_stats(&self) -> (u64, u64) {
         let (mut hits, mut misses) = (0, 0);
-        for (_, slot) in self.threads.iter() {
+        for slot in self.threads.iter() {
             hits += slot.cache_hits.load(Ordering::Relaxed);
             misses += slot.cache_misses.load(Ordering::Relaxed);
         }
@@ -1415,15 +1415,15 @@ impl Kard {
         self.emit(t, EventKind::FaultRaceCheck, info.id.0, 0);
         // Snapshot every other thread's frame sections (each under its own
         // context cell), then evaluate them against the section-object map.
-        let frame_sections: Vec<(ThreadId, Vec<SectionId>)> = self
-            .threads
-            .iter()
-            .filter(|&(i, _)| ThreadId(i) != t)
-            .map(|(i, slot)| {
-                let sections = slot
+        let frame_sections: Vec<(ThreadId, Vec<SectionId>)> = (0..self.threads.len())
+            .map(ThreadId)
+            .filter(|&other| other != t)
+            .filter_map(|other| {
+                let sections = self
+                    .try_slot(other)?
                     .ctx
                     .with(|ctx| ctx.frames.iter().map(|f| f.section).collect());
-                (ThreadId(i), sections)
+                Some((other, sections))
             })
             .collect();
         let reader = {
@@ -2287,7 +2287,7 @@ impl Kard {
         let mut stats = self.stats.snapshot();
         stats.races_reported = self.records.lock().records.iter().flatten().count() as u64;
         let mut unique: HashSet<SectionId> = HashSet::new();
-        for (_, slot) in self.threads.iter() {
+        for slot in self.threads.iter() {
             slot.ctx
                 .with(|ctx| unique.extend(ctx.unique_sections.iter().copied()));
             stats.cs_entries += slot.cs_entries.load(Ordering::Relaxed);

@@ -247,7 +247,7 @@ impl Machine {
         let birth = self
             .threads
             .iter()
-            .map(|(_, e)| e.birth + e.cycles.load(Ordering::Relaxed))
+            .map(|e| e.birth + e.cycles.load(Ordering::Relaxed))
             .max()
             .unwrap_or(0);
         let index = self.threads.len();
@@ -293,7 +293,7 @@ impl Machine {
     pub fn now(&self) -> u64 {
         self.threads
             .iter()
-            .map(|(_, e)| e.cycles.load(Ordering::Relaxed))
+            .map(|e| e.cycles.load(Ordering::Relaxed))
             .sum()
     }
 
@@ -562,7 +562,7 @@ impl Machine {
     }
 
     fn invalidate_tlbs(&self, page: VirtPage) {
-        for (_, entry) in self.threads.iter() {
+        for entry in self.threads.iter() {
             entry.state.lock().tlb.invalidate(page);
         }
     }
@@ -691,7 +691,7 @@ impl Machine {
     #[must_use]
     pub fn tlb_stats(&self) -> TlbStats {
         let mut total = TlbStats::default();
-        for (_, entry) in self.threads.iter() {
+        for entry in self.threads.iter() {
             total.merge(entry.state.lock().tlb.stats());
         }
         total

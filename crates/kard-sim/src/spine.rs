@@ -160,14 +160,18 @@ impl<T> Registry<T> {
         self.len() == 0
     }
 
-    /// Every published value with its index, in index order, bounded to
-    /// what was published before the call.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        let len = self.len();
+    /// Every published value in index order, bounded to what was
+    /// published before the call. Walks the chunk slices directly and
+    /// carries no indices: [`crate::Machine::now`] sums this at every
+    /// section entry and exit.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.slots
+            .chunks
             .iter()
-            .take_while(move |&(i, _)| i < len)
-            .filter_map(|(i, slot)| Some((i, slot.get()?)))
+            .filter_map(OnceLock::get)
+            .flat_map(|cells| cells.iter())
+            .filter_map(OnceLock::get)
+            .take(self.len())
     }
 }
 
@@ -257,7 +261,7 @@ mod tests {
         assert_eq!(reg.get(137), Some(&137));
         assert!(reg.get(200).is_none());
         assert!(reg.get(THREAD_CAPACITY).is_none());
-        assert!(reg.iter().map(|(i, v)| (i, *v)).eq((0..200).zip(0..200)));
+        assert!(reg.iter().copied().eq(0..200));
     }
 
     #[test]

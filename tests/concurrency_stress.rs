@@ -123,19 +123,12 @@ fn crossbeam_scoped_workers_with_distinct_locks() {
     let objects: Vec<_> = (0..4).map(|_| setup.alloc(32)).collect();
 
     crossbeam::scope(|scope| {
-        for (i, (mutex, object)) in mutexes.iter().zip(&objects).enumerate() {
+        for (mutex, object) in mutexes.iter().zip(&objects) {
             let t = session.spawn_thread();
-            // One lock site per lock. A section is its lock site, so with
-            // a shared site all four workers run "the same section", each
-            // proactively takes the keys of the other three objects, and a
-            // worker that faults on its own object meanwhile is reported
-            // against a holder that never touched it (the pigz-class
-            // report) — on 8–20% of runs on a loaded 2-core host.
-            let site = CodeSite(0x10 + i as u64);
             scope.spawn(move |_| {
                 for _ in 0..50 {
-                    let _g = t.enter(mutex, site);
-                    t.write(object, 0, CodeSite(0x20));
+                    let _g = t.enter(mutex, CodeSite(0x10));
+                    t.write(object, 0, CodeSite(0x11));
                 }
             });
         }
