@@ -269,9 +269,8 @@ impl KardAlloc {
     /// Declare that every slot the allocator hands out must already be
     /// tagged with `key` (the detector's Not-accessed key). Magazine
     /// refills then fold the tagging into their batched `pkey_mprotect`;
-    /// the sharded path tags per object at allocation. The detector
-    /// checks [`KardAlloc::provision_key`] and skips its own per-object
-    /// `protect` when it matches.
+    /// the sharded path tags per object at allocation, so the detector
+    /// never retags a newborn object itself.
     ///
     /// # Panics
     ///

@@ -12,7 +12,7 @@
 //! default sensitivity knobs — the results hold with the shipping
 //! configuration, not a tuned one.
 
-use kard_core::{AnalyzerConfig, KardConfig};
+use kard_core::{AnalyzerConfig, KardConfig, KeyCachePolicy, KeyMode};
 use kard_rt::{KardExecutor, Session};
 use kard_trace::replay::replay;
 use kard_workloads::regress::{self, RegressConfig, RegressWorkload, Regression};
@@ -71,7 +71,10 @@ pub struct AnomalySweep {
 /// the analyzer sees one sample per window.
 fn run(workload: &RegressWorkload) -> Scenario {
     let session = Session::builder()
-        .config(KardConfig::paper().virtual_keys(true))
+        .config(KardConfig {
+            keys: KeyMode::Virtual(KeyCachePolicy::Lru),
+            ..KardConfig::paper()
+        })
         .telemetry(true)
         .build();
     let mut exec = KardExecutor::new(session.kard().clone());

@@ -127,7 +127,10 @@ fn handoff(threads: usize, rounds: u64) -> HandoffRow {
 /// handler of its shard (§5.5 virtual-clock serialization charge); the
 /// objects live in distinct shards, so nothing queues.
 fn storm(threads: usize, rounds: u64) -> StormRow {
-    let config = KardConfig::default().proactive_acquisition(false);
+    let config = KardConfig {
+        proactive_acquisition: false,
+        ..KardConfig::default()
+    };
     let session = Session::builder().config(config).build();
     let kard = session.kard();
     let tids: Vec<_> = (0..threads).map(|_| kard.register_thread()).collect();

@@ -31,7 +31,7 @@
 //! check reports the conflict the alias would have hidden.
 
 use super::total_faults;
-use kard_core::{ExhaustionPolicy, KardConfig, KeyCachePolicy, LockId, VKeyStats};
+use kard_core::{ExhaustionPolicy, KardConfig, KeyCachePolicy, KeyMode, LockId, VKeyStats};
 use kard_rt::Session;
 use kard_sim::CodeSite;
 use serde::Serialize;
@@ -148,7 +148,7 @@ fn run(
         faults: total_faults(&stats),
         wrpkru: counters.wrpkru,
         pkey_mprotect: counters.pkey_mprotect,
-        vkeys: config.virtual_keys.then(|| kard.vkey_stats()),
+        vkeys: matches!(config.keys, KeyMode::Virtual(_)).then(|| kard.vkey_stats()),
     }
 }
 
@@ -156,17 +156,23 @@ fn run(
 #[must_use]
 pub fn sweep(groups: &[usize]) -> Vec<KeyPressureRow> {
     let direct = KardConfig::paper();
-    let virt = |policy| {
-        KardConfig::paper()
-            .virtual_keys(true)
-            .key_cache_policy(policy)
+    let virt = |policy| KardConfig {
+        keys: KeyMode::Virtual(policy),
+        ..direct
+    };
+    let share_only = KeyMode::Direct {
+        exhaustion: ExhaustionPolicy::ShareOnly,
+        fresh_key_per_object: false,
     };
     let modes = [
         ("direct", None, direct),
         (
             "direct_share",
             None,
-            direct.exhaustion(ExhaustionPolicy::ShareOnly),
+            KardConfig {
+                keys: share_only,
+                ..direct
+            },
         ),
         ("virtualized", Some("lru"), virt(KeyCachePolicy::Lru)),
         (

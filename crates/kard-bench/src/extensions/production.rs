@@ -29,7 +29,7 @@
 //! between "no detection, no cost" and "per-access instrumentation".
 
 use kard_baselines::cost::tsan_overhead_pct_with_compute;
-use kard_core::{KardConfig, ProductionStats};
+use kard_core::{KardConfig, ProductionConfig, ProductionStats};
 use kard_rt::{KardExecutor, Session};
 use kard_sim::CostModel;
 use kard_trace::replay::Executor as _;
@@ -210,12 +210,14 @@ impl Traffic {
         sample_permille: u32,
         production: bool,
     ) -> (ProductionRow, Session) {
-        let mut config = KardConfig::paper()
-            .sample_permille(sample_permille)
-            .sample_seed(0x5eed);
-        if production {
-            config = config.production(true).overhead_budget(budget);
-        }
+        let config = KardConfig {
+            production: production.then_some(ProductionConfig {
+                overhead_budget: budget,
+                sample_permille,
+                sample_seed: 0x5eed,
+            }),
+            ..KardConfig::paper()
+        };
         // Telemetry on in every mode: the overhead measurement (and, in
         // budgeted modes, the controller's feedback) reads the cycle
         // histograms. Race reports do not depend on telemetry.

@@ -2,7 +2,7 @@
 //! file-size sweep, the §3.1 ILU-share study, and the DESIGN.md ablations.
 
 use crate::pct;
-use kard_core::{ExhaustionPolicy, KardConfig};
+use kard_core::{ExhaustionPolicy, KardConfig, KeyMode};
 use kard_rt::{KardExecutor, Session};
 use kard_sim::{KeyLayout, MachineConfig, ProtectionMechanism};
 use kard_trace::replay::replay;
@@ -219,7 +219,10 @@ pub fn ablation(scale: f64) -> Vec<AblationRow> {
     for policy in [ExhaustionPolicy::RecycleThenShare, ExhaustionPolicy::ShareOnly] {
         let model = apps::memcached(8, 60);
         let config = KardConfig {
-            exhaustion: policy,
+            keys: KeyMode::Direct {
+                exhaustion: policy,
+                fresh_key_per_object: false,
+            },
             ..KardConfig::default()
         };
         let session = Session::builder().config(config).build();

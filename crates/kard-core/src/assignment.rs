@@ -134,7 +134,7 @@ pub struct Eviction {
 }
 
 /// The decision made for an object under key virtualization
-/// ([`crate::KardConfig::virtual_keys`]). Mirrors [`Assignment`], with the
+/// ([`crate::KeyMode::Virtual`]). Mirrors [`Assignment`], with the
 /// §5.4 rules recast as cache operations.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum VAssignment {
@@ -200,6 +200,17 @@ impl VAssignment {
             | VAssignment::Fill { key, .. }
             | VAssignment::Revive { key, .. }
             | VAssignment::Shared { key, .. } => *key,
+        }
+    }
+
+    /// The eviction that freed the hardware key, when the cache was full.
+    #[must_use]
+    pub fn eviction(&self) -> Option<&Eviction> {
+        match self {
+            VAssignment::Fill { evicted, .. } | VAssignment::Revive { evicted, .. } => {
+                evicted.as_ref()
+            }
+            _ => None,
         }
     }
 
@@ -287,7 +298,6 @@ pub fn choose_virtual(
     thread: ThreadId,
     object: ObjectId,
     perm: Perm,
-    prefer_fresh: bool,
     held_keys: &[(ProtectionKey, Perm)],
     group_hotness: impl Fn(&[ObjectId]) -> u64,
     mut claim_objects: impl FnMut(&[ObjectId]) -> bool,
@@ -311,19 +321,16 @@ pub fn choose_virtual(
         }
     } else {
         // Rule 1 recast: join the group backed by a key the thread already
-        // holds. Same usability predicate as `choose_key`, same
-        // `prefer_fresh_keys` escape hatch.
-        if !(prefer_fresh && table.unassigned_key().is_some()) {
-            let usable_held = held_keys.iter().find(|&&(k, p)| match perm {
-                Perm::Read => p >= Perm::Read,
-                Perm::Write => p == Perm::Write || !table.state(k).held_by_other(thread),
-            });
-            if let Some(&(key, _)) = usable_held {
-                if let Some(vkey) = vkeys.resident_vkey(key) {
-                    vkeys.touch(vkey);
-                    vkeys.add_member(vkey, object);
-                    return VAssignment::Join { vkey, key };
-                }
+        // holds. Same usability predicate as `choose_key`.
+        let usable_held = held_keys.iter().find(|&&(k, p)| match perm {
+            Perm::Read => p >= Perm::Read,
+            Perm::Write => p == Perm::Write || !table.state(k).held_by_other(thread),
+        });
+        if let Some(&(key, _)) = usable_held {
+            if let Some(vkey) = vkeys.resident_vkey(key) {
+                vkeys.touch(vkey);
+                vkeys.add_member(vkey, object);
+                return VAssignment::Join { vkey, key };
             }
         }
         if let Some((key, evicted)) = claim_hardware_key(vkeys, table, &group_hotness, &mut claim_objects) {
@@ -528,7 +535,7 @@ mod tests {
         let mut t = table();
         let mut v = VKeyTable::new(crate::vkey::KeyCachePolicy::Lru);
         // Seed a resident group on k1 via a fill.
-        let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, false, &[], |_| 0, |_| true);
+        let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, &[], |_| 0, |_| true);
         let (vkey, key) = match a {
             VAssignment::Fill { vkey, key, evicted: None } => (vkey, key),
             other => panic!("expected a fill, got {other:?}"),
@@ -543,7 +550,6 @@ mod tests {
             ThreadId(0),
             ObjectId(1),
             Perm::Write,
-            false,
             &[(key, Perm::Write)],
             |_| 0,
             |_| true,
@@ -556,8 +562,8 @@ mod tests {
     fn virtual_refault_on_resident_group_is_a_pure_hit() {
         let mut t = table();
         let mut v = VKeyTable::new(crate::vkey::KeyCachePolicy::Lru);
-        let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, false, &[], |_| 0, |_| true);
-        let b = choose_virtual(&mut v, &mut t, ThreadId(1), ObjectId(0), Perm::Write, false, &[], |_| 0, |_| true);
+        let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, &[], |_| 0, |_| true);
+        let b = choose_virtual(&mut v, &mut t, ThreadId(1), ObjectId(0), Perm::Write, &[], |_| 0, |_| true);
         assert_eq!(
             b,
             VAssignment::Hit {
@@ -574,13 +580,13 @@ mod tests {
         // Fill all 13 cache slots with one-object groups.
         let mut vkeys = Vec::new();
         for i in 0..13u64 {
-            let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(i), Perm::Write, true, &[], |_| 0, |_| true);
+            let a = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(i), Perm::Write, &[], |_| 0, |_| true);
             t.assign_object(a.key(), ObjectId(i));
             vkeys.push(a.vkey());
         }
         // Group 14: no free key, no holders anywhere — evict the LRU
         // victim (the first-filled group) without synchronization.
-        let a = choose_virtual(&mut v, &mut t, ThreadId(1), ObjectId(13), Perm::Write, true, &[], |_| 0, |_| true);
+        let a = choose_virtual(&mut v, &mut t, ThreadId(1), ObjectId(13), Perm::Write, &[], |_| 0, |_| true);
         match &a {
             VAssignment::Fill { key, evicted: Some(ev), .. } => {
                 assert_eq!(*key, ProtectionKey(1));
@@ -593,7 +599,7 @@ mod tests {
         t.assign_object(a.key(), ObjectId(13));
         // Object 0 faults again: its group revives, evicting the next LRU
         // victim (group 2 on k2).
-        let r = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, true, &[], |_| 0, |_| true);
+        let r = choose_virtual(&mut v, &mut t, ThreadId(0), ObjectId(0), Perm::Write, &[], |_| 0, |_| true);
         match r {
             VAssignment::Revive { vkey, key, evicted: Some(ev), logical } => {
                 assert_eq!(vkey, vkeys[0]);
@@ -610,13 +616,13 @@ mod tests {
         let mut t = table();
         let mut v = VKeyTable::new(crate::vkey::KeyCachePolicy::Lru);
         for i in 0..13u64 {
-            let a = choose_virtual(&mut v, &mut t, ThreadId(i as usize), ObjectId(i), Perm::Write, true, &[], |_| 0, |_| true);
+            let a = choose_virtual(&mut v, &mut t, ThreadId(i as usize), ObjectId(i), Perm::Write, &[], |_| 0, |_| true);
             t.assign_object(a.key(), ObjectId(i));
             t.try_acquire(a.key(), ThreadId(i as usize), Perm::Write, s(i));
         }
         // Every key held: the victim is still the LRU group, and its
         // holder is snapshotted for the revival re-check.
-        let a = choose_virtual(&mut v, &mut t, ThreadId(13), ObjectId(13), Perm::Write, true, &[], |_| 0, |_| true);
+        let a = choose_virtual(&mut v, &mut t, ThreadId(13), ObjectId(13), Perm::Write, &[], |_| 0, |_| true);
         match a {
             VAssignment::Fill { key, evicted: Some(ev), .. } => {
                 assert_eq!(key, ProtectionKey(1));

@@ -39,14 +39,14 @@
 //! `no_lock_overhead` suite holds production mode to the same zero-cost
 //! contract as the other fast paths.
 
-use crate::config::KardConfig;
+use crate::config::ProductionConfig;
 use kard_telemetry::{AnomalySignal, MetricKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
-/// Sample targets are expressed in permille (0–1000) so [`KardConfig`]
-/// stays `Eq`/`Hash`-friendly (no floats) and budgets round-trip exactly
-/// through JSON.
+/// Sample targets are expressed in permille (0–1000) so
+/// [`ProductionConfig`] stays `Eq`/`Hash`-friendly (no floats) and budgets
+/// round-trip exactly through JSON.
 pub const PERMILLE: u32 = 1000;
 
 /// What [`BudgetController::decide`] ruled for a newly identified object.
@@ -79,7 +79,7 @@ pub struct BudgetTick {
 /// and serialized into `/statsz` and the bench JSON.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ProductionStats {
-    /// Whether production mode ([`KardConfig::production`]) was on.
+    /// Whether production mode ([`crate::KardConfig::production`]) was on.
     pub enabled: bool,
     /// Configured overhead budget in permille of elapsed cycles; `None`
     /// means unbounded (the controller observes but never narrows).
@@ -154,12 +154,13 @@ pub struct BudgetController {
 }
 
 impl BudgetController {
-    /// A controller for `config`. Inactive (every decision `Sampled`,
-    /// every tick `None`) unless [`KardConfig::production`] is set.
+    /// A controller for `production`. Inactive (every decision `Sampled`,
+    /// every tick `None`) when it is `None`.
     #[must_use]
-    pub fn new(config: &KardConfig) -> BudgetController {
+    pub fn new(production: Option<ProductionConfig>) -> BudgetController {
+        let config = production.unwrap_or_default();
         BudgetController {
-            enabled: config.production,
+            enabled: production.is_some(),
             budget: config.overhead_budget,
             seed: config.sample_seed,
             sample_target: AtomicU32::new(config.sample_permille.min(PERMILLE)),
@@ -373,18 +374,16 @@ mod tests {
     use super::*;
 
     fn production(budget: Option<u32>, sample: u32, seed: u64) -> BudgetController {
-        BudgetController::new(
-            &KardConfig::default()
-                .production(true)
-                .overhead_budget(budget)
-                .sample_permille(sample)
-                .sample_seed(seed),
-        )
+        BudgetController::new(Some(ProductionConfig {
+            overhead_budget: budget,
+            sample_permille: sample,
+            sample_seed: seed,
+        }))
     }
 
     #[test]
     fn inactive_controller_samples_everything_and_never_ticks() {
-        let c = BudgetController::new(&KardConfig::default());
+        let c = BudgetController::new(None);
         assert!(!c.active());
         for id in 0..100 {
             assert_eq!(c.decide(id, 0), BudgetDecision::Sampled);
@@ -540,7 +539,7 @@ mod tests {
         assert!(!unbounded.note_anomaly(&signal(MetricKind::FaultRate)));
         assert_eq!(unbounded.stats().sample_permille, 1000);
         assert_eq!(unbounded.stats().anomaly_narrowings, 0);
-        let off = BudgetController::new(&KardConfig::default());
+        let off = BudgetController::new(None);
         assert!(!off.note_anomaly(&signal(MetricKind::FaultRate)));
     }
 

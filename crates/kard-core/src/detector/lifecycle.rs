@@ -1,0 +1,275 @@
+//! Lifecycle and observation: what enters and leaves the detector's books
+//! (allocation, free, thread exit) and what it reports back out (race
+//! records, statistics, snapshots, the drain-side anomaly and production
+//! ticks).
+
+use super::Kard;
+use crate::budget::{BudgetTick, ProductionStats};
+use crate::config::KeyMode;
+use crate::domains::Domain;
+use crate::report::RaceRecord;
+use crate::stats::{DetectorStats, KardSnapshot};
+use crate::types::{Perm, SectionId};
+use crate::vkey::VKeyStats;
+use kard_alloc::{ObjectId, ObjectInfo};
+use kard_sim::ThreadId;
+use kard_telemetry::{AnomalySignal, AnomalyStats, Drained, EventKind};
+use std::collections::HashSet;
+use std::sync::atomic::Ordering;
+
+impl Kard {
+    /// Intercepted heap allocation: the object starts in the Not-accessed
+    /// domain, protected by `k_na`.
+    pub fn on_alloc(&self, t: ThreadId, size: u64) -> ObjectInfo {
+        self.adopt(self.alloc.alloc(t, size))
+    }
+
+    /// Registered global variable: like a heap object, but never freed and
+    /// not consolidated (§6).
+    pub fn on_global(&self, t: ThreadId, size: u64) -> ObjectInfo {
+        self.adopt(self.alloc.register_global(t, size))
+    }
+
+    /// Intercepted `free`: all detector metadata for the object is dropped.
+    ///
+    /// Takes the object's fault shard so the free cannot interleave with
+    /// a fault handler mid-flight on the same object (the handler
+    /// re-protects objects through the allocator, which panics on unknown
+    /// ids); frees of objects in other shards, and faults on them,
+    /// proceed in parallel.
+    pub fn on_free(&self, t: ThreadId, id: ObjectId) {
+        let shard = self.fault_shards.enter_object(id);
+        self.note_fault_entry(t, &shard);
+        // Read the mirrored membership word *before* scrubbing the
+        // metadata: a never-grouped object can skip the `vkeys` mutex
+        // below. Safe because this object's membership only ever changes
+        // under its fault shard, held here.
+        let maybe_grouped = matches!(self.config.keys, KeyMode::Virtual(_))
+            && self.sidemeta.maybe_grouped(id);
+        let prev = self.sidemeta.take_domain(id);
+        self.sidemeta.clear(id);
+        if let Some(Domain::ReadWrite(key)) = prev {
+            self.lock_keys().unassign_object(key, id);
+        }
+        if maybe_grouped {
+            // Group membership outlives domain demotion (an evicted
+            // object is Read-only but still grouped), so the free must
+            // drop it explicitly.
+            self.vkeys.lock().remove_member(id);
+        }
+        self.sections.write().remove_object(id);
+        self.invalidate_plans();
+        if let Some(gone) = self.interleaver.lock().forget(id) {
+            if gone.was_armed && !gone.participants.is_empty() {
+                self.emit(t, EventKind::InterleaveExpire, id.0, 0);
+            }
+            for &th in &gone.participants {
+                let slot = self.slot(th);
+                let prev = slot.participating.fetch_sub(1, Ordering::Relaxed);
+                debug_assert!(prev > 0, "participating counter underflow");
+                if gone.was_armed {
+                    let prev = slot.armed.fetch_sub(1, Ordering::Relaxed);
+                    debug_assert!(prev > 0, "armed counter underflow");
+                }
+            }
+        }
+        self.alloc.free(t, id);
+    }
+
+    /// Program-thread exit: flush the thread's allocation magazine —
+    /// drain and close its remote-free queue (late cross-thread frees
+    /// then route to the global pool instead of stranding slots), retire
+    /// its dirty pages, and return its cached slots to the pool.
+    ///
+    /// Takes every fault shard (ascending, the multi-shard ordering
+    /// rule): retirement unmaps pages, and a fault handler mid-resolution
+    /// on *any* object must never observe a mapping disappear underneath
+    /// it.
+    pub fn on_thread_exit(&self, t: ThreadId) {
+        let shard = self.fault_shards.enter_all();
+        self.note_fault_entry(t, &shard);
+        self.alloc.on_thread_exit(t);
+    }
+
+    /// Filtered race reports.
+    #[must_use]
+    pub fn reports(&self) -> Vec<RaceRecord> {
+        self.reports_from(0).0
+    }
+
+    /// The surviving reports at raw store index `start` or later, and the
+    /// store's length — the `start` that resumes where this call stopped.
+    /// Raw indices are stable: §5.5 pruning retracts a record in place, so
+    /// a cursor over them never skips or repeats a later report.
+    #[must_use]
+    pub fn reports_from(&self, start: usize) -> (Vec<RaceRecord>, usize) {
+        let store = self.records.lock();
+        let fresh = store.records.iter().skip(start).flatten().cloned().collect();
+        (fresh, store.records.len())
+    }
+
+    /// Statistics snapshot. The unique-section count is the union of the
+    /// per-thread section sets, and the entry/grant totals are sums over
+    /// the per-thread slots — entries never touch a shared stats line.
+    #[must_use]
+    pub fn stats(&self) -> DetectorStats {
+        let mut stats = self.stats.snapshot();
+        stats.races_reported = self.records.lock().records.iter().flatten().count() as u64;
+        let mut unique: HashSet<SectionId> = HashSet::new();
+        for slot in self.threads.iter() {
+            slot.ctx
+                .with(|ctx| unique.extend(ctx.unique_sections.iter().copied()));
+            stats.cs_entries += slot.cs_entries.load(Ordering::Relaxed);
+            stats.proactive_acquisitions += slot.proactive_acquisitions.load(Ordering::Relaxed);
+        }
+        stats.unique_sections = unique.len() as u64;
+        stats
+    }
+
+    /// Key-virtualization statistics snapshot. All-zero under
+    /// [`KeyMode::Direct`].
+    #[must_use]
+    pub fn vkey_stats(&self) -> VKeyStats {
+        self.vkeys.lock().stats()
+    }
+
+    /// One coherent picture of the run: detector, virtual-key, allocator,
+    /// and fault-shard statistics plus the lock-acquisition total, in a
+    /// single serializable value.
+    #[must_use]
+    pub fn snapshot(&self) -> KardSnapshot {
+        KardSnapshot {
+            detector: self.stats(),
+            vkeys: self.vkey_stats(),
+            alloc: self.alloc.stats(),
+            fault_shards: self.fault_shards.stats(),
+            lock_acquisitions: self.detector_lock_acquisitions(),
+            production: self.production_stats(),
+            anomaly: self.anomaly_stats(),
+        }
+    }
+
+    /// Anomaly-analyzer state (baselines, CUSUM accumulations, fired
+    /// signals).
+    #[must_use]
+    pub fn anomaly_stats(&self) -> AnomalyStats {
+        self.analyzer.stats()
+    }
+
+    /// Run the anomaly analyzer over one drained batch. The drain-side
+    /// half of ROADMAP item 5: reduce the batch (plus histogram deltas)
+    /// to a window sample, advance every CUSUM/EWMA detector, and feed
+    /// whatever fires back into the budget controller
+    /// ([`crate::BudgetController::note_anomaly`]) so a thrashing workload
+    /// narrows its own sample before the work integral blows the global
+    /// budget. Fired signals are returned *and* queued for
+    /// [`Kard::take_anomaly_signals`].
+    ///
+    /// Touches only drain-side state — no detector lock, no ring write,
+    /// no allocation on any recording path.
+    pub fn observe_drained(&self, batch: &Drained) -> Vec<AnomalySignal> {
+        let now = self.machine.now();
+        let signals = self.analyzer.observe(batch, self.telemetry.histograms(), now);
+        if signals.is_empty() {
+            return signals;
+        }
+        for signal in &signals {
+            self.budget.note_anomaly(signal);
+            if self.telemetry.enabled() {
+                self.telemetry.record(
+                    0,
+                    EventKind::AnomalySignal,
+                    now,
+                    signal.metric as u64,
+                    signal.score,
+                );
+            }
+        }
+        self.pending_anomalies.lock().extend_from_slice(&signals);
+        signals
+    }
+
+    /// Collect (and clear) the signals fired since the last call. The
+    /// firehose server uses this to enrich suspects with session identity
+    /// and apply its eviction policy; embedded sessions can read the same
+    /// state via [`Kard::anomaly_stats`].
+    pub fn take_anomaly_signals(&self) -> Vec<AnomalySignal> {
+        std::mem::take(&mut *self.pending_anomalies.lock())
+    }
+
+    /// Production-mode controller counters (see [`crate::budget`]).
+    /// `enabled` is false (and every decision counter zero) unless
+    /// [`KardConfig::production`](crate::KardConfig::production) is set.
+    #[must_use]
+    pub fn production_stats(&self) -> ProductionStats {
+        self.budget.stats()
+    }
+
+    /// Drain-side control step of production mode: integrate the
+    /// fault-delay and `pkey_mprotect` cycle histograms into the observed
+    /// overhead since the last tick and let the budget controller steer
+    /// (narrow/widen the sample, move the hotness threshold, flip the
+    /// arming backoff). Returns `None` when production mode is off or no
+    /// virtual time has elapsed.
+    ///
+    /// Call it wherever telemetry is drained — `Session::drain` and the
+    /// firehose shard loops do. The work integral only grows while
+    /// telemetry is enabled (the cycle histograms gate on it), so a
+    /// production run that wants *adaptive* budgeting must record
+    /// telemetry; without it the controller still applies the static
+    /// [`ProductionConfig::sample_permille`](crate::ProductionConfig::sample_permille)
+    /// but observes zero overhead.
+    pub fn production_tick(&self) -> Option<BudgetTick> {
+        if !self.budget.active() {
+            return None;
+        }
+        let hists = self.telemetry.histograms();
+        let work = hists.fault_delay.sum().saturating_add(hists.mprotect.sum());
+        let tick = self.budget.tick(self.machine.now(), work)?;
+        hists.overhead.record(tick.observed_permille);
+        // Controller events ride thread 0's ring: ticks have no thread.
+        if let Some((target, threshold)) = tick.adjusted {
+            self.emit(ThreadId(0), EventKind::BudgetAdjust, u64::from(target), threshold);
+        }
+        if let Some(entering) = tick.backoff {
+            let entering = u64::from(entering);
+            self.emit(ThreadId(0), EventKind::BudgetBackoff, entering, tick.observed_permille);
+        }
+        Some(tick)
+    }
+
+    /// Human-readable description of the active key mode (direct vs.
+    /// virtualized), for experiment-output headers.
+    #[must_use]
+    pub fn key_mode(&self) -> String {
+        self.config
+            .key_mode_description(self.layout.read_write_pool().count())
+    }
+
+    /// The current protection domain of an object, if tracked: one
+    /// acquire load (a locked lookup for an overflow object).
+    #[must_use]
+    pub fn domain_of(&self, id: ObjectId) -> Option<Domain> {
+        self.sidemeta.domain(id)
+    }
+
+    /// Objects recorded for a section in the section-object map.
+    #[must_use]
+    pub fn section_objects(&self, section: SectionId) -> Vec<(ObjectId, Perm)> {
+        self.sections.read().objects_of(section)
+    }
+
+    /// Section-plan cache counters: `(hits, misses)`. Hits are entries
+    /// replayed without any shared lock; misses are entries that were
+    /// eligible but fell back to the locked path. Scheduling-dependent,
+    /// so exposed separately from [`DetectorStats`].
+    #[must_use]
+    pub fn section_cache_stats(&self) -> (u64, u64) {
+        let (mut hits, mut misses) = (0, 0);
+        for slot in self.threads.iter() {
+            hits += slot.cache_hits.load(Ordering::Relaxed);
+            misses += slot.cache_misses.load(Ordering::Relaxed);
+        }
+        (hits, misses)
+    }
+}

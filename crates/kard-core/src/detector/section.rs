@@ -1,0 +1,484 @@
+//! Section entry and exit (§5.4): the per-thread plan cache, the
+//! zero-shared-lock fast commit, the locked entry that builds the plans,
+//! and the exit that releases keys and restores finished interleavings.
+//! The seqlock that keeps cached plans honest lives here too: readers
+//! snapshot `cache_gen`, writers call [`Kard::invalidate_plans`].
+
+use super::thread::{CachedEntry, Frame, ThreadSlot, TinyVec};
+use super::Kard;
+use crate::domains::Domain;
+use crate::config::KeyMode;
+use crate::stats::AtomicStats;
+use crate::types::{LockId, Perm, SectionId, SectionMode};
+use kard_sim::{CodeSite, Permission, Pkru, ProtectionKey, ThreadId};
+use kard_telemetry::event::{DomainCode, GRANT_PROACTIVE};
+use kard_telemetry::EventKind;
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+
+impl Kard {
+    /// Critical-section entry: called *after* the program's lock is
+    /// acquired. `site` is the lock call site identifying the section.
+    pub fn lock_enter(&self, t: ThreadId, lock: LockId, site: CodeSite) {
+        self.lock_enter_mode(t, lock, site, SectionMode::Exclusive);
+    }
+
+    /// Critical-section entry with an explicit [`SectionMode`] — the
+    /// shared mode models `pthread_rwlock_rdlock` sections, whose keys are
+    /// capped at read-only permission so that concurrent readers of the
+    /// same section can all hold them.
+    pub fn lock_enter_mode(&self, t: ThreadId, lock: LockId, site: CodeSite, mode: SectionMode) {
+        let cost = &self.cost;
+        let section = SectionId(site);
+        let slot = self.slot(t);
+
+        slot.cs_entries.fetch_add(1, Ordering::Relaxed);
+        let active = self.active_sections.fetch_add(1, Ordering::Relaxed) + 1;
+        AtomicStats::raise_to(&self.stats.max_concurrent_sections, active);
+        self.emit(t, EventKind::SectionEnter, section.0 .0, active);
+        // One charge covers the entry bookkeeping plus internal-
+        // synchronization contention (§5.4: key acquisition is protected
+        // by atomic operations): every program thread contends on the
+        // runtime's shared state at each section entry — cache-line
+        // transfers and lock hand-offs grow with the thread count even
+        // when lock diversity bounds how many sections overlap. This is
+        // the dominant reason Kard's overhead rises with threads (§7.4).
+        let contenders = (self.machine.thread_count() as u64)
+            .saturating_sub(1)
+            .min(64);
+        self.machine.charge(
+            t,
+            cost.lock_op
+                + cost.atomic_op
+                + cost.atomic_op * contenders
+                + cost.contended_handoff * contenders * contenders.isqrt(),
+        );
+
+        let saved_pkru = self.machine.rdpkru(t);
+        let mut new_pkru = saved_pkru.clone();
+        // Retract k_na: first accesses to Not-accessed objects must fault.
+        new_pkru.set_permission(self.layout.not_accessed, Permission::NoAccess);
+        let entered = self.machine.now();
+
+        // Plan the entry under the thread's own cell. Eligible only at
+        // nesting depth zero with nothing held, so the cached plan's
+        // empty-context simulation matches reality. `None` = nested
+        // (not the fast path's business); `Some(None)` = eligible but
+        // no replayable plan.
+        let plan: Option<Option<CachedEntry>> = slot.ctx.with(|ctx| {
+            if !ctx.frames.is_empty() || !ctx.held.is_empty() {
+                return None;
+            }
+            if !self.config.proactive_acquisition {
+                // Nothing to look up or acquire — the empty plan: the slow
+                // path would charge and grant nothing either.
+                return Some(Some(CachedEntry {
+                    gen: 0,
+                    wanted_len: 0,
+                    target: None,
+                    fast: true,
+                }));
+            }
+            let gen = self.cache_gen.load(Ordering::SeqCst);
+            let cached = ctx.section_cache.get(&(section, mode)).copied();
+            Some(cached.filter(|e| e.fast && e.gen == gen))
+        });
+        if let Some(eligible) = plan {
+            let committed = eligible.is_some_and(|plan| {
+                self.commit_fast_enter(
+                    t, slot, section, lock, &saved_pkru, &mut new_pkru, entered, plan,
+                )
+            });
+            if committed {
+                if self.config.proactive_acquisition {
+                    slot.cache_hits.fetch_add(1, Ordering::Relaxed);
+                }
+                return;
+            }
+            if self.config.proactive_acquisition {
+                slot.cache_misses.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+
+        let mut frame = Frame {
+            section,
+            lock,
+            saved_pkru,
+            entered,
+            acquired: TinyVec::new(),
+        };
+
+        let mut held_updates: Vec<(ProtectionKey, Perm)> = Vec::new();
+        let mut cache_update: Option<CachedEntry> = None;
+        if self.config.proactive_acquisition {
+            // Figure 3b: look up the section-object map, then try to
+            // acquire each object's key from the key-section map. The
+            // wanted list is read under its own (briefly held) lock and
+            // each object's domain with one load; the acquisitions then
+            // run under one key-table guard. The generation is
+            // snapshotted *before* the map reads (seqlock read protocol):
+            // if any invalidating mutation lands while we read, its bump
+            // postdates `gen` and the cached plan below can never
+            // validate.
+            let gen = self.cache_gen.load(Ordering::SeqCst);
+            let wanted = self.sections.read().objects_of(section);
+            self.machine
+                .charge(t, cost.map_op * (wanted.len() as u64 + 1));
+            let wanted_len = wanted.len() as u64;
+            let mut targets: Vec<(ProtectionKey, Perm)> = Vec::new();
+            for (obj, perm) in wanted {
+                let perm = mode.cap(perm);
+                // This section is about to touch `obj`: feed the hotness
+                // counter that keeps its group resident under the
+                // `Hotness` eviction policy.
+                self.sidemeta.bump_hot(obj);
+                // Staleness of the domain read is covered by the `gen`
+                // snapshot above.
+                let Some(Domain::ReadWrite(key)) = self.domain_of(obj) else {
+                    continue; // RO-domain objects need no key to read.
+                };
+                targets.push((key, perm));
+            }
+            cache_update = Some(Self::plan_from_targets(gen, wanted_len, &targets));
+            let mut keys = self.lock_keys();
+            for (key, perm) in targets {
+                let prev = keys.holder_perm(key, t);
+                if prev.is_some_and(|p| p >= perm) {
+                    continue; // Already held strongly enough (outer frame).
+                }
+                self.machine.charge(t, cost.map_op);
+                if keys.try_acquire(key, t, perm, section) {
+                    slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
+                    self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
+                    frame.acquired.push((key, prev));
+                    let eff = keys.holder_perm(key, t).expect("just acquired");
+                    new_pkru.set_permission(key, perm_to_permission(eff));
+                    held_updates.push((key, eff));
+                }
+            }
+        }
+
+        slot.ctx.with(|ctx| {
+            for (key, eff) in held_updates {
+                ctx.held.insert(key, eff);
+            }
+            ctx.unique_sections.insert(section);
+            if let Some(entry) = cache_update {
+                ctx.section_cache.insert((section, mode), entry);
+            }
+            ctx.frames.push(frame);
+        });
+        // One WRPKRU installs k_na retraction plus all proactive grants.
+        self.machine.wrpkru(t, new_pkru);
+    }
+
+    /// Simulate the locked entry path's acquisition fold from an empty
+    /// context: per-key effective permission, counting strict-widening
+    /// acquisition steps. The plan is replayable (`fast`) only when the
+    /// whole fold is at most one step — one key, no widening — so the
+    /// replay is exactly one CAS with exactly the slow path's charges,
+    /// grant event, and stat bump.
+    fn plan_from_targets(
+        gen: u64,
+        wanted_len: u64,
+        targets: &[(ProtectionKey, Perm)],
+    ) -> CachedEntry {
+        let mut sim: HashMap<ProtectionKey, Perm> = HashMap::new();
+        let mut grants = 0u64;
+        for &(key, perm) in targets {
+            let cur = sim.get(&key).copied();
+            if cur.is_none_or(|p| p < perm) {
+                grants += 1;
+                sim.insert(key, cur.map_or(perm, |p| p.join(perm)));
+            }
+        }
+        let fast = grants <= 1;
+        CachedEntry {
+            gen,
+            wanted_len,
+            target: if fast { sim.into_iter().next() } else { None },
+            fast,
+        }
+    }
+
+    /// Attempt the zero-shared-lock section entry: acquire the plan's key
+    /// (if any) with one CAS on its holder word, re-validate the
+    /// generation, replay the slow path's charges and events, and commit
+    /// the frame under the thread's own cell. Returns `false` — having
+    /// undone any partial effect — when the locked path must run instead.
+    #[allow(clippy::too_many_arguments)]
+    fn commit_fast_enter(
+        &self,
+        t: ThreadId,
+        slot: &ThreadSlot,
+        section: SectionId,
+        lock: LockId,
+        saved_pkru: &Pkru,
+        new_pkru: &mut Pkru,
+        entered: u64,
+        plan: CachedEntry,
+    ) -> bool {
+        if let Some((key, perm)) = plan.target {
+            if !self.words.try_fast_acquire(key, t, perm, section) {
+                return false; // Held, mid-publish, or parked: contended.
+            }
+            // The plan matched `cache_gen` before the CAS, but an
+            // invalidating mutation (say, the key recycled to different
+            // objects) may have landed in between. Re-check after the
+            // acquire is visible; on mismatch retract it as if it never
+            // happened.
+            if self.cache_gen.load(Ordering::SeqCst) != plan.gen {
+                if !self.words.undo_fast_acquire(key, t, perm) {
+                    // A concurrent guard already materialized the hold
+                    // into the table; strip it through the mutex.
+                    self.lock_keys().strip_holder(key, t);
+                }
+                return false;
+            }
+        }
+        let cost = &self.cost;
+        if self.config.proactive_acquisition {
+            // Replay exactly the locked path's map charges, grant event,
+            // and stat bump for this plan (folded into one charge), so
+            // both paths account the same machine work for the same
+            // logical entry.
+            let mut map_ops = plan.wanted_len + 1;
+            if let Some((key, perm)) = plan.target {
+                map_ops += 1;
+                slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
+                self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
+                new_pkru.set_permission(key, perm_to_permission(perm));
+            }
+            self.machine.charge(t, cost.map_op * map_ops);
+        }
+        slot.ctx.with(|ctx| {
+            let mut acquired = TinyVec::new();
+            if let Some((key, perm)) = plan.target {
+                ctx.held.insert(key, perm);
+                acquired.push((key, None));
+            }
+            ctx.unique_sections.insert(section);
+            ctx.frames.push(Frame {
+                section,
+                lock,
+                saved_pkru: saved_pkru.clone(),
+                entered,
+                acquired,
+            });
+        });
+        self.machine.wrpkru(t, new_pkru.clone());
+        true
+    }
+
+    /// Critical-section exit: called *before* the program's unlock.
+    ///
+    /// # Panics
+    ///
+    /// Panics on unbalanced or mismatched lock/unlock pairs.
+    pub fn lock_exit(&self, t: ThreadId, lock: LockId) {
+        let slot = self.slot(t);
+        // Delay injection (§5.5): stall the exit while an interleaving
+        // this thread participates in is still waiting for the counterpart
+        // fault, so small critical sections do not slip away before the
+        // offset test can run. One relaxed load of the per-thread armed
+        // counter — the non-faulting exit path takes no detector-wide
+        // lock for this check.
+        if self.config.interleave_exit_delay > 0 && slot.armed.load(Ordering::Relaxed) > 0 {
+            self.machine.charge(t, self.config.interleave_exit_delay);
+            // On real OS threads, actually give the counterpart a
+            // chance to run; a no-op under single-threaded replay.
+            std::thread::yield_now();
+        }
+        let cost = &self.cost;
+        // One charge covers the exit bookkeeping plus the RDTSCP that
+        // timestamps key releases (§5.4); the clock is read after the
+        // fold, so the stamp matches what separate charges would yield.
+        self.machine
+            .charge(t, cost.lock_op + cost.atomic_op + cost.rdtscp);
+        let now = self.machine.now();
+
+        let (frame, releases, outside_now) = slot.ctx.with(|ctx| {
+            let frame = ctx.frames.pop().expect("unlock without lock");
+            assert_eq!(frame.lock, lock, "mismatched unlock");
+            // Restore the held map, remembering each key's effective
+            // permission during the section (`eff`) — a fast release must
+            // CAS against exactly the permission the holder word carries.
+            let mut releases: TinyVec<(ProtectionKey, Option<Perm>, Option<Perm>)> =
+                TinyVec::new();
+            for &(key, prev) in frame.acquired.iter().rev() {
+                let eff = match prev {
+                    None => ctx.held.remove(&key),
+                    Some(perm) => ctx.held.insert(key, perm),
+                };
+                releases.push((key, prev, eff));
+            }
+            let outside_now = ctx.frames.is_empty();
+            (frame, releases, outside_now)
+        });
+
+        // Undo the frame's key-table changes. A newly-acquired key whose
+        // holder word is still fast-published releases with one CAS
+        // (stamping the §5.4 release time into the word's side slots);
+        // everything else — downgrades, materialized holds — batches
+        // under one key-table guard.
+        let mut slow_releases: Vec<(ProtectionKey, Option<Perm>)> = Vec::new();
+        for &(key, prev, eff) in releases.iter() {
+            self.machine.charge(t, cost.map_op);
+            let fast_done = prev.is_none()
+                && eff.is_some_and(|perm| self.words.try_fast_release(key, t, perm, now));
+            if !fast_done {
+                slow_releases.push((key, prev));
+            }
+        }
+        if !slow_releases.is_empty() {
+            let mut keys = self.lock_keys();
+            for &(key, prev) in &slow_releases {
+                match prev {
+                    None => keys.release(key, t, now),
+                    Some(perm) => keys.downgrade(key, t, perm),
+                }
+            }
+        }
+        self.active_sections.fetch_sub(1, Ordering::Relaxed);
+        if self.telemetry.enabled() {
+            let hold = self.machine.now().saturating_sub(frame.entered);
+            self.emit(t, EventKind::SectionExit, frame.section.0 .0, hold);
+            self.telemetry.histograms().section_hold.record(hold);
+        }
+
+        // The interleaver cares about this exit only if this thread is a
+        // recorded participant of some interleaving. The relaxed counter
+        // mirrors exactly that membership (every bump happens under the
+        // guards that publish the participation, every decrement under
+        // the removal), so when it reads zero
+        // `thread_left_critical_sections` would be a no-op and the exit
+        // skips the interleaver lock entirely.
+        if outside_now && slot.participating.load(Ordering::Relaxed) > 0 {
+            let (finished, armed_removed, removed) =
+                self.interleaver.lock().thread_left_critical_sections(t);
+            if armed_removed > 0 {
+                let prev = slot.armed.fetch_sub(armed_removed, Ordering::Relaxed);
+                debug_assert!(prev >= armed_removed, "armed counter underflow");
+            }
+            if removed > 0 {
+                let prev = slot.participating.fetch_sub(removed, Ordering::Relaxed);
+                debug_assert!(prev >= removed, "participating counter underflow");
+            }
+            if !finished.is_empty() {
+                // §5.5: restore each object's protection now that every
+                // conflicting thread has left its critical section. Each
+                // restoration runs under that object's fault shard:
+                // `on_free` serializes on it, so the liveness check and
+                // the re-protection below are atomic with respect to a
+                // concurrent free — without it, a free sneaking in between
+                // them would panic `alloc.protect` on an unknown object and
+                // leave ghost domain/key-table entries for a dead id.
+                // Restorations of objects in other shards, and unrelated
+                // fault handlers, proceed in parallel.
+                for fin in finished {
+                    let shard = self.fault_shards.enter_object(fin.object);
+                    self.note_fault_entry(t, &shard);
+                    if self.alloc.object(fin.object).is_none() {
+                        continue; // Freed while suspended.
+                    }
+                    // The interleaving left the engine before this guard was
+                    // taken, so a fault handler that held the shard first may
+                    // have armed a new one on the object; that one owns its
+                    // protection now, and restoring the old key under it
+                    // would hand a suspended object back to the race checker.
+                    if self.interleaver.lock().is_active(fin.object) {
+                        continue;
+                    }
+                    // Under virtualization the object's *group* owns the
+                    // binding, and the cache may have moved on while the
+                    // interleaving wound down: restore onto the group's
+                    // current hardware key, or — if the group was evicted
+                    // while suspended — demote to the Read-only domain and
+                    // let the next write revive the group. The direct
+                    // detector restores the remembered key unconditionally,
+                    // which can alias a key that was since re-assigned.
+                    let target = match self.config.keys {
+                        KeyMode::Virtual(_) => {
+                            let vkeys = self.vkeys.lock();
+                            vkeys.vkey_of(fin.object).and_then(|v| vkeys.binding(v))
+                        }
+                        KeyMode::Direct { .. } => Some(fin.original_key),
+                    };
+                    let restored = match target {
+                        Some(key) => {
+                            self.lock_keys().assign_object(key, fin.object);
+                            Domain::ReadWrite(key)
+                        }
+                        None => Domain::ReadOnly,
+                    };
+                    self.transition(t, fin.object, DomainCode::Suspended, restored);
+                    self.emit(
+                        t,
+                        EventKind::InterleaveFinish,
+                        fin.object.0,
+                        u64::from(self.key_worn(restored).0),
+                    );
+                }
+                self.invalidate_plans();
+            }
+        }
+        self.machine.wrpkru(t, frame.saved_pkru);
+    }
+
+    /// The writer half of the plan-cache seqlock, and its only spelling.
+    /// Call it *after* every mutation a cached section plan depends on —
+    /// a domain transition, section-object map growth, key recycling or
+    /// eviction, arming, suspension or restoration, a free — once all of
+    /// the mutation's writes are applied. Plans snapshot the counter
+    /// *before* reading the maps and re-validate it after committing
+    /// their key CAS, so a plan built from a torn read never validates.
+    pub(super) fn invalidate_plans(&self) {
+        self.cache_gen.fetch_add(1, Ordering::SeqCst);
+    }
+
+    pub(super) fn current_section(&self, t: ThreadId) -> Option<SectionId> {
+        self.try_slot(t)
+            .and_then(|slot| slot.ctx.with(|ctx| ctx.frames.last().map(|f| f.section)))
+    }
+
+    /// Track `key` in the thread's held map (joining permissions) and
+    /// remember the acquisition in the innermost frame so it is undone at
+    /// section exit. Returns the previous perm.
+    pub(super) fn note_held_and_record(
+        &self,
+        t: ThreadId,
+        key: ProtectionKey,
+        perm: Perm,
+    ) -> Option<Perm> {
+        self.slot(t).ctx.with(|ctx| {
+            let prev = ctx.held.get(&key).copied();
+            let joined = prev.map_or(perm, |p| p.join(perm));
+            ctx.held.insert(key, joined);
+            if let Some(frame) = ctx.frames.last_mut() {
+                if prev != Some(joined) {
+                    frame.acquired.push((key, prev));
+                }
+            }
+            prev
+        })
+    }
+
+    /// Install the thread's current effective permission for `key` through
+    /// its saved context (the fault-handler path, §5.4).
+    pub(super) fn grant_in_context(&self, t: ThreadId, key: ProtectionKey) {
+        let perm = self.slot(t).ctx.with(|ctx| ctx.held.get(&key).copied());
+        let mut pkru = self.machine.rdpkru(t);
+        pkru.set_permission(
+            key,
+            perm.map_or(Permission::NoAccess, perm_to_permission),
+        );
+        self.machine.set_pkru_in_saved_context(t, pkru);
+    }
+}
+
+fn perm_to_permission(perm: Perm) -> Permission {
+    match perm {
+        Perm::Read => Permission::ReadOnly,
+        Perm::Write => Permission::ReadWrite,
+    }
+}

@@ -1,0 +1,520 @@
+//! Unit tests of the detector as a whole, driven through [`Kard`]'s
+//! public calls (plus two that hand the fault handler a crafted fault).
+#![cfg(test)]
+
+use super::fault::FaultAction;
+use super::*;
+use crate::domains::Domain;
+use crate::types::{LockId, SectionId};
+use kard_sim::{AccessKind, CodeSite, GpFault, MachineConfig};
+
+fn setup() -> (Arc<Machine>, Kard) {
+    setup_with(KardConfig::default(), 16)
+}
+
+fn setup_with(config: KardConfig, keys: u16) -> (Arc<Machine>, Kard) {
+    let mc = MachineConfig {
+        key_layout: KeyLayout::with_total_keys(keys),
+        ..MachineConfig::default()
+    };
+    let machine = Arc::new(Machine::new(mc));
+    let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
+    let kard = Kard::new(Arc::clone(&machine), alloc, config);
+    (machine, kard)
+}
+
+fn site(n: u64) -> CodeSite {
+    CodeSite(n)
+}
+
+#[test]
+fn figure_1a_exclusive_write_detected() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.read(t2, o.base, site(0xb1));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    let reports = kard.reports();
+    assert_eq!(reports.len(), 1);
+    let r = &reports[0];
+    assert_eq!(r.object, o.id);
+    assert_eq!(r.faulting.thread, t2);
+    assert_eq!(r.holding.thread, t1);
+    assert_eq!(r.access, AccessKind::Read);
+}
+
+#[test]
+fn figure_1b_shared_read_not_reported() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    // Teach both sections that they read o (first run, serial).
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.read(t1, o.base, site(0xa1));
+    kard.lock_exit(t1, LockId(1));
+
+    // Concurrent shared read.
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.read(t1, o.base, site(0xa1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.read(t2, o.base, site(0xb1));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    assert!(kard.reports().is_empty());
+    assert_eq!(kard.domain_of(o.id), Some(Domain::ReadOnly));
+}
+
+#[test]
+fn identification_migrates_domains() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+    assert_eq!(kard.domain_of(o.id), Some(Domain::NotAccessed));
+
+    kard.lock_enter(t, LockId(1), site(0x1));
+    kard.read(t, o.base, site(0x2));
+    assert_eq!(kard.domain_of(o.id), Some(Domain::ReadOnly));
+    kard.write(t, o.base, site(0x3));
+    assert!(matches!(kard.domain_of(o.id), Some(Domain::ReadWrite(_))));
+    kard.lock_exit(t, LockId(1));
+
+    let stats = kard.stats();
+    assert_eq!(stats.identification_faults, 1);
+    assert_eq!(stats.migration_faults, 1);
+    assert_eq!(stats.objects_identified, 1);
+    assert!(kard.reports().is_empty());
+}
+
+#[test]
+fn non_critical_access_never_faults_on_not_accessed() {
+    let (machine, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+    kard.write(t, o.base, site(0x1));
+    kard.read(t, o.base, site(0x2));
+    assert_eq!(machine.counters().faults, 0);
+    assert_eq!(kard.domain_of(o.id), Some(Domain::NotAccessed));
+}
+
+#[test]
+fn proactive_acquisition_on_reentry() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+
+    kard.lock_enter(t, LockId(1), site(0x1));
+    kard.write(t, o.base, site(0x2)); // Reactive: faults.
+    kard.lock_exit(t, LockId(1));
+    let faults_before = kard.stats().identification_faults;
+
+    kard.lock_enter(t, LockId(1), site(0x1));
+    kard.write(t, o.base, site(0x2)); // Proactive: no fault.
+    kard.lock_exit(t, LockId(1));
+
+    let stats = kard.stats();
+    assert_eq!(stats.identification_faults, faults_before);
+    assert!(stats.proactive_acquisitions >= 1);
+}
+
+#[test]
+fn unlocked_write_vs_locked_write_detected() {
+    // Table 1 row 2/3: only one side holds a lock.
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 64);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    // t2 writes with no lock while t1 holds the key.
+    kard.write(t2, o.base, site(0xc1));
+    kard.lock_exit(t1, LockId(1));
+
+    let reports = kard.reports();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].faulting.section, None);
+    assert_eq!(reports[0].holding.section, Some(SectionId(site(0xa))));
+}
+
+#[test]
+fn consistent_locking_is_silent() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    // Same lock, same section, serial: never concurrent.
+    for (t, ip) in [(t1, 0x10), (t2, 0x20), (t1, 0x30), (t2, 0x40)] {
+        kard.lock_enter(t, LockId(7), site(0x100));
+        kard.write(t, o.base, site(ip));
+        kard.read(t, o.base, site(ip + 1));
+        kard.lock_exit(t, LockId(7));
+    }
+    assert!(kard.reports().is_empty());
+}
+
+#[test]
+fn interleaving_prunes_different_offsets() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 128);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1)); // t1 writes offset 0.
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o.base.offset(64), site(0xb1)); // candidate: offset 64.
+    // t1 touches offset 0 again -> interleave fault -> disjoint offsets.
+    kard.write(t1, o.base, site(0xa2));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    assert!(kard.reports().is_empty(), "different offsets pruned");
+    assert_eq!(kard.stats().races_pruned_offset, 1);
+    // Protection restored after both exits.
+    assert!(matches!(kard.domain_of(o.id), Some(Domain::ReadWrite(_))));
+}
+
+#[test]
+fn interleaving_confirms_same_offset() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 128);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base.offset(8), site(0xa1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o.base.offset(8), site(0xb1)); // same offset
+    kard.write(t1, o.base.offset(8), site(0xa2)); // counterpart fault
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    let reports = kard.reports();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].holding.offset, Some(8), "filled by interleave");
+    assert_eq!(kard.stats().races_pruned_offset, 0);
+}
+
+#[test]
+fn small_section_leaves_candidate_reported() {
+    // The pigz false positive (§7.3): the key holder exits before the
+    // interleaved protection can observe its offset.
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 128);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o.base.offset(64), site(0xb1));
+    kard.lock_exit(t1, LockId(1)); // t1 exits without re-touching.
+    kard.lock_exit(t2, LockId(2));
+
+    assert_eq!(kard.reports().len(), 1, "unresolved candidate reported");
+}
+
+#[test]
+fn redundant_reports_are_pruned() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let t3 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    // Two different threads, same unlocked racy read site.
+    kard.read(t2, o.base, site(0xc));
+    kard.read(t3, o.base, site(0xc));
+    kard.lock_exit(t1, LockId(1));
+
+    assert_eq!(kard.reports().len(), 1);
+    assert_eq!(kard.stats().races_pruned_redundant, 1);
+}
+
+#[test]
+fn key_exhaustion_recycles_before_sharing() {
+    // 6 total keys -> 3 pool keys. Sections touch 4 distinct objects
+    // serially, so the 4th assignment must recycle (keys unheld between
+    // sections).
+    let (_, kard) = setup_with(KardConfig::default(), 6);
+    let t = kard.register_thread();
+    let objs: Vec<_> = (0..4).map(|_| kard.on_alloc(t, 32)).collect();
+    for (i, o) in objs.iter().enumerate() {
+        kard.lock_enter(t, LockId(i as u64), site(0x100 + i as u64));
+        kard.write(t, o.base, site(0x200 + i as u64));
+        kard.lock_exit(t, LockId(i as u64));
+    }
+    let stats = kard.stats();
+    assert_eq!(stats.key_recycles, 1);
+    assert_eq!(stats.key_shares, 0);
+    // The recycled key's object is now read-only domain.
+    assert_eq!(kard.domain_of(objs[0].id), Some(Domain::ReadOnly));
+    assert!(kard.reports().is_empty());
+}
+
+#[test]
+fn key_exhaustion_shares_when_all_keys_held() {
+    // 4 total keys -> 1 pool key, held concurrently by t1.
+    let (_, kard) = setup_with(KardConfig::default(), 4);
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o1 = kard.on_alloc(t1, 32);
+    let o2 = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o1.base, site(0xa1)); // takes the only pool key
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o2.base, site(0xb1)); // must share it
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    let stats = kard.stats();
+    assert_eq!(stats.key_shares, 1);
+    assert!(
+        kard.reports().is_empty(),
+        "disjoint-object sharing is not a race"
+    );
+}
+
+#[test]
+fn sharing_causes_false_negative_on_same_object() {
+    // Table 4: sharing is the one false-negative window. With a single
+    // pool key and both sections touching the same object, the race is
+    // missed.
+    let (_, kard) = setup_with(KardConfig::default(), 4);
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let filler = kard.on_alloc(t1, 32);
+    let x = kard.on_alloc(t1, 32);
+
+    // t1's section takes the only pool key for `filler`...
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, filler.base, site(0xa1));
+    // ...so t2's new object `x` must *share* that key: both threads now
+    // hold it with read-write permission.
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, x.base, site(0xb1));
+    // t1 writes x under a different lock — an ILU race — but t1 already
+    // holds the shared key, so no fault is raised: a false negative.
+    kard.write(t1, x.base, site(0xa2));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+
+    assert_eq!(kard.stats().key_shares, 1);
+    assert!(kard.reports().is_empty(), "sharing hides this ILU race");
+}
+
+#[test]
+fn nested_sections_restore_keys() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    let o1 = kard.on_alloc(t, 32);
+    let o2 = kard.on_alloc(t, 32);
+
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.write(t, o1.base, site(0xa1));
+    kard.lock_enter(t, LockId(2), site(0xb));
+    kard.write(t, o2.base, site(0xb1));
+    kard.lock_exit(t, LockId(2));
+    // o1's key still held: writing again must not fault.
+    let faults = kard.stats();
+    kard.write(t, o1.base, site(0xa2));
+    assert_eq!(
+        kard.stats().identification_faults,
+        faults.identification_faults
+    );
+    kard.lock_exit(t, LockId(1));
+    assert!(kard.reports().is_empty());
+}
+
+#[test]
+fn free_clears_metadata() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.write(t, o.base, site(0xa1));
+    kard.lock_exit(t, LockId(1));
+    kard.on_free(t, o.id);
+    assert_eq!(kard.domain_of(o.id), None);
+    assert!(kard.section_objects(SectionId(site(0xa))).is_empty());
+}
+
+#[test]
+fn stats_track_sections() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.lock_exit(t2, LockId(2));
+    kard.lock_exit(t1, LockId(1));
+    let stats = kard.stats();
+    assert_eq!(stats.cs_entries, 3);
+    assert_eq!(stats.unique_sections, 2);
+    assert_eq!(stats.max_concurrent_sections, 2);
+}
+
+#[test]
+fn global_objects_participate_in_detection() {
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let g = kard.on_global(t1, 8);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, g.base, site(0xa1));
+    kard.read(t2, g.base, site(0xc)); // Aget-style unlocked read.
+    kard.lock_exit(t1, LockId(1));
+    assert_eq!(kard.reports().len(), 1);
+}
+
+#[test]
+#[should_panic(expected = "mismatched unlock")]
+fn mismatched_unlock_panics() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.lock_exit(t, LockId(2));
+}
+
+#[test]
+fn delay_injection_stalls_armed_exits_only() {
+    let config = KardConfig {
+        interleave_exit_delay: 50_000,
+        ..KardConfig::default()
+    };
+    let (machine, kard) = {
+        let machine = Arc::new(Machine::new(MachineConfig::default()));
+        let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
+        let kard = Kard::new(Arc::clone(&machine), alloc, config);
+        (machine, kard)
+    };
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 128);
+
+    // Un-conflicted exit: no stall.
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    let before = machine.thread_cycles(t1);
+    kard.lock_exit(t1, LockId(1));
+    assert!(machine.thread_cycles(t1) - before < 50_000);
+
+    // Armed interleaving: t1's exit is stalled by the delay.
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o.base.offset(64), site(0xb1)); // Arms.
+    let before = machine.thread_cycles(t1);
+    kard.lock_exit(t1, LockId(1));
+    assert!(
+        machine.thread_cycles(t1) - before >= 50_000,
+        "armed participant must be delayed"
+    );
+    kard.lock_exit(t2, LockId(2));
+}
+
+#[test]
+fn timestamp_filter_counts_stale_candidates() {
+    let (machine, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    kard.lock_exit(t1, LockId(1));
+    // Let far more than the fault delay pass on the virtual clock.
+    machine.charge(t1, 1_000_000);
+    // t2 writes unlocked: key unheld, release long ago -> no race.
+    kard.write(t2, o.base, site(0xc));
+    assert!(kard.reports().is_empty());
+    assert_eq!(kard.stats().races_filtered_timestamp, 1);
+}
+
+#[test]
+fn stale_fault_is_dropped_not_replayed() {
+    // A fault raised against `k_na` whose handler only gets the
+    // object's fault shard after another handler identified the
+    // object: the protection it describes is gone.
+    let (machine, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.read(t, o.base, site(0xa1)); // identifies: page now carries k_ro
+    let stale = GpFault {
+        thread: t,
+        addr: o.base,
+        page: o.base.page(),
+        pkey: kard.layout.not_accessed,
+        access: AccessKind::Read,
+        ip: site(0xa2),
+        tsc: machine.now(),
+    };
+    assert_eq!(kard.handle_fault(stale), Ok(FaultAction::Retry));
+    assert_eq!(kard.stats().objects_identified, 1, "not identified twice");
+    assert_eq!(kard.domain_of(o.id), Some(Domain::ReadOnly));
+    kard.lock_exit(t, LockId(1));
+}
+
+#[test]
+fn interleave_fault_without_an_armed_interleaving_falls_through() {
+    // The last participant's exit retires an interleaving under the
+    // interleaver guard alone, so a counterpart fault can find it
+    // gone: that is a pool fault, not a panic.
+    let (machine, kard) = setup();
+    let t = kard.register_thread();
+    let o = kard.on_alloc(t, 32);
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.write(t, o.base, site(0xa1));
+    let Some(Domain::ReadWrite(key)) = kard.domain_of(o.id) else {
+        panic!("a section write identifies into the Read-write domain");
+    };
+    let fault = GpFault {
+        thread: t,
+        addr: o.base,
+        page: o.base.page(),
+        pkey: key,
+        access: AccessKind::Write,
+        ip: site(0xa2),
+        tsc: machine.now(),
+    };
+    assert_eq!(kard.handle_interleave_fault(&fault, &o, 0), None);
+    assert_eq!(kard.stats().interleave_faults, 0);
+    kard.lock_exit(t, LockId(1));
+}
+
+#[test]
+fn sequential_different_locks_not_reported() {
+    // Two sections under different locks, executed strictly one after
+    // the other: no concurrency, so no ILU race. The release-timestamp
+    // logic must not resurrect the released key.
+    let (_, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    kard.lock_exit(t1, LockId(1));
+    kard.lock_enter(t2, LockId(2), site(0xb));
+    kard.write(t2, o.base, site(0xb1));
+    kard.lock_exit(t2, LockId(2));
+    assert!(kard.reports().is_empty());
+}

@@ -145,8 +145,10 @@ impl KeyTable {
     }
 
     /// Forcibly record `t` as a holder of `key`, bypassing the exclusivity
-    /// check. Used for key *sharing* (§5.4 rule 3b) and for protection
-    /// interleaving's deliberate re-keying (§5.5) — both of which
+    /// check — exactly [`KeyTable::try_acquire`] where that would succeed.
+    /// Used for reactive key assignment (§5.4: an object joins a shared
+    /// key, rule 3b, or a held key that is itself shared) and for
+    /// protection interleaving's deliberate re-keying (§5.5), all of which
     /// intentionally weaken exclusivity.
     pub fn force_acquire(
         &mut self,

@@ -258,7 +258,7 @@ impl SideMetadata {
 mod tests {
     use super::*;
     use crate::vkey::KeyCachePolicy;
-    use crate::{Kard, KardConfig, LockId};
+    use crate::{Kard, KardConfig, KeyMode, LockId};
     use kard_alloc::KardAlloc;
     use kard_sim::{CodeSite, Machine, MachineConfig, PAGE_SIZE};
 
@@ -364,9 +364,10 @@ mod tests {
     }
 
     fn hotness_virtualized() -> KardConfig {
-        KardConfig::paper()
-            .virtual_keys(true)
-            .key_cache_policy(KeyCachePolicy::Hotness)
+        KardConfig {
+            keys: KeyMode::Virtual(KeyCachePolicy::Hotness),
+            ..KardConfig::paper()
+        }
     }
 
     /// What the page-keyed table could not state: an object spanning
@@ -461,7 +462,7 @@ mod tests {
             assert_eq!(far, near.map(|n| n + 1), "one overflow-shard lock per step");
             assert!(kard.sidemeta().overflow.iter().all(|shard| shard.lock().is_empty()));
 
-            if config.virtual_keys {
+            if matches!(config.keys, KeyMode::Virtual(_)) {
                 // A second group after the free: had the freed overflow
                 // object stayed a member, two groups would be live.
                 let t = kard.register_thread();

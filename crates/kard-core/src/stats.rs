@@ -151,8 +151,8 @@ pub struct KardSnapshot {
     /// Detection counters (Tables 3–6): sections, migrations, faults,
     /// races reported and pruned.
     pub detector: DetectorStats,
-    /// Virtual-key cache counters; all zero when
-    /// [`crate::KardConfig::virtual_keys`] is off.
+    /// Virtual-key cache counters; all zero under
+    /// [`crate::KeyMode::Direct`].
     pub vkeys: VKeyStats,
     /// Allocator counters: allocations, frees, fast-path hits, remote
     /// frees, rounding waste.
@@ -167,12 +167,11 @@ pub struct KardSnapshot {
     /// Production-mode controller counters: sampling decisions, throttle
     /// transitions, observed overhead, and the estimated detection-rate
     /// cost. All defaults (with `enabled = false`) when
-    /// [`crate::KardConfig::production`] is off.
+    /// [`crate::KardConfig::production`] is `None`.
     pub production: crate::budget::ProductionStats,
     /// Drain-side anomaly-analyzer state: per-metric baselines, CUSUM
     /// accumulations, and fired signals ("signals, not truth"). All
-    /// defaults when [`crate::KardConfig::anomaly_detection`] is off or
-    /// no drain has run.
+    /// defaults until a drain has run.
     pub anomaly: kard_telemetry::AnomalyStats,
 }
 

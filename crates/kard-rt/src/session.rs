@@ -3,7 +3,7 @@
 use crate::mutex::KardMutex;
 use crate::thread::SimThread;
 use kard_alloc::KardAlloc;
-use kard_core::{Kard, KardConfig, KardSnapshot};
+use kard_core::{Kard, KardConfig, KardSnapshot, ProductionConfig};
 use kard_sim::{Machine, MachineConfig};
 use kard_telemetry::{DrainContext, Drained, Telemetry, TelemetryConsumer};
 use parking_lot::Mutex;
@@ -11,29 +11,19 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Built-in drain consumer: runs the detector's anomaly analyzer
-/// ([`Kard::observe_drained`]) over every batch. Registered first by
-/// [`SessionBuilder::build`] so analyzer verdicts (and any resulting
-/// budget narrowing) land before the same drain's production tick.
-struct AnalyzerObserver {
+/// Built-in drain consumer, registered first by [`SessionBuilder::build`]:
+/// runs the detector's anomaly analyzer ([`Kard::observe_drained`]) over
+/// the batch, then the production-mode controller heartbeat
+/// ([`Kard::production_tick`]) — in that order, so analyzer verdicts (and
+/// any resulting budget narrowing) land before the same drain's tick, and
+/// the overhead budget is steered at the cadence telemetry is collected.
+struct DetectorObserver {
     kard: Arc<Kard>,
 }
 
-impl TelemetryConsumer for AnalyzerObserver {
+impl TelemetryConsumer for DetectorObserver {
     fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext<'_>) {
         self.kard.observe_drained(batch);
-    }
-}
-
-/// Built-in drain consumer: the production-mode controller heartbeat
-/// ([`Kard::production_tick`]). Each drain steers the overhead budget at
-/// the same cadence telemetry is collected.
-struct ProductionTickObserver {
-    kard: Arc<Kard>,
-}
-
-impl TelemetryConsumer for ProductionTickObserver {
-    fn on_drain(&mut self, _batch: &Drained, _ctx: &DrainContext<'_>) {
         self.kard.production_tick();
     }
 }
@@ -48,13 +38,14 @@ impl TelemetryConsumer for ProductionTickObserver {
 ///
 /// ```
 /// use kard_rt::Session;
-/// use kard_core::KardConfig;
+/// use kard_core::{KardConfig, KeyCachePolicy, KeyMode};
 ///
+/// let virtualized = KeyMode::Virtual(KeyCachePolicy::Lru);
 /// let session = Session::builder()
-///     .config(KardConfig::paper().virtual_keys(true))
+///     .config(KardConfig { keys: virtualized, ..KardConfig::paper() })
 ///     .telemetry(true)
 ///     .build();
-/// assert!(session.kard().config().virtual_keys);
+/// assert_eq!(session.kard().config().keys, virtualized);
 /// ```
 #[derive(Default)]
 #[must_use = "a builder does nothing until `build` is called"]
@@ -98,20 +89,23 @@ impl SessionBuilder {
     }
 
     /// Run this session in production mode under `budget` (permille of
-    /// elapsed cycles; `None` = observe-only, never narrow). Convenience
-    /// over setting [`KardConfig::production`]/
-    /// [`KardConfig::overhead_budget`] by hand; also enables telemetry,
+    /// elapsed cycles; `None` = observe-only, never narrow), keeping any
+    /// sample width and seed the config already names. Convenience over
+    /// writing [`KardConfig::production`] by hand; also enables telemetry,
     /// because the controller's overhead observations come from the cycle
     /// histograms, which only record while telemetry is on.
     pub fn production(mut self, budget: Option<u32>) -> SessionBuilder {
-        self.config = self.config.production(true).overhead_budget(budget);
+        self.config.production = Some(ProductionConfig {
+            overhead_budget: budget,
+            ..self.config.production.unwrap_or_default()
+        });
         self.telemetry = true;
         self
     }
 
     /// Register a drain-time observer: every [`Session::drain`] fans the
     /// single drained batch out to each registered consumer, in
-    /// registration order, after the built-in ones (the anomaly analyzer
+    /// registration order, after the built-in one (the anomaly analyzer
     /// and the production tick). Exporter sinks
     /// ([`kard_telemetry::JsonLinesSink`],
     /// [`kard_telemetry::ChromeTraceSink`]) and plain closures both
@@ -134,9 +128,9 @@ impl SessionBuilder {
     }
 
     /// Wire machine, allocator, and detector together. The built-in
-    /// drain consumers (anomaly analyzer, production tick) are registered
-    /// ahead of any [`SessionBuilder::observe`] ones, so user observers
-    /// see detector state already advanced for the batch they receive.
+    /// drain consumer (anomaly analyzer, then production tick) is
+    /// registered ahead of any [`SessionBuilder::observe`] ones, so user
+    /// observers see detector state already advanced for their batch.
     #[must_use]
     pub fn build(self) -> Session {
         let machine = Arc::new(Machine::new(self.machine));
@@ -146,14 +140,9 @@ impl SessionBuilder {
             Arc::clone(&alloc),
             self.config,
         ));
-        let mut consumers: Vec<Box<dyn TelemetryConsumer>> = vec![
-            Box::new(AnalyzerObserver {
-                kard: Arc::clone(&kard),
-            }),
-            Box::new(ProductionTickObserver {
-                kard: Arc::clone(&kard),
-            }),
-        ];
+        let mut consumers: Vec<Box<dyn TelemetryConsumer>> = vec![Box::new(DetectorObserver {
+            kard: Arc::clone(&kard),
+        })];
         consumers.extend(self.consumers);
         let session = Session {
             machine,
@@ -279,7 +268,7 @@ impl Session {
     /// timestamp-sorted batch out to every registered
     /// [`TelemetryConsumer`] — the one collection step of the session.
     ///
-    /// The built-in consumers run first: the anomaly analyzer
+    /// The built-in consumer runs first: the anomaly analyzer
     /// ([`Kard::observe_drained`]) advances its CUSUM/EWMA detectors and
     /// couples any fired signal into the budget controller, then the
     /// production tick ([`Kard::production_tick`]) steers the overhead
@@ -328,18 +317,23 @@ mod tests {
 
     #[test]
     fn builder_composes_machine_config_and_telemetry() {
+        use kard_core::{KeyCachePolicy, KeyMode};
         use kard_sim::KeyLayout;
 
+        let virtualized = KeyMode::Virtual(KeyCachePolicy::Lru);
         let session = Session::builder()
             .machine(MachineConfig {
                 key_layout: KeyLayout::with_total_keys(34),
                 ..MachineConfig::default()
             })
-            .config(KardConfig::paper().virtual_keys(true))
+            .config(KardConfig {
+                keys: virtualized,
+                ..KardConfig::paper()
+            })
             .telemetry(true)
             .build();
         assert_eq!(session.machine().key_layout().total_keys, 34);
-        assert!(session.kard().config().virtual_keys);
+        assert_eq!(session.kard().config().keys, virtualized);
         assert!(session.telemetry().enabled(), "telemetry pre-enabled");
         let defaults = Session::builder().build();
         assert!(!defaults.telemetry().enabled(), "off unless requested");
@@ -348,8 +342,8 @@ mod tests {
     #[test]
     fn production_builder_enables_controller_and_telemetry() {
         let session = Session::builder().production(Some(50)).build();
-        assert!(session.kard().config().production);
-        assert_eq!(session.kard().config().overhead_budget, Some(50));
+        let production = session.kard().config().production;
+        assert_eq!(production.map(|p| p.overhead_budget), Some(Some(50)));
         assert!(session.telemetry().enabled(), "controller needs histograms");
         let snap = session.snapshot();
         assert!(snap.production.enabled);
@@ -471,12 +465,6 @@ mod tests {
             2,
             "each drain is one analyzer window"
         );
-        let disabled = Session::builder()
-            .config(KardConfig::default().anomaly_detection(false))
-            .telemetry(true)
-            .build();
-        let _ = disabled.drain();
-        assert_eq!(disabled.snapshot().anomaly.windows, 0, "analyzer off");
     }
 
     #[test]

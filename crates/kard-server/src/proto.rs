@@ -172,9 +172,8 @@ pub struct ShardStatsz {
     /// [`KardSnapshot`] the embedded runtime and `kard-tables
     /// --stats-json` emit, so every stats surface serializes one shape.
     /// Carries the production-mode controller block (all-default unless
-    /// the server runs with an
-    /// [`overhead_budget`](crate::ServerConfig::overhead_budget)) and
-    /// the anomaly-detector block.
+    /// [`ServerConfig::detector`](crate::ServerConfig::detector) runs in
+    /// production mode) and the anomaly-detector block.
     pub detector: KardSnapshot,
     /// Recent anomaly signals, enriched with the suspected session where
     /// the suspected thread maps to one (newest last; bounded, older

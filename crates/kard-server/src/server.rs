@@ -13,7 +13,7 @@ use crate::proto::{
     parse_request, response_line, Request, Response, ShardStatsz, Statsz,
 };
 use crate::shard::{SessionHandle, ShardEngine, ShardShared, Work};
-use kard_core::KardConfig;
+use kard_core::{KardConfig, KeyCachePolicy, KeyMode};
 use kard_telemetry::{merged_summary, Telemetry};
 use kard_trace::wire::{read_frame, WireError};
 use std::collections::hash_map::DefaultHasher;
@@ -51,15 +51,11 @@ pub struct ServerConfig {
     /// not depend on how many sessions share a shard's key pool.
     pub detector: KardConfig,
     /// Enable fault-path telemetry rings (feeds the `/statsz` cycle
-    /// histograms, at some per-event cost).
+    /// histograms, at some per-event cost). Forced on when `detector`
+    /// runs in production mode ([`KardConfig::production`]), because the
+    /// budget controller's overhead observations come from those
+    /// histograms.
     pub telemetry: bool,
-    /// Run every shard's detector in production mode under this overhead
-    /// budget (permille of elapsed virtual cycles; `Some(0)` is a valid,
-    /// maximally aggressive budget). `None` leaves production mode off
-    /// and the detector exactly as `detector` describes. Setting a budget
-    /// forces `telemetry` on, because the controller's overhead
-    /// observations come from the cycle histograms.
-    pub overhead_budget: Option<u32>,
     /// The pathological-client policy hook: evict a session once this
     /// many anomaly signals have been attributed to it by the drain-side
     /// analyzer. `None` (the default) reports signals in `/statsz` but
@@ -84,9 +80,11 @@ impl Default for ServerConfig {
             max_session_threads: 64,
             idle_timeout: Some(Duration::from_secs(60)),
             apply_throttle: Duration::ZERO,
-            detector: KardConfig::paper().virtual_keys(true),
+            detector: KardConfig {
+                keys: KeyMode::Virtual(KeyCachePolicy::Lru),
+                ..KardConfig::paper()
+            },
             telemetry: false,
-            overhead_budget: None,
             anomaly_evict_after: None,
             tcp: Some("127.0.0.1:0".to_string()),
             unix: None,
@@ -248,13 +246,10 @@ impl Server {
         let mut detectors = Vec::with_capacity(shards.len());
         let mut threads = Vec::new();
         for shared in &shards {
-            let mut builder = kard_rt::Session::builder()
+            let rt = kard_rt::Session::builder()
                 .config(config.detector)
-                .telemetry(config.telemetry);
-            if let Some(budget) = config.overhead_budget {
-                builder = builder.production(Some(budget));
-            }
-            let rt = builder.build();
+                .telemetry(config.telemetry || config.detector.production.is_some())
+                .build();
             telemetry.push(Arc::clone(rt.telemetry()));
             detectors.push(Arc::clone(rt.kard()));
             let engine = ShardEngine::new(rt, Arc::clone(shared), config.clone());

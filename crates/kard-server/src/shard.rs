@@ -296,8 +296,10 @@ struct ClientState {
     held: HashMap<usize, Vec<u64>>,
     /// Bytes currently allocated (the per-session memory cap's meter).
     live_bytes: u64,
-    /// Owned race records already delivered (cursor into the filtered
-    /// report list).
+    /// Raw index into the shard detector's record store up to which this
+    /// session's reports were delivered ([`Kard::reports_from`]). Raw
+    /// indices never shift when §5.5 pruning retracts a record, so a
+    /// later report can neither be skipped nor sent twice.
     delivered: usize,
     /// Anomaly signals attributed to this session so far (the
     /// pathological-client eviction policy's meter).
@@ -307,7 +309,9 @@ struct ClientState {
 }
 
 impl ClientState {
-    fn new(handle: Arc<SessionHandle>) -> ClientState {
+    /// A session attaching when the shard's record store holds `delivered`
+    /// records; everything before that is other sessions' history.
+    fn new(handle: Arc<SessionHandle>, delivered: usize) -> ClientState {
         ClientState {
             handle,
             threads: HashMap::new(),
@@ -319,7 +323,7 @@ impl ClientState {
             object_names: HashMap::new(),
             held: HashMap::new(),
             live_bytes: 0,
-            delivered: 0,
+            delivered,
             anomaly_signals: 0,
             last_activity: Instant::now(),
         }
@@ -391,8 +395,9 @@ impl ShardEngine {
         match work {
             Work::Attach(handle) => {
                 self.shared.active_sessions.fetch_add(1, Ordering::Relaxed);
+                let (_, reports) = self.rt.kard().reports_from(usize::MAX);
                 self.sessions
-                    .insert(handle.serial, ClientState::new(handle));
+                    .insert(handle.serial, ClientState::new(handle, reports));
             }
             Work::Events {
                 session,
@@ -570,26 +575,21 @@ impl ShardEngine {
     ///
     /// Ownership is attributed through the faulting thread: a session's
     /// records are a function of its own applied events (sessions share
-    /// no objects or locks), so filtering the shard's full report list
-    /// per session is deterministic regardless of how sessions
-    /// interleaved on the shard.
+    /// no objects or locks), so filtering the shard's reports per session
+    /// is deterministic regardless of how sessions interleaved on the
+    /// shard. A report retracted (§5.5 offset pruning) after delivery is
+    /// not recalled from the client.
     fn deliver_races(&mut self, session: u64) {
         let Some(state) = self.sessions.get_mut(&session) else {
             return;
         };
-        let reports = self.rt.kard().reports();
-        let owned: Vec<&RaceRecord> = reports
+        let (reports, end) = self.rt.kard().reports_from(state.delivered);
+        state.delivered = end;
+        let mut fresh: Vec<WireRace> = reports
             .iter()
             .filter(|r| state.thread_names.contains_key(&r.faulting.thread.0))
-            .collect();
-        // §5.5 pruning may retract records after the fact; never let the
-        // cursor point past the end.
-        state.delivered = state.delivered.min(owned.len());
-        let mut fresh: Vec<WireRace> = owned[state.delivered..]
-            .iter()
             .map(|r| Self::translate(state, r))
             .collect();
-        state.delivered = owned.len();
         if fresh.is_empty() {
             return;
         }

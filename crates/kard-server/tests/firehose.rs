@@ -139,6 +139,69 @@ fn invalid_events_are_rejected_never_fatal() {
     server.join();
 }
 
+/// A report the client already holds is retracted (§5.5 offset pruning)
+/// before the next one is made. The delivery cursor must not move with
+/// the retraction: the later report still arrives, exactly once.
+#[test]
+fn report_after_a_retracted_delivered_report_still_arrives() {
+    let server = start(ServerConfig::default());
+    let addr = server.tcp_addr().unwrap();
+    let mut client = FirehoseClient::connect(addr, "retraction").unwrap();
+    let (x, y) = (ObjectTag(1), ObjectTag(2));
+    let lock = |thread, id, site| Event {
+        thread,
+        op: Op::Lock { lock: kard_core::LockId(id), site: CodeSite(site) },
+    };
+    let unlock = |thread, id| Event { thread, op: Op::Unlock { lock: kard_core::LockId(id) } };
+    let write = |thread, tag, offset| Event {
+        thread,
+        op: Op::Write { tag, offset, ip: CodeSite(0x100 + offset) },
+    };
+
+    // Both threads write X under different locks, at different offsets:
+    // a candidate race, delivered by the flush.
+    client
+        .send_batch(&[
+            Event { thread: 0, op: Op::Alloc { tag: x, size: 128 } },
+            Event { thread: 0, op: Op::Alloc { tag: y, size: 128 } },
+            lock(0, 1, 0xa),
+            write(0, x, 0),
+            lock(1, 2, 0xb),
+            write(1, x, 64),
+        ])
+        .unwrap();
+    assert_eq!(client.flush().unwrap().races, 1);
+
+    // Thread 0's counterpart fault shows the offsets differ: the record
+    // is retracted. Then a confirmed race on Y (same offset).
+    client
+        .send_batch(&[
+            write(0, x, 0),
+            unlock(0, 1),
+            unlock(1, 2),
+            lock(0, 3, 0xc),
+            write(0, y, 8),
+            lock(1, 4, 0xd),
+            write(1, y, 8),
+            write(0, y, 8),
+            unlock(0, 3),
+            unlock(1, 4),
+        ])
+        .unwrap();
+    let summary = client.flush().unwrap();
+    assert_eq!(summary.applied, 16);
+    let shard = &client.stats().unwrap().shards[client.shard()];
+    assert_eq!(shard.detector.detector.races_pruned_offset, 1, "X was retracted");
+    assert_eq!(shard.detector.detector.races_reported, 1, "only Y survives");
+
+    let objects: Vec<u64> = client.races().iter().map(|r| r.object).collect();
+    assert_eq!(objects, [x.0, y.0], "X (delivered before its retraction), then Y");
+    assert_eq!(summary.races, 2);
+    assert_eq!(client.bye().unwrap().races, 2);
+    server.shutdown();
+    server.join();
+}
+
 /// Thread ids are never reused, so a shard's one long-lived detector runs
 /// out of them after `THREAD_CAPACITY` registrations. That must end in
 /// counted rejections, not a shard panic: the sessions already attached
@@ -361,9 +424,16 @@ fn overhead_budget_knob_surfaces_controller_state_in_statsz() {
     // A generous budget (100% of elapsed cycles) never narrows the
     // sample, so detection is untouched — the racy session still reports
     // its race — while `/statsz` exposes the controller's counters.
+    let defaults = ServerConfig::default();
     let server = start(ServerConfig {
-        overhead_budget: Some(1000),
-        ..ServerConfig::default()
+        detector: kard_core::KardConfig {
+            production: Some(kard_core::ProductionConfig {
+                overhead_budget: Some(1000),
+                ..Default::default()
+            }),
+            ..defaults.detector
+        },
+        ..defaults
     });
     let addr = server.tcp_addr().unwrap();
     let session = storm::session(&racy_storm(), 0);
@@ -438,7 +508,10 @@ fn anomaly_signals_attribute_sessions_and_evict_pathological_clients() {
     let server = start(ServerConfig {
         shards: 1,
         telemetry: true,
-        detector: kard_core::KardConfig::paper().virtual_keys(true).anomaly(analyzer),
+        detector: kard_core::KardConfig {
+            anomaly: analyzer,
+            ..ServerConfig::default().detector
+        },
         anomaly_evict_after: Some(1),
         ..ServerConfig::default()
     });

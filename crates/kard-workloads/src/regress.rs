@@ -15,7 +15,7 @@
 //!   more distinct critical sections than the hardware key pool holds,
 //!   the key-cache thrash signature: a step change in
 //!   eviction/demotion pressure. Needs
-//!   [`kard_core::KardConfig::virtual_keys`].
+//!   [`kard_core::KeyMode::Virtual`].
 //! * [`Regression::LatencyCreep`] — in-section compute grows a little
 //!   every window, the slow-leak shape: no single window is alarming,
 //!   but section-hold p95 drifts up until the CUSUM accumulates enough

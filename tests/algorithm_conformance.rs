@@ -107,7 +107,7 @@ fn run_algorithm(trace: &kard_trace::Trace) -> BTreeSet<u64> {
 fn run_detector(trace: &kard_trace::Trace) -> BTreeSet<u64> {
     let mc = MachineConfig {
         // Far more keys than objects: the pool never exhausts, so with
-        // prefer_fresh_keys each object keeps a private key.
+        // `fresh_key_per_object` each object keeps a private key.
         key_layout: KeyLayout::with_total_keys(64),
         ..MachineConfig::default()
     };

@@ -18,7 +18,7 @@
 //! configuration and under virtualized keys. Production mode is exempt by
 //! design: a sample-skipped object wears k0 under a stale domain word.
 
-use kard::core::Domain;
+use kard::core::{Domain, KeyCachePolicy, KeyMode};
 use kard::sim::VirtPage;
 use kard::trace::replay::Executor;
 use kard::trace::{Op, Trace};
@@ -106,7 +106,10 @@ fn every_live_object_wears_the_key_its_domain_implies() {
         replay_checked(
             &format!("{name}/virtualized"),
             &trace,
-            KardConfig::paper().virtual_keys(true),
+            KardConfig {
+                keys: KeyMode::Virtual(KeyCachePolicy::Lru),
+                ..KardConfig::paper()
+            },
         );
     }
 }

@@ -401,7 +401,14 @@ fn production_controller_keeps_fault_free_path_lock_and_alloc_free() {
     let program = lock_free_program(4, 50);
     let trace = program.trace_seeded(17);
     let session = kard::rt::Session::builder()
-        .config(kard::KardConfig::paper().sample_permille(700).sample_seed(9))
+        .config(kard::KardConfig {
+            production: Some(kard::core::ProductionConfig {
+                sample_permille: 700,
+                sample_seed: 9,
+                ..Default::default()
+            }),
+            ..kard::KardConfig::paper()
+        })
         .production(Some(100))
         .build();
     assert!(session.telemetry().enabled(), "production forces telemetry");

@@ -19,7 +19,7 @@
 //!    detects nothing — the floor of the Pareto curve the production
 //!    bench plots.
 
-use kard::core::DetectorStats;
+use kard::core::{DetectorStats, ProductionConfig};
 use kard::sim::CodeSite;
 use kard::trace::replay::replay;
 use kard::trace::schedule::interleave_round_robin;
@@ -113,10 +113,14 @@ struct Run {
 }
 
 fn narrowed(sample: u32, seed: u64) -> KardConfig {
-    KardConfig::paper()
-        .production(true)
-        .sample_permille(sample)
-        .sample_seed(seed)
+    KardConfig {
+        production: Some(ProductionConfig {
+            overhead_budget: None,
+            sample_permille: sample,
+            sample_seed: seed,
+        }),
+        ..KardConfig::paper()
+    }
 }
 
 proptest! {
@@ -133,7 +137,11 @@ proptest! {
     ) {
         let trace = interleave_round_robin(&build(&[a, b, c]));
         let full = replay_with(&trace, KardConfig::paper());
-        let inf = replay_with(&trace, KardConfig::paper().production(true));
+        let unbounded = KardConfig {
+            production: Some(ProductionConfig::default()),
+            ..KardConfig::paper()
+        };
+        let inf = replay_with(&trace, unbounded);
         prop_assert_eq!(full.report_json, inf.report_json, "reports diverged");
         prop_assert_eq!(full.stats_json, inf.stats_json, "stats diverged");
         prop_assert_eq!(inf.production.skipped_objects, 0);

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use kard::alloc::KardAlloc;
 use kard::baselines::Lockset;
-use kard::core::KeyCachePolicy;
+use kard::core::{KeyCachePolicy, KeyMode};
 use kard::sim::{CodeSite, Machine, MachineConfig};
 use kard::trace::replay::replay;
 use kard::trace::schedule::{interleave_round_robin, sequential};
@@ -126,9 +126,10 @@ fn kard_raced_tags(trace: &Trace, config: KardConfig) -> BTreeSet<u64> {
 }
 
 fn hotness_virtualized() -> KardConfig {
-    KardConfig::paper()
-        .virtual_keys(true)
-        .key_cache_policy(KeyCachePolicy::Hotness)
+    KardConfig {
+        keys: KeyMode::Virtual(KeyCachePolicy::Hotness),
+        ..KardConfig::paper()
+    }
 }
 
 proptest! {

@@ -19,7 +19,7 @@
 //! thread 0 performs every allocation up front while other threads pad, so
 //! no access can precede its allocation in the interleaving.
 
-use kard::core::{DetectorStats, VKeyStats};
+use kard::core::{DetectorStats, KeyCachePolicy, KeyMode, VKeyStats};
 use kard::trace::replay::replay;
 use kard::trace::schedule::interleave_round_robin;
 use kard::trace::{ObjectTag, ThreadProgram, Trace};
@@ -34,7 +34,7 @@ fn direct(interleaving: bool) -> KardConfig {
 
 fn virtualized(interleaving: bool) -> KardConfig {
     let mut c = direct(interleaving);
-    c.virtual_keys = true;
+    c.keys = KeyMode::Virtual(KeyCachePolicy::Lru);
     c
 }
 
