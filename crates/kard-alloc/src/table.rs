@@ -30,7 +30,7 @@
 //! fallback is never hit by the workloads in this repository.
 
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
-use kard_sim::{dense_page_index, PhysFrame, Spine, ThreadId, VirtAddr, VirtPage};
+use kard_sim::{page_slot, PageSpine, PhysFrame, Spine, ThreadId, VirtAddr, VirtPage};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cell is unpublished (or the id was never a consolidated object).
@@ -187,9 +187,10 @@ impl ConsTable {
     }
 }
 
-/// The page index's geometry, and so the one bound on "page in
-/// capacity": 16 Mi pages (64 GiB of VA).
-type PageSlots = Spine<AtomicU64, 12, { 1 << 12 }>;
+/// The page index's geometry is the simulated page table's
+/// ([`kard_sim::PageSpine`], 16 Mi pages), so "page in capacity" is
+/// [`kard_sim::page_slot`] for both and the same pages overflow in both.
+type PageSlots = PageSpine<AtomicU64>;
 
 /// Lock-free page→object index over the dense reservation sequence.
 ///
@@ -205,16 +206,10 @@ pub struct PageIndex {
 }
 
 impl PageIndex {
-    /// `page`'s slot number if it is within the index's fixed capacity.
-    fn slot_index(page: VirtPage) -> Option<usize> {
-        let dense = dense_page_index(page)? as usize;
-        (dense < PageSlots::CAPACITY).then_some(dense)
-    }
-
     /// Whether `page` is within the index's fixed capacity.
     #[must_use]
     pub fn fits(&self, page: VirtPage) -> bool {
-        Self::slot_index(page).is_some()
+        page_slot(page).is_some()
     }
 
     /// Record `page → id`. The caller must have published the object's
@@ -225,7 +220,7 @@ impl PageIndex {
     /// Panics if `page` is outside the index capacity (callers gate on
     /// [`PageIndex::fits`] and keep such objects in the sharded maps).
     pub fn insert(&self, page: VirtPage, id: ObjectId) {
-        Self::slot_index(page)
+        page_slot(page)
             .and_then(|idx| self.slots.get_or_publish(idx))
             .expect("page outside index capacity")
             .store(id.0 + 1, Ordering::Release);
@@ -233,7 +228,7 @@ impl PageIndex {
 
     /// Remove the owner of `page` (on free).
     pub fn clear(&self, page: VirtPage) {
-        if let Some(slot) = Self::slot_index(page).and_then(|idx| self.slots.get(idx)) {
+        if let Some(slot) = page_slot(page).and_then(|idx| self.slots.get(idx)) {
             slot.store(0, Ordering::Release);
         }
     }
@@ -244,7 +239,7 @@ impl PageIndex {
     /// sharded fallback map.
     #[allow(clippy::result_unit_err)] // Err is purely "not covered here".
     pub fn get(&self, page: VirtPage) -> Result<Option<ObjectId>, ()> {
-        let idx = Self::slot_index(page).ok_or(())?;
+        let idx = page_slot(page).ok_or(())?;
         Ok(match self.slots.get(idx).map(|slot| slot.load(Ordering::Acquire)) {
             None | Some(0) => None,
             Some(raw) => Some(ObjectId(raw - 1)),

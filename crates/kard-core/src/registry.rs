@@ -37,11 +37,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// buys is irrelevant — no adversary chooses another thread's section
 /// ids. The section entry fast path performs several map operations per
 /// entry; this keeps each one to a couple of arithmetic instructions.
+/// Public for the same kind of map above the detector (the trace
+/// executor's tag table); a map keyed by ids an outside client chooses
+/// keeps the default hasher.
 #[derive(Default)]
-pub(crate) struct FastHasher(u64);
+pub struct FastHasher(u64);
 
 /// `HashMap`/`HashSet` state plugging [`FastHasher`] in.
-pub(crate) type FastBuildHasher = BuildHasherDefault<FastHasher>;
+pub type FastBuildHasher = BuildHasherDefault<FastHasher>;
 
 impl FastHasher {
     const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;

@@ -1,6 +1,7 @@
 //! Adapter running a [`kard_trace::Trace`] through the Kard detector.
 
 use kard_alloc::ObjectInfo;
+use kard_core::registry::FastBuildHasher;
 use kard_core::{DetectorStats, Kard, RaceRecord};
 use kard_sim::ThreadId;
 use kard_trace::{Executor, ObjectTag, Op};
@@ -38,7 +39,10 @@ use std::sync::Arc;
 pub struct KardExecutor {
     kard: Arc<Kard>,
     threads: Vec<ThreadId>,
-    objects: HashMap<ObjectTag, ObjectInfo>,
+    /// Looked up once per `Read`/`Write` event. Tags come from a trace this
+    /// process built or loaded, not from a peer, so the cheap hasher is
+    /// safe (kard-server keeps SipHash for its socket-supplied ids).
+    objects: HashMap<ObjectTag, ObjectInfo, FastBuildHasher>,
 }
 
 impl KardExecutor {
@@ -48,7 +52,7 @@ impl KardExecutor {
         KardExecutor {
             kard,
             threads: Vec::new(),
-            objects: HashMap::new(),
+            objects: HashMap::default(),
         }
     }
 

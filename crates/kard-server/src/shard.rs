@@ -275,6 +275,11 @@ impl Default for ShardShared {
 }
 
 /// One client session's private namespace inside a shard.
+///
+/// Every map here is keyed by an id the client chose and sent over the
+/// socket, so they keep the default SipHash: `kard_core`'s `FastHasher`
+/// (which the in-process trace executor uses for the same lookups) has
+/// no protection against keys crafted to collide.
 struct ClientState {
     handle: Arc<SessionHandle>,
     /// Client thread index → detector thread.

@@ -17,7 +17,7 @@ use crate::tlb::{Tlb, TlbConfig, TlbStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Identifier of a simulated thread, assigned by [`Machine::register_thread`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -183,12 +183,29 @@ pub struct MachineCounters {
     pub context_pkru_updates: u64,
 }
 
+/// Apply `op` to `items` in order until one fails: how many succeeded, and
+/// the failure if any. A batched system call keeps the prefix it applied
+/// (as a partially applied `mmap` does) and reports the error.
+fn apply_prefix<T, E>(
+    items: &[T],
+    mut op: impl FnMut(&T) -> Result<(), E>,
+) -> (usize, Result<(), E>) {
+    for (done, item) in items.iter().enumerate() {
+        if let Err(error) = op(item) {
+            return (done, Err(error));
+        }
+    }
+    (items.len(), Ok(()))
+}
+
 /// The simulated machine. See the [crate-level documentation](crate) for an
 /// end-to-end example.
 pub struct Machine {
     config: MachineConfig,
     phys: Mutex<PhysMemory>,
-    aspace: parking_lot::RwLock<AddressSpace>,
+    /// The page table: lock-free to read, self-serialising to write (see
+    /// [`crate::page_table`]), so no lock of the machine's wraps it.
+    aspace: AddressSpace,
     /// Registered threads on the shared [`Registry`] spine: reaching a
     /// thread's state is two lock-free loads plus that thread's own
     /// (uncontended) mutex, so the per-instruction cycle charge never
@@ -208,7 +225,7 @@ impl Machine {
         Machine {
             config,
             phys: Mutex::new(PhysMemory::new()),
-            aspace: parking_lot::RwLock::new(AddressSpace::new(total_keys)),
+            aspace: AddressSpace::new(total_keys),
             threads: Registry::new(),
             registration: Mutex::new(()),
             shards: (0..COUNTER_SHARDS).map(|_| CounterShard::default()).collect(),
@@ -262,6 +279,10 @@ impl Machine {
                 birth,
             },
         );
+        // Pairs with the fence in `invalidate_tlbs`: a shootdown whose
+        // registry walk missed this thread stored its PTE before the walk,
+        // so this thread's first page-table load sees that store.
+        fence(Ordering::SeqCst);
         ThreadId(index)
     }
 
@@ -380,7 +401,7 @@ impl Machine {
 
     /// Reserve `count` fresh contiguous virtual pages.
     pub fn reserve_pages(&self, count: u64) -> VirtPage {
-        self.aspace.write().reserve_pages(count)
+        self.aspace.reserve_pages(count)
     }
 
     /// `mmap(MAP_SHARED)`: map `page` onto `frame`, charging the syscall.
@@ -396,7 +417,7 @@ impl Machine {
     ) -> Result<(), MapError> {
         self.shard(thread).mmap.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.mmap);
-        self.aspace.write().map(page, frame)?;
+        self.aspace.map(page, frame)?;
         self.phys.lock().add_mapping(frame);
         Ok(())
     }
@@ -425,11 +446,17 @@ impl Machine {
             thread,
             self.config.cost.mmap + self.config.cost.mmap_batch_extra * (pairs.len() as u64 - 1),
         );
-        for &(page, frame) in pairs {
-            self.aspace.write().map(page, frame)?;
-            self.phys.lock().add_mapping(frame);
+        // One hold of the writer mutex for the whole call, then one of the
+        // physical-memory lock for the pages that made it in.
+        let (mapped, result) = {
+            let writer = self.aspace.writer();
+            apply_prefix(pairs, |&(page, frame)| writer.map(page, frame))
+        };
+        let mut phys = self.phys.lock();
+        for &(_, frame) in &pairs[..mapped] {
+            phys.add_mapping(frame);
         }
-        Ok(())
+        result
     }
 
     /// `munmap`: unmap `page`, returning the frame it referenced.
@@ -440,7 +467,7 @@ impl Machine {
     pub fn unmap_page(&self, thread: ThreadId, page: VirtPage) -> Result<PhysFrame, MapError> {
         self.shard(thread).munmap.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.munmap);
-        let mapping = self.aspace.write().unmap(page)?;
+        let mapping = self.aspace.unmap(page)?;
         self.phys.lock().remove_mapping(mapping.frame);
         self.invalidate_tlbs(page);
         Ok(mapping.frame)
@@ -467,12 +494,23 @@ impl Machine {
             self.config.cost.munmap
                 + self.config.cost.munmap_batch_extra * (pages.len() as u64 - 1),
         );
-        for &page in pages {
-            let mapping = self.aspace.write().unmap(page)?;
-            self.phys.lock().remove_mapping(mapping.frame);
+        let mut frames = Vec::with_capacity(pages.len());
+        let (unmapped, result) = {
+            let writer = self.aspace.writer();
+            apply_prefix(pages, |&page| {
+                writer.unmap(page).map(|mapping| frames.push(mapping.frame))
+            })
+        };
+        {
+            let mut phys = self.phys.lock();
+            for &frame in &frames {
+                phys.remove_mapping(frame);
+            }
+        }
+        for &page in &pages[..unmapped] {
             self.invalidate_tlbs(page);
         }
-        Ok(())
+        result
     }
 
     /// Convenience for tests and examples: allocate a frame and map a fresh
@@ -508,7 +546,7 @@ impl Machine {
     ) -> Result<(), ProtectError> {
         self.shard(thread).pkey_mprotect.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.pkey_mprotect);
-        self.aspace.write().pkey_mprotect(first, count, key)?;
+        self.aspace.pkey_mprotect(first, count, key)?;
         for i in 0..count {
             self.invalidate_tlbs(first.add(i));
         }
@@ -543,13 +581,18 @@ impl Machine {
             self.config.cost.pkey_mprotect
                 + self.config.cost.pkey_mprotect_batch_extra * (ranges.len() as u64 - 1),
         );
-        for &(first, count) in ranges {
-            self.aspace.write().pkey_mprotect(first, count, key)?;
+        let (retagged, result) = {
+            let writer = self.aspace.writer();
+            apply_prefix(ranges, |&(first, count)| {
+                writer.pkey_mprotect(first, count, key)
+            })
+        };
+        for &(first, count) in &ranges[..retagged] {
             for i in 0..count {
                 self.invalidate_tlbs(first.add(i));
             }
         }
-        Ok(())
+        result
     }
 
     /// Single-page convenience wrapper over [`Machine::pkey_mprotect`].
@@ -561,7 +604,14 @@ impl Machine {
         self.pkey_mprotect(ThreadId(0), page, 1, key)
     }
 
+    /// TLB shootdown of `page`, run after the page's new PTE is stored and
+    /// the writer mutex released. Taking each thread's TLB mutex *after*
+    /// the store is what keeps a cached key from outliving the retag: an
+    /// access walks and installs under that same mutex, so it either
+    /// loads the new PTE or has its entry removed here.
     fn invalidate_tlbs(&self, page: VirtPage) {
+        // Pairs with the fence in `register_thread`.
+        fence(Ordering::SeqCst);
         for entry in self.threads.iter() {
             entry.state.lock().tlb.invalidate(page);
         }
@@ -570,7 +620,7 @@ impl Machine {
     /// The protection key currently tagged on `page`, if mapped.
     #[must_use]
     pub fn page_key(&self, page: VirtPage) -> Option<ProtectionKey> {
-        self.aspace.read().entry(page).map(|m| m.pkey)
+        self.aspace.entry(page).map(|m| m.pkey)
     }
 
     /// Perform (and check) a memory access.
@@ -601,32 +651,39 @@ impl Machine {
         // Fast path: a dTLB hit yields the page's protection key from the
         // thread's own TLB, so the PKU check completes without touching the
         // shared address space at all — the same reason hardware PKU is
-        // cheap. Only a miss walks the (reader-locked) page table; the walk
-        // also performs the sticky first-touch bookkeeping, which a hit can
-        // safely skip because an entry is only installed by an *allowed*
-        // walk, which already marked the page accessed.
+        // cheap. A miss walks the page table — one atomic load — and
+        // installs the result *under the same hold of the TLB mutex* as the
+        // probe: a concurrent retag stores its PTE before it takes this
+        // mutex to shoot the page down, so the entry installed here is
+        // either removed by that shootdown or already carries the new key.
+        // The walk also performs the sticky first-touch bookkeeping, which
+        // a hit can safely skip because an entry is only installed by an
+        // *allowed* walk, which already marked the page accessed.
         let entry = self.entry(thread);
-        let probed = entry.state.lock().tlb.probe(page);
-        let (pkey, allowed) = match probed {
-            Some(pkey) => (pkey, entry.pkru.allows(pkey, kind)),
+        let mut state = entry.state.lock();
+        let (pkey, allowed) = match state.tlb.probe(page) {
+            Some(pkey) => {
+                drop(state);
+                (pkey, entry.pkru.allows(pkey, kind))
+            }
             None => {
                 cost += self.config.cost.dtlb_miss;
                 let mapping = self
                     .aspace
-                    .read()
-                    .translate(addr)
+                    .entry(page)
                     .unwrap_or_else(|| panic!("access to unmapped address {addr} by {thread}"));
                 let allowed = entry.pkru.allows(mapping.pkey, kind);
                 if allowed {
-                    entry.state.lock().tlb.install(page, mapping.pkey);
+                    state.tlb.install(page, mapping.pkey);
                 }
+                drop(state);
                 // Residency and the PTE accessed bit are sticky until the
                 // page is unmapped, so only the *first* allowed touch of a
-                // page needs the global physical-memory and address-space
-                // locks.
+                // page needs the physical-memory lock and the page table's
+                // writer mutex.
                 if allowed && !mapping.accessed {
                     self.phys.lock().touch(mapping.frame);
-                    self.aspace.write().mark_accessed(page);
+                    self.aspace.mark_accessed(page);
                 }
                 (mapping.pkey, allowed)
             }
@@ -706,19 +763,19 @@ impl Machine {
     /// Current Linux-style RSS: populated PTEs x page size.
     #[must_use]
     pub fn linux_rss_bytes(&self) -> u64 {
-        self.aspace.read().linux_rss_bytes()
+        self.aspace.linux_rss_bytes()
     }
 
     /// Peak Linux-style RSS over the run (what Table 3 reports).
     #[must_use]
     pub fn peak_linux_rss_bytes(&self) -> u64 {
-        self.aspace.read().peak_linux_rss_bytes()
+        self.aspace.peak_linux_rss_bytes()
     }
 
     /// Number of mapped virtual pages.
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
-        self.aspace.read().mapped_pages()
+        self.aspace.mapped_pages()
     }
 }
 
@@ -961,6 +1018,39 @@ mod tests {
             cost.rdpkru + cost.wrpkru,
             "no key changed: no mprotect charge"
         );
+    }
+
+    #[test]
+    fn a_failing_batch_keeps_the_prefix_it_applied() {
+        let m = machine();
+        let t = m.register_thread();
+        let first = m.reserve_pages(3);
+        let frames: Vec<PhysFrame> = (0..3).map(|_| m.alloc_frame(t)).collect();
+        // Page 1 is mapped already: the batch maps page 0, fails on page 1
+        // and never reaches page 2.
+        m.map_page(t, first.add(1), frames[1]).unwrap();
+        let pairs: Vec<_> = (0..3).map(|i| (first.add(i as u64), frames[i])).collect();
+        assert_eq!(
+            m.map_pages_batch(t, &pairs),
+            Err(MapError::AlreadyMapped(first.add(1)))
+        );
+        assert_eq!(m.mapped_pages(), 2);
+        assert_eq!(m.mem_stats().mapped_virtual_bytes, 2 * crate::PAGE_SIZE);
+        // The first range is retagged; the second stops at unmapped page 2
+        // without retagging page 1.
+        assert_eq!(
+            m.pkey_mprotect_batch(t, &[(first, 1), (first.add(1), 2)], ProtectionKey(5)),
+            Err(ProtectError::NotMapped(first.add(2)))
+        );
+        assert_eq!(m.page_key(first), Some(ProtectionKey(5)));
+        assert_eq!(m.page_key(first.add(1)), Some(ProtectionKey::DEFAULT));
+        // Pages 0 and 1 go; page 2 was never mapped.
+        assert_eq!(
+            m.unmap_pages_batch(t, &[first, first.add(1), first.add(2)]),
+            Err(MapError::NotMapped(first.add(2)))
+        );
+        assert_eq!(m.mapped_pages(), 0);
+        assert_eq!(m.mem_stats().mapped_virtual_bytes, 0);
     }
 
     #[test]

@@ -10,7 +10,10 @@
 //!   (≈ 20 cycles, no TLB flush) and read with [`Machine::rdpkru`]
 //!   (≈ 1 cycle);
 //! * a page table ([`AddressSpace`]) tagging each 4 KiB virtual page with a
-//!   [`ProtectionKey`], updated with [`Machine::pkey_mprotect`];
+//!   [`ProtectionKey`], updated with [`Machine::pkey_mprotect`]: one atomic
+//!   PTE word per page on the shared [`Spine`], so a walk is a single load
+//!   and only writers serialise ([`page_table`] has the word layout and the
+//!   store-then-shoot-down ordering that keeps cached keys fresh);
 //! * simulated physical memory ([`PhysMemory`]) behaving like a
 //!   `memfd_create` in-memory file: virtual pages may share physical frames
 //!   (`MAP_SHARED`), the file is grown/shrunk with `ftruncate`, and resident
@@ -78,7 +81,10 @@ pub use cpu::{Machine, MachineConfig, MachineCounters, ProtectionMechanism, Thre
 pub use fault::{AccessKind, CodeSite, GpFault};
 pub use keys::{KeyLayout, ProtectionKey};
 pub use mem::{PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
-pub use page_table::{dense_page_index, AddressSpace, MapError, Mapping, ProtectError, MMAP_BASE_PAGE};
+pub use page_table::{
+    dense_page_index, page_slot, AddressSpace, MapError, Mapping, PageSpine, ProtectError,
+    PteWriter, MMAP_BASE_PAGE,
+};
 pub use phys::{MemStats, PhysMemory};
 pub use pkru::{Permission, Pkru};
 pub use spine::{Registry, Spine, THREAD_CAPACITY};

@@ -1,15 +1,90 @@
 //! The simulated page table: virtual page → (physical frame, protection key).
 //!
 //! Real MPK stores the 4-bit protection key in each page-table entry and
-//! changes it with the `pkey_mprotect()` system call. [`AddressSpace`]
-//! models exactly that: a map from [`VirtPage`] to [`Mapping`], a bump
-//! allocator of fresh virtual pages (the simulated `mmap` picks addresses),
-//! and [`AddressSpace::pkey_mprotect`] to retag pages.
+//! changes it with the `pkey_mprotect()` system call; the key rides from
+//! the PTE into the TLB and the MMU checks it with no software and no
+//! lock on the path. [`AddressSpace`] models exactly that: one atomic
+//! PTE word per [`VirtPage`], a bump allocator of fresh virtual pages
+//! (the simulated `mmap` picks addresses), and
+//! [`AddressSpace::pkey_mprotect`] to retag pages.
+//!
+//! # The PTE word
+//!
+//! Reserved pages are a dense, never-reused bump sequence from
+//! [`MMAP_BASE_PAGE`], so the table is a flat side table in the card-table
+//! idiom: a [`PageSpine`] of `AtomicU64` indexed by [`page_slot`]. Each
+//! word packs one [`Mapping`]:
+//!
+//! ```text
+//!  63                    18 17            2      1        0
+//! ┌────────────────────────┬───────────────┬──────────┬─────────┐
+//! │ frame (46 bits)        │ pkey (16 bits)│ accessed │ present │
+//! └────────────────────────┴───────────────┴──────────┴─────────┘
+//! ```
+//!
+//! An all-zero word (the spine's default, and what [`AddressSpace::unmap`]
+//! stores) is "not mapped". The key field holds every `u16`
+//! [`ProtectionKey`]; [`AddressSpace::map`] panics on a frame number that
+//! does not fit its field rather than truncate it.
+//!
+//! # Readers load, writers serialise
+//!
+//! [`AddressSpace::translate`] and [`AddressSpace::entry`] are one acquire
+//! load: no lock, whoever else is reading or writing. A word is decoded
+//! from a single load, so a reader sees a mapping some writer stored for
+//! that page in full — never a torn one, never a neighbour's.
+//!
+//! Only writers serialise — `map`, `unmap`, `pkey_mprotect`,
+//! `mark_accessed` and the `mapped_pages`/RSS counters they move — on one
+//! writer-only mutex, held through a [`PteWriter`]: every read-modify-write
+//! of a word happens under it, so a plain load and a release store suffice.
+//! The single-call methods on [`AddressSpace`] take it for that call;
+//! [`AddressSpace::writer`] lets a batched system call take it once. The
+//! counters are atomics written under the mutex and read by anyone.
+//!
+//! # Store, then shoot down; load under the TLB mutex
+//!
+//! A cached translation must never outlive the `pkey_mprotect` or `munmap`
+//! that changed its page. Two rules in [`crate::Machine`] give that, with
+//! no lock shared between an access and a writer:
+//!
+//! 1. a writer **stores the PTE first**, releases the writer mutex, and
+//!    only then takes each thread's TLB mutex to invalidate the page;
+//! 2. an access probes its TLB, loads the PTE and installs the result
+//!    **under one hold of its thread's TLB mutex**.
+//!
+//! For any access by thread A and any completed write, A's critical
+//! section and the shootdown's hold of A's TLB mutex are ordered. If the
+//! shootdown comes second, it removes whatever A installed. If it comes
+//! first, the mutex hand-off orders the writer's store before A's load, so
+//! A installs the new key. (A walk outside the TLB mutex could load the old
+//! key, lose the race to the shootdown, and then install a stale entry
+//! that answers hits until it happens to be evicted.) A thread that
+//! registers while a shootdown walks the registry is covered by a pair of
+//! `SeqCst` fences — store PTE, fence, read the registry length against
+//! publish, fence, load PTE — so either the walk reaches the newcomer or
+//! the newcomer's first walk sees the new word.
+//!
+//! # Outside the dense window
+//!
+//! A page below [`MMAP_BASE_PAGE`] or past the spine's capacity has no
+//! word. Such pages live in a `BTreeMap` behind its own reader-writer
+//! lock — the same arrangement the allocator's page index and the
+//! detector's side metadata have for what lies past their capacity —
+//! and that is the only role the map has: every operation resolves
+//! [`page_slot`] first and touches the map only on `None`. Writers nest it
+//! under the writer mutex; an access to such a page reads it under the
+//! TLB mutex, which keeps the ordering argument above intact. No workload
+//! in this repository leaves the window; a test reaches past it by
+//! reserving 2²⁴ pages.
 
 use crate::keys::ProtectionKey;
 use crate::mem::{PhysFrame, VirtAddr, VirtPage};
+use crate::spine::Spine;
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// One page-table entry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -65,20 +140,6 @@ impl fmt::Display for ProtectError {
 
 impl std::error::Error for ProtectError {}
 
-/// The simulated process address space.
-///
-/// Virtual pages are handed out by a bump allocator starting at a
-/// conventionally heap-like base address. Pages are never reused once
-/// unmapped (matching the paper's current implementation, which defers
-/// virtual-page recycling to future work, §6).
-pub struct AddressSpace {
-    table: BTreeMap<VirtPage, Mapping>,
-    next_page: VirtPage,
-    total_keys: u16,
-    accessed_pages: u64,
-    peak_accessed_pages: u64,
-}
-
 /// Base of the simulated mmap region (arbitrary, heap-like). Public so
 /// that allocator-side indexes can key pages densely from this origin
 /// (reservations are a bump allocation starting here).
@@ -86,12 +147,79 @@ pub const MMAP_BASE_PAGE: VirtPage = VirtPage(0x0007_f000_0000 >> 2);
 
 /// Dense index of `page` within the simulated mmap region: pages are a
 /// bump sequence from [`MMAP_BASE_PAGE`], so `page - MMAP_BASE_PAGE` keys
-/// flat side-metadata tables (the allocator's page→object index, the
-/// detector's domain/key/hotness metadata) with no hashing. `None` means
-/// the page is below the region base and cannot be a reservation.
+/// flat side-metadata tables (the page table itself, the allocator's
+/// page→object index) with no hashing. `None` means the page is below the
+/// region base and cannot be a reservation.
 #[must_use]
 pub fn dense_page_index(page: VirtPage) -> Option<u64> {
     page.0.checked_sub(MMAP_BASE_PAGE.0)
+}
+
+/// The geometry of every table indexed by [`dense_page_index`] — the PTE
+/// words here, the allocator's page→object index — and so the one bound
+/// on "page in capacity": 16 Mi pages (64 GiB of VA).
+pub type PageSpine<T> = Spine<T, 12, { 1 << 12 }>;
+
+/// `page`'s cell number in a [`PageSpine`], or `None` when the page is
+/// outside the dense window (below the region base or past the spine's
+/// capacity) and the table's overflow store owns it.
+#[inline]
+#[must_use]
+pub fn page_slot(page: VirtPage) -> Option<usize> {
+    let dense = usize::try_from(dense_page_index(page)?).ok()?;
+    (dense < PageSpine::<()>::CAPACITY).then_some(dense)
+}
+
+const PRESENT: u64 = 1;
+const ACCESSED: u64 = 1 << 1;
+const PKEY_SHIFT: u32 = 2;
+const FRAME_SHIFT: u32 = PKEY_SHIFT + u16::BITS;
+const FRAME_BITS: u32 = u64::BITS - FRAME_SHIFT;
+
+/// Pack a mapping into its PTE word; `None` is the all-zero word.
+/// [`PteWriter::map`] has checked that the frame fits its field.
+fn encode(entry: Option<Mapping>) -> u64 {
+    entry.map_or(0, |m| {
+        m.frame.0 << FRAME_SHIFT
+            | u64::from(m.pkey.0) << PKEY_SHIFT
+            | if m.accessed { ACCESSED } else { 0 }
+            | PRESENT
+    })
+}
+
+/// Unpack a PTE word.
+#[inline]
+fn decode(word: u64) -> Option<Mapping> {
+    (word & PRESENT != 0).then_some(Mapping {
+        frame: PhysFrame(word >> FRAME_SHIFT),
+        pkey: ProtectionKey((word >> PKEY_SHIFT) as u16),
+        accessed: word & ACCESSED != 0,
+    })
+}
+
+/// The simulated process address space.
+///
+/// Virtual pages are handed out by a bump allocator starting at a
+/// conventionally heap-like base address. Pages are never reused once
+/// unmapped (matching the paper's current implementation, which defers
+/// virtual-page recycling to future work, §6).
+///
+/// Every method takes `&self`: reads are lock-free loads and writes
+/// serialise on an internal writer-only mutex (see the
+/// [module documentation](self)).
+pub struct AddressSpace {
+    /// One PTE word per page of the dense window.
+    ptes: PageSpine<AtomicU64>,
+    /// Entries of pages outside the dense window, and nothing else.
+    outside: RwLock<BTreeMap<VirtPage, Mapping>>,
+    /// Serialises writers; readers never take it.
+    writer: Mutex<()>,
+    next_page: AtomicU64,
+    total_keys: u16,
+    // Written under `writer`, read by anyone.
+    mapped_pages: AtomicUsize,
+    accessed_pages: AtomicU64,
+    peak_accessed_pages: AtomicU64,
 }
 
 impl AddressSpace {
@@ -99,19 +227,35 @@ impl AddressSpace {
     #[must_use]
     pub fn new(total_keys: u16) -> AddressSpace {
         AddressSpace {
-            table: BTreeMap::new(),
-            next_page: MMAP_BASE_PAGE,
+            ptes: Spine::new(),
+            outside: RwLock::new(BTreeMap::new()),
+            writer: Mutex::new(()),
+            next_page: AtomicU64::new(MMAP_BASE_PAGE.0),
             total_keys,
-            accessed_pages: 0,
-            peak_accessed_pages: 0,
+            mapped_pages: AtomicUsize::new(0),
+            accessed_pages: AtomicU64::new(0),
+            peak_accessed_pages: AtomicU64::new(0),
         }
     }
 
     /// Reserve `count` fresh, contiguous virtual pages without mapping them.
-    pub fn reserve_pages(&mut self, count: u64) -> VirtPage {
-        let first = self.next_page;
-        self.next_page = self.next_page.add(count);
+    ///
+    /// # Panics
+    ///
+    /// Panics when the page sequence overflows.
+    pub fn reserve_pages(&self, count: u64) -> VirtPage {
+        let first = VirtPage(self.next_page.fetch_add(count, Ordering::Relaxed));
+        let _end = first.add(count);
         first
+    }
+
+    /// Take the writer mutex for several updates in a row (one batched
+    /// system call); it is released when the [`PteWriter`] drops.
+    pub fn writer(&self) -> PteWriter<'_> {
+        PteWriter {
+            aspace: self,
+            _exclusive: self.writer.lock(),
+        }
     }
 
     /// Map `page` to `frame` with the default protection key
@@ -120,19 +264,12 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MapError::AlreadyMapped`] if the page is mapped.
-    pub fn map(&mut self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
-        if self.table.contains_key(&page) {
-            return Err(MapError::AlreadyMapped(page));
-        }
-        self.table.insert(
-            page,
-            Mapping {
-                frame,
-                pkey: ProtectionKey::DEFAULT,
-                accessed: false,
-            },
-        );
-        Ok(())
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` does not fit the PTE word's 46-bit frame field.
+    pub fn map(&self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
+        self.writer().map(page, frame)
     }
 
     /// Remove the mapping for `page`, returning it (`munmap`).
@@ -140,48 +277,13 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MapError::NotMapped`] if the page is not mapped.
-    pub fn unmap(&mut self, page: VirtPage) -> Result<Mapping, MapError> {
-        let mapping = self.table.remove(&page).ok_or(MapError::NotMapped(page))?;
-        if mapping.accessed {
-            self.accessed_pages -= 1;
-        }
-        Ok(mapping)
+    pub fn unmap(&self, page: VirtPage) -> Result<Mapping, MapError> {
+        self.writer().unmap(page)
     }
 
     /// Set the PTE accessed bit for `page` (first touch populates the PTE).
-    pub fn mark_accessed(&mut self, page: VirtPage) {
-        if let Some(m) = self.table.get_mut(&page) {
-            if !m.accessed {
-                m.accessed = true;
-                self.accessed_pages += 1;
-                self.peak_accessed_pages = self.peak_accessed_pages.max(self.accessed_pages);
-            }
-        }
-    }
-
-    /// Bytes Linux would report as RSS: populated PTEs x page size. Shared
-    /// mappings of one frame each count once per *virtual* page.
-    #[must_use]
-    pub fn linux_rss_bytes(&self) -> u64 {
-        self.accessed_pages * crate::mem::PAGE_SIZE
-    }
-
-    /// Peak of [`AddressSpace::linux_rss_bytes`] over the run.
-    #[must_use]
-    pub fn peak_linux_rss_bytes(&self) -> u64 {
-        self.peak_accessed_pages * crate::mem::PAGE_SIZE
-    }
-
-    /// Translate an address to its page-table entry.
-    #[must_use]
-    pub fn translate(&self, addr: VirtAddr) -> Option<Mapping> {
-        self.table.get(&addr.page()).copied()
-    }
-
-    /// Look up the entry for a page.
-    #[must_use]
-    pub fn entry(&self, page: VirtPage) -> Option<Mapping> {
-        self.table.get(&page).copied()
+    pub fn mark_accessed(&self, page: VirtPage) {
+        self.writer().mark_accessed(page);
     }
 
     /// Retag `count` pages starting at `first` with `key`
@@ -192,40 +294,160 @@ impl AddressSpace {
     /// Returns an error if the key is invalid or a page is unmapped; no
     /// partial update is applied in the error case.
     pub fn pkey_mprotect(
-        &mut self,
+        &self,
         first: VirtPage,
         count: u64,
         key: ProtectionKey,
     ) -> Result<(), ProtectError> {
-        if key.0 >= self.total_keys {
-            return Err(ProtectError::InvalidKey(key));
+        self.writer().pkey_mprotect(first, count, key)
+    }
+
+    /// Bytes Linux would report as RSS: populated PTEs x page size. Shared
+    /// mappings of one frame each count once per *virtual* page.
+    #[must_use]
+    pub fn linux_rss_bytes(&self) -> u64 {
+        self.accessed_pages.load(Ordering::Relaxed) * crate::mem::PAGE_SIZE
+    }
+
+    /// Peak of [`AddressSpace::linux_rss_bytes`] over the run.
+    #[must_use]
+    pub fn peak_linux_rss_bytes(&self) -> u64 {
+        self.peak_accessed_pages.load(Ordering::Relaxed) * crate::mem::PAGE_SIZE
+    }
+
+    /// Translate an address to its page-table entry.
+    #[must_use]
+    pub fn translate(&self, addr: VirtAddr) -> Option<Mapping> {
+        self.entry(addr.page())
+    }
+
+    /// Look up the entry for a page: one acquire load inside the dense
+    /// window.
+    #[inline]
+    #[must_use]
+    pub fn entry(&self, page: VirtPage) -> Option<Mapping> {
+        match page_slot(page) {
+            Some(slot) => decode(self.ptes.get(slot)?.load(Ordering::Acquire)),
+            None => self.outside.read().get(&page).copied(),
         }
-        for i in 0..count {
-            if !self.table.contains_key(&first.add(i)) {
-                return Err(ProtectError::NotMapped(first.add(i)));
-            }
-        }
-        for i in 0..count {
-            self.table
-                .get_mut(&first.add(i))
-                .expect("checked above")
-                .pkey = key;
-        }
-        Ok(())
     }
 
     /// Number of mapped pages.
     #[must_use]
     pub fn mapped_pages(&self) -> usize {
-        self.table.len()
+        self.mapped_pages.load(Ordering::Relaxed)
+    }
+
+    /// Replace `page`'s entry. Writer mutex held (only [`PteWriter`] calls
+    /// this), so the word cannot change between the caller's read and this
+    /// store.
+    fn store(&self, page: VirtPage, entry: Option<Mapping>) {
+        match page_slot(page) {
+            Some(slot) => self
+                .ptes
+                .get_or_publish(slot)
+                .expect("page_slot is within the spine's capacity")
+                .store(encode(entry), Ordering::Release),
+            None => {
+                let mut outside = self.outside.write();
+                match entry {
+                    Some(m) => outside.insert(page, m),
+                    None => outside.remove(&page),
+                };
+            }
+        }
+    }
+}
+
+/// Exclusive write access to an [`AddressSpace`]: the writer mutex, held.
+/// Obtained from [`AddressSpace::writer`]; readers are never blocked by
+/// it. Each method is the [`AddressSpace`] method of the same name — same
+/// result, same errors — under this one hold of the mutex.
+pub struct PteWriter<'a> {
+    aspace: &'a AddressSpace,
+    _exclusive: MutexGuard<'a, ()>,
+}
+
+impl PteWriter<'_> {
+    /// See [`AddressSpace::map`].
+    pub fn map(&self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
+        assert!(
+            frame.0 >> FRAME_BITS == 0,
+            "{frame:?} does not fit the PTE word's {FRAME_BITS}-bit frame field"
+        );
+        if self.aspace.entry(page).is_some() {
+            return Err(MapError::AlreadyMapped(page));
+        }
+        self.aspace.store(
+            page,
+            Some(Mapping {
+                frame,
+                pkey: ProtectionKey::DEFAULT,
+                accessed: false,
+            }),
+        );
+        self.aspace.mapped_pages.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// See [`AddressSpace::unmap`].
+    pub fn unmap(&self, page: VirtPage) -> Result<Mapping, MapError> {
+        let mapping = self.aspace.entry(page).ok_or(MapError::NotMapped(page))?;
+        self.aspace.store(page, None);
+        self.aspace.mapped_pages.fetch_sub(1, Ordering::Relaxed);
+        if mapping.accessed {
+            self.aspace.accessed_pages.fetch_sub(1, Ordering::Relaxed);
+        }
+        Ok(mapping)
+    }
+
+    /// See [`AddressSpace::mark_accessed`].
+    pub fn mark_accessed(&self, page: VirtPage) {
+        if let Some(m) = self.aspace.entry(page).filter(|m| !m.accessed) {
+            let touched = Mapping {
+                accessed: true,
+                ..m
+            };
+            self.aspace.store(page, Some(touched));
+            let now = self.aspace.accessed_pages.fetch_add(1, Ordering::Relaxed) + 1;
+            self.aspace
+                .peak_accessed_pages
+                .fetch_max(now, Ordering::Relaxed);
+        }
+    }
+
+    /// See [`AddressSpace::pkey_mprotect`].
+    pub fn pkey_mprotect(
+        &self,
+        first: VirtPage,
+        count: u64,
+        key: ProtectionKey,
+    ) -> Result<(), ProtectError> {
+        if key.0 >= self.aspace.total_keys {
+            return Err(ProtectError::InvalidKey(key));
+        }
+        for i in 0..count {
+            if self.aspace.entry(first.add(i)).is_none() {
+                return Err(ProtectError::NotMapped(first.add(i)));
+            }
+        }
+        for i in 0..count {
+            let page = first.add(i);
+            let m = self.aspace.entry(page).expect("checked above");
+            self.aspace.store(page, Some(Mapping { pkey: key, ..m }));
+        }
+        Ok(())
     }
 }
 
 impl fmt::Debug for AddressSpace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("AddressSpace")
-            .field("mapped_pages", &self.table.len())
-            .field("next_page", &self.next_page)
+            .field("mapped_pages", &self.mapped_pages())
+            .field(
+                "next_page",
+                &VirtPage(self.next_page.load(Ordering::Relaxed)),
+            )
             .field("total_keys", &self.total_keys)
             .finish()
     }
@@ -243,8 +465,49 @@ mod tests {
     }
 
     #[test]
+    fn page_slot_is_the_dense_index_inside_the_window_only() {
+        let capacity = PageSpine::<()>::CAPACITY;
+        assert_eq!(page_slot(MMAP_BASE_PAGE), Some(0));
+        assert_eq!(
+            page_slot(MMAP_BASE_PAGE.add(capacity as u64 - 1)),
+            Some(capacity - 1)
+        );
+        assert_eq!(page_slot(MMAP_BASE_PAGE.add(capacity as u64)), None);
+        assert_eq!(page_slot(VirtPage(MMAP_BASE_PAGE.0 - 1)), None);
+    }
+
+    #[test]
+    fn pte_word_round_trips_the_extremes_of_every_field() {
+        let aspace = AddressSpace::new(u16::MAX);
+        let page = aspace.reserve_pages(1);
+        let (frame, pkey) = (
+            PhysFrame((1 << FRAME_BITS) - 1),
+            ProtectionKey(u16::MAX - 1),
+        );
+        aspace.map(page, frame).unwrap();
+        aspace.pkey_mprotect(page, 1, pkey).unwrap();
+        aspace.mark_accessed(page);
+        let full = Mapping {
+            frame,
+            pkey,
+            accessed: true,
+        };
+        assert_eq!(aspace.entry(page), Some(full));
+        assert_eq!(aspace.unmap(page), Ok(full));
+        assert_eq!(aspace.entry(page), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the PTE word's 46-bit frame field")]
+    fn oversize_frame_number_is_rejected_not_truncated() {
+        let aspace = AddressSpace::new(16);
+        let page = aspace.reserve_pages(1);
+        let _ = aspace.map(page, PhysFrame(1 << FRAME_BITS));
+    }
+
+    #[test]
     fn map_translate_unmap() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
         aspace.map(page, PhysFrame(3)).unwrap();
         let m = aspace.translate(page.base_addr().offset(100)).unwrap();
@@ -256,7 +519,7 @@ mod tests {
 
     #[test]
     fn double_map_rejected() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
         aspace.map(page, PhysFrame(0)).unwrap();
         assert_eq!(
@@ -267,14 +530,14 @@ mod tests {
 
     #[test]
     fn unmap_unmapped_rejected() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
         assert_eq!(aspace.unmap(page), Err(MapError::NotMapped(page)));
     }
 
     #[test]
     fn reserved_pages_are_contiguous_and_unique() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let a = aspace.reserve_pages(4);
         let b = aspace.reserve_pages(2);
         assert_eq!(b, a.add(4));
@@ -284,7 +547,7 @@ mod tests {
 
     #[test]
     fn pkey_mprotect_retags_range() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let first = aspace.reserve_pages(3);
         for i in 0..3 {
             aspace.map(first.add(i), PhysFrame(i)).unwrap();
@@ -297,7 +560,7 @@ mod tests {
 
     #[test]
     fn pkey_mprotect_invalid_key() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
         aspace.map(page, PhysFrame(0)).unwrap();
         assert_eq!(
@@ -308,7 +571,7 @@ mod tests {
 
     #[test]
     fn pkey_mprotect_unmapped_page_is_atomic() {
-        let mut aspace = AddressSpace::new(16);
+        let aspace = AddressSpace::new(16);
         let first = aspace.reserve_pages(2);
         aspace.map(first, PhysFrame(0)).unwrap();
         // Second page unmapped: the call must fail without retagging page 1.

@@ -7,9 +7,10 @@
 //! materialises on first write and never moves or disappears afterwards.
 //! Readers need no lock — two acquire loads reach a cell — and an idle
 //! table costs only the spine. [`Spine`] is that shape, written once; the
-//! allocator's cons table and page index, the detector's side metadata
-//! and both thread tables ([`Registry`]) are thin clients that only
-//! decide what a cell holds.
+//! page table's PTE words ([`crate::page_table`]), the allocator's cons
+//! table and page index, the detector's side metadata and both thread
+//! tables ([`Registry`]) are thin clients that only decide what a cell
+//! holds.
 //!
 //! Chunk geometry is a pair of const parameters so index math compiles
 //! to a shift and a mask: [`Registry::get`] sits under

@@ -78,9 +78,10 @@ impl TlbStats {
 /// Each entry caches the page's protection key alongside the
 /// translation, the way real PTEs carry the pkey bits into the TLB: a
 /// hit lets [`crate::Machine::access`] check PKU rights without walking
-/// the (shared, locked) page table at all. Key retags and unmaps
-/// invalidate the affected entries, so a cached key is never staler than
-/// hardware's would be between shootdowns.
+/// the shared page table at all. Key retags and unmaps invalidate the
+/// affected entries after storing the new PTE, and a miss walks and
+/// installs under the same lock the invalidation takes, so a cached key
+/// never outlives the retag that replaced it (see [`crate::page_table`]).
 #[derive(Clone, Debug)]
 pub struct Tlb {
     config: TlbConfig,

@@ -2,10 +2,12 @@
 
 use kard_sim::keys::KeyLayout;
 use kard_sim::{
-    AccessKind, CodeSite, Machine, MachineConfig, Permission, Pkru, ProtectionKey, Tlb, TlbConfig,
-    VirtPage,
+    AccessKind, AddressSpace, CodeSite, Machine, MachineConfig, MapError, Mapping, PageSpine,
+    Permission, PhysFrame, Pkru, ProtectError, ProtectionKey, Tlb, TlbConfig, VirtPage,
+    MMAP_BASE_PAGE, PAGE_SIZE,
 };
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 fn perm_strategy() -> impl Strategy<Value = Permission> {
     prop_oneof![
@@ -15,8 +17,131 @@ fn perm_strategy() -> impl Strategy<Value = Permission> {
     ]
 }
 
+/// One page-table operation of the model test.
+#[derive(Clone, Copy, Debug)]
+enum PteOp {
+    Map(VirtPage, PhysFrame),
+    Unmap(VirtPage),
+    Protect(VirtPage, u64, ProtectionKey),
+    Touch(VirtPage),
+}
+
+/// Pages on both sides of both edges of the dense window, plus a few far
+/// below it: ranges starting here cross in and out of the flat table and
+/// run over pages that are never mapped.
+fn pte_pages() -> Vec<VirtPage> {
+    let base = MMAP_BASE_PAGE.0;
+    let end = base + PageSpine::<()>::CAPACITY as u64;
+    (0..3)
+        .chain(base - 3..base + 3)
+        .chain(end - 3..end + 3)
+        .map(VirtPage)
+        .collect()
+}
+
+fn pte_op_strategy() -> impl Strategy<Value = PteOp> {
+    let page = (0..pte_pages().len()).prop_map(|i| pte_pages()[i]).boxed();
+    // 16 keys exist; 16..20 are invalid.
+    let key = (0u16..20).prop_map(ProtectionKey);
+    prop_oneof![
+        (page.clone(), 0u64..1 << 46).prop_map(|(p, f)| PteOp::Map(p, PhysFrame(f))),
+        page.clone().prop_map(PteOp::Unmap),
+        (page.clone(), 0u64..4, key).prop_map(|(p, n, k)| PteOp::Protect(p, n, k)),
+        page.prop_map(PteOp::Touch),
+    ]
+}
+
+/// The page table as a plain ordered map: the reference the flat PTE
+/// words (and the out-of-window store behind them) must match.
+#[derive(Default)]
+struct PteModel {
+    table: BTreeMap<VirtPage, Mapping>,
+    accessed: u64,
+    peak_accessed: u64,
+}
+
+impl PteModel {
+    fn map(&mut self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
+        if self.table.contains_key(&page) {
+            return Err(MapError::AlreadyMapped(page));
+        }
+        let fresh = Mapping {
+            frame,
+            pkey: ProtectionKey::DEFAULT,
+            accessed: false,
+        };
+        self.table.insert(page, fresh);
+        Ok(())
+    }
+
+    fn unmap(&mut self, page: VirtPage) -> Result<Mapping, MapError> {
+        let mapping = self.table.remove(&page).ok_or(MapError::NotMapped(page))?;
+        self.accessed -= u64::from(mapping.accessed);
+        Ok(mapping)
+    }
+
+    fn protect(
+        &mut self,
+        first: VirtPage,
+        count: u64,
+        key: ProtectionKey,
+    ) -> Result<(), ProtectError> {
+        if key.0 >= 16 {
+            return Err(ProtectError::InvalidKey(key));
+        }
+        if let Some(hole) = (0..count)
+            .map(|i| first.add(i))
+            .find(|p| !self.table.contains_key(p))
+        {
+            return Err(ProtectError::NotMapped(hole));
+        }
+        for i in 0..count {
+            self.table.get_mut(&first.add(i)).unwrap().pkey = key;
+        }
+        Ok(())
+    }
+
+    fn touch(&mut self, page: VirtPage) {
+        if let Some(m) = self.table.get_mut(&page).filter(|m| !m.accessed) {
+            m.accessed = true;
+            self.accessed += 1;
+            self.peak_accessed = self.peak_accessed.max(self.accessed);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The flat page table and its out-of-window store answer every
+    /// map / unmap / retag / first-touch sequence exactly as an ordered
+    /// map does: same results, same errors, same entries, same counters,
+    /// after every step.
+    #[test]
+    fn page_table_matches_an_ordered_map_model(ops in prop::collection::vec(pte_op_strategy(), 1..80)) {
+        let aspace = AddressSpace::new(16);
+        let mut model = PteModel::default();
+        for op in ops {
+            match op {
+                PteOp::Map(p, f) => prop_assert_eq!(aspace.map(p, f), model.map(p, f)),
+                PteOp::Unmap(p) => prop_assert_eq!(aspace.unmap(p), model.unmap(p)),
+                PteOp::Protect(p, n, k) => {
+                    prop_assert_eq!(aspace.pkey_mprotect(p, n, k), model.protect(p, n, k));
+                }
+                PteOp::Touch(p) => {
+                    aspace.mark_accessed(p);
+                    model.touch(p);
+                }
+            }
+            for page in pte_pages() {
+                prop_assert_eq!(aspace.entry(page), model.table.get(&page).copied(), "{:?}", page);
+                prop_assert_eq!(aspace.translate(page.base_addr().offset(9)), aspace.entry(page));
+            }
+            prop_assert_eq!(aspace.mapped_pages(), model.table.len());
+            prop_assert_eq!(aspace.linux_rss_bytes(), model.accessed * PAGE_SIZE);
+            prop_assert_eq!(aspace.peak_linux_rss_bytes(), model.peak_accessed * PAGE_SIZE);
+        }
+    }
 
     /// PKRU set/get round-trips for arbitrary assignments, and the raw
     /// 32-bit encoding decodes back to the same permissions.
