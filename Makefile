@@ -1,4 +1,4 @@
-.PHONY: verify build test test-benchmark clippy doc tables trace-demo serve loc bench-pairs
+.PHONY: verify build test test-benchmark clippy doc tables trace-demo serve loc bench-pairs flake
 
 verify: build test test-benchmark clippy doc
 
@@ -58,6 +58,17 @@ BASE ?= HEAD~1
 bench-pairs:
 	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs WORKLOAD=<name> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
 	python3 bench_pairs.py $(WORKLOAD) $(PAIRS) $(BASE)
+
+# Size a suspected flake, or show one is gone, the way it is judged:
+# `make flake TEST=concurrency_stress [RUNS=200]` builds tests/TEST.rs
+# once in release and runs the binary RUNS times while one busy-loop
+# process per core loads the host (see flake.py); prints the failure
+# count and the first failing output, nonzero exit on any failure.
+# Minutes long, so not part of `verify`.
+RUNS ?= 200
+flake:
+	@test -n "$(TEST)" || { echo "usage: make flake TEST=<integration test> [RUNS=200]"; exit 2; }
+	python3 flake.py $(TEST) $(RUNS)
 
 # Run the firehose daemon on the default TCP port (see
 # `kard-server --help` for sockets, shard counts, and stats streaming).

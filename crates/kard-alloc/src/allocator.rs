@@ -49,7 +49,8 @@ use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
 use crate::remote_free::RetiredSlot;
 use crate::table::{ConsRecord, ConsTable, PageIndex};
 use kard_sim::{
-    Machine, PhysFrame, ProtectError, ProtectionKey, ThreadId, VirtAddr, VirtPage, PAGE_SIZE,
+    Machine, PhysFrame, ProtectError, ProtectionKey, ThreadId, ThreadSpine, VirtAddr, VirtPage,
+    PAGE_SIZE, THREAD_CAPACITY,
 };
 use kard_telemetry::{EventKind, Telemetry, TrackedMutex};
 use std::collections::HashMap;
@@ -63,10 +64,6 @@ pub const ALLOC_GRANULE: u64 = 32;
 
 /// Number of independently locked shards for each allocator index.
 pub const ALLOC_SHARDS: usize = 16;
-
-/// Upper bound on magazine-owning thread ids (matches the telemetry
-/// ring table; threads beyond it fall back to the sharded path).
-pub const MAX_MAGAZINES: usize = kard_telemetry::MAX_THREADS;
 
 /// First magazine refill batch per size class (slots).
 pub const INITIAL_BATCH: usize = 4;
@@ -172,9 +169,9 @@ pub struct KardAlloc {
     cons: ConsTable,
     /// Lock-free page→object index over the dense reservation sequence.
     page_index: PageIndex,
-    /// Per-thread magazines, materialized on first use (same fixed
-    /// `OnceLock` table shape as the telemetry rings).
-    magazines: Box<[OnceLock<Arc<Magazine>>]>,
+    /// Per-thread magazines, materialized on first use: a cell for every
+    /// thread the machine can register.
+    magazines: ThreadSpine<Magazine>,
     /// Sharded records for dedicated objects, globals, and any
     /// consolidated object outside the lock-free tables' capacity.
     objects: Vec<TrackedMutex<HashMap<ObjectId, ObjectRecord>>>,
@@ -226,7 +223,7 @@ impl KardAlloc {
             magazine_mode,
             cons: ConsTable::default(),
             page_index: PageIndex::default(),
-            magazines: (0..MAX_MAGAZINES).map(|_| OnceLock::new()).collect(),
+            magazines: ThreadSpine::new(),
             objects: (0..ALLOC_SHARDS).map(tracked).collect(),
             pages: (0..ALLOC_SHARDS)
                 .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions)))
@@ -239,7 +236,7 @@ impl KardAlloc {
             lock_acquisitions,
             next_id: AtomicU64::new(0),
             stats: AtomicAllocStats::default(),
-            telemetry: Arc::new(Telemetry::new()),
+            telemetry: Arc::new(Telemetry::new(THREAD_CAPACITY)),
             machine,
         }
     }
@@ -321,8 +318,11 @@ impl KardAlloc {
     }
 
     /// This thread's magazine, materialized on first use.
-    fn magazine(&self, thread: ThreadId) -> &Arc<Magazine> {
-        self.magazines[thread.0].get_or_init(|| Arc::new(Magazine::new()))
+    fn magazine(&self, thread: ThreadId) -> &Magazine {
+        self.magazines
+            .get_or_publish(thread.0)
+            .unwrap_or_else(|| panic!("unregistered thread {thread}"))
+            .get_or_init(Magazine::new)
     }
 
     /// Allocate a heap object of `size` bytes on behalf of `thread`.
@@ -342,11 +342,7 @@ impl KardAlloc {
         let rounded = Self::round_up(size);
         let id = ObjectId(self.next_id.fetch_add(1, Ordering::Relaxed));
 
-        if self.magazine_mode
-            && rounded < PAGE_SIZE
-            && thread.0 < MAX_MAGAZINES
-            && self.cons.fits(id)
-        {
+        if self.magazine_mode && rounded < PAGE_SIZE && self.cons.fits(id) {
             if let Some(info) = self.alloc_magazine(thread, id, size, rounded) {
                 return info;
             }
@@ -380,12 +376,12 @@ impl KardAlloc {
         size: u64,
         rounded: u64,
     ) -> Option<ObjectInfo> {
-        let mag = Arc::clone(self.magazine(thread));
+        let mag = self.magazine(thread);
         let mut guard = mag.engage();
         let inner = guard.inner();
         let class = class_of(rounded);
         let fast = !inner.classes[class].prepared.is_empty();
-        if !fast && !self.refill(thread, inner, &mag, class, rounded) {
+        if !fast && !self.refill(thread, inner, mag, class, rounded) {
             return None;
         }
         let slot = inner.classes[class]
@@ -570,9 +566,8 @@ impl KardAlloc {
         }
     }
 
-    /// Retire one slot immediately (no magazine available: the owner's
-    /// queue is closed or the owner is out of magazine range): unmap its
-    /// page and return the extent to the global pool.
+    /// Retire one slot immediately (the owner has exited and closed its
+    /// queue): unmap its page and return the extent to the global pool.
     fn retire_now(&self, thread: ThreadId, slot: RetiredSlot) {
         self.machine
             .unmap_page(thread, slot.page)
@@ -789,8 +784,7 @@ impl KardAlloc {
             rounded: rec.rounded,
         };
         if rec.owner == thread {
-            let mag = Arc::clone(self.magazine(thread));
-            let mut guard = mag.engage();
+            let mut guard = self.magazine(thread).engage();
             let inner = guard.inner();
             inner.dirty.push(slot);
             if inner.dirty.len() >= RETIRE_BATCH {
@@ -837,10 +831,8 @@ impl KardAlloc {
     /// allocate again afterwards (with a fresh, open-pool-backed
     /// magazine whose remote queue stays closed).
     pub fn on_thread_exit(&self, thread: ThreadId) {
-        if !self.magazine_mode || thread.0 >= MAX_MAGAZINES {
-            return;
-        }
-        let Some(mag) = self.magazines[thread.0].get().map(Arc::clone) else {
+        // No magazine: sharded mode, or the thread never allocated.
+        let Some(mag) = self.magazines.get(thread.0).and_then(OnceLock::get) else {
             return;
         };
         let mut guard = mag.engage();

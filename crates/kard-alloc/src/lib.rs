@@ -54,7 +54,7 @@ pub mod remote_free;
 pub mod table;
 
 pub use allocator::{
-    AllocStats, KardAlloc, ALLOC_GRANULE, INITIAL_BATCH, MAX_BATCH, MAX_MAGAZINES, RETIRE_BATCH,
+    AllocStats, KardAlloc, ALLOC_GRANULE, INITIAL_BATCH, MAX_BATCH, RETIRE_BATCH,
 };
 pub use metadata::{ObjectId, ObjectInfo, ObjectKind};
 pub use table::IdSpine;

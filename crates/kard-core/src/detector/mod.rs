@@ -43,8 +43,9 @@
 //!   exit takes the interleaver lock only when this thread is actually
 //!   inside an interleaving.
 //!
-//! The lock-free read side is governed by two published words (the full
-//! memory-ordering protocol is documented in DESIGN.md §5c):
+//! The lock-free read side is governed by two published words (the
+//! protocols are stated at their writers: `Kard::invalidate_plans` in
+//! `section.rs` and [`KeyWords`]):
 //!
 //! * `cache_gen`, a global generation counter bumped (SeqCst) *after*
 //!   every mutation that can invalidate a cached section plan — domain
@@ -61,7 +62,7 @@
 //!   locked world always sees a complete table and the two faces never
 //!   disagree.
 //!
-//! Locking discipline (see DESIGN.md for the full argument):
+//! Locking discipline:
 //!
 //! 1. the **fault path** is serialized *per object* by the fault shards
 //!    ([`crate::faultshard`]): the fault handler, `on_free`, and
@@ -138,10 +139,10 @@ use crate::report::{RaceFingerprint, RaceRecord};
 use crate::sections::SectionObjectMap;
 use crate::sidemeta::SideMetadata;
 use crate::stats::AtomicStats;
-use crate::sync::{TrackedMutex, TrackedRwLock};
 use crate::vkey::{KeyCachePolicy, VKeyTable};
 use kard_alloc::KardAlloc;
 use kard_sim::{CostModel, KeyLayout, Machine, Permission, Pkru, Registry, ThreadId};
+use kard_telemetry::sync::{TrackedMutex, TrackedRwLock};
 use kard_telemetry::{Analyzer, AnomalySignal, EventKind, Telemetry};
 use parking_lot::MutexGuard;
 use std::collections::HashSet;

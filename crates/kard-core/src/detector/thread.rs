@@ -106,7 +106,11 @@ pub(super) struct ThreadSlot {
     pub(super) ctx: OwnedCell<ThreadCtx>,
     /// Number of *armed* protection interleavings this thread participates
     /// in. Mirrors `Interleaver::has_armed_participant` so the delay
-    /// check at section exit is a single relaxed load (§5.5).
+    /// check at section exit is a single relaxed load (§5.5): raised once
+    /// per participant inside the interleaver critical section that
+    /// publishes the interleaving, lowered once per participant reported
+    /// by its three removal paths (`observe`,
+    /// `thread_left_critical_sections`, `forget`).
     pub(super) armed: AtomicUsize,
     /// Number of interleavings (armed or suspended) whose participant set
     /// contains this thread. Zero means

@@ -41,8 +41,8 @@
 //! the caller pick a different eviction victim instead of waiting, so the
 //! lock graph stays acyclic by construction.
 
-use crate::sync::TrackedMutex;
 use kard_alloc::ObjectId;
+use kard_telemetry::sync::TrackedMutex;
 use parking_lot::MutexGuard;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

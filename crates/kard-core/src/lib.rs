@@ -64,7 +64,6 @@ pub mod report;
 pub mod sections;
 pub mod sidemeta;
 pub mod stats;
-pub mod sync;
 pub mod types;
 pub mod vkey;
 

@@ -25,7 +25,7 @@
 //! that counter measures *shared lock* traffic, and these are the
 //! structures that remove it.
 //!
-//! [`TrackedRwLock`]: crate::sync::TrackedRwLock
+//! [`TrackedRwLock`]: kard_telemetry::sync::TrackedRwLock
 
 use std::cell::UnsafeCell;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -65,10 +65,10 @@
 //! yields the holder, with no per-object duplication to keep coherent.
 
 use crate::domains::Domain;
-use crate::sync::TrackedMutex;
 use crate::vkey::VirtualKey;
 use kard_alloc::ObjectId;
 use kard_sim::ProtectionKey;
+use kard_telemetry::sync::TrackedMutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

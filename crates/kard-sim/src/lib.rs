@@ -87,5 +87,5 @@ pub use page_table::{
 };
 pub use phys::{MemStats, PhysMemory};
 pub use pkru::{Permission, Pkru};
-pub use spine::{Registry, Spine, THREAD_CAPACITY};
+pub use spine::{Registry, Spine, ThreadSpine, THREAD_CAPACITY};
 pub use tlb::{Tlb, TlbConfig, TlbStats};

@@ -8,9 +8,9 @@
 //! Readers need no lock — two acquire loads reach a cell — and an idle
 //! table costs only the spine. [`Spine`] is that shape, written once; the
 //! page table's PTE words ([`crate::page_table`]), the allocator's cons
-//! table and page index, the detector's side metadata and both thread
-//! tables ([`Registry`]) are thin clients that only decide what a cell
-//! holds.
+//! table and page index, the detector's side metadata, both thread
+//! tables ([`Registry`]) and the allocator's per-thread magazines
+//! ([`ThreadSpine`]) are thin clients that only decide what a cell holds.
 //!
 //! Chunk geometry is a pair of const parameters so index math compiles
 //! to a shift and a mask: [`Registry::get`] sits under
@@ -94,23 +94,28 @@ impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Default for Spine<T, CHUNK_B
     }
 }
 
-/// The chunk table under a [`Registry`].
-type Slots<T> = Spine<OnceLock<T>, 6, 64>;
+/// The one geometry for tables indexed by dense thread id: a cell per
+/// thread, set once. [`Registry`] publishes its cells at registration; a
+/// client whose per-thread state appears on first use instead (the
+/// allocator's magazines) holds this table directly.
+pub type ThreadSpine<T> = Spine<OnceLock<T>, 6, 64>;
 
 /// Threads a [`Registry`] — and so a [`crate::Machine`] and any detector
-/// over it — can register. Thread ids are never reused, so a long-lived
-/// machine must check [`crate::Machine::thread_count`] against this
-/// before registering on behalf of an outside client.
-pub const THREAD_CAPACITY: usize = Slots::<()>::CAPACITY;
+/// over it — can register: the only bound on threads anywhere, since
+/// every per-thread table is a [`ThreadSpine`] or is sized from this.
+/// Thread ids are never reused, so a long-lived machine must check
+/// [`crate::Machine::thread_count`] against this before registering on
+/// behalf of an outside client.
+pub const THREAD_CAPACITY: usize = ThreadSpine::<()>::CAPACITY;
 
 /// A grow-only, publish-once table of `T` indexed by dense thread id:
-/// a [`Spine`] of `OnceLock<T>` plus the published length.
+/// a [`ThreadSpine`] plus the published length.
 ///
 /// Values are published at registration and never move or disappear, so
 /// [`Registry::get`] is lock-free and [`Registry::iter`] walks the
 /// published prefix without excluding concurrent registration.
 pub struct Registry<T> {
-    slots: Slots<T>,
+    slots: ThreadSpine<T>,
     len: AtomicUsize,
 }
 

@@ -41,12 +41,6 @@ use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Upper bound on tracked threads, matching the detector's dense
-/// thread-index space. The rings table is a fixed array of `OnceLock`s
-/// so thread registration never moves existing rings (recorders hold
-/// `Arc`s into it).
-pub const MAX_THREADS: usize = 512;
-
 /// Default per-thread ring capacity (events).
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
@@ -106,15 +100,16 @@ pub struct Drained {
 pub struct Telemetry {
     enabled: AtomicBool,
     capacity: usize,
-    /// Ring per registered thread, materialized lazily: registration
-    /// records the thread; the ring itself is allocated on the first
-    /// enable (or registration-while-enabled) so a telemetry-off run
-    /// never pays the ring memory.
+    /// One cell per thread index below the constructor's `threads`, in a
+    /// fixed array so registration never moves an existing ring. Rings
+    /// materialize lazily: registration records the thread; its ring is
+    /// allocated on the first enable (or registration-while-enabled), so
+    /// a telemetry-off run never pays the ring memory.
     rings: Box<[OnceLock<Arc<EventRing>>]>,
     /// Dense upper bound on registered thread indices (exclusive).
     registered: AtomicUsize,
-    /// Events dropped because the acting thread index exceeded
-    /// [`MAX_THREADS`] (diagnostic; should stay zero).
+    /// Events dropped because the acting thread has no ring: never
+    /// registered, or not below `threads` (diagnostic; should stay zero).
     dropped_unregistered: AtomicU64,
     hists: Histograms,
     /// Collector-side drain cursors, one per thread. A telemetry lock —
@@ -122,27 +117,22 @@ pub struct Telemetry {
     cursors: Mutex<Vec<u64>>,
 }
 
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry::new()
-    }
-}
-
 impl Telemetry {
-    /// A disabled hub with the default ring capacity.
+    /// A disabled hub for thread indices below `threads`, with the
+    /// default ring capacity.
     #[must_use]
-    pub fn new() -> Telemetry {
-        Telemetry::with_capacity(DEFAULT_RING_CAPACITY)
+    pub fn new(threads: usize) -> Telemetry {
+        Telemetry::with_capacity(threads, DEFAULT_RING_CAPACITY)
     }
 
-    /// A disabled hub whose rings (once materialized) hold `capacity`
-    /// events each.
+    /// A disabled hub for thread indices below `threads` whose rings
+    /// (once materialized) hold `capacity` events each.
     #[must_use]
-    pub fn with_capacity(capacity: usize) -> Telemetry {
+    pub fn with_capacity(threads: usize, capacity: usize) -> Telemetry {
         Telemetry {
             enabled: AtomicBool::new(false),
             capacity,
-            rings: (0..MAX_THREADS).map(|_| OnceLock::new()).collect(),
+            rings: (0..threads).map(|_| OnceLock::new()).collect(),
             registered: AtomicUsize::new(0),
             dropped_unregistered: AtomicU64::new(0),
             hists: Histograms::default(),
@@ -176,12 +166,12 @@ impl Telemetry {
     /// [`Telemetry::set_enabled`]. Called from thread registration, not
     /// from the access path.
     pub fn ensure_thread(&self, thread: usize) {
-        if thread >= MAX_THREADS {
+        let Some(slot) = self.rings.get(thread) else {
             return;
-        }
+        };
         self.registered.fetch_max(thread + 1, Ordering::AcqRel);
         if self.enabled() {
-            self.rings[thread].get_or_init(|| Arc::new(EventRing::new(self.capacity)));
+            slot.get_or_init(|| Arc::new(EventRing::new(self.capacity)));
         }
     }
 
@@ -256,7 +246,7 @@ mod tests {
 
     #[test]
     fn disabled_recording_touches_no_ring() {
-        let t = Telemetry::new();
+        let t = Telemetry::new(4);
         t.ensure_thread(0);
         t.record(0, EventKind::SectionEnter, 1, 2, 3);
         assert_eq!(t.events_recorded(), 0);
@@ -265,7 +255,7 @@ mod tests {
 
     #[test]
     fn enable_materializes_rings_for_registered_threads() {
-        let t = Telemetry::with_capacity(8);
+        let t = Telemetry::with_capacity(4, 8);
         t.ensure_thread(0);
         t.ensure_thread(3);
         t.set_enabled(true);
@@ -283,7 +273,7 @@ mod tests {
 
     #[test]
     fn registration_while_enabled_gets_a_ring_immediately() {
-        let t = Telemetry::with_capacity(8);
+        let t = Telemetry::with_capacity(4, 8);
         t.set_enabled(true);
         t.ensure_thread(1);
         t.record(1, EventKind::FaultEnter, 5, 0, 0);
@@ -292,7 +282,7 @@ mod tests {
 
     #[test]
     fn drain_merges_sorted_and_resumes() {
-        let t = Telemetry::with_capacity(8);
+        let t = Telemetry::with_capacity(4, 8);
         t.ensure_thread(0);
         t.ensure_thread(1);
         t.set_enabled(true);
@@ -312,7 +302,7 @@ mod tests {
 
     #[test]
     fn overflow_is_reported_as_dropped() {
-        let t = Telemetry::with_capacity(4);
+        let t = Telemetry::with_capacity(4, 4);
         t.ensure_thread(0);
         t.set_enabled(true);
         for n in 0..10 {
@@ -325,9 +315,10 @@ mod tests {
 
     #[test]
     fn out_of_range_thread_counts_as_dropped() {
-        let t = Telemetry::new();
+        let t = Telemetry::new(4);
         t.set_enabled(true);
-        t.record(MAX_THREADS + 1, EventKind::KeyGrant, 0, 0, 0);
+        t.ensure_thread(4);
+        t.record(4, EventKind::KeyGrant, 0, 0, 0);
         let drained = t.drain();
         assert!(drained.events.is_empty());
         assert_eq!(drained.dropped, 1);

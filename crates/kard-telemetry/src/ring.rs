@@ -20,7 +20,7 @@
 //! effort* — a torn slot is detected by the seq check with high
 //! probability, and skipped. At quiescence (no thread recording, the mode
 //! every exporter runs in) the relaxed stores are all visible and the
-//! drain is exact. DESIGN.md §5d spells out the full argument.
+//! drain is exact.
 
 use crate::event::{Event, EventKind};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -19,7 +19,7 @@
 //!   [`SimThread`], [`KardMutex`]) and the trace-executor adapter;
 //! * [`telemetry`] — lock-free event tracing of the fault path:
 //!   per-thread bounded rings, log₂ latency histograms, and JSON-Lines /
-//!   Chrome `trace_event` exporters (see DESIGN.md §5d);
+//!   Chrome `trace_event` exporters (see the [`telemetry`] crate docs);
 //! * [`trace`] — deterministic program traces and interleaving schedules;
 //! * [`baselines`] — FastTrack (the TSan model) and Eraser lockset;
 //! * [`server`] — the `kard-server` firehose daemon: sharded concurrent

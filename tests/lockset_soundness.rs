@@ -1,44 +1,22 @@
-//! An object's protection domain lives in one place: a word of the flat,
-//! id-indexed side metadata (`kard::core::sidemeta`), written with a
-//! store, read with a load, retired with a swap. Only ids beyond the
-//! table's capacity fall back to its mutexed overflow map. None of that
-//! may change what the detector reports.
-//!
-//! 1. **Soundness against an independent referee (property).** Random
-//!    locked/unlocked/padded programs are replayed into Kard and into the
-//!    Eraser lockset detector of `kard::baselines`; every object Kard
-//!    reports — under the direct §5.4 policy and under the hotness-policy
-//!    virtualized cache — must also be a lockset violation on that trace.
-//!    (Concurrent-vs-sequential report equality on real OS threads is
-//!    `tests/shard_contention.rs`.)
-//! 2. **Lock economy.** A warmed section
-//!    entry/exit takes zero shared-lock acquisitions; a section-plan
-//!    rebuild reads every wanted object's domain without a lock; an
-//!    allocation takes none at all. (The step-by-step lock bill of alloc →
-//!    identify → migrate → free, in capacity and through the overflow
-//!    map, needs 16 Mi ids burnt to get past capacity, so it runs as a
-//!    unit test next to `sidemeta.rs` against a two-chunk table.)
+//! Soundness against an independent referee (property). Random
+//! locked/unlocked/padded programs are replayed into Kard and into the
+//! Eraser lockset detector of `kard::baselines`; every object Kard
+//! reports — under the direct §5.4 policy and under the hotness-policy
+//! virtualized cache — must also be a lockset violation on that trace.
+//! (Concurrent-vs-sequential report equality on real OS threads is
+//! `tests/shard_contention.rs`; the lock bill of entries, plan rebuilds
+//! and allocations is `tests/no_lock_overhead.rs`.)
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
-use kard::alloc::KardAlloc;
 use kard::baselines::Lockset;
 use kard::core::{KeyCachePolicy, KeyMode};
-use kard::sim::{CodeSite, Machine, MachineConfig};
+use kard::sim::CodeSite;
 use kard::trace::replay::replay;
 use kard::trace::schedule::{interleave_round_robin, sequential};
 use kard::trace::{ObjectTag, ThreadProgram, Trace};
-use kard::{Kard, KardConfig, KardExecutor, LockId, Session};
+use kard::{KardConfig, KardExecutor, LockId, Session};
 use proptest::prelude::*;
-
-fn fresh_kard(config: KardConfig) -> Arc<Kard> {
-    let machine = Arc::new(Machine::new(MachineConfig::default()));
-    let alloc = Arc::new(KardAlloc::new(Arc::clone(&machine)));
-    Arc::new(Kard::new(machine, alloc, config))
-}
-
-// --- 1. Property: every Kard report is a lockset violation ------------------
 
 /// More objects than the 13 pool keys, so the direct policy recycles keys
 /// and the virtualized cache evicts groups while the property runs.
@@ -164,59 +142,4 @@ proptest! {
             );
         }
     }
-}
-
-// --- 2. Lock economy --------------------------------------------------------
-
-#[test]
-fn warmed_sidemeta_entry_takes_zero_shared_locks() {
-    let kard = fresh_kard(KardConfig::default());
-    let t = kard.register_thread();
-    let obj = kard.on_alloc(t, 64);
-    assert_eq!(kard.detector_lock_acquisitions(), 0, "an alloc is one word store");
-    let (lock, site) = (LockId(1), CodeSite(0x10));
-    // Warm up: identify the object, build and validate the section plan.
-    for _ in 0..3 {
-        kard.lock_enter(t, lock, site);
-        kard.write(t, obj.base, site);
-        kard.lock_exit(t, lock);
-    }
-    let before = kard.detector_lock_acquisitions();
-    kard.lock_enter(t, lock, site);
-    kard.write(t, obj.base, site);
-    kard.lock_exit(t, lock);
-    assert_eq!(
-        kard.detector_lock_acquisitions(),
-        before,
-        "a warmed side-metadata entry/exit must take no shared locks"
-    );
-}
-
-/// The identification faults of a first visit invalidate the section's
-/// cached plan, so the next entry rebuilds it by reading each wanted
-/// object's domain. Those reads are side-metadata loads: the rebuild's
-/// whole lock bill is the section-object map read plus the key-table
-/// guard at entry and the key-table guard releasing the (slow-acquired)
-/// key at exit — independent of how many objects the plan spans.
-#[test]
-fn plan_rebuild_takes_no_domain_shard_locks() {
-    let rebuild_locks = |objs: usize| {
-        let kard = fresh_kard(KardConfig::default());
-        let t = kard.register_thread();
-        let (lock, site) = (LockId(1), CodeSite(0x10));
-        let objs: Vec<_> = (0..objs).map(|_| kard.on_alloc(t, 64)).collect();
-        kard.lock_enter(t, lock, site);
-        for o in &objs {
-            kard.write(t, o.base, site);
-        }
-        kard.lock_exit(t, lock);
-        // Re-entry: the section-object map lists every object, so the
-        // plan rebuild reads that many domains.
-        let before = kard.detector_lock_acquisitions();
-        kard.lock_enter(t, lock, site);
-        kard.lock_exit(t, lock);
-        kard.detector_lock_acquisitions() - before
-    };
-    assert_eq!(rebuild_locks(8), 3, "sections + keys at entry, keys at exit");
-    assert_eq!(rebuild_locks(1), 3, "no per-object lock in a rebuild");
 }

@@ -237,6 +237,57 @@ fn owning_thread_alloc_free_takes_no_allocator_locks() {
     );
 }
 
+/// The same guarantee for *every* thread a detector can register, not
+/// only its first: each of 600 threads on one telemetry-on detector runs
+/// an identical short life (8 allocations, one section writing them, 8
+/// frees, exit), and a late thread's bill — magazine refills, allocator
+/// locks, `mmap`s, events recorded — must equal thread 1's, with nothing
+/// dropped. Per-thread tables narrower than the thread registry used to
+/// push thread 512 onwards onto the sharded path (64 locks and 8 `mmap`s
+/// a round) and out of telemetry (every event dropped) without a word.
+#[test]
+fn a_late_threads_round_costs_what_an_early_threads_does() {
+    let session = Session::builder().telemetry(true).build();
+    let kard = session.kard();
+    let (lock, site) = (kard::LockId(3), CodeSite(0xB00));
+
+    // (slab refills, allocator locks, mmaps, events drained) of one round.
+    let round = || {
+        let t = kard.register_thread();
+        let before = (
+            session.alloc().stats().slab_refills,
+            session.alloc().alloc_lock_acquisitions(),
+            session.machine().counters().mmap,
+        );
+        let objs: Vec<_> = (0..8).map(|_| kard.on_alloc(t, 64)).collect();
+        kard.lock_enter(t, lock, site);
+        for o in &objs {
+            kard.write(t, o.base, site);
+        }
+        kard.lock_exit(t, lock);
+        for o in &objs {
+            kard.on_free(t, o.id);
+        }
+        kard.on_thread_exit(t);
+        let drained = session.drain();
+        assert_eq!(drained.dropped, 0, "thread {t} lost events");
+        (
+            session.alloc().stats().slab_refills - before.0,
+            session.alloc().alloc_lock_acquisitions() - before.1,
+            session.machine().counters().mmap - before.2,
+            drained.events.len(),
+        )
+    };
+
+    let bills: Vec<_> = (0..600).map(|_| round()).collect();
+    assert_eq!(bills[1].0, 2, "a round refills the 64 B class twice: {:?}", bills[1]);
+    // Thread 0 also pays for the allocator's first frame; every later
+    // thread — 511, 512 and 599 among them — pays exactly thread 1's bill.
+    for (late, bill) in bills.iter().enumerate().skip(2) {
+        assert_eq!(*bill, bills[1], "thread {late} against thread 1");
+    }
+}
+
 /// Shard isolation: a fault on object A serializes on A's shard only.
 /// Object B's shard — and every other shard — must stay untouched, which
 /// is the structural fact that lets unrelated faults run in parallel.
@@ -292,6 +343,7 @@ fn no_conflict_section_entry_takes_zero_shared_locks() {
                 (t, kard::LockId(7 + k), CodeSite(0xA00 + k), objs)
             })
             .collect();
+        assert_eq!(kard.detector_lock_acquisitions(), 0, "an alloc is one word store");
 
         // Warm-up round 1: cold cache, and the writes' identification
         // faults mutate the section-object map (invalidating the fresh
@@ -341,6 +393,36 @@ fn no_conflict_section_entry_takes_zero_shared_locks() {
             );
         }
     }
+}
+
+/// The identification faults of a first visit invalidate the section's
+/// cached plan, so the next entry rebuilds it by reading each wanted
+/// object's domain. Those reads are side-metadata loads: the rebuild's
+/// whole lock bill is the section-object map read plus the key-table
+/// guard at entry and the key-table guard releasing the (slow-acquired)
+/// key at exit — independent of how many objects the plan spans.
+#[test]
+fn plan_rebuild_takes_no_domain_shard_locks() {
+    let rebuild_locks = |objs: usize| {
+        let session = Session::new();
+        let kard = session.kard();
+        let t = kard.register_thread();
+        let (lock, site) = (kard::LockId(1), CodeSite(0x10));
+        let objs: Vec<_> = (0..objs).map(|_| kard.on_alloc(t, 64)).collect();
+        kard.lock_enter(t, lock, site);
+        for o in &objs {
+            kard.write(t, o.base, site);
+        }
+        kard.lock_exit(t, lock);
+        // Re-entry: the section-object map lists every object, so the
+        // plan rebuild reads that many domains.
+        let before = kard.detector_lock_acquisitions();
+        kard.lock_enter(t, lock, site);
+        kard.lock_exit(t, lock);
+        kard.detector_lock_acquisitions() - before
+    };
+    assert_eq!(rebuild_locks(8), 3, "sections + keys at entry, keys at exit");
+    assert_eq!(rebuild_locks(1), 3, "no per-object lock in a rebuild");
 }
 
 /// The cache-coherence half of the tentpole: a plan-relevant mutation

@@ -304,24 +304,24 @@ fn mixed_storm(
     (fingerprints(kard), stats)
 }
 
-/// The lock-free entry/exit path is an *optimization*, not a semantics
-/// change: the same mixed private/shared storm must produce byte-identical
-/// race fingerprints and detector stats whether its sections race through
-/// the epoch-validated fast path and its locked fallback from eight OS
-/// threads, or run single-threaded in a hand-scheduled order.
+/// Real concurrency changes no report: the same mixed private/shared
+/// storm must produce byte-identical race fingerprints and detector stats
+/// whether its sections race through the epoch-validated fast path and
+/// its locked fallback from eight OS threads, or run single-threaded in a
+/// hand-scheduled order.
 #[test]
-fn storm_reports_identically_across_section_entry_modes() {
-    let fast = fresh_kard();
-    let (fast_fps, fast_stats) = mixed_storm(&fast, true);
+fn storm_on_eight_os_threads_matches_hand_scheduled_sequential_run() {
+    let concurrent = fresh_kard();
+    let (conc_fps, conc_stats) = mixed_storm(&concurrent, true);
 
     let sequential = fresh_kard();
     let (seq_fps, seq_stats) = mixed_storm(&sequential, false);
 
-    assert_eq!(fast_fps.len(), PAIRS, "one report per conflicting pair");
-    assert_eq!(fast_fps, seq_fps, "fast path == sequential reference");
-    assert_eq!(fast_stats, seq_stats, "stats: fast == sequential");
+    assert_eq!(conc_fps.len(), PAIRS, "one report per conflicting pair");
+    assert_eq!(conc_fps, seq_fps, "eight OS threads == sequential reference");
+    assert_eq!(conc_stats, seq_stats, "stats: eight OS threads == sequential");
     assert!(
-        fast_stats.identification_faults >= (STORM_THREADS as u64) * 32 + PAIRS as u64,
+        conc_stats.identification_faults >= (STORM_THREADS as u64) * 32 + PAIRS as u64,
         "every churn round and every holder write must have identified an object"
     );
 }
