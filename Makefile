@@ -1,4 +1,4 @@
-.PHONY: verify build test test-benchmark clippy doc tables trace-demo serve loc bench-pairs flake
+.PHONY: verify build test test-benchmark clippy doc tables trace-demo serve loc bench-pairs ledger flake
 
 verify: build test test-benchmark clippy doc
 
@@ -58,6 +58,14 @@ BASE ?= HEAD~1
 bench-pairs:
 	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs WORKLOAD=<name> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
 	python3 bench_pairs.py $(WORKLOAD) $(PAIRS) $(BASE)
+
+# Say which layer moved: `make ledger WORKLOAD=embed_faults [BASE=HEAD~1]`
+# builds both sides the same way, makes one `--trace 1` run of each and
+# prints BENCHMARK.json's per_layer rows side by side (parent, change,
+# ratio). Attribution only — a gain is judged by bench-pairs.
+ledger:
+	@test -n "$(WORKLOAD)" || { echo "usage: make ledger WORKLOAD=<name> [BASE=HEAD~1]"; exit 2; }
+	python3 bench_pairs.py --ledger $(WORKLOAD) $(BASE)
 
 # Size a suspected flake, or show one is gone, the way it is judged:
 # `make flake TEST=concurrency_stress [RUNS=200]` builds tests/TEST.rs

@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
-"""`make bench-pairs`: alternating parent/change runs of one benchmark workload.
+"""`make bench-pairs` and `make ledger`: one benchmark workload, parent against change.
 
-Checks BASE out as a git worktree under .bench_build/base (reused while it
-still sits at BASE), builds both sides with BENCHMARK.json's command, runs
-PAIRS pairs at the benchmark's own run_seconds -- a different seed per
-pair, the same seed within a pair, alternating which side goes first --
-appending every run to .bench_build/{parent,change}.jsonl through the
-benchmark's --out, then prints the per-pair values and win count of each
-end-to-end metric and the benchmark's own `compare` of the two files
-(that workload's rows; exit status 1 if any of them is not `ok`).
+Both check BASE out as a git worktree under .bench_build/base (reused while
+it still sits at BASE) and build both sides with BENCHMARK.json's command.
+
+`bench_pairs.py WORKLOAD PAIRS BASE` runs PAIRS pairs at the benchmark's own
+run_seconds -- a different seed per pair, the same seed within a pair,
+alternating which side goes first -- appending every run to
+.bench_build/{parent,change}.jsonl through the benchmark's --out, then
+prints the per-pair values and win count of each end-to-end metric and the
+benchmark's own `compare` of the two files (that workload's rows; exit
+status 1 if any of them is not `ok`).
+
+`bench_pairs.py --ledger WORKLOAD BASE` runs one `--trace 1` run per side
+and prints BENCHMARK.json's `per_layer` rows side by side (parent, change,
+change / parent): where the time went, not whether the change is faster --
+one traced run says nothing about spread.
 """
 import json
 import os
@@ -37,23 +44,57 @@ def check_out(base):
     return want
 
 
-def main():
-    workload, pairs, base = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+def prepare(workload, base):
+    """Check out and build both sides; returns (declaration, {side: directory})."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         decl = json.load(f)
-    command, seconds = decl["command"], str(decl["run_seconds"])
-    others = {w["name"] for w in decl["workloads"]} - {workload}
-    if len(others) == len(decl["workloads"]):
+    if workload not in {w["name"] for w in decl["workloads"]}:
         sys.exit(f"WORKLOAD must be one of BENCHMARK.json's workloads, not {workload!r}")
-
     os.makedirs(BUILD, exist_ok=True)
     sides = {"parent": BASE_DIR, "change": ROOT}
     print(f"# parent = {base} ({check_out(base)[:7]}) in {BASE_DIR}; change = the working tree")
     # The declared command is a `cargo run ... --`; the same flags build.
-    build = ["build" if a == "run" else a for a in command if a != "--"]
-    out = {}
-    for side, cwd in sides.items():
+    build = ["build" if a == "run" else a for a in decl["command"] if a != "--"]
+    for cwd in sides.values():
         subprocess.run(build, cwd=cwd, check=True)
+    return decl, sides
+
+
+def run_once(decl, cwd, workload, seed, extra):
+    """One run of the declared command; returns its metrics or exits."""
+    run = subprocess.run(
+        decl["command"] + ["--workload", workload, "--seed", seed,
+                           "--seconds", str(decl["run_seconds"])] + extra,
+        cwd=cwd, text=True, stdout=subprocess.PIPE)
+    result = json.loads(run.stdout.splitlines()[-1])
+    if run.returncode != 0 or result["failed"]:
+        sys.exit(f"run in {cwd} failed:\n{run.stdout}")
+    return result["metrics"]
+
+
+def ledger(workload, base):
+    decl, sides = prepare(workload, base)
+    got = {side: run_once(decl, cwd, workload, "1", ["--trace", "1"])
+           for side, cwd in sides.items()}
+    print(f"\n{workload}: one --trace 1 run per side at --seconds {decl['run_seconds']}")
+    print(f"{'layer metric':<36} {'unit':<7} {'parent':>14} {'change':>14} {'ratio':>7}")
+    for m in decl["per_layer"]:
+        p, c = (got[side].get(m["name"], {}).get("value", 0) for side in ("parent", "change"))
+        if not p and not c:
+            continue  # Absent or zero on both sides: the workload does not run that layer.
+        ratio = f"{c / p:7.2f}" if p else "      -"
+        print(f"{m['name']:<36} {m['unit']:<7} {p:>14.4f} {c:>14.4f} {ratio}")
+
+
+def main():
+    if sys.argv[1] == "--ledger":
+        return ledger(sys.argv[2], sys.argv[3])
+    workload, pairs, base = sys.argv[1], int(sys.argv[2]), sys.argv[3]
+    decl, sides = prepare(workload, base)
+    command = decl["command"]
+    others = {w["name"] for w in decl["workloads"]} - {workload}
+    out = {}
+    for side in sides:
         out[side] = os.path.join(BUILD, side + ".jsonl")
         if os.path.exists(out[side]):
             os.remove(out[side])
@@ -62,21 +103,14 @@ def main():
     for pair in range(pairs):
         seed = str(pair + 1)
         order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-        got = {}
-        for side in order:
-            run = subprocess.run(
-                command + ["--workload", workload, "--seed", seed, "--seconds", seconds,
-                           "--trace", "0", "--out", out[side]],
-                cwd=sides[side], text=True, stdout=subprocess.PIPE)
-            result = json.loads(run.stdout.splitlines()[-1])
-            if run.returncode != 0 or result["failed"]:
-                sys.exit(f"{side} run of pair {pair + 1} failed:\n{run.stdout}")
-            got[side] = result["metrics"]
+        got = {side: run_once(decl, sides[side], workload, seed,
+                              ["--trace", "0", "--out", out[side]])
+               for side in order}
         for name in values:
             values[name].append((got["parent"][name]["value"], got["change"][name]["value"]))
         print(f"# pair {pair + 1}/{pairs} (seed {seed}, {order[0]} first) done", flush=True)
 
-    print(f"\n{workload}: {pairs} alternating pairs at --seconds {seconds}, in the order run")
+    print(f"\n{workload}: {pairs} alternating pairs at --seconds {decl['run_seconds']}, in the order run")
     for m in decl["end_to_end"]:
         higher = m["better"] == "higher"
         wins = ties = 0

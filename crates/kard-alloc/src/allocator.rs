@@ -151,7 +151,6 @@ enum Backing {
 struct ObjectRecord {
     info: ObjectInfo,
     backing: Backing,
-    frames: Vec<PhysFrame>,
 }
 
 /// Free consolidation slots of one shard, keyed by rounded size.
@@ -628,7 +627,6 @@ impl KardAlloc {
                 kind: ObjectKind::Heap,
             },
             backing: Backing::Consolidated { frame, offset },
-            frames: vec![frame],
         }
     }
 
@@ -642,13 +640,11 @@ impl KardAlloc {
     ) -> ObjectRecord {
         let page_count = rounded.div_ceil(PAGE_SIZE);
         let first_page = self.machine.reserve_pages(page_count);
-        let mut frames = Vec::with_capacity(page_count as usize);
         for i in 0..page_count {
             let frame = self.machine.alloc_frame(thread);
             self.machine
                 .map_page(thread, first_page.add(i), frame)
                 .expect("fresh page cannot be mapped already");
-            frames.push(frame);
         }
         ObjectRecord {
             info: ObjectInfo {
@@ -661,7 +657,6 @@ impl KardAlloc {
                 kind,
             },
             backing: Backing::Dedicated,
-            frames,
         }
     }
 
@@ -750,26 +745,23 @@ impl KardAlloc {
             } else {
                 self.page_shard(page).lock().remove(&page);
             }
-            self.machine
+            let frame = self
+                .machine
                 .unmap_page(thread, page)
                 .expect("object pages must be mapped");
+            if matches!(record.backing, Backing::Dedicated) {
+                self.machine.free_frame(frame);
+            }
         }
-        match record.backing {
-            Backing::Consolidated { frame, offset } => {
-                // The slot returns to the pool; frames holding consolidated
-                // objects are never shrunk out of the file, matching the
-                // paper's simple allocator (§6 defers page recycling).
-                self.slot_shard(record.info.rounded_size)
-                    .lock()
-                    .entry(record.info.rounded_size)
-                    .or_default()
-                    .push((frame, offset));
-            }
-            Backing::Dedicated => {
-                for frame in record.frames {
-                    self.machine.free_frame(frame);
-                }
-            }
+        if let Backing::Consolidated { frame, offset } = record.backing {
+            // The slot returns to the pool; frames holding consolidated
+            // objects are never shrunk out of the file, matching the
+            // paper's simple allocator (§6 defers page recycling).
+            self.slot_shard(record.info.rounded_size)
+                .lock()
+                .entry(record.info.rounded_size)
+                .or_default()
+                .push((frame, offset));
         }
         self.finish_free(thread, record.info.id, record.info.rounded_size, record.info.size);
     }

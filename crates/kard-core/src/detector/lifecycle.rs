@@ -253,10 +253,12 @@ impl Kard {
         self.sidemeta.domain(id)
     }
 
-    /// Objects recorded for a section in the section-object map.
+    /// Objects recorded for a section in the section-object map, in
+    /// ascending id order: a copy, so the caller reads it with the
+    /// `sections` lock already dropped.
     #[must_use]
     pub fn section_objects(&self, section: SectionId) -> Vec<(ObjectId, Perm)> {
-        self.sections.read().objects_of(section)
+        self.sections.read().objects_in(section).collect()
     }
 
     /// Section-plan cache counters: `(hits, misses)`. Hits are entries

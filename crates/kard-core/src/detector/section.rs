@@ -33,7 +33,7 @@ impl Kard {
         let slot = self.slot(t);
 
         slot.cs_entries.fetch_add(1, Ordering::Relaxed);
-        let active = self.active_sections.fetch_add(1, Ordering::Relaxed) + 1;
+        let active = self.active_sections.0.fetch_add(1, Ordering::Relaxed) + 1;
         AtomicStats::raise_to(&self.stats.max_concurrent_sections, active);
         self.emit(t, EventKind::SectionEnter, section.0 .0, active);
         // One charge covers the entry bookkeeping plus internal-
@@ -113,15 +113,17 @@ impl Kard {
         if self.config.proactive_acquisition {
             // Figure 3b: look up the section-object map, then try to
             // acquire each object's key from the key-section map. The
-            // wanted list is read under its own (briefly held) lock and
-            // each object's domain with one load; the acquisitions then
-            // run under one key-table guard. The generation is
+            // wanted list is copied out, already in acquisition order,
+            // under its own (briefly held) lock — a leaf, so the side
+            // metadata below is reached only after it is dropped — and
+            // each object's domain read with one load; the acquisitions
+            // then run under one key-table guard. The generation is
             // snapshotted *before* the map reads (seqlock read protocol):
             // if any invalidating mutation lands while we read, its bump
             // postdates `gen` and the cached plan below can never
             // validate.
             let gen = self.cache_gen.load(Ordering::SeqCst);
-            let wanted = self.sections.read().objects_of(section);
+            let wanted = self.section_objects(section);
             self.machine
                 .charge(t, cost.map_op * (wanted.len() as u64 + 1));
             let wanted_len = wanted.len() as u64;
@@ -339,7 +341,7 @@ impl Kard {
                 }
             }
         }
-        self.active_sections.fetch_sub(1, Ordering::Relaxed);
+        self.active_sections.0.fetch_sub(1, Ordering::Relaxed);
         if self.telemetry.enabled() {
             let hold = self.machine.now().saturating_sub(frame.entered);
             self.emit(t, EventKind::SectionExit, frame.section.0 .0, hold);

@@ -5,7 +5,7 @@
 use super::fault::FaultAction;
 use super::*;
 use crate::domains::Domain;
-use crate::types::{LockId, SectionId};
+use crate::types::{LockId, Perm, SectionId};
 use kard_sim::{AccessKind, CodeSite, GpFault, MachineConfig};
 
 fn setup() -> (Arc<Machine>, Kard) {
@@ -517,4 +517,63 @@ fn sequential_different_locks_not_reported() {
     kard.write(t2, o.base, site(0xb1));
     kard.lock_exit(t2, LockId(2));
     assert!(kard.reports().is_empty());
+}
+
+#[test]
+fn two_key_section_reacquires_in_object_id_order() {
+    use kard_telemetry::event::GRANT_PROACTIVE;
+
+    let (machine, kard) = setup();
+    let t = kard.register_thread();
+    kard.telemetry().set_enabled(true);
+    let a = kard.on_alloc(t, 32);
+    let b = kard.on_alloc(t, 32);
+    assert!(a.id < b.id);
+    // `b` takes the first fresh key and `a` the second, so object-id order
+    // (a, b) differs from key order and from identification order below.
+    for (o, s) in [(&b, 0xb), (&a, 0xa)] {
+        kard.lock_enter(t, LockId(1), site(s));
+        kard.write(t, o.base, site(s + 0x100));
+        kard.lock_exit(t, LockId(1));
+    }
+    let key_of = |id| match kard.domain_of(id) {
+        Some(Domain::ReadWrite(key)) => key,
+        other => panic!("expected a read-write object, found {other:?}"),
+    };
+    let (ka, kb) = (key_of(a.id), key_of(b.id));
+    assert!(kb < ka);
+
+    // Section 0xc learns both objects, highest id first.
+    kard.lock_enter(t, LockId(2), site(0xc));
+    kard.write(t, b.base, site(0xc1));
+    kard.write(t, a.base, site(0xc2));
+    kard.lock_exit(t, LockId(2));
+    assert_eq!(
+        kard.section_objects(SectionId(site(0xc))),
+        vec![(a.id, Perm::Write), (b.id, Perm::Write)]
+    );
+
+    let _ = kard.telemetry().drain();
+    let acquisitions_before = kard.stats().proactive_acquisitions;
+    let cycles_before = machine.thread_cycles(t);
+    kard.lock_enter(t, LockId(2), site(0xc));
+    let cycles = machine.thread_cycles(t) - cycles_before;
+    let grants: Vec<u64> = kard
+        .telemetry()
+        .drain()
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::KeyGrant && e.b == GRANT_PROACTIVE)
+        .map(|e| e.a)
+        .collect();
+    // Pinned at the parent of the ordered section-object map (365ffbb),
+    // where the wanted list was collected from a `HashMap` and sorted.
+    assert_eq!(grants, vec![u64::from(ka.0), u64::from(kb.0)]);
+    assert_eq!((ka.0, kb.0), (2, 1));
+    assert_eq!(kard.stats().proactive_acquisitions - acquisitions_before, 2);
+    assert_eq!(cycles, 451);
+    let pkru = machine.rdpkru(t);
+    assert_eq!(pkru.permission(ka), Permission::ReadWrite);
+    assert_eq!(pkru.permission(kb), Permission::ReadWrite);
+    kard.lock_exit(t, LockId(2));
 }

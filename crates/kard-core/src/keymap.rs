@@ -39,8 +39,6 @@ pub struct KeyState {
     /// The thread that performed that last write-permission release (for
     /// race records produced by the release-timestamp check, §5.5).
     pub last_writer: Option<ThreadId>,
-    /// Section(s) this key has been assigned to serve (for display).
-    pub sections: BTreeSet<SectionId>,
 }
 
 impl KeyState {
@@ -133,7 +131,6 @@ impl KeyTable {
                 .or_insert(HolderInfo { perm, section });
             entry.perm = entry.perm.join(perm);
             entry.section = section;
-            state.sections.insert(section);
         }
         ok
     }
@@ -164,7 +161,6 @@ impl KeyTable {
             .or_insert(HolderInfo { perm, section });
         entry.perm = entry.perm.join(perm);
         entry.section = section;
-        state.sections.insert(section);
     }
 
     /// Narrow `t`'s hold on `key` back to `perm` (restoring an outer
@@ -214,7 +210,6 @@ impl KeyTable {
         let state = self.state_mut(key);
         let objects: Vec<_> = state.objects.iter().copied().collect();
         state.objects.clear();
-        state.sections.clear();
         objects
     }
 

@@ -2,16 +2,19 @@
 //! each critical section accesses, and with what permission.
 //!
 //! The map is learned progressively: every identification fault adds an
-//! entry, and proactive key acquisition at section entry consults it.
+//! entry, and proactive key acquisition at section entry consults it. A
+//! section's objects are kept in the order that entry reads them —
+//! ascending [`ObjectId`] — so a plan rebuild copies them out as they
+//! lie, and a section whose last object is freed leaves no entry behind.
 
 use crate::types::{Perm, SectionId};
 use kard_alloc::ObjectId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// The section-object map.
 #[derive(Clone, Debug, Default)]
 pub struct SectionObjectMap {
-    by_section: HashMap<SectionId, HashMap<ObjectId, Perm>>,
+    by_section: HashMap<SectionId, BTreeMap<ObjectId, Perm>>,
     by_object: HashMap<ObjectId, Vec<SectionId>>,
 }
 
@@ -29,11 +32,11 @@ impl SectionObjectMap {
         let entry = self.by_section.entry(s).or_default().entry(o);
         let mut ops = 1;
         match entry {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
+            std::collections::btree_map::Entry::Occupied(mut e) => {
                 let joined = e.get().join(perm);
                 e.insert(joined);
             }
-            std::collections::hash_map::Entry::Vacant(e) => {
+            std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(perm);
                 self.by_object.entry(o).or_default().push(s);
                 ops += 1;
@@ -42,16 +45,14 @@ impl SectionObjectMap {
         ops
     }
 
-    /// Objects known to be accessed by `s`, with permissions.
-    #[must_use]
-    pub fn objects_of(&self, s: SectionId) -> Vec<(ObjectId, Perm)> {
-        let mut v: Vec<_> = self
-            .by_section
+    /// Objects known to be accessed by `s`, with permissions, in ascending
+    /// object-id order — the order section entry acquires their keys in.
+    pub fn objects_in(&self, s: SectionId) -> impl Iterator<Item = (ObjectId, Perm)> + '_ {
+        self.by_section
             .get(&s)
-            .map(|m| m.iter().map(|(&o, &p)| (o, p)).collect())
-            .unwrap_or_default();
-        v.sort_by_key(|&(o, _)| o);
-        v
+            .map(BTreeMap::iter)
+            .unwrap_or_default()
+            .map(|(&o, &p)| (o, p))
     }
 
     /// Whether section `s` is known to access `o` at all.
@@ -62,33 +63,19 @@ impl SectionObjectMap {
             .is_some_and(|m| m.contains_key(&o))
     }
 
-    /// Permission `s` is known to need on `o`, if any.
-    #[must_use]
-    pub fn perm_of(&self, s: SectionId, o: ObjectId) -> Option<Perm> {
-        self.by_section.get(&s).and_then(|m| m.get(&o)).copied()
-    }
-
-    /// Sections known to access `o`.
-    #[must_use]
-    pub fn sections_accessing(&self, o: ObjectId) -> &[SectionId] {
-        self.by_object.get(&o).map_or(&[], Vec::as_slice)
-    }
-
-    /// Remove every trace of `o` (called when the object is freed).
+    /// Remove every trace of `o` (called when the object is freed),
+    /// and with it any section left with no object.
     pub fn remove_object(&mut self, o: ObjectId) {
         if let Some(sections) = self.by_object.remove(&o) {
             for s in sections {
                 if let Some(m) = self.by_section.get_mut(&s) {
                     m.remove(&o);
+                    if m.is_empty() {
+                        self.by_section.remove(&s);
+                    }
                 }
             }
         }
-    }
-
-    /// Number of sections with at least one recorded object.
-    #[must_use]
-    pub fn section_count(&self) -> usize {
-        self.by_section.values().filter(|m| !m.is_empty()).count()
     }
 }
 
@@ -101,37 +88,50 @@ mod tests {
         SectionId(CodeSite(n))
     }
 
+    fn objects(map: &SectionObjectMap, s: SectionId) -> Vec<(ObjectId, Perm)> {
+        map.objects_in(s).collect()
+    }
+
     #[test]
     fn record_and_query() {
         let mut map = SectionObjectMap::new();
         map.record(s(1), ObjectId(10), Perm::Read);
         map.record(s(1), ObjectId(11), Perm::Write);
         assert_eq!(
-            map.objects_of(s(1)),
+            objects(&map, s(1)),
             vec![(ObjectId(10), Perm::Read), (ObjectId(11), Perm::Write)]
         );
         assert!(map.section_accesses(s(1), ObjectId(10)));
         assert!(!map.section_accesses(s(2), ObjectId(10)));
-        assert_eq!(map.perm_of(s(1), ObjectId(11)), Some(Perm::Write));
+        assert!(objects(&map, s(2)).is_empty());
     }
 
     #[test]
     fn permissions_widen_but_never_narrow() {
         let mut map = SectionObjectMap::new();
         map.record(s(1), ObjectId(1), Perm::Read);
+        assert_eq!(objects(&map, s(1)), vec![(ObjectId(1), Perm::Read)]);
         map.record(s(1), ObjectId(1), Perm::Write);
-        assert_eq!(map.perm_of(s(1), ObjectId(1)), Some(Perm::Write));
+        assert_eq!(objects(&map, s(1)), vec![(ObjectId(1), Perm::Write)]);
         map.record(s(1), ObjectId(1), Perm::Read);
-        assert_eq!(map.perm_of(s(1), ObjectId(1)), Some(Perm::Write));
+        assert_eq!(objects(&map, s(1)), vec![(ObjectId(1), Perm::Write)]);
     }
 
     #[test]
-    fn reverse_index_tracks_sections() {
+    fn objects_iterate_ascending_whatever_the_recording_order() {
         let mut map = SectionObjectMap::new();
-        map.record(s(1), ObjectId(1), Perm::Read);
-        map.record(s(2), ObjectId(1), Perm::Write);
-        assert_eq!(map.sections_accessing(ObjectId(1)), &[s(1), s(2)]);
-        assert!(map.sections_accessing(ObjectId(9)).is_empty());
+        for id in [9, 7, 5] {
+            map.record(s(1), ObjectId(id), Perm::Read);
+        }
+        for id in [6, 8, 4] {
+            map.record(s(1), ObjectId(id), Perm::Write);
+        }
+        map.record(s(1), ObjectId(7), Perm::Write);
+        map.remove_object(ObjectId(6));
+        map.record(s(1), ObjectId(6), Perm::Read);
+        let r = |id| (ObjectId(id), Perm::Read);
+        let w = |id| (ObjectId(id), Perm::Write);
+        assert_eq!(objects(&map, s(1)), vec![w(4), r(5), r(6), w(7), w(8), r(9)]);
     }
 
     #[test]
@@ -142,16 +142,22 @@ mod tests {
         map.remove_object(ObjectId(1));
         assert!(!map.section_accesses(s(1), ObjectId(1)));
         assert!(map.section_accesses(s(1), ObjectId(2)));
-        assert!(map.sections_accessing(ObjectId(1)).is_empty());
+        assert!(!map.by_object.contains_key(&ObjectId(1)));
     }
 
     #[test]
-    fn section_count_ignores_emptied_sections() {
+    fn emptied_section_leaves_nothing_behind() {
         let mut map = SectionObjectMap::new();
         map.record(s(1), ObjectId(1), Perm::Write);
+        let sections_before = map.by_section.len();
         map.record(s(2), ObjectId(2), Perm::Read);
-        assert_eq!(map.section_count(), 2);
-        map.remove_object(ObjectId(1));
-        assert_eq!(map.section_count(), 1);
+        map.record(s(2), ObjectId(3), Perm::Read);
+        map.remove_object(ObjectId(2));
+        assert_eq!(map.by_section.len(), sections_before + 1);
+        map.remove_object(ObjectId(3));
+        assert_eq!(map.by_section.len(), sections_before);
+        assert!(objects(&map, s(2)).is_empty());
+        assert_eq!(map.record(s(2), ObjectId(4), Perm::Write), 2);
+        assert_eq!(objects(&map, s(2)), vec![(ObjectId(4), Perm::Write)]);
     }
 }

@@ -7,7 +7,10 @@
 //! the session's queue budget and are enqueued, or are dropped and
 //! counted (fail-open). The only blocking edges are reader→queue push
 //! (a short mutex) and writer→outbox pop, both of which shut down
-//! cleanly when the session ends.
+//! cleanly when the session ends. A connection thread that has ended is
+//! joined at the next accept (the rest in [`Server::join`]), so the
+//! server holds thread handles, and their stacks, for live connections
+//! only.
 
 use crate::proto::{
     parse_request, response_line, Request, Response, ShardStatsz, Statsz,
@@ -338,6 +341,14 @@ impl Server {
         }
     }
 
+    /// Connection threads not yet joined: the live connections plus any
+    /// that ended since the last accept (test hook).
+    #[doc(hidden)]
+    #[must_use]
+    pub fn connection_threads(&self) -> usize {
+        self.conns.lock().expect("conn registry poisoned").len()
+    }
+
     /// Begin graceful drain: stop accepting, close the shard queues,
     /// flush and end every session. Equivalent to a client sending
     /// [`Request::Shutdown`].
@@ -395,7 +406,18 @@ where
             Ok(sock) => {
                 let inner2 = Arc::clone(inner);
                 let handle = std::thread::spawn(move || serve_connection(&inner2, sock));
-                conns.lock().expect("conn registry poisoned").push(handle);
+                let mut conns = conns.lock().expect("conn registry poisoned");
+                // Join the connections that ended since the last accept: a
+                // finished thread keeps its stack mapped until it is joined,
+                // so the registry must track live connections, not every
+                // connection the server ever served.
+                let (done, mut live): (Vec<_>, Vec<_>) =
+                    conns.drain(..).partition(JoinHandle::is_finished);
+                for t in done {
+                    let _ = t.join();
+                }
+                live.push(handle);
+                *conns = live;
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                 std::thread::sleep(Duration::from_millis(2));

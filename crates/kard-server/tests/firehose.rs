@@ -546,3 +546,42 @@ fn anomaly_signals_attribute_sessions_and_evict_pathological_clients() {
     server.shutdown();
     server.join();
 }
+
+#[test]
+fn ended_connections_are_joined_while_the_server_runs() {
+    let server = start(ServerConfig::default());
+    let addr = server.tcp_addr().unwrap();
+    let session = storm::session(&StormConfig::default(), 0);
+
+    const SESSIONS: usize = 300;
+    let mut most = 0;
+    for i in 0..SESSIONS {
+        let mut client = FirehoseClient::connect(addr, &format!("churn-{i}")).unwrap();
+        client.send_batch(&session.bursts[0]).expect("batch sends");
+        client.bye().unwrap();
+        most = most.max(server.connection_threads());
+    }
+    // A connection's thread ends a moment after its client's `bye`
+    // returns, so a few past sessions may await the next accept — not
+    // one per session served.
+    assert!(most < SESSIONS / 10, "registry grew to {most} handles");
+
+    // With two connections held open, the registry settles at exactly
+    // those two once the last churn thread has ended and one more accept
+    // has reaped it.
+    let _first = FirehoseClient::connect(addr, "held-1").unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let _second = FirehoseClient::connect(addr, "held-2").unwrap();
+        if server.connection_threads() <= 2 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "{} handles for 2 open connections",
+            server.connection_threads()
+        );
+    }
+    server.shutdown();
+    server.join();
+}
