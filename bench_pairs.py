@@ -8,9 +8,12 @@ it still sits at BASE) and build both sides with BENCHMARK.json's command.
 run_seconds -- a different seed per pair, the same seed within a pair,
 alternating which side goes first -- appending every run to
 .bench_build/{parent,change}.jsonl through the benchmark's --out, then
-prints the per-pair values and win count of each end-to-end metric and the
-benchmark's own `compare` of the two files (that workload's rows; exit
-status 1 if any of them is not `ok`).
+prints, for each end-to-end metric, the per-pair values and win count, each
+side's median and quartiles, and the rule a claimed gain is judged by (the
+change ahead in at least nine tenths of the pairs, ties counting for
+neither, *and* the medians apart by more than the distance between the
+parent's quartiles); then the benchmark's own `compare` of the two files
+(that workload's rows; exit status 1 if any of them is not `ok`).
 
 `bench_pairs.py --ledger WORKLOAD BASE` runs one `--trace 1` run per side
 and prints BENCHMARK.json's `per_layer` rows side by side (parent, change,
@@ -19,6 +22,7 @@ one traced run says nothing about spread.
 """
 import json
 import os
+import statistics
 import subprocess
 import sys
 
@@ -86,6 +90,27 @@ def ledger(workload, base):
         print(f"{m['name']:<36} {m['unit']:<7} {p:>14.4f} {c:>14.4f} {ratio}")
 
 
+def quartiles(xs):
+    """(first quartile, median, third quartile), inclusive method."""
+    if len(xs) < 2:
+        return xs[0], xs[0], xs[0]
+    return tuple(statistics.quantiles(xs, n=4, method="inclusive"))
+
+
+def print_verdict(pairs, higher, wins):
+    """Each side's median and quartiles over (parent, change) pairs, and the gain rule."""
+    parent, change = (quartiles([pair[side] for pair in pairs]) for side in (0, 1))
+    for name, (q1, q2, q3) in (("parent", parent), ("change", change)):
+        print(f"  {name} median {q2:.4f}, quartiles {q1:.4f} .. {q3:.4f}")
+    gap = change[1] - parent[1] if higher else parent[1] - change[1]
+    iqr = parent[2] - parent[0]
+    ratio = f", change / parent = {change[1] / parent[1]:.3f}" if parent[1] else ""
+    print(f"  median gap {gap:+.4f} towards better{ratio}; parent's interquartile distance {iqr:.4f}")
+    met = 10 * wins >= 9 * len(pairs) and gap > iqr
+    print(f"  gain rule (change ahead in >= 9 of 10 pairs and gap > parent's interquartile "
+          f"distance): {'met' if met else 'not met'}")
+
+
 def main():
     if sys.argv[1] == "--ledger":
         return ledger(sys.argv[2], sys.argv[3])
@@ -122,6 +147,7 @@ def main():
             ties += winner == "tie"
             print(f"  {i + 1:>4} {p:>16.4f} {c:>16.4f}  {winner}")
         print(f"  change wins {wins} of {pairs} pairs ({ties} ties)")
+        print_verdict(values[m["name"]], higher, wins)
 
     # `compare` wants every workload in both files; show this one's rows.
     print(f"\ncompare {out['parent']} {out['change']} ({workload} rows)")

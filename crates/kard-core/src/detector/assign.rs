@@ -74,14 +74,13 @@ impl Kard {
         };
         self.machine.charge(t, self.cost.map_op * 2);
 
-        self.sections.write().record(section, info.id, Perm::Write);
+        self.sections.write().record(section, info.id, Perm::Write, true);
         self.transition(t, info.id, from, Domain::ReadWrite(key));
 
         AtomicStats::bump(&self.stats.reactive_acquisitions);
         self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_REACTIVE);
         self.note_held_and_record(t, key, Perm::Write);
         self.grant_in_context(t, key);
-        self.invalidate_plans();
     }
 
     /// The paper's §5.4 effective-assignment policy on raw hardware keys.

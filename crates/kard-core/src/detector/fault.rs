@@ -243,9 +243,8 @@ impl Kard {
 
         match fault.access {
             AccessKind::Read => {
-                self.sections.write().record(section, info.id, Perm::Read);
+                self.sections.write().record(section, info.id, Perm::Read, false);
                 self.transition(t, info.id, DomainCode::NotAccessed, Domain::ReadOnly);
-                self.invalidate_plans();
             }
             AccessKind::Write => {
                 self.migrate_to_read_write(fault, section, info, DomainCode::NotAccessed, shard);
@@ -271,7 +270,6 @@ impl Kard {
             }
             AtomicStats::bump(&self.stats.migration_faults);
             self.emit(t, EventKind::FaultMigrate, info.id.0, 0);
-            self.sections.write().record(section, info.id, Perm::Write);
             self.migrate_to_read_write(fault, section, info, DomainCode::ReadOnly, shard);
             return FaultAction::Retry;
         }
@@ -376,7 +374,6 @@ impl Kard {
         // Suspend protection until the conflicting threads exit (§5.5).
         self.lock_keys().unassign_object(ikey, info.id);
         self.transition(t, info.id, DomainCode::ReadWrite, Domain::Suspended);
-        self.invalidate_plans();
         Some(FaultAction::Retry)
     }
 
@@ -559,7 +556,6 @@ impl Kard {
                                 Domain::ReadWrite(ikey),
                             );
                             self.grant_in_context(t, ikey);
-                            self.invalidate_plans();
                             return FaultAction::Retry;
                         }
                     }
@@ -587,8 +583,7 @@ impl Kard {
                 self.note_held_and_record(t, key, perm_for(fault.access));
                 self.sections
                     .write()
-                    .record(sec, info.id, perm_for(fault.access));
-                self.invalidate_plans();
+                    .record(sec, info.id, perm_for(fault.access), true);
                 self.machine.charge(t, cost.map_op * 2);
                 self.grant_in_context(t, key);
                 FaultAction::Retry

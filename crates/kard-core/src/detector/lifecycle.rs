@@ -48,17 +48,27 @@ impl Kard {
             && self.sidemeta.maybe_grouped(id);
         let prev = self.sidemeta.take_domain(id);
         self.sidemeta.clear(id);
-        if let Some(Domain::ReadWrite(key)) = prev {
-            self.lock_keys().unassign_object(key, id);
+        if prev == Some(Domain::NotAccessed) {
+            // Never shared: only identification, inside a section, moves an
+            // object out of Not-accessed, and only from there does it enter
+            // a section's object list, a key, a group or an interleaving.
+            // Nothing else knows this object.
+            self.alloc.free(t, id);
+            return;
         }
+        let read_write = if let Some(Domain::ReadWrite(key)) = prev {
+            self.lock_keys().unassign_object(key, id);
+            true
+        } else {
+            false
+        };
         if maybe_grouped {
             // Group membership outlives domain demotion (an evicted
             // object is Read-only but still grouped), so the free must
             // drop it explicitly.
             self.vkeys.lock().remove_member(id);
         }
-        self.sections.write().remove_object(id);
-        self.invalidate_plans();
+        self.sections.write().forget(id, read_write);
         if let Some(gone) = self.interleaver.lock().forget(id) {
             if gone.was_armed && !gone.participants.is_empty() {
                 self.emit(t, EventKind::InterleaveExpire, id.0, 0);
@@ -261,10 +271,10 @@ impl Kard {
         self.sections.read().objects_in(section).collect()
     }
 
-    /// Section-plan cache counters: `(hits, misses)`. Hits are entries
-    /// replayed without any shared lock; misses are entries that were
-    /// eligible but fell back to the locked path. Scheduling-dependent,
-    /// so exposed separately from [`DetectorStats`].
+    /// Section-plan counters: `(hits, misses)`. Hits are entries
+    /// committed from the section's plan without any shared lock; misses
+    /// are entries that were eligible but took the locked path.
+    /// Scheduling-dependent, so exposed separately from [`DetectorStats`].
     #[must_use]
     pub fn section_cache_stats(&self) -> (u64, u64) {
         let (mut hits, mut misses) = (0, 0);

@@ -15,7 +15,7 @@
 //! operations synchronize independently:
 //!
 //! * **per-thread state** (`ThreadSlot`): each thread's critical-section
-//!   frames, held keys, unique-section set, and section-plan cache live in
+//!   frames, held keys, unique-section set, and section-plan handles live in
 //!   that thread's own slot — published once into a lock-free
 //!   [`Registry`] and guarded by an
 //!   [`OwnedCell`](crate::registry::OwnedCell) engage CAS, so neither
@@ -29,12 +29,13 @@
 //! * **per-concern locks**: the key-section map, the section-object map,
 //!   the interleaver, and the race-record store each have their own
 //!   narrow lock — but the *common* (no-conflict) section entry/exit
-//!   never reaches any of them: proactive key acquisition rides a
-//!   per-thread plan cache validated by a global generation counter plus
-//!   one CAS on the key's holder word ([`KeyWords`]), and key release is
-//!   one CAS the same way. Any mismatch — nested entry, stale generation,
-//!   contended key, multi-key plan — falls back to the locked slow path,
-//!   which accounts the same charges, events, and stats;
+//!   never reaches any of them: proactive key acquisition replays the
+//!   section's published plan (one word per section, reached through a
+//!   handle in the thread's own cache; see `plan`) plus one CAS on the
+//!   key's holder word ([`KeyWords`]), and key release is one CAS the
+//!   same way. Any mismatch — nested entry, stale plan, contended key,
+//!   multi-key plan — falls back to the locked slow path, which accounts
+//!   the same charges, events, and stats;
 //! * **lock-free counters**: statistics and the active-section count are
 //!   relaxed atomics ([`AtomicStats`]);
 //! * **per-thread armed/participating flags**: delay injection (§5.5) and
@@ -43,17 +44,14 @@
 //!   exit takes the interleaver lock only when this thread is actually
 //!   inside an interleaving.
 //!
-//! The lock-free read side is governed by two published words (the
-//! protocols are stated at their writers: `Kard::invalidate_plans` in
-//! `section.rs` and [`KeyWords`]):
+//! The lock-free read side is governed by two kinds of published word,
+//! each protocol stated once, at its writer (the `plan` module and
+//! [`KeyWords`]):
 //!
-//! * `cache_gen`, a global generation counter bumped (SeqCst) *after*
-//!   every mutation that can invalidate a cached section plan — domain
-//!   migrations, section-map growth, key recycling and eviction, arming,
-//!   suspension/restoration, and frees. A plan snapshots the counter
-//!   *before* reading the maps and re-validates it after committing its
-//!   key CAS, so a plan built from a torn read can never validate
-//!   (seqlock-style: writers bump after, readers load before);
+//! * per-section plan words: a whole entry plan and its generation in one
+//!   atomic word, patched or marked stale by exactly the mutations that
+//!   reach that section, rebuilt by the next entry and published for all
+//!   threads;
 //! * per-key holder words ([`KeyWords`]): `EMPTY` means *no holder
 //!   anywhere* — fast acquire/release is a CAS on the word. Every
 //!   key-table guard first parks the words at `SLOW` and materializes
@@ -94,7 +92,12 @@
 //!    `OwnedCell` contexts follow the same rule from the other side:
 //!    a context is never engaged while `keys`, `vkeys`, or the
 //!    interleaver is held, and an engaged closure never acquires any
-//!    detector lock, so the engage spin is bounded and cycle-free;
+//!    detector lock, so the engage spin is bounded and cycle-free. The
+//!    `sections` lock is such a leaf with the plan cells under it: a
+//!    writer looks up the sections accessing an object and touches their
+//!    cells (single atomic operations) while holding it, and a reader
+//!    copies a section's objects out, both without reaching the side
+//!    metadata's overflow shards or the key table;
 //! 5. the allocator's own synchronization nests strictly *under* the
 //!    detector's: `on_free` and `on_thread_exit` hold fault shards while
 //!    calling into the allocator, whose order is magazine engage check →
@@ -115,15 +118,17 @@
 //! # Map of the module
 //!
 //! This file holds the [`Kard`] struct, constructor, accessors and the
-//! key-table guard. `thread`: per-thread frames, held keys, plan cache.
-//! `section`: entry/exit and the plan-cache seqlock. `fault`: the #GP
-//! handler and race records. `assign`: key assignment and eviction.
+//! key-table guard. `thread`: per-thread frames, held keys, plan handles.
+//! `plan`: the per-section plan words, their writers and their protocol.
+//! `section`: entry (plan replay, locked rebuild) and exit. `fault`: the
+//! #GP handler and race records. `assign`: key assignment and eviction.
 //! `transition`: the one primitive every domain change goes through.
 //! `lifecycle`: alloc/free/thread exit, reports, stats, drain ticks.
 
 mod assign;
 mod fault;
 mod lifecycle;
+mod plan;
 mod section;
 #[cfg(test)]
 mod tests;
@@ -136,7 +141,6 @@ use crate::faultshard::{FaultShardStats, FaultShards};
 use crate::interleave::Interleaver;
 use crate::keymap::{KeyTable, KeyWords};
 use crate::report::{RaceFingerprint, RaceRecord};
-use crate::sections::SectionObjectMap;
 use crate::sidemeta::SideMetadata;
 use crate::stats::AtomicStats;
 use crate::vkey::{KeyCachePolicy, VKeyTable};
@@ -145,6 +149,7 @@ use kard_sim::{CostModel, KeyLayout, Machine, Permission, Pkru, Registry, Thread
 use kard_telemetry::sync::{TrackedMutex, TrackedRwLock};
 use kard_telemetry::{Analyzer, AnomalySignal, EventKind, Telemetry};
 use parking_lot::MutexGuard;
+use plan::SectionBook;
 use std::collections::HashSet;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
@@ -219,8 +224,13 @@ pub struct Kard {
     /// Registered threads, indexed by dense `ThreadId`. Published once at
     /// registration; lookup and iteration are lock-free.
     threads: Registry<ThreadSlot>,
-    /// The section-object map (§5.3, Figure 3a).
-    sections: TrackedRwLock<SectionObjectMap>,
+    /// The section-object map (§5.3, Figure 3a) and, beside it, the plan
+    /// cells of the sections entered so far (see `plan`). A leaf lock.
+    sections: TrackedRwLock<SectionBook>,
+    /// Differential-test switch: mark every plan stale before each entry,
+    /// so every eligible entry rebuilds on the locked path.
+    #[cfg(test)]
+    stale_every_entry: std::sync::atomic::AtomicBool,
     /// The key-section map (§5.4, Figure 3b). Acquired only through
     /// [`Kard::lock_keys`], which keeps the lock-free holder words and
     /// the table coherent.
@@ -228,10 +238,6 @@ pub struct Kard {
     /// The pool keys' lock-free face: CAS-published holder words that let
     /// an uncontended acquire/release skip the `keys` mutex entirely.
     words: KeyWords,
-    /// Generation counter over everything a cached section plan depends
-    /// on (section-object map, domains, key assignment); the seqlock rule
-    /// is stated at its one writer, `Kard::invalidate_plans`.
-    cache_gen: AtomicU64,
     /// The virtual→hardware key cache (see [`crate::vkey`]); consulted
     /// only under [`KeyMode::Virtual`]. When held together
     /// with `keys`, `keys` is always acquired first (order: `keys` →
@@ -241,10 +247,10 @@ pub struct Kard {
     /// object's domain, the lock-free mirror of vkey membership, and the
     /// hotness counters that drive
     /// [`KeyCachePolicy::Hotness`](crate::vkey::KeyCachePolicy::Hotness)
-    /// eviction. Every write lands *before* the `cache_gen` bump of the
-    /// mutation it records, so the seqlock protocol that protects cached
-    /// section plans also covers metadata staleness: a plan built from a
-    /// stale word fails generation re-validation.
+    /// eviction. A domain word moving into, out of or within the
+    /// Read-write domain is written *before* the plans of the sections
+    /// accessing the object are marked stale (the `plan` protocol), so a
+    /// plan built from the old word is never published.
     sidemeta: SideMetadata,
     /// The protection-interleaving engine (§5.5, Figure 4).
     interleaver: TrackedMutex<Interleaver>,
@@ -300,10 +306,11 @@ impl Kard {
             layout,
             fault_shards: FaultShards::new(),
             threads: Registry::new(),
-            sections: TrackedRwLock::new(SectionObjectMap::new(), Arc::clone(&counter)),
+            sections: TrackedRwLock::new(SectionBook::default(), Arc::clone(&counter)),
+            #[cfg(test)]
+            stale_every_entry: std::sync::atomic::AtomicBool::new(false),
             keys: TrackedMutex::new(KeyTable::new(&layout), Arc::clone(&counter)),
             words: KeyWords::new(&layout),
-            cache_gen: AtomicU64::new(0),
             vkeys: TrackedMutex::new(VKeyTable::new(cache_policy), Arc::clone(&counter)),
             sidemeta: SideMetadata::new(&counter),
             interleaver: TrackedMutex::new(Interleaver::new(), Arc::clone(&counter)),

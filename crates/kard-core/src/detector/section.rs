@@ -1,10 +1,11 @@
-//! Section entry and exit (§5.4): the per-thread plan cache, the
-//! zero-shared-lock fast commit, the locked entry that builds the plans,
-//! and the exit that releases keys and restores finished interleavings.
-//! The seqlock that keeps cached plans honest lives here too: readers
-//! snapshot `cache_gen`, writers call [`Kard::invalidate_plans`].
+//! Section entry and exit (§5.4): the zero-shared-lock entry that replays
+//! the section's published plan, the locked entry that rebuilds and
+//! publishes it, and the exit that releases keys and restores finished
+//! interleavings. The plan words and their protocol are in
+//! [`super::plan`].
 
-use super::thread::{CachedEntry, Frame, ThreadSlot, TinyVec};
+use super::plan::{Plan, SectionBook, SectionPlans};
+use super::thread::{Frame, ThreadCtx, TinyVec};
 use super::Kard;
 use crate::domains::Domain;
 use crate::config::KeyMode;
@@ -13,8 +14,27 @@ use crate::types::{LockId, Perm, SectionId, SectionMode};
 use kard_sim::{CodeSite, Permission, Pkru, ProtectionKey, ThreadId};
 use kard_telemetry::event::{DomainCode, GRANT_PROACTIVE};
 use kard_telemetry::EventKind;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+/// What the attempt under the thread's own cell decided.
+enum FastEntry {
+    /// Committed from the section's plan: the key (if any) is held and
+    /// the frame pushed; the caller replays the locked path's charges.
+    Hit(Plan),
+    /// The locked path must run.
+    Locked {
+        /// At nesting depth zero with nothing held — the entries the
+        /// hit/miss counters are about.
+        eligible: bool,
+        /// The thread's handle to the section's plans, if it has entered
+        /// the section before.
+        plans: Option<Arc<SectionPlans>>,
+        /// A fast acquire that failed re-validation after a key-table
+        /// guard had already materialized it: strip it through the table.
+        strip: Option<ProtectionKey>,
+    },
+}
 
 impl Kard {
     /// Critical-section entry: called *after* the program's lock is
@@ -60,45 +80,44 @@ impl Kard {
         new_pkru.set_permission(self.layout.not_accessed, Permission::NoAccess);
         let entered = self.machine.now();
 
-        // Plan the entry under the thread's own cell. Eligible only at
-        // nesting depth zero with nothing held, so the cached plan's
-        // empty-context simulation matches reality. `None` = nested
-        // (not the fast path's business); `Some(None)` = eligible but
-        // no replayable plan.
-        let plan: Option<Option<CachedEntry>> = slot.ctx.with(|ctx| {
-            if !ctx.frames.is_empty() || !ctx.held.is_empty() {
-                return None;
-            }
-            if !self.config.proactive_acquisition {
-                // Nothing to look up or acquire — the empty plan: the slow
-                // path would charge and grant nothing either.
-                return Some(Some(CachedEntry {
-                    gen: 0,
-                    wanted_len: 0,
-                    target: None,
-                    fast: true,
-                }));
-            }
-            let gen = self.cache_gen.load(Ordering::SeqCst);
-            let cached = ctx.section_cache.get(&(section, mode)).copied();
-            Some(cached.filter(|e| e.fast && e.gen == gen))
+        #[cfg(test)]
+        if self.stale_every_entry.load(Ordering::Relaxed) {
+            self.sections.read().stale_all_plans();
+        }
+        let proactive = self.config.proactive_acquisition;
+        let fast = slot.ctx.with(|ctx| {
+            self.commit_fast_enter(t, ctx, section, mode, lock, &saved_pkru, entered)
         });
-        if let Some(eligible) = plan {
-            let committed = eligible.is_some_and(|plan| {
-                self.commit_fast_enter(
-                    t, slot, section, lock, &saved_pkru, &mut new_pkru, entered, plan,
-                )
-            });
-            if committed {
-                if self.config.proactive_acquisition {
+        let known = match fast {
+            FastEntry::Hit(plan) => {
+                if proactive {
+                    // Replay exactly the locked path's map charges, grant
+                    // event, and stat bump for this plan (folded into one
+                    // charge), so both paths account the same machine
+                    // work for the same logical entry.
+                    let mut map_ops = plan.wanted_len + 1;
+                    if let Some((key, perm)) = plan.target {
+                        map_ops += 1;
+                        slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
+                        self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
+                        new_pkru.set_permission(key, perm_to_permission(perm));
+                    }
+                    self.machine.charge(t, cost.map_op * map_ops);
                     slot.cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
+                self.machine.wrpkru(t, new_pkru);
                 return;
             }
-            if self.config.proactive_acquisition {
-                slot.cache_misses.fetch_add(1, Ordering::Relaxed);
+            FastEntry::Locked { eligible, plans, strip } => {
+                if let Some(key) = strip {
+                    self.lock_keys().strip_holder(key, t);
+                }
+                if eligible && proactive {
+                    slot.cache_misses.fetch_add(1, Ordering::Relaxed);
+                }
+                plans
             }
-        }
+        };
 
         let mut frame = Frame {
             section,
@@ -109,39 +128,47 @@ impl Kard {
         };
 
         let mut held_updates: Vec<(ProtectionKey, Perm)> = Vec::new();
-        let mut cache_update: Option<CachedEntry> = None;
-        if self.config.proactive_acquisition {
+        let mut first_entry: Option<Arc<SectionPlans>> = None;
+        if proactive {
             // Figure 3b: look up the section-object map, then try to
             // acquire each object's key from the key-section map. The
             // wanted list is copied out, already in acquisition order,
             // under its own (briefly held) lock — a leaf, so the side
             // metadata below is reached only after it is dropped — and
             // each object's domain read with one load; the acquisitions
-            // then run under one key-table guard. The generation is
-            // snapshotted *before* the map reads (seqlock read protocol):
-            // if any invalidating mutation lands while we read, its bump
-            // postdates `gen` and the cached plan below can never
-            // validate.
-            let gen = self.cache_gen.load(Ordering::SeqCst);
-            let wanted = self.section_objects(section);
+            // then run under one key-table guard. The plan word is
+            // snapshotted under that lock, before the copy: the rebuilt
+            // plan is published only if no writer touched it since.
+            let open = |book: &SectionBook, plans: Arc<SectionPlans>| {
+                let snap = plans.cell(mode).snapshot();
+                (plans, snap, book.objects_in(section).collect::<Vec<_>>())
+            };
+            let (plans, snap, wanted) = match known {
+                Some(plans) => open(&self.sections.read(), plans),
+                // This thread's first entry: find the section's cells, or
+                // create them if it is any thread's first.
+                None => {
+                    let mut book = self.sections.write();
+                    let plans = book.plans_of(section);
+                    first_entry = Some(Arc::clone(&plans));
+                    open(&book, plans)
+                }
+            };
             self.machine
                 .charge(t, cost.map_op * (wanted.len() as u64 + 1));
             let wanted_len = wanted.len() as u64;
             let mut targets: Vec<(ProtectionKey, Perm)> = Vec::new();
             for (obj, perm) in wanted {
-                let perm = mode.cap(perm);
-                // This section is about to touch `obj`: feed the hotness
-                // counter that keeps its group resident under the
-                // `Hotness` eviction policy.
-                self.sidemeta.bump_hot(obj);
-                // Staleness of the domain read is covered by the `gen`
-                // snapshot above.
+                // Staleness of the domain read is covered by the snapshot
+                // above.
                 let Some(Domain::ReadWrite(key)) = self.domain_of(obj) else {
                     continue; // RO-domain objects need no key to read.
                 };
-                targets.push((key, perm));
+                targets.push((key, mode.cap(perm)));
             }
-            cache_update = Some(Self::plan_from_targets(gen, wanted_len, &targets));
+            plans
+                .cell(mode)
+                .publish(snap, Plan::from_targets(wanted_len, &targets));
             let mut keys = self.lock_keys();
             for (key, perm) in targets {
                 let prev = keys.holder_perm(key, t);
@@ -165,8 +192,8 @@ impl Kard {
                 ctx.held.insert(key, eff);
             }
             ctx.unique_sections.insert(section);
-            if let Some(entry) = cache_update {
-                ctx.section_cache.insert((section, mode), entry);
+            if let Some(plans) = first_entry {
+                ctx.section_cache.insert(section, plans);
             }
             ctx.frames.push(frame);
         });
@@ -174,102 +201,81 @@ impl Kard {
         self.machine.wrpkru(t, new_pkru);
     }
 
-    /// Simulate the locked entry path's acquisition fold from an empty
-    /// context: per-key effective permission, counting strict-widening
-    /// acquisition steps. The plan is replayable (`fast`) only when the
-    /// whole fold is at most one step — one key, no widening — so the
-    /// replay is exactly one CAS with exactly the slow path's charges,
-    /// grant event, and stat bump.
-    fn plan_from_targets(
-        gen: u64,
-        wanted_len: u64,
-        targets: &[(ProtectionKey, Perm)],
-    ) -> CachedEntry {
-        let mut sim: HashMap<ProtectionKey, Perm> = HashMap::new();
-        let mut grants = 0u64;
-        for &(key, perm) in targets {
-            let cur = sim.get(&key).copied();
-            if cur.is_none_or(|p| p < perm) {
-                grants += 1;
-                sim.insert(key, cur.map_or(perm, |p| p.join(perm)));
-            }
-        }
-        let fast = grants <= 1;
-        CachedEntry {
-            gen,
-            wanted_len,
-            target: if fast { sim.into_iter().next() } else { None },
-            fast,
-        }
-    }
-
-    /// Attempt the zero-shared-lock section entry: acquire the plan's key
-    /// (if any) with one CAS on its holder word, re-validate the
-    /// generation, replay the slow path's charges and events, and commit
-    /// the frame under the thread's own cell. Returns `false` — having
-    /// undone any partial effect — when the locked path must run instead.
+    /// Attempt the zero-shared-lock section entry, under the thread's own
+    /// cell: eligible only at nesting depth zero with nothing held, so the
+    /// plan's empty-context simulation matches reality. Load the section's
+    /// plan word through the thread's handle, acquire the plan's key (if
+    /// any) with one CAS on its holder word, re-validate the plan word,
+    /// and commit the frame. Anything else — having undone any partial
+    /// effect — leaves the entry to the locked path.
     #[allow(clippy::too_many_arguments)]
     fn commit_fast_enter(
         &self,
         t: ThreadId,
-        slot: &ThreadSlot,
+        ctx: &mut ThreadCtx,
         section: SectionId,
+        mode: SectionMode,
         lock: LockId,
         saved_pkru: &Pkru,
-        new_pkru: &mut Pkru,
         entered: u64,
-        plan: CachedEntry,
-    ) -> bool {
-        if let Some((key, perm)) = plan.target {
-            if !self.words.try_fast_acquire(key, t, perm, section) {
-                return false; // Held, mid-publish, or parked: contended.
-            }
-            // The plan matched `cache_gen` before the CAS, but an
-            // invalidating mutation (say, the key recycled to different
-            // objects) may have landed in between. Re-check after the
-            // acquire is visible; on mismatch retract it as if it never
-            // happened.
-            if self.cache_gen.load(Ordering::SeqCst) != plan.gen {
-                if !self.words.undo_fast_acquire(key, t, perm) {
-                    // A concurrent guard already materialized the hold
-                    // into the table; strip it through the mutex.
-                    self.lock_keys().strip_holder(key, t);
+    ) -> FastEntry {
+        let eligible = ctx.frames.is_empty() && ctx.held.is_empty();
+        let plans = ctx.section_cache.get(&section);
+        let mut strip = None;
+        let plan = if !eligible {
+            None
+        } else if !self.config.proactive_acquisition {
+            // Nothing to look up or acquire: the slow path would charge
+            // and grant nothing either.
+            Some(Plan::EMPTY)
+        } else {
+            plans.and_then(|plans| {
+                let cell = plans.cell(mode);
+                let snap = cell.snapshot();
+                let plan = snap.replayable()?;
+                if let Some((key, perm)) = plan.target {
+                    if !self.words.try_fast_acquire(key, t, perm, section) {
+                        return None; // Held, mid-publish, or parked: contended.
+                    }
+                    // The plan was current before the CAS, but a mutation
+                    // that reaches this section (say, the key recycled to
+                    // different objects) may have landed in between.
+                    // Re-check after the acquire is visible; on mismatch
+                    // retract it as if it never happened.
+                    if cell.snapshot() != snap {
+                        if !self.words.undo_fast_acquire(key, t, perm) {
+                            // A concurrent guard already materialized the
+                            // hold into the table; the caller strips it
+                            // through the mutex, outside this cell.
+                            strip = Some(key);
+                        }
+                        return None;
+                    }
                 }
-                return false;
-            }
+                Some(plan)
+            })
+        };
+        let Some(plan) = plan else {
+            return FastEntry::Locked {
+                eligible,
+                plans: plans.cloned(),
+                strip,
+            };
+        };
+        let mut acquired = TinyVec::new();
+        if let Some((key, perm)) = plan.target {
+            ctx.held.insert(key, perm);
+            acquired.push((key, None));
         }
-        let cost = &self.cost;
-        if self.config.proactive_acquisition {
-            // Replay exactly the locked path's map charges, grant event,
-            // and stat bump for this plan (folded into one charge), so
-            // both paths account the same machine work for the same
-            // logical entry.
-            let mut map_ops = plan.wanted_len + 1;
-            if let Some((key, perm)) = plan.target {
-                map_ops += 1;
-                slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
-                self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
-                new_pkru.set_permission(key, perm_to_permission(perm));
-            }
-            self.machine.charge(t, cost.map_op * map_ops);
-        }
-        slot.ctx.with(|ctx| {
-            let mut acquired = TinyVec::new();
-            if let Some((key, perm)) = plan.target {
-                ctx.held.insert(key, perm);
-                acquired.push((key, None));
-            }
-            ctx.unique_sections.insert(section);
-            ctx.frames.push(Frame {
-                section,
-                lock,
-                saved_pkru: saved_pkru.clone(),
-                entered,
-                acquired,
-            });
+        ctx.unique_sections.insert(section);
+        ctx.frames.push(Frame {
+            section,
+            lock,
+            saved_pkru: saved_pkru.clone(),
+            entered,
+            acquired,
         });
-        self.machine.wrpkru(t, new_pkru.clone());
-        true
+        FastEntry::Hit(plan)
     }
 
     /// Critical-section exit: called *before* the program's unlock.
@@ -421,21 +427,9 @@ impl Kard {
                         u64::from(self.key_worn(restored).0),
                     );
                 }
-                self.invalidate_plans();
             }
         }
         self.machine.wrpkru(t, frame.saved_pkru);
-    }
-
-    /// The writer half of the plan-cache seqlock, and its only spelling.
-    /// Call it *after* every mutation a cached section plan depends on —
-    /// a domain transition, section-object map growth, key recycling or
-    /// eviction, arming, suspension or restoration, a free — once all of
-    /// the mutation's writes are applied. Plans snapshot the counter
-    /// *before* reading the maps and re-validate it after committing
-    /// their key CAS, so a plan built from a torn read never validates.
-    pub(super) fn invalidate_plans(&self) {
-        self.cache_gen.fetch_add(1, Ordering::SeqCst);
     }
 
     pub(super) fn current_section(&self, t: ThreadId) -> Option<SectionId> {

@@ -577,3 +577,235 @@ fn two_key_section_reacquires_in_object_id_order() {
     assert_eq!(pkru.permission(kb), Permission::ReadWrite);
     kard.lock_exit(t, LockId(2));
 }
+
+// --- Section plans: the patched plan charges exactly what a rebuild would ---
+
+use crate::types::SectionMode;
+use kard_sim::ThreadId;
+use rand::{Rng, SeedableRng, StdRng};
+
+/// One step of a hand-scheduled trace over logical threads (by index) and
+/// object tags. kard-workloads sits above this crate, so the shapes below
+/// are generated here, seeded the same way.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Alloc(usize, usize),
+    Free(usize, usize),
+    Enter(usize, u64, SectionMode),
+    Exit(usize, u64),
+    Read(usize, usize),
+    Write(usize, usize),
+}
+
+/// Everything a replay leaves behind that the virtual clock, the paper
+/// tables or a report consumer can see.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    now: u64,
+    counters: kard_sim::MachineCounters,
+    stats: crate::DetectorStats,
+    events: Vec<kard_telemetry::Event>,
+    reports: Vec<crate::RaceRecord>,
+}
+
+/// Replay `steps` on `threads` logical threads; with `stale_every_entry`
+/// every plan is marked stale before each entry, so every eligible entry
+/// rebuilds on the locked path. Returns the outcome and the hit count.
+fn replay(keys: u16, threads: usize, steps: &[Step], stale_every_entry: bool) -> (Outcome, u64) {
+    let (machine, kard) = setup_with(KardConfig::default(), keys);
+    kard.telemetry().set_enabled(true);
+    kard.stale_every_entry.store(stale_every_entry, Ordering::Relaxed);
+    let ts: Vec<ThreadId> = (0..threads).map(|_| kard.register_thread()).collect();
+    let mut objects = std::collections::HashMap::new();
+    for &step in steps {
+        match step {
+            Step::Alloc(t, tag) => {
+                objects.insert(tag, kard.on_alloc(ts[t], 64));
+            }
+            Step::Free(t, tag) => kard.on_free(ts[t], objects.remove(&tag).expect("live").id),
+            // One lock per site, as the workloads have it.
+            Step::Enter(t, s, mode) => kard.lock_enter_mode(ts[t], LockId(s), site(s), mode),
+            Step::Exit(t, s) => kard.lock_exit(ts[t], LockId(s)),
+            Step::Read(t, tag) => kard.read(ts[t], objects[&tag].base, site(0x1000 + tag as u64)),
+            Step::Write(t, tag) => kard.write(ts[t], objects[&tag].base, site(0x2000 + tag as u64)),
+        }
+    }
+    let mut drained = kard.telemetry().drain();
+    assert_eq!(drained.dropped, 0, "the trace fits the rings");
+    // A proactive grant's stamp is the one thing the two entry paths have
+    // always told apart: the locked path emits it after its map charges,
+    // the replay before its folded one. Same event, same place in the
+    // stream, same clock afterwards.
+    for e in &mut drained.events {
+        if e.kind == EventKind::KeyGrant && e.b == kard_telemetry::event::GRANT_PROACTIVE {
+            e.tsc = 0;
+        }
+    }
+    let outcome = Outcome {
+        now: machine.now(),
+        counters: machine.counters(),
+        stats: kard.stats(),
+        events: drained.events,
+        reports: kard.reports(),
+    };
+    (outcome, kard.section_cache_stats().0)
+}
+
+/// `water_nsquared`'s shape: one lock, one section, four threads taking
+/// turns to read a few molecules each — a read-only section that grows
+/// by identification almost every entry.
+fn water_shape(rng: &mut StdRng) -> (u16, usize, Vec<Step>) {
+    let mut steps: Vec<Step> = (0..300).map(|tag| Step::Alloc(0, tag)).collect();
+    for entry in 0..400 {
+        let t = entry % 4;
+        steps.push(Step::Enter(t, 0xa, SectionMode::Exclusive));
+        for _ in 0..rng.gen_range(1..5) {
+            steps.push(Step::Read(t, rng.gen_range(0..300)));
+        }
+        steps.push(Step::Exit(t, 0xa));
+    }
+    (16, 4, steps)
+}
+
+/// `nginx`'s shape: per request a short-lived object that is freed
+/// unshared, and one of eight sections writing its own long-lived object
+/// over three pool keys — so keys recycle and objects migrate back at
+/// almost every entry — with now and then a long-lived object replaced.
+fn nginx_shape(rng: &mut StdRng) -> (u16, usize, Vec<Step>) {
+    let mut steps: Vec<Step> = (0..8).map(|tag| Step::Alloc(0, tag)).collect();
+    for request in 0..400 {
+        let (t, scratch, tag) = (request % 2, 100 + request, rng.gen_range(0..8));
+        let s = 0xb0 + tag as u64;
+        steps.push(Step::Alloc(t, scratch));
+        steps.push(Step::Enter(t, s, SectionMode::Exclusive));
+        steps.push(Step::Write(t, tag));
+        if rng.gen_bool(0.3) {
+            steps.push(Step::Read(t, rng.gen_range(0..8)));
+        }
+        if rng.gen_bool(0.1) {
+            steps.push(Step::Write(t, scratch));
+        }
+        steps.push(Step::Exit(t, s));
+        steps.push(Step::Free(t, scratch));
+        if rng.gen_bool(0.05) {
+            steps.extend([Step::Free(t, tag), Step::Alloc(t, tag)]);
+        }
+    }
+    (6, 2, steps)
+}
+
+/// A section whose two objects wear different keys (each first written
+/// under a section of its own): a multi-key plan, entered by two threads
+/// in turn while a third section keeps identifying objects into it.
+fn two_key_shape(rng: &mut StdRng) -> (u16, usize, Vec<Step>) {
+    let mut steps: Vec<Step> = (0..40).map(|tag| Step::Alloc(0, tag)).collect();
+    for (s, tag) in [(0xc1, 1), (0xc0, 0)] {
+        steps.extend([Step::Enter(0, s, SectionMode::Exclusive), Step::Write(0, tag), Step::Exit(0, s)]);
+    }
+    for entry in 0..200 {
+        let t = entry % 2;
+        steps.push(Step::Enter(t, 0xc2, SectionMode::Exclusive));
+        steps.extend([Step::Write(t, 0), Step::Write(t, 1)]);
+        if rng.gen_bool(0.2) {
+            steps.push(Step::Read(t, rng.gen_range(2..40)));
+        }
+        steps.push(Step::Exit(t, 0xc2));
+    }
+    (16, 2, steps)
+}
+
+/// A `pthread_rwlock_rdlock` section: two readers inside it together
+/// over objects a writer section keeps moving into the Read-write domain
+/// — every other time while the readers are still inside, which is a
+/// race, an armed interleaving and a restoration at their exits.
+fn shared_mode_shape(rng: &mut StdRng) -> (u16, usize, Vec<Step>) {
+    let mut steps: Vec<Step> = (0..12).map(|tag| Step::Alloc(0, tag)).collect();
+    for round in 0..150 {
+        let tag = rng.gen_range(0..12);
+        let writer = [Step::Enter(2, 0xd1, SectionMode::Exclusive), Step::Write(2, tag), Step::Exit(2, 0xd1)];
+        for t in [0, 1] {
+            steps.push(Step::Enter(t, 0xd0, SectionMode::Shared));
+            steps.push(Step::Read(t, rng.gen_range(0..12)));
+        }
+        if round % 6 == 3 {
+            steps.extend(writer);
+        }
+        for t in [1, 0] {
+            steps.push(Step::Exit(t, 0xd0));
+        }
+        if round % 6 == 0 {
+            steps.extend(writer);
+        }
+    }
+    (16, 3, steps)
+}
+
+#[test]
+fn a_patched_plan_charges_exactly_what_a_rebuild_would() {
+    type Shape = fn(&mut StdRng) -> (u16, usize, Vec<Step>);
+    let shapes: [(&str, Shape); 4] = [
+        ("water_nsquared", water_shape),
+        ("nginx", nginx_shape),
+        ("two-key section", two_key_shape),
+        ("shared mode", shared_mode_shape),
+    ];
+    for (name, shape) in shapes {
+        for seed in [42, 7] {
+            let (keys, threads, steps) = shape(&mut StdRng::seed_from_u64(seed));
+            let (replayed, hits) = replay(keys, threads, &steps, false);
+            let (rebuilt, no_hits) = replay(keys, threads, &steps, true);
+            assert_eq!(no_hits, 0, "{name}: every entry of the stale run rebuilds");
+            assert!(hits > 0 || name == "two-key section", "{name}: the normal run replays plans");
+            assert_eq!(replayed, rebuilt, "{name}, seed {seed}");
+        }
+    }
+}
+
+#[test]
+fn an_identification_by_read_patches_the_plan_for_every_thread() {
+    let entry_cycles = |kard: &Kard, machine: &Machine, t, s| {
+        let before = machine.thread_cycles(t);
+        kard.lock_enter(t, LockId(s), site(s));
+        let cycles = machine.thread_cycles(t) - before;
+        kard.lock_exit(t, LockId(s));
+        cycles
+    };
+    // The empty entry: with proactive acquisition off an entry looks
+    // nothing up and acquires nothing.
+    let empty = {
+        let config = KardConfig { proactive_acquisition: false, ..KardConfig::default() };
+        let (machine, kard) = setup_with(config, 16);
+        let (a, _b) = (kard.register_thread(), kard.register_thread());
+        entry_cycles(&kard, &machine, a, 0xa)
+    };
+
+    let (machine, kard) = setup();
+    let (a, b) = (kard.register_thread(), kard.register_thread());
+    let objs: Vec<_> = (0..4).map(|_| kard.on_alloc(a, 64)).collect();
+    kard.lock_enter(a, LockId(0xa), site(0xa));
+    for o in &objs[..3] {
+        kard.read(a, o.base, site(0xa1));
+    }
+    kard.lock_exit(a, LockId(0xa));
+    let map_op = kard.cost.map_op;
+    // A's first entry created the plan cold; this one finds it patched to
+    // three objects and valid, without ever having rebuilt it.
+    let before = kard.section_cache_stats();
+    assert_eq!(entry_cycles(&kard, &machine, a, 0xa), empty + map_op * 4);
+    assert_eq!(kard.section_cache_stats(), (before.0 + 1, before.1), "A is warm in s");
+
+    // B identifies a new read-only object in s.
+    kard.lock_enter(b, LockId(0xa), site(0xa));
+    kard.read(b, objs[3].base, site(0xa2));
+    kard.lock_exit(b, LockId(0xa));
+    assert_eq!(kard.domain_of(objs[3].id), Some(Domain::ReadOnly));
+
+    let (hits, misses) = kard.section_cache_stats();
+    assert_eq!(entry_cycles(&kard, &machine, a, 0xa), empty + map_op * 5);
+    assert_eq!(kard.section_cache_stats(), (hits + 1, misses), "A's next entry is a hit");
+
+    // The read-only object's free patches it back.
+    kard.on_free(a, objs[3].id);
+    assert_eq!(entry_cycles(&kard, &machine, a, 0xa), empty + map_op * 4);
+    assert_eq!(kard.section_cache_stats(), (hits + 2, misses));
+}

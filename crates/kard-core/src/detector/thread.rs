@@ -1,11 +1,13 @@
 //! Per-thread detector state: the critical-section frames, held keys and
-//! section-plan cache each thread owns, and the slot that publishes them.
+//! section-plan handles each thread owns, and the slot that publishes them.
 
+use super::plan::SectionPlans;
 use crate::registry::{FastBuildHasher, OwnedCell};
-use crate::types::{LockId, Perm, SectionId, SectionMode};
+use crate::types::{LockId, Perm, SectionId};
 use kard_sim::{Pkru, ProtectionKey};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize};
+use std::sync::Arc;
 
 /// A one-element-inline vector: the common section acquires zero or one
 /// key, and the entry/exit fast path must not heap-allocate for it. Only
@@ -61,23 +63,6 @@ pub(super) struct Frame {
     pub(super) acquired: TinyVec<(ProtectionKey, Option<Perm>)>,
 }
 
-/// A memoized proactive-acquisition plan for one `(section, mode)` pair:
-/// what the locked entry path computed the last time it ran, replayable
-/// without locks while `gen` still matches the global `cache_gen`.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct CachedEntry {
-    /// `cache_gen` snapshot taken *before* the maps were read; a bump
-    /// after any invalidating mutation makes the entry unreplayable.
-    pub(super) gen: u64,
-    /// Length of the section's wanted list (for the map-lookup charge).
-    pub(super) wanted_len: u64,
-    /// The single key+permission to acquire, when `fast`.
-    pub(super) target: Option<(ProtectionKey, Perm)>,
-    /// Replayable with one CAS: at most one acquisition step. Multi-key
-    /// and permission-widening plans always take the locked path.
-    pub(super) fast: bool,
-}
-
 #[derive(Debug, Default)]
 pub(super) struct ThreadCtx {
     pub(super) frames: Vec<Frame>,
@@ -89,9 +74,10 @@ pub(super) struct ThreadCtx {
     /// the union across threads, so section entry never touches a shared
     /// set.
     pub(super) unique_sections: HashSet<SectionId, FastBuildHasher>,
-    /// Memoized entry plans, one per `(section, mode)` this thread has
-    /// entered through the slow path.
-    pub(super) section_cache: HashMap<(SectionId, SectionMode), CachedEntry, FastBuildHasher>,
+    /// A handle to the plan cells of each section this thread has entered
+    /// (through the locked path, the first time): the plans themselves
+    /// live with the section, so a mutation reaches every thread at once.
+    pub(super) section_cache: HashMap<SectionId, Arc<SectionPlans>, FastBuildHasher>,
 }
 
 /// One registered thread's detector-private state. Slots sit side by
@@ -124,10 +110,10 @@ pub(super) struct ThreadSlot {
     /// Proactive key grants performed by this thread's entries (summed
     /// into [`crate::DetectorStats::proactive_acquisitions`]).
     pub(super) proactive_acquisitions: AtomicU64,
-    /// Section-plan cache hits (fast entries replayed from the cache).
+    /// Section-plan hits (entries replayed from the section's plan).
     pub(super) cache_hits: AtomicU64,
-    /// Section-plan cache misses (eligible entries that fell back to the
-    /// locked path: cold cache, stale generation, or contended key).
+    /// Section-plan misses (eligible entries that fell back to the locked
+    /// path: first entry, stale or multi-key plan, or contended key).
     pub(super) cache_misses: AtomicU64,
 }
 

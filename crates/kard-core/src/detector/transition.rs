@@ -24,9 +24,11 @@
 //! | any → (skipped)        | k0       | –           | –     | budget gate ([`Kard::unmonitor`])        |
 //! | any → (freed)          | –        | –           | –     | `on_free` (`take_domain`; pages unmap)   |
 //!
-//! Callers hold the object's fault shard (or a claim on it) and call
-//! [`Kard::invalidate_plans`] once the whole mutation around the
-//! transition is applied.
+//! Callers hold the object's fault shard (or a claim on it). A move into,
+//! out of or within the Read-write domain changes what the sections
+//! accessing the object acquire at entry, so the primitive ends by
+//! marking exactly their plans stale (the protocol is in [`super::plan`]);
+//! the other moves change no plan and touch none.
 
 use super::Kard;
 use crate::domains::Domain;
@@ -53,6 +55,9 @@ impl Kard {
         self.alloc
             .protect(t, id, self.key_worn(to))
             .expect("every domain wears a valid key");
+        if from == DomainCode::ReadWrite || matches!(to, Domain::ReadWrite(_)) {
+            self.sections.read().stale_plans_of(&[id]);
+        }
     }
 
     /// Move every object of `ids` from Read-write into Read-only with one
@@ -64,6 +69,7 @@ impl Kard {
         self.alloc
             .protect_batch(t, ids, self.key_worn(Domain::ReadOnly))
             .expect("k_ro is valid");
+        self.sections.read().stale_plans_of(ids);
     }
 
     /// A fresh object (heap or global) enters Not-accessed. Only the word

@@ -11,6 +11,17 @@ use crate::types::{Perm, SectionId};
 use kard_alloc::ObjectId;
 use std::collections::{BTreeMap, HashMap};
 
+/// What one [`SectionObjectMap::record`] call changed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Recorded {
+    /// The section had no entry for the object: its object list grew.
+    Added,
+    /// The entry existed with read permission and now carries write.
+    Widened,
+    /// The entry already carried at least this permission: nothing moved.
+    Known,
+}
+
 /// The section-object map.
 #[derive(Clone, Debug, Default)]
 pub struct SectionObjectMap {
@@ -26,23 +37,24 @@ impl SectionObjectMap {
     }
 
     /// Record that section `s` accesses `o` with `perm`. Permissions only
-    /// widen (read joins to write, never narrows). Returns the number of
-    /// map operations performed, for cycle accounting.
-    pub fn record(&mut self, s: SectionId, o: ObjectId, perm: Perm) -> u64 {
-        let entry = self.by_section.entry(s).or_default().entry(o);
-        let mut ops = 1;
-        match entry {
+    /// widen (read joins to write, never narrows). Returns what changed,
+    /// which is what decides whether a plan built from the map still holds.
+    pub fn record(&mut self, s: SectionId, o: ObjectId, perm: Perm) -> Recorded {
+        match self.by_section.entry(s).or_default().entry(o) {
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 let joined = e.get().join(perm);
-                e.insert(joined);
+                if e.insert(joined) == joined {
+                    Recorded::Known
+                } else {
+                    Recorded::Widened
+                }
             }
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert(perm);
                 self.by_object.entry(o).or_default().push(s);
-                ops += 1;
+                Recorded::Added
             }
         }
-        ops
     }
 
     /// Objects known to be accessed by `s`, with permissions, in ascending
@@ -61,6 +73,13 @@ impl SectionObjectMap {
         self.by_section
             .get(&s)
             .is_some_and(|m| m.contains_key(&o))
+    }
+
+    /// The sections known to access `o`: the ones a change to `o` can
+    /// reach, and the only ones.
+    #[must_use]
+    pub fn sections_accessing(&self, o: ObjectId) -> &[SectionId] {
+        self.by_object.get(&o).map_or(&[], Vec::as_slice)
     }
 
     /// Remove every trace of `o` (called when the object is freed),
@@ -157,7 +176,7 @@ mod tests {
         map.remove_object(ObjectId(3));
         assert_eq!(map.by_section.len(), sections_before);
         assert!(objects(&map, s(2)).is_empty());
-        assert_eq!(map.record(s(2), ObjectId(4), Perm::Write), 2);
+        assert_eq!(map.record(s(2), ObjectId(4), Perm::Write), Recorded::Added);
         assert_eq!(objects(&map, s(2)), vec![(ObjectId(4), Perm::Write)]);
     }
 }

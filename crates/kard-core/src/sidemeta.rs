@@ -38,21 +38,23 @@
 //! object's fault shard or a `ShardClaims` claim, and the word is
 //! last-writer-wins exactly as a locked map insert would be. The vkey
 //! word is written under the `keys → vkeys` lock order next to the
-//! membership-map mutation. Both land *before* the detector's
-//! `cache_gen` bump. Readers take no locks at all: the section-entry
-//! planner and the free-path membership probe do one acquire load per
-//! object, and the generational plan validation that already guards the
-//! lock-free entry path covers side-metadata staleness for free — a plan
-//! built from a stale word fails its `cache_gen` re-validation.
+//! membership-map mutation. Readers take no locks at all: the
+//! section-entry planner and the free-path membership probe do one
+//! acquire load per object. A planner's stale read is covered by the
+//! section-plan protocol (`detector/plan.rs`, its one home): a domain
+//! word that matters to a plan is stored *before* its writer marks the
+//! plans of the sections accessing the object stale, so a plan built
+//! from the old word is never published.
 //!
 //! **Hotness.** The `hot` word is a saturating per-object counter bumped
-//! (relaxed `fetch_add`) on section entry and fault handling. It drives
+//! (relaxed `fetch_add`) on fault handling — not on section entry, which
+//! is a lookup and touches no object. It drives
 //! [`crate::vkey::KeyCachePolicy::Hotness`]: eviction prefers the
 //! *coldest* resident group, so hot groups keep their hardware key and
 //! cold groups are demoted lazily in batches via the existing
 //! `pkey_mprotect_batch` — the card-table `inc_hotness` idea applied to
 //! key-cache replacement. Accumulation without decay is deliberate: a
-//! group that faults or is planned every round keeps pulling ahead of
+//! group that faults every round keeps pulling ahead of
 //! one touched once per scan, which is exactly the separation the victim
 //! sort needs (decaying on demotion was tried and collapses both to the
 //! same fixpoint).
@@ -164,7 +166,7 @@ impl SideMetadata {
     }
 
     /// Record `id`'s protection domain: one release store (a locked
-    /// insert past capacity), before the writer's `cache_gen` bump.
+    /// insert past capacity), before the writer marks any plan stale.
     /// Last-writer-wins; every caller after allocation holds the object's
     /// fault shard or a [`crate::faultshard::ShardClaims`] claim on it.
     pub fn set_domain(&self, id: ObjectId, domain: Domain) {
@@ -225,8 +227,9 @@ impl SideMetadata {
     }
 
     /// Bump `id`'s hotness counter (relaxed, saturating at [`HOT_MAX`]).
-    /// Fired on section entry for each planned object and on every fault
-    /// the object takes. The saturation check is load-then-add, so a
+    /// Fired on every fault the object takes, and nowhere else: a section
+    /// entry replays its plan without visiting the objects, so entries do
+    /// not feed the counter. The saturation check is load-then-add, so a
     /// burst of concurrent bumps can overshoot the ceiling by the burst
     /// width — harmless for a replacement heuristic, and what keeps the
     /// hot path a single `fetch_add`.

@@ -425,13 +425,11 @@ fn plan_rebuild_takes_no_domain_shard_locks() {
     assert_eq!(rebuild_locks(1), 3, "no per-object lock in a rebuild");
 }
 
-/// The cache-coherence half of the tentpole: a plan-relevant mutation
-/// between entries (here, freeing an unrelated object, which edits the
-/// section-object map) bumps the global generation, so the next entry
-/// misses *exactly once* — falling back to the locked path to re-plan —
-/// and every subsequent entry hits again.
-#[test]
-fn plan_cache_misses_exactly_once_after_invalidation() {
+/// Warm one section's plan with rounds that write one object, apply
+/// `mutation`, and return the `(hits, misses)` of ten more such rounds.
+fn ten_entries_after(
+    mutation: impl FnOnce(&kard::Kard, kard::ThreadId, kard::LockId, CodeSite),
+) -> (u64, u64) {
     let session = Session::new();
     let kard = session.kard();
     let t = kard.register_thread();
@@ -444,33 +442,87 @@ fn plan_cache_misses_exactly_once_after_invalidation() {
         kard.lock_exit(t, lock);
     };
     for i in 0..4 {
-        round(i); // Warm until the cached plan replays (see test above).
+        round(i); // Warm until the plan replays (see the tests above).
     }
     let (h0, m0) = kard.section_cache_stats();
     round(4);
     let (h1, m1) = kard.section_cache_stats();
-    assert_eq!((h1 - h0, m1 - m0), (1, 0), "warmed entries hit the cache");
+    assert_eq!((h1 - h0, m1 - m0), (1, 0), "warmed entries hit the plan");
 
-    // Invalidate: free an object the section never touched. The free
-    // edits plan-relevant maps, so correctness demands cached plans die.
-    let unrelated = kard.on_alloc(t, 64);
-    kard.on_free(t, unrelated.id);
+    mutation(kard, t, lock, site);
 
     let (h2, m2) = kard.section_cache_stats();
     for i in 0..10 {
         round(5 + i);
     }
     let (h3, m3) = kard.section_cache_stats();
+    (h3 - h2, m3 - m2)
+}
+
+/// The coherence half of the tentpole: a mutation that really changes
+/// what the section acquires at entry (here, a second object written
+/// inside the section — it joins the section's Read-write fold — and
+/// then freed) marks that section's plan stale, so the next entry misses
+/// *exactly once* — falling back to the locked path to re-plan, for every
+/// thread — and every subsequent entry hits again.
+#[test]
+fn plan_cache_misses_exactly_once_after_invalidation() {
+    let (hits, misses) = ten_entries_after(|kard, t, lock, site| {
+        let second = kard.on_alloc(t, 64);
+        kard.lock_enter(t, lock, site);
+        kard.write(t, second.base, site);
+        kard.lock_exit(t, lock);
+        kard.on_free(t, second.id);
+    });
     assert_eq!(
-        m3 - m2,
-        1,
+        misses, 1,
         "an invalidating mutation must cost exactly one re-planning miss"
     );
     assert_eq!(
-        h3 - h2,
-        9,
+        hits, 9,
         "after the one re-plan, every entry replays the refreshed plan"
     );
+}
+
+/// Invalidation is as narrow as the mutation: freeing an object the
+/// section never touched reaches no plan, so every entry keeps hitting.
+#[test]
+fn unrelated_free_costs_no_miss() {
+    let (hits, misses) = ten_entries_after(|kard, t, _, _| {
+        let unrelated = kard.on_alloc(t, 64);
+        kard.on_free(t, unrelated.id);
+    });
+    assert_eq!((hits, misses), (10, 0));
+}
+
+/// A free's lock bill follows what the detector knows of the object. One
+/// still in the Not-accessed domain is in no section, key or interleaving:
+/// its free takes the object's fault shard and nothing else. A shared
+/// object's free also edits the section-object map and asks the
+/// interleaver, and a Read-write one's releases its key assignment first.
+#[test]
+fn free_of_a_never_shared_object_takes_only_its_fault_shard() {
+    let session = Session::new();
+    let kard = session.kard();
+    let t = kard.register_thread();
+    let (lock, site) = (kard::LockId(9), CodeSite(0xA20));
+    let free_locks = |id| {
+        let before = kard.detector_lock_acquisitions();
+        kard.on_free(t, id);
+        kard.detector_lock_acquisitions() - before
+    };
+
+    let never_shared = kard.on_alloc(t, 64);
+    let (read, written) = (kard.on_alloc(t, 64), kard.on_alloc(t, 64));
+    kard.lock_enter(t, lock, site);
+    kard.read(t, read.base, site);
+    kard.write(t, written.base, site);
+    kard.lock_exit(t, lock);
+
+    assert_eq!(free_locks(never_shared.id), 1, "the fault shard");
+    assert_eq!(free_locks(read.id), 3, "shard, sections, interleaver");
+    assert_eq!(free_locks(written.id), 4, "shard, keys, sections, interleaver");
+    assert!(kard.section_objects(kard::SectionId(site)).is_empty());
 }
 
 /// The overhead-budget controller's zero-cost contract: with production
