@@ -30,22 +30,20 @@ tables:
 	cargo run --release -q -p kard-bench --bin kard-tables -- all > paper_tables_output.txt
 	cargo run --release -q -p kard-bench --bin kard-tables -- extensions > extension_tables_output.txt
 
-# The size figures ROADMAP status lines quote, for kard-core, kard-alloc
-# and kard-rt: per crate, all `.rs` lines and the lines above each file's
-# test module (a `#[cfg(test)]` directly followed by `mod name {`, or a file-level
-# `#![cfg(test)]`), then the three-crate total that is held against the
-# 13,375-line baseline.
+# The size figures ROADMAP status lines and CHANGES.md quote, for every
+# crate under crates/ and the umbrella crate's src/: all `.rs` lines, and
+# the lines above each file's test module (a `#[cfg(test)]` directly
+# followed by `mod name {`, or a file-level `#![cfg(test)]`); a file under
+# a `tests/` directory is test code throughout.
 loc:
-	@for c in kard-core kard-alloc kard-rt; do \
-		find crates/$$c -name '*.rs' | sort | xargs awk -v crate=$$c ' \
-			FNR == 1 { tests = 0; pending = 0 } \
+	@for d in crates/* src; do \
+		find $$d -name '*.rs' | sort | xargs awk -v crate=$${d#crates/} ' \
+			FNR == 1 { tests = FILENAME ~ /\/tests\//; pending = 0 } \
 			/^#!\[cfg\(test\)\]/ { tests = 1 } \
 			pending && /^[ \t]*mod [a-z_]+ *\{/ { tests = 1; code-- } \
 			{ pending = /^[ \t]*#\[cfg\(test\)\]/; all++; code += !tests } \
-			END { printf "%-10s %6d lines, %6d above the test modules\n", crate, all, code }'; \
+			END { printf "%-15s %6d lines, %6d above the test modules\n", crate, all, code }'; \
 	done
-	@find crates/kard-core crates/kard-alloc crates/kard-rt -name '*.rs' | xargs cat | wc -l | \
-		awk '{ printf "kard-core + kard-alloc + kard-rt: %d lines against the 13,375 baseline (%+.1f%%)\n", $$1, ($$1 - 13375) / 133.75 }'
 
 # Measure a change against its parent the way a claimed gain is judged:
 # `make bench-pairs WORKLOAD=embed_faults [PAIRS=10] [BASE=HEAD~1]` checks

@@ -502,20 +502,12 @@ impl KardAlloc {
             .map(|(i, &(frame, _))| (first.add(i as u64), frame))
             .collect();
         self.machine
-            .map_pages_batch(thread, &pairs)
+            .map_pages(thread, &pairs)
             .expect("fresh pages cannot be mapped already");
         if let Some(key) = self.provision_key() {
             let ranges: Vec<(VirtPage, u64)> = pairs.iter().map(|&(p, _)| (p, 1)).collect();
-            self.machine
-                .pkey_mprotect_batch(thread, &ranges, key)
+            self.retag(thread, &ranges, key)
                 .expect("provision key must be valid for the machine");
-            if self.telemetry.enabled() {
-                let cost = self.machine.cost_model();
-                self.telemetry.histograms().mprotect.record(
-                    cost.pkey_mprotect
-                        + cost.pkey_mprotect_batch_extra * (ranges.len() as u64 - 1),
-                );
-            }
         }
         let cache = &mut inner.classes[class];
         cache.prepared.extend(
@@ -545,7 +537,7 @@ impl KardAlloc {
         }
         let pages: Vec<VirtPage> = inner.dirty.iter().map(|s| s.page).collect();
         self.machine
-            .unmap_pages_batch(thread, &pages)
+            .unmap_pages(thread, &pages)
             .expect("retired pages must be mapped");
         self.stats
             .pages_retired
@@ -569,7 +561,7 @@ impl KardAlloc {
     /// queue): unmap its page and return the extent to the global pool.
     fn retire_now(&self, thread: ThreadId, slot: RetiredSlot) {
         self.machine
-            .unmap_page(thread, slot.page)
+            .unmap_pages(thread, &[slot.page])
             .expect("retired page must be mapped");
         self.stats.pages_retired.fetch_add(1, Ordering::Relaxed);
         self.slot_shard(slot.rounded)
@@ -613,7 +605,7 @@ impl KardAlloc {
 
         let page = self.machine.reserve_pages(1);
         self.machine
-            .map_page(thread, page, frame)
+            .map_pages(thread, &[(page, frame)])
             .expect("fresh page cannot be mapped already");
         let base = page.base_addr().offset(offset);
         ObjectRecord {
@@ -643,7 +635,7 @@ impl KardAlloc {
         for i in 0..page_count {
             let frame = self.machine.alloc_frame(thread);
             self.machine
-                .map_page(thread, first_page.add(i), frame)
+                .map_pages(thread, &[(first_page.add(i), frame)])
                 .expect("fresh page cannot be mapped already");
         }
         ObjectRecord {
@@ -676,8 +668,8 @@ impl KardAlloc {
     /// Tag a freshly indexed object with the provision key, if declared
     /// (the sharded path's per-object equivalent of the refill batch).
     fn pretag(&self, thread: ThreadId, info: ObjectInfo) {
-        if self.provision_key().is_some() {
-            self.protect(thread, info.id, self.provision_key().expect("checked above"))
+        if let Some(key) = self.provision_key() {
+            self.protect(thread, &[info.id], key)
                 .expect("provision key must be valid for the machine");
         }
     }
@@ -745,12 +737,12 @@ impl KardAlloc {
             } else {
                 self.page_shard(page).lock().remove(&page);
             }
-            let frame = self
+            let frames = self
                 .machine
-                .unmap_page(thread, page)
+                .unmap_pages(thread, &[page])
                 .expect("object pages must be mapped");
             if matches!(record.backing, Backing::Dedicated) {
-                self.machine.free_frame(frame);
+                frames.into_iter().for_each(|frame| self.machine.free_frame(frame));
             }
         }
         if let Backing::Consolidated { frame, offset } = record.backing {
@@ -848,7 +840,7 @@ impl KardAlloc {
             if !cache.prepared.is_empty() {
                 let pages: Vec<VirtPage> = cache.prepared.iter().map(|s| s.page).collect();
                 self.machine
-                    .unmap_pages_batch(thread, &pages)
+                    .unmap_pages(thread, &pages)
                     .expect("prepared pages must be mapped");
                 self.stats
                     .pages_retired
@@ -909,43 +901,10 @@ impl KardAlloc {
         objs
     }
 
-    /// Retag all pages of object `id` with `key` via `pkey_mprotect`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the key is invalid for the machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not live.
-    pub fn protect(
-        &self,
-        thread: ThreadId,
-        id: ObjectId,
-        key: ProtectionKey,
-    ) -> Result<(), ProtectError> {
-        let info = self
-            .object(id)
-            .unwrap_or_else(|| panic!("protect of unknown object {id}"));
-        let result = self
-            .machine
-            .pkey_mprotect(thread, info.first_page, info.page_count, key);
-        if result.is_ok() && self.telemetry.enabled() {
-            // Record the charged cost (deterministic under the virtual
-            // clock) so the distribution matches what threads actually pay.
-            self.telemetry
-                .histograms()
-                .mprotect
-                .record(self.machine.cost_model().pkey_mprotect);
-        }
-        result
-    }
-
     /// Retag all pages of every object in `ids` with `key` through one
-    /// grouped `pkey_mprotect` call ([`Machine::pkey_mprotect_batch`]).
-    /// Key-cache evictions and revivals re-tag whole shared-object groups
-    /// at once, paying the syscall once plus a marginal per-object cost.
-    /// A no-op for an empty batch.
+    /// `pkey_mprotect` call, one page range per object: a domain
+    /// transition retags one object, a key-cache eviction or revival a
+    /// whole shared-object group at once. A no-op for an empty slice.
     ///
     /// # Errors
     ///
@@ -954,15 +913,12 @@ impl KardAlloc {
     /// # Panics
     ///
     /// Panics if any id in `ids` is not live.
-    pub fn protect_batch(
+    pub fn protect(
         &self,
         thread: ThreadId,
         ids: &[ObjectId],
         key: ProtectionKey,
     ) -> Result<(), ProtectError> {
-        if ids.is_empty() {
-            return Ok(());
-        }
         let ranges: Vec<(VirtPage, u64)> = ids
             .iter()
             .map(|&id| {
@@ -972,13 +928,22 @@ impl KardAlloc {
                 (info.first_page, info.page_count)
             })
             .collect();
-        let result = self.machine.pkey_mprotect_batch(thread, &ranges, key);
-        if result.is_ok() && self.telemetry.enabled() {
-            let cost = self.machine.cost_model();
-            self.telemetry.histograms().mprotect.record(
-                cost.pkey_mprotect
-                    + cost.pkey_mprotect_batch_extra * (ranges.len() as u64 - 1),
-            );
+        self.retag(thread, &ranges, key)
+    }
+
+    /// One `pkey_mprotect` call over `ranges`, its charged cost recorded
+    /// in the `mprotect` histogram (deterministic under the virtual clock,
+    /// so the distribution matches what threads actually pay).
+    fn retag(
+        &self,
+        thread: ThreadId,
+        ranges: &[(VirtPage, u64)],
+        key: ProtectionKey,
+    ) -> Result<(), ProtectError> {
+        let result = self.machine.pkey_mprotect(thread, ranges, key);
+        if result.is_ok() && !ranges.is_empty() && self.telemetry.enabled() {
+            let charged = self.machine.cost_model().pkey_mprotect_call(ranges.len());
+            self.telemetry.histograms().mprotect.record(charged);
         }
         result
     }
@@ -1126,7 +1091,7 @@ mod tests {
     fn protect_retags_every_page() {
         let (machine, t, alloc) = setup();
         let o = alloc.alloc(t, 2 * PAGE_SIZE);
-        alloc.protect(t, o.id, ProtectionKey(5)).unwrap();
+        alloc.protect(t, &[o.id], ProtectionKey(5)).unwrap();
         for i in 0..o.page_count {
             assert_eq!(machine.page_key(o.first_page.add(i)), Some(ProtectionKey(5)));
         }

@@ -20,8 +20,8 @@
 //!
 //! The allocator also maintains the object metadata (base address and size)
 //! that Kard's fault handler uses to map a faulting address back to an
-//! object, and exposes [`KardAlloc::protect`] to retag all pages of an
-//! object with one protection key.
+//! object, and exposes [`KardAlloc::protect`] to retag all pages of one or
+//! more objects with one protection key in one `pkey_mprotect` call.
 //!
 //! # Example
 //!

@@ -14,7 +14,6 @@ use crate::vkey::VKeyStats;
 use kard_alloc::{ObjectId, ObjectInfo};
 use kard_sim::ThreadId;
 use kard_telemetry::{AnomalySignal, AnomalyStats, Drained, EventKind};
-use std::collections::HashSet;
 use std::sync::atomic::Ordering;
 
 impl Kard {
@@ -118,21 +117,19 @@ impl Kard {
         (fresh, store.records.len())
     }
 
-    /// Statistics snapshot. The unique-section count is the union of the
-    /// per-thread section sets, and the entry/grant totals are sums over
-    /// the per-thread slots — entries never touch a shared stats line.
+    /// Statistics snapshot. The unique-section count is the number of
+    /// sections the book holds plans for (one per section any thread has
+    /// entered), and the entry/grant totals are sums over the per-thread
+    /// slots — entries never touch a shared stats line.
     #[must_use]
     pub fn stats(&self) -> DetectorStats {
         let mut stats = self.stats.snapshot();
         stats.races_reported = self.records.lock().records.iter().flatten().count() as u64;
-        let mut unique: HashSet<SectionId> = HashSet::new();
+        stats.unique_sections = self.sections.read().entered() as u64;
         for slot in self.threads.iter() {
-            slot.ctx
-                .with(|ctx| unique.extend(ctx.unique_sections.iter().copied()));
             stats.cs_entries += slot.cs_entries.load(Ordering::Relaxed);
             stats.proactive_acquisitions += slot.proactive_acquisitions.load(Ordering::Relaxed);
         }
-        stats.unique_sections = unique.len() as u64;
         stats
     }
 

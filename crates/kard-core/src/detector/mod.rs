@@ -15,7 +15,7 @@
 //! operations synchronize independently:
 //!
 //! * **per-thread state** (`ThreadSlot`): each thread's critical-section
-//!   frames, held keys, unique-section set, and section-plan handles live in
+//!   frames, held keys, and section-plan handles live in
 //!   that thread's own slot — published once into a lock-free
 //!   [`Registry`] and guarded by an
 //!   [`OwnedCell`](crate::registry::OwnedCell) engage CAS, so neither

@@ -9,11 +9,12 @@
 //! second only through the objects in the Read-write domain, since no
 //! other domain contributes a key. Each section the detector has entered
 //! owns one [`SectionPlans`] (a cell per [`SectionMode`]), created at the
-//! first entry, never removed, and shared by handle: the [`SectionBook`]
-//! keeps one `Arc` beside the map so that writers find it under the
-//! `sections` lock, and every thread that entered the section keeps
-//! another in its own `section_cache`, so that a warm entry reaches the
-//! cell with one private hash lookup and no shared lock.
+//! first entry in either acquisition mode, never removed (so their number
+//! is `DetectorStats::unique_sections`), and shared by handle: the
+//! [`SectionBook`] keeps one `Arc` beside the map so that writers find
+//! it under the `sections` lock, and every thread that entered the
+//! section keeps another in its own `section_cache`, so that a warm entry
+//! reaches the cell with one private hash lookup and no shared lock.
 //!
 //! **The word.** A cell is one atomic word holding a whole plan and a
 //! generation, so no reader can pair one version's length with another's
@@ -263,6 +264,11 @@ impl SectionBook {
     /// `section`'s plan cells, created at its first entry.
     pub(super) fn plans_of(&mut self, section: SectionId) -> Arc<SectionPlans> {
         Arc::clone(self.plans.entry(section).or_default())
+    }
+
+    /// How many sections have been entered: each has its cells for good.
+    pub(super) fn entered(&self) -> usize {
+        self.plans.len()
     }
 
     /// Record that `section` accesses `o` with `perm`. `read_write`: `o`

@@ -185,13 +185,16 @@ impl Kard {
                     held_updates.push((key, eff));
                 }
             }
+        } else if known.is_none() {
+            // This thread's first entry: register the section, so that
+            // the book counts it and later entries take the plan-free hit.
+            first_entry = Some(self.sections.write().plans_of(section));
         }
 
         slot.ctx.with(|ctx| {
             for (key, eff) in held_updates {
                 ctx.held.insert(key, eff);
             }
-            ctx.unique_sections.insert(section);
             if let Some(plans) = first_entry {
                 ctx.section_cache.insert(section, plans);
             }
@@ -226,8 +229,8 @@ impl Kard {
             None
         } else if !self.config.proactive_acquisition {
             // Nothing to look up or acquire: the slow path would charge
-            // and grant nothing either.
-            Some(Plan::EMPTY)
+            // and grant nothing either, once the section is registered.
+            plans.map(|_| Plan::EMPTY)
         } else {
             plans.and_then(|plans| {
                 let cell = plans.cell(mode);
@@ -267,7 +270,6 @@ impl Kard {
             ctx.held.insert(key, perm);
             acquired.push((key, None));
         }
-        ctx.unique_sections.insert(section);
         ctx.frames.push(Frame {
             section,
             lock,

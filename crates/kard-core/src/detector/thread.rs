@@ -5,7 +5,7 @@ use super::plan::SectionPlans;
 use crate::registry::{FastBuildHasher, OwnedCell};
 use crate::types::{LockId, Perm, SectionId};
 use kard_sim::{Pkru, ProtectionKey};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize};
 use std::sync::Arc;
 
@@ -68,12 +68,8 @@ pub(super) struct ThreadCtx {
     pub(super) frames: Vec<Frame>,
     /// Read-write pool keys this thread holds, with permissions. Thread-
     /// private, so the cheap [`FastBuildHasher`] is safe here and in the
-    /// two maps below.
+    /// map below.
     pub(super) held: HashMap<ProtectionKey, Perm, FastBuildHasher>,
-    /// Distinct sections this thread ever entered; [`crate::Kard::stats`] takes
-    /// the union across threads, so section entry never touches a shared
-    /// set.
-    pub(super) unique_sections: HashSet<SectionId, FastBuildHasher>,
     /// A handle to the plan cells of each section this thread has entered
     /// (through the locked path, the first time): the plans themselves
     /// live with the section, so a mutation reaches every thread at once.
@@ -88,7 +84,7 @@ pub(super) struct ThreadCtx {
 pub(super) struct ThreadSlot {
     /// Frames, held keys, and per-thread caches — engaged by the owning
     /// thread's entry/exit calls, the (serialized) fault path, and rare
-    /// cross-thread visitors (eviction stripping, stats merging).
+    /// cross-thread visitors (eviction stripping).
     pub(super) ctx: OwnedCell<ThreadCtx>,
     /// Number of *armed* protection interleavings this thread participates
     /// in. Mirrors `Interleaver::has_armed_participant` so the delay

@@ -53,7 +53,7 @@ impl Kard {
     pub(super) fn transition(&self, t: ThreadId, id: ObjectId, from: DomainCode, to: Domain) {
         self.enter_domain(t, id, from, to);
         self.alloc
-            .protect(t, id, self.key_worn(to))
+            .protect(t, &[id], self.key_worn(to))
             .expect("every domain wears a valid key");
         if from == DomainCode::ReadWrite || matches!(to, Domain::ReadWrite(_)) {
             self.sections.read().stale_plans_of(&[id]);
@@ -67,7 +67,7 @@ impl Kard {
             self.enter_domain(t, id, DomainCode::ReadWrite, Domain::ReadOnly);
         }
         self.alloc
-            .protect_batch(t, ids, self.key_worn(Domain::ReadOnly))
+            .protect(t, ids, self.key_worn(Domain::ReadOnly))
             .expect("k_ro is valid");
         self.sections.read().stale_plans_of(ids);
     }
@@ -86,7 +86,7 @@ impl Kard {
     /// gate).
     pub(super) fn unmonitor(&self, t: ThreadId, id: ObjectId) {
         self.alloc
-            .protect(t, id, self.key_worn(Domain::Suspended))
+            .protect(t, &[id], self.key_worn(Domain::Suspended))
             .expect("k0 is valid");
     }
 

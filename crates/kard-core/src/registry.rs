@@ -17,7 +17,7 @@
 //!   engage protocol in kard-alloc. The common case is the owning thread
 //!   engaging its own cell (an uncontended CAS on a thread-local cache
 //!   line); rare cross-thread visitors (eviction stripping a holder's
-//!   PKRU, stats merging per-thread unique-section sets) spin briefly —
+//!   PKRU) spin briefly —
 //!   holders never block while engaged, so the wait is bounded by a few
 //!   dozen instructions.
 //!

@@ -51,13 +51,13 @@
 //! is a lookup and touches no object. It drives
 //! [`crate::vkey::KeyCachePolicy::Hotness`]: eviction prefers the
 //! *coldest* resident group, so hot groups keep their hardware key and
-//! cold groups are demoted lazily in batches via the existing
-//! `pkey_mprotect_batch` — the card-table `inc_hotness` idea applied to
-//! key-cache replacement. Accumulation without decay is deliberate: a
-//! group that faults every round keeps pulling ahead of
-//! one touched once per scan, which is exactly the separation the victim
-//! sort needs (decaying on demotion was tried and collapses both to the
-//! same fixpoint).
+//! cold groups are demoted lazily, a whole group per `pkey_mprotect`
+//! (one `KardAlloc::protect` over the group) — the card-table
+//! `inc_hotness` idea applied to key-cache replacement. Accumulation
+//! without decay is deliberate: a group that faults every round keeps
+//! pulling ahead of one touched once per scan, which is exactly the
+//! separation the victim sort needs (decaying on demotion was tried and
+//! collapses both to the same fixpoint).
 //!
 //! **Holder words.** The third piece of per-object metadata — who holds
 //! the protecting key — is already a flat atomic structure: the per-key

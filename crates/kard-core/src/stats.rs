@@ -182,9 +182,9 @@ pub struct KardSnapshot {
 /// [`AtomicStats::snapshot`] materializes a plain [`DetectorStats`] for
 /// reporting. Two counters are not accumulated here: `races_reported` is
 /// derived from the surviving race records at snapshot time (pruning can
-/// retract a report after the fact), and `unique_sections` is the merge of
-/// per-thread section sets (a shared distinct-set would need a lock on the
-/// entry path).
+/// retract a report after the fact), and `unique_sections` is the number
+/// of sections the detector keeps plan cells for (one per section ever
+/// entered, created at its first entry by any thread).
 #[derive(Debug, Default)]
 pub struct AtomicStats {
     /// See [`DetectorStats::cs_entries`].
@@ -235,10 +235,7 @@ impl AtomicStats {
 
     /// A plain-value snapshot. `races_reported` and `unique_sections` are
     /// left at zero; the detector fills them in from its record store and
-    /// from the union of the per-thread section sets (the distinct-section
-    /// tally moved off the entry path in PR 6 — each thread records the
-    /// sections it has entered in its own slot, merged only here, at
-    /// snapshot time).
+    /// its section book.
     #[must_use]
     pub fn snapshot(&self) -> DetectorStats {
         let get = |c: &AtomicU64| c.load(Ordering::Relaxed);

@@ -256,14 +256,6 @@ impl Session {
         self.telemetry().set_enabled(on);
     }
 
-    /// Register a drain-time observer on a live session (the builder's
-    /// [`SessionBuilder::observe`] declared at assembly time; this one
-    /// serves consumers created after the session exists, like a
-    /// per-connection export sink in the firehose server).
-    pub fn observe(&self, consumer: impl TelemetryConsumer + 'static) {
-        self.consumers.lock().push(Box::new(consumer));
-    }
-
     /// Drain all per-thread event rings once and fan the single
     /// timestamp-sorted batch out to every registered
     /// [`TelemetryConsumer`] — the one collection step of the session.

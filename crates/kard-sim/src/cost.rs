@@ -36,11 +36,10 @@ pub struct CostModel {
     pub rdtscp: CycleCount,
     /// A `pkey_mprotect()` system call (page-table walk + key update).
     pub pkey_mprotect: CycleCount,
-    /// Marginal cost of each additional page range folded into one grouped
-    /// `pkey_mprotect` call (the libmpk-style batched update used by
-    /// key-cache evictions and revivals): syscall entry and TLB shootdown
-    /// are paid once for the group, so each extra range pays only its
-    /// page-table walk.
+    /// Marginal cost of each additional page range folded into one
+    /// `pkey_mprotect` call (the libmpk-style grouped update of key-cache
+    /// evictions and slab provisioning): each extra range pays only its
+    /// page-table walk. See [`CostModel::pkey_mprotect_call`].
     pub pkey_mprotect_batch_extra: CycleCount,
     /// Revoking a hardware key from one *other* thread when the key cache
     /// evicts a key that is still held (libmpk-style key synchronization:
@@ -48,16 +47,16 @@ pub struct CostModel {
     pub pkey_sync: CycleCount,
     /// An `mmap()` system call creating one shared mapping.
     pub mmap: CycleCount,
-    /// Marginal cost of each additional page folded into one grouped
-    /// `mmap` call (magazine refills provision a whole batch of slab
-    /// pages at once: syscall entry and VMA bookkeeping are paid once,
-    /// each extra page pays only its PTE install).
+    /// Marginal cost of each additional page folded into one `mmap` call
+    /// (magazine refills provision a whole batch of slab pages at once):
+    /// each extra page pays only its PTE install. See
+    /// [`CostModel::mmap_call`].
     pub mmap_batch_extra: CycleCount,
     /// An `munmap()` system call.
     pub munmap: CycleCount,
-    /// Marginal cost of each additional page folded into one grouped
-    /// `munmap` call (magazine retirement unmaps dead slab pages in
-    /// batches; the TLB shootdown IPI is paid once for the group).
+    /// Marginal cost of each additional page folded into one `munmap`
+    /// call (magazine retirement unmaps dead slab pages in batches). See
+    /// [`CostModel::munmap_call`].
     pub munmap_batch_extra: CycleCount,
     /// An `ftruncate()` call growing or shrinking the in-memory file.
     pub ftruncate: CycleCount,
@@ -117,6 +116,25 @@ impl CostModel {
         }
     }
 
+    /// The charge of one `mmap()` call mapping `pages` pages.
+    #[must_use]
+    pub fn mmap_call(&self, pages: usize) -> CycleCount {
+        grouped(self.mmap, self.mmap_batch_extra, pages)
+    }
+
+    /// The charge of one `munmap()` call unmapping `pages` pages.
+    #[must_use]
+    pub fn munmap_call(&self, pages: usize) -> CycleCount {
+        grouped(self.munmap, self.munmap_batch_extra, pages)
+    }
+
+    /// The charge of one `pkey_mprotect()` call retagging `ranges` page
+    /// ranges.
+    #[must_use]
+    pub fn pkey_mprotect_call(&self, ranges: usize) -> CycleCount {
+        grouped(self.pkey_mprotect, self.pkey_mprotect_batch_extra, ranges)
+    }
+
     /// Convert seconds on the paper's 2.1 GHz machine to cycles.
     #[must_use]
     pub fn seconds_to_cycles(seconds: f64) -> CycleCount {
@@ -134,6 +152,14 @@ impl Default for CostModel {
     fn default() -> Self {
         CostModel::paper()
     }
+}
+
+/// The one charge rule of a simulated system call over `n ≥ 1` items:
+/// syscall entry, VMA bookkeeping and the TLB shootdown IPI are paid once
+/// (`base`), and each item past the first pays only its own page-table
+/// work (`extra`). A call of one item costs exactly `base`.
+fn grouped(base: CycleCount, extra: CycleCount, n: usize) -> CycleCount {
+    base + extra * (n as u64).saturating_sub(1)
 }
 
 #[cfg(test)]

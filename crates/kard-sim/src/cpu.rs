@@ -404,36 +404,16 @@ impl Machine {
         self.aspace.reserve_pages(count)
     }
 
-    /// `mmap(MAP_SHARED)`: map `page` onto `frame`, charging the syscall.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is already mapped.
-    pub fn map_page(
-        &self,
-        thread: ThreadId,
-        page: VirtPage,
-        frame: PhysFrame,
-    ) -> Result<(), MapError> {
-        self.shard(thread).mmap.fetch_add(1, Ordering::Relaxed);
-        self.charge(thread, self.config.cost.mmap);
-        self.aspace.map(page, frame)?;
-        self.phys.lock().add_mapping(frame);
-        Ok(())
-    }
-
-    /// Grouped `mmap(MAP_SHARED)`: map several `(page, frame)` pairs
-    /// through one batched kernel call, the way a slab refill provisions a
-    /// whole magazine batch at once. The full syscall cost is charged once
-    /// plus a marginal per-extra-page cost
-    /// ([`crate::cost::CostModel::mmap_batch_extra`]), and the batch counts
-    /// as a single `mmap` syscall. A no-op for an empty batch.
+    /// `mmap(MAP_SHARED)`: map each `(page, frame)` pair through one
+    /// kernel call — one pair for an ordinary mapping, a whole magazine
+    /// batch for a slab refill. Counts one `mmap` and charges
+    /// [`CostModel::mmap_call`] for the batch. A no-op for an empty batch.
     ///
     /// # Errors
     ///
     /// Returns an error if any page is already mapped; earlier pages of a
     /// failing batch stay mapped (as with a partially applied `mmap`).
-    pub fn map_pages_batch(
+    pub fn map_pages(
         &self,
         thread: ThreadId,
         pairs: &[(VirtPage, PhysFrame)],
@@ -442,10 +422,7 @@ impl Machine {
             return Ok(());
         }
         self.shard(thread).mmap.fetch_add(1, Ordering::Relaxed);
-        self.charge(
-            thread,
-            self.config.cost.mmap + self.config.cost.mmap_batch_extra * (pairs.len() as u64 - 1),
-        );
+        self.charge(thread, self.config.cost.mmap_call(pairs.len()));
         // One hold of the writer mutex for the whole call, then one of the
         // physical-memory lock for the pages that made it in.
         let (mapped, result) = {
@@ -459,41 +436,25 @@ impl Machine {
         result
     }
 
-    /// `munmap`: unmap `page`, returning the frame it referenced.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the page is not mapped.
-    pub fn unmap_page(&self, thread: ThreadId, page: VirtPage) -> Result<PhysFrame, MapError> {
-        self.shard(thread).munmap.fetch_add(1, Ordering::Relaxed);
-        self.charge(thread, self.config.cost.munmap);
-        let mapping = self.aspace.unmap(page)?;
-        self.phys.lock().remove_mapping(mapping.frame);
-        self.invalidate_tlbs(page);
-        Ok(mapping.frame)
-    }
-
-    /// Grouped `munmap`: unmap several pages through one batched kernel
-    /// call (magazine retirement returns dead slab pages in bulk). The
-    /// full syscall cost is charged once plus a marginal per-extra-page
-    /// cost ([`crate::cost::CostModel::munmap_batch_extra`]), and the
-    /// batch counts as a single `munmap` syscall. A no-op for an empty
+    /// `munmap`: unmap `pages` through one kernel call, returning the
+    /// frames they referenced, in order. Counts one `munmap` and charges
+    /// [`CostModel::munmap_call`] for the batch. A no-op for an empty
     /// batch.
     ///
     /// # Errors
     ///
     /// Returns an error if any page is not mapped; earlier pages of a
     /// failing batch stay unmapped.
-    pub fn unmap_pages_batch(&self, thread: ThreadId, pages: &[VirtPage]) -> Result<(), MapError> {
+    pub fn unmap_pages(
+        &self,
+        thread: ThreadId,
+        pages: &[VirtPage],
+    ) -> Result<Vec<PhysFrame>, MapError> {
         if pages.is_empty() {
-            return Ok(());
+            return Ok(Vec::new());
         }
         self.shard(thread).munmap.fetch_add(1, Ordering::Relaxed);
-        self.charge(
-            thread,
-            self.config.cost.munmap
-                + self.config.cost.munmap_batch_extra * (pages.len() as u64 - 1),
-        );
+        self.charge(thread, self.config.cost.munmap_call(pages.len()));
         let mut frames = Vec::with_capacity(pages.len());
         let (unmapped, result) = {
             let writer = self.aspace.writer();
@@ -510,7 +471,7 @@ impl Machine {
         for &page in &pages[..unmapped] {
             self.invalidate_tlbs(page);
         }
-        result
+        result.map(|()| frames)
     }
 
     /// Convenience for tests and examples: allocate a frame and map a fresh
@@ -526,47 +487,24 @@ impl Machine {
         }
         let frame = self.alloc_frame(thread);
         let page = self.reserve_pages(1);
-        self.map_page(thread, page, frame)?;
+        self.map_pages(thread, &[(page, frame)])?;
         Ok(page)
     }
 
-    /// `pkey_mprotect()`: retag `count` pages starting at `first` with
-    /// `key`, charging the syscall and invalidating those pages in every
-    /// thread's TLB (the kernel updates PTEs, so cached translations die).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid keys or unmapped pages.
-    pub fn pkey_mprotect(
-        &self,
-        thread: ThreadId,
-        first: VirtPage,
-        count: u64,
-        key: ProtectionKey,
-    ) -> Result<(), ProtectError> {
-        self.shard(thread).pkey_mprotect.fetch_add(1, Ordering::Relaxed);
-        self.charge(thread, self.config.cost.pkey_mprotect);
-        self.aspace.pkey_mprotect(first, count, key)?;
-        for i in 0..count {
-            self.invalidate_tlbs(first.add(i));
-        }
-        Ok(())
-    }
-
-    /// Grouped `pkey_mprotect()`: retag several `(first, count)` page
-    /// ranges with `key` through one batched kernel call, the way libmpk
-    /// groups the page-table updates of a key eviction. The full syscall
-    /// cost is charged once plus a marginal per-extra-range cost
-    /// ([`crate::cost::CostModel::pkey_mprotect_batch_extra`]), and the
-    /// batch counts as a single `pkey_mprotect` syscall. A no-op for an
-    /// empty batch.
+    /// `pkey_mprotect()`: retag each `(first, count)` page range with `key`
+    /// through one kernel call — one range for an object's pages, several
+    /// for the libmpk-style grouped update of a key eviction — and
+    /// invalidate the retagged pages in every thread's TLB (the kernel
+    /// updates PTEs, so cached translations die). Counts one
+    /// `pkey_mprotect` and charges [`CostModel::pkey_mprotect_call`] for
+    /// the batch. A no-op for an empty batch.
     ///
     /// # Errors
     ///
     /// Returns an error for invalid keys or unmapped pages; earlier ranges
     /// of a failing batch stay retagged (as with a partially applied
-    /// `mprotect`).
-    pub fn pkey_mprotect_batch(
+    /// `mprotect`), the failing range is left as it was.
+    pub fn pkey_mprotect(
         &self,
         thread: ThreadId,
         ranges: &[(VirtPage, u64)],
@@ -576,11 +514,7 @@ impl Machine {
             return Ok(());
         }
         self.shard(thread).pkey_mprotect.fetch_add(1, Ordering::Relaxed);
-        self.charge(
-            thread,
-            self.config.cost.pkey_mprotect
-                + self.config.cost.pkey_mprotect_batch_extra * (ranges.len() as u64 - 1),
-        );
+        self.charge(thread, self.config.cost.pkey_mprotect_call(ranges.len()));
         let (retagged, result) = {
             let writer = self.aspace.writer();
             apply_prefix(ranges, |&(first, count)| {
@@ -593,15 +527,6 @@ impl Machine {
             }
         }
         result
-    }
-
-    /// Single-page convenience wrapper over [`Machine::pkey_mprotect`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error for invalid keys or unmapped pages.
-    pub fn pkey_mprotect_page(&self, page: VirtPage, key: ProtectionKey) -> Result<(), ProtectError> {
-        self.pkey_mprotect(ThreadId(0), page, 1, key)
     }
 
     /// TLB shootdown of `page`, run after the page's new PTE is stored and
@@ -683,7 +608,7 @@ impl Machine {
                 // writer mutex.
                 if allowed && !mapping.accessed {
                     self.phys.lock().touch(mapping.frame);
-                    self.aspace.mark_accessed(page);
+                    self.aspace.writer().mark_accessed(page);
                 }
                 (mapping.pkey, allowed)
             }
@@ -853,7 +778,7 @@ mod tests {
         let t = m.register_thread();
         let page = m.mmap_one_page().unwrap();
         let key = ProtectionKey(3);
-        m.pkey_mprotect(t, page, 1, key).unwrap();
+        m.pkey_mprotect(t, &[(page, 1)], key).unwrap();
 
         let addr = page.base_addr().offset(8);
         assert!(m.access(t, addr, AccessKind::Write, CodeSite(1)).is_ok());
@@ -876,7 +801,7 @@ mod tests {
         let m = machine();
         let t = m.register_thread();
         let page = m.mmap_one_page().unwrap();
-        m.pkey_mprotect(t, page, 1, ProtectionKey(1)).unwrap();
+        m.pkey_mprotect(t, &[(page, 1)], ProtectionKey(1)).unwrap();
         let mut pkru = m.rdpkru(t);
         pkru.set_permission(ProtectionKey(1), Permission::NoAccess);
         m.wrpkru(t, pkru);
@@ -905,7 +830,7 @@ mod tests {
         let m = machine();
         let t = m.register_thread();
         let page = m.mmap_one_page().unwrap();
-        m.pkey_mprotect(t, page, 1, ProtectionKey(2)).unwrap();
+        m.pkey_mprotect(t, &[(page, 1)], ProtectionKey(2)).unwrap();
         let _ = m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0));
         let c = m.counters();
         assert_eq!(c.mmap, 1);
@@ -927,7 +852,7 @@ mod tests {
             .unwrap();
         let warm = m.tlb_stats();
         assert_eq!(warm.hits, 1);
-        m.pkey_mprotect(t, page, 1, ProtectionKey(4)).unwrap();
+        m.pkey_mprotect(t, &[(page, 1)], ProtectionKey(4)).unwrap();
         m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0))
             .unwrap();
         let cold = m.tlb_stats();
@@ -1028,10 +953,10 @@ mod tests {
         let frames: Vec<PhysFrame> = (0..3).map(|_| m.alloc_frame(t)).collect();
         // Page 1 is mapped already: the batch maps page 0, fails on page 1
         // and never reaches page 2.
-        m.map_page(t, first.add(1), frames[1]).unwrap();
+        m.map_pages(t, &[(first.add(1), frames[1])]).unwrap();
         let pairs: Vec<_> = (0..3).map(|i| (first.add(i as u64), frames[i])).collect();
         assert_eq!(
-            m.map_pages_batch(t, &pairs),
+            m.map_pages(t, &pairs),
             Err(MapError::AlreadyMapped(first.add(1)))
         );
         assert_eq!(m.mapped_pages(), 2);
@@ -1039,18 +964,63 @@ mod tests {
         // The first range is retagged; the second stops at unmapped page 2
         // without retagging page 1.
         assert_eq!(
-            m.pkey_mprotect_batch(t, &[(first, 1), (first.add(1), 2)], ProtectionKey(5)),
+            m.pkey_mprotect(t, &[(first, 1), (first.add(1), 2)], ProtectionKey(5)),
             Err(ProtectError::NotMapped(first.add(2)))
         );
         assert_eq!(m.page_key(first), Some(ProtectionKey(5)));
         assert_eq!(m.page_key(first.add(1)), Some(ProtectionKey::DEFAULT));
         // Pages 0 and 1 go; page 2 was never mapped.
         assert_eq!(
-            m.unmap_pages_batch(t, &[first, first.add(1), first.add(2)]),
+            m.unmap_pages(t, &[first, first.add(1), first.add(2)]),
             Err(MapError::NotMapped(first.add(2)))
         );
         assert_eq!(m.mapped_pages(), 0);
         assert_eq!(m.mem_stats().mapped_virtual_bytes, 0);
+    }
+
+    /// Each system call over one item and over three: it charges exactly
+    /// its `CostModel` rule, moves its own counter by one and nothing
+    /// else, and leaves no other thread a cached translation of a page it
+    /// retagged or unmapped.
+    #[test]
+    fn each_call_charges_its_rule_once_and_shoots_down_what_it_changed() {
+        for n in [1, 3] {
+            let m = machine();
+            let (t, other) = (m.register_thread(), m.register_thread());
+            let cost = *m.cost_model();
+            let first = m.reserve_pages(n as u64);
+            let pages: Vec<VirtPage> = (0..n as u64).map(|i| first.add(i)).collect();
+            let pairs: Vec<_> = pages.iter().map(|&p| (p, m.alloc_frame(t))).collect();
+            let cached = |page| m.entry(other).state.lock().tlb.probe(page).is_some();
+            let warm = || {
+                for &page in &pages {
+                    m.access(other, page.base_addr(), AccessKind::Read, CodeSite(0))
+                        .unwrap();
+                    assert!(cached(page));
+                }
+            };
+            let (cycles, counted) = (m.thread_cycles(t), m.counters());
+            m.map_pages(t, &pairs).unwrap();
+            assert_eq!(m.thread_cycles(t) - cycles, cost.mmap_call(n));
+            assert_eq!(m.counters(), MachineCounters { mmap: counted.mmap + 1, ..counted });
+
+            warm();
+            let ranges: Vec<_> = pages.iter().map(|&p| (p, 1)).collect();
+            let (cycles, counted) = (m.thread_cycles(t), m.counters());
+            m.pkey_mprotect(t, &ranges, ProtectionKey(5)).unwrap();
+            assert_eq!(m.thread_cycles(t) - cycles, cost.pkey_mprotect_call(n));
+            let retags = counted.pkey_mprotect + 1;
+            assert_eq!(m.counters(), MachineCounters { pkey_mprotect: retags, ..counted });
+            assert!(pages.iter().all(|&p| !cached(p)), "retag shoots down, n = {n}");
+
+            warm();
+            let (cycles, counted) = (m.thread_cycles(t), m.counters());
+            let frames = m.unmap_pages(t, &pages).unwrap();
+            assert!(frames.iter().eq(pairs.iter().map(|(_, frame)| frame)));
+            assert_eq!(m.thread_cycles(t) - cycles, cost.munmap_call(n));
+            assert_eq!(m.counters(), MachineCounters { munmap: counted.munmap + 1, ..counted });
+            assert!(pages.iter().all(|&p| !cached(p)), "unmap shoots down, n = {n}");
+        }
     }
 
     #[test]
@@ -1058,8 +1028,9 @@ mod tests {
         let m = machine();
         let t = m.register_thread();
         let page = m.mmap_one_page().unwrap();
-        let frame = m.unmap_page(t, page).unwrap();
-        m.free_frame(frame); // Must not panic: mapping count is back to 0.
+        let frames = m.unmap_pages(t, &[page]).unwrap();
+        assert_eq!(frames.len(), 1);
+        m.free_frame(frames[0]); // Must not panic: mapping count is back to 0.
         assert_eq!(m.mapped_pages(), 0);
     }
 }

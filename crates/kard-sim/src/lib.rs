@@ -13,7 +13,9 @@
 //!   [`ProtectionKey`], updated with [`Machine::pkey_mprotect`]: one atomic
 //!   PTE word per page on the shared [`Spine`], so a walk is a single load
 //!   and only writers serialise ([`page_table`] has the word layout and the
-//!   store-then-shoot-down ordering that keeps cached keys fresh);
+//!   store-then-shoot-down ordering that keeps cached keys fresh). Each
+//!   simulated system call has one body, over a batch of pages or ranges,
+//!   and one charge rule in [`cost`];
 //! * simulated physical memory ([`PhysMemory`]) behaving like a
 //!   `memfd_create` in-memory file: virtual pages may share physical frames
 //!   (`MAP_SHARED`), the file is grown/shrunk with `ftruncate`, and resident
@@ -47,7 +49,7 @@
 //!
 //! // Map one page and protect it with the "not accessed" key.
 //! let page = machine.mmap_one_page().expect("address space exhausted");
-//! machine.pkey_mprotect_page(page, layout.not_accessed).unwrap();
+//! machine.pkey_mprotect(t0, &[(page, 1)], layout.not_accessed).unwrap();
 //!
 //! // The thread starts with access to every key, so the read succeeds.
 //! let addr = page.base_addr();

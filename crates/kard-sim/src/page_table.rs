@@ -5,8 +5,8 @@
 //! the PTE into the TLB and the MMU checks it with no software and no
 //! lock on the path. [`AddressSpace`] models exactly that: one atomic
 //! PTE word per [`VirtPage`], a bump allocator of fresh virtual pages
-//! (the simulated `mmap` picks addresses), and
-//! [`AddressSpace::pkey_mprotect`] to retag pages.
+//! (the simulated `mmap` picks addresses), and a [`PteWriter`] — the one
+//! write API — to map, unmap and retag pages.
 //!
 //! # The PTE word
 //!
@@ -22,9 +22,9 @@
 //! └────────────────────────┴───────────────┴──────────┴─────────┘
 //! ```
 //!
-//! An all-zero word (the spine's default, and what [`AddressSpace::unmap`]
+//! An all-zero word (the spine's default, and what [`PteWriter::unmap`]
 //! stores) is "not mapped". The key field holds every `u16`
-//! [`ProtectionKey`]; [`AddressSpace::map`] panics on a frame number that
+//! [`ProtectionKey`]; [`PteWriter::map`] panics on a frame number that
 //! does not fit its field rather than truncate it.
 //!
 //! # Readers load, writers serialise
@@ -38,9 +38,9 @@
 //! `mark_accessed` and the `mapped_pages`/RSS counters they move — on one
 //! writer-only mutex, held through a [`PteWriter`]: every read-modify-write
 //! of a word happens under it, so a plain load and a release store suffice.
-//! The single-call methods on [`AddressSpace`] take it for that call;
-//! [`AddressSpace::writer`] lets a batched system call take it once. The
-//! counters are atomics written under the mutex and read by anyone.
+//! A system call takes it once, through [`AddressSpace::writer`], for all
+//! the pages it touches. The counters are atomics written under the mutex
+//! and read by anyone.
 //!
 //! # Store, then shoot down; load under the TLB mutex
 //!
@@ -120,7 +120,7 @@ impl fmt::Display for MapError {
 
 impl std::error::Error for MapError {}
 
-/// Error returned by [`AddressSpace::pkey_mprotect`].
+/// Error returned by [`PteWriter::pkey_mprotect`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtectError {
     /// A page in the requested range is not mapped (`ENOMEM` analog).
@@ -249,57 +249,13 @@ impl AddressSpace {
         first
     }
 
-    /// Take the writer mutex for several updates in a row (one batched
-    /// system call); it is released when the [`PteWriter`] drops.
+    /// Take the writer mutex for one system call's updates, however many
+    /// pages it touches; it is released when the [`PteWriter`] drops.
     pub fn writer(&self) -> PteWriter<'_> {
         PteWriter {
             aspace: self,
             _exclusive: self.writer.lock(),
         }
-    }
-
-    /// Map `page` to `frame` with the default protection key
-    /// (`mmap(MAP_SHARED | MAP_FIXED)` onto the in-memory file).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::AlreadyMapped`] if the page is mapped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `frame` does not fit the PTE word's 46-bit frame field.
-    pub fn map(&self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
-        self.writer().map(page, frame)
-    }
-
-    /// Remove the mapping for `page`, returning it (`munmap`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MapError::NotMapped`] if the page is not mapped.
-    pub fn unmap(&self, page: VirtPage) -> Result<Mapping, MapError> {
-        self.writer().unmap(page)
-    }
-
-    /// Set the PTE accessed bit for `page` (first touch populates the PTE).
-    pub fn mark_accessed(&self, page: VirtPage) {
-        self.writer().mark_accessed(page);
-    }
-
-    /// Retag `count` pages starting at `first` with `key`
-    /// (the `pkey_mprotect()` system call).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the key is invalid or a page is unmapped; no
-    /// partial update is applied in the error case.
-    pub fn pkey_mprotect(
-        &self,
-        first: VirtPage,
-        count: u64,
-        key: ProtectionKey,
-    ) -> Result<(), ProtectError> {
-        self.writer().pkey_mprotect(first, count, key)
     }
 
     /// Bytes Linux would report as RSS: populated PTEs x page size. Shared
@@ -359,17 +315,25 @@ impl AddressSpace {
     }
 }
 
-/// Exclusive write access to an [`AddressSpace`]: the writer mutex, held.
-/// Obtained from [`AddressSpace::writer`]; readers are never blocked by
-/// it. Each method is the [`AddressSpace`] method of the same name — same
-/// result, same errors — under this one hold of the mutex.
+/// Exclusive write access to an [`AddressSpace`]: the writer mutex, held,
+/// and the only way to change a PTE. Obtained from
+/// [`AddressSpace::writer`]; readers are never blocked by it.
 pub struct PteWriter<'a> {
     aspace: &'a AddressSpace,
     _exclusive: MutexGuard<'a, ()>,
 }
 
 impl PteWriter<'_> {
-    /// See [`AddressSpace::map`].
+    /// Map `page` to `frame` with the default protection key
+    /// (`mmap(MAP_SHARED | MAP_FIXED)` onto the in-memory file).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError::AlreadyMapped`] if the page is mapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frame` does not fit the PTE word's 46-bit frame field.
     pub fn map(&self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
         assert!(
             frame.0 >> FRAME_BITS == 0,
@@ -390,7 +354,11 @@ impl PteWriter<'_> {
         Ok(())
     }
 
-    /// See [`AddressSpace::unmap`].
+    /// Remove the mapping for `page`, returning it (`munmap`).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MapError::NotMapped`] if the page is not mapped.
     pub fn unmap(&self, page: VirtPage) -> Result<Mapping, MapError> {
         let mapping = self.aspace.entry(page).ok_or(MapError::NotMapped(page))?;
         self.aspace.store(page, None);
@@ -401,7 +369,7 @@ impl PteWriter<'_> {
         Ok(mapping)
     }
 
-    /// See [`AddressSpace::mark_accessed`].
+    /// Set the PTE accessed bit for `page` (first touch populates the PTE).
     pub fn mark_accessed(&self, page: VirtPage) {
         if let Some(m) = self.aspace.entry(page).filter(|m| !m.accessed) {
             let touched = Mapping {
@@ -416,7 +384,13 @@ impl PteWriter<'_> {
         }
     }
 
-    /// See [`AddressSpace::pkey_mprotect`].
+    /// Retag `count` pages starting at `first` with `key`
+    /// (the `pkey_mprotect()` system call).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the key is invalid or a page is unmapped; no
+    /// partial update is applied in the error case.
     pub fn pkey_mprotect(
         &self,
         first: VirtPage,
@@ -484,16 +458,16 @@ mod tests {
             PhysFrame((1 << FRAME_BITS) - 1),
             ProtectionKey(u16::MAX - 1),
         );
-        aspace.map(page, frame).unwrap();
-        aspace.pkey_mprotect(page, 1, pkey).unwrap();
-        aspace.mark_accessed(page);
+        aspace.writer().map(page, frame).unwrap();
+        aspace.writer().pkey_mprotect(page, 1, pkey).unwrap();
+        aspace.writer().mark_accessed(page);
         let full = Mapping {
             frame,
             pkey,
             accessed: true,
         };
         assert_eq!(aspace.entry(page), Some(full));
-        assert_eq!(aspace.unmap(page), Ok(full));
+        assert_eq!(aspace.writer().unmap(page), Ok(full));
         assert_eq!(aspace.entry(page), None);
     }
 
@@ -502,18 +476,18 @@ mod tests {
     fn oversize_frame_number_is_rejected_not_truncated() {
         let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
-        let _ = aspace.map(page, PhysFrame(1 << FRAME_BITS));
+        let _ = aspace.writer().map(page, PhysFrame(1 << FRAME_BITS));
     }
 
     #[test]
     fn map_translate_unmap() {
         let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
-        aspace.map(page, PhysFrame(3)).unwrap();
+        aspace.writer().map(page, PhysFrame(3)).unwrap();
         let m = aspace.translate(page.base_addr().offset(100)).unwrap();
         assert_eq!(m.frame, PhysFrame(3));
         assert_eq!(m.pkey, ProtectionKey::DEFAULT);
-        aspace.unmap(page).unwrap();
+        aspace.writer().unmap(page).unwrap();
         assert!(aspace.translate(page.base_addr()).is_none());
     }
 
@@ -521,9 +495,9 @@ mod tests {
     fn double_map_rejected() {
         let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
-        aspace.map(page, PhysFrame(0)).unwrap();
+        aspace.writer().map(page, PhysFrame(0)).unwrap();
         assert_eq!(
-            aspace.map(page, PhysFrame(1)),
+            aspace.writer().map(page, PhysFrame(1)),
             Err(MapError::AlreadyMapped(page))
         );
     }
@@ -532,7 +506,7 @@ mod tests {
     fn unmap_unmapped_rejected() {
         let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
-        assert_eq!(aspace.unmap(page), Err(MapError::NotMapped(page)));
+        assert_eq!(aspace.writer().unmap(page), Err(MapError::NotMapped(page)));
     }
 
     #[test]
@@ -550,9 +524,9 @@ mod tests {
         let aspace = AddressSpace::new(16);
         let first = aspace.reserve_pages(3);
         for i in 0..3 {
-            aspace.map(first.add(i), PhysFrame(i)).unwrap();
+            aspace.writer().map(first.add(i), PhysFrame(i)).unwrap();
         }
-        aspace.pkey_mprotect(first, 3, ProtectionKey(7)).unwrap();
+        aspace.writer().pkey_mprotect(first, 3, ProtectionKey(7)).unwrap();
         for i in 0..3 {
             assert_eq!(aspace.entry(first.add(i)).unwrap().pkey, ProtectionKey(7));
         }
@@ -562,9 +536,9 @@ mod tests {
     fn pkey_mprotect_invalid_key() {
         let aspace = AddressSpace::new(16);
         let page = aspace.reserve_pages(1);
-        aspace.map(page, PhysFrame(0)).unwrap();
+        aspace.writer().map(page, PhysFrame(0)).unwrap();
         assert_eq!(
-            aspace.pkey_mprotect(page, 1, ProtectionKey(16)),
+            aspace.writer().pkey_mprotect(page, 1, ProtectionKey(16)),
             Err(ProtectError::InvalidKey(ProtectionKey(16)))
         );
     }
@@ -573,10 +547,10 @@ mod tests {
     fn pkey_mprotect_unmapped_page_is_atomic() {
         let aspace = AddressSpace::new(16);
         let first = aspace.reserve_pages(2);
-        aspace.map(first, PhysFrame(0)).unwrap();
+        aspace.writer().map(first, PhysFrame(0)).unwrap();
         // Second page unmapped: the call must fail without retagging page 1.
         assert_eq!(
-            aspace.pkey_mprotect(first, 2, ProtectionKey(5)),
+            aspace.writer().pkey_mprotect(first, 2, ProtectionKey(5)),
             Err(ProtectError::NotMapped(first.add(1)))
         );
         assert_eq!(

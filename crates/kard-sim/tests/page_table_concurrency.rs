@@ -26,7 +26,7 @@ fn tlb_entry_does_not_survive_a_completed_pkey_mprotect() {
     let a = machine.register_thread();
     let b = machine.register_thread();
     let page = machine.mmap_one_page().unwrap();
-    machine.pkey_mprotect(b, page, 1, allowed).unwrap();
+    machine.pkey_mprotect(b, &[(page, 1)], allowed).unwrap();
     let mut pkru = machine.rdpkru(a);
     pkru.set_permission(denied, Permission::NoAccess);
     machine.wrpkru(a, pkru);
@@ -50,13 +50,13 @@ fn tlb_entry_does_not_survive_a_completed_pkey_mprotect() {
         });
         start.wait();
         for _ in 0..ROUNDS {
-            machine.pkey_mprotect(b, page, 1, denied).unwrap();
+            machine.pkey_mprotect(b, &[(page, 1)], denied).unwrap();
             phase.fetch_add(1, Ordering::SeqCst);
             for _ in 0..64 {
                 std::hint::spin_loop();
             }
             phase.fetch_add(1, Ordering::SeqCst);
-            machine.pkey_mprotect(b, page, 1, allowed).unwrap();
+            machine.pkey_mprotect(b, &[(page, 1)], allowed).unwrap();
         }
         done.store(true, Ordering::SeqCst);
         reader.join().unwrap()
@@ -107,12 +107,12 @@ fn page_key_readers_only_see_what_the_writer_stored_for_that_page() {
         start.wait();
         for cycle in 0..CYCLES {
             let i = cycle % PAGES;
-            machine.map_page(writer, pages[i], frames[i]).unwrap();
+            machine.map_pages(writer, &[(pages[i], frames[i])]).unwrap();
             for key in keys_of(i) {
-                machine.pkey_mprotect(writer, pages[i], 1, key).unwrap();
+                machine.pkey_mprotect(writer, &[(pages[i], 1)], key).unwrap();
                 assert_eq!(machine.page_key(pages[i]), Some(key));
             }
-            assert_eq!(machine.unmap_page(writer, pages[i]).unwrap(), frames[i]);
+            assert_eq!(machine.unmap_pages(writer, &[pages[i]]).unwrap(), [frames[i]]);
             assert_eq!(machine.page_key(pages[i]), None);
         }
         done.store(true, Ordering::Release);

@@ -123,13 +123,13 @@ proptest! {
         let mut model = PteModel::default();
         for op in ops {
             match op {
-                PteOp::Map(p, f) => prop_assert_eq!(aspace.map(p, f), model.map(p, f)),
-                PteOp::Unmap(p) => prop_assert_eq!(aspace.unmap(p), model.unmap(p)),
+                PteOp::Map(p, f) => prop_assert_eq!(aspace.writer().map(p, f), model.map(p, f)),
+                PteOp::Unmap(p) => prop_assert_eq!(aspace.writer().unmap(p), model.unmap(p)),
                 PteOp::Protect(p, n, k) => {
-                    prop_assert_eq!(aspace.pkey_mprotect(p, n, k), model.protect(p, n, k));
+                    prop_assert_eq!(aspace.writer().pkey_mprotect(p, n, k), model.protect(p, n, k));
                 }
                 PteOp::Touch(p) => {
-                    aspace.mark_accessed(p);
+                    aspace.writer().mark_accessed(p);
                     model.touch(p);
                 }
             }
@@ -182,7 +182,7 @@ proptest! {
         let t = machine.register_thread();
         let page = machine.mmap_one_page().unwrap();
         let key = ProtectionKey(key_raw);
-        machine.pkey_mprotect(t, page, 1, key).unwrap();
+        machine.pkey_mprotect(t, &[(page, 1)], key).unwrap();
 
         let mut pkru = Pkru::allow_all(&machine.key_layout());
         pkru.set_permission(key, perm);

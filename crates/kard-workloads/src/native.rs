@@ -99,7 +99,7 @@ impl NativeExecutor {
         let rounded = size.max(1).div_ceil(NATIVE_GRANULE) * NATIVE_GRANULE;
         if rounded < PAGE_SIZE {
             // Small allocation: the glibc fast path cost. Large
-            // allocations pay the mmap charged by `map_page` instead —
+            // allocations pay the mmap charged by `map_pages` instead —
             // that *is* glibc's large-allocation path.
             let cost = self.machine.cost_model().malloc_baseline;
             self.machine.charge(t, cost);
@@ -114,7 +114,7 @@ impl NativeExecutor {
             for i in 0..pages {
                 let frame = self.machine.alloc_frame(t);
                 self.machine
-                    .map_page(t, first.add(i), frame)
+                    .map_pages(t, &[(first.add(i), frame)])
                     .expect("fresh page");
             }
             return first.base_addr();
@@ -129,7 +129,7 @@ impl NativeExecutor {
             _ => {
                 let page = self.machine.reserve_pages(1);
                 let frame = self.machine.alloc_frame(t);
-                self.machine.map_page(t, page, frame).expect("fresh page");
+                self.machine.map_pages(t, &[(page, frame)]).expect("fresh page");
                 self.open_page = Some((page.base_addr(), rounded));
                 page.base_addr()
             }

@@ -89,18 +89,6 @@ pub struct WorkloadSpec {
 }
 
 impl WorkloadSpec {
-    /// Total sharable objects (heap + globals), the `pkey_mprotect` driver.
-    #[must_use]
-    pub fn sharable_objects(&self) -> u64 {
-        self.heap_objects + self.global_objects
-    }
-
-    /// Total shared objects (Table 3 "Shared objects" = RO + RW).
-    #[must_use]
-    pub fn shared_objects(&self) -> u64 {
-        self.shared_ro + self.shared_rw
-    }
-
     /// Baseline execution time converted to cycles on the paper's 2.1 GHz
     /// machine.
     #[must_use]
@@ -162,8 +150,6 @@ mod tests {
     #[test]
     fn derived_quantities() {
         let s = table3::by_name("streamcluster").unwrap();
-        assert_eq!(s.sharable_objects(), 1838);
-        assert_eq!(s.shared_objects(), 1);
         assert_eq!(s.baseline_cycles(), (4.96 * 2.1e9) as u64);
     }
 }
