@@ -171,11 +171,9 @@ pub struct KardAlloc {
     /// Per-thread magazines, materialized on first use: a cell for every
     /// thread the machine can register.
     magazines: ThreadSpine<Magazine>,
-    /// Sharded records for dedicated objects, globals, and any
-    /// consolidated object outside the lock-free tables' capacity.
+    /// Sharded records for dedicated objects, globals, and every object
+    /// of the sharded mode.
     objects: Vec<TrackedMutex<HashMap<ObjectId, ObjectRecord>>>,
-    /// Page→object fallback for pages outside the lock-free index.
-    pages: Vec<TrackedMutex<HashMap<VirtPage, ObjectId>>>,
     /// Free consolidation slots, sharded by size class (rounded size) —
     /// the tier-2 global pool magazines refill from.
     free_slots: Vec<TrackedMutex<SlotMap>>,
@@ -224,9 +222,6 @@ impl KardAlloc {
             page_index: PageIndex::default(),
             magazines: ThreadSpine::new(),
             objects: (0..ALLOC_SHARDS).map(tracked).collect(),
-            pages: (0..ALLOC_SHARDS)
-                .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions)))
-                .collect(),
             free_slots: (0..ALLOC_SHARDS)
                 .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions)))
                 .collect(),
@@ -308,10 +303,6 @@ impl KardAlloc {
         &self.objects[id.0 as usize % ALLOC_SHARDS]
     }
 
-    fn page_shard(&self, page: VirtPage) -> &TrackedMutex<HashMap<VirtPage, ObjectId>> {
-        &self.pages[page.0 as usize % ALLOC_SHARDS]
-    }
-
     fn slot_shard(&self, rounded: u64) -> &TrackedMutex<SlotMap> {
         &self.free_slots[(rounded / ALLOC_GRANULE) as usize % ALLOC_SHARDS]
     }
@@ -341,10 +332,8 @@ impl KardAlloc {
         let rounded = Self::round_up(size);
         let id = ObjectId(self.next_id.fetch_add(1, Ordering::Relaxed));
 
-        if self.magazine_mode && rounded < PAGE_SIZE && self.cons.fits(id) {
-            if let Some(info) = self.alloc_magazine(thread, id, size, rounded) {
-                return info;
-            }
+        if self.magazine_mode && rounded < PAGE_SIZE {
+            return self.alloc_magazine(thread, id, size, rounded);
         }
 
         let record = if rounded < PAGE_SIZE {
@@ -365,23 +354,21 @@ impl KardAlloc {
     }
 
     /// Tier-1 fast path: pop a prepared slot from the owning thread's
-    /// magazine and publish the object's metadata lock-free. `None` once
-    /// the machine's pages have outrun the lock-free page index: the
-    /// caller then allocates through the sharded maps.
+    /// magazine and publish the object's metadata lock-free.
     fn alloc_magazine(
         &self,
         thread: ThreadId,
         id: ObjectId,
         size: u64,
         rounded: u64,
-    ) -> Option<ObjectInfo> {
+    ) -> ObjectInfo {
         let mag = self.magazine(thread);
         let mut guard = mag.engage();
         let inner = guard.inner();
         let class = class_of(rounded);
         let fast = !inner.classes[class].prepared.is_empty();
-        if !fast && !self.refill(thread, inner, mag, class, rounded) {
-            return None;
+        if !fast {
+            self.refill(thread, inner, mag, class, rounded);
         }
         let slot = inner.classes[class]
             .prepared
@@ -420,20 +407,13 @@ impl KardAlloc {
             }
         }
         self.emit(thread, EventKind::ObjectAlloc, id.0, size);
-        Some(rec.info())
+        rec.info()
     }
 
     /// Tier-2 slow path: drain remote frees, retire dirty pages, and
     /// provision a fresh batch of prepared slots for `class` with one
     /// batched `mmap` (+ one batched `pkey_mprotect` when a provision
     /// key is declared).
-    ///
-    /// Returns `false`, having mapped nothing (the reservation it
-    /// abandons is address space only), when the batch's pages fall
-    /// outside [`PageIndex`] capacity. Pages are a never-reused bump
-    /// sequence, so every later batch would too; and since only
-    /// in-capacity batches are ever prepared, popping a slot needs no
-    /// check.
     fn refill(
         &self,
         thread: ThreadId,
@@ -441,7 +421,7 @@ impl KardAlloc {
         mag: &Magazine,
         class: usize,
         rounded: u64,
-    ) -> bool {
+    ) {
         let drained = mag.remote.drain();
         if !drained.is_empty() {
             self.stats
@@ -456,9 +436,6 @@ impl KardAlloc {
         let cache = &mut inner.classes[class];
         let batch = cache.next_batch.max(INITIAL_BATCH);
         let first = self.machine.reserve_pages(batch as u64);
-        if !self.page_index.fits(first.add(batch as u64 - 1)) {
-            return false;
-        }
         cache.next_batch = (batch * 2).min(MAX_BATCH);
 
         // Source physical extents: class-local raw cache, then the
@@ -526,7 +503,6 @@ impl KardAlloc {
             rounded,
             cache.prepared.len() as u64,
         );
-        true
     }
 
     /// Batch-unmap every dirty page and recycle the physical extents
@@ -655,12 +631,7 @@ impl KardAlloc {
     fn index(&self, record: ObjectRecord) {
         let info = record.info;
         for i in 0..info.page_count {
-            let page = info.first_page.add(i);
-            if self.page_index.fits(page) {
-                self.page_index.insert(page, info.id);
-            } else {
-                self.page_shard(page).lock().insert(page, info.id);
-            }
+            self.page_index.insert(info.first_page.add(i), info.id);
         }
         self.object_shard(info.id).lock().insert(info.id, record);
     }
@@ -732,11 +703,7 @@ impl KardAlloc {
         );
         for i in 0..record.info.page_count {
             let page = record.info.first_page.add(i);
-            if self.page_index.fits(page) {
-                self.page_index.clear(page);
-            } else {
-                self.page_shard(page).lock().remove(&page);
-            }
+            self.page_index.clear(page);
             let frames = self
                 .machine
                 .unmap_pages(thread, &[page])
@@ -871,21 +838,18 @@ impl KardAlloc {
     /// without touching that magazine.
     #[must_use]
     pub fn object_at(&self, addr: VirtAddr) -> Option<ObjectInfo> {
-        let page = addr.page();
-        let id = match self.page_index.get(page) {
-            Ok(hit) => hit?,
-            Err(()) => *self.page_shard(page).lock().get(&page)?,
-        };
-        self.object(id)
+        self.object(self.page_index.get(addr.page())?)
     }
 
-    /// Metadata of a live object by id.
+    /// Metadata of a live object by id. A magazine object, live or freed,
+    /// is answered from its lock-free cell; only other objects reach the
+    /// sharded maps.
     #[must_use]
     pub fn object(&self, id: ObjectId) -> Option<ObjectInfo> {
-        if let Some(rec) = self.cons.live(id) {
-            return Some(rec.info());
+        match self.cons.lookup(id) {
+            Some(cell) => cell.map(|rec| rec.info()),
+            None => self.object_shard(id).lock().get(&id).map(|r| r.info),
         }
-        self.object_shard(id).lock().get(&id).map(|r| r.info)
     }
 
     /// All live objects (snapshot), in allocation order.
@@ -966,7 +930,7 @@ impl fmt::Debug for KardAlloc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use kard_sim::{AccessKind, CodeSite, MachineConfig};
+    use kard_sim::{page_slot, AccessKind, CodeSite, MachineConfig, PageSpine};
 
     /// Paper-semantics fixture: the sharded baseline, whose per-object
     /// `mmap` and strict bump order are what Figure 2 describes.
@@ -1298,17 +1262,20 @@ mod tests {
     }
 
     /// Pages are never reused, so churn alone walks a long-lived allocator
-    /// past the lock-free page index. Small objects then live in the
-    /// sharded maps like any other out-of-capacity object.
+    /// past the page table's first 16 Mi pages. Objects out there resolve
+    /// and free exactly as near ones do: lock-free, and leaving nothing
+    /// mapped behind.
     #[test]
-    fn small_objects_past_page_index_capacity_fall_back_to_the_sharded_maps() {
+    fn objects_past_the_first_16_mi_pages_resolve_with_zero_allocator_locks_and_strand_nothing() {
         let (machine, t, alloc) = setup_magazine();
-        let first = alloc.alloc(t, 64); // leaves in-capacity prepared stock
+        let first = alloc.alloc(t, 64); // leaves first-level prepared stock
         let _ = machine.reserve_pages(1 << 24);
         let mut objs: Vec<_> = (0..8).map(|_| alloc.alloc(t, 64)).collect();
-        assert!(alloc.page_index.fits(objs[0].first_page), "stock is used up first");
-        assert!(!alloc.page_index.fits(objs[7].first_page), "then capacity is crossed");
+        let far = |o: &ObjectInfo| page_slot(o.first_page).unwrap() >= PageSpine::<()>::FIRST_LEVEL;
+        assert!(!far(&objs[0]), "the stock is used up first");
+        assert!(far(&objs[7]), "then the far level is reached");
         objs.push(first);
+        let locks = alloc.alloc_lock_acquisitions();
         for o in &objs {
             assert_eq!(alloc.object_at(o.base).unwrap().id, o.id);
         }
@@ -1316,9 +1283,23 @@ mod tests {
             alloc.free(t, o.id);
             assert!(alloc.object_at(o.base).is_none());
         }
+        assert_eq!(alloc.alloc_lock_acquisitions(), locks, "lookups and frees took a lock");
         alloc.on_thread_exit(t);
         assert_eq!(machine.mapped_pages(), 0, "no page stranded");
         assert_eq!(alloc.stats().live_objects, 0);
+    }
+
+    /// A freed magazine object's cell says so; it is in no sharded map,
+    /// so asking after it must not lock one.
+    #[test]
+    fn a_freed_magazine_object_is_looked_up_without_a_lock() {
+        let (_, t, alloc) = setup_magazine();
+        let o = alloc.alloc(t, 32);
+        alloc.free(t, o.id);
+        let locks = alloc.alloc_lock_acquisitions();
+        assert_eq!(alloc.object(o.id), None);
+        assert_eq!(alloc.object_at(o.base), None);
+        assert_eq!(alloc.alloc_lock_acquisitions(), locks);
     }
 
     #[test]

@@ -23,14 +23,14 @@
 //! flips still reads consistent values.
 //!
 //! Both tables are clients of the one publish-once chunked table,
-//! [`kard_sim::Spine`]: chunks materialize on first write, so an idle
-//! table costs only the spine. Ids or pages beyond the fixed capacity
-//! fall back to the allocator's sharded maps (the caller checks
-//! [`ConsTable::fits`] / [`PageIndex::fits`]); capacity is sized so the
-//! fallback is never hit by the workloads in this repository.
+//! [`kard_sim::Spine`], in the page table's geometry: chunks materialize
+//! on first write, so an idle table costs only the spine, and the spine
+//! reaches the end of the simulated address space. Every page the
+//! machine can reserve has a slot, and every object owns at least one
+//! fresh page, so every id has a cell: no object ever needs another home.
 
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
-use kard_sim::{page_slot, PageSpine, PhysFrame, Spine, ThreadId, VirtAddr, VirtPage};
+use kard_sim::{page_slot, PageSpine, PhysFrame, ThreadId, VirtAddr, VirtPage};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Cell is unpublished (or the id was never a consolidated object).
@@ -41,10 +41,10 @@ pub const STATE_LIVE: u64 = 1;
 pub const STATE_DEAD: u64 = 2;
 
 /// The geometry of every table indexed by [`ObjectId`] — this crate's
-/// [`ConsTable`], the detector's side metadata — and so their one shared
-/// capacity: 16 Mi ids. An object is at least a page, so this is no
-/// smaller than [`PageIndex`]'s 16 Mi pages.
-pub type IdSpine<T> = Spine<T, 12, { 1 << 12 }>;
+/// [`ConsTable`], the detector's side metadata. Every id is issued with at
+/// least one fresh page, so ids never outnumber pages and the page
+/// table's geometry covers them too.
+pub type IdSpine<T> = PageSpine<T>;
 
 /// Immutable snapshot of one consolidated object's metadata.
 #[derive(Clone, Copy, Debug)]
@@ -116,12 +116,6 @@ pub struct ConsTable {
 }
 
 impl ConsTable {
-    /// Whether `id` is within the table's fixed capacity.
-    #[must_use]
-    pub fn fits(&self, id: ObjectId) -> bool {
-        (id.0 as usize) < IdSpine::<ConsCell>::CAPACITY
-    }
-
     /// Publish a freshly allocated object. The release store of
     /// [`STATE_LIVE`] is the linearization point; callers must index the
     /// page *after* this returns so a page-index hit always finds a live
@@ -129,8 +123,9 @@ impl ConsTable {
     ///
     /// # Panics
     ///
-    /// Panics if `rec.id` is outside the table's capacity (callers gate
-    /// on [`ConsTable::fits`] and keep such objects in the sharded maps).
+    /// Panics if `rec.id` is past the table's capacity, which no id
+    /// reaches: ids never outnumber pages, and the geometry covers every
+    /// page the machine can reserve.
     pub fn publish(&self, rec: &ConsRecord) {
         let cell = self
             .cells
@@ -146,11 +141,18 @@ impl ConsTable {
         cell.state.store(STATE_LIVE, Ordering::Release);
     }
 
-    /// The record of `id` if it is a live consolidated object.
+    /// What the table knows of `id`: `None` if `id` was never published
+    /// here (it is no magazine object, so the allocator's maps answer),
+    /// else `Some` of its record while the object lives and `Some(None)`
+    /// once it is freed — a freed magazine object is in no map either.
     #[must_use]
-    pub fn live(&self, id: ObjectId) -> Option<ConsRecord> {
+    pub fn lookup(&self, id: ObjectId) -> Option<Option<ConsRecord>> {
         let cell = self.cells.get(id.0 as usize)?;
-        (cell.state.load(Ordering::Acquire) == STATE_LIVE).then(|| cell.record(id))
+        match cell.state.load(Ordering::Acquire) {
+            STATE_EMPTY => None,
+            STATE_LIVE => Some(Some(cell.record(id))),
+            _ => Some(None),
+        }
     }
 
     /// Claim `id` for freeing: exactly one caller wins the `LIVE → DEAD`
@@ -187,11 +189,6 @@ impl ConsTable {
     }
 }
 
-/// The page index's geometry is the simulated page table's
-/// ([`kard_sim::PageSpine`], 16 Mi pages), so "page in capacity" is
-/// [`kard_sim::page_slot`] for both and the same pages overflow in both.
-type PageSlots = PageSpine<AtomicU64>;
-
 /// Lock-free page→object index over the dense reservation sequence.
 ///
 /// Each slot holds `object id + 1` (`0` = no owner). Pages are never
@@ -202,27 +199,22 @@ type PageSlots = PageSpine<AtomicU64>;
 /// on the allocator.
 #[derive(Default)]
 pub struct PageIndex {
-    slots: PageSlots,
+    /// The simulated page table's geometry, slot for slot.
+    slots: PageSpine<AtomicU64>,
 }
 
 impl PageIndex {
-    /// Whether `page` is within the index's fixed capacity.
-    #[must_use]
-    pub fn fits(&self, page: VirtPage) -> bool {
-        page_slot(page).is_some()
-    }
-
-    /// Record `page → id`. The caller must have published the object's
-    /// metadata first.
+    /// Record `page → id`. The caller must have mapped the page and
+    /// published the object's metadata first.
     ///
     /// # Panics
     ///
-    /// Panics if `page` is outside the index capacity (callers gate on
-    /// [`PageIndex::fits`] and keep such objects in the sharded maps).
+    /// Panics if `page` lies outside the mmap region, where no page is
+    /// ever mapped.
     pub fn insert(&self, page: VirtPage, id: ObjectId) {
         page_slot(page)
             .and_then(|idx| self.slots.get_or_publish(idx))
-            .expect("page outside index capacity")
+            .expect("only pages of the mmap region are mapped")
             .store(id.0 + 1, Ordering::Release);
     }
 
@@ -233,17 +225,13 @@ impl PageIndex {
         }
     }
 
-    /// The object owning `page`, if the index covers it and an owner is
-    /// recorded. `Ok(None)` means "no owner"; `Err(())` means the page is
-    /// outside the index capacity and the caller must consult the
-    /// sharded fallback map.
-    #[allow(clippy::result_unit_err)] // Err is purely "not covered here".
-    pub fn get(&self, page: VirtPage) -> Result<Option<ObjectId>, ()> {
-        let idx = page_slot(page).ok_or(())?;
-        Ok(match self.slots.get(idx).map(|slot| slot.load(Ordering::Acquire)) {
-            None | Some(0) => None,
-            Some(raw) => Some(ObjectId(raw - 1)),
-        })
+    /// The object owning `page`, if one is recorded.
+    #[must_use]
+    pub fn get(&self, page: VirtPage) -> Option<ObjectId> {
+        match self.slots.get(page_slot(page)?)?.load(Ordering::Acquire) {
+            0 => None,
+            raw => Some(ObjectId(raw - 1)),
+        }
     }
 }
 
@@ -269,11 +257,11 @@ mod tests {
         let t = ConsTable::default();
         let r = rec(5, 0);
         t.publish(&r);
-        let got = t.live(ObjectId(5)).unwrap();
+        let got = t.lookup(ObjectId(5)).flatten().unwrap();
         assert_eq!(got.base, r.base);
         assert_eq!(got.owner, ThreadId(3));
         assert_eq!(got.info().first_page, r.base.page());
-        assert!(t.live(ObjectId(4)).is_none(), "unpublished id");
+        assert!(t.lookup(ObjectId(4)).is_none(), "unpublished id");
     }
 
     #[test]
@@ -281,7 +269,7 @@ mod tests {
         let t = ConsTable::default();
         t.publish(&rec(9, 0));
         assert!(t.claim_free(ObjectId(9)).is_some());
-        assert!(t.live(ObjectId(9)).is_none(), "dead after claim");
+        assert!(matches!(t.lookup(ObjectId(9)), Some(None)), "dead after claim");
         assert!(t.claim_free(ObjectId(1234)).is_none(), "empty cell defers");
     }
 
@@ -307,12 +295,14 @@ mod tests {
     #[test]
     fn page_index_insert_get_clear() {
         let idx = PageIndex::default();
-        let page = VirtPage(MMAP_BASE_PAGE.0 + 17);
-        assert_eq!(idx.get(page), Ok(None));
-        idx.insert(page, ObjectId(0));
-        assert_eq!(idx.get(page), Ok(Some(ObjectId(0))));
-        idx.clear(page);
-        assert_eq!(idx.get(page), Ok(None));
-        assert!(idx.get(VirtPage(0)).is_err(), "below base is not covered");
+        // A first-level page and one past the first 16 Mi pages.
+        for page in [MMAP_BASE_PAGE.add(17), MMAP_BASE_PAGE.add((1 << 24) + 17)] {
+            assert_eq!(idx.get(page), None);
+            idx.insert(page, ObjectId(3));
+            assert_eq!(idx.get(page), Some(ObjectId(3)));
+            idx.clear(page);
+            assert_eq!(idx.get(page), None);
+        }
+        assert_eq!(idx.get(VirtPage(0)), None, "below the region");
     }
 }

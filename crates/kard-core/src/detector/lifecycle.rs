@@ -43,8 +43,8 @@ impl Kard {
         // metadata: a never-grouped object can skip the `vkeys` mutex
         // below. Safe because this object's membership only ever changes
         // under its fault shard, held here.
-        let maybe_grouped = matches!(self.config.keys, KeyMode::Virtual(_))
-            && self.sidemeta.maybe_grouped(id);
+        let grouped = matches!(self.config.keys, KeyMode::Virtual(_))
+            && self.sidemeta.vkey(id).is_some();
         let prev = self.sidemeta.take_domain(id);
         self.sidemeta.clear(id);
         if prev == Some(Domain::NotAccessed) {
@@ -61,7 +61,7 @@ impl Kard {
         } else {
             false
         };
-        if maybe_grouped {
+        if grouped {
             // Group membership outlives domain demotion (an evicted
             // object is Read-only but still grouped), so the free must
             // drop it explicitly.
@@ -254,7 +254,7 @@ impl Kard {
     }
 
     /// The current protection domain of an object, if tracked: one
-    /// acquire load (a locked lookup for an overflow object).
+    /// acquire load of its side-metadata word, at any id.
     #[must_use]
     pub fn domain_of(&self, id: ObjectId) -> Option<Domain> {
         self.sidemeta.domain(id)

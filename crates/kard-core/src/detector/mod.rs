@@ -23,9 +23,8 @@
 //! * **lock-free domains**: an object's protection domain is one atomic
 //!   word in the flat side metadata ([`crate::sidemeta`]), indexed by
 //!   object id and reached through `set_domain` / `domain` /
-//!   `take_domain` (store / load / swap). Ids beyond the table's
-//!   capacity keep their domain in a small sharded overflow map that
-//!   the side metadata owns, behind the same three calls;
+//!   `take_domain` (store / load / swap). The table spans every id the
+//!   allocator can issue, so no object's domain lives anywhere else;
 //! * **per-concern locks**: the key-section map, the section-object map,
 //!   the interleaver, and the race-record store each have their own
 //!   narrow lock — but the *common* (no-conflict) section entry/exit
@@ -96,8 +95,8 @@
 //!    `sections` lock is such a leaf with the plan cells under it: a
 //!    writer looks up the sections accessing an object and touches their
 //!    cells (single atomic operations) while holding it, and a reader
-//!    copies a section's objects out, both without reaching the side
-//!    metadata's overflow shards or the key table;
+//!    copies a section's objects out, both without reaching the key
+//!    table;
 //! 5. the allocator's own synchronization nests strictly *under* the
 //!    detector's: `on_free` and `on_thread_exit` hold fault shards while
 //!    calling into the allocator, whose order is magazine engage check →
@@ -312,7 +311,7 @@ impl Kard {
             keys: TrackedMutex::new(KeyTable::new(&layout), Arc::clone(&counter)),
             words: KeyWords::new(&layout),
             vkeys: TrackedMutex::new(VKeyTable::new(cache_policy), Arc::clone(&counter)),
-            sidemeta: SideMetadata::new(&counter),
+            sidemeta: SideMetadata::default(),
             interleaver: TrackedMutex::new(Interleaver::new(), Arc::clone(&counter)),
             records: TrackedMutex::new(RecordStore::default(), Arc::clone(&counter)),
             stats: AtomicStats::default(),

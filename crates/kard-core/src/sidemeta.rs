@@ -3,8 +3,8 @@
 //! The detector's per-object metadata — protection domain, virtual-key
 //! membership, hotness — lives here, one cell of three atomic words per
 //! object, each written with one store and read with one acquire load.
-//! The domain word is the *only* record of an in-capacity object's
-//! domain; the membership word mirrors the mutexed [`crate::vkey`] table.
+//! The domain word is the *only* record of an object's domain; the
+//! membership word mirrors the mutexed [`crate::vkey`] table.
 //!
 //! ```text
 //!   ObjectId ──▶ cells[id]:
@@ -22,16 +22,14 @@
 //! is the index: no id → page detour, no hashing, no ABA, and one cell
 //! per object however many pages it spans.
 //!
-//! **One capacity, and who owns what lies past it.** The cells sit on
-//! [`kard_alloc::IdSpine`], the geometry every id-indexed table shares
-//! (16 Mi ids; chunks materialize zeroed on first write, an idle table
-//! costs one pointer per chunk). An id past it has no cell. This module
-//! owns that case too: the domain — the one word the detector cannot do
-//! without — goes to a small sharded map whose mutexes count on the
-//! detector's lock counter, so each domain operation on such an object
-//! costs exactly one lock; membership and hotness are simply not
-//! recorded ([`SideMetadata::maybe_grouped`] answers "ask the vkey
-//! table", heat reads 0). No caller tests the capacity.
+//! **One geometry, every id.** The cells sit on
+//! [`kard_alloc::IdSpine`], the geometry every id-indexed table shares:
+//! the page table's, which spans the whole simulated address space, and
+//! every object owns at least one fresh page, so every id the allocator
+//! can issue has a cell. Chunks materialize zeroed on first write; an
+//! idle table costs one pointer per first-level chunk, and ids past the
+//! first 16 Mi reach their cell through one more level, built only where
+//! touched. No operation here takes a lock, at any id.
 //!
 //! **Who writes, who reads.** The domain word is written with no lock of
 //! its own — every writer after allocation already runs under the
@@ -70,23 +68,16 @@ use crate::domains::Domain;
 use crate::vkey::VirtualKey;
 use kard_alloc::ObjectId;
 use kard_sim::ProtectionKey;
-use kard_telemetry::sync::TrackedMutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// The cell table: the shared id geometry.
 #[cfg(not(test))]
 type Cells = kard_alloc::IdSpine<MetaCell>;
-/// Unit tests shrink the table to two chunks so the overflow store is
-/// reached by burning 8 Ki ids instead of 16 Mi.
+/// Unit tests shrink the first level to two chunks, so the far level is
+/// reached by burning 8 Ki ids instead of 16 Mi; its 2,047 nodes still
+/// cover the 16 Mi ids of the real first level.
 #[cfg(test)]
-type Cells = kard_sim::Spine<MetaCell, 12, 2>;
-
-/// Number of independently locked shards of the overflow domain map.
-/// Object ids are dense, so a simple modulo spreads neighboring objects
-/// across different locks.
-const OVERFLOW_SHARDS: usize = 16;
+type Cells = kard_sim::Spine<MetaCell, 12, 2, 2047>;
 
 /// Saturation ceiling of the hotness counter. High enough that ordering
 /// among live groups is preserved for any realistic run.
@@ -124,33 +115,13 @@ struct MetaCell {
 }
 
 /// The flat id-indexed metadata space (see [module docs](self)).
+#[derive(Default)]
 pub struct SideMetadata {
     cells: Cells,
-    /// Domains of objects whose id is past the cells' capacity.
-    overflow: Box<[TrackedMutex<HashMap<ObjectId, Domain>>]>,
 }
 
 impl SideMetadata {
-    /// An empty table (allocates only the chunk spine) whose overflow
-    /// mutexes count their acquisitions on `lock_counter`.
-    #[must_use]
-    pub fn new(lock_counter: &Arc<AtomicU64>) -> SideMetadata {
-        SideMetadata {
-            cells: Cells::new(),
-            overflow: (0..OVERFLOW_SHARDS)
-                .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(lock_counter)))
-                .collect(),
-        }
-    }
-
-    /// "Id in capacity": whether `id` has a cell (else only its domain is
-    /// kept, in the overflow map).
-    fn fits(id: ObjectId) -> bool {
-        (id.0 as usize) < Cells::CAPACITY
-    }
-
-    /// `id`'s cell, materializing its chunk (write paths). `None` past
-    /// capacity.
+    /// `id`'s cell, materializing its chunk (write paths).
     fn cell(&self, id: ObjectId) -> Option<&MetaCell> {
         self.cells.get_or_publish(id.0 as usize)
     }
@@ -161,48 +132,31 @@ impl SideMetadata {
         self.cells.get(id.0 as usize)
     }
 
-    fn overflow(&self, id: ObjectId) -> &TrackedMutex<HashMap<ObjectId, Domain>> {
-        &self.overflow[id.0 as usize % OVERFLOW_SHARDS]
-    }
-
-    /// Record `id`'s protection domain: one release store (a locked
-    /// insert past capacity), before the writer marks any plan stale.
-    /// Last-writer-wins; every caller after allocation holds the object's
-    /// fault shard or a [`crate::faultshard::ShardClaims`] claim on it.
+    /// Record `id`'s protection domain: one release store, before the
+    /// writer marks any plan stale. Last-writer-wins; every caller after
+    /// allocation holds the object's fault shard or a
+    /// [`crate::faultshard::ShardClaims`] claim on it.
     pub fn set_domain(&self, id: ObjectId, domain: Domain) {
-        match self.cell(id) {
-            Some(cell) => cell.domain.store(encode_domain(domain), Ordering::Release),
-            None => {
-                self.overflow(id).lock().insert(id, domain);
-            }
+        if let Some(cell) = self.cell(id) {
+            cell.domain.store(encode_domain(domain), Ordering::Release);
         }
     }
 
-    /// Forget `id`'s domain and return it (object freed): one swap (a
-    /// locked remove past capacity).
+    /// Forget `id`'s domain and return it (object freed): one swap.
     pub fn take_domain(&self, id: ObjectId) -> Option<Domain> {
-        if Self::fits(id) {
-            decode_domain(self.peek(id)?.domain.swap(0, Ordering::AcqRel))
-        } else {
-            self.overflow(id).lock().remove(&id)
-        }
+        decode_domain(self.peek(id)?.domain.swap(0, Ordering::AcqRel))
     }
 
-    /// `id`'s protection domain: one acquire load, no locks (a locked
-    /// lookup past capacity). `None` means no domain is recorded — never
-    /// set, or taken by a free.
+    /// `id`'s protection domain: one acquire load, no locks. `None` means
+    /// no domain is recorded — never set, or taken by a free.
     #[must_use]
     pub fn domain(&self, id: ObjectId) -> Option<Domain> {
-        if Self::fits(id) {
-            decode_domain(self.peek(id)?.domain.load(Ordering::Acquire))
-        } else {
-            self.overflow(id).lock().get(&id).copied()
-        }
+        decode_domain(self.peek(id)?.domain.load(Ordering::Acquire))
     }
 
     /// Publish `id`'s virtual-key membership. Called under the
     /// `keys → vkeys` lock order, adjacent to the membership-map
-    /// mutation. Not recorded past capacity.
+    /// mutation.
     pub fn set_vkey(&self, id: ObjectId, vkey: VirtualKey) {
         if let Some(cell) = self.cell(id) {
             cell.vkey.store(vkey.0 + 1, Ordering::Release);
@@ -216,14 +170,6 @@ impl SideMetadata {
             0 => None,
             raw => Some(VirtualKey(raw - 1)),
         }
-    }
-
-    /// Whether `id` may belong to a group: its membership word is set,
-    /// or it is past capacity and has no word, so only the vkey table
-    /// knows. `false` lets a free skip the `vkeys` mutex.
-    #[must_use]
-    pub fn maybe_grouped(&self, id: ObjectId) -> bool {
-        !Self::fits(id) || self.vkey(id).is_some()
     }
 
     /// Bump `id`'s hotness counter (relaxed, saturating at [`HOT_MAX`]).
@@ -241,7 +187,7 @@ impl SideMetadata {
         }
     }
 
-    /// `id`'s current hotness (relaxed; 0 past capacity).
+    /// `id`'s current hotness (relaxed; 0 if never bumped).
     #[must_use]
     pub fn hot(&self, id: ObjectId) -> u64 {
         self.peek(id).map_or(0, |cell| cell.hot.load(Ordering::Relaxed))
@@ -264,18 +210,18 @@ mod tests {
     use crate::{Kard, KardConfig, KeyMode, LockId};
     use kard_alloc::KardAlloc;
     use kard_sim::{CodeSite, Machine, MachineConfig, PAGE_SIZE};
+    use std::sync::Arc;
 
-    fn table() -> (SideMetadata, Arc<AtomicU64>) {
-        let locks = Arc::new(AtomicU64::new(0));
-        (SideMetadata::new(&locks), locks)
+    fn table() -> SideMetadata {
+        SideMetadata::default()
     }
 
-    /// The first id without a cell.
-    const PAST: ObjectId = ObjectId(Cells::CAPACITY as u64);
+    /// The first id of the far level.
+    const FAR: ObjectId = ObjectId(Cells::FIRST_LEVEL as u64);
 
     #[test]
     fn domain_words_round_trip_every_variant() {
-        let (m, _) = table();
+        let m = table();
         let id = ObjectId(3);
         for domain in [
             Domain::NotAccessed,
@@ -294,36 +240,33 @@ mod tests {
 
     #[test]
     fn absent_ids_read_as_none_without_materializing() {
-        let (m, locks) = table();
-        let id = ObjectId(100);
-        assert_eq!(m.domain(id), None);
-        assert_eq!(m.take_domain(id), None);
-        assert_eq!(m.vkey(id), None);
-        assert!(!m.maybe_grouped(id));
-        assert_eq!(m.hot(id), 0);
-        m.clear(id);
+        let m = table();
+        for id in [ObjectId(100), FAR] {
+            assert_eq!(m.domain(id), None);
+            assert_eq!(m.take_domain(id), None);
+            assert_eq!(m.vkey(id), None);
+            assert_eq!(m.hot(id), 0);
+            m.clear(id);
+        }
         assert_eq!(m.cells.iter().count(), 0, "a read materialized a chunk");
-        assert_eq!(locks.load(Ordering::Relaxed), 0);
     }
 
     #[test]
     fn vkey_membership_round_trips() {
-        let (m, _) = table();
+        let m = table();
         let id = ObjectId(7);
         assert_eq!(m.vkey(id), None);
         m.set_vkey(id, VirtualKey(0));
         assert_eq!(m.vkey(id), Some(VirtualKey(0)));
         m.set_vkey(id, VirtualKey(41));
         assert_eq!(m.vkey(id), Some(VirtualKey(41)));
-        assert!(m.maybe_grouped(id));
         m.clear(id);
         assert_eq!(m.vkey(id), None);
-        assert!(!m.maybe_grouped(id));
     }
 
     #[test]
     fn hotness_bumps_resets_and_saturates() {
-        let (m, _) = table();
+        let m = table();
         for _ in 0..10 {
             m.bump_hot(ObjectId(1));
         }
@@ -337,27 +280,21 @@ mod tests {
         assert_eq!(m.hot(ObjectId(2)), HOT_MAX);
     }
 
+    /// The far level keeps all three words, exactly as the first does.
     #[test]
-    fn ids_past_capacity_keep_only_a_locked_domain() {
-        let (m, locks) = table();
-        let last = ObjectId(PAST.0 - 1);
-        m.set_domain(last, Domain::ReadOnly);
-        assert_eq!(m.domain(last), Some(Domain::ReadOnly));
-        assert_eq!(locks.load(Ordering::Relaxed), 0, "the last cell is a cell");
-
-        m.set_domain(PAST, Domain::ReadOnly);
-        assert_eq!(m.domain(PAST), Some(Domain::ReadOnly));
-        assert_eq!(locks.load(Ordering::Relaxed), 2, "one lock per domain operation");
-        // No membership or hotness word: the free path must ask the table.
-        m.set_vkey(PAST, VirtualKey(5));
-        m.bump_hot(PAST);
-        m.clear(PAST);
-        assert_eq!((m.vkey(PAST), m.hot(PAST)), (None, 0));
-        assert!(m.maybe_grouped(PAST));
-        assert_eq!(locks.load(Ordering::Relaxed), 2, "only domains are kept");
-        assert_eq!(m.take_domain(PAST), Some(Domain::ReadOnly));
-        assert_eq!(m.domain(PAST), None);
-        assert!(m.overflow.iter().all(|shard| shard.lock().is_empty()));
+    fn far_ids_keep_every_word() {
+        let m = table();
+        let last = ObjectId(Cells::CAPACITY as u64 - 1);
+        for id in [FAR, last] {
+            m.set_domain(id, Domain::ReadOnly);
+            m.set_vkey(id, VirtualKey(5));
+            m.bump_hot(id);
+            assert_eq!(m.domain(id), Some(Domain::ReadOnly));
+            assert_eq!((m.vkey(id), m.hot(id)), (Some(VirtualKey(5)), 1));
+            assert_eq!(m.take_domain(id), Some(Domain::ReadOnly));
+            m.clear(id);
+            assert_eq!((m.domain(id), m.vkey(id), m.hot(id)), (None, None, 0));
+        }
     }
 
     fn kard(config: KardConfig) -> Kard {
@@ -411,8 +348,8 @@ mod tests {
 
     /// Walk one small object through alloc → identify (Read-only) →
     /// migrate (Read-write) → free, asserting `domain_of` after each step;
-    /// returns the detector-lock acquisitions of each step.
-    fn domain_lifecycle(kard: &Kard) -> [u64; 4] {
+    /// returns the object and the detector-lock acquisitions of each step.
+    fn domain_lifecycle(kard: &Kard) -> (ObjectId, [u64; 4]) {
         let t = kard.register_thread();
         let (lock, site) = (LockId(1), CodeSite(0x10));
         let locks = || kard.detector_lock_acquisitions();
@@ -437,37 +374,36 @@ mod tests {
         kard.on_free(t, obj.id);
         let free = locks() - at;
         assert_eq!(kard.domain_of(obj.id), None, "the free leaves no entry");
-        [alloc, identify, migrate, free]
+        (obj.id, [alloc, identify, migrate, free])
     }
 
-    /// Each lifecycle step writes the object's domain exactly once. In
-    /// capacity that write is a side-metadata word operation — an
-    /// allocation takes no detector lock at all; past the table's
-    /// capacity the same sequence runs through the overflow map, so every
-    /// step costs exactly one more (overflow-shard) lock, `domain_of`
-    /// still tracks each step, and the free removes the entry — and,
-    /// under virtualization, the group membership the object joined.
+    /// Each lifecycle step writes the object's domain exactly once, as a
+    /// side-metadata word operation — an allocation takes no detector
+    /// lock at all — and an object past the first level's ids costs
+    /// exactly what a near one does: `domain_of` tracks each step, and the
+    /// free removes the entry and, under virtualization, the group
+    /// membership the object joined.
     #[test]
-    fn domain_store_is_lock_free_in_capacity_and_mapped_beyond_it() {
+    fn domain_store_is_lock_free_at_every_id() {
         for config in [KardConfig::paper(), hotness_virtualized()] {
-            let near = domain_lifecycle(&kard(config));
-            assert_eq!(near[0], 0, "an in-capacity alloc is one word store");
+            let (_, near) = domain_lifecycle(&kard(config));
+            assert_eq!(near[0], 0, "an alloc is one word store");
 
-            // Burn every id that has a cell (straight through the
+            // Burn every id of the first level (straight through the
             // allocator: the detector never sees these objects).
             let kard = kard(config);
             let t = kard.register_thread();
-            for _ in 0..Cells::CAPACITY {
+            for _ in 0..Cells::FIRST_LEVEL {
                 let burnt = kard.alloc().alloc(t, 64);
                 kard.alloc().free(t, burnt.id);
             }
-            let far = domain_lifecycle(&kard);
-            assert_eq!(far, near.map(|n| n + 1), "one overflow-shard lock per step");
-            assert!(kard.sidemeta().overflow.iter().all(|shard| shard.lock().is_empty()));
+            let (id, far) = domain_lifecycle(&kard);
+            assert!(id.0 >= FAR.0, "the object lives in the far level");
+            assert_eq!(far, near, "a far object costs no lock a near one does not");
 
             if matches!(config.keys, KeyMode::Virtual(_)) {
-                // A second group after the free: had the freed overflow
-                // object stayed a member, two groups would be live.
+                // A second group after the free: had the freed far object
+                // stayed a member, two groups would be live.
                 let t = kard.register_thread();
                 let other = kard.on_alloc(t, 64);
                 kard.lock_enter(t, LockId(2), CodeSite(0x20));

@@ -63,10 +63,6 @@ pub struct MachineConfig {
     pub mechanism: ProtectionMechanism,
 }
 
-struct ThreadState {
-    tlb: Tlb,
-}
-
 /// A thread's PKRU as the machine stores it. Layouts whose bits fit one
 /// word — real 16-key MPK and everything up to 32 keys — live in an
 /// atomic, so `RDPKRU`, `WRPKRU`, and the per-access permission check
@@ -118,15 +114,18 @@ impl PkruCell {
 }
 
 /// One registered thread: the TLB behind its own (uncontended) mutex,
-/// the PKRU in a [`PkruCell`], and the cycle counter as a bare atomic so
-/// [`Machine::charge`] — executed for every simulated instruction —
-/// never takes even that mutex. The per-thread cycle counters double as
-/// the virtual clock: [`Machine::now`] sums them, so no global clock
-/// word exists to contend on. Aligned so no two threads' counters share
-/// a cache line.
+/// the PKRU in a [`PkruCell`], and the cycle and operation counters as
+/// bare atomics so [`Machine::charge`] — executed for every simulated
+/// instruction — never takes even that mutex. The per-thread cycle
+/// counters double as the virtual clock: [`Machine::now`] sums them, so
+/// no global clock word exists to contend on; [`Machine::counters`] sums
+/// the operation counters the same way (each only grows, and
+/// per-location coherence makes every summed read monotonic for the
+/// reading thread). Aligned so no two threads' counters share a cache
+/// line.
 #[repr(align(128))]
 struct ThreadEntry {
-    state: Mutex<ThreadState>,
+    tlb: Mutex<Tlb>,
     pkru: PkruCell,
     cycles: AtomicU64,
     /// Virtual time at which the thread was registered: the maximum
@@ -137,18 +136,6 @@ struct ThreadEntry {
     /// a thread spawned later can never appear to run *before* work its
     /// parent had already completed.
     birth: u64,
-}
-
-const COUNTER_SHARDS: usize = 16;
-
-/// One padded shard of the operation counters, written only by the
-/// threads that hash to it (`ThreadId % COUNTER_SHARDS`), so counter
-/// bumps stay on thread-local cache lines. Readers sum the shards:
-/// every field only grows, and per-location coherence makes each summed
-/// read monotonic for the reading thread.
-#[repr(align(128))]
-#[derive(Default)]
-struct CounterShard {
     wrpkru: AtomicU64,
     rdpkru: AtomicU64,
     pkey_mprotect: AtomicU64,
@@ -214,7 +201,6 @@ pub struct Machine {
     /// Serialises registration — the cold path — so birth stamps and ids
     /// are assigned atomically.
     registration: Mutex<()>,
-    shards: Box<[CounterShard]>,
 }
 
 impl Machine {
@@ -228,12 +214,7 @@ impl Machine {
             aspace: AddressSpace::new(total_keys),
             threads: Registry::new(),
             registration: Mutex::new(()),
-            shards: (0..COUNTER_SHARDS).map(|_| CounterShard::default()).collect(),
         }
-    }
-
-    fn shard(&self, thread: ThreadId) -> &CounterShard {
-        &self.shards[thread.0 % COUNTER_SHARDS]
     }
 
     /// The machine's key layout.
@@ -271,12 +252,19 @@ impl Machine {
         self.threads.publish(
             index,
             ThreadEntry {
-                state: Mutex::new(ThreadState {
-                    tlb: Tlb::new(self.config.tlb),
-                }),
+                tlb: Mutex::new(Tlb::new(self.config.tlb)),
                 pkru: PkruCell::new(Pkru::allow_all(&self.config.key_layout)),
                 cycles: AtomicU64::new(0),
                 birth,
+                wrpkru: AtomicU64::new(0),
+                rdpkru: AtomicU64::new(0),
+                pkey_mprotect: AtomicU64::new(0),
+                mmap: AtomicU64::new(0),
+                munmap: AtomicU64::new(0),
+                ftruncate: AtomicU64::new(0),
+                accesses: AtomicU64::new(0),
+                faults: AtomicU64::new(0),
+                context_pkru_updates: AtomicU64::new(0),
             },
         );
         // Pairs with the fence in `invalidate_tlbs`: a shootdown whose
@@ -326,9 +314,10 @@ impl Machine {
 
     /// `RDPKRU`: read `thread`'s protection-key rights register.
     pub fn rdpkru(&self, thread: ThreadId) -> Pkru {
-        self.shard(thread).rdpkru.fetch_add(1, Ordering::Relaxed);
-        self.charge(thread, self.config.cost.rdpkru);
-        self.entry(thread).pkru.load()
+        let entry = self.entry(thread);
+        entry.rdpkru.fetch_add(1, Ordering::Relaxed);
+        entry.cycles.fetch_add(self.config.cost.rdpkru, Ordering::Relaxed);
+        entry.pkru.load()
     }
 
     /// `WRPKRU`: install a new PKRU for `thread`.
@@ -339,14 +328,14 @@ impl Machine {
     /// permission changed costs a page-table update and the thread's TLB
     /// is flushed, modelling the §8 software schemes.
     pub fn wrpkru(&self, thread: ThreadId, pkru: Pkru) {
-        self.shard(thread).wrpkru.fetch_add(1, Ordering::Relaxed);
+        let entry = self.entry(thread);
+        entry.wrpkru.fetch_add(1, Ordering::Relaxed);
         match self.config.mechanism {
             ProtectionMechanism::Mpk => {
-                self.charge(thread, self.config.cost.wrpkru);
-                self.entry(thread).pkru.store(pkru);
+                entry.cycles.fetch_add(self.config.cost.wrpkru, Ordering::Relaxed);
+                entry.pkru.store(pkru);
             }
             ProtectionMechanism::MprotectFallback => {
-                let entry = self.entry(thread);
                 let old = entry.pkru.load();
                 let mut changed = 0u64;
                 for raw in 0..self.config.key_layout.total_keys {
@@ -357,7 +346,7 @@ impl Machine {
                 }
                 entry.pkru.store(pkru);
                 if changed > 0 {
-                    entry.state.lock().tlb.flush();
+                    entry.tlb.lock().flush();
                 }
                 self.charge(
                     thread,
@@ -372,10 +361,9 @@ impl Machine {
     /// cannot execute `WRPKRU` on behalf of the interrupted thread). The
     /// cost is folded into the fault-handling charge, so none is added here.
     pub fn set_pkru_in_saved_context(&self, thread: ThreadId, pkru: Pkru) {
-        self.shard(thread)
-            .context_pkru_updates
-            .fetch_add(1, Ordering::Relaxed);
-        self.entry(thread).pkru.store(pkru);
+        let entry = self.entry(thread);
+        entry.context_pkru_updates.fetch_add(1, Ordering::Relaxed);
+        entry.pkru.store(pkru);
     }
 
     /// Charge the end-to-end cost of one #GP delivery + handler execution.
@@ -388,7 +376,7 @@ impl Machine {
     pub fn alloc_frame(&self, thread: ThreadId) -> PhysFrame {
         let (frame, grew) = self.phys.lock().alloc_frame();
         if grew {
-            self.shard(thread).ftruncate.fetch_add(1, Ordering::Relaxed);
+            self.entry(thread).ftruncate.fetch_add(1, Ordering::Relaxed);
             self.charge(thread, self.config.cost.ftruncate);
         }
         frame
@@ -400,6 +388,10 @@ impl Machine {
     }
 
     /// Reserve `count` fresh contiguous virtual pages.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the pages would run past [`crate::USER_PAGE_END`].
     pub fn reserve_pages(&self, count: u64) -> VirtPage {
         self.aspace.reserve_pages(count)
     }
@@ -421,7 +413,7 @@ impl Machine {
         if pairs.is_empty() {
             return Ok(());
         }
-        self.shard(thread).mmap.fetch_add(1, Ordering::Relaxed);
+        self.entry(thread).mmap.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.mmap_call(pairs.len()));
         // One hold of the writer mutex for the whole call, then one of the
         // physical-memory lock for the pages that made it in.
@@ -453,7 +445,7 @@ impl Machine {
         if pages.is_empty() {
             return Ok(Vec::new());
         }
-        self.shard(thread).munmap.fetch_add(1, Ordering::Relaxed);
+        self.entry(thread).munmap.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.munmap_call(pages.len()));
         let mut frames = Vec::with_capacity(pages.len());
         let (unmapped, result) = {
@@ -513,7 +505,7 @@ impl Machine {
         if ranges.is_empty() {
             return Ok(());
         }
-        self.shard(thread).pkey_mprotect.fetch_add(1, Ordering::Relaxed);
+        self.entry(thread).pkey_mprotect.fetch_add(1, Ordering::Relaxed);
         self.charge(thread, self.config.cost.pkey_mprotect_call(ranges.len()));
         let (retagged, result) = {
             let writer = self.aspace.writer();
@@ -538,7 +530,7 @@ impl Machine {
         // Pairs with the fence in `register_thread`.
         fence(Ordering::SeqCst);
         for entry in self.threads.iter() {
-            entry.state.lock().tlb.invalidate(page);
+            entry.tlb.lock().invalidate(page);
         }
     }
 
@@ -569,7 +561,8 @@ impl Machine {
         kind: AccessKind,
         ip: CodeSite,
     ) -> Result<(), GpFault> {
-        self.shard(thread).accesses.fetch_add(1, Ordering::Relaxed);
+        let entry = self.entry(thread);
+        entry.accesses.fetch_add(1, Ordering::Relaxed);
         let page = addr.page();
         let mut cost = self.config.cost.mem_access;
 
@@ -584,11 +577,10 @@ impl Machine {
         // The walk also performs the sticky first-touch bookkeeping, which
         // a hit can safely skip because an entry is only installed by an
         // *allowed* walk, which already marked the page accessed.
-        let entry = self.entry(thread);
-        let mut state = entry.state.lock();
-        let (pkey, allowed) = match state.tlb.probe(page) {
+        let mut tlb = entry.tlb.lock();
+        let (pkey, allowed) = match tlb.probe(page) {
             Some(pkey) => {
-                drop(state);
+                drop(tlb);
                 (pkey, entry.pkru.allows(pkey, kind))
             }
             None => {
@@ -599,9 +591,9 @@ impl Machine {
                     .unwrap_or_else(|| panic!("access to unmapped address {addr} by {thread}"));
                 let allowed = entry.pkru.allows(mapping.pkey, kind);
                 if allowed {
-                    state.tlb.install(page, mapping.pkey);
+                    tlb.install(page, mapping.pkey);
                 }
-                drop(state);
+                drop(tlb);
                 // Residency and the PTE accessed bit are sticky until the
                 // page is unmapped, so only the *first* allowed touch of a
                 // page needs the physical-memory lock and the page table's
@@ -613,12 +605,12 @@ impl Machine {
                 (mapping.pkey, allowed)
             }
         };
-        self.charge(thread, cost);
+        entry.cycles.fetch_add(cost, Ordering::Relaxed);
 
         if allowed {
             Ok(())
         } else {
-            self.shard(thread).faults.fetch_add(1, Ordering::Relaxed);
+            entry.faults.fetch_add(1, Ordering::Relaxed);
             Err(GpFault {
                 thread,
                 addr,
@@ -631,11 +623,11 @@ impl Machine {
         }
     }
 
-    /// Snapshot of the operation counters (summed over the shards).
+    /// Snapshot of the operation counters (summed over the threads).
     #[must_use]
     pub fn counters(&self) -> MachineCounters {
         let mut total = MachineCounters::default();
-        for s in self.shards.iter() {
+        for s in self.threads.iter() {
             total.wrpkru += s.wrpkru.load(Ordering::Relaxed);
             total.rdpkru += s.rdpkru.load(Ordering::Relaxed);
             total.pkey_mprotect += s.pkey_mprotect.load(Ordering::Relaxed);
@@ -674,7 +666,7 @@ impl Machine {
     pub fn tlb_stats(&self) -> TlbStats {
         let mut total = TlbStats::default();
         for entry in self.threads.iter() {
-            total.merge(entry.state.lock().tlb.stats());
+            total.merge(entry.tlb.lock().stats());
         }
         total
     }
@@ -991,7 +983,7 @@ mod tests {
             let first = m.reserve_pages(n as u64);
             let pages: Vec<VirtPage> = (0..n as u64).map(|i| first.add(i)).collect();
             let pairs: Vec<_> = pages.iter().map(|&p| (p, m.alloc_frame(t))).collect();
-            let cached = |page| m.entry(other).state.lock().tlb.probe(page).is_some();
+            let cached = |page| m.entry(other).tlb.lock().probe(page).is_some();
             let warm = || {
                 for &page in &pages {
                     m.access(other, page.base_addr(), AccessKind::Read, CodeSite(0))

@@ -84,8 +84,8 @@ pub use fault::{AccessKind, CodeSite, GpFault};
 pub use keys::{KeyLayout, ProtectionKey};
 pub use mem::{PhysFrame, VirtAddr, VirtPage, PAGE_SIZE};
 pub use page_table::{
-    dense_page_index, page_slot, AddressSpace, MapError, Mapping, PageSpine, ProtectError,
-    PteWriter, MMAP_BASE_PAGE,
+    page_slot, AddressSpace, MapError, Mapping, PageSpine, ProtectError, PteWriter,
+    MMAP_BASE_PAGE, USER_PAGE_END,
 };
 pub use phys::{MemStats, PhysMemory};
 pub use pkru::{Permission, Pkru};

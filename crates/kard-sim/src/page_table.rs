@@ -11,9 +11,12 @@
 //! # The PTE word
 //!
 //! Reserved pages are a dense, never-reused bump sequence from
-//! [`MMAP_BASE_PAGE`], so the table is a flat side table in the card-table
-//! idiom: a [`PageSpine`] of `AtomicU64` indexed by [`page_slot`]. Each
-//! word packs one [`Mapping`]:
+//! [`MMAP_BASE_PAGE`] to [`USER_PAGE_END`], the end of x86-64's 47-bit user
+//! space, so the table is a flat side table in the card-table idiom that
+//! spans the whole region: a [`PageSpine`] of `AtomicU64` indexed by
+//! [`page_slot`]. Its first 16 Mi pages are two loads away; the rest sit
+//! one level further, built only where a page is mapped. Each word packs
+//! one [`Mapping`]:
 //!
 //! ```text
 //!  63                    18 17            2      1        0
@@ -25,7 +28,8 @@
 //! An all-zero word (the spine's default, and what [`PteWriter::unmap`]
 //! stores) is "not mapped". The key field holds every `u16`
 //! [`ProtectionKey`]; [`PteWriter::map`] panics on a frame number that
-//! does not fit its field rather than truncate it.
+//! does not fit its field rather than truncate it, and on a page outside
+//! the region rather than store it anywhere else.
 //!
 //! # Readers load, writers serialise
 //!
@@ -64,25 +68,11 @@
 //! `SeqCst` fences — store PTE, fence, read the registry length against
 //! publish, fence, load PTE — so either the walk reaches the newcomer or
 //! the newcomer's first walk sees the new word.
-//!
-//! # Outside the dense window
-//!
-//! A page below [`MMAP_BASE_PAGE`] or past the spine's capacity has no
-//! word. Such pages live in a `BTreeMap` behind its own reader-writer
-//! lock — the same arrangement the allocator's page index and the
-//! detector's side metadata have for what lies past their capacity —
-//! and that is the only role the map has: every operation resolves
-//! [`page_slot`] first and touches the map only on `None`. Writers nest it
-//! under the writer mutex; an access to such a page reads it under the
-//! TLB mutex, which keeps the ordering argument above intact. No workload
-//! in this repository leaves the window; a test reaches past it by
-//! reserving 2²⁴ pages.
 
 use crate::keys::ProtectionKey;
 use crate::mem::{PhysFrame, VirtAddr, VirtPage};
 use crate::spine::Spine;
-use parking_lot::{Mutex, MutexGuard, RwLock};
-use std::collections::BTreeMap;
+use parking_lot::{Mutex, MutexGuard};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
@@ -145,29 +135,32 @@ impl std::error::Error for ProtectError {}
 /// (reservations are a bump allocation starting here).
 pub const MMAP_BASE_PAGE: VirtPage = VirtPage(0x0007_f000_0000 >> 2);
 
-/// Dense index of `page` within the simulated mmap region: pages are a
-/// bump sequence from [`MMAP_BASE_PAGE`], so `page - MMAP_BASE_PAGE` keys
-/// flat side-metadata tables (the page table itself, the allocator's
-/// page→object index) with no hashing. `None` means the page is below the
-/// region base and cannot be a reservation.
-#[must_use]
-pub fn dense_page_index(page: VirtPage) -> Option<u64> {
-    page.0.checked_sub(MMAP_BASE_PAGE.0)
-}
+/// One past the last page of x86-64's 47-bit user address space, where
+/// the simulated mmap region ends: [`AddressSpace::reserve_pages`] never
+/// hands out this page or any later one.
+pub const USER_PAGE_END: VirtPage = VirtPage(1 << 35);
 
-/// The geometry of every table indexed by [`dense_page_index`] — the PTE
-/// words here, the allocator's page→object index — and so the one bound
-/// on "page in capacity": 16 Mi pages (64 GiB of VA).
-pub type PageSpine<T> = Spine<T, 12, { 1 << 12 }>;
+/// Nodes of 16 Mi pages past a [`PageSpine`]'s first level, enough to
+/// reach [`USER_PAGE_END`].
+const FAR_PAGE_NODES: usize = ((USER_PAGE_END.0 - MMAP_BASE_PAGE.0) as usize).div_ceil(1 << 24) - 1;
 
-/// `page`'s cell number in a [`PageSpine`], or `None` when the page is
-/// outside the dense window (below the region base or past the spine's
-/// capacity) and the table's overflow store owns it.
+/// The geometry of every table indexed by [`page_slot`] — the PTE words
+/// here, the allocator's page→object index — and, since every object
+/// owns at least one fresh page, of every table indexed by object id. It
+/// covers the whole mmap region: the first 16 Mi pages (64 GiB of VA) in
+/// 4 Ki chunks of 4 Ki cells, two loads away, and the rest through a far
+/// level built only where touched.
+pub type PageSpine<T> = Spine<T, 12, { 1 << 12 }, FAR_PAGE_NODES>;
+
+/// `page`'s cell number in a [`PageSpine`]: pages are a bump sequence
+/// from [`MMAP_BASE_PAGE`], so `page - MMAP_BASE_PAGE` keys flat side
+/// tables (the page table itself, the allocator's page→object index) with
+/// no hashing. `None` means the page is below the region base and cannot
+/// be a reservation.
 #[inline]
 #[must_use]
 pub fn page_slot(page: VirtPage) -> Option<usize> {
-    let dense = usize::try_from(dense_page_index(page)?).ok()?;
-    (dense < PageSpine::<()>::CAPACITY).then_some(dense)
+    usize::try_from(page.0.checked_sub(MMAP_BASE_PAGE.0)?).ok()
 }
 
 const PRESENT: u64 = 1;
@@ -208,10 +201,8 @@ fn decode(word: u64) -> Option<Mapping> {
 /// serialise on an internal writer-only mutex (see the
 /// [module documentation](self)).
 pub struct AddressSpace {
-    /// One PTE word per page of the dense window.
+    /// One PTE word per page of the mmap region.
     ptes: PageSpine<AtomicU64>,
-    /// Entries of pages outside the dense window, and nothing else.
-    outside: RwLock<BTreeMap<VirtPage, Mapping>>,
     /// Serialises writers; readers never take it.
     writer: Mutex<()>,
     next_page: AtomicU64,
@@ -228,7 +219,6 @@ impl AddressSpace {
     pub fn new(total_keys: u16) -> AddressSpace {
         AddressSpace {
             ptes: Spine::new(),
-            outside: RwLock::new(BTreeMap::new()),
             writer: Mutex::new(()),
             next_page: AtomicU64::new(MMAP_BASE_PAGE.0),
             total_keys,
@@ -242,11 +232,17 @@ impl AddressSpace {
     ///
     /// # Panics
     ///
-    /// Panics when the page sequence overflows.
+    /// Panics with "simulated address space exhausted" when the pages
+    /// would run past [`USER_PAGE_END`].
     pub fn reserve_pages(&self, count: u64) -> VirtPage {
-        let first = VirtPage(self.next_page.fetch_add(count, Ordering::Relaxed));
-        let _end = first.add(count);
-        first
+        let first = self.next_page.fetch_add(count, Ordering::Relaxed);
+        assert!(
+            first
+                .checked_add(count)
+                .is_some_and(|end| end <= USER_PAGE_END.0),
+            "simulated address space exhausted"
+        );
+        VirtPage(first)
     }
 
     /// Take the writer mutex for one system call's updates, however many
@@ -277,15 +273,11 @@ impl AddressSpace {
         self.entry(addr.page())
     }
 
-    /// Look up the entry for a page: one acquire load inside the dense
-    /// window.
+    /// Look up the entry for a page: one acquire load.
     #[inline]
     #[must_use]
     pub fn entry(&self, page: VirtPage) -> Option<Mapping> {
-        match page_slot(page) {
-            Some(slot) => decode(self.ptes.get(slot)?.load(Ordering::Acquire)),
-            None => self.outside.read().get(&page).copied(),
-        }
+        decode(self.ptes.get(page_slot(page)?)?.load(Ordering::Acquire))
     }
 
     /// Number of mapped pages.
@@ -298,20 +290,10 @@ impl AddressSpace {
     /// this), so the word cannot change between the caller's read and this
     /// store.
     fn store(&self, page: VirtPage, entry: Option<Mapping>) {
-        match page_slot(page) {
-            Some(slot) => self
-                .ptes
-                .get_or_publish(slot)
-                .expect("page_slot is within the spine's capacity")
-                .store(encode(entry), Ordering::Release),
-            None => {
-                let mut outside = self.outside.write();
-                match entry {
-                    Some(m) => outside.insert(page, m),
-                    None => outside.remove(&page),
-                };
-            }
-        }
+        page_slot(page)
+            .and_then(|slot| self.ptes.get_or_publish(slot))
+            .expect("only pages of the mmap region are mapped")
+            .store(encode(entry), Ordering::Release);
     }
 }
 
@@ -333,8 +315,15 @@ impl PteWriter<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `frame` does not fit the PTE word's 46-bit frame field.
+    /// Panics if `page` lies outside the mmap region
+    /// ([`MMAP_BASE_PAGE`]..[`USER_PAGE_END`], where
+    /// [`AddressSpace::reserve_pages`] draws every page), or if `frame`
+    /// does not fit the PTE word's 46-bit frame field.
     pub fn map(&self, page: VirtPage, frame: PhysFrame) -> Result<(), MapError> {
+        assert!(
+            (MMAP_BASE_PAGE..USER_PAGE_END).contains(&page),
+            "{page:?} lies outside the simulated mmap region"
+        );
         assert!(
             frame.0 >> FRAME_BITS == 0,
             "{frame:?} does not fit the PTE word's {FRAME_BITS}-bit frame field"
@@ -432,22 +421,47 @@ mod tests {
     use super::*;
 
     #[test]
-    fn dense_page_index_offsets_from_the_region_base() {
-        assert_eq!(dense_page_index(MMAP_BASE_PAGE), Some(0));
-        assert_eq!(dense_page_index(MMAP_BASE_PAGE.add(17)), Some(17));
-        assert_eq!(dense_page_index(VirtPage(0)), None, "below the region");
+    fn page_slot_offsets_from_the_region_base() {
+        assert_eq!(page_slot(MMAP_BASE_PAGE), Some(0));
+        assert_eq!(page_slot(MMAP_BASE_PAGE.add(17)), Some(17));
+        assert_eq!(page_slot(VirtPage(MMAP_BASE_PAGE.0 - 1)), None, "below the region");
+    }
+
+    /// The last page `reserve_pages` can hand out maps, translates and
+    /// unmaps like the first: the table spans the whole region.
+    #[test]
+    fn the_last_user_page_has_a_word() {
+        let aspace = AddressSpace::new(16);
+        let _ = aspace.reserve_pages(USER_PAGE_END.0 - MMAP_BASE_PAGE.0 - 1);
+        let last = aspace.reserve_pages(1);
+        assert_eq!(last, VirtPage(USER_PAGE_END.0 - 1));
+        aspace.writer().map(last, PhysFrame(5)).unwrap();
+        aspace.writer().pkey_mprotect(last, 1, ProtectionKey(9)).unwrap();
+        let entry = aspace.entry(last).unwrap();
+        assert_eq!((entry.frame, entry.pkey), (PhysFrame(5), ProtectionKey(9)));
+        assert_eq!(aspace.entry(USER_PAGE_END), None);
+        aspace.writer().unmap(last).unwrap();
+        assert_eq!(aspace.mapped_pages(), 0);
     }
 
     #[test]
-    fn page_slot_is_the_dense_index_inside_the_window_only() {
-        let capacity = PageSpine::<()>::CAPACITY;
-        assert_eq!(page_slot(MMAP_BASE_PAGE), Some(0));
-        assert_eq!(
-            page_slot(MMAP_BASE_PAGE.add(capacity as u64 - 1)),
-            Some(capacity - 1)
-        );
-        assert_eq!(page_slot(MMAP_BASE_PAGE.add(capacity as u64)), None);
-        assert_eq!(page_slot(VirtPage(MMAP_BASE_PAGE.0 - 1)), None);
+    #[should_panic(expected = "simulated address space exhausted")]
+    fn reserving_past_the_last_user_page_panics() {
+        let aspace = AddressSpace::new(16);
+        let _ = aspace.reserve_pages(USER_PAGE_END.0 - MMAP_BASE_PAGE.0);
+        let _ = aspace.reserve_pages(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the simulated mmap region")]
+    fn a_page_below_the_region_is_rejected_not_stored() {
+        let _ = AddressSpace::new(16).writer().map(VirtPage(0), PhysFrame(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "lies outside the simulated mmap region")]
+    fn a_page_past_user_space_is_rejected_not_stored() {
+        let _ = AddressSpace::new(16).writer().map(USER_PAGE_END, PhysFrame(0));
     }
 
     #[test]

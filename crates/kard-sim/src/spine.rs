@@ -12,6 +12,15 @@
 //! tables ([`Registry`]) and the allocator's per-thread magazines
 //! ([`ThreadSpine`]) are thin clients that only decide what a cell holds.
 //!
+//! A table may also have a **far level**: `FAR` more nodes shaped like
+//! the first level, each covering the next [`Spine::FIRST_LEVEL`]
+//! indices, so a page table can span a whole address space. The first
+//! level stays two loads away — an index past it is the first level's
+//! out-of-range case, and only then does a read take the cold path
+//! through the far directory — and nothing of the far level exists until
+//! a far index is first written: the directory, then one node, then one
+//! chunk.
+//!
 //! Chunk geometry is a pair of const parameters so index math compiles
 //! to a shift and a mask: [`Registry::get`] sits under
 //! [`crate::Machine::charge`], the hottest call in the simulator.
@@ -19,30 +28,46 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
-/// A grow-only table of `CHUNKS` lazily published chunks of
-/// `1 << CHUNK_BITS` cells each, indexed by a dense `usize`.
+/// One level: `CHUNKS` lazily published chunk slots.
+type Node<T> = Box<[OnceLock<Box<[T]>>]>;
+
+/// A grow-only table of lazily published chunks of `1 << CHUNK_BITS`
+/// cells each, indexed by a dense `usize`: `CHUNKS` chunks in the first
+/// level and `CHUNKS` in each of the `FAR` nodes of the far level.
 ///
 /// Cells start as `T::default()` and are only ever mutated through their
 /// own interior mutability (atomics, `OnceLock`s); the table itself hands
 /// out `&T`.
-pub struct Spine<T, const CHUNK_BITS: u32, const CHUNKS: usize> {
-    chunks: Box<[OnceLock<Box<[T]>>]>,
+pub struct Spine<T, const CHUNK_BITS: u32, const CHUNKS: usize, const FAR: usize = 0> {
+    /// The first level: indices below [`Spine::FIRST_LEVEL`].
+    chunks: Node<T>,
+    /// The far level's directory of nodes, built on the first far write.
+    far: OnceLock<Box<[OnceLock<Node<T>>]>>,
 }
 
-impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS> {
+impl<T, const CHUNK_BITS: u32, const CHUNKS: usize, const FAR: usize>
+    Spine<T, CHUNK_BITS, CHUNKS, FAR>
+{
+    /// Number of indices the first level covers, and each far node.
+    pub const FIRST_LEVEL: usize = CHUNKS << CHUNK_BITS;
+
     /// Number of indices the table covers. An index at or past it has no
-    /// cell: both accessors return `None` and the client falls back to
-    /// whatever overflow store it keeps.
-    pub const CAPACITY: usize = CHUNKS << CHUNK_BITS;
+    /// cell: both accessors return `None`.
+    pub const CAPACITY: usize = (FAR + 1) * Self::FIRST_LEVEL;
 
     const MASK: usize = (1 << CHUNK_BITS) - 1;
 
-    /// An empty table (allocates only the chunk spine).
+    /// An empty table (allocates only the first level's chunk spine).
     #[must_use]
     pub fn new() -> Self {
         Spine {
-            chunks: (0..CHUNKS).map(|_| OnceLock::new()).collect(),
+            chunks: Self::node(),
+            far: OnceLock::new(),
         }
+    }
+
+    fn node() -> Node<T> {
+        (0..CHUNKS).map(|_| OnceLock::new()).collect()
     }
 
     /// The cell at `index` if its chunk has been published. Never
@@ -51,20 +76,55 @@ impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS>
     #[inline]
     #[must_use]
     pub fn get(&self, index: usize) -> Option<&T> {
-        self.chunks
-            .get(index >> CHUNK_BITS)?
+        match self.chunks.get(index >> CHUNK_BITS) {
+            Some(chunk) => chunk.get()?.get(index & Self::MASK),
+            None => self.far_get(index),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn far_get(&self, index: usize) -> Option<&T> {
+        let far = index - Self::FIRST_LEVEL;
+        let node = self.far.get()?.get(far / Self::FIRST_LEVEL)?.get()?;
+        node[(far % Self::FIRST_LEVEL) >> CHUNK_BITS]
             .get()?
             .get(index & Self::MASK)
     }
 
+    /// The chunk slot of a far `index`, publishing the directory and the
+    /// node on the way. `None` past [`Spine::CAPACITY`].
+    #[cold]
+    #[inline(never)]
+    fn far_chunk(&self, index: usize) -> Option<&OnceLock<Box<[T]>>> {
+        if index >= Self::CAPACITY {
+            return None;
+        }
+        let far = index - Self::FIRST_LEVEL;
+        let nodes = self
+            .far
+            .get_or_init(|| (0..FAR).map(|_| OnceLock::new()).collect());
+        let node = nodes[far / Self::FIRST_LEVEL].get_or_init(Self::node);
+        Some(&node[(far % Self::FIRST_LEVEL) >> CHUNK_BITS])
+    }
+
     /// Every cell of every published chunk with its index, in index
-    /// order. Chunks published while the walk runs may or may not be
-    /// seen.
+    /// order, across both levels. Chunks published while the walk runs
+    /// may or may not be seen.
     pub fn iter(&self) -> impl Iterator<Item = (usize, &T)> {
-        self.chunks
-            .iter()
-            .enumerate()
-            .filter_map(|(c, chunk)| Some((c, chunk.get()?)))
+        let far = self.far.get().into_iter().flat_map(|nodes| {
+            nodes
+                .iter()
+                .enumerate()
+                .filter_map(|(n, node)| Some((n + 1, node.get()?)))
+        });
+        std::iter::once((0, &self.chunks))
+            .chain(far)
+            .flat_map(|(n, node)| {
+                node.iter()
+                    .enumerate()
+                    .filter_map(move |(c, chunk)| Some((n * CHUNKS + c, chunk.get()?)))
+            })
             .flat_map(|(c, cells)| {
                 cells
                     .iter()
@@ -74,21 +134,28 @@ impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS>
     }
 }
 
-impl<T: Default, const CHUNK_BITS: u32, const CHUNKS: usize> Spine<T, CHUNK_BITS, CHUNKS> {
+impl<T: Default, const CHUNK_BITS: u32, const CHUNKS: usize, const FAR: usize>
+    Spine<T, CHUNK_BITS, CHUNKS, FAR>
+{
     /// The cell at `index`, publishing its chunk (all cells
     /// `T::default()`) if this is the chunk's first touch; exactly one of
     /// any racing first touches publishes. `None` past
     /// [`Spine::CAPACITY`].
     #[must_use]
     pub fn get_or_publish(&self, index: usize) -> Option<&T> {
-        self.chunks
-            .get(index >> CHUNK_BITS)?
+        let chunk = match self.chunks.get(index >> CHUNK_BITS) {
+            Some(chunk) => chunk,
+            None => self.far_chunk(index)?,
+        };
+        chunk
             .get_or_init(|| (0..=Self::MASK).map(|_| T::default()).collect())
             .get(index & Self::MASK)
     }
 }
 
-impl<T, const CHUNK_BITS: u32, const CHUNKS: usize> Default for Spine<T, CHUNK_BITS, CHUNKS> {
+impl<T, const CHUNK_BITS: u32, const CHUNKS: usize, const FAR: usize> Default
+    for Spine<T, CHUNK_BITS, CHUNKS, FAR>
+{
     fn default() -> Self {
         Spine::new()
     }
@@ -193,7 +260,8 @@ mod tests {
     use std::sync::atomic::AtomicU64;
     use std::sync::Barrier;
 
-    /// 4 chunks of 4 cells: every boundary is a handful of indices away.
+    /// 4 chunks of 4 cells and no far level: every boundary is a handful
+    /// of indices away.
     type Tiny<T> = Spine<T, 2, 4>;
 
     #[test]
@@ -254,6 +322,80 @@ mod tests {
         let _ = spine.get_or_publish(6);
         let indices: Vec<usize> = spine.iter().map(|(i, _)| i).collect();
         assert_eq!(indices, vec![4, 5, 6, 7, 12, 13, 14, 15]);
+    }
+
+    /// [`Tiny`]'s first level plus two far nodes of 16 cells each.
+    type TinyFar<T> = Spine<T, 2, 4, 2>;
+
+    /// Far nodes published, and chunks published across them.
+    fn far_published<T>(spine: &TinyFar<T>) -> (usize, usize) {
+        let nodes: Vec<&Node<T>> = spine
+            .far
+            .get()
+            .into_iter()
+            .flat_map(|dir| dir.iter())
+            .filter_map(OnceLock::get)
+            .collect();
+        let chunks = nodes.iter().flat_map(|n| n.iter()).filter(|c| c.get().is_some());
+        (nodes.len(), chunks.count())
+    }
+
+    #[test]
+    fn cold_far_reads_allocate_nothing_and_a_far_touch_publishes_one_node_and_one_chunk() {
+        static BUILT: AtomicUsize = AtomicUsize::new(0);
+        struct Counted;
+        impl Default for Counted {
+            fn default() -> Counted {
+                BUILT.fetch_add(1, Ordering::Relaxed);
+                Counted
+            }
+        }
+        let spine = TinyFar::<Counted>::new();
+        assert_eq!(TinyFar::<Counted>::CAPACITY, 48);
+        for index in [16, 37, 47, 48, usize::MAX] {
+            assert!(spine.get(index).is_none());
+        }
+        assert!(spine.get_or_publish(48).is_none(), "past capacity");
+        assert!(spine.far.get().is_none(), "no far directory before a far write");
+        assert_eq!(BUILT.load(Ordering::Relaxed), 0);
+
+        // 37 is far node 1, chunk 1: cells 36..40.
+        assert!(spine.get_or_publish(37).is_some());
+        assert_eq!(far_published(&spine), (1, 1));
+        assert_eq!(BUILT.load(Ordering::Relaxed), 4);
+        assert!((36..40).all(|i| spine.get(i).is_some()), "same chunk");
+        assert!(spine.get(35).is_none() && spine.get(40).is_none());
+        assert!(spine.get(5).is_none(), "the first level stays cold");
+    }
+
+    #[test]
+    fn iteration_stays_in_index_order_across_the_level_boundary() {
+        let spine = TinyFar::<AtomicU64>::new();
+        for index in [45, 17, 13, 6] {
+            let _ = spine.get_or_publish(index);
+        }
+        let indices: Vec<usize> = spine.iter().map(|(i, _)| i).collect();
+        let expected: Vec<usize> = [4..8, 12..16, 16..20, 44..48].into_iter().flatten().collect();
+        assert_eq!(indices, expected);
+    }
+
+    #[test]
+    fn racing_far_touches_publish_exactly_one_node_and_chunk() {
+        let spine = TinyFar::<AtomicU64>::new();
+        let barrier = Barrier::new(8);
+        let cells: Vec<usize> = std::thread::scope(|s| {
+            let racers: Vec<_> = (0..8)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        std::ptr::from_ref(spine.get_or_publish(41).unwrap()) as usize
+                    })
+                })
+                .collect();
+            racers.into_iter().map(|r| r.join().unwrap()).collect()
+        });
+        assert!(cells.iter().all(|&c| c == cells[0]), "one cell for everyone");
+        assert_eq!(far_published(&spine), (1, 1));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use kard_sim::keys::KeyLayout;
 use kard_sim::{
     AccessKind, AddressSpace, CodeSite, Machine, MachineConfig, MapError, Mapping, PageSpine,
     Permission, PhysFrame, Pkru, ProtectError, ProtectionKey, Tlb, TlbConfig, VirtPage,
-    MMAP_BASE_PAGE, PAGE_SIZE,
+    MMAP_BASE_PAGE, PAGE_SIZE, USER_PAGE_END,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -26,15 +26,17 @@ enum PteOp {
     Touch(VirtPage),
 }
 
-/// Pages on both sides of both edges of the dense window, plus a few far
-/// below it: ranges starting here cross in and out of the flat table and
-/// run over pages that are never mapped.
+/// The first pages of the mmap region, pages on both sides of the page
+/// table's first-level boundary, and its last pages: ranges starting here
+/// cross from the first level into the far one, and run off the region's
+/// end over pages that can never be mapped.
 fn pte_pages() -> Vec<VirtPage> {
     let base = MMAP_BASE_PAGE.0;
-    let end = base + PageSpine::<()>::CAPACITY as u64;
-    (0..3)
-        .chain(base - 3..base + 3)
-        .chain(end - 3..end + 3)
+    let boundary = base + PageSpine::<()>::FIRST_LEVEL as u64;
+    let end = USER_PAGE_END.0;
+    (base..base + 3)
+        .chain(boundary - 3..boundary + 3)
+        .chain(end - 3..end)
         .map(VirtPage)
         .collect()
 }
@@ -52,7 +54,7 @@ fn pte_op_strategy() -> impl Strategy<Value = PteOp> {
 }
 
 /// The page table as a plain ordered map: the reference the flat PTE
-/// words (and the out-of-window store behind them) must match.
+/// words, in both levels of their table, must match.
 #[derive(Default)]
 struct PteModel {
     table: BTreeMap<VirtPage, Mapping>,
@@ -113,10 +115,9 @@ impl PteModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The flat page table and its out-of-window store answer every
-    /// map / unmap / retag / first-touch sequence exactly as an ordered
-    /// map does: same results, same errors, same entries, same counters,
-    /// after every step.
+    /// The flat page table answers every map / unmap / retag / first-touch
+    /// sequence exactly as an ordered map does: same results, same errors,
+    /// same entries, same counters, after every step.
     #[test]
     fn page_table_matches_an_ordered_map_model(ops in prop::collection::vec(pte_op_strategy(), 1..80)) {
         let aspace = AddressSpace::new(16);
