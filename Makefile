@@ -1,12 +1,20 @@
-.PHONY: verify build test test-benchmark clippy doc tables trace-demo serve loc bench-pairs ledger flake
+.PHONY: verify build test test-races test-benchmark clippy doc tables trace-demo serve loc bench-pairs ledger flake
 
-verify: build test test-benchmark clippy doc
+verify: build test test-races test-benchmark clippy doc
 
 build:
 	cargo build --release
 
 test:
 	cargo test -q --workspace
+
+# kard-sim's real-thread races (a dTLB entry against the shootdown of its
+# page, lock-free PTE readers against the writer) only overlap in an
+# optimised build; in debug the test passes without racing. One release
+# run here; `make flake TEST=page_table_concurrency PACKAGE=kard-sim`
+# sizes it.
+test-races:
+	cargo test --release -q -p kard-sim --test page_table_concurrency
 
 # `benchmark/` is its own workspace (BENCHMARK.json drives it from a
 # fresh checkout), so `cargo test --workspace` never compiles it: build
@@ -66,15 +74,16 @@ ledger:
 	python3 bench_pairs.py --ledger $(WORKLOAD) $(BASE)
 
 # Size a suspected flake, or show one is gone, the way it is judged:
-# `make flake TEST=concurrency_stress [RUNS=200]` builds tests/TEST.rs
+# `make flake TEST=concurrency_stress [RUNS=200] [PACKAGE=kard-sim]`
+# builds the integration test TEST (of PACKAGE, default the root package)
 # once in release and runs the binary RUNS times while one busy-loop
 # process per core loads the host (see flake.py); prints the failure
 # count and the first failing output, nonzero exit on any failure.
 # Minutes long, so not part of `verify`.
 RUNS ?= 200
 flake:
-	@test -n "$(TEST)" || { echo "usage: make flake TEST=<integration test> [RUNS=200]"; exit 2; }
-	python3 flake.py $(TEST) $(RUNS)
+	@test -n "$(TEST)" || { echo "usage: make flake TEST=<integration test> [RUNS=200] [PACKAGE=<crate>]"; exit 2; }
+	python3 flake.py $(TEST) $(RUNS) $(PACKAGE)
 
 # Run the firehose daemon on the default TCP port (see
 # `kard-server --help` for sockets, shard counts, and stats streaming).

@@ -4,6 +4,15 @@
 //! [`Machine`] is the single entry point the rest of the reproduction uses.
 //! It is fully thread-safe so workloads can run on real OS threads, and
 //! fully deterministic when driven from one thread by the trace replayer.
+//!
+//! One contract binds its callers: a [`ThreadId`] is driven by one OS
+//! thread at a time, as a hardware thread runs one instruction stream.
+//! Different simulated threads may run on as many OS threads as they like,
+//! and one OS thread may drive many of them; what must not happen is two
+//! OS threads calling [`Machine::access`] (or [`Machine::wrpkru`]) for the
+//! same `ThreadId` at once, because that thread's dTLB has exactly one
+//! writer (see [`crate::tlb`]). Debug builds check it on every access and
+//! panic on a violation; release builds pay nothing for the check.
 
 use crate::cost::{CostModel, CycleCount};
 use crate::fault::{AccessKind, CodeSite, GpFault};
@@ -17,6 +26,8 @@ use crate::tlb::{Tlb, TlbConfig, TlbStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+#[cfg(debug_assertions)]
+use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 /// Identifier of a simulated thread, assigned by [`Machine::register_thread`].
@@ -113,19 +124,21 @@ impl PkruCell {
     }
 }
 
-/// One registered thread: the TLB behind its own (uncontended) mutex,
-/// the PKRU in a [`PkruCell`], and the cycle and operation counters as
-/// bare atomics so [`Machine::charge`] — executed for every simulated
-/// instruction — never takes even that mutex. The per-thread cycle
-/// counters double as the virtual clock: [`Machine::now`] sums them, so
-/// no global clock word exists to contend on; [`Machine::counters`] sums
-/// the operation counters the same way (each only grows, and
-/// per-location coherence makes every summed read monotonic for the
-/// reading thread). Aligned so no two threads' counters share a cache
+/// One registered thread: its dTLB, which only the thread itself writes
+/// (other threads only post shootdowns to it), the PKRU in a
+/// [`PkruCell`], and the cycle and operation counters as bare atomics, so
+/// neither [`Machine::charge`] — executed for every simulated instruction
+/// — nor a dTLB hit takes a lock. The per-thread cycle counters double as
+/// the virtual clock: [`Machine::now`] sums them, so no global clock word
+/// exists to contend on; [`Machine::counters`] sums the operation counters
+/// the same way (each only grows, and per-location coherence makes every
+/// summed read monotonic for the reading thread). Memory accesses are not
+/// counted here: each probes the dTLB exactly once, so its lookup count is
+/// the access count. Aligned so no two threads' counters share a cache
 /// line.
 #[repr(align(128))]
 struct ThreadEntry {
-    tlb: Mutex<Tlb>,
+    tlb: Tlb,
     pkru: PkruCell,
     cycles: AtomicU64,
     /// Virtual time at which the thread was registered: the maximum
@@ -142,9 +155,36 @@ struct ThreadEntry {
     mmap: AtomicU64,
     munmap: AtomicU64,
     ftruncate: AtomicU64,
-    accesses: AtomicU64,
     faults: AtomicU64,
     context_pkru_updates: AtomicU64,
+    /// Raised while an OS thread is inside [`Machine::access`] for this
+    /// thread: debug builds' check that one OS thread drives it at a time.
+    #[cfg(debug_assertions)]
+    driven: AtomicBool,
+}
+
+/// Held by [`Machine::access`] in debug builds: claims the thread's
+/// [`ThreadEntry::driven`] flag, panicking if another OS thread holds it,
+/// and lowers it on drop.
+#[cfg(debug_assertions)]
+struct Driving<'a>(&'a AtomicBool);
+
+#[cfg(debug_assertions)]
+impl<'a> Driving<'a> {
+    fn claim(entry: &'a ThreadEntry, thread: ThreadId) -> Driving<'a> {
+        assert!(
+            !entry.driven.swap(true, Ordering::Acquire),
+            "{thread} is driven by two OS threads at once"
+        );
+        Driving(&entry.driven)
+    }
+}
+
+#[cfg(debug_assertions)]
+impl Drop for Driving<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::Release);
+    }
 }
 
 /// Operation counters, readable at any time via [`Machine::counters`].
@@ -162,7 +202,8 @@ pub struct MachineCounters {
     pub munmap: u64,
     /// `ftruncate()` system calls (file growth events).
     pub ftruncate: u64,
-    /// Memory accesses checked.
+    /// Memory accesses checked: every one probes its thread's dTLB once,
+    /// so this is [`Machine::tlb_stats`]' lookups.
     pub accesses: u64,
     /// Simulated #GP faults raised.
     pub faults: u64,
@@ -194,9 +235,9 @@ pub struct Machine {
     /// [`crate::page_table`]), so no lock of the machine's wraps it.
     aspace: AddressSpace,
     /// Registered threads on the shared [`Registry`] spine: reaching a
-    /// thread's state is two lock-free loads plus that thread's own
-    /// (uncontended) mutex, so the per-instruction cycle charge never
-    /// touches a shared word.
+    /// thread's state is two lock-free loads, so neither the
+    /// per-instruction cycle charge nor a dTLB hit touches a shared word
+    /// or a lock.
     threads: Registry<ThreadEntry>,
     /// Serialises registration — the cold path — so birth stamps and ids
     /// are assigned atomically.
@@ -252,7 +293,7 @@ impl Machine {
         self.threads.publish(
             index,
             ThreadEntry {
-                tlb: Mutex::new(Tlb::new(self.config.tlb)),
+                tlb: Tlb::new(self.config.tlb),
                 pkru: PkruCell::new(Pkru::allow_all(&self.config.key_layout)),
                 cycles: AtomicU64::new(0),
                 birth,
@@ -262,15 +303,12 @@ impl Machine {
                 mmap: AtomicU64::new(0),
                 munmap: AtomicU64::new(0),
                 ftruncate: AtomicU64::new(0),
-                accesses: AtomicU64::new(0),
                 faults: AtomicU64::new(0),
                 context_pkru_updates: AtomicU64::new(0),
+                #[cfg(debug_assertions)]
+                driven: AtomicBool::new(false),
             },
         );
-        // Pairs with the fence in `invalidate_tlbs`: a shootdown whose
-        // registry walk missed this thread stored its PTE before the walk,
-        // so this thread's first page-table load sees that store.
-        fence(Ordering::SeqCst);
         ThreadId(index)
     }
 
@@ -346,7 +384,7 @@ impl Machine {
                 }
                 entry.pkru.store(pkru);
                 if changed > 0 {
-                    entry.tlb.lock().flush();
+                    entry.tlb.flush();
                 }
                 self.charge(
                     thread,
@@ -460,9 +498,7 @@ impl Machine {
                 phys.remove_mapping(frame);
             }
         }
-        for &page in &pages[..unmapped] {
-            self.invalidate_tlbs(page);
-        }
+        self.shoot_down(pages[..unmapped].iter().copied());
         result.map(|()| frames)
     }
 
@@ -485,9 +521,9 @@ impl Machine {
 
     /// `pkey_mprotect()`: retag each `(first, count)` page range with `key`
     /// through one kernel call — one range for an object's pages, several
-    /// for the libmpk-style grouped update of a key eviction — and
-    /// invalidate the retagged pages in every thread's TLB (the kernel
-    /// updates PTEs, so cached translations die). Counts one
+    /// for the libmpk-style grouped update of a key eviction — and shoot
+    /// the retagged pages down in every thread's TLB that caches them (the
+    /// kernel updates PTEs, so cached translations die). Counts one
     /// `pkey_mprotect` and charges [`CostModel::pkey_mprotect_call`] for
     /// the batch. A no-op for an empty batch.
     ///
@@ -513,24 +549,26 @@ impl Machine {
                 writer.pkey_mprotect(first, count, key)
             })
         };
-        for &(first, count) in &ranges[..retagged] {
-            for i in 0..count {
-                self.invalidate_tlbs(first.add(i));
-            }
-        }
+        self.shoot_down(
+            ranges[..retagged]
+                .iter()
+                .flat_map(|&(first, count)| (0..count).map(move |i| first.add(i))),
+        );
         result
     }
 
-    /// TLB shootdown of `page`, run after the page's new PTE is stored and
-    /// the writer mutex released. Taking each thread's TLB mutex *after*
-    /// the store is what keeps a cached key from outliving the retag: an
-    /// access walks and installs under that same mutex, so it either
-    /// loads the new PTE or has its entry removed here.
-    fn invalidate_tlbs(&self, page: VirtPage) {
-        // Pairs with the fence in `register_thread`.
+    /// TLB shootdown of `pages`, run after their new PTEs are stored and
+    /// the writer mutex released: each registered thread whose dTLB holds
+    /// some of them gets those entries posted, in one `fetch_or`, to drop
+    /// before its next probe. A thread that caches none of them is read,
+    /// never written, and no lock is taken. Why this leaves no stale entry
+    /// behind is [`crate::page_table`]'s argument.
+    fn shoot_down(&self, pages: impl Iterator<Item = VirtPage> + Clone) {
+        // Orders the PTE stores before the reads of every set below; pairs
+        // with the fence after an install in `access`.
         fence(Ordering::SeqCst);
         for entry in self.threads.iter() {
-            entry.tlb.lock().invalidate(page);
+            entry.tlb.post_held(pages.clone());
         }
     }
 
@@ -562,27 +600,21 @@ impl Machine {
         ip: CodeSite,
     ) -> Result<(), GpFault> {
         let entry = self.entry(thread);
-        entry.accesses.fetch_add(1, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        let _driving = Driving::claim(entry, thread);
         let page = addr.page();
         let mut cost = self.config.cost.mem_access;
 
         // Fast path: a dTLB hit yields the page's protection key from the
-        // thread's own TLB, so the PKU check completes without touching the
-        // shared address space at all — the same reason hardware PKU is
-        // cheap. A miss walks the page table — one atomic load — and
-        // installs the result *under the same hold of the TLB mutex* as the
-        // probe: a concurrent retag stores its PTE before it takes this
-        // mutex to shoot the page down, so the entry installed here is
-        // either removed by that shootdown or already carries the new key.
-        // The walk also performs the sticky first-touch bookkeeping, which
-        // a hit can safely skip because an entry is only installed by an
-        // *allowed* walk, which already marked the page accessed.
-        let mut tlb = entry.tlb.lock();
-        let (pkey, allowed) = match tlb.probe(page) {
-            Some(pkey) => {
-                drop(tlb);
-                (pkey, entry.pkru.allows(pkey, kind))
-            }
+        // thread's own TLB, so the PKU check completes without a lock and
+        // without touching the shared address space — the same reason
+        // hardware PKU is cheap. The probe first drops whatever shootdowns
+        // posted to this thread (one acquire load when there are none).
+        // The walk on a miss performs the sticky first-touch bookkeeping,
+        // which a hit can safely skip because an entry is only installed
+        // by an *allowed* walk, which already marked the page accessed.
+        let (pkey, allowed) = match entry.tlb.probe(page) {
+            Some(pkey) => (pkey, entry.pkru.allows(pkey, kind)),
             None => {
                 cost += self.config.cost.dtlb_miss;
                 let mapping = self
@@ -591,16 +623,23 @@ impl Machine {
                     .unwrap_or_else(|| panic!("access to unmapped address {addr} by {thread}"));
                 let allowed = entry.pkru.allows(mapping.pkey, kind);
                 if allowed {
-                    tlb.install(page, mapping.pkey);
-                }
-                drop(tlb);
-                // Residency and the PTE accessed bit are sticky until the
-                // page is unmapped, so only the *first* allowed touch of a
-                // page needs the physical-memory lock and the page table's
-                // writer mutex.
-                if allowed && !mapping.accessed {
-                    self.phys.lock().touch(mapping.frame);
-                    self.aspace.writer().mark_accessed(page);
+                    // Install, fence, re-load: a retag whose shootdown did
+                    // not see this install has stored a PTE the re-load
+                    // sees, so an entry carrying a key it replaced goes at
+                    // once (`crate::page_table` has the argument).
+                    entry.tlb.install(page, mapping.pkey);
+                    fence(Ordering::SeqCst);
+                    if self.page_key(page) != Some(mapping.pkey) {
+                        entry.tlb.invalidate(page);
+                    }
+                    // Residency and the PTE accessed bit are sticky until
+                    // the page is unmapped, so only the *first* allowed
+                    // touch of a page needs the physical-memory lock and
+                    // the page table's writer mutex.
+                    if !mapping.accessed {
+                        self.phys.lock().touch(mapping.frame);
+                        self.aspace.writer().mark_accessed(page);
+                    }
                 }
                 (mapping.pkey, allowed)
             }
@@ -634,7 +673,7 @@ impl Machine {
             total.mmap += s.mmap.load(Ordering::Relaxed);
             total.munmap += s.munmap.load(Ordering::Relaxed);
             total.ftruncate += s.ftruncate.load(Ordering::Relaxed);
-            total.accesses += s.accesses.load(Ordering::Relaxed);
+            total.accesses += s.tlb.stats().lookups();
             total.faults += s.faults.load(Ordering::Relaxed);
             total.context_pkru_updates += s.context_pkru_updates.load(Ordering::Relaxed);
         }
@@ -666,7 +705,7 @@ impl Machine {
     pub fn tlb_stats(&self) -> TlbStats {
         let mut total = TlbStats::default();
         for entry in self.threads.iter() {
-            total.merge(entry.tlb.lock().stats());
+            total.merge(entry.tlb.stats());
         }
         total
     }
@@ -851,6 +890,73 @@ mod tests {
         assert_eq!(cold.misses, warm.misses + 1, "mprotect must invalidate");
     }
 
+    /// `accesses` is the dTLB's lookup count, through hits, misses, a
+    /// denied access and a fallback flush alike.
+    #[test]
+    fn every_access_is_one_dtlb_lookup() {
+        let m = Machine::new(MachineConfig {
+            mechanism: ProtectionMechanism::MprotectFallback,
+            ..MachineConfig::default()
+        });
+        let t = m.register_thread();
+        let (page, key) = (m.mmap_one_page().unwrap(), ProtectionKey(3));
+        m.pkey_mprotect(t, &[(page, 1)], key).unwrap();
+        let access = |kind| m.access(t, page.base_addr(), kind, CodeSite(0));
+        access(AccessKind::Read).unwrap(); // Miss.
+        access(AccessKind::Write).unwrap(); // Hit.
+        let mut pkru = m.rdpkru(t);
+        pkru.set_permission(key, Permission::ReadOnly);
+        m.wrpkru(t, pkru); // Flushes.
+        access(AccessKind::Write).unwrap_err(); // Miss, denied.
+        access(AccessKind::Read).unwrap(); // Miss: the denied walk installed nothing.
+        assert_eq!(m.tlb_stats(), TlbStats { hits: 1, misses: 3 });
+        assert_eq!(m.counters().accesses, m.tlb_stats().lookups());
+    }
+
+    /// A shootdown posts only to the threads that cache the page, and a
+    /// page retagged again before the owner drains is posted once: a
+    /// thousand idle threads cost a retag a read of one set each and are
+    /// left with nothing posted, and an idle thread that caches the page
+    /// holds one posted entry after ten thousand retags.
+    #[test]
+    fn a_retag_posts_only_where_the_page_is_cached_and_each_page_once() {
+        let m = machine();
+        let (writer, holder) = (m.register_thread(), m.register_thread());
+        let idle: Vec<ThreadId> = (0..1_000).map(|_| m.register_thread()).collect();
+        let (page, cold) = (m.mmap_one_page().unwrap(), m.mmap_one_page().unwrap());
+        m.access(holder, page.base_addr(), AccessKind::Read, CodeSite(0))
+            .unwrap();
+        let posted = |t| m.entry(t).tlb.posted();
+
+        m.pkey_mprotect(writer, &[(cold, 1)], ProtectionKey(4)).unwrap();
+        assert!(idle.iter().chain([&holder]).all(|&t| posted(t) == 0));
+
+        for round in 0..10_000u16 {
+            let key = ProtectionKey(1 + round % 2);
+            m.pkey_mprotect(writer, &[(page, 1)], key).unwrap();
+        }
+        assert_eq!(posted(holder), 1);
+        assert!(idle.iter().all(|&t| posted(t) == 0));
+
+        // The holder's next access drops the page and walks.
+        let before = m.tlb_stats();
+        m.access(holder, page.base_addr(), AccessKind::Read, CodeSite(0))
+            .unwrap();
+        assert_eq!(m.tlb_stats().misses, before.misses + 1);
+        assert_eq!(posted(holder), 0);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "t0 is driven by two OS threads at once")]
+    fn a_thread_driven_twice_at_once_panics_in_debug_builds() {
+        let m = machine();
+        let t = m.register_thread();
+        let page = m.mmap_one_page().unwrap();
+        let _elsewhere = Driving::claim(m.entry(t), t);
+        let _ = m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0));
+    }
+
     #[test]
     fn saved_context_update_skips_wrpkru_cost() {
         let m = machine();
@@ -983,7 +1089,11 @@ mod tests {
             let first = m.reserve_pages(n as u64);
             let pages: Vec<VirtPage> = (0..n as u64).map(|i| first.add(i)).collect();
             let pairs: Vec<_> = pages.iter().map(|&p| (p, m.alloc_frame(t))).collect();
-            let cached = |page| m.entry(other).tlb.lock().probe(page).is_some();
+            let cached = |page| {
+                let tlb = &m.entry(other).tlb;
+                tlb.drain();
+                tlb.holds(page)
+            };
             let warm = || {
                 for &page in &pages {
                     m.access(other, page.base_addr(), AccessKind::Read, CodeSite(0))

@@ -13,15 +13,16 @@
 //!   [`ProtectionKey`], updated with [`Machine::pkey_mprotect`]: one atomic
 //!   PTE word per page on the shared [`Spine`], so a walk is a single load
 //!   and only writers serialise ([`page_table`] has the word layout and the
-//!   store-then-shoot-down ordering that keeps cached keys fresh). Each
-//!   simulated system call has one body, over a batch of pages or ranges,
-//!   and one charge rule in [`cost`];
+//!   fence pairing that keeps cached keys fresh). Each simulated system
+//!   call has one body, over a batch of pages or ranges, and one charge
+//!   rule in [`cost`];
 //! * simulated physical memory ([`PhysMemory`]) behaving like a
 //!   `memfd_create` in-memory file: virtual pages may share physical frames
 //!   (`MAP_SHARED`), the file is grown/shrunk with `ftruncate`, and resident
 //!   set size is tracked for the paper's memory-overhead experiments;
-//! * a per-thread set-associative data TLB ([`Tlb`]) so unique-page
-//!   allocation pressure (§7.2 of the paper) is measurable;
+//! * a per-thread set-associative data TLB ([`tlb`]), written only by its
+//!   own thread, so unique-page allocation pressure (§7.2 of the paper) is
+//!   measurable;
 //! * a virtual time-stamp counter (`RDTSCP` analog) and a cycle-cost module
 //!   ([`cost`]) whose constants come from the paper and from the libmpk /
 //!   ERIM measurements the paper cites.
@@ -90,4 +91,4 @@ pub use page_table::{
 pub use phys::{MemStats, PhysMemory};
 pub use pkru::{Permission, Pkru};
 pub use spine::{Registry, Spine, ThreadSpine, THREAD_CAPACITY};
-pub use tlb::{Tlb, TlbConfig, TlbStats};
+pub use tlb::{TlbConfig, TlbStats};

@@ -46,28 +46,39 @@
 //! the pages it touches. The counters are atomics written under the mutex
 //! and read by anyone.
 //!
-//! # Store, then shoot down; load under the TLB mutex
+//! # Store, fence, read the sets; install, fence, re-load
 //!
 //! A cached translation must never outlive the `pkey_mprotect` or `munmap`
-//! that changed its page. Two rules in [`crate::Machine`] give that, with
-//! no lock shared between an access and a writer:
+//! that changed its page. Each dTLB has one writer, its own thread
+//! ([`crate::tlb`]), and no lock is shared between an access and a writer.
+//! Two rules in [`crate::Machine`] keep cached keys fresh:
 //!
-//! 1. a writer **stores the PTE first**, releases the writer mutex, and
-//!    only then takes each thread's TLB mutex to invalidate the page;
-//! 2. an access probes its TLB, loads the PTE and installs the result
-//!    **under one hold of its thread's TLB mutex**.
+//! 1. a writer **stores the PTEs**, releases the writer mutex, issues a
+//!    `SeqCst` fence, and then reads, in every registered thread's dTLB,
+//!    the set of each page it changed. Where the page is cached it posts
+//!    that entry to the thread (one `fetch_or` on the thread's `posted`
+//!    word), which the thread's next probe loads (acquire) and drops first;
+//! 2. an access that misses walks, **installs, issues a `SeqCst` fence,
+//!    and re-loads the PTE**, dropping the new entry if the key changed.
 //!
-//! For any access by thread A and any completed write, A's critical
-//! section and the shootdown's hold of A's TLB mutex are ordered. If the
-//! shootdown comes second, it removes whatever A installed. If it comes
-//! first, the mutex hand-off orders the writer's store before A's load, so
-//! A installs the new key. (A walk outside the TLB mutex could load the old
-//! key, lose the race to the shootdown, and then install a stale entry
-//! that answers hits until it happens to be evicted.) A thread that
-//! registers while a shootdown walks the registry is covered by a pair of
-//! `SeqCst` fences — store PTE, fence, read the registry length against
-//! publish, fence, load PTE — so either the walk reaches the newcomer or
-//! the newcomer's first walk sees the new word.
+//! The two fences make a Dekker pair. For a write W and an install I of
+//! the same page, one fence precedes the other in the single `SeqCst`
+//! order. If W's comes first, I's re-load sees W's PTE (or a later one),
+//! so a key W replaced is dropped at once. If I's comes first, W's read of
+//! the set sees I's entry (or the owner's later eviction of it), so W
+//! posts that entry and the owner drops it before its next probe; if the
+//! owner has meanwhile reused the entry for another page, that one goes
+//! instead, which costs a miss and never a stale key. Either way, once W
+//! completes, no access that happens after it can hit an entry carrying a
+//! key W replaced; an access racing W may use either key. The re-check
+//! also covers a thread that registers while W walks the registry: a
+//! newcomer's dTLB starts empty, and its first install re-loads after its
+//! own fence, so no fence at registration is needed. (Without the re-load,
+//! a walk could load the old key, miss W's read of the set, and install a
+//! stale entry that answers hits until it happens to be evicted.) An entry
+//! is posted only to the thread that caches it, by setting one bit however
+//! often its page is retagged before the owner drains, so a retag costs an
+//! idle thread one read of a set and nothing else, and takes no lock.
 
 use crate::keys::ProtectionKey;
 use crate::mem::{PhysFrame, VirtAddr, VirtPage};

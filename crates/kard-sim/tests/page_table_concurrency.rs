@@ -13,10 +13,12 @@ use std::sync::Barrier;
 /// key 3 — so while `phase` is odd the page wears key 4 and every thread's
 /// TLB has been shot down. An access by A that returned `Ok` with the same
 /// odd `phase` read before and after it can only have hit a stale entry:
-/// one A installed from a key-3 walk that lost the race to B's shootdown.
-/// `Machine::access` walks and installs under one hold of A's TLB mutex,
-/// which B's shootdown must take after storing the PTE, so there is no
-/// such entry.
+/// one A installed from a key-3 walk that B's shootdown did not see.
+/// `Machine::access` installs, fences and re-loads the PTE, dropping the
+/// entry if the key changed, while B stores the PTE, fences and then reads
+/// A's set: one of the two sees the other, so A either drops the entry at
+/// once or finds it posted and drops it before its next probe, and there
+/// is no such entry.
 #[test]
 fn tlb_entry_does_not_survive_a_completed_pkey_mprotect() {
     const ROUNDS: u64 = 100_000;

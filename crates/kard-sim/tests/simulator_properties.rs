@@ -3,8 +3,8 @@
 use kard_sim::keys::KeyLayout;
 use kard_sim::{
     AccessKind, AddressSpace, CodeSite, Machine, MachineConfig, MapError, Mapping, PageSpine,
-    Permission, PhysFrame, Pkru, ProtectError, ProtectionKey, Tlb, TlbConfig, VirtPage,
-    MMAP_BASE_PAGE, PAGE_SIZE, USER_PAGE_END,
+    Permission, PhysFrame, Pkru, ProtectError, ProtectionKey, ProtectionMechanism, ThreadId,
+    TlbConfig, VirtPage, MMAP_BASE_PAGE, PAGE_SIZE, USER_PAGE_END,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -112,8 +112,168 @@ impl PteModel {
     }
 }
 
+/// The reference dTLB: per set, a list of `(page, key)` entries with the
+/// most recently used last. The machine's flat, stamped, thread-owned table
+/// must answer every probe as this does.
+struct TlbModel {
+    ways: usize,
+    sets: Vec<Vec<(VirtPage, ProtectionKey)>>,
+}
+
+impl TlbModel {
+    fn new(config: TlbConfig) -> TlbModel {
+        let sets = config.entries / config.ways;
+        TlbModel { ways: config.ways, sets: vec![Vec::new(); sets] }
+    }
+
+    fn set(&mut self, page: VirtPage) -> &mut Vec<(VirtPage, ProtectionKey)> {
+        let sets = self.sets.len() as u64;
+        &mut self.sets[(page.0 % sets) as usize]
+    }
+
+    /// A hit moves the entry to the back of its set.
+    fn probe(&mut self, page: VirtPage) -> Option<ProtectionKey> {
+        let set = self.set(page);
+        let hit = set.remove(set.iter().position(|&(p, _)| p == page)?);
+        set.push(hit);
+        Some(hit.1)
+    }
+
+    /// A full set evicts its front, the least recently used entry.
+    fn install(&mut self, page: VirtPage, key: ProtectionKey) {
+        let ways = self.ways;
+        let set = self.set(page);
+        if set.len() == ways {
+            set.remove(0);
+        }
+        set.push((page, key));
+    }
+
+    fn invalidate(&mut self, page: VirtPage) {
+        self.set(page).retain(|&(p, _)| p != page);
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// One step of the dTLB model test. Thread fields are taken modulo the
+/// run's thread count.
+#[derive(Clone, Copy, Debug)]
+enum MachineOp {
+    Access { thread: usize, page: usize, write: bool },
+    Retag { thread: usize, page: usize, key: u16 },
+    /// Unmap a mapped page, or map an unmapped one back onto a fresh frame.
+    Remap { thread: usize, page: usize },
+    Wrpkru { thread: usize, key: u16, perm: Permission },
+}
+
+/// Pages of the dTLB model test: three times its eight entries.
+const MODEL_PAGES: usize = 24;
+
+fn machine_op_strategy() -> impl Strategy<Value = MachineOp> {
+    let (thread, page) = (0usize..3, 0..MODEL_PAGES);
+    prop_oneof![
+        6 => (thread.clone(), page.clone(), any::<bool>())
+            .prop_map(|(thread, page, write)| MachineOp::Access { thread, page, write }),
+        2 => (thread.clone(), page.clone(), 0u16..5)
+            .prop_map(|(thread, page, key)| MachineOp::Retag { thread, page, key }),
+        1 => (thread.clone(), page).prop_map(|(thread, page)| MachineOp::Remap { thread, page }),
+        2 => (thread, 1u16..5, perm_strategy())
+            .prop_map(|(thread, key, perm)| MachineOp::Wrpkru { thread, key, perm }),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Driven from one OS thread, the machine's dTLBs behave exactly as
+    /// one most-recent-last list per set per thread: every access agrees
+    /// on hit or miss, on the key it checks, on whether it faults, and on
+    /// the cycles it charges, through retags and unmaps (shot down in
+    /// every thread), `WRPKRU` (no TLB effect under MPK, a flush under the
+    /// fallback) and evictions.
+    #[test]
+    fn machine_dtlbs_match_a_most_recent_last_list_per_set(
+        threads in 1usize..4,
+        fallback in any::<bool>(),
+        ops in prop::collection::vec(machine_op_strategy(), 1..200),
+    ) {
+        let config = TlbConfig { entries: 8, ways: 2 };
+        let mechanism = if fallback {
+            ProtectionMechanism::MprotectFallback
+        } else {
+            ProtectionMechanism::Mpk
+        };
+        let machine = Machine::new(MachineConfig { tlb: config, mechanism, ..MachineConfig::default() });
+        let cost = *machine.cost_model();
+        let ids: Vec<ThreadId> = (0..threads).map(|_| machine.register_thread()).collect();
+        let first = machine.reserve_pages(MODEL_PAGES as u64);
+        let pages: Vec<VirtPage> = (0..MODEL_PAGES as u64).map(|i| first.add(i)).collect();
+        let pairs: Vec<_> = pages.iter().map(|&p| (p, machine.alloc_frame(ids[0]))).collect();
+        machine.map_pages(ids[0], &pairs).unwrap();
+
+        let mut keys = [Some(ProtectionKey::DEFAULT); MODEL_PAGES];
+        let mut tlbs: Vec<TlbModel> = ids.iter().map(|_| TlbModel::new(config)).collect();
+        let mut pkrus: Vec<Pkru> = ids.iter().map(|_| Pkru::allow_all(&machine.key_layout())).collect();
+        for op in ops {
+            match op {
+                MachineOp::Access { thread, page, write } => {
+                    let t = thread % threads;
+                    // Unmapped memory is never touched (`access` panics).
+                    let Some(walked) = keys[page] else { continue };
+                    let page = pages[page];
+                    let kind = if write { AccessKind::Write } else { AccessKind::Read };
+                    let (stats, cycles) = (machine.tlb_stats(), machine.thread_cycles(ids[t]));
+                    let result = machine.access(ids[t], page.base_addr(), kind, CodeSite(0));
+
+                    let hit = tlbs[t].probe(page);
+                    let key = hit.unwrap_or(walked);
+                    let allowed = pkrus[t].allows(key, kind);
+                    if hit.is_none() && allowed {
+                        tlbs[t].install(page, key);
+                    }
+                    let after = machine.tlb_stats();
+                    prop_assert_eq!(after.hits - stats.hits, u64::from(hit.is_some()), "{:?}", op);
+                    prop_assert_eq!(after.misses - stats.misses, u64::from(hit.is_none()), "{:?}", op);
+                    prop_assert_eq!(result.err().map(|fault| fault.pkey), (!allowed).then_some(key));
+                    let charged = cost.mem_access + if hit.is_some() { 0 } else { cost.dtlb_miss };
+                    prop_assert_eq!(machine.thread_cycles(ids[t]) - cycles, charged);
+                }
+                MachineOp::Retag { thread, page, key } => {
+                    let key = ProtectionKey(key);
+                    let result = machine.pkey_mprotect(ids[thread % threads], &[(pages[page], 1)], key);
+                    prop_assert_eq!(result.is_ok(), keys[page].is_some());
+                    if let Some(tagged) = &mut keys[page] {
+                        *tagged = key;
+                        tlbs.iter_mut().for_each(|tlb| tlb.invalidate(pages[page]));
+                    }
+                }
+                MachineOp::Remap { thread, page } => {
+                    let t = ids[thread % threads];
+                    if keys[page].take().is_some() {
+                        machine.unmap_pages(t, &[pages[page]]).unwrap();
+                        tlbs.iter_mut().for_each(|tlb| tlb.invalidate(pages[page]));
+                    } else {
+                        let frame = machine.alloc_frame(t);
+                        machine.map_pages(t, &[(pages[page], frame)]).unwrap();
+                        keys[page] = Some(ProtectionKey::DEFAULT);
+                    }
+                }
+                MachineOp::Wrpkru { thread, key, perm } => {
+                    let t = thread % threads;
+                    let key = ProtectionKey(key);
+                    if fallback && pkrus[t].permission(key) != perm {
+                        tlbs[t].flush();
+                    }
+                    pkrus[t].set_permission(key, perm);
+                    machine.wrpkru(ids[t], pkrus[t].clone());
+                }
+            }
+        }
+        prop_assert_eq!(machine.counters().accesses, machine.tlb_stats().lookups());
+    }
 
     /// The flat page table answers every map / unmap / retag / first-touch
     /// sequence exactly as an ordered map does: same results, same errors,
@@ -198,24 +358,6 @@ proptest! {
             prop_assert_eq!(fault.access, kind);
             prop_assert_eq!(fault.page, page);
         }
-    }
-
-    /// The TLB never reports more entries than its capacity: after any
-    /// access sequence, re-touching the most recent `ways` pages of a set
-    /// always hits.
-    #[test]
-    fn tlb_respects_capacity_and_recency(pages in prop::collection::vec(0u64..64, 1..200)) {
-        let config = TlbConfig { entries: 16, ways: 4 };
-        let mut tlb = Tlb::new(config);
-        for &p in &pages {
-            tlb.lookup(VirtPage(p));
-        }
-        // Immediately re-touching the last accessed page must hit.
-        let last = *pages.last().unwrap();
-        prop_assert!(tlb.lookup(VirtPage(last)), "most recent page must hit");
-        let stats = tlb.stats();
-        prop_assert_eq!(stats.lookups(), pages.len() as u64 + 1);
-        prop_assert!(stats.misses >= 1, "first access always misses");
     }
 
     /// Cycle accounting is additive: charges accumulate exactly and the
