@@ -32,8 +32,10 @@ doc:
 	RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # Regenerate the two golden files `crates/kard-bench/tests/golden.rs`
-# checks. Every number in them is virtual-clock, so a diff here is a
-# change in modelled behaviour, never noise.
+# checks. Every number in them is virtual-clock except alloctiers'
+# `locks/op`, a host lock count that one OS thread makes deterministic,
+# so a diff here is a change in modelled behaviour or in allocator
+# locking, never noise.
 tables:
 	cargo run --release -q -p kard-bench --bin kard-tables -- all > paper_tables_output.txt
 	cargo run --release -q -p kard-bench --bin kard-tables -- extensions > extension_tables_output.txt

@@ -25,13 +25,16 @@
 //!    it at refill; thread exit closes the queue and flushes everything
 //!    to the global pool, so no slot is stranded.
 //!
-//! Object metadata lives in publish-once lock-free tables
-//! ([`crate::table`]) indexed by the dense, never-reused object ids and
-//! virtual page numbers, so the fault handler resolves any thread's
-//! objects without locks. Dedicated (≥ page) objects and globals are
-//! rare and keep sharded-map records. Built with
+//! Every object's metadata — magazine and sharded-mode slots, objects
+//! of a page or more, globals — lives in the one publish-once lock-free
+//! table ([`crate::table`]) indexed by the dense, never-reused object
+//! ids, beside a page index over the never-reused virtual pages, so the
+//! fault handler resolves any object without locks. Physical extents
+//! (the `(frame, offset)` byte ranges small objects occupy inside shared
+//! frames) leave the global pool and the open frame through one take
+//! helper and return to the pool through one return helper. Built with
 //! [`KardAlloc::sharded`] instead of [`KardAlloc::new`], every
-//! allocation takes the PR 1 sharded path — the paper's per-allocation
+//! allocation takes the sharded path — the paper's per-allocation
 //! `mmap` model — which the benchmarks use as the baseline and the
 //! paper-semantics tests use for exact-count assertions.
 //!
@@ -39,15 +42,15 @@
 //!
 //! Fault shards (detector, the faulted object's shard — all shards for
 //! thread exit) → magazine engage → allocator shard locks (free-slot
-//! pool, open frame, sharded maps) → machine internals. Every allocator
-//! lock is a leaf with respect to the others; the magazine engage flag
-//! is not a lock (concurrent entry panics rather than blocks) but sits
-//! above the shard locks because refills run engaged.
+//! pool, open frame) → machine internals. Every allocator lock is a
+//! leaf with respect to the others; the magazine engage flag is not a
+//! lock (concurrent entry panics rather than blocks) but sits above the
+//! shard locks because refills run engaged.
 
 use crate::magazine::{class_of, class_size, MagInner, Magazine, PreparedSlot};
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
 use crate::remote_free::RetiredSlot;
-use crate::table::{ConsRecord, ConsTable, PageIndex};
+use crate::table::{ObjectTable, PageIndex, Record};
 use kard_sim::{
     Machine, PhysFrame, ProtectError, ProtectionKey, ThreadId, ThreadSpine, VirtAddr, VirtPage,
     PAGE_SIZE, THREAD_CAPACITY,
@@ -100,7 +103,8 @@ pub struct AllocStats {
     pub remote_free_pushes: u64,
     /// Slots drained from remote-free queues by their owners.
     pub remote_free_drained: u64,
-    /// Dead virtual pages unmapped (batched retirement + sharded frees).
+    /// Dead virtual pages unmapped (batched retirement + immediate
+    /// frees).
     pub pages_retired: u64,
 }
 
@@ -139,20 +143,6 @@ impl AtomicAllocStats {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Backing {
-    /// Small object: one page aliasing a shared frame at `offset`.
-    Consolidated { frame: PhysFrame, offset: u64 },
-    /// Large object or global: dedicated frames, one per page.
-    Dedicated,
-}
-
-#[derive(Clone, Debug)]
-struct ObjectRecord {
-    info: ObjectInfo,
-    backing: Backing,
-}
-
 /// Free consolidation slots of one shard, keyed by rounded size.
 type SlotMap = HashMap<u64, Vec<(PhysFrame, u64)>>;
 
@@ -163,17 +153,14 @@ pub struct KardAlloc {
     /// [`KardAlloc::sharded`], where every allocation pays its own `mmap`
     /// and shard lock.
     magazine_mode: bool,
-    /// Lock-free metadata for consolidated objects (any thread's
-    /// magazine), resolvable from the fault handler without locks.
-    cons: ConsTable,
+    /// Every object's record, resolvable from the fault handler without
+    /// locks.
+    objects: ObjectTable,
     /// Lock-free page→object index over the dense reservation sequence.
     page_index: PageIndex,
     /// Per-thread magazines, materialized on first use: a cell for every
     /// thread the machine can register.
     magazines: ThreadSpine<Magazine>,
-    /// Sharded records for dedicated objects, globals, and every object
-    /// of the sharded mode.
-    objects: Vec<TrackedMutex<HashMap<ObjectId, ObjectRecord>>>,
     /// Free consolidation slots, sharded by size class (rounded size) —
     /// the tier-2 global pool magazines refill from.
     free_slots: Vec<TrackedMutex<SlotMap>>,
@@ -213,15 +200,11 @@ impl KardAlloc {
 
     fn build(machine: Arc<Machine>, magazine_mode: bool) -> KardAlloc {
         let lock_acquisitions = Arc::new(AtomicU64::new(0));
-        let tracked = |_: usize| -> TrackedMutex<HashMap<ObjectId, ObjectRecord>> {
-            TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions))
-        };
         KardAlloc {
             magazine_mode,
-            cons: ConsTable::default(),
+            objects: ObjectTable::default(),
             page_index: PageIndex::default(),
             magazines: ThreadSpine::new(),
-            objects: (0..ALLOC_SHARDS).map(tracked).collect(),
             free_slots: (0..ALLOC_SHARDS)
                 .map(|_| TrackedMutex::new(HashMap::new(), Arc::clone(&lock_acquisitions)))
                 .collect(),
@@ -248,8 +231,8 @@ impl KardAlloc {
         &self.telemetry
     }
 
-    /// Total acquisitions of every shared allocator lock (sharded maps,
-    /// free-slot pool, open frame). The owning-thread magazine path must
+    /// Total acquisitions of every shared allocator lock (free-slot pool,
+    /// open frame). The owning-thread magazine path must
     /// not move this counter in steady state — `tests/no_lock_overhead.rs`
     /// asserts exactly that.
     #[must_use]
@@ -299,10 +282,6 @@ impl KardAlloc {
         size.div_ceil(ALLOC_GRANULE) * ALLOC_GRANULE
     }
 
-    fn object_shard(&self, id: ObjectId) -> &TrackedMutex<HashMap<ObjectId, ObjectRecord>> {
-        &self.objects[id.0 as usize % ALLOC_SHARDS]
-    }
-
     fn slot_shard(&self, rounded: u64) -> &TrackedMutex<SlotMap> {
         &self.free_slots[(rounded / ALLOC_GRANULE) as usize % ALLOC_SHARDS]
     }
@@ -336,13 +315,12 @@ impl KardAlloc {
             return self.alloc_magazine(thread, id, size, rounded);
         }
 
-        let record = if rounded < PAGE_SIZE {
+        let rec = if rounded < PAGE_SIZE {
             self.alloc_consolidated(thread, id, size, rounded)
         } else {
             self.alloc_dedicated(thread, id, size, rounded, ObjectKind::Heap)
         };
-        let info = record.info;
-        self.index(record);
+        let info = self.index(&rec);
         self.pretag(thread, info);
         self.stats.allocations.fetch_add(1, Ordering::Relaxed);
         self.stats.live_objects.fetch_add(1, Ordering::Relaxed);
@@ -377,20 +355,16 @@ impl KardAlloc {
         let remaining = inner.classes[class].prepared.len() as u64;
         drop(guard);
 
-        let rec = ConsRecord {
+        let info = self.index(&Record {
             id,
             base: slot.page.base_addr().offset(slot.offset),
             size,
             rounded,
             frame: slot.frame,
             offset: slot.offset,
-            owner: thread,
-        };
-        // Publish order matters: metadata first, page index second, so a
-        // concurrent fault-handler lookup that finds the page always
-        // finds a live record behind it.
-        self.cons.publish(&rec);
-        self.page_index.insert(slot.page, id);
+            owner: Some(thread),
+            kind: ObjectKind::Heap,
+        });
 
         self.stats.allocations.fetch_add(1, Ordering::Relaxed);
         self.stats.live_objects.fetch_add(1, Ordering::Relaxed);
@@ -407,7 +381,7 @@ impl KardAlloc {
             }
         }
         self.emit(thread, EventKind::ObjectAlloc, id.0, size);
-        rec.info()
+        info
     }
 
     /// Tier-2 slow path: drain remote frees, retire dirty pages, and
@@ -438,38 +412,11 @@ impl KardAlloc {
         let first = self.machine.reserve_pages(batch as u64);
         cache.next_batch = (batch * 2).min(MAX_BATCH);
 
-        // Source physical extents: class-local raw cache, then the
-        // sharded global pool, then bump allocation in the open frame.
+        // Source physical extents: the class-local raw cache first.
         let mut raws: Vec<(PhysFrame, u64)> = Vec::with_capacity(batch);
         let reused_local = cache.raw.len().min(batch);
         raws.extend(cache.raw.drain(cache.raw.len() - reused_local..));
-        if raws.len() < batch {
-            let mut pool = self.slot_shard(rounded).lock();
-            if let Some(slots) = pool.get_mut(&rounded) {
-                while raws.len() < batch {
-                    let Some(slot) = slots.pop() else { break };
-                    raws.push(slot);
-                }
-            }
-        }
-        self.stats
-            .slot_reuses
-            .fetch_add(raws.len() as u64, Ordering::Relaxed);
-        if raws.len() < batch {
-            let mut open = self.open_frame.lock();
-            while raws.len() < batch {
-                match *open {
-                    Some((frame, fill)) if fill + rounded <= PAGE_SIZE => {
-                        *open = Some((frame, fill + rounded));
-                        raws.push((frame, fill));
-                    }
-                    _ => {
-                        let frame = self.machine.alloc_frame(thread);
-                        *open = Some((frame, 0));
-                    }
-                }
-            }
-        }
+        self.take_extents(thread, rounded, batch, &mut raws);
 
         // Provision: fresh pages (never reused), one batched mmap, one
         // batched pkey_mprotect.
@@ -524,27 +471,67 @@ impl KardAlloc {
             if cache.raw.len() < raw_cap {
                 cache.raw.push((slot.frame, slot.offset));
             } else {
-                self.slot_shard(slot.rounded)
-                    .lock()
-                    .entry(slot.rounded)
-                    .or_default()
-                    .push((slot.frame, slot.offset));
+                self.return_extents(slot.rounded, [(slot.frame, slot.offset)]);
             }
         }
     }
 
-    /// Retire one slot immediately (the owner has exited and closed its
-    /// queue): unmap its page and return the extent to the global pool.
+    /// Retire one slot immediately (a sharded-mode free, or the owner has
+    /// exited and closed its queue): unmap its page and return the extent
+    /// to the global pool.
     fn retire_now(&self, thread: ThreadId, slot: RetiredSlot) {
         self.machine
             .unmap_pages(thread, &[slot.page])
             .expect("retired page must be mapped");
         self.stats.pages_retired.fetch_add(1, Ordering::Relaxed);
-        self.slot_shard(slot.rounded)
+        self.return_extents(slot.rounded, [(slot.frame, slot.offset)]);
+    }
+
+    /// Fill `extents` up to `n` physical extents of `rounded` bytes:
+    /// exact-size freed extents from the global pool first, then bump
+    /// space in the open frame, opening a fresh frame whenever it is
+    /// full. Every extent not bumped — those the caller brought from its
+    /// own cache and those from the pool — counts as a slot reuse.
+    fn take_extents(
+        &self,
+        thread: ThreadId,
+        rounded: u64,
+        n: usize,
+        extents: &mut Vec<(PhysFrame, u64)>,
+    ) {
+        if extents.len() < n {
+            if let Some(free) = self.slot_shard(rounded).lock().get_mut(&rounded) {
+                let take = free.len().min(n - extents.len());
+                extents.extend(free.drain(free.len() - take..).rev());
+            }
+        }
+        self.stats
+            .slot_reuses
+            .fetch_add(extents.len() as u64, Ordering::Relaxed);
+        if extents.len() < n {
+            let mut open = self.open_frame.lock();
+            while extents.len() < n {
+                match *open {
+                    Some((frame, fill)) if fill + rounded <= PAGE_SIZE => {
+                        *open = Some((frame, fill + rounded));
+                        extents.push((frame, fill));
+                    }
+                    _ => *open = Some((self.machine.alloc_frame(thread), 0)),
+                }
+            }
+        }
+    }
+
+    /// Return freed physical extents of `rounded` bytes to the global
+    /// pool. Frames holding consolidated objects are never shrunk out of
+    /// the file, matching the paper's simple allocator (§6 defers page
+    /// recycling).
+    fn return_extents(&self, rounded: u64, extents: impl IntoIterator<Item = (PhysFrame, u64)>) {
+        self.slot_shard(rounded)
             .lock()
-            .entry(slot.rounded)
+            .entry(rounded)
             .or_default()
-            .push((slot.frame, slot.offset));
+            .extend(extents);
     }
 
     fn alloc_consolidated(
@@ -553,51 +540,28 @@ impl KardAlloc {
         id: ObjectId,
         size: u64,
         rounded: u64,
-    ) -> ObjectRecord {
-        // Prefer an exact-size freed slot, then bump space in the open
-        // frame, then a fresh frame.
-        let reused = self
-            .slot_shard(rounded)
-            .lock()
-            .get_mut(&rounded)
-            .and_then(|slots| slots.pop());
-        let (frame, offset) = if let Some(slot) = reused {
-            self.stats.slot_reuses.fetch_add(1, Ordering::Relaxed);
-            slot
-        } else {
-            let mut open = self.open_frame.lock();
-            match *open {
-                Some((frame, fill)) if fill + rounded <= PAGE_SIZE => {
-                    *open = Some((frame, fill + rounded));
-                    (frame, fill)
-                }
-                _ => {
-                    let frame = self.machine.alloc_frame(thread);
-                    *open = Some((frame, rounded));
-                    (frame, 0)
-                }
-            }
-        };
-
+    ) -> Record {
+        let mut extent = Vec::with_capacity(1);
+        self.take_extents(thread, rounded, 1, &mut extent);
+        let (frame, offset) = extent[0];
         let page = self.machine.reserve_pages(1);
         self.machine
             .map_pages(thread, &[(page, frame)])
             .expect("fresh page cannot be mapped already");
-        let base = page.base_addr().offset(offset);
-        ObjectRecord {
-            info: ObjectInfo {
-                id,
-                base,
-                size,
-                rounded_size: rounded,
-                first_page: page,
-                page_count: 1,
-                kind: ObjectKind::Heap,
-            },
-            backing: Backing::Consolidated { frame, offset },
+        Record {
+            id,
+            base: page.base_addr().offset(offset),
+            size,
+            rounded,
+            frame,
+            offset,
+            owner: None,
+            kind: ObjectKind::Heap,
         }
     }
 
+    /// An object of a page or more, or a global: dedicated frames, one
+    /// per page, each mapped by its own call.
     fn alloc_dedicated(
         &self,
         thread: ThreadId,
@@ -605,7 +569,7 @@ impl KardAlloc {
         size: u64,
         rounded: u64,
         kind: ObjectKind,
-    ) -> ObjectRecord {
+    ) -> Record {
         let page_count = rounded.div_ceil(PAGE_SIZE);
         let first_page = self.machine.reserve_pages(page_count);
         for i in 0..page_count {
@@ -614,26 +578,28 @@ impl KardAlloc {
                 .map_pages(thread, &[(first_page.add(i), frame)])
                 .expect("fresh page cannot be mapped already");
         }
-        ObjectRecord {
-            info: ObjectInfo {
-                id,
-                base: first_page.base_addr(),
-                size,
-                rounded_size: rounded,
-                first_page,
-                page_count,
-                kind,
-            },
-            backing: Backing::Dedicated,
+        Record {
+            id,
+            base: first_page.base_addr(),
+            size,
+            rounded,
+            frame: PhysFrame(0),
+            offset: 0,
+            owner: None,
+            kind,
         }
     }
 
-    fn index(&self, record: ObjectRecord) {
-        let info = record.info;
+    /// Publish `rec`, then point each of its pages at it: publish order
+    /// matters, so a concurrent fault-handler lookup that finds a page
+    /// always finds a live record behind it.
+    fn index(&self, rec: &Record) -> ObjectInfo {
+        self.objects.publish(rec);
+        let info = rec.info();
         for i in 0..info.page_count {
             self.page_index.insert(info.first_page.add(i), info.id);
         }
-        self.object_shard(info.id).lock().insert(info.id, record);
+        info
     }
 
     /// Tag a freshly indexed object with the provision key, if declared
@@ -659,9 +625,8 @@ impl KardAlloc {
         assert!(size > 0, "zero-sized global");
         let rounded = Self::round_up(size);
         let id = ObjectId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        let record = self.alloc_dedicated(thread, id, size, rounded, ObjectKind::Global);
-        let info = record.info;
-        self.index(record);
+        let rec = self.alloc_dedicated(thread, id, size, rounded, ObjectKind::Global);
+        let info = self.index(&rec);
         self.pretag(thread, info);
         self.stats.globals.fetch_add(1, Ordering::Relaxed);
         self.stats.live_objects.fetch_add(1, Ordering::Relaxed);
@@ -674,103 +639,79 @@ impl KardAlloc {
 
     /// Free a heap object.
     ///
-    /// Magazine-owned objects are claimed from the lock-free table:
-    /// exactly one free wins, the page index entry is cleared, and the
-    /// slot either joins the freeing thread's own dirty list (owner
-    /// free — zero shared locks) or travels to the owner's remote-free
-    /// queue (cross-thread free — one lock-free push). Sharded-mode
-    /// objects are unmapped immediately and their slot recycled, as in
-    /// the paper's model.
+    /// Every free is one claim on the lock-free table: exactly one free
+    /// wins, and the object's page index entries are cleared. A small
+    /// slot then either joins the freeing thread's own dirty list (owner
+    /// free — zero shared locks), travels to its magazine owner's
+    /// remote-free queue (cross-thread free — one lock-free push), or,
+    /// in sharded mode, is unmapped at once and its extent recycled, as
+    /// in the paper's model. An object of a page or more unmaps its pages
+    /// and frees its frames.
     ///
     /// # Panics
     ///
     /// Panics on double free, unknown ids, or attempts to free globals —
     /// all of which are program errors Kard's wrapper would also reject.
+    /// A global stays live and resolvable.
     pub fn free(&self, thread: ThreadId, id: ObjectId) {
-        if let Some(rec) = self.cons.claim_free(id) {
-            self.free_magazine(thread, rec);
-            return;
-        }
-        let record = self
-            .object_shard(id)
-            .lock()
-            .remove(&id)
-            .unwrap_or_else(|| panic!("free of unknown or already-freed object {id}"));
-        assert_eq!(
-            record.info.kind,
-            ObjectKind::Heap,
-            "globals cannot be freed"
-        );
-        for i in 0..record.info.page_count {
-            let page = record.info.first_page.add(i);
-            self.page_index.clear(page);
-            let frames = self
-                .machine
-                .unmap_pages(thread, &[page])
-                .expect("object pages must be mapped");
-            if matches!(record.backing, Backing::Dedicated) {
+        let rec = self.objects.claim_free(id);
+        let info = rec.info();
+        if rec.rounded < PAGE_SIZE {
+            self.page_index.clear(info.first_page);
+            self.free_slot(thread, &rec);
+        } else {
+            for i in 0..info.page_count {
+                let page = info.first_page.add(i);
+                self.page_index.clear(page);
+                let frames = self
+                    .machine
+                    .unmap_pages(thread, &[page])
+                    .expect("object pages must be mapped");
                 frames.into_iter().for_each(|frame| self.machine.free_frame(frame));
             }
+            self.stats
+                .pages_retired
+                .fetch_add(info.page_count, Ordering::Relaxed);
         }
-        if let Backing::Consolidated { frame, offset } = record.backing {
-            // The slot returns to the pool; frames holding consolidated
-            // objects are never shrunk out of the file, matching the
-            // paper's simple allocator (§6 defers page recycling).
-            self.slot_shard(record.info.rounded_size)
-                .lock()
-                .entry(record.info.rounded_size)
-                .or_default()
-                .push((frame, offset));
-        }
-        self.finish_free(thread, record.info.id, record.info.rounded_size, record.info.size);
+        self.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.stats.live_objects.fetch_sub(1, Ordering::Relaxed);
+        self.stats
+            .rounding_waste_bytes
+            .fetch_sub(rec.rounded - rec.size, Ordering::Relaxed);
+        self.emit(thread, EventKind::ObjectFree, id.0, 0);
     }
 
-    /// Free of a lock-free-table object: route the slot to its owner.
-    fn free_magazine(&self, thread: ThreadId, rec: ConsRecord) {
-        self.page_index.clear(rec.base.page());
+    /// Route a claimed small slot: to the freeing owner's dirty list, to
+    /// the owner's remote-free queue, or — with no magazine owner, or an
+    /// owner whose queue is closed — straight back to the global pool.
+    fn free_slot(&self, thread: ThreadId, rec: &Record) {
         let slot = RetiredSlot {
             page: rec.base.page(),
             frame: rec.frame,
             offset: rec.offset,
             rounded: rec.rounded,
         };
-        if rec.owner == thread {
+        let Some(owner) = rec.owner else {
+            return self.retire_now(thread, slot);
+        };
+        if owner == thread {
             let mut guard = self.magazine(thread).engage();
             let inner = guard.inner();
             inner.dirty.push(slot);
             if inner.dirty.len() >= RETIRE_BATCH {
                 self.flush_dirty(thread, inner);
             }
+        } else if self
+            .magazines
+            .get(owner.0)
+            .and_then(OnceLock::get)
+            .is_some_and(|m| m.remote.push(slot))
+        {
+            self.stats.remote_free_pushes.fetch_add(1, Ordering::Relaxed);
+            self.emit(thread, EventKind::RemoteFreePush, rec.id.0, owner.0 as u64);
         } else {
-            let pushed = self
-                .magazines
-                .get(rec.owner.0)
-                .and_then(OnceLock::get)
-                .is_some_and(|m| m.remote.push(slot));
-            if pushed {
-                self.stats.remote_free_pushes.fetch_add(1, Ordering::Relaxed);
-                self.emit(
-                    thread,
-                    EventKind::RemoteFreePush,
-                    rec.id.0,
-                    rec.owner.0 as u64,
-                );
-            } else {
-                // Owner exited (queue closed) or never had a magazine:
-                // retire straight to the global pool so nothing strands.
-                self.retire_now(thread, slot);
-            }
+            self.retire_now(thread, slot);
         }
-        self.finish_free(thread, rec.id, rec.rounded, rec.size);
-    }
-
-    fn finish_free(&self, thread: ThreadId, id: ObjectId, rounded: u64, size: u64) {
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
-        self.stats.live_objects.fetch_sub(1, Ordering::Relaxed);
-        self.stats
-            .rounding_waste_bytes
-            .fetch_sub(rounded - size, Ordering::Relaxed);
-        self.emit(thread, EventKind::ObjectFree, id.0, 0);
     }
 
     /// Flush a departing thread's allocation state: drain **and close**
@@ -817,11 +758,7 @@ impl KardAlloc {
                     .extend(cache.prepared.drain(..).map(|s| (s.frame, s.offset)));
             }
             if !cache.raw.is_empty() {
-                self.slot_shard(rounded)
-                    .lock()
-                    .entry(rounded)
-                    .or_default()
-                    .append(&mut cache.raw);
+                self.return_extents(rounded, cache.raw.drain(..));
             }
             cache.next_batch = INITIAL_BATCH;
         }
@@ -833,36 +770,24 @@ impl KardAlloc {
     /// Every object exclusively owns its virtual page(s) and pages are
     /// never reused, so the page index resolves *any* address within an
     /// object's pages (even where the object's bytes do not cover them).
-    /// For magazine-owned objects the lookup is entirely lock-free, so
-    /// the fault handler resolves slots owned by any thread's magazine
-    /// without touching that magazine.
+    /// The lookup is lock-free for every object, so the fault handler
+    /// resolves slots owned by any thread's magazine without touching
+    /// that magazine.
     #[must_use]
     pub fn object_at(&self, addr: VirtAddr) -> Option<ObjectInfo> {
         self.object(self.page_index.get(addr.page())?)
     }
 
-    /// Metadata of a live object by id. A magazine object, live or freed,
-    /// is answered from its lock-free cell; only other objects reach the
-    /// sharded maps.
+    /// Metadata of a live object by id, from its lock-free cell.
     #[must_use]
     pub fn object(&self, id: ObjectId) -> Option<ObjectInfo> {
-        match self.cons.lookup(id) {
-            Some(cell) => cell.map(|rec| rec.info()),
-            None => self.object_shard(id).lock().get(&id).map(|r| r.info),
-        }
+        self.objects.lookup(id).map(|rec| rec.info())
     }
 
     /// All live objects (snapshot), in allocation order.
     #[must_use]
     pub fn live_objects(&self) -> Vec<ObjectInfo> {
-        let mut objs: Vec<ObjectInfo> = self.cons.live_objects();
-        objs.extend(
-            self.objects
-                .iter()
-                .flat_map(|shard| shard.lock().values().map(|r| r.info).collect::<Vec<_>>()),
-        );
-        objs.sort_by_key(|o| o.id);
-        objs
+        self.objects.live_objects()
     }
 
     /// Retag all pages of every object in `ids` with `key` through one
@@ -1086,23 +1011,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "already-freed")]
-    fn double_free_panics() {
-        let (_, t, alloc) = setup();
-        let o = alloc.alloc(t, 32);
-        alloc.free(t, o.id);
-        alloc.free(t, o.id);
-    }
-
-    #[test]
-    #[should_panic(expected = "globals cannot be freed")]
-    fn freeing_global_panics() {
-        let (_, t, alloc) = setup();
-        let g = alloc.register_global(t, 32);
-        alloc.free(t, g.id);
-    }
-
-    #[test]
     fn live_objects_snapshot_in_allocation_order() {
         let (_, t, alloc) = setup();
         let a = alloc.alloc(t, 32);
@@ -1289,26 +1197,69 @@ mod tests {
         assert_eq!(alloc.stats().live_objects, 0);
     }
 
-    /// A freed magazine object's cell says so; it is in no sharded map,
-    /// so asking after it must not lock one.
-    #[test]
-    fn a_freed_magazine_object_is_looked_up_without_a_lock() {
-        let (_, t, alloc) = setup_magazine();
-        let o = alloc.alloc(t, 32);
-        alloc.free(t, o.id);
-        let locks = alloc.alloc_lock_acquisitions();
-        assert_eq!(alloc.object(o.id), None);
-        assert_eq!(alloc.object_at(o.base), None);
-        assert_eq!(alloc.alloc_lock_acquisitions(), locks);
+    /// The message of the panic `f` raises.
+    fn panic_message(f: impl FnOnce()) -> String {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+            .expect_err("the call must panic");
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(ToString::to_string))
+            .expect("a text panic")
     }
 
+    /// Every kind of object — a magazine slot, a sharded slot, an object
+    /// of a page or more, a global — lives in the one lock-free table, so
+    /// the record side of a lookup, a snapshot or a free takes no
+    /// allocator lock in either mode; and every refused free (a global,
+    /// a double free, an unknown id) says why.
     #[test]
-    #[should_panic(expected = "already-freed")]
-    fn magazine_double_free_panics() {
-        let (_, t, alloc) = setup_magazine();
-        let o = alloc.alloc(t, 32);
-        alloc.free(t, o.id);
-        alloc.free(t, o.id);
+    fn every_object_kind_resolves_and_frees_with_zero_allocator_locks() {
+        for sharded in [false, true] {
+            let (_, t, alloc) = if sharded { setup() } else { setup_magazine() };
+            let small = alloc.alloc(t, 48);
+            let large = alloc.alloc(t, 2 * PAGE_SIZE + 8);
+            let global = alloc.register_global(t, 16);
+            assert_eq!(large.page_count, 3);
+            let locks = alloc.alloc_lock_acquisitions();
+            for o in [small, large, global] {
+                assert_eq!(alloc.object(o.id), Some(o));
+                let last_page = o.first_page.add(o.page_count - 1);
+                for addr in [o.base.offset(8), last_page.base_addr().offset(8)] {
+                    assert_eq!(alloc.object_at(addr), Some(o));
+                }
+            }
+            assert_eq!(alloc.live_objects(), vec![small, large, global]);
+            assert_eq!(alloc.alloc_lock_acquisitions(), locks, "a lookup took a lock");
+
+            // A global cannot be freed, and the refusal leaves it live.
+            let refused = panic_message(|| alloc.free(t, global.id));
+            assert_eq!(refused, "globals cannot be freed");
+            assert_eq!(alloc.object_at(global.base), Some(global));
+
+            // A sharded slot is retired at once, its extent returned under
+            // the pool's lock; a magazine slot waits on its owner's dirty
+            // list. Large pages are retired either way, with no lock.
+            let (retired, locks) = (alloc.stats().pages_retired, alloc.alloc_lock_acquisitions());
+            alloc.free(t, small.id);
+            alloc.free(t, large.id);
+            let sharded_slot = u64::from(sharded);
+            assert_eq!(alloc.stats().pages_retired, retired + sharded_slot + 3);
+            assert_eq!(alloc.alloc_lock_acquisitions(), locks + sharded_slot);
+            let locks = alloc.alloc_lock_acquisitions();
+            for o in [small, large] {
+                assert_eq!(alloc.object(o.id), None);
+                assert_eq!(alloc.object_at(o.base), None);
+            }
+            assert_eq!(alloc.live_objects(), vec![global]);
+            assert_eq!(alloc.alloc_lock_acquisitions(), locks, "a lookup took a lock");
+
+            for id in [small.id, large.id, ObjectId(9_999)] {
+                let message = panic_message(|| alloc.free(t, id));
+                assert_eq!(message, format!("free of unknown or already-freed object {id}"));
+            }
+            assert_eq!(alloc.stats().live_objects, 1);
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 //!
 //! The allocator also maintains the object metadata (base address and size)
 //! that Kard's fault handler uses to map a faulting address back to an
-//! object, and exposes [`KardAlloc::protect`] to retag all pages of one or
-//! more objects with one protection key in one `pkey_mprotect` call.
+//! object — one lock-free record per object of every kind, in one table
+//! indexed by object id, beside a page→object index ([`table`]) — and
+//! exposes [`KardAlloc::protect`] to retag all pages of one or more
+//! objects with one protection key in one `pkey_mprotect` call.
 //!
 //! # Example
 //!

@@ -1,26 +1,29 @@
-//! Lock-free metadata tables for consolidated objects.
+//! Lock-free object metadata: one record table and one page index.
 //!
-//! The magazine fast path must publish object metadata without taking a
-//! shared lock, and the fault handler must resolve a faulting address to
-//! that metadata no matter which thread's magazine produced the object.
-//! Two structural facts of the allocator make a lock-free design simple:
+//! Every object — a magazine slot, a sharded-mode slot, an object of a
+//! page or more, a global — has its record in the one [`ObjectTable`],
+//! and every page it owns points at it through the [`PageIndex`]. The
+//! fault handler, the detector's retags and `free` resolve any object
+//! with two acquire loads and no lock, whichever thread made it. Two
+//! structural facts of the allocator make a lock-free design simple:
 //!
 //! * **Object ids are dense and never reused** (`next_id` is a bump
 //!   counter), so a chunked array indexed by id can hold one write-once
-//!   cell per consolidated object — no hashing, no ABA.
+//!   cell per object — no hashing, no ABA.
 //! * **Virtual pages are never reused** and are themselves a dense bump
 //!   sequence from [`kard_sim::MMAP_BASE_PAGE`], so a chunked array of
 //!   atomic words indexed by `page - base` is a complete page→object
 //!   index.
 //!
 //! A cell's payload fields are written exactly once, *before* the cell is
-//! published by storing [`STATE_LIVE`] with release ordering; readers
-//! acquire-load the state first, so a `LIVE` observation orders all
-//! payload reads after the writes. After publication only the state word
-//! ever changes (`LIVE → DEAD`, claimed by compare-and-swap so exactly
-//! one `free` wins and a second free is detected), and the payload stays
-//! intact forever — a racing reader that loads fields while the state
-//! flips still reads consistent values.
+//! published by storing its live state ([`STATE_HEAP`] or
+//! [`STATE_GLOBAL`], which is also the object's kind) with release
+//! ordering; readers acquire-load the state first, so a live observation
+//! orders all payload reads after the writes. After publication only the
+//! state word ever changes (`HEAP → DEAD`, claimed by compare-and-swap so
+//! exactly one `free` wins and a second free is detected; a global never
+//! dies), and the payload stays intact forever — a racing reader that
+//! loads fields while the state flips still reads consistent values.
 //!
 //! Both tables are clients of the one publish-once chunked table,
 //! [`kard_sim::Spine`], in the page table's geometry: chunks materialize
@@ -30,43 +33,48 @@
 //! fresh page, so every id has a cell: no object ever needs another home.
 
 use crate::metadata::{ObjectId, ObjectInfo, ObjectKind};
-use kard_sim::{page_slot, PageSpine, PhysFrame, ThreadId, VirtAddr, VirtPage};
+use kard_sim::{page_slot, PageSpine, PhysFrame, ThreadId, VirtAddr, VirtPage, PAGE_SIZE};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Cell is unpublished (or the id was never a consolidated object).
+/// Cell is unpublished.
 pub const STATE_EMPTY: u64 = 0;
-/// Cell is published and the object is live.
-pub const STATE_LIVE: u64 = 1;
-/// The object has been freed (payload remains readable but stale).
-pub const STATE_DEAD: u64 = 2;
+/// Cell is published and the object is a live heap object.
+pub const STATE_HEAP: u64 = 1;
+/// Cell is published and the object is a global (live forever).
+pub const STATE_GLOBAL: u64 = 2;
+/// The heap object has been freed (payload remains readable but stale).
+pub const STATE_DEAD: u64 = 3;
 
 /// The geometry of every table indexed by [`ObjectId`] — this crate's
-/// [`ConsTable`], the detector's side metadata. Every id is issued with at
-/// least one fresh page, so ids never outnumber pages and the page
+/// [`ObjectTable`], the detector's side metadata. Every id is issued with
+/// at least one fresh page, so ids never outnumber pages and the page
 /// table's geometry covers them too.
 pub type IdSpine<T> = PageSpine<T>;
 
-/// Immutable snapshot of one consolidated object's metadata.
+/// Immutable snapshot of one object's metadata.
 #[derive(Clone, Copy, Debug)]
-pub struct ConsRecord {
+pub struct Record {
     /// The object.
     pub id: ObjectId,
     /// Base address (page base shifted by the consolidation offset).
     pub base: VirtAddr,
     /// Requested size in bytes.
     pub size: u64,
-    /// Size rounded to the 32 B granule.
+    /// Size rounded to the 32 B granule; it also fixes the page count.
     pub rounded: u64,
-    /// Shared physical frame backing the slot.
+    /// Shared physical frame backing a small heap slot (unused for an
+    /// object with dedicated frames).
     pub frame: PhysFrame,
-    /// Byte offset of the slot within the frame.
+    /// Byte offset of the small heap slot within `frame`.
     pub offset: u64,
     /// Thread whose magazine produced the object (remote frees push to
-    /// this thread's queue).
-    pub owner: ThreadId,
+    /// this thread's queue); `None` for every other object.
+    pub owner: Option<ThreadId>,
+    /// Heap or global.
+    pub kind: ObjectKind,
 }
 
-impl ConsRecord {
+impl Record {
     /// The public metadata view of this record.
     #[must_use]
     pub fn info(&self) -> ObjectInfo {
@@ -76,49 +84,58 @@ impl ConsRecord {
             size: self.size,
             rounded_size: self.rounded,
             first_page: self.base.page(),
-            page_count: 1,
-            kind: ObjectKind::Heap,
+            page_count: self.rounded.div_ceil(PAGE_SIZE),
+            kind: self.kind,
         }
     }
 }
 
-/// All-zero by default: `state` starts at [`STATE_EMPTY`].
+/// Seven words, all zero by default: `state` starts at [`STATE_EMPTY`].
 #[derive(Default)]
-struct ConsCell {
+struct Cell {
     state: AtomicU64,
     base: AtomicU64,
     size: AtomicU64,
     rounded: AtomicU64,
     frame: AtomicU64,
     offset: AtomicU64,
+    /// Magazine owner's thread id + 1; `0` = no magazine owner.
     owner: AtomicU64,
 }
 
-impl ConsCell {
-    fn record(&self, id: ObjectId) -> ConsRecord {
-        ConsRecord {
+impl Cell {
+    fn record(&self, id: ObjectId, state: u64) -> Record {
+        Record {
             id,
             base: VirtAddr(self.base.load(Ordering::Relaxed)),
             size: self.size.load(Ordering::Relaxed),
             rounded: self.rounded.load(Ordering::Relaxed),
             frame: PhysFrame(self.frame.load(Ordering::Relaxed)),
             offset: self.offset.load(Ordering::Relaxed),
-            owner: ThreadId(self.owner.load(Ordering::Relaxed) as usize),
+            owner: match self.owner.load(Ordering::Relaxed) {
+                0 => None,
+                raw => Some(ThreadId(raw as usize - 1)),
+            },
+            kind: if state == STATE_GLOBAL {
+                ObjectKind::Global
+            } else {
+                ObjectKind::Heap
+            },
         }
     }
 }
 
-/// Publish-once table of consolidated objects, indexed by dense id.
-/// Empty by [`Default`] (which allocates only the chunk spine).
+/// Publish-once table of every object, indexed by dense id. Empty by
+/// [`Default`] (which allocates only the chunk spine).
 #[derive(Default)]
-pub struct ConsTable {
-    cells: IdSpine<ConsCell>,
+pub struct ObjectTable {
+    cells: IdSpine<Cell>,
 }
 
-impl ConsTable {
-    /// Publish a freshly allocated object. The release store of
-    /// [`STATE_LIVE`] is the linearization point; callers must index the
-    /// page *after* this returns so a page-index hit always finds a live
+impl ObjectTable {
+    /// Publish a freshly allocated object. The release store of its live
+    /// state is the linearization point; callers must index the object's
+    /// pages *after* this returns so a page-index hit always finds a live
     /// cell.
     ///
     /// # Panics
@@ -126,7 +143,7 @@ impl ConsTable {
     /// Panics if `rec.id` is past the table's capacity, which no id
     /// reaches: ids never outnumber pages, and the geometry covers every
     /// page the machine can reserve.
-    pub fn publish(&self, rec: &ConsRecord) {
+    pub fn publish(&self, rec: &Record) {
         let cell = self
             .cells
             .get_or_publish(rec.id.0 as usize)
@@ -137,54 +154,58 @@ impl ConsTable {
         cell.rounded.store(rec.rounded, Ordering::Relaxed);
         cell.frame.store(rec.frame.0, Ordering::Relaxed);
         cell.offset.store(rec.offset, Ordering::Relaxed);
-        cell.owner.store(rec.owner.0 as u64, Ordering::Relaxed);
-        cell.state.store(STATE_LIVE, Ordering::Release);
+        cell.owner
+            .store(rec.owner.map_or(0, |t| t.0 as u64 + 1), Ordering::Relaxed);
+        let state = match rec.kind {
+            ObjectKind::Heap => STATE_HEAP,
+            ObjectKind::Global => STATE_GLOBAL,
+        };
+        cell.state.store(state, Ordering::Release);
     }
 
-    /// What the table knows of `id`: `None` if `id` was never published
-    /// here (it is no magazine object, so the allocator's maps answer),
-    /// else `Some` of its record while the object lives and `Some(None)`
-    /// once it is freed — a freed magazine object is in no map either.
+    /// The record of `id` while the object lives; `None` once it is freed
+    /// or if it was never published.
     #[must_use]
-    pub fn lookup(&self, id: ObjectId) -> Option<Option<ConsRecord>> {
+    pub fn lookup(&self, id: ObjectId) -> Option<Record> {
         let cell = self.cells.get(id.0 as usize)?;
         match cell.state.load(Ordering::Acquire) {
-            STATE_EMPTY => None,
-            STATE_LIVE => Some(Some(cell.record(id))),
-            _ => Some(None),
+            state @ (STATE_HEAP | STATE_GLOBAL) => Some(cell.record(id, state)),
+            _ => None,
         }
     }
 
-    /// Claim `id` for freeing: exactly one caller wins the `LIVE → DEAD`
-    /// transition and receives the record. Returns `None` when the id
-    /// was never published here (the caller falls back to the sharded
-    /// maps, which also own the unknown-id diagnostic).
+    /// Claim `id` for freeing: exactly one caller wins the `HEAP → DEAD`
+    /// transition and receives the record.
     ///
     /// # Panics
     ///
-    /// Panics on double free of a consolidated object.
-    pub fn claim_free(&self, id: ObjectId) -> Option<ConsRecord> {
-        let cell = self.cells.get(id.0 as usize)?;
-        match cell.state.compare_exchange(
-            STATE_LIVE,
-            STATE_DEAD,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Some(cell.record(id)),
-            Err(STATE_EMPTY) => None,
-            Err(_) => panic!("free of unknown or already-freed object {id}"),
+    /// Panics on an unknown id, a double free, or a global — a global's
+    /// state is left untouched, so it stays live and resolvable.
+    pub fn claim_free(&self, id: ObjectId) -> Record {
+        let claimed = self.cells.get(id.0 as usize).map(|cell| {
+            cell.state
+                .compare_exchange(STATE_HEAP, STATE_DEAD, Ordering::AcqRel, Ordering::Acquire)
+                .map(|state| cell.record(id, state))
+        });
+        match claimed {
+            Some(Ok(rec)) => rec,
+            Some(Err(STATE_GLOBAL)) => panic!("globals cannot be freed"),
+            _ => panic!("free of unknown or already-freed object {id}"),
         }
     }
 
-    /// Metadata of every live object in the table, in id order (the ids
-    /// are the index, so no sort is needed).
+    /// Metadata of every live object, in id order (the ids are the index,
+    /// so no sort is needed).
     #[must_use]
     pub fn live_objects(&self) -> Vec<ObjectInfo> {
         self.cells
             .iter()
-            .filter(|(_, cell)| cell.state.load(Ordering::Acquire) == STATE_LIVE)
-            .map(|(id, cell)| cell.record(ObjectId(id as u64)).info())
+            .filter_map(|(id, cell)| match cell.state.load(Ordering::Acquire) {
+                state @ (STATE_HEAP | STATE_GLOBAL) => {
+                    Some(cell.record(ObjectId(id as u64), state).info())
+                }
+                _ => None,
+            })
             .collect()
     }
 }
@@ -194,9 +215,10 @@ impl ConsTable {
 /// Each slot holds `object id + 1` (`0` = no owner). Pages are never
 /// reused, so a slot goes `0 → id+1 → 0` at most once and a stale read
 /// can only misreport during the instants around publication/teardown —
-/// both of which are ordered against the [`ConsTable`] state transitions
-/// by the insert-after-publish / clear-before-claim protocol documented
-/// on the allocator.
+/// both of which are ordered against the [`ObjectTable`] state
+/// transitions: an object is published before its pages are inserted,
+/// and claimed before they are cleared, so a page that still names a
+/// freed object resolves to the dead cell, which answers `None`.
 #[derive(Default)]
 pub struct PageIndex {
     /// The simulated page table's geometry, slot for slot.
@@ -240,51 +262,76 @@ mod tests {
     use super::*;
     use kard_sim::MMAP_BASE_PAGE;
 
-    fn rec(id: u64, page: u64) -> ConsRecord {
-        ConsRecord {
+    fn rec(id: u64, page: u64) -> Record {
+        Record {
             id: ObjectId(id),
             base: VirtPage(MMAP_BASE_PAGE.0 + page).base_addr().offset(64),
             size: 24,
             rounded: 32,
             frame: PhysFrame(7),
             offset: 64,
-            owner: ThreadId(3),
+            owner: Some(ThreadId(3)),
+            kind: ObjectKind::Heap,
         }
     }
 
     #[test]
     fn publish_then_live_round_trips() {
-        let t = ConsTable::default();
+        let t = ObjectTable::default();
         let r = rec(5, 0);
         t.publish(&r);
-        let got = t.lookup(ObjectId(5)).flatten().unwrap();
+        let got = t.lookup(ObjectId(5)).unwrap();
         assert_eq!(got.base, r.base);
-        assert_eq!(got.owner, ThreadId(3));
+        assert_eq!(got.owner, Some(ThreadId(3)));
         assert_eq!(got.info().first_page, r.base.page());
         assert!(t.lookup(ObjectId(4)).is_none(), "unpublished id");
     }
 
     #[test]
+    fn owner_kind_and_page_count_round_trip() {
+        let t = ObjectTable::default();
+        let owners = [Some(ThreadId(0)), None];
+        let kinds = [ObjectKind::Heap, ObjectKind::Global];
+        for (i, (owner, kind)) in owners.into_iter().zip(kinds).enumerate() {
+            let r = Record {
+                owner,
+                kind,
+                rounded: 3 * PAGE_SIZE + 32,
+                ..rec(i as u64, 4 * i as u64)
+            };
+            t.publish(&r);
+            let got = t.lookup(r.id).unwrap();
+            assert_eq!((got.owner, got.kind), (owner, kind));
+            assert_eq!(got.info().page_count, 4);
+        }
+    }
+
+    #[test]
     fn claim_free_is_exclusive_and_final() {
-        let t = ConsTable::default();
+        let t = ObjectTable::default();
         t.publish(&rec(9, 0));
-        assert!(t.claim_free(ObjectId(9)).is_some());
-        assert!(matches!(t.lookup(ObjectId(9)), Some(None)), "dead after claim");
-        assert!(t.claim_free(ObjectId(1234)).is_none(), "empty cell defers");
+        assert_eq!(t.claim_free(ObjectId(9)).id, ObjectId(9));
+        assert!(t.lookup(ObjectId(9)).is_none(), "dead after claim");
     }
 
     #[test]
     #[should_panic(expected = "already-freed")]
     fn double_claim_panics() {
-        let t = ConsTable::default();
+        let t = ObjectTable::default();
         t.publish(&rec(2, 0));
         let _ = t.claim_free(ObjectId(2));
         let _ = t.claim_free(ObjectId(2));
     }
 
     #[test]
+    #[should_panic(expected = "free of unknown or already-freed object o1234")]
+    fn claim_of_an_unpublished_id_panics() {
+        let _ = ObjectTable::default().claim_free(ObjectId(1234));
+    }
+
+    #[test]
     fn live_objects_in_id_order() {
-        let t = ConsTable::default();
+        let t = ObjectTable::default();
         for id in [7u64, 3, 5] {
             t.publish(&rec(id, id));
         }

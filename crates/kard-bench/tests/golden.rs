@@ -1,8 +1,10 @@
 //! The two golden files at the repository root are exactly what
 //! `kard-tables all` and `kard-tables extensions` print. Every number in
-//! them is virtual-clock, so the comparison is byte for byte on any host
-//! and build profile; an intended change regenerates them with
-//! `make tables` and shows up as a reviewable diff.
+//! them is virtual-clock but one: alloctiers' `locks/op` column counts
+//! host lock acquisitions, which is deterministic because one OS thread
+//! drives that sweep. So the comparison is byte for byte on any host and
+//! build profile; an intended change regenerates them with `make tables`
+//! and shows up as a reviewable diff.
 
 use std::process::Command;
 

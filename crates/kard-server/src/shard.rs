@@ -19,6 +19,7 @@
 
 use crate::proto::{Response, SessionSummary, WireRace, WireSide};
 use crate::ServerConfig;
+use kard_alloc::ObjectKind;
 use kard_core::{Kard, LockId, RaceRecord, RaceSide};
 use kard_sim::CodeSite;
 use kard_telemetry::{AnomalySignal, LatencyHistogram};
@@ -517,9 +518,14 @@ impl ShardEngine {
                 Ok(())
             }
             Op::Free { tag } => {
-                let Some(info) = state.objects.remove(&tag.0) else {
+                let Some(&info) = state.objects.get(&tag.0) else {
                     return Err("free of unknown tag");
                 };
+                // Globals are never freed (§6): the allocator would panic.
+                if info.kind == ObjectKind::Global {
+                    return Err("free of a global");
+                }
+                state.objects.remove(&tag.0);
                 state.live_bytes = state.live_bytes.saturating_sub(info.size);
                 kard.on_free(t, info.id);
                 Ok(())
@@ -544,11 +550,17 @@ impl ShardEngine {
                 Ok(())
             }
             Op::Unlock { lock } => {
+                // The detector's sections nest: only the innermost lock
+                // may be released.
                 let held = state.held.entry(event.thread).or_default();
-                let Some(pos) = held.iter().position(|&l| l == lock.0) else {
-                    return Err("unlock of lock not held");
-                };
-                held.remove(pos);
+                if held.last() != Some(&lock.0) {
+                    return Err(if held.contains(&lock.0) {
+                        "unlock out of order"
+                    } else {
+                        "unlock of lock not held"
+                    });
+                }
+                held.pop();
                 let server_lock = state.locks[&lock.0];
                 kard.lock_exit(t, server_lock);
                 Ok(())
@@ -661,8 +673,11 @@ impl ShardEngine {
             }
         }
         if let Some(&t) = state.threads.values().next() {
+            // Globals are never freed; they stay with the shard.
             for (_, info) in state.objects.drain() {
-                kard.on_free(t, info.id);
+                if info.kind == ObjectKind::Heap {
+                    kard.on_free(t, info.id);
+                }
             }
         }
         for (_, t) in state.threads.drain() {

@@ -105,7 +105,11 @@ fn identical_traffic_yields_byte_identical_reports() {
 
 #[test]
 fn invalid_events_are_rejected_never_fatal() {
-    let server = start(ServerConfig::default());
+    // One shard, so the bystander session shares the hostile one's.
+    let server = start(ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    });
     let addr = server.tcp_addr().unwrap();
     let mut client = FirehoseClient::connect(addr, "hostile").unwrap();
 
@@ -126,15 +130,45 @@ fn invalid_events_are_rejected_never_fatal() {
     assert_eq!(summary.rejected, bad.len() as u64);
     assert_eq!(summary.applied, 0);
 
-    // The session still works after every rejection.
+    // Inputs that once killed the shard: a free of a global, and an
+    // unlock of a lock that is held but not innermost. The global then
+    // stays live until `Bye`, which must not free it either.
+    let (global, outer, inner) = (ObjectTag(7), kard_core::LockId(1), kard_core::LockId(2));
     client
         .send_batch(&[
-            Event { thread: 0, op: Op::Alloc { tag: ObjectTag(1), size: 64 } },
+            Event { thread: 0, op: Op::Global { tag: global, size: 8 } },
+            Event { thread: 0, op: Op::Free { tag: global } },
+            Event { thread: 0, op: Op::Lock { lock: outer, site: CodeSite(0xa) } },
+            Event { thread: 0, op: Op::Lock { lock: inner, site: CodeSite(0xb) } },
+            Event { thread: 0, op: Op::Unlock { lock: outer } },
+        ])
+        .unwrap();
+    let summary = client.flush().unwrap();
+    assert_eq!(summary.rejected, bad.len() as u64 + 2);
+    assert_eq!(summary.applied, 3);
+
+    // A second session on the same shard is still answered.
+    let mut bystander = FirehoseClient::connect(addr, "bystander").unwrap();
+    assert_eq!(bystander.shard(), client.shard());
+    let alloc = |tag| Event { thread: 0, op: Op::Alloc { tag: ObjectTag(tag), size: 64 } };
+    bystander.send_batch(&[alloc(1)]).unwrap();
+    assert_eq!(bystander.flush().unwrap().applied, 1);
+
+    // The session still works after every rejection, and ends cleanly
+    // with its global live and both locks held.
+    client
+        .send_batch(&[
+            alloc(1),
             Event { thread: 0, op: Op::Write { tag: ObjectTag(1), offset: 0, ip: CodeSite(2) } },
         ])
         .unwrap();
     let summary = client.bye().unwrap();
-    assert_eq!(summary.applied, 2);
+    assert_eq!(summary.applied, 5);
+    assert_eq!(summary.rejected, bad.len() as u64 + 2);
+
+    bystander.send_batch(&[alloc(2)]).unwrap();
+    assert_eq!(bystander.flush().unwrap().applied, 2);
+    assert_eq!(bystander.bye().unwrap().rejected, 0);
     server.shutdown();
     server.join();
 }
