@@ -8,13 +8,15 @@ build:
 test:
 	cargo test -q --workspace
 
-# kard-sim's real-thread races (a dTLB entry against the shootdown of its
-# page, lock-free PTE readers against the writer) only overlap in an
-# optimised build; in debug the test passes without racing. One release
-# run here; `make flake TEST=page_table_concurrency PACKAGE=kard-sim`
-# sizes it.
+# The real-thread races (kard-sim's: a dTLB entry against the shootdown
+# of its page, lock-free PTE readers against the writer; kard-core's: a
+# fast key holder against a key-table guard) only overlap in an optimised
+# build; in debug the tests pass without racing. One release run each
+# here; `make flake TEST=page_table_concurrency PACKAGE=kard-sim` and
+# `make flake TEST=holder_words PACKAGE=kard-core` size them.
 test-races:
 	cargo test --release -q -p kard-sim --test page_table_concurrency
+	cargo test --release -q -p kard-core --test holder_words
 
 # `benchmark/` is its own workspace (BENCHMARK.json drives it from a
 # fresh checkout), so `cargo test --workspace` never compiles it: build

@@ -51,13 +51,14 @@
 //!   atomic word, patched or marked stale by exactly the mutations that
 //!   reach that section, rebuilt by the next entry and published for all
 //!   threads;
-//! * per-key holder words ([`KeyWords`]): `EMPTY` means *no holder
-//!   anywhere* — fast acquire/release is a CAS on the word. Every
-//!   key-table guard first parks the words at `SLOW` and materializes
-//!   fast holders into the table ([`KeyWords::sync`]), and republishes
-//!   `EMPTY` for unheld keys on drop ([`KeyWords::republish`]), so the
-//!   locked world always sees a complete table and the two faces never
-//!   disagree.
+//! * per-key holder words ([`KeyWords`]): outside a guard, `EMPTY` means
+//!   *no holder anywhere* — fast acquire/release is a CAS on the word.
+//!   Every key-table guard first parks the whole pool with one word and
+//!   moves only fast-held words to `SLOW`, materializing their holders
+//!   into the table ([`KeyWords::sync`]); on drop it rewrites only the
+//!   words that disagree with the table and unparks the pool
+//!   ([`KeyWords::republish`]), so the locked world always sees a complete
+//!   table and the two faces never disagree.
 //!
 //! Locking discipline:
 //!
@@ -174,10 +175,11 @@ struct RecordStore {
 }
 
 /// The `keys` mutex guard with the lock-free holder words kept coherent:
-/// created via [`Kard::lock_keys`] (which syncs fast holders into the
-/// table), dereferences to the [`KeyTable`], and republishes the fast
-/// path on drop — while the mutex is still held, so no fast CAS can slip
-/// in between the republish and the release.
+/// created via [`Kard::lock_keys`] (which parks the pool and syncs fast
+/// holders into the table), dereferences to the [`KeyTable`], and on drop
+/// brings the holder words into line with the table and unparks the pool
+/// — while the mutex is still held, so the next guard's `sync` starts
+/// from words that agree with the table.
 struct KeysGuard<'a> {
     table: MutexGuard<'a, KeyTable>,
     words: &'a KeyWords,
@@ -400,10 +402,10 @@ impl Kard {
     /// Acquire the key table with the lock-free holder words folded in.
     ///
     /// Every locked use of the key-section map goes through here: on
-    /// acquisition [`KeyWords::sync`] parks the holder words and
-    /// materializes fast holders into the table (making it authoritative
-    /// for the duration), and on drop [`KeyWords::republish`] re-opens
-    /// the fast path for keys the table shows as unheld.
+    /// acquisition [`KeyWords::sync`] parks the pool and materializes
+    /// fast holders into the table (making it authoritative for the
+    /// duration), and on drop [`KeyWords::republish`] re-opens the fast
+    /// path for keys the table shows as unheld.
     fn lock_keys(&self) -> KeysGuard<'_> {
         let mut table = self.keys.lock();
         self.words.sync(&mut table);

@@ -7,16 +7,18 @@
 //! and release of a key — the entire life of a private-lock critical
 //! section — goes through [`KeyWords`]: one CAS-published holder word per
 //! pool key, living outside the mutex. Every acquisition of the `keys`
-//! mutex synchronizes the two ([`KeyWords::sync`] materializes fast holders
-//! into the table and parks every word) and republishes free keys on
-//! release ([`KeyWords::republish`]), so slow-path code continues to see
-//! exactly the single coherent table it always has.
+//! mutex synchronizes the two ([`KeyWords::sync`] parks the pool with one
+//! word and materializes fast holders into the table) and, on release,
+//! rewrites only the holder words that disagree with the table and unparks
+//! the pool ([`KeyWords::republish`]), so slow-path code continues to see
+//! exactly the single coherent table it always has. Both faces are dense
+//! arrays indexed by key.
 
 use crate::types::{Perm, SectionId};
 use kard_alloc::ObjectId;
 use kard_sim::{CodeSite, KeyLayout, ProtectionKey, ThreadId};
 use std::collections::{BTreeSet, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 /// One holder's entry in the key-section map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -64,10 +66,25 @@ impl KeyState {
     }
 }
 
+/// Index of `key` in the pool's dense per-key arrays ([`KeyTable`]'s
+/// states, [`KeyWords`]' words): the read-write pool is always `k1..`,
+/// contiguous ([`KeyLayout::read_write_pool`]).
+///
+/// # Panics
+///
+/// Panics for keys outside a pool of `len` keys.
+fn pool_index(key: ProtectionKey, len: usize) -> usize {
+    match usize::from(key.0).checked_sub(1) {
+        Some(i) if i < len => i,
+        _ => panic!("{key} is not a read-write pool key"),
+    }
+}
+
 /// The key-section map over the read-write pool.
 #[derive(Clone, Debug)]
 pub struct KeyTable {
-    states: HashMap<ProtectionKey, KeyState>,
+    /// Per-key state, indexed by [`pool_index`].
+    states: Vec<KeyState>,
     pool: Vec<ProtectionKey>,
 }
 
@@ -77,7 +94,7 @@ impl KeyTable {
     pub fn new(layout: &KeyLayout) -> KeyTable {
         let pool: Vec<_> = layout.read_write_pool().collect();
         KeyTable {
-            states: pool.iter().map(|&k| (k, KeyState::default())).collect(),
+            states: vec![KeyState::default(); pool.len()],
             pool,
         }
     }
@@ -95,15 +112,17 @@ impl KeyTable {
     /// Panics for keys outside the read-write pool.
     #[must_use]
     pub fn state(&self, key: ProtectionKey) -> &KeyState {
-        self.states
-            .get(&key)
-            .unwrap_or_else(|| panic!("{key} is not a read-write pool key"))
+        &self.states[pool_index(key, self.states.len())]
     }
 
     fn state_mut(&mut self, key: ProtectionKey) -> &mut KeyState {
-        self.states
-            .get_mut(&key)
-            .unwrap_or_else(|| panic!("{key} is not a read-write pool key"))
+        let i = pool_index(key, self.states.len());
+        &mut self.states[i]
+    }
+
+    /// Every pool key with its state, in pool order.
+    fn keyed(&self) -> impl Iterator<Item = (ProtectionKey, &KeyState)> {
+        self.pool.iter().copied().zip(&self.states)
     }
 
     /// Try to let `t` (in `section`) hold `key` with `perm`.
@@ -219,31 +238,19 @@ impl KeyTable {
     /// object would immediately violate exclusive write.
     #[must_use]
     pub fn unassigned_key(&self) -> Option<ProtectionKey> {
-        self.pool
-            .iter()
-            .copied()
-            .find(|k| !self.states[k].assigned() && self.states[k].holders.is_empty())
+        self.keyed()
+            .find(|(_, s)| !s.assigned() && s.holders.is_empty())
+            .map(|(k, _)| k)
     }
 
-    /// An assigned pool key that no thread currently holds (§5.4 rule 3a,
-    /// the recycling candidate).
-    #[must_use]
-    pub fn unheld_assigned_key(&self) -> Option<ProtectionKey> {
-        self.pool
-            .iter()
-            .copied()
-            .find(|k| self.states[k].assigned() && self.states[k].holders.is_empty())
-    }
-
-    /// Every recycling candidate (assigned, unheld), in pool order. Rule
-    /// 3a tries them in turn: a candidate whose objects' fault shards
+    /// Every recycling candidate (assigned, unheld), in pool order. §5.4
+    /// rule 3a tries them in turn: a candidate whose objects' fault shards
     /// cannot all be claimed is skipped for the next.
     #[must_use]
     pub fn unheld_assigned_keys(&self) -> Vec<ProtectionKey> {
-        self.pool
-            .iter()
-            .copied()
-            .filter(|k| self.states[k].assigned() && self.states[k].holders.is_empty())
+        self.keyed()
+            .filter(|(_, s)| s.assigned() && s.holders.is_empty())
+            .map(|(k, _)| k)
             .collect()
     }
 
@@ -253,7 +260,7 @@ impl KeyTable {
     /// [`KeyTable::take_objects`].
     #[must_use]
     pub fn objects_of(&self, key: ProtectionKey) -> Vec<ObjectId> {
-        self.states[&key].objects.iter().copied().collect()
+        self.state(key).objects.iter().copied().collect()
     }
 
     /// Keys ordered by current holder count (ascending) — used to pick the
@@ -261,20 +268,23 @@ impl KeyTable {
     #[must_use]
     pub fn keys_by_holder_count(&self) -> Vec<ProtectionKey> {
         let mut keys = self.pool.clone();
-        keys.sort_by_key(|k| (self.states[k].holders.len(), k.0));
+        keys.sort_by_key(|&k| (self.state(k).holders.len(), k.0));
         keys
     }
 }
 
-/// Holder word states. `EMPTY` is only ever published when the table shows
-/// no holder for the key, so winning the `EMPTY → BUSY` CAS establishes
-/// sole holdership without consulting the table.
+/// Holder word states. Outside a key-table guard, `EMPTY` means the table
+/// shows no holder for the key, so winning the `EMPTY → BUSY` CAS and then
+/// finding the pool unparked establishes sole holdership without
+/// consulting the table.
 const WORD_EMPTY: u64 = 0;
-/// Transient state while the winning acquirer publishes its section site;
-/// [`KeyWords::sync`] spins through it (the owner is wait-free inside).
+/// Transient state while the winning acquirer checks `parked` and then
+/// either publishes its section site or backs out to `EMPTY`;
+/// [`KeyWords::sync`] and [`KeyWords::republish`] spin through it (the
+/// owner is wait-free inside).
 const WORD_BUSY: u64 = 1;
 /// The key's state lives in the locked table; every fast CAS fails until
-/// a mutex release republishes `EMPTY`.
+/// a guard's republish stores `EMPTY`.
 const WORD_SLOW: u64 = u64::MAX;
 
 fn pack_fast(t: ThreadId, perm: Perm) -> u64 {
@@ -310,39 +320,65 @@ struct KeyWord {
     release_writer: AtomicU64,
 }
 
+/// The pool's park flag: set for the whole of every key-table guard. Every
+/// guard writes it twice and every fast acquire reads it, so it sits alone
+/// on its cache lines, away from the holder words and the detector's
+/// read-mostly fields.
+#[repr(align(128))]
+struct Parked(AtomicBool);
+
 /// CAS-published holder words for the read-write pool (§5.4 key-section
-/// map, lock-free face).
+/// map, lock-free face), and one `parked` word for the whole pool.
 ///
-/// Protocol invariant: a word reads `WORD_EMPTY` **iff** the table has no
-/// holder for that key *and* no fast holder exists, so:
+/// Protocol invariant: outside a key-table guard, a word reads
+/// `WORD_EMPTY` **iff** the table has no holder for that key *and* no fast
+/// holder exists, and `WORD_SLOW` iff the table has one, so:
 ///
-/// * fast acquire = one `EMPTY → BUSY → FAST(t, perm)` transition, fast
-///   release = stamp slots + one `FAST(t, perm) → EMPTY` CAS — zero locks;
+/// * fast acquire = one `EMPTY → BUSY` CAS, a load of `parked` that reads
+///   clear, and `BUSY → FAST(t, perm)`; fast release = stamp slots + one
+///   `FAST(t, perm) → EMPTY` CAS — zero locks;
 /// * any slow-path code that takes the `keys` mutex first calls [`sync`],
-///   which parks every word at `WORD_SLOW` (failing all fast CASes for the
-///   duration) and force-acquires fast holders into the table, then on
-///   guard drop [`republish`]es `EMPTY` for keys with no table holders.
+///   which stores `parked` (failing every fast acquire for the duration),
+///   then loads every word: it CASes only a fast-held word to `SLOW`,
+///   force-acquiring its holder into the table, and writes no `EMPTY`
+///   word. On guard drop [`republish`] writes only the words that disagree
+///   with the table — `EMPTY → SLOW` for a key the guard left held,
+///   `SLOW → EMPTY` for one it left unheld — and then clears `parked`.
+///
+/// # Word CAS, flag load; flag store, word load
+///
+/// The acquirer CASes `EMPTY → BUSY` and then loads `parked`; `sync`
+/// stores `parked` and then loads the word; all four are `SeqCst`, so they
+/// make a Dekker pair. If the CAS precedes `sync`'s load in the single
+/// `SeqCst` order, the load reads `BUSY` or what the acquirer published
+/// after it: `sync` spins through `BUSY` and materializes a fast holder.
+/// If the load comes first, the acquirer's load of `parked` follows the
+/// store and reads it set, so the acquirer stores `EMPTY` back and fails.
+/// Either way, while a guard is open no fast holder exists that the table
+/// does not show. A backing-out acquirer owns its `BUSY` word until it
+/// stores `EMPTY`, which is why `republish` moves a held key's word
+/// `EMPTY → SLOW` by CAS, spinning through `BUSY`: a plain store could be
+/// overwritten by the late back-out and reopen a key the table holds. That
+/// spin also means `parked` is cleared only after every such acquirer has
+/// read it set; one that reads it clear afterwards takes a key the guard
+/// left unheld.
 ///
 /// [`sync`]: KeyWords::sync
 /// [`republish`]: KeyWords::republish
 pub struct KeyWords {
+    parked: Parked,
+    /// Holder words, indexed by [`pool_index`].
     words: Vec<KeyWord>,
-    first: u16,
 }
 
 impl KeyWords {
     /// Words for `layout`'s read-write pool, all starting `EMPTY`.
     #[must_use]
     pub fn new(layout: &KeyLayout) -> KeyWords {
-        let pool: Vec<_> = layout.read_write_pool().collect();
-        let first = pool.first().map_or(0, |k| k.0);
-        debug_assert!(
-            pool.iter().enumerate().all(|(i, k)| k.0 == first + i as u16),
-            "read-write pool keys must be contiguous"
-        );
         KeyWords {
-            words: pool
-                .iter()
+            parked: Parked(AtomicBool::new(false)),
+            words: layout
+                .read_write_pool()
                 .map(|_| KeyWord {
                     state: AtomicU64::new(WORD_EMPTY),
                     section: AtomicU64::new(0),
@@ -350,17 +386,16 @@ impl KeyWords {
                     release_writer: AtomicU64::new(0),
                 })
                 .collect(),
-            first,
         }
     }
 
     fn word(&self, key: ProtectionKey) -> &KeyWord {
-        &self.words[(key.0 - self.first) as usize]
+        &self.words[pool_index(key, self.words.len())]
     }
 
     /// Try to make `t` the sole holder of `key` with `perm` without
     /// touching the table. Fails (returns `false`) when the key has any
-    /// holder, is mid-transition, or is parked at `WORD_SLOW`.
+    /// holder, is mid-transition, is at `WORD_SLOW`, or the pool is parked.
     pub fn try_fast_acquire(
         &self,
         key: ProtectionKey,
@@ -376,6 +411,12 @@ impl KeyWords {
         {
             return false;
         }
+        if self.parked.0.load(Ordering::SeqCst) {
+            // A guard is open and may already have read this word as
+            // `EMPTY`: back out, leaving the key to the locked path.
+            word.state.store(WORD_EMPTY, Ordering::SeqCst);
+            return false;
+        }
         word.section.store(section.0 .0, Ordering::SeqCst);
         word.state.store(pack_fast(t, perm), Ordering::SeqCst);
         true
@@ -383,8 +424,8 @@ impl KeyWords {
 
     /// Release a fast hold, stamping the write-release time into the side
     /// slots exactly as [`KeyTable::release`] would into the table. Fails
-    /// when the word was parked by a concurrent `sync` (the hold was
-    /// materialized into the table; release via the mutex instead).
+    /// when a concurrent `sync` materialized the hold into the table
+    /// (release via the mutex instead).
     pub fn try_fast_release(&self, key: ProtectionKey, t: ThreadId, perm: Perm, now: u64) -> bool {
         let word = self.word(key);
         if perm == Perm::Write {
@@ -406,62 +447,84 @@ impl KeyWords {
             .is_ok()
     }
 
-    /// Park every word at `WORD_SLOW` and make `table` authoritative:
-    /// fast holders are force-acquired into it, pending release stamps are
-    /// folded in (the clock is global and monotone, so newest-wins). Must
-    /// be called with the `keys` mutex held, before the table is read.
+    /// Park the pool and make `table` authoritative: fast holders are
+    /// force-acquired into it, pending release stamps are folded in (the
+    /// clock is global and monotone, so newest-wins). Must be called with
+    /// the `keys` mutex held, before the table is read.
     pub fn sync(&self, table: &mut KeyTable) {
+        self.parked.0.store(true, Ordering::SeqCst);
         for (i, word) in self.words.iter().enumerate() {
-            let key = ProtectionKey(self.first + i as u16);
+            let mut cur = word.state.load(Ordering::SeqCst);
             loop {
-                let cur = word.state.load(Ordering::SeqCst);
-                if cur == WORD_SLOW {
-                    break;
-                }
-                if cur == WORD_BUSY {
-                    std::hint::spin_loop();
-                    continue;
-                }
-                if word
-                    .state
-                    .compare_exchange(cur, WORD_SLOW, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_err()
-                {
-                    continue;
-                }
-                if cur != WORD_EMPTY {
-                    let (holder, perm) = unpack_fast(cur);
-                    let section = SectionId(CodeSite(word.section.load(Ordering::SeqCst)));
-                    table.force_acquire(key, holder, perm, section);
-                }
-                let stamp = word.release_stamp.load(Ordering::SeqCst);
-                if stamp != 0 {
-                    let stamp = stamp - 1;
-                    let state = table.state_mut(key);
-                    if state.last_writer_release.is_none_or(|r| r < stamp) {
-                        state.last_writer_release = Some(stamp);
-                        state.last_writer = word
-                            .release_writer
-                            .load(Ordering::SeqCst)
-                            .checked_sub(1)
-                            .map(|raw| ThreadId(raw as usize));
+                match cur {
+                    WORD_EMPTY | WORD_SLOW => break,
+                    WORD_BUSY => {
+                        std::hint::spin_loop();
+                        cur = word.state.load(Ordering::SeqCst);
                     }
+                    fast => match word.state.compare_exchange(
+                        fast,
+                        WORD_SLOW,
+                        Ordering::SeqCst,
+                        Ordering::SeqCst,
+                    ) {
+                        Ok(_) => {
+                            let (holder, perm) = unpack_fast(fast);
+                            let section = SectionId(CodeSite(word.section.load(Ordering::SeqCst)));
+                            table.force_acquire(table.pool[i], holder, perm, section);
+                            break;
+                        }
+                        Err(now) => cur = now,
+                    },
                 }
-                break;
+            }
+            let stamp = word.release_stamp.load(Ordering::SeqCst);
+            if stamp != 0 {
+                let stamp = stamp - 1;
+                let state = &mut table.states[i];
+                if state.last_writer_release.is_none_or(|r| r < stamp) {
+                    state.last_writer_release = Some(stamp);
+                    state.last_writer = word
+                        .release_writer
+                        .load(Ordering::SeqCst)
+                        .checked_sub(1)
+                        .map(|raw| ThreadId(raw as usize));
+                }
             }
         }
     }
 
-    /// Re-open the fast path for every key the table shows as unheld.
-    /// Must be called as the `keys` mutex is released, after every table
-    /// mutation of the critical section is complete.
+    /// Bring every word into line with `table` and unpark the pool: the
+    /// fast path re-opens for every key the table shows as unheld. Must be
+    /// called as the `keys` mutex is released, after every table mutation
+    /// of the critical section is complete.
     pub fn republish(&self, table: &KeyTable) {
-        for (i, word) in self.words.iter().enumerate() {
-            let key = ProtectionKey(self.first + i as u16);
-            if table.state(key).holders.is_empty() {
-                word.state.store(WORD_EMPTY, Ordering::SeqCst);
+        for (word, state) in self.words.iter().zip(&table.states) {
+            let cur = word.state.load(Ordering::SeqCst);
+            if state.holders.is_empty() {
+                if cur == WORD_SLOW {
+                    word.state.store(WORD_EMPTY, Ordering::SeqCst);
+                }
+                continue;
+            }
+            if cur == WORD_SLOW {
+                continue;
+            }
+            // Held in the table, published `EMPTY` (or mid back-out).
+            loop {
+                match word.state.compare_exchange(
+                    WORD_EMPTY,
+                    WORD_SLOW,
+                    Ordering::SeqCst,
+                    Ordering::SeqCst,
+                ) {
+                    Ok(_) => break,
+                    Err(WORD_BUSY) => std::hint::spin_loop(),
+                    Err(other) => unreachable!("holder word {other:#x} on a parked pool"),
+                }
             }
         }
+        self.parked.0.store(false, Ordering::SeqCst);
     }
 }
 
@@ -543,14 +606,18 @@ mod tests {
     fn unassigned_and_unheld_queries() {
         let mut table = table();
         assert_eq!(table.unassigned_key(), Some(ProtectionKey(1)));
-        assert_eq!(table.unheld_assigned_key(), None);
+        assert_eq!(table.unheld_assigned_keys(), []);
 
         table.assign_object(ProtectionKey(1), ObjectId(1));
+        table.assign_object(ProtectionKey(3), ObjectId(2));
         assert_eq!(table.unassigned_key(), Some(ProtectionKey(2)));
-        assert_eq!(table.unheld_assigned_key(), Some(ProtectionKey(1)));
+        assert_eq!(
+            table.unheld_assigned_keys(),
+            [ProtectionKey(1), ProtectionKey(3)]
+        );
 
         table.try_acquire(ProtectionKey(1), ThreadId(0), Perm::Write, s(1));
-        assert_eq!(table.unheld_assigned_key(), None);
+        assert_eq!(table.unheld_assigned_keys(), [ProtectionKey(3)]);
     }
 
     #[test]
@@ -584,6 +651,13 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "not a read-write pool key")]
+    fn default_key_is_not_a_pool_key() {
+        let words = KeyWords::new(&KeyLayout::mpk());
+        words.try_fast_acquire(ProtectionKey(0), ThreadId(0), Perm::Read, s(1));
+    }
+
+    #[test]
     fn fast_acquire_is_exclusive_and_release_reopens() {
         let words = KeyWords::new(&KeyLayout::mpk());
         let k = ProtectionKey(3);
@@ -594,6 +668,42 @@ mod tests {
         );
         assert!(words.try_fast_release(k, ThreadId(0), Perm::Write, 500));
         assert!(words.try_fast_acquire(k, ThreadId(1), Perm::Write, s(10)));
+    }
+
+    fn word_state(words: &KeyWords, key: ProtectionKey) -> u64 {
+        words.word(key).state.load(Ordering::SeqCst)
+    }
+
+    #[test]
+    fn fast_acquire_fails_while_parked_and_succeeds_after_republish() {
+        let mut table = table();
+        let words = KeyWords::new(&KeyLayout::mpk());
+        let k = ProtectionKey(6);
+        words.sync(&mut table);
+        assert_eq!(word_state(&words, k), WORD_EMPTY, "sync writes no EMPTY word");
+        assert!(!words.try_fast_acquire(k, ThreadId(0), Perm::Write, s(1)));
+        assert_eq!(word_state(&words, k), WORD_EMPTY, "the acquirer backs out");
+        words.republish(&table);
+        assert!(words.try_fast_acquire(k, ThreadId(0), Perm::Write, s(1)));
+    }
+
+    #[test]
+    fn table_hold_reads_slow_until_a_later_guard_releases_it() {
+        let mut table = table();
+        let words = KeyWords::new(&KeyLayout::mpk());
+        let k = ProtectionKey(8);
+        words.sync(&mut table);
+        assert!(table.try_acquire(k, ThreadId(1), Perm::Write, s(4)));
+        words.republish(&table);
+        assert_eq!(word_state(&words, k), WORD_SLOW);
+        assert!(!words.try_fast_acquire(k, ThreadId(2), Perm::Read, s(5)));
+        assert_eq!(word_state(&words, ProtectionKey(9)), WORD_EMPTY);
+
+        words.sync(&mut table);
+        table.release(k, ThreadId(1), 50);
+        words.republish(&table);
+        assert_eq!(word_state(&words, k), WORD_EMPTY);
+        assert!(words.try_fast_acquire(k, ThreadId(2), Perm::Read, s(5)));
     }
 
     #[test]
