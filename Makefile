@@ -21,9 +21,11 @@ test-races:
 # `benchmark/` is its own workspace (BENCHMARK.json drives it from a
 # fresh checkout), so `cargo test --workspace` never compiles it: build
 # and smoke-test it here so a public-API removal that breaks it fails
-# verification.
+# verification. `benchmark/` is frozen byte for byte, and any change to
+# a crate's `[dependencies]` rewrites its Cargo.lock: `--locked` makes
+# that an error here instead of a dirty tree in CI.
 test-benchmark:
-	cargo test --release --offline --manifest-path benchmark/Cargo.toml
+	cargo test --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 clippy:
 	cargo clippy --workspace --all-targets -- -D warnings

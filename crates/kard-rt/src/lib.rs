@@ -13,7 +13,9 @@
 //!   types are `Send`/`Sync`-safe) and call `alloc`/`lock_at`/`read`/
 //!   `write` as the program logic dictates.
 //! * **Replay**: build a [`kard_trace::Trace`] and run it through
-//!   [`KardExecutor`] for fully deterministic schedules.
+//!   [`KardExecutor`] for fully deterministic schedules. It is the uncapped
+//!   [`Applier`]: each firehose session runs a capped one, which names a
+//!   [`Rejection`] for an event the detector could not take.
 //!
 //! # Example
 //!
@@ -46,14 +48,14 @@
 
 #![deny(missing_docs)]
 
-pub mod executor;
+pub mod applier;
 pub mod mutex;
 pub mod rwlock;
 pub mod session;
 pub mod shared;
 pub mod thread;
 
-pub use executor::KardExecutor;
+pub use applier::{Applier, Caps, KardExecutor, Rejection};
 pub use mutex::{KardMutex, SectionGuard};
 pub use rwlock::{KardRwLock, ReadSectionGuard, WriteSectionGuard};
 pub use session::{Session, SessionBuilder};

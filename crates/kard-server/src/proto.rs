@@ -18,6 +18,7 @@ use kard_sim::AccessKind;
 use kard_telemetry::{AnomalySignal, HistogramSummary};
 use kard_trace::Event;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// A client→server message (one per request frame).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -156,6 +157,8 @@ pub struct ShardStatsz {
     pub dropped: u64,
     /// Events rejected as invalid.
     pub rejected: u64,
+    /// `rejected` by [`kard_rt::Rejection::name`], nonzero counts only.
+    pub rejected_by_reason: BTreeMap<String, u64>,
     /// Race reports delivered.
     pub races: u64,
     /// Sessions evicted for idleness.
@@ -201,6 +204,8 @@ pub struct Statsz {
     pub dropped: u64,
     /// Events rejected as invalid, across shards.
     pub rejected: u64,
+    /// `rejected` by [`kard_rt::Rejection::name`], across shards.
+    pub rejected_by_reason: BTreeMap<String, u64>,
     /// Race reports delivered, across shards.
     pub races: u64,
     /// Connections terminated for protocol violations (malformed frames,

@@ -17,9 +17,11 @@ use crate::proto::{
 };
 use crate::shard::{SessionHandle, ShardEngine, ShardShared, Work};
 use kard_core::{KardConfig, KeyCachePolicy, KeyMode};
+use kard_rt::Rejection;
 use kard_telemetry::{merged_summary, Telemetry};
 use kard_trace::wire::{read_frame, WireError};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -193,13 +195,20 @@ impl ServerInner {
         };
         for (i, shard) in self.shards.iter().enumerate() {
             let hists = self.telemetry[i].histograms();
+            let by_reason: BTreeMap<String, u64> = Rejection::ALL
+                .iter()
+                .zip(&shard.rejected)
+                .map(|(why, n)| (why.name().to_string(), n.load(Ordering::Relaxed)))
+                .filter(|&(_, n)| n > 0)
+                .collect();
             let block = ShardStatsz {
                 shard: i,
                 active_sessions: shard.active_sessions.load(Ordering::Relaxed),
                 queue_depth: shard.queue_depth.load(Ordering::Relaxed),
                 applied: shard.applied.load(Ordering::Relaxed),
                 dropped: shard.dropped.load(Ordering::Relaxed),
-                rejected: shard.rejected.load(Ordering::Relaxed),
+                rejected: by_reason.values().sum(),
+                rejected_by_reason: by_reason,
                 races: shard.races.load(Ordering::Relaxed),
                 evictions: shard.evictions.load(Ordering::Relaxed),
                 ingest_latency_ns: shard.ingest_latency.summary(),
@@ -216,6 +225,9 @@ impl ServerInner {
             out.applied += block.applied;
             out.dropped += block.dropped;
             out.rejected += block.rejected;
+            for (why, n) in &block.rejected_by_reason {
+                *out.rejected_by_reason.entry(why.clone()).or_default() += n;
+            }
             out.races += block.races;
             out.shards.push(block);
         }

@@ -9,21 +9,23 @@
 //! it never blocks the socket loop), and the shard communicates back
 //! only through per-session [`Outbox`]es.
 //!
-//! Inside a shard, each client session gets a private namespace: client
-//! lock ids and lock sites are remapped to shard-unique values (section
-//! identity is the lock site, and two sessions reusing `0x1000` must not
-//! alias), object tags map to detector objects, and client thread
-//! indices map to detector threads. Race reports are translated back
-//! through the same maps before delivery, so clients only ever see their
-//! own vocabulary.
+//! Inside a shard, each client session applies its events through its
+//! own capped [`Applier`], which validates them, maps its threads and
+//! tags, and unwinds what the session still holds when it ends. The
+//! shard adds only what is multi-tenant: client lock ids and lock sites
+//! are remapped to shard-unique values (section identity is the lock
+//! site, and two sessions reusing `0x1000` must not alias), and race
+//! reports are translated back to the client's threads, sites and tags
+//! before delivery, so clients only ever see their own vocabulary.
 
 use crate::proto::{Response, SessionSummary, WireRace, WireSide};
 use crate::ServerConfig;
-use kard_alloc::ObjectKind;
-use kard_core::{Kard, LockId, RaceRecord, RaceSide};
-use kard_sim::CodeSite;
+use kard_core::{LockId, RaceRecord, RaceSide};
+use kard_rt::{Applier, Caps, Rejection};
+use kard_sim::{CodeSite, ThreadId};
 use kard_telemetry::{AnomalySignal, LatencyHistogram};
 use kard_trace::{Event, Op};
+use std::collections::hash_map::RandomState;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -78,7 +80,7 @@ pub(crate) enum Work {
 }
 
 /// The half of a session shared between its connection threads and its
-/// shard: counters and the response outbox.
+/// shard: the counters readers write and the response outbox.
 pub(crate) struct SessionHandle {
     /// Server-assigned serial (the key shards use to find the session).
     pub serial: u64,
@@ -88,12 +90,6 @@ pub(crate) struct SessionHandle {
     pub queued: AtomicU64,
     /// Events dropped fail-open at the queue bound.
     pub dropped: AtomicU64,
-    /// Events applied to the detector.
-    pub applied: AtomicU64,
-    /// Events rejected as invalid.
-    pub rejected: AtomicU64,
-    /// Race reports delivered.
-    pub races: AtomicU64,
     /// Set once the session has ended (Bye pushed); readers stop
     /// accepting frames for it.
     pub done: AtomicBool,
@@ -107,22 +103,8 @@ impl SessionHandle {
             serial,
             queued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            applied: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            races: AtomicU64::new(0),
             done: AtomicBool::new(false),
             outbox: Outbox::default(),
-        }
-    }
-
-    pub(crate) fn summary(&self, evicted: bool) -> SessionSummary {
-        SessionSummary {
-            session: self.serial,
-            applied: self.applied.load(Ordering::Relaxed),
-            dropped: self.dropped.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            races: self.races.load(Ordering::Relaxed),
-            evicted,
         }
     }
 }
@@ -244,8 +226,9 @@ pub(crate) struct ShardShared {
     pub applied: AtomicU64,
     /// Events dropped fail-open.
     pub dropped: AtomicU64,
-    /// Events rejected as invalid.
-    pub rejected: AtomicU64,
+    /// Events rejected as invalid, by [`Rejection`] (indexed by
+    /// `reason as usize`).
+    pub rejected: [AtomicU64; Rejection::ALL.len()],
     /// Race reports delivered.
     pub races: AtomicU64,
     /// Sessions evicted for idleness.
@@ -266,7 +249,7 @@ impl Default for ShardShared {
             active_sessions: AtomicU64::new(0),
             applied: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
+            rejected: Default::default(),
             races: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             ingest_latency: LatencyHistogram::new(),
@@ -275,33 +258,27 @@ impl Default for ShardShared {
     }
 }
 
-/// One client session's private namespace inside a shard.
-///
-/// Every map here is keyed by an id the client chose and sent over the
-/// socket, so they keep the default SipHash: `kard_core`'s `FastHasher`
-/// (which the in-process trace executor uses for the same lookups) has
-/// no protection against keys crafted to collide.
+/// One client session's private namespace inside a shard. Every map here,
+/// and the applier's, is keyed by ids the client sent, so they keep
+/// SipHash: the trace executor's `FastHasher` has no protection against
+/// keys crafted to collide.
 struct ClientState {
     handle: Arc<SessionHandle>,
-    /// Client thread index → detector thread.
-    threads: HashMap<usize, kard_sim::ThreadId>,
-    /// Detector thread → client thread index (report translation).
-    thread_names: HashMap<usize, usize>,
+    /// The session's threads, objects, held locks and caps.
+    applier: Applier<RandomState>,
     /// Client lock id → shard-unique lock id.
     locks: HashMap<u64, LockId>,
     /// Client lock site → shard-unique lock site.
     sites: HashMap<u64, CodeSite>,
     /// Shard lock site → client lock site (report translation).
     site_names: HashMap<u64, u64>,
-    /// Client tag → live object.
-    objects: HashMap<u64, kard_alloc::ObjectInfo>,
     /// Detector object id → client tag; survives frees so races on
     /// freed objects still translate.
     object_names: HashMap<u64, u64>,
-    /// Locks currently held, per client thread, in acquisition order.
-    held: HashMap<usize, Vec<u64>>,
-    /// Bytes currently allocated (the per-session memory cap's meter).
-    live_bytes: u64,
+    /// Events applied to the detector.
+    applied: u64,
+    /// Race reports delivered.
+    races: u64,
     /// Raw index into the shard detector's record store up to which this
     /// session's reports were delivered ([`Kard::reports_from`]). Raw
     /// indices never shift when §5.5 pruning retracts a record, so a
@@ -317,21 +294,75 @@ struct ClientState {
 impl ClientState {
     /// A session attaching when the shard's record store holds `delivered`
     /// records; everything before that is other sessions' history.
-    fn new(handle: Arc<SessionHandle>, delivered: usize) -> ClientState {
+    fn new(
+        handle: Arc<SessionHandle>,
+        applier: Applier<RandomState>,
+        delivered: usize,
+    ) -> ClientState {
         ClientState {
             handle,
-            threads: HashMap::new(),
-            thread_names: HashMap::new(),
+            applier,
             locks: HashMap::new(),
             sites: HashMap::new(),
             site_names: HashMap::new(),
-            objects: HashMap::new(),
             object_names: HashMap::new(),
-            held: HashMap::new(),
-            live_bytes: 0,
+            applied: 0,
+            races: 0,
             delivered,
             anomaly_signals: 0,
             last_activity: Instant::now(),
+        }
+    }
+
+    fn summary(&self, evicted: bool) -> SessionSummary {
+        let rejected = Rejection::ALL.iter().map(|&why| self.applier.rejected(why));
+        SessionSummary {
+            session: self.handle.serial,
+            applied: self.applied,
+            dropped: self.handle.dropped.load(Ordering::Relaxed),
+            rejected: rejected.sum(),
+            races: self.races,
+            evicted,
+        }
+    }
+
+    /// `op` with its client lock id and lock site replaced by the shard's.
+    /// One the session has not used yet gets its well's next value, which
+    /// [`ClientState::record`] claims only if the applier accepts `op`.
+    fn namespace(&self, op: Op, next_lock: u64, next_site: u64) -> Op {
+        match op {
+            Op::Lock { lock, site } => Op::Lock {
+                lock: self.locks.get(&lock.0).copied().unwrap_or(LockId(next_lock + 1)),
+                site: self.sites.get(&site.0).copied().unwrap_or(CodeSite(next_site + 1)),
+            },
+            // A lock the session never took maps to `LockId(0)`, below the
+            // well, which no thread holds: the applier rejects the unlock.
+            Op::Unlock { lock } => Op::Unlock {
+                lock: self.locks.get(&lock.0).copied().unwrap_or(LockId(0)),
+            },
+            other => other,
+        }
+    }
+
+    /// Record the names an accepted event introduced: `sent` is the event
+    /// as the client sent it, `op` as the applier took it.
+    fn record(&mut self, sent: Op, op: Op, next_lock: &mut u64, next_site: &mut u64) {
+        match (sent, op) {
+            (Op::Lock { lock, site }, Op::Lock { lock: to, site: at }) => {
+                if self.locks.insert(lock.0, to).is_none() {
+                    *next_lock = to.0;
+                }
+                if self.sites.insert(site.0, at).is_none() {
+                    *next_site = at.0;
+                    self.site_names.insert(at.0, site.0);
+                }
+            }
+            (_, Op::Alloc { tag, .. } | Op::Global { tag, .. }) => {
+                if let Some(info) = self.applier.object(tag) {
+                    self.object_names.insert(info.id.0, tag.0);
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -401,9 +432,16 @@ impl ShardEngine {
         match work {
             Work::Attach(handle) => {
                 self.shared.active_sessions.fetch_add(1, Ordering::Relaxed);
+                let caps = Caps {
+                    threads: self.config.max_session_threads,
+                    objects: self.config.max_session_objects,
+                    bytes: self.config.max_session_bytes,
+                    compute_cycles: MAX_COMPUTE_CYCLES,
+                };
+                let applier = Applier::with_caps(Arc::clone(self.rt.kard()), caps);
                 let (_, reports) = self.rt.kard().reports_from(usize::MAX);
                 self.sessions
-                    .insert(handle.serial, ClientState::new(handle, reports));
+                    .insert(handle.serial, ClientState::new(handle, applier, reports));
             }
             Work::Events {
                 session,
@@ -417,7 +455,7 @@ impl ShardEngine {
                 self.deliver_races(session);
                 if let Some(state) = self.sessions.get(&session) {
                     let line =
-                        crate::proto::response_line(&Response::Flushed(state.handle.summary(false)));
+                        crate::proto::response_line(&Response::Flushed(state.summary(false)));
                     state.handle.outbox.push(line);
                 }
             }
@@ -439,152 +477,25 @@ impl ShardEngine {
         let latency = u64::try_from(enqueued.elapsed().as_nanos()).unwrap_or(u64::MAX);
         self.shared.ingest_latency.record(latency);
         let throttle = self.config.apply_throttle;
-        let mut applied = 0u64;
-        let mut rejected = 0u64;
-        let kard = Arc::clone(self.rt.kard());
+        let applied = state.applied;
         for event in events {
-            match Self::apply_event(
-                &kard,
-                state,
-                &mut self.next_lock,
-                &mut self.next_site,
-                &self.config,
-                &event,
-            ) {
-                Ok(()) => applied += 1,
-                Err(_why) => rejected += 1,
+            let op = state.namespace(event.op, self.next_lock, self.next_site);
+            match state.applier.apply(event.thread, &op) {
+                Ok(()) => {
+                    state.applied += 1;
+                    state.record(event.op, op, &mut self.next_lock, &mut self.next_site);
+                }
+                Err(why) => {
+                    self.shared.rejected[why as usize].fetch_add(1, Ordering::Relaxed);
+                }
             }
             if !throttle.is_zero() {
                 std::thread::sleep(throttle);
             }
         }
-        state.handle.applied.fetch_add(applied, Ordering::Relaxed);
-        state.handle.rejected.fetch_add(rejected, Ordering::Relaxed);
-        self.shared.applied.fetch_add(applied, Ordering::Relaxed);
-        self.shared.rejected.fetch_add(rejected, Ordering::Relaxed);
-    }
-
-    /// Apply one event inside a session's namespace. Invalid events are
-    /// rejected (skipped and counted) — a hostile or buggy client must
-    /// never panic a shard.
-    fn apply_event(
-        kard: &Arc<Kard>,
-        state: &mut ClientState,
-        next_lock: &mut u64,
-        next_site: &mut u64,
-        config: &ServerConfig,
-        event: &Event,
-    ) -> Result<(), &'static str> {
-        // Resolve (or lazily register) the client thread.
-        let t = match state.threads.get(&event.thread) {
-            Some(&t) => t,
-            None => {
-                if state.threads.len() >= config.max_session_threads {
-                    return Err("session thread cap exceeded");
-                }
-                // Thread ids are never reused, so the shard's one
-                // long-lived detector eventually runs out of them.
-                if kard.machine().thread_count() >= kard_sim::THREAD_CAPACITY {
-                    return Err("shard thread capacity exhausted");
-                }
-                let t = kard.register_thread();
-                state.threads.insert(event.thread, t);
-                state.thread_names.insert(t.0, event.thread);
-                t
-            }
-        };
-        match &event.op {
-            Op::Alloc { tag, size } | Op::Global { tag, size } => {
-                if *size == 0 {
-                    return Err("zero-size allocation");
-                }
-                if state.objects.contains_key(&tag.0) {
-                    return Err("tag already live");
-                }
-                if state.objects.len() >= config.max_session_objects {
-                    return Err("session object cap exceeded");
-                }
-                if state.live_bytes.saturating_add(*size) > config.max_session_bytes {
-                    return Err("session memory cap exceeded");
-                }
-                let info = if matches!(event.op, Op::Alloc { .. }) {
-                    kard.on_alloc(t, *size)
-                } else {
-                    kard.on_global(t, *size)
-                };
-                state.live_bytes += *size;
-                state.object_names.insert(info.id.0, tag.0);
-                state.objects.insert(tag.0, info);
-                Ok(())
-            }
-            Op::Free { tag } => {
-                let Some(&info) = state.objects.get(&tag.0) else {
-                    return Err("free of unknown tag");
-                };
-                // Globals are never freed (§6): the allocator would panic.
-                if info.kind == ObjectKind::Global {
-                    return Err("free of a global");
-                }
-                state.objects.remove(&tag.0);
-                state.live_bytes = state.live_bytes.saturating_sub(info.size);
-                kard.on_free(t, info.id);
-                Ok(())
-            }
-            Op::Lock { lock, site } => {
-                let held = state.held.entry(event.thread).or_default();
-                if held.contains(&lock.0) {
-                    return Err("recursive lock");
-                }
-                let server_lock = *state.locks.entry(lock.0).or_insert_with(|| {
-                    *next_lock += 1;
-                    LockId(*next_lock)
-                });
-                let server_site = *state.sites.entry(site.0).or_insert_with(|| {
-                    *next_site += 1;
-                    let s = CodeSite(*next_site);
-                    state.site_names.insert(s.0, site.0);
-                    s
-                });
-                held.push(lock.0);
-                kard.lock_enter(t, server_lock, server_site);
-                Ok(())
-            }
-            Op::Unlock { lock } => {
-                // The detector's sections nest: only the innermost lock
-                // may be released.
-                let held = state.held.entry(event.thread).or_default();
-                if held.last() != Some(&lock.0) {
-                    return Err(if held.contains(&lock.0) {
-                        "unlock out of order"
-                    } else {
-                        "unlock of lock not held"
-                    });
-                }
-                held.pop();
-                let server_lock = state.locks[&lock.0];
-                kard.lock_exit(t, server_lock);
-                Ok(())
-            }
-            Op::Read { tag, offset, ip } | Op::Write { tag, offset, ip } => {
-                let Some(info) = state.objects.get(&tag.0) else {
-                    return Err("access to unknown tag");
-                };
-                if *offset >= info.rounded_size {
-                    return Err("access beyond object bounds");
-                }
-                let addr = info.base.offset(*offset);
-                if matches!(event.op, Op::Read { .. }) {
-                    kard.read(t, addr, *ip);
-                } else {
-                    kard.write(t, addr, *ip);
-                }
-                Ok(())
-            }
-            Op::Compute { cycles } => {
-                kard.machine().charge(t, (*cycles).min(MAX_COMPUTE_CYCLES));
-                Ok(())
-            }
-        }
+        self.shared
+            .applied
+            .fetch_add(state.applied - applied, Ordering::Relaxed);
     }
 
     /// Push this session's not-yet-delivered race reports, translated to
@@ -604,7 +515,7 @@ impl ShardEngine {
         state.delivered = end;
         let mut fresh: Vec<WireRace> = reports
             .iter()
-            .filter(|r| state.thread_names.contains_key(&r.faulting.thread.0))
+            .filter(|r| state.applier.client_thread(r.faulting.thread).is_some())
             .map(|r| Self::translate(state, r))
             .collect();
         if fresh.is_empty() {
@@ -618,7 +529,7 @@ impl ShardEngine {
                 .outbox
                 .push(crate::proto::response_line(&Response::Race(race)));
         }
-        state.handle.races.fetch_add(n, Ordering::Relaxed);
+        state.races += n;
         self.shared.races.fetch_add(n, Ordering::Relaxed);
     }
 
@@ -633,11 +544,7 @@ impl ShardEngine {
             }
         };
         let side = |s: &RaceSide| WireSide {
-            thread: state
-                .thread_names
-                .get(&s.thread.0)
-                .copied()
-                .unwrap_or(usize::MAX),
+            thread: state.applier.client_thread(s.thread).unwrap_or(usize::MAX),
             section: s.section.map(|sec| unsite(sec.0 .0)),
             ip: unsite(s.ip.0),
             offset: s.offset,
@@ -661,28 +568,7 @@ impl ShardEngine {
         let Some(mut state) = self.sessions.remove(&session) else {
             return;
         };
-        let kard = self.rt.kard();
-        // Release locks in reverse acquisition order per thread, so the
-        // detector's section state unwinds cleanly.
-        for (client_thread, held) in std::mem::take(&mut state.held) {
-            let Some(&t) = state.threads.get(&client_thread) else {
-                continue;
-            };
-            for client_lock in held.into_iter().rev() {
-                kard.lock_exit(t, state.locks[&client_lock]);
-            }
-        }
-        if let Some(&t) = state.threads.values().next() {
-            // Globals are never freed; they stay with the shard.
-            for (_, info) in state.objects.drain() {
-                if info.kind == ObjectKind::Heap {
-                    kard.on_free(t, info.id);
-                }
-            }
-        }
-        for (_, t) in state.threads.drain() {
-            kard.on_thread_exit(t);
-        }
+        state.applier.release_all();
         state.handle.done.store(true, Ordering::Release);
         // Update the shared counters *before* the Bye frame becomes
         // sendable: a client that reacts to its eviction by querying
@@ -695,7 +581,7 @@ impl ShardEngine {
             .handle
             .outbox
             .push(crate::proto::response_line(&Response::Bye(
-                state.handle.summary(evicted),
+                state.summary(evicted),
             )));
         state.handle.outbox.close();
     }
@@ -721,7 +607,7 @@ impl ShardEngine {
             signal.suspected_session = signal.suspected_thread.and_then(|t| {
                 self.sessions
                     .iter()
-                    .find(|(_, s)| s.thread_names.contains_key(&(t as usize)))
+                    .find(|(_, s)| s.applier.client_thread(ThreadId(t as usize)).is_some())
                     .map(|(&serial, _)| serial)
             });
             if let Some(serial) = signal.suspected_session {
@@ -766,5 +652,79 @@ impl ShardEngine {
         for serial in idle {
             self.end_session(serial, true, true);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn lock(thread: usize, lock: u64, site: u64) -> Event {
+        Event {
+            thread,
+            op: Op::Lock {
+                lock: LockId(lock),
+                site: CodeSite(site),
+            },
+        }
+    }
+
+    #[test]
+    fn a_rejected_lock_claims_no_namespace_ids() {
+        let config = ServerConfig {
+            max_session_threads: 1,
+            ..ServerConfig::default()
+        };
+        let shared = Arc::new(ShardShared::default());
+        let mut engine = ShardEngine::new(kard_rt::Session::new(), Arc::clone(&shared), config);
+        engine.handle(Work::Attach(Arc::new(SessionHandle::new(1))));
+        let apply = |engine: &mut ShardEngine, events: Vec<Event>| {
+            shared
+                .queue_depth
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
+            engine.sessions[&1]
+                .handle
+                .queued
+                .fetch_add(events.len() as u64, Ordering::Relaxed);
+            engine.apply_batch(1, events, Instant::now());
+        };
+        let compute = Event {
+            thread: 0,
+            op: Op::Compute { cycles: 1 },
+        };
+        // Thread 1 is past the cap; thread 0 already holds lock 4, so
+        // taking it again is recursive.
+        apply(
+            &mut engine,
+            vec![compute, lock(0, 4, 0xd), lock(1, 3, 0xc), lock(0, 4, 0xe)],
+        );
+        let names = |engine: &ShardEngine| {
+            let state = &engine.sessions[&1];
+            (
+                engine.next_lock,
+                engine.next_site,
+                state.locks.len(),
+                state.sites.len(),
+                state.site_names.len(),
+            )
+        };
+        assert_eq!(names(&engine), (2, SITE_NAMESPACE_BASE + 1, 1, 1, 1));
+        assert_eq!(
+            shared.rejected[Rejection::ThreadCap as usize].load(Ordering::Relaxed),
+            1
+        );
+        assert_eq!(
+            shared.rejected[Rejection::RecursiveLock as usize].load(Ordering::Relaxed),
+            1
+        );
+
+        // The next name the session introduces takes the next id.
+        apply(&mut engine, vec![lock(0, 3, 0xc)]);
+        assert_eq!(names(&engine), (3, SITE_NAMESPACE_BASE + 2, 2, 2, 2));
+        assert_eq!(engine.sessions[&1].locks[&3], LockId(3));
+        assert_eq!(
+            engine.sessions[&1].site_names[&(SITE_NAMESPACE_BASE + 2)],
+            0xc
+        );
     }
 }

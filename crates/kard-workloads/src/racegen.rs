@@ -230,17 +230,10 @@ pub fn classify_corpus(corpus: &[Scenario]) -> CorpusReport {
     report
 }
 
-/// Detection probability of one scenario across `seeds.len()` seeded
-/// schedules — the multiple-runs methodology the paper invokes for
-/// schedule-sensitive detection (§5.5, §7.3).
+/// `scenario` with every allocation hoisted into a phased init, the form
+/// [`detection_probability`] replays under seeded schedules.
 #[must_use]
-pub fn detection_probability(scenario: &Scenario, seeds: &[u64]) -> f64 {
-    use kard_rt::{KardExecutor, Session};
-    use kard_trace::replay::replay;
-
-    if seeds.is_empty() {
-        return 0.0;
-    }
+pub fn phased(scenario: &Scenario) -> kard_trace::PhasedProgram {
     // Random schedules may otherwise run an access before the owning
     // thread's allocation: hoist allocations into a phased init, which is
     // the spawn ordering every real program has.
@@ -260,12 +253,25 @@ pub fn detection_probability(scenario: &Scenario, seeds: &[u64]) -> f64 {
             stripped
         })
         .collect();
-    let phased = kard_trace::PhasedProgram { init, threads };
+    kard_trace::PhasedProgram { init, threads }
+}
 
+/// Detection probability of one scenario across `seeds.len()` seeded
+/// schedules — the multiple-runs methodology the paper invokes for
+/// schedule-sensitive detection (§5.5, §7.3).
+#[must_use]
+pub fn detection_probability(scenario: &Scenario, seeds: &[u64]) -> f64 {
+    use kard_rt::{KardExecutor, Session};
+    use kard_trace::replay::replay;
+
+    if seeds.is_empty() {
+        return 0.0;
+    }
+    let program = phased(scenario);
     let detected = seeds
         .iter()
         .filter(|&&seed| {
-            let trace = phased.trace_seeded(seed);
+            let trace = program.trace_seeded(seed);
             let session = Session::new();
             let mut exec = KardExecutor::new(session.kard().clone());
             replay(&trace, &mut exec);
