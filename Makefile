@@ -60,24 +60,31 @@ loc:
 	done
 
 # Measure a change against its parent the way a claimed gain is judged:
-# `make bench-pairs WORKLOAD=embed_faults [PAIRS=10] [BASE=HEAD~1]` checks
-# BASE out as a worktree under .bench_build/, builds both sides with
-# BENCHMARK.json's command and runs PAIRS alternating pairs at its
-# run_seconds (see bench_pairs.py). Minutes long, so not part of `verify`.
-# `git worktree remove --force .bench_build/base` drops the checkout.
+# `make bench-pairs WORKLOAD=embed_faults [PAIRS=10] [BASE=HEAD~1]
+# [CHANGE=<rev>]` checks BASE out as a worktree at .bench_build/base,
+# builds both sides with BENCHMARK.json's command and runs PAIRS
+# alternating pairs at its run_seconds (see bench_pairs.py). The change is
+# the working tree, or with CHANGE that revision checked out as a worktree
+# at .bench_build/chng, a path as long as the parent's: the checkout's path
+# length alone moves `embed_threads` by up to 9%, so a claim there runs
+# `CHANGE=HEAD BASE=HEAD~1` on a committed change. Minutes long, so not
+# part of `verify`. `git worktree remove --force .bench_build/base` (or
+# `chng`) drops a checkout.
 PAIRS ?= 10
 BASE ?= HEAD~1
+CHANGE ?=
 bench-pairs:
-	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs WORKLOAD=<name> [PAIRS=10] [BASE=HEAD~1]"; exit 2; }
-	python3 bench_pairs.py $(WORKLOAD) $(PAIRS) $(BASE)
+	@test -n "$(WORKLOAD)" || { echo "usage: make bench-pairs WORKLOAD=<name> [PAIRS=10] [BASE=HEAD~1] [CHANGE=<rev>]"; exit 2; }
+	python3 bench_pairs.py $(WORKLOAD) $(PAIRS) $(BASE) $(CHANGE)
 
-# Say which layer moved: `make ledger WORKLOAD=embed_faults [BASE=HEAD~1]`
-# builds both sides the same way, makes one `--trace 1` run of each and
-# prints BENCHMARK.json's per_layer rows side by side (parent, change,
-# ratio). Attribution only — a gain is judged by bench-pairs.
+# Say which layer moved: `make ledger WORKLOAD=embed_faults [BASE=HEAD~1]
+# [CHANGE=<rev>]` builds both sides the same way, makes one `--trace 1`
+# run of each and prints BENCHMARK.json's per_layer rows side by side
+# (parent, change, ratio). Attribution only — a gain is judged by
+# bench-pairs.
 ledger:
-	@test -n "$(WORKLOAD)" || { echo "usage: make ledger WORKLOAD=<name> [BASE=HEAD~1]"; exit 2; }
-	python3 bench_pairs.py --ledger $(WORKLOAD) $(BASE)
+	@test -n "$(WORKLOAD)" || { echo "usage: make ledger WORKLOAD=<name> [BASE=HEAD~1] [CHANGE=<rev>]"; exit 2; }
+	python3 bench_pairs.py --ledger $(WORKLOAD) $(BASE) $(CHANGE)
 
 # Size a suspected flake, or show one is gone, the way it is judged:
 # `make flake TEST=concurrency_stress [RUNS=200] [PACKAGE=kard-sim]`

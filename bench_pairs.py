@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
 """`make bench-pairs` and `make ledger`: one benchmark workload, parent against change.
 
-Both check BASE out as a git worktree under .bench_build/base (reused while
-it still sits at BASE) and build both sides with BENCHMARK.json's command.
+Both check BASE out as a git worktree at .bench_build/base (reused while it
+still sits at BASE) and build both sides with BENCHMARK.json's command. The
+change is the working tree, or, given CHANGE, that revision checked out the
+same way at .bench_build/chng: a path exactly as long as the parent's, which
+`embed_threads` needs (the checkout's path length alone moves it by up to
+9%, so a working tree at the repository root is not a fair side there).
 
-`bench_pairs.py WORKLOAD PAIRS BASE` runs PAIRS pairs at the benchmark's own
-run_seconds -- a different seed per pair, the same seed within a pair,
-alternating which side goes first -- appending every run to
+`bench_pairs.py WORKLOAD PAIRS BASE [CHANGE]` runs PAIRS pairs at the
+benchmark's own run_seconds -- a different seed per pair, the same seed
+within a pair, alternating which side goes first -- appending every run to
 .bench_build/{parent,change}.jsonl through the benchmark's --out, then
 prints, for each end-to-end metric, the per-pair values and win count, each
 side's median and quartiles, and the rule a claimed gain is judged by (the
@@ -15,10 +19,10 @@ neither, *and* the medians apart by more than the distance between the
 parent's quartiles); then the benchmark's own `compare` of the two files
 (that workload's rows; exit status 1 if any of them is not `ok`).
 
-`bench_pairs.py --ledger WORKLOAD BASE` runs one `--trace 1` run per side
-and prints BENCHMARK.json's `per_layer` rows side by side (parent, change,
-change / parent): where the time went, not whether the change is faster --
-one traced run says nothing about spread.
+`bench_pairs.py --ledger WORKLOAD BASE [CHANGE]` runs one `--trace 1` run
+per side and prints BENCHMARK.json's `per_layer` rows side by side (parent,
+change, change / parent): where the time went, not whether the change is
+faster -- one traced run says nothing about spread.
 """
 import json
 import os
@@ -29,6 +33,8 @@ import sys
 ROOT = os.path.dirname(os.path.abspath(__file__))
 BUILD = os.path.join(ROOT, ".bench_build")
 BASE_DIR = os.path.join(BUILD, "base")
+# As long as BASE_DIR, so neither side's paths are longer than the other's.
+CHANGE_DIR = os.path.join(BUILD, "chng")
 
 
 def git(*args, cwd=ROOT):
@@ -36,27 +42,33 @@ def git(*args, cwd=ROOT):
                           stdout=subprocess.PIPE).stdout.strip()
 
 
-def check_out(base):
-    want = git("rev-parse", "--verify", base + "^{commit}")
+def check_out(rev, directory):
+    """Check `rev` out at `directory` as a worktree; returns its full hash."""
+    want = git("rev-parse", "--verify", rev + "^{commit}")
     # Without its own .git, `git -C` would answer for the enclosing repo.
-    if os.path.exists(os.path.join(BASE_DIR, ".git")):
-        if git("rev-parse", "HEAD", cwd=BASE_DIR) == want:
+    if os.path.exists(os.path.join(directory, ".git")):
+        if git("rev-parse", "HEAD", cwd=directory) == want:
             return want
-        git("worktree", "remove", "--force", BASE_DIR)
+        git("worktree", "remove", "--force", directory)
     git("worktree", "prune")
-    git("worktree", "add", "--detach", BASE_DIR, want)
+    git("worktree", "add", "--detach", directory, want)
     return want
 
 
-def prepare(workload, base):
+def prepare(workload, base, change):
     """Check out and build both sides; returns (declaration, {side: directory})."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         decl = json.load(f)
     if workload not in {w["name"] for w in decl["workloads"]}:
         sys.exit(f"WORKLOAD must be one of BENCHMARK.json's workloads, not {workload!r}")
     os.makedirs(BUILD, exist_ok=True)
-    sides = {"parent": BASE_DIR, "change": ROOT}
-    print(f"# parent = {base} ({check_out(base)[:7]}) in {BASE_DIR}; change = the working tree")
+    sides = {"parent": BASE_DIR, "change": CHANGE_DIR if change else ROOT}
+    parent = f"{base} ({check_out(base, BASE_DIR)[:7]}) in {BASE_DIR}"
+    if change:
+        print(f"# parent = {parent}; change = {change} "
+              f"({check_out(change, CHANGE_DIR)[:7]}) in {CHANGE_DIR}")
+    else:
+        print(f"# parent = {parent}; change = the working tree")
     # The declared command is a `cargo run ... --`; the same flags build.
     build = ["build" if a == "run" else a for a in decl["command"] if a != "--"]
     for cwd in sides.values():
@@ -76,8 +88,8 @@ def run_once(decl, cwd, workload, seed, extra):
     return result["metrics"]
 
 
-def ledger(workload, base):
-    decl, sides = prepare(workload, base)
+def ledger(workload, base, change):
+    decl, sides = prepare(workload, base, change)
     got = {side: run_once(decl, cwd, workload, "1", ["--trace", "1"])
            for side, cwd in sides.items()}
     print(f"\n{workload}: one --trace 1 run per side at --seconds {decl['run_seconds']}")
@@ -112,10 +124,12 @@ def print_verdict(pairs, higher, wins):
 
 
 def main():
+    # Both forms take CHANGE fourth; empty or absent means the working tree.
+    change = sys.argv[4] if len(sys.argv) > 4 else ""
     if sys.argv[1] == "--ledger":
-        return ledger(sys.argv[2], sys.argv[3])
+        return ledger(sys.argv[2], sys.argv[3], change)
     workload, pairs, base = sys.argv[1], int(sys.argv[2]), sys.argv[3]
-    decl, sides = prepare(workload, base)
+    decl, sides = prepare(workload, base, change)
     command = decl["command"]
     others = {w["name"] for w in decl["workloads"]} - {workload}
     out = {}
@@ -152,7 +166,7 @@ def main():
     # `compare` wants every workload in both files; show this one's rows.
     print(f"\ncompare {out['parent']} {out['change']} ({workload} rows)")
     compare = subprocess.run(command + ["compare", out["parent"], out["change"]],
-                             cwd=ROOT, text=True, stdout=subprocess.PIPE)
+                             cwd=sides["change"], text=True, stdout=subprocess.PIPE)
     rows = [row for row in compare.stdout.splitlines()
             if row.strip() and row.split()[0] not in others]
     print("\n".join(rows))

@@ -78,7 +78,11 @@ impl Kard {
         let mut new_pkru = saved_pkru.clone();
         // Retract k_na: first accesses to Not-accessed objects must fault.
         new_pkru.set_permission(self.layout.not_accessed, Permission::NoAccess);
-        let entered = self.machine.now();
+        // The entry stamp feeds only the telemetry hold time, and
+        // `Machine::now()` loads every registered thread's counter: read it
+        // only while telemetry records. Kard's hardware stamps releases,
+        // not entries (§5.4), so this is the simulator's cost, not Kard's.
+        let entered = self.telemetry.enabled().then(|| self.machine.now());
 
         #[cfg(test)]
         if self.stale_every_entry.load(Ordering::Relaxed) {
@@ -220,7 +224,7 @@ impl Kard {
         mode: SectionMode,
         lock: LockId,
         saved_pkru: &Pkru,
-        entered: u64,
+        entered: Option<u64>,
     ) -> FastEntry {
         let eligible = ctx.frames.is_empty() && ctx.held.is_empty();
         let plans = ctx.section_cache.get(&section);
@@ -351,9 +355,15 @@ impl Kard {
         }
         self.active_sections.0.fetch_sub(1, Ordering::Relaxed);
         if self.telemetry.enabled() {
-            let hold = self.machine.now().saturating_sub(frame.entered);
-            self.emit(t, EventKind::SectionExit, frame.section.0 .0, hold);
-            self.telemetry.histograms().section_hold.record(hold);
+            // A frame entered while telemetry was off carries no stamp:
+            // its exit is still an event, but it has no hold to sample.
+            let hold = frame
+                .entered
+                .map(|entered| self.machine.now().saturating_sub(entered));
+            self.emit(t, EventKind::SectionExit, frame.section.0 .0, hold.unwrap_or(0));
+            if let Some(hold) = hold {
+                self.telemetry.histograms().section_hold.record(hold);
+            }
         }
 
         // The interleaver cares about this exit only if this thread is a

@@ -370,6 +370,54 @@ fn stats_track_sections() {
     assert_eq!(stats.max_concurrent_sections, 2);
 }
 
+/// The hold-time sample needs an entry stamp, and the entry is stamped
+/// only while telemetry records: a section entered with telemetry off and
+/// exited with it on still yields its `SectionExit`, but no hold sample
+/// (never a bogus `now - 0`); a section stamped at entry samples exactly
+/// exit clock − entry clock.
+#[test]
+fn hold_is_sampled_only_for_a_frame_stamped_at_entry() {
+    let (_, kard) = setup();
+    let t = kard.register_thread();
+    let telemetry = kard.telemetry();
+    let entry_stamp = || {
+        kard.slot(t)
+            .ctx
+            .with(|ctx| ctx.frames.last().expect("in a section").entered)
+    };
+    let exits = || -> Vec<kard_telemetry::Event> {
+        let drained = telemetry.drain();
+        assert_eq!(drained.dropped, 0);
+        drained
+            .events
+            .into_iter()
+            .filter(|e| e.kind == EventKind::SectionExit)
+            .collect()
+    };
+    let holds = &telemetry.histograms().section_hold;
+
+    kard.lock_enter(t, LockId(1), site(0xa));
+    assert_eq!(entry_stamp(), None, "telemetry off: no entry stamp");
+    telemetry.set_enabled(true);
+    kard.lock_exit(t, LockId(1));
+    let unstamped = exits();
+    assert_eq!(unstamped.len(), 1, "the exit is still recorded");
+    assert_eq!(unstamped[0].a, site(0xa).0);
+    assert_eq!(unstamped[0].b, 0, "no hold to report");
+    assert_eq!(holds.count(), 0, "no hold sampled for an unstamped frame");
+
+    kard.lock_enter(t, LockId(1), site(0xa));
+    let entered = entry_stamp().expect("telemetry on: stamped at entry");
+    kard.lock_exit(t, LockId(1));
+    let stamped = exits();
+    assert_eq!(stamped.len(), 1);
+    // Nothing is charged between the hold's clock read and the event's.
+    let hold = stamped[0].tsc - entered;
+    assert!(hold > 0);
+    assert_eq!(stamped[0].b, hold);
+    assert_eq!((holds.count(), holds.sum()), (1, hold));
+}
+
 #[test]
 fn global_objects_participate_in_detection() {
     let (_, kard) = setup();

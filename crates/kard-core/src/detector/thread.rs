@@ -55,8 +55,10 @@ pub(super) struct Frame {
     pub(super) section: SectionId,
     pub(super) lock: LockId,
     pub(super) saved_pkru: Pkru,
-    /// Virtual-clock time of section entry (for the hold-time histogram).
-    pub(super) entered: u64,
+    /// Virtual-clock time of section entry, read only while telemetry
+    /// records (it feeds only the hold-time histogram); `None` for a frame
+    /// entered with telemetry off, whose exit samples no hold.
+    pub(super) entered: Option<u64>,
     /// Keys whose table state this frame changed: `(key, previous perm)` —
     /// `None` means newly acquired (release on exit), `Some(p)` means
     /// widened from `p` (downgrade on exit).

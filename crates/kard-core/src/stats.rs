@@ -228,9 +228,14 @@ impl AtomicStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Raise `counter` to at least `value` (relaxed compare-and-max).
+    /// Raise `counter` to at least `value`: load, then compare-and-max
+    /// only to raise (relaxed). The counter only grows, so a load at or
+    /// above `value` already proves the result, and the common call — no
+    /// new maximum — reads the line without taking it exclusive.
     pub fn raise_to(counter: &AtomicU64, value: u64) {
-        counter.fetch_max(value, Ordering::Relaxed);
+        if value > counter.load(Ordering::Relaxed) {
+            counter.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// A plain-value snapshot. `races_reported` and `unique_sections` are
@@ -279,6 +284,39 @@ mod tests {
         assert_eq!(snap.key_shares, 1);
         assert_eq!(snap.max_concurrent_sections, 3, "raise_to keeps the max");
         assert_eq!(snap.races_reported, 0, "derived by the detector");
+    }
+
+    #[test]
+    fn raise_to_never_lowers() {
+        let counter = AtomicU64::new(5);
+        for value in [5, 0, 4] {
+            AtomicStats::raise_to(&counter, value);
+            assert_eq!(counter.load(Ordering::Relaxed), 5, "{value} is not above 5");
+        }
+        AtomicStats::raise_to(&counter, 6);
+        assert_eq!(counter.load(Ordering::Relaxed), 6);
+    }
+
+    /// Four OS threads raise one counter through disjoint, interleaved
+    /// ranges (thread `i` raises every value `≡ i (mod 4)`), so the
+    /// load-first check races the other threads' compare-and-max on every
+    /// call: the counter still ends at the global maximum.
+    #[test]
+    fn raise_to_from_four_threads_ends_at_the_global_max() {
+        const THREADS: u64 = 4;
+        const PER_THREAD: u64 = 50_000;
+        let counter = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            for i in 0..THREADS {
+                let counter = &counter;
+                scope.spawn(move || {
+                    for n in 0..PER_THREAD {
+                        AtomicStats::raise_to(counter, n * THREADS + i);
+                    }
+                });
+            }
+        });
+        assert_eq!(counter.load(Ordering::Relaxed), THREADS * PER_THREAD - 1);
     }
 
     #[test]
