@@ -368,6 +368,7 @@ impl Kard {
                     store.seen.remove(&record.fingerprint());
                     AtomicStats::bump(&self.stats.races_pruned_offset);
                     self.emit(t, EventKind::RacePruneOffset, record.object.0, 0);
+                    store.withdrawn.push((idx, record));
                 }
             }
         }

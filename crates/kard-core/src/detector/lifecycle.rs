@@ -117,6 +117,19 @@ impl Kard {
         (fresh, store.records.len())
     }
 
+    /// The reports §5.5 offset pruning withdrew, from the `start`-th
+    /// withdrawal on, each with its raw store index (the index
+    /// [`Kard::reports_from`] counts in), and the number of withdrawals so
+    /// far — the `start` that resumes where this call stopped. A consumer
+    /// that delivered reports up to raw index `n` recalls exactly the
+    /// withdrawals below `n`.
+    #[must_use]
+    pub fn withdrawn_from(&self, start: usize) -> (Vec<(usize, RaceRecord)>, usize) {
+        let store = self.records.lock();
+        let fresh = store.withdrawn.iter().skip(start).cloned().collect();
+        (fresh, store.withdrawn.len())
+    }
+
     /// Statistics snapshot. The unique-section count is the number of
     /// sections the book holds plans for (one per section any thread has
     /// entered), and the entry/grant totals are sums over the per-thread

@@ -172,6 +172,9 @@ struct ActiveSections(AtomicU64);
 struct RecordStore {
     records: Vec<Option<RaceRecord>>,
     seen: HashSet<RaceFingerprint>,
+    /// Every record §5.5 offset pruning took out of `records`, with its
+    /// raw index, in the order it was withdrawn.
+    withdrawn: Vec<(usize, RaceRecord)>,
 }
 
 /// The `keys` mutex guard with the lock-free holder words kept coherent:

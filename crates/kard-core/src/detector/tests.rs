@@ -174,6 +174,9 @@ fn interleaving_prunes_different_offsets() {
     kard.write(t1, o.base, site(0xa1)); // t1 writes offset 0.
     kard.lock_enter(t2, LockId(2), site(0xb));
     kard.write(t2, o.base.offset(64), site(0xb1)); // candidate: offset 64.
+    let (candidate, delivered) = kard.reports_from(0);
+    assert_eq!((candidate.len(), delivered), (1, 1));
+    assert_eq!(kard.withdrawn_from(0), (vec![], 0));
     // t1 touches offset 0 again -> interleave fault -> disjoint offsets.
     kard.write(t1, o.base, site(0xa2));
     kard.lock_exit(t2, LockId(2));
@@ -181,6 +184,10 @@ fn interleaving_prunes_different_offsets() {
 
     assert!(kard.reports().is_empty(), "different offsets pruned");
     assert_eq!(kard.stats().races_pruned_offset, 1);
+    // The withdrawal is logged under the raw index the candidate was
+    // delivered at, and a cursor past it sees nothing more.
+    assert_eq!(kard.withdrawn_from(0), (vec![(0, candidate[0].clone())], 1));
+    assert_eq!(kard.withdrawn_from(1), (vec![], 1));
     // Protection restored after both exits.
     assert!(matches!(kard.domain_of(o.id), Some(Domain::ReadWrite(_))));
 }

@@ -1,50 +1,21 @@
 //! A small blocking client for the firehose protocol.
 //!
 //! Wraps one socket (TCP or Unix) and the session handshake, collects
-//! race report lines as they arrive, and exposes the request/response
-//! pairs (`flush`, `stats`, `bye`) as plain blocking calls. The raw
-//! received report lines are kept verbatim so tests can compare runs
-//! byte for byte.
+//! race report lines and their withdrawals as they arrive, and exposes
+//! the request/response pairs (`flush`, `stats`, `bye`) as plain blocking
+//! calls. The raw received report lines are kept verbatim so tests can
+//! compare runs byte for byte.
 
 use crate::proto::{
     parse_response, request_payload, Request, Response, SessionSummary, Statsz, WireRace,
 };
+use crate::sock::Sock;
 use kard_trace::wire::write_frame;
 use kard_trace::Event;
-use std::io::{self, BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
-
-enum ClientSock {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Read for ClientSock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            ClientSock::Tcp(s) => s.read(buf),
-            ClientSock::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for ClientSock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            ClientSock::Tcp(s) => s.write(buf),
-            ClientSock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            ClientSock::Tcp(s) => s.flush(),
-            ClientSock::Unix(s) => s.flush(),
-        }
-    }
-}
 
 fn bad_data(message: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, message)
@@ -52,12 +23,13 @@ fn bad_data(message: String) -> io::Error {
 
 /// One client session on a running firehose server.
 pub struct FirehoseClient {
-    writer: ClientSock,
-    reader: BufReader<ClientSock>,
+    writer: Sock,
+    reader: BufReader<Sock>,
     session: u64,
     shard: usize,
     races: Vec<WireRace>,
     race_lines: Vec<String>,
+    retractions: Vec<WireRace>,
 }
 
 impl FirehoseClient {
@@ -69,8 +41,7 @@ impl FirehoseClient {
     pub fn connect(addr: impl ToSocketAddrs, client: &str) -> io::Result<FirehoseClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let reader = ClientSock::Tcp(stream.try_clone()?);
-        FirehoseClient::handshake(ClientSock::Tcp(stream), reader, client)
+        FirehoseClient::handshake(Sock::Tcp(stream), client)
     }
 
     /// Connect over a Unix socket and perform the Hello handshake.
@@ -79,19 +50,18 @@ impl FirehoseClient {
     ///
     /// Fails on connection errors or a rejected handshake.
     pub fn connect_unix(path: impl AsRef<Path>, client: &str) -> io::Result<FirehoseClient> {
-        let stream = UnixStream::connect(path)?;
-        let reader = ClientSock::Unix(stream.try_clone()?);
-        FirehoseClient::handshake(ClientSock::Unix(stream), reader, client)
+        FirehoseClient::handshake(Sock::Unix(UnixStream::connect(path)?), client)
     }
 
-    fn handshake(writer: ClientSock, reader: ClientSock, client: &str) -> io::Result<FirehoseClient> {
+    fn handshake(writer: Sock, client: &str) -> io::Result<FirehoseClient> {
         let mut this = FirehoseClient {
+            reader: BufReader::new(writer.try_clone()?),
             writer,
-            reader: BufReader::new(reader),
             session: 0,
             shard: 0,
             races: Vec::new(),
             race_lines: Vec::new(),
+            retractions: Vec::new(),
         };
         this.send(&Request::Hello {
             client: client.to_string(),
@@ -119,7 +89,8 @@ impl FirehoseClient {
         self.shard
     }
 
-    /// Race reports received so far (in delivery order).
+    /// Race reports received so far (in delivery order), including any
+    /// the server later withdrew (see [`FirehoseClient::retractions`]).
     #[must_use]
     pub fn races(&self) -> &[WireRace] {
         &self.races
@@ -130,6 +101,13 @@ impl FirehoseClient {
     #[must_use]
     pub fn race_lines(&self) -> &[String] {
         &self.race_lines
+    }
+
+    /// Delivered reports the server has since withdrawn (§5.5 offset
+    /// pruning), in the order the withdrawals arrived.
+    #[must_use]
+    pub fn retractions(&self) -> &[WireRace] {
+        &self.retractions
     }
 
     /// Send one request frame.
@@ -179,13 +157,14 @@ impl FirehoseClient {
     fn recv_until<T>(&mut self, mut want: impl FnMut(Response) -> Option<T>) -> io::Result<T> {
         loop {
             let response = self.recv()?;
-            if let Response::Race(race) = &response {
-                self.race_lines
-                    .push(crate::proto::response_line(&Response::Race(race.clone())));
-                self.races.push(race.clone());
-            }
-            if let Response::Error { message } = &response {
-                return Err(bad_data(message.clone()));
+            match &response {
+                Response::Race(race) => {
+                    self.race_lines.push(crate::proto::response_line(&response));
+                    self.races.push(race.clone());
+                }
+                Response::Retracted(race) => self.retractions.push(race.clone()),
+                Response::Error { message } => return Err(bad_data(message.clone())),
+                _ => {}
             }
             if let Some(out) = want(response) {
                 return Ok(out);

@@ -48,6 +48,7 @@ pub mod client;
 pub mod proto;
 mod server;
 mod shard;
+mod sock;
 
 pub use client::FirehoseClient;
 pub use proto::{

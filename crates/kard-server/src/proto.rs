@@ -49,7 +49,10 @@ pub enum Request {
     Shutdown,
 }
 
-/// A server→client message (one per response line).
+/// A server→client message (one per response line). A session's lines
+/// end with its [`Response::Bye`]: a response produced after the session
+/// ended (a `Stats` answer racing an eviction, say) is discarded, never
+/// written after it.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum Response {
     /// Session accepted.
@@ -61,6 +64,10 @@ pub enum Response {
     },
     /// One race report, in client vocabulary.
     Race(WireRace),
+    /// A report this session already received was withdrawn: §5.5
+    /// interleaving showed its two accesses touch different offsets. The
+    /// payload repeats the report as it was delivered.
+    Retracted(WireRace),
     /// Answer to [`Request::Flush`].
     Flushed(SessionSummary),
     /// Answer to [`Request::Stats`].
@@ -135,7 +142,8 @@ pub struct SessionSummary {
     /// Events rejected as invalid (unknown tags, cap overflows,
     /// unbalanced locks) — skipped, never fatal.
     pub rejected: u64,
-    /// Race reports delivered to this session so far.
+    /// Race reports delivered to this session so far and not since
+    /// withdrawn ([`Response::Retracted`]).
     pub races: u64,
     /// True when the server ended the session (idle eviction or
     /// shutdown) rather than the client.
@@ -159,7 +167,7 @@ pub struct ShardStatsz {
     pub rejected: u64,
     /// `rejected` by [`kard_rt::Rejection::name`], nonzero counts only.
     pub rejected_by_reason: BTreeMap<String, u64>,
-    /// Race reports delivered.
+    /// Race reports delivered and not since withdrawn.
     pub races: u64,
     /// Sessions evicted for idleness.
     pub evictions: u64,
@@ -206,7 +214,7 @@ pub struct Statsz {
     pub rejected: u64,
     /// `rejected` by [`kard_rt::Rejection::name`], across shards.
     pub rejected_by_reason: BTreeMap<String, u64>,
-    /// Race reports delivered, across shards.
+    /// Race reports delivered and not since withdrawn, across shards.
     pub races: u64,
     /// Connections terminated for protocol violations (malformed frames,
     /// missing Hello).
@@ -310,7 +318,8 @@ mod tests {
         });
         for r in [
             Response::Hello { session: 3, shard: 1 },
-            Response::Race(race),
+            Response::Race(race.clone()),
+            Response::Retracted(race),
             Response::Flushed(SessionSummary { session: 3, applied: 10, ..Default::default() }),
             Response::Stats(Statsz { shards: vec![shard], ..Default::default() }),
             Response::Bye(SessionSummary { session: 3, evicted: true, ..Default::default() }),

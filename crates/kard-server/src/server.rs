@@ -5,17 +5,24 @@
 //! one writer thread per connection, one shard thread per shard. The
 //! accept and reader loops never block on a shard — events either fit
 //! the session's queue budget and are enqueued, or are dropped and
-//! counted (fail-open). The only blocking edges are reader→queue push
-//! (a short mutex) and writer→outbox pop, both of which shut down
-//! cleanly when the session ends. A connection thread that has ended is
-//! joined at the next accept (the rest in [`Server::join`]), so the
-//! server holds thread handles, and their stacks, for live connections
-//! only.
+//! counted (fail-open). Both hand-offs are `std::sync::mpsc` channels:
+//! a reader's send to its shard never blocks, and the only blocking
+//! edge is the writer's receive from its session's response channel,
+//! which it stops reading after `Bye`. Shutdown is one [`Work::Close`]
+//! per shard; a send after the shard has exited fails and is counted (a
+//! batch as dropped, an `Attach` answered "server is draining"), never
+//! lost silently. After `Bye` the writer ends the stream and waits up to
+//! [`LINGER`] while the reader drains what the client still sends, so the
+//! close never resets the connection under its last lines. A connection
+//! thread that has ended is joined at the next accept (the rest in
+//! [`Server::join`]), so the server holds thread handles, and their
+//! stacks, for live connections only.
 
 use crate::proto::{
     parse_request, response_line, Request, Response, ShardStatsz, Statsz,
 };
 use crate::shard::{SessionHandle, ShardEngine, ShardShared, Work};
+use crate::sock::Sock;
 use kard_core::{KardConfig, KeyCachePolicy, KeyMode};
 use kard_rt::Rejection;
 use kard_telemetry::{merged_summary, Telemetry};
@@ -23,14 +30,18 @@ use kard_trace::wire::{read_frame, WireError};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
-use std::io::{self, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::io::{self, BufReader, BufWriter, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener};
+use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a connection's writer waits, after ending the stream, for the
+/// client to close its side before shutting the socket down.
+const LINGER: Duration = Duration::from_millis(250);
 
 /// Everything tunable about a server.
 #[derive(Clone, Debug)]
@@ -108,55 +119,6 @@ pub fn shard_for(client: &str, shards: usize) -> usize {
     (h.finish() % shards.max(1) as u64) as usize
 }
 
-/// A connection's transport, erased over TCP and Unix sockets.
-enum Sock {
-    /// TCP transport.
-    Tcp(TcpStream),
-    /// Unix-domain transport.
-    Unix(UnixStream),
-}
-
-impl Sock {
-    fn try_clone(&self) -> io::Result<Sock> {
-        Ok(match self {
-            Sock::Tcp(s) => Sock::Tcp(s.try_clone()?),
-            Sock::Unix(s) => Sock::Unix(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Sock::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            Sock::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            Sock::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            Sock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            Sock::Unix(s) => s.flush(),
-        }
-    }
-}
-
 struct ServerInner {
     config: ServerConfig,
     shards: Vec<Arc<ShardShared>>,
@@ -171,12 +133,12 @@ struct ServerInner {
 }
 
 impl ServerInner {
-    /// Flip the shutdown switch once: accepting stops, every shard
-    /// queue closes (drain-then-exit), readers drop late events.
+    /// Flip the shutdown switch once: accepting stops, every shard gets
+    /// [`Work::Close`] (drain-then-exit), readers drop late events.
     fn trigger_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             for shard in &self.shards {
-                shard.queue.close();
+                shard.send(Work::Close);
             }
         }
     }
@@ -254,20 +216,19 @@ impl Server {
     ///
     /// Returns the bind error when a listener address is unusable.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
-        let shards: Vec<Arc<ShardShared>> = (0..config.shards.max(1))
-            .map(|_| Arc::new(ShardShared::default()))
-            .collect();
-        let mut telemetry = Vec::with_capacity(shards.len());
-        let mut detectors = Vec::with_capacity(shards.len());
+        let mut shards = Vec::new();
+        let mut telemetry = Vec::new();
+        let mut detectors = Vec::new();
         let mut threads = Vec::new();
-        for shared in &shards {
+        for _ in 0..config.shards.max(1) {
             let rt = kard_rt::Session::builder()
                 .config(config.detector)
                 .telemetry(config.telemetry || config.detector.production.is_some())
                 .build();
             telemetry.push(Arc::clone(rt.telemetry()));
             detectors.push(Arc::clone(rt.kard()));
-            let engine = ShardEngine::new(rt, Arc::clone(shared), config.clone());
+            let engine = ShardEngine::new(rt, config.clone());
+            shards.push(Arc::clone(&engine.shared));
             threads.push(std::thread::spawn(move || engine.run()));
         }
         let inner = Arc::new(ServerInner {
@@ -361,8 +322,8 @@ impl Server {
         self.conns.lock().expect("conn registry poisoned").len()
     }
 
-    /// Begin graceful drain: stop accepting, close the shard queues,
-    /// flush and end every session. Equivalent to a client sending
+    /// Begin graceful drain: stop accepting, close every shard, flush
+    /// and end every session. Equivalent to a client sending
     /// [`Request::Shutdown`].
     pub fn shutdown(&self) {
         self.inner.trigger_shutdown();
@@ -440,7 +401,7 @@ where
 }
 
 /// Write one response line straight to a socket (pre-session errors
-/// only; everything after Hello goes through the outbox).
+/// only; everything after Hello goes through the session's writer).
 fn write_direct(sock: &Sock, response: &Response) {
     if let Ok(mut w) = sock.try_clone() {
         let mut line = response_line(response);
@@ -502,39 +463,48 @@ fn serve_connection(inner: &Arc<ServerInner>, sock: Sock) {
     inner.sessions_total.fetch_add(1, Ordering::Relaxed);
     let shard_index = shard_for(&client, inner.config.shards);
     let shard = Arc::clone(&inner.shards[shard_index]);
-    let handle = Arc::new(SessionHandle::new(serial));
-    handle.outbox.push(response_line(&Response::Hello {
+    let (handle, responses) = SessionHandle::new(serial);
+    let handle = Arc::new(handle);
+    handle.send(Response::Hello {
         session: serial,
         shard: shard_index,
-    }));
-    shard.queue.push(Work::Attach(Arc::clone(&handle)));
+    });
+    if !shard.send(Work::Attach(Arc::clone(&handle))) {
+        // The shard drained and exited between the check above and now.
+        write_direct(
+            &sock,
+            &Response::Error {
+                message: "server is draining".to_string(),
+            },
+        );
+        return;
+    }
 
-    // The writer owns the socket from here: it drains the outbox and
-    // shuts the socket down once the session ends, which is also what
-    // unblocks this reader if it is parked in `read_frame`.
-    let writer = {
-        let handle = Arc::clone(&handle);
-        std::thread::spawn(move || {
-            let mut w = BufWriter::new(match sock.try_clone() {
-                Ok(s) => s,
-                Err(_) => {
-                    sock.shutdown();
-                    return;
-                }
-            });
-            while let Some(mut line) = handle.outbox.pop() {
+    // The writer owns the socket from here: it writes responses up to and
+    // including `Bye`, then drops the channel (so later responses are
+    // discarded) and ends the stream. It shuts the read side down only once
+    // this reader has drained what the client sent, or after `LINGER`,
+    // which is also what unblocks a reader parked in `read_frame`: closing
+    // on unread input would reset the connection and could cut `Bye` off.
+    let (drained, reader_done) = mpsc::channel::<()>();
+    let writer = std::thread::spawn(move || {
+        if let Ok(w) = sock.try_clone() {
+            let mut w = BufWriter::new(w);
+            for response in responses {
+                let mut line = response_line(&response);
                 line.push('\n');
-                if w.write_all(line.as_bytes()).is_err() {
+                if w.write_all(line.as_bytes()).is_err() || w.flush().is_err() {
                     break;
                 }
-                if w.flush().is_err() {
+                if matches!(response, Response::Bye(_)) {
                     break;
                 }
             }
-            let _ = w.flush();
-            sock.shutdown();
-        })
-    };
+        }
+        sock.shutdown(Shutdown::Write);
+        let _ = reader_done.recv_timeout(LINGER);
+        sock.shutdown(Shutdown::Both);
+    });
 
     let mut detach_sent = false;
     loop {
@@ -547,52 +517,58 @@ fn serve_connection(inner: &Arc<ServerInner>, sock: Sock) {
                     enqueue_events(inner, &shard, &handle, vec![event]);
                 }
                 Ok(Request::Batch(events)) => enqueue_events(inner, &shard, &handle, events),
-                Ok(Request::Flush) => shard.queue.push(Work::Flush { session: serial }),
-                Ok(Request::Stats) => {
-                    handle
-                        .outbox
-                        .push(response_line(&Response::Stats(inner.statsz())));
+                // A shard that has exited already ended the session, or
+                // never saw its `Attach`: nothing would answer.
+                Ok(Request::Flush) => {
+                    if !shard.send(Work::Flush { session: serial }) {
+                        break;
+                    }
                 }
+                Ok(Request::Stats) => handle.send(Response::Stats(inner.statsz())),
                 Ok(Request::Bye) => {
-                    shard.queue.push(Work::Detach { session: serial });
+                    shard.send(Work::Detach { session: serial });
                     detach_sent = true;
                     break;
                 }
                 Ok(Request::Shutdown) => inner.trigger_shutdown(),
                 Ok(Request::Hello { .. }) => {
                     inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    handle.outbox.push(response_line(&Response::Error {
+                    handle.send(Response::Error {
                         message: "session already established".to_string(),
-                    }));
+                    });
                     break;
                 }
                 Err(why) => {
                     inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                    handle
-                        .outbox
-                        .push(response_line(&Response::Error { message: why }));
+                    handle.send(Response::Error { message: why });
                     break;
                 }
             },
             Ok(None) => break,
             Err(WireError::Oversize { len }) => {
                 inner.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                handle.outbox.push(response_line(&Response::Error {
+                handle.send(Response::Error {
                     message: format!("frame of {len} bytes exceeds the frame limit"),
-                }));
+                });
                 break;
             }
             Err(_) => break,
         }
     }
     if !detach_sent && !handle.done.load(Ordering::Acquire) {
-        shard.queue.push(Work::Detach { session: serial });
+        shard.send(Work::Detach { session: serial });
     }
+    // A shard that exited before ending this session holds no sender of
+    // its responses; dropping ours then ends the writer.
+    drop(handle);
+    let _ = io::copy(&mut reader, &mut io::sink());
+    drop(drained);
     let _ = writer.join();
 }
 
 /// Enqueue a batch within the session's queue budget, or drop it whole
-/// and count it (fail-open — the reader never blocks on a full shard).
+/// and count it (fail-open — the reader never blocks on a full shard, and
+/// a shard that has exited drops the batch the same way).
 fn enqueue_events(
     inner: &Arc<ServerInner>,
     shard: &Arc<ShardShared>,
@@ -603,19 +579,56 @@ fn enqueue_events(
     if n == 0 {
         return;
     }
-    if inner.shutdown.load(Ordering::SeqCst)
-        || handle.done.load(Ordering::Acquire)
-        || handle.queued.load(Ordering::Relaxed) + n > inner.config.queue_bound as u64
-    {
-        handle.dropped.fetch_add(n, Ordering::Relaxed);
-        shard.dropped.fetch_add(n, Ordering::Relaxed);
-        return;
+    let fits = !inner.shutdown.load(Ordering::SeqCst)
+        && !handle.done.load(Ordering::Acquire)
+        && handle.queued.load(Ordering::Relaxed) + n <= inner.config.queue_bound as u64;
+    if fits {
+        handle.queued.fetch_add(n, Ordering::Relaxed);
+        shard.queue_depth.fetch_add(n, Ordering::Relaxed);
+        let work = Work::Events {
+            session: handle.serial,
+            events,
+            enqueued: Instant::now(),
+        };
+        if shard.send(work) {
+            return;
+        }
+        // The shard has exited: the batch is dropped like any other.
+        handle.queued.fetch_sub(n, Ordering::Relaxed);
+        shard.queue_depth.fetch_sub(n, Ordering::Relaxed);
     }
-    handle.queued.fetch_add(n, Ordering::Relaxed);
-    shard.queue_depth.fetch_add(n, Ordering::Relaxed);
-    shard.queue.push(Work::Events {
-        session: handle.serial,
-        events,
-        enqueued: Instant::now(),
-    });
+    handle.dropped.fetch_add(n, Ordering::Relaxed);
+    shard.dropped.fetch_add(n, Ordering::Relaxed);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kard_trace::{Event, Op};
+
+    #[test]
+    fn a_batch_sent_to_an_exited_shard_is_counted_dropped() {
+        let (sender, receiver) = mpsc::channel();
+        drop(receiver);
+        let shard = Arc::new(ShardShared::new(sender));
+        let inner = Arc::new(ServerInner {
+            config: ServerConfig::default(),
+            shards: vec![Arc::clone(&shard)],
+            telemetry: Vec::new(),
+            detectors: Vec::new(),
+            shutdown: AtomicBool::new(false),
+            next_serial: AtomicU64::new(1),
+            sessions_total: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+        });
+        let handle = Arc::new(SessionHandle::new(1).0);
+        let batch = vec![Event { thread: 0, op: Op::Compute { cycles: 1 } }; 3];
+        for _ in 0..2 {
+            enqueue_events(&inner, &shard, &handle, batch.clone());
+        }
+        assert_eq!(handle.dropped.load(Ordering::Relaxed), 6);
+        assert_eq!(shard.dropped.load(Ordering::Relaxed), 6);
+        assert_eq!(handle.queued.load(Ordering::Relaxed), 0);
+        assert_eq!(shard.queue_depth.load(Ordering::Relaxed), 0);
+    }
 }

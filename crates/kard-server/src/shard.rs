@@ -4,31 +4,35 @@
 //! detector, simulated machine, and allocator outright — shards share
 //! *nothing*, so there is no cross-shard lock ordering to reason about
 //! and a stalled shard can never wedge its siblings. Connection readers
-//! communicate with a shard only through its bounded [`ShardQueue`]
-//! (fail-open: a full per-session budget drops the batch and counts it,
-//! it never blocks the socket loop), and the shard communicates back
-//! only through per-session [`Outbox`]es.
+//! reach a shard only through its `mpsc` work channel, within a
+//! per-session event budget (fail-open: a batch over the budget is
+//! dropped and counted, it never blocks the socket loop), and the shard
+//! answers only through each session's `mpsc` response channel, which
+//! the session's writer thread drains up to `Bye`.
 //!
 //! Inside a shard, each client session applies its events through its
 //! own capped [`Applier`], which validates them, maps its threads and
 //! tags, and unwinds what the session still holds when it ends. The
-//! shard adds only what is multi-tenant: client lock ids and lock sites
-//! are remapped to shard-unique values (section identity is the lock
-//! site, and two sessions reusing `0x1000` must not alias), and race
-//! reports are translated back to the client's threads, sites and tags
-//! before delivery, so clients only ever see their own vocabulary.
+//! shard adds only what is multi-tenant: client lock sites are remapped
+//! to shard-unique values (section identity is the lock site, and two
+//! sessions reusing `0x1000` must not alias; a lock id means nothing
+//! outside its thread's own held stack, so it passes through), and race
+//! reports, and withdrawals of delivered ones, are translated back to
+//! the client's threads, sites and tags, so clients only ever see their
+//! own vocabulary.
 
 use crate::proto::{Response, SessionSummary, WireRace, WireSide};
 use crate::ServerConfig;
-use kard_core::{LockId, RaceRecord, RaceSide};
+use kard_core::{RaceRecord, RaceSide};
 use kard_rt::{Applier, Caps, Rejection};
 use kard_sim::{CodeSite, ThreadId};
 use kard_telemetry::{AnomalySignal, LatencyHistogram};
 use kard_trace::{Event, Op};
 use std::collections::hash_map::RandomState;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How often an idle shard wakes to scan for evictable sessions. Also
@@ -77,10 +81,13 @@ pub(crate) enum Work {
         /// Session serial.
         session: u64,
     },
+    /// The server is draining: apply what is already queued, end every
+    /// session, and exit.
+    Close,
 }
 
 /// The half of a session shared between its connection threads and its
-/// shard: the counters readers write and the response outbox.
+/// shard: the counters readers write and the response channel.
 pub(crate) struct SessionHandle {
     /// Server-assigned serial (the key shards use to find the session).
     pub serial: u64,
@@ -90,134 +97,39 @@ pub(crate) struct SessionHandle {
     pub queued: AtomicU64,
     /// Events dropped fail-open at the queue bound.
     pub dropped: AtomicU64,
-    /// Set once the session has ended (Bye pushed); readers stop
+    /// Set once the session has ended (Bye sent); readers stop
     /// accepting frames for it.
     pub done: AtomicBool,
-    /// Response lines awaiting the connection writer.
-    pub outbox: Outbox,
+    /// Responses for the connection writer, which stops after `Bye`.
+    outbox: Sender<Response>,
 }
 
 impl SessionHandle {
-    pub(crate) fn new(serial: u64) -> SessionHandle {
-        SessionHandle {
+    /// A session's handle and the receiving end of its response channel.
+    pub(crate) fn new(serial: u64) -> (SessionHandle, Receiver<Response>) {
+        let (outbox, responses) = mpsc::channel();
+        let handle = SessionHandle {
             serial,
             queued: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             done: AtomicBool::new(false),
-            outbox: Outbox::default(),
-        }
+            outbox,
+        };
+        (handle, responses)
+    }
+
+    /// Queue one response for the writer. One sent after the writer has
+    /// written `Bye` is discarded.
+    pub(crate) fn send(&self, response: Response) {
+        let _ = self.outbox.send(response);
     }
 }
 
-/// A closable line queue between a shard and one connection writer.
-#[derive(Default)]
-pub(crate) struct Outbox {
-    inner: Mutex<OutboxInner>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct OutboxInner {
-    lines: VecDeque<String>,
-    closed: bool,
-}
-
-impl Outbox {
-    /// Queue one response line. Lines pushed after close are discarded.
-    pub(crate) fn push(&self, line: String) {
-        let mut inner = self.inner.lock().expect("outbox poisoned");
-        if !inner.closed {
-            inner.lines.push_back(line);
-            self.cond.notify_one();
-        }
-    }
-
-    /// Close the outbox: the writer drains what is queued, then stops.
-    pub(crate) fn close(&self) {
-        self.inner.lock().expect("outbox poisoned").closed = true;
-        self.cond.notify_all();
-    }
-
-    /// Blocking pop; `None` once closed and empty.
-    pub(crate) fn pop(&self) -> Option<String> {
-        let mut inner = self.inner.lock().expect("outbox poisoned");
-        loop {
-            if let Some(line) = inner.lines.pop_front() {
-                return Some(line);
-            }
-            if inner.closed {
-                return None;
-            }
-            inner = self.cond.wait(inner).expect("outbox poisoned");
-        }
-    }
-}
-
-/// The shard's work queue (multi-producer readers, one consumer).
-#[derive(Default)]
-pub(crate) struct ShardQueue {
-    inner: Mutex<QueueInner>,
-    cond: Condvar,
-}
-
-#[derive(Default)]
-struct QueueInner {
-    items: VecDeque<Work>,
-    closed: bool,
-}
-
-/// Outcome of a timed queue pop.
-pub(crate) enum Poll {
-    /// A work item.
-    Item(Work),
-    /// Nothing arrived within the tick; run maintenance.
-    Timeout,
-    /// Queue closed *and* fully drained: the shard may exit.
-    Drained,
-}
-
-impl ShardQueue {
-    /// Enqueue one work item (accepted even after close, so in-flight
-    /// readers never panic; the shard drains whatever made it in before
-    /// it observes the closed+empty state).
-    pub(crate) fn push(&self, work: Work) {
-        let mut inner = self.inner.lock().expect("shard queue poisoned");
-        inner.items.push_back(work);
-        self.cond.notify_one();
-    }
-
-    /// Stop the shard once the queue empties.
-    pub(crate) fn close(&self) {
-        self.inner.lock().expect("shard queue poisoned").closed = true;
-        self.cond.notify_all();
-    }
-
-    fn pop(&self, tick: Duration) -> Poll {
-        let mut inner = self.inner.lock().expect("shard queue poisoned");
-        loop {
-            if let Some(work) = inner.items.pop_front() {
-                return Poll::Item(work);
-            }
-            if inner.closed {
-                return Poll::Drained;
-            }
-            let (guard, timeout) = self
-                .cond
-                .wait_timeout(inner, tick)
-                .expect("shard queue poisoned");
-            inner = guard;
-            if timeout.timed_out() && inner.items.is_empty() && !inner.closed {
-                return Poll::Timeout;
-            }
-        }
-    }
-}
-
-/// Per-shard state shared with the server front end: the queue plus the
+/// Per-shard state shared with the server front end: the work channel and the
 /// counters `/statsz` reads without disturbing the shard.
 pub(crate) struct ShardShared {
-    /// The work queue.
-    pub queue: ShardQueue,
+    /// The sending end of the shard's work channel.
+    queue: Sender<Work>,
     /// Events queued across all of the shard's sessions.
     pub queue_depth: AtomicU64,
     /// Sessions currently attached.
@@ -229,7 +141,7 @@ pub(crate) struct ShardShared {
     /// Events rejected as invalid, by [`Rejection`] (indexed by
     /// `reason as usize`).
     pub rejected: [AtomicU64; Rejection::ALL.len()],
-    /// Race reports delivered.
+    /// Race reports delivered and not since withdrawn.
     pub races: AtomicU64,
     /// Sessions evicted for idleness.
     pub evictions: AtomicU64,
@@ -241,10 +153,10 @@ pub(crate) struct ShardShared {
     pub anomalies: Mutex<Vec<AnomalySignal>>,
 }
 
-impl Default for ShardShared {
-    fn default() -> ShardShared {
+impl ShardShared {
+    pub(crate) fn new(queue: Sender<Work>) -> ShardShared {
         ShardShared {
-            queue: ShardQueue::default(),
+            queue,
             queue_depth: AtomicU64::new(0),
             active_sessions: AtomicU64::new(0),
             applied: AtomicU64::new(0),
@@ -256,6 +168,11 @@ impl Default for ShardShared {
             anomalies: Mutex::new(Vec::new()),
         }
     }
+
+    /// Hand `work` to the shard; `false` once the shard has exited.
+    pub(crate) fn send(&self, work: Work) -> bool {
+        self.queue.send(work).is_ok()
+    }
 }
 
 /// One client session's private namespace inside a shard. Every map here,
@@ -266,8 +183,6 @@ struct ClientState {
     handle: Arc<SessionHandle>,
     /// The session's threads, objects, held locks and caps.
     applier: Applier<RandomState>,
-    /// Client lock id → shard-unique lock id.
-    locks: HashMap<u64, LockId>,
     /// Client lock site → shard-unique lock site.
     sites: HashMap<u64, CodeSite>,
     /// Shard lock site → client lock site (report translation).
@@ -277,13 +192,17 @@ struct ClientState {
     object_names: HashMap<u64, u64>,
     /// Events applied to the detector.
     applied: u64,
-    /// Race reports delivered.
+    /// Race reports delivered and not since withdrawn.
     races: u64,
     /// Raw index into the shard detector's record store up to which this
     /// session's reports were delivered ([`Kard::reports_from`]). Raw
     /// indices never shift when §5.5 pruning retracts a record, so a
     /// later report can neither be skipped nor sent twice.
     delivered: usize,
+    /// Withdrawals of the shard's records seen so far
+    /// ([`Kard::withdrawn_from`]); those of this session's records below
+    /// `delivered` are recalled from the client.
+    withdrawn: usize,
     /// Anomaly signals attributed to this session so far (the
     /// pathological-client eviction policy's meter).
     anomaly_signals: u64,
@@ -293,22 +212,23 @@ struct ClientState {
 
 impl ClientState {
     /// A session attaching when the shard's record store holds `delivered`
-    /// records; everything before that is other sessions' history.
+    /// records and has logged `withdrawn` withdrawals; everything before
+    /// that is other sessions' history.
     fn new(
         handle: Arc<SessionHandle>,
         applier: Applier<RandomState>,
-        delivered: usize,
+        (delivered, withdrawn): (usize, usize),
     ) -> ClientState {
         ClientState {
             handle,
             applier,
-            locks: HashMap::new(),
             sites: HashMap::new(),
             site_names: HashMap::new(),
             object_names: HashMap::new(),
             applied: 0,
             races: 0,
             delivered,
+            withdrawn,
             anomaly_signals: 0,
             last_activity: Instant::now(),
         }
@@ -326,19 +246,14 @@ impl ClientState {
         }
     }
 
-    /// `op` with its client lock id and lock site replaced by the shard's.
-    /// One the session has not used yet gets its well's next value, which
+    /// `op` with its client lock site replaced by the shard's. A site the
+    /// session has not used yet gets the well's next value, which
     /// [`ClientState::record`] claims only if the applier accepts `op`.
-    fn namespace(&self, op: Op, next_lock: u64, next_site: u64) -> Op {
+    fn namespace(&self, op: Op, next_site: u64) -> Op {
         match op {
             Op::Lock { lock, site } => Op::Lock {
-                lock: self.locks.get(&lock.0).copied().unwrap_or(LockId(next_lock + 1)),
+                lock,
                 site: self.sites.get(&site.0).copied().unwrap_or(CodeSite(next_site + 1)),
-            },
-            // A lock the session never took maps to `LockId(0)`, below the
-            // well, which no thread holds: the applier rejects the unlock.
-            Op::Unlock { lock } => Op::Unlock {
-                lock: self.locks.get(&lock.0).copied().unwrap_or(LockId(0)),
             },
             other => other,
         }
@@ -346,16 +261,14 @@ impl ClientState {
 
     /// Record the names an accepted event introduced: `sent` is the event
     /// as the client sent it, `op` as the applier took it.
-    fn record(&mut self, sent: Op, op: Op, next_lock: &mut u64, next_site: &mut u64) {
+    fn record(&mut self, sent: Op, op: Op, next_site: &mut u64) {
         match (sent, op) {
-            (Op::Lock { lock, site }, Op::Lock { lock: to, site: at }) => {
-                if self.locks.insert(lock.0, to).is_none() {
-                    *next_lock = to.0;
-                }
-                if self.sites.insert(site.0, at).is_none() {
-                    *next_site = at.0;
-                    self.site_names.insert(at.0, site.0);
-                }
+            (Op::Lock { site, .. }, Op::Lock { site: at, .. })
+                if !self.sites.contains_key(&site.0) =>
+            {
+                self.sites.insert(site.0, at);
+                self.site_names.insert(at.0, site.0);
+                *next_site = at.0;
             }
             (_, Op::Alloc { tag, .. } | Op::Global { tag, .. }) => {
                 if let Some(info) = self.applier.object(tag) {
@@ -370,11 +283,11 @@ impl ClientState {
 /// Everything a shard thread owns.
 pub(crate) struct ShardEngine {
     rt: kard_rt::Session,
-    shared: Arc<ShardShared>,
+    pub(crate) shared: Arc<ShardShared>,
+    queue: Receiver<Work>,
     config: ServerConfig,
     sessions: HashMap<u64, ClientState>,
-    /// Shard-wide id wells for the per-session lock/site namespaces.
-    next_lock: u64,
+    /// Shard-wide well for the per-session lock-site namespaces.
     next_site: u64,
     /// Last telemetry drain (throttles the consumer pipeline to one
     /// window per [`EVICT_TICK`] even when the queue is busy).
@@ -382,31 +295,31 @@ pub(crate) struct ShardEngine {
 }
 
 impl ShardEngine {
-    pub(crate) fn new(
-        rt: kard_rt::Session,
-        shared: Arc<ShardShared>,
-        config: ServerConfig,
-    ) -> ShardEngine {
+    /// A shard over `rt` with a fresh work channel; the front end sends
+    /// through [`ShardEngine::shared`].
+    pub(crate) fn new(rt: kard_rt::Session, config: ServerConfig) -> ShardEngine {
+        let (sender, queue) = mpsc::channel();
         ShardEngine {
             rt,
-            shared,
+            shared: Arc::new(ShardShared::new(sender)),
+            queue,
             config,
             sessions: HashMap::new(),
-            next_lock: 1,
             next_site: SITE_NAMESPACE_BASE,
             last_drain: Instant::now(),
         }
     }
 
-    /// The shard main loop: apply work until the queue closes and
-    /// drains, then end every remaining session (drained + flushed, as
-    /// graceful shutdown promises).
+    /// The shard main loop: apply work until [`Work::Close`], apply what
+    /// was queued behind it, then end every remaining session (drained +
+    /// flushed, as graceful shutdown promises). Returning drops the
+    /// receiver, so a later send fails and its sender counts the loss.
     pub(crate) fn run(mut self) {
         loop {
-            match self.shared.queue.pop(EVICT_TICK) {
-                Poll::Item(work) => self.handle(work),
-                Poll::Timeout => {}
-                Poll::Drained => break,
+            match self.queue.recv_timeout(EVICT_TICK) {
+                Ok(Work::Close) | Err(RecvTimeoutError::Disconnected) => break,
+                Ok(work) => self.handle(work),
+                Err(RecvTimeoutError::Timeout) => {}
             }
             self.evict_idle();
             // In production mode this doubles as the overhead-budget
@@ -418,6 +331,9 @@ impl ShardEngine {
                 self.last_drain = Instant::now();
                 self.observe_telemetry();
             }
+        }
+        while let Ok(work) = self.queue.try_recv() {
+            self.handle(work);
         }
         // One final drain so last-window signals are attributed while
         // their sessions are still alive.
@@ -438,10 +354,14 @@ impl ShardEngine {
                     bytes: self.config.max_session_bytes,
                     compute_cycles: MAX_COMPUTE_CYCLES,
                 };
-                let applier = Applier::with_caps(Arc::clone(self.rt.kard()), caps);
-                let (_, reports) = self.rt.kard().reports_from(usize::MAX);
+                let kard = self.rt.kard();
+                let applier = Applier::with_caps(Arc::clone(kard), caps);
+                let cursors = (
+                    kard.reports_from(usize::MAX).1,
+                    kard.withdrawn_from(usize::MAX).1,
+                );
                 self.sessions
-                    .insert(handle.serial, ClientState::new(handle, applier, reports));
+                    .insert(handle.serial, ClientState::new(handle, applier, cursors));
             }
             Work::Events {
                 session,
@@ -454,12 +374,11 @@ impl ShardEngine {
                 }
                 self.deliver_races(session);
                 if let Some(state) = self.sessions.get(&session) {
-                    let line =
-                        crate::proto::response_line(&Response::Flushed(state.summary(false)));
-                    state.handle.outbox.push(line);
+                    state.handle.send(Response::Flushed(state.summary(false)));
                 }
             }
             Work::Detach { session } => self.end_session(session, false, false),
+            Work::Close => {}
         }
     }
 
@@ -479,11 +398,11 @@ impl ShardEngine {
         let throttle = self.config.apply_throttle;
         let applied = state.applied;
         for event in events {
-            let op = state.namespace(event.op, self.next_lock, self.next_site);
+            let op = state.namespace(event.op, self.next_site);
             match state.applier.apply(event.thread, &op) {
                 Ok(()) => {
                     state.applied += 1;
-                    state.record(event.op, op, &mut self.next_lock, &mut self.next_site);
+                    state.record(event.op, op, &mut self.next_site);
                 }
                 Err(why) => {
                     self.shared.rejected[why as usize].fetch_add(1, Ordering::Relaxed);
@@ -498,39 +417,60 @@ impl ShardEngine {
             .fetch_add(state.applied - applied, Ordering::Relaxed);
     }
 
-    /// Push this session's not-yet-delivered race reports, translated to
-    /// client vocabulary and canonically sorted.
+    /// Send this session's withdrawals of reports it already holds, then
+    /// its not-yet-delivered race reports, each batch translated to client
+    /// vocabulary and canonically sorted.
     ///
     /// Ownership is attributed through the faulting thread: a session's
     /// records are a function of its own applied events (sessions share
     /// no objects or locks), so filtering the shard's reports per session
     /// is deterministic regardless of how sessions interleaved on the
-    /// shard. A report retracted (§5.5 offset pruning) after delivery is
-    /// not recalled from the client.
+    /// shard. A report §5.5 offset pruning withdrew before delivery is
+    /// never sent; one withdrawn after is recalled with
+    /// [`Response::Retracted`].
     fn deliver_races(&mut self, session: u64) {
         let Some(state) = self.sessions.get_mut(&session) else {
             return;
         };
-        let (reports, end) = self.rt.kard().reports_from(state.delivered);
+        let kard = self.rt.kard();
+        let (withdrawn, seen) = kard.withdrawn_from(state.withdrawn);
+        state.withdrawn = seen;
+        let recalled = Self::translated(
+            state,
+            withdrawn
+                .iter()
+                .filter(|(index, _)| *index < state.delivered)
+                .map(|(_, record)| record),
+        );
+        let (reports, end) = kard.reports_from(state.delivered);
         state.delivered = end;
-        let mut fresh: Vec<WireRace> = reports
-            .iter()
+        let fresh = Self::translated(state, reports.iter());
+        let (gone, new) = (recalled.len() as u64, fresh.len() as u64);
+        for race in recalled {
+            state.handle.send(Response::Retracted(race));
+        }
+        for race in fresh {
+            state.handle.send(Response::Race(race));
+        }
+        state.races = state.races + new - gone;
+        if new != gone {
+            // Wrapping: a net withdrawal subtracts.
+            self.shared.races.fetch_add(new.wrapping_sub(gone), Ordering::Relaxed);
+        }
+    }
+
+    /// The records among `records` this session's threads faulted on, in
+    /// client vocabulary and canonical order.
+    fn translated<'a>(
+        state: &ClientState,
+        records: impl Iterator<Item = &'a RaceRecord>,
+    ) -> Vec<WireRace> {
+        let mut races: Vec<WireRace> = records
             .filter(|r| state.applier.client_thread(r.faulting.thread).is_some())
             .map(|r| Self::translate(state, r))
             .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        fresh.sort_by_key(WireRace::sort_key);
-        let n = fresh.len() as u64;
-        for race in fresh {
-            state
-                .handle
-                .outbox
-                .push(crate::proto::response_line(&Response::Race(race)));
-        }
-        state.races += n;
-        self.shared.races.fetch_add(n, Ordering::Relaxed);
+        races.sort_by_key(WireRace::sort_key);
+        races
     }
 
     fn translate(state: &ClientState, record: &RaceRecord) -> WireRace {
@@ -562,7 +502,8 @@ impl ShardEngine {
     }
 
     /// End a session: deliver pending races, release everything it still
-    /// holds (locks, objects, threads), push `Bye`, close the outbox.
+    /// holds (locks, objects, threads), and send `Bye`, the last response
+    /// the writer writes.
     fn end_session(&mut self, session: u64, evicted: bool, idle: bool) {
         self.deliver_races(session);
         let Some(mut state) = self.sessions.remove(&session) else {
@@ -577,13 +518,7 @@ impl ShardEngine {
         if idle {
             self.shared.evictions.fetch_add(1, Ordering::Relaxed);
         }
-        state
-            .handle
-            .outbox
-            .push(crate::proto::response_line(&Response::Bye(
-                state.summary(evicted),
-            )));
-        state.handle.outbox.close();
+        state.handle.send(Response::Bye(state.summary(evicted)));
     }
 
     /// Drain the telemetry rings through the runtime's consumer pipeline
@@ -658,6 +593,7 @@ impl ShardEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kard_core::LockId;
 
     fn lock(thread: usize, lock: u64, site: u64) -> Event {
         Event {
@@ -675,9 +611,9 @@ mod tests {
             max_session_threads: 1,
             ..ServerConfig::default()
         };
-        let shared = Arc::new(ShardShared::default());
-        let mut engine = ShardEngine::new(kard_rt::Session::new(), Arc::clone(&shared), config);
-        engine.handle(Work::Attach(Arc::new(SessionHandle::new(1))));
+        let mut engine = ShardEngine::new(kard_rt::Session::new(), config);
+        let shared = Arc::clone(&engine.shared);
+        engine.handle(Work::Attach(Arc::new(SessionHandle::new(1).0)));
         let apply = |engine: &mut ShardEngine, events: Vec<Event>| {
             shared
                 .queue_depth
@@ -700,15 +636,9 @@ mod tests {
         );
         let names = |engine: &ShardEngine| {
             let state = &engine.sessions[&1];
-            (
-                engine.next_lock,
-                engine.next_site,
-                state.locks.len(),
-                state.sites.len(),
-                state.site_names.len(),
-            )
+            (engine.next_site, state.sites.len(), state.site_names.len())
         };
-        assert_eq!(names(&engine), (2, SITE_NAMESPACE_BASE + 1, 1, 1, 1));
+        assert_eq!(names(&engine), (SITE_NAMESPACE_BASE + 1, 1, 1));
         assert_eq!(
             shared.rejected[Rejection::ThreadCap as usize].load(Ordering::Relaxed),
             1
@@ -720,8 +650,7 @@ mod tests {
 
         // The next name the session introduces takes the next id.
         apply(&mut engine, vec![lock(0, 3, 0xc)]);
-        assert_eq!(names(&engine), (3, SITE_NAMESPACE_BASE + 2, 2, 2, 2));
-        assert_eq!(engine.sessions[&1].locks[&3], LockId(3));
+        assert_eq!(names(&engine), (SITE_NAMESPACE_BASE + 2, 2, 2));
         assert_eq!(
             engine.sessions[&1].site_names[&(SITE_NAMESPACE_BASE + 2)],
             0xc

@@ -1,9 +1,15 @@
 //! End-to-end tests of the firehose server over real sockets.
 
-use kard_server::{shard_for, FirehoseClient, Server, ServerConfig};
+use kard_server::proto::{parse_response, request_payload};
+use kard_server::{shard_for, FirehoseClient, Request, Response, Server, ServerConfig};
 use kard_sim::CodeSite;
+use kard_trace::wire::write_frame;
 use kard_trace::{Event, ObjectTag, Op};
 use kard_workloads::storm::{self, StormConfig};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn start(config: ServerConfig) -> Server {
@@ -174,8 +180,10 @@ fn invalid_events_are_rejected_never_fatal() {
 }
 
 /// A report the client already holds is retracted (§5.5 offset pruning)
-/// before the next one is made. The delivery cursor must not move with
-/// the retraction: the later report still arrives, exactly once.
+/// before the next one is made. The client is told: one `Retracted` for
+/// it, and the session's race count drops to the reports still standing.
+/// The delivery cursor must not move with the retraction: the later
+/// report still arrives, exactly once.
 #[test]
 fn report_after_a_retracted_delivered_report_still_arrives() {
     let server = start(ServerConfig::default());
@@ -230,8 +238,11 @@ fn report_after_a_retracted_delivered_report_still_arrives() {
 
     let objects: Vec<u64> = client.races().iter().map(|r| r.object).collect();
     assert_eq!(objects, [x.0, y.0], "X (delivered before its retraction), then Y");
-    assert_eq!(summary.races, 2);
-    assert_eq!(client.bye().unwrap().races, 2);
+    assert_eq!(client.race_lines().len(), 2, "race lines stay verbatim");
+    assert_eq!(client.retractions(), &client.races()[..1], "X is withdrawn");
+    assert_eq!(summary.races, 1);
+    assert_eq!(client.stats().unwrap().shards[client.shard()].races, 1);
+    assert_eq!(client.bye().unwrap().races, 1);
     server.shutdown();
     server.join();
 }
@@ -373,6 +384,83 @@ fn unix_socket_transport_works() {
     server.shutdown();
     server.join();
     assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+/// Every response line a raw connection receives until the server closes
+/// it. A reset after the server's close counts as the end of the stream.
+fn read_to_eof(stream: &TcpStream) -> Vec<Response> {
+    let mut lines = Vec::new();
+    let mut reader = BufReader::new(stream);
+    loop {
+        let mut line = String::new();
+        match reader.read_line(&mut line) {
+            Ok(0) | Err(_) => return lines,
+            Ok(_) => lines.push(parse_response(&line).expect("a response line")),
+        }
+    }
+}
+
+fn frame(request: &Request) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_frame(&mut buf, request_payload(request).as_bytes()).unwrap();
+    buf
+}
+
+/// `Bye` is the last line of a session: a `Stats` answer produced after
+/// the shard ended the session is discarded, not written behind it.
+#[test]
+fn nothing_follows_bye_on_the_wire() {
+    let server = start(ServerConfig {
+        idle_timeout: Some(Duration::from_millis(60)),
+        ..ServerConfig::default()
+    });
+    let addr = server.tcp_addr().unwrap();
+
+    // Evicted while its client keeps asking for `Stats`, which the reader
+    // answers without touching the shard, so the session stays idle.
+    let evicted = TcpStream::connect(addr).unwrap();
+    let mut w = evicted.try_clone().unwrap();
+    w.write_all(&frame(&Request::Hello { client: "evicted".into() })).unwrap();
+    let stop = Arc::new(AtomicBool::new(false));
+    let pester = {
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) && w.write_all(&frame(&Request::Stats)).is_ok() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+    };
+    let lines = read_to_eof(&evicted);
+    stop.store(true, Ordering::Relaxed);
+    pester.join().unwrap();
+    assert!(matches!(lines.first(), Some(Response::Hello { .. })));
+    assert!(lines.iter().any(|r| matches!(r, Response::Stats(_))));
+    assert!(
+        matches!(lines.last(), Some(Response::Bye(s)) if s.evicted),
+        "last line: {:?}",
+        lines.last()
+    );
+
+    // `Stats`, `Flush` and `Bye` in one write.
+    let mut ended = TcpStream::connect(addr).unwrap();
+    let mut burst = frame(&Request::Hello { client: "ended".into() });
+    for request in [Request::Stats, Request::Flush, Request::Bye] {
+        burst.extend(frame(&request));
+    }
+    ended.write_all(&burst).unwrap();
+    let kinds: Vec<&str> = read_to_eof(&ended)
+        .iter()
+        .map(|r| match r {
+            Response::Hello { .. } => "Hello",
+            Response::Stats(_) => "Stats",
+            Response::Flushed(_) => "Flushed",
+            Response::Bye(s) if !s.evicted => "Bye",
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(kinds, ["Hello", "Stats", "Flushed", "Bye"]);
+    server.shutdown();
+    server.join();
 }
 
 #[test]
