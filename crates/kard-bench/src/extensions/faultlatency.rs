@@ -8,9 +8,9 @@
 //! handoff. The detector records each fault resolution's delay into the
 //! `fault_delay` histogram. The headline is
 //! `suggested_measured_fault_delay`: the p50 handling delay of the most
-//! contended run, suitable for `KardConfig::measured_fault_delay` so the
-//! §5.5 timestamp filter uses a measured threshold instead of the
-//! cost-model constant.
+//! contended run, the measured counterpart of the cost model's assumed
+//! delay. As `KardConfig::measured_fault_delay` it changes no §5.5
+//! verdict (see that field's doc comment).
 //!
 //! **Disjoint fault storm.** Logical threads fault on unrelated objects
 //! at 1/2/4/8 threads. The p50/p95/p99 of the faulting write on the

@@ -93,19 +93,18 @@ pub struct KardConfig {
     /// Apply the release-timestamp filter: treat a key released less than
     /// one fault-handling delay before the fault as still held (§5.5).
     pub timestamp_filter: bool,
-    /// Delay injection (§5.5): when a thread with an *armed* protection
-    /// interleaving exits its critical section, stall the exit by this
-    /// many cycles (and yield the CPU on real threads) so the conflicting
-    /// thread gets a chance to fault and the offset test can run. Zero
-    /// disables the mitigation; the paper lists it as optional, which is
-    /// why pigz's tiny sections still produce one false positive.
-    pub interleave_exit_delay: u64,
-    /// Measured average fault-handling delay in cycles, used by the
-    /// release-timestamp filter (§5.5) in place of the cost model's
-    /// *assumed* delay. The paper derives its 24,000-cycle threshold from
-    /// measurement on the evaluation machine; `kard-tables faultlatency`
-    /// prints the equivalent number for this reproduction to feed back
-    /// here. `None` falls back to `CostModel::fault_handling`.
+    /// Measured average fault-handling delay in cycles, the window width
+    /// of the release-timestamp filter (§5.5) in place of the cost model's
+    /// *assumed* delay; `None` falls back to `CostModel::fault_handling`.
+    /// The paper derives its 24,000-cycle threshold from measurement on
+    /// the evaluation machine, and `kard-tables faultlatency` prints the
+    /// equivalent number for this reproduction.
+    ///
+    /// The filter cannot tell one width `d ≥ 1` from another: it takes the
+    /// handler's time as `fault.tsc + d` and asks whether the last release
+    /// falls after `fault.tsc` and less than `d` before the handler, which
+    /// for every `d ≥ 1` is exactly "after `fault.tsc`". Only `Some(0)`
+    /// changes a verdict: it never counts a release as recent.
     pub measured_fault_delay: Option<u64>,
     /// Key assignment: direct (the paper) or virtualized.
     pub keys: KeyMode,
@@ -133,7 +132,6 @@ impl KardConfig {
             proactive_acquisition: true,
             protection_interleaving: true,
             timestamp_filter: true,
-            interleave_exit_delay: 0,
             measured_fault_delay: None,
             keys: KeyMode::Direct {
                 exhaustion: ExhaustionPolicy::RecycleThenShare,
@@ -208,7 +206,6 @@ mod tests {
         assert!(c.proactive_acquisition);
         assert!(c.protection_interleaving);
         assert!(c.timestamp_filter);
-        assert_eq!(c.interleave_exit_delay, 0, "delay injection is opt-in");
         assert_eq!(c.measured_fault_delay, None, "cost-model delay by default");
         assert_eq!(c.keys, PAPER_KEYS, "the paper's detector works on raw keys");
         assert_eq!(c.production, None, "the paper's detector monitors everything");
@@ -223,7 +220,6 @@ mod tests {
     fn struct_update_composes_over_presets() {
         let c = KardConfig {
             keys: KeyMode::Virtual(KeyCachePolicy::Hotness),
-            interleave_exit_delay: 500,
             measured_fault_delay: Some(24_000),
             timestamp_filter: false,
             production: Some(ProductionConfig {
@@ -236,7 +232,6 @@ mod tests {
         assert_eq!(c.keys, KeyMode::Virtual(KeyCachePolicy::Hotness));
         let p = c.production.expect("production mode is on");
         assert_eq!((p.overhead_budget, p.sample_permille, p.sample_seed), (Some(50), 250, 0));
-        assert_eq!(c.interleave_exit_delay, 500);
         assert_eq!(c.measured_fault_delay, Some(24_000));
         assert!(!c.timestamp_filter);
         assert!(c.proactive_acquisition, "untouched fields keep the preset");

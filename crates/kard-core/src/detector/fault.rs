@@ -333,27 +333,23 @@ impl Kard {
         let t = fault.thread;
         let obs = observation(fault, self.current_section(t), offset);
         let ikey = fault.pkey;
-        let (idx, verdict, disarmed) = {
+        let (idx, verdict) = {
             let mut il = self.interleaver.lock();
             if !il.is_armed(info.id) || il.interleaved_key(info.id) != Some(ikey) {
                 return None;
             }
             let idx = il.record_index(info.id).expect("armed");
-            let (verdict, disarmed, joined) = il.observe(info.id, obs);
+            let (verdict, joined) = il.observe(info.id, obs);
             if joined {
                 // Published while the interleaver guard is still held, so
                 // no exit or free can observe the membership before the
                 // counter reflects it.
                 self.slot(t).participating.fetch_add(1, Ordering::Relaxed);
             }
-            (idx, verdict, disarmed)
+            (idx, verdict)
         };
         AtomicStats::bump(&self.stats.interleave_faults);
         self.emit(t, EventKind::FaultInterleave, info.id.0, 0);
-        for th in disarmed {
-            let prev = self.slot(th).armed.fetch_sub(1, Ordering::Relaxed);
-            debug_assert!(prev > 0, "armed counter underflow");
-        }
         match verdict {
             Verdict::Confirmed(_) => {
                 let mut store = self.records.lock();
@@ -516,11 +512,12 @@ impl Kard {
                                 // `thread_left_critical_sections`) until the
                                 // guard drops, so `begin` always records a
                                 // holder that is still inside its sections.
-                                // The armed counters are bumped inside the
-                                // interleaver critical section that
-                                // publishes the interleaving, so no exit or
-                                // free path can observe it and decrement a
-                                // counter before it was incremented.
+                                // The participating counters are bumped
+                                // inside the interleaver critical section
+                                // that publishes the interleaving, so no
+                                // exit or free path can observe it and
+                                // decrement a counter before it was
+                                // incremented.
                                 let mut il = self.interleaver.lock();
                                 il.begin(
                                     info.id,
@@ -530,12 +527,10 @@ impl Kard {
                                     observation(fault, section, offset),
                                     holder_thread,
                                 );
-                                let faulter = self.slot(t);
-                                faulter.armed.fetch_add(1, Ordering::Relaxed);
-                                faulter.participating.fetch_add(1, Ordering::Relaxed);
-                                let holder = self.slot(holder_thread);
-                                holder.armed.fetch_add(1, Ordering::Relaxed);
-                                holder.participating.fetch_add(1, Ordering::Relaxed);
+                                self.slot(t).participating.fetch_add(1, Ordering::Relaxed);
+                                self.slot(holder_thread)
+                                    .participating
+                                    .fetch_add(1, Ordering::Relaxed);
                                 self.emit(
                                     t,
                                     EventKind::InterleaveArm,

@@ -73,13 +73,8 @@ impl Kard {
                 self.emit(t, EventKind::InterleaveExpire, id.0, 0);
             }
             for &th in &gone.participants {
-                let slot = self.slot(th);
-                let prev = slot.participating.fetch_sub(1, Ordering::Relaxed);
+                let prev = self.slot(th).participating.fetch_sub(1, Ordering::Relaxed);
                 debug_assert!(prev > 0, "participating counter underflow");
-                if gone.was_armed {
-                    let prev = slot.armed.fetch_sub(1, Ordering::Relaxed);
-                    debug_assert!(prev > 0, "armed counter underflow");
-                }
             }
         }
         self.alloc.free(t, id);

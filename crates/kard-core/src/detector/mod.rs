@@ -37,11 +37,11 @@
 //!   the same charges, events, and stats;
 //! * **lock-free counters**: statistics and the active-section count are
 //!   relaxed atomics ([`AtomicStats`]);
-//! * **per-thread armed/participating flags**: delay injection (§5.5) and
-//!   the exit-time interleaver check consult relaxed per-thread atomic
-//!   counters mirroring the interleaver's participation, so a section
-//!   exit takes the interleaver lock only when this thread is actually
-//!   inside an interleaving.
+//! * **a per-thread participating counter**: the exit-time interleaver
+//!   check (§5.5) consults a relaxed per-thread atomic counter mirroring
+//!   the interleaver's participant sets, so a section exit takes the
+//!   interleaver lock only when this thread is actually inside an
+//!   interleaving.
 //!
 //! The lock-free read side is governed by two kinds of published word,
 //! each protocol stated once, at its writer (the `plan` module and

@@ -291,18 +291,6 @@ impl Kard {
     /// Panics on unbalanced or mismatched lock/unlock pairs.
     pub fn lock_exit(&self, t: ThreadId, lock: LockId) {
         let slot = self.slot(t);
-        // Delay injection (§5.5): stall the exit while an interleaving
-        // this thread participates in is still waiting for the counterpart
-        // fault, so small critical sections do not slip away before the
-        // offset test can run. One relaxed load of the per-thread armed
-        // counter — the non-faulting exit path takes no detector-wide
-        // lock for this check.
-        if self.config.interleave_exit_delay > 0 && slot.armed.load(Ordering::Relaxed) > 0 {
-            self.machine.charge(t, self.config.interleave_exit_delay);
-            // On real OS threads, actually give the counterpart a
-            // chance to run; a no-op under single-threaded replay.
-            std::thread::yield_now();
-        }
         let cost = &self.cost;
         // One charge covers the exit bookkeeping plus the RDTSCP that
         // timestamps key releases (§5.4); the clock is read after the
@@ -374,12 +362,7 @@ impl Kard {
         // `thread_left_critical_sections` would be a no-op and the exit
         // skips the interleaver lock entirely.
         if outside_now && slot.participating.load(Ordering::Relaxed) > 0 {
-            let (finished, armed_removed, removed) =
-                self.interleaver.lock().thread_left_critical_sections(t);
-            if armed_removed > 0 {
-                let prev = slot.armed.fetch_sub(armed_removed, Ordering::Relaxed);
-                debug_assert!(prev >= armed_removed, "armed counter underflow");
-            }
+            let (finished, removed) = self.interleaver.lock().thread_left_critical_sections(t);
             if removed > 0 {
                 let prev = slot.participating.fetch_sub(removed, Ordering::Relaxed);
                 debug_assert!(prev >= removed, "participating counter underflow");

@@ -88,14 +88,6 @@ pub(super) struct ThreadSlot {
     /// thread's entry/exit calls, the (serialized) fault path, and rare
     /// cross-thread visitors (eviction stripping).
     pub(super) ctx: OwnedCell<ThreadCtx>,
-    /// Number of *armed* protection interleavings this thread participates
-    /// in. Mirrors `Interleaver::has_armed_participant` so the delay
-    /// check at section exit is a single relaxed load (§5.5): raised once
-    /// per participant inside the interleaver critical section that
-    /// publishes the interleaving, lowered once per participant reported
-    /// by its three removal paths (`observe`,
-    /// `thread_left_critical_sections`, `forget`).
-    pub(super) armed: AtomicUsize,
     /// Number of interleavings (armed or suspended) whose participant set
     /// contains this thread. Zero means
     /// `Interleaver::thread_left_critical_sections` would be a no-op, so
@@ -119,7 +111,6 @@ impl ThreadSlot {
     pub(super) fn new() -> ThreadSlot {
         ThreadSlot {
             ctx: OwnedCell::new(ThreadCtx::default()),
-            armed: AtomicUsize::new(0),
             participating: AtomicUsize::new(0),
             cs_entries: AtomicU64::new(0),
             proactive_acquisitions: AtomicU64::new(0),

@@ -90,13 +90,13 @@ pub struct Finished {
 
 /// State discarded by [`Interleaver::forget`] (the object was freed
 /// mid-interleaving), returned so the detector can settle the per-thread
-/// armed and participating counters.
+/// participating counters.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Forgotten {
     /// The participants of the discarded interleaving, in thread order.
     pub participants: Vec<ThreadId>,
-    /// Whether it was still armed (participants then also carry an armed
-    /// count for it).
+    /// Whether it was still armed, i.e. no counterpart fault ever came
+    /// (the detector then records the interleaving as expired).
     pub was_armed: bool,
 }
 
@@ -175,35 +175,25 @@ impl Interleaver {
         self.active.get(&object).map(|s| s.record_index)
     }
 
-    /// Feed the counterpart's fault. Returns the verdict, the threads
-    /// *disarmed* by it — the participants of the (previously armed)
-    /// interleaving, whose per-thread armed counters the detector must
-    /// decrement — and whether the observer *newly joined* the participant
-    /// set (the detector then increments its participating counter), and
-    /// transitions the object to the suspended phase (the detector
-    /// unprotects it).
+    /// Feed the counterpart's fault. Returns the verdict and whether the
+    /// observer *newly joined* the participant set, and transitions the
+    /// object to the suspended phase (the detector unprotects it).
     ///
-    /// Counter balance: every participant gains one armed count at
-    /// [`Interleaver::begin`] and loses it exactly once — here, in
-    /// [`Interleaver::thread_left_critical_sections`], or in
-    /// [`Interleaver::forget`]. The observing thread, if it was not already
-    /// a participant, joins only the (suspended) participant set and never
-    /// carries an armed count for this object. Participating counts mirror
-    /// the participant sets the same way: gained at `begin` or on joining
-    /// here, lost on removal in `thread_left_critical_sections` or
-    /// `forget`.
+    /// Counter balance: the detector keeps, per thread, the number of
+    /// participant sets that list it. A thread gains one count per set at
+    /// [`Interleaver::begin`] or on joining here, and loses it exactly once
+    /// — in [`Interleaver::thread_left_critical_sections`] or in
+    /// [`Interleaver::forget`].
     ///
     /// # Panics
     ///
     /// Panics if the object is not armed.
-    pub fn observe(&mut self, object: ObjectId, obs: Observation) -> (Verdict, Vec<ThreadId>, bool) {
+    pub fn observe(&mut self, object: ObjectId, obs: Observation) -> (Verdict, bool) {
         let state = self
             .active
             .get_mut(&object)
             .filter(|s| s.phase == Phase::Armed)
             .unwrap_or_else(|| panic!("object {object} is not armed"));
-        let mut disarmed: Vec<ThreadId> = state.participants.iter().copied().collect();
-        disarmed.sort();
         let joined = state.participants.insert(obs.thread);
 
         // Byte-level test: does any earlier observation from a different
@@ -223,29 +213,20 @@ impl Interleaver {
             Some(prev) => Verdict::Confirmed(prev),
             None => Verdict::PrunedDifferentOffset,
         };
-        (verdict, disarmed, joined)
+        (verdict, joined)
     }
 
     /// Notify that `thread` is no longer inside any critical section.
     /// Returns the interleavings that thereby finished (the detector
-    /// restores each object's protection), the number of *armed*
-    /// interleavings `thread` was removed from (the detector decrements
-    /// the thread's armed counter by that many), and the total number of
-    /// participant sets it was removed from (the participating-counter
-    /// decrement — see [`Interleaver::observe`] for the balance).
-    pub fn thread_left_critical_sections(
-        &mut self,
-        thread: ThreadId,
-    ) -> (Vec<Finished>, usize, usize) {
+    /// restores each object's protection) and the number of participant
+    /// sets `thread` was removed from (the participating-counter decrement
+    /// — see [`Interleaver::observe`] for the balance).
+    pub fn thread_left_critical_sections(&mut self, thread: ThreadId) -> (Vec<Finished>, usize) {
         let mut finished = Vec::new();
-        let mut armed_removed = 0;
         let mut removed = 0;
         self.active.retain(|&object, state| {
             if state.participants.remove(&thread) {
                 removed += 1;
-                if state.phase == Phase::Armed {
-                    armed_removed += 1;
-                }
             }
             if state.participants.is_empty() {
                 finished.push(Finished {
@@ -260,28 +241,13 @@ impl Interleaver {
             }
         });
         finished.sort_by_key(|f| f.object);
-        (finished, armed_removed, removed)
-    }
-
-    /// Whether `thread` participates in any interleaving that is still
-    /// armed (waiting for the counterpart fault). Delay injection (§5.5)
-    /// needs this predicate, but the detector answers it from per-thread
-    /// atomic armed counters (mirroring this engine's deltas) so that a
-    /// section exit never takes the interleaver lock; this method remains
-    /// as the reference definition those counters are checked against.
-    #[must_use]
-    pub fn has_armed_participant(&self, thread: ThreadId) -> bool {
-        self.active
-            .values()
-            .any(|s| s.phase == Phase::Armed && s.participants.contains(&thread))
+        (finished, removed)
     }
 
     /// Drop any interleaving state for `object` (the object was freed).
-    /// Returns the discarded state's participants and whether it was still
-    /// armed, so the detector can settle both per-thread counters: every
-    /// participant loses one participating count, and — when the
-    /// interleaving was still armed — one armed count (see
-    /// [`Interleaver::observe`] for the balance).
+    /// Returns the discarded state's participants, each of which loses one
+    /// participating count (see [`Interleaver::observe`] for the balance),
+    /// and whether it was still armed.
     pub fn forget(&mut self, object: ObjectId) -> Option<Forgotten> {
         self.active.remove(&object).map(|state| {
             let mut participants: Vec<ThreadId> = state.participants.into_iter().collect();
@@ -314,6 +280,18 @@ mod tests {
         }
     }
 
+    impl Interleaver {
+        /// How many participant sets list `thread`: the reference
+        /// definition the detector's per-thread participating counter is
+        /// checked against.
+        pub(crate) fn participations(&self, thread: ThreadId) -> usize {
+            self.active
+                .values()
+                .filter(|s| s.participants.contains(&thread))
+                .count()
+        }
+    }
+
     fn begin(il: &mut Interleaver) {
         il.begin(
             ObjectId(1),
@@ -330,15 +308,10 @@ mod tests {
         let mut il = Interleaver::new();
         begin(&mut il);
         assert!(il.is_armed(ObjectId(1)));
-        let (verdict, disarmed, joined) = il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
+        let (verdict, joined) = il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
         assert_eq!(verdict, Verdict::Confirmed(obs(2, 8, AccessKind::Read)));
         assert!(!il.is_armed(ObjectId(1)), "suspended after verdict");
         assert!(il.is_active(ObjectId(1)), "and may not be begun again");
-        assert_eq!(
-            disarmed,
-            vec![ThreadId(1), ThreadId(2)],
-            "both armed participants are disarmed by the verdict"
-        );
         assert!(!joined, "the holder was already a participant");
     }
 
@@ -346,7 +319,7 @@ mod tests {
     fn different_offsets_prune() {
         let mut il = Interleaver::new();
         begin(&mut il);
-        let (verdict, _, _) = il.observe(ObjectId(1), obs(1, 16, AccessKind::Write));
+        let (verdict, _) = il.observe(ObjectId(1), obs(1, 16, AccessKind::Write));
         assert_eq!(verdict, Verdict::PrunedDifferentOffset);
     }
 
@@ -361,7 +334,7 @@ mod tests {
             obs(2, 8, AccessKind::Read),
             ThreadId(1),
         );
-        let (verdict, _, _) = il.observe(ObjectId(1), obs(1, 8, AccessKind::Read));
+        let (verdict, _) = il.observe(ObjectId(1), obs(1, 8, AccessKind::Read));
         assert_eq!(
             verdict,
             Verdict::PrunedDifferentOffset,
@@ -374,11 +347,10 @@ mod tests {
         let mut il = Interleaver::new();
         begin(&mut il);
         il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
-        let (done, armed_removed, removed) = il.thread_left_critical_sections(ThreadId(1));
+        let (done, removed) = il.thread_left_critical_sections(ThreadId(1));
         assert!(done.is_empty());
-        assert_eq!(armed_removed, 0, "suspended objects carry no armed count");
-        assert_eq!(removed, 1, "but the participant set still shrinks");
-        let (done, armed_removed, removed) = il.thread_left_critical_sections(ThreadId(2));
+        assert_eq!(removed, 1, "the participant set shrinks");
+        let (done, removed) = il.thread_left_critical_sections(ThreadId(2));
         assert_eq!(
             done,
             vec![Finished {
@@ -388,7 +360,6 @@ mod tests {
                 resolved: true,
             }]
         );
-        assert_eq!(armed_removed, 0);
         assert_eq!(removed, 1);
         assert_eq!(il.active_count(), 0);
     }
@@ -399,13 +370,11 @@ mod tests {
         // without re-touching the object, so no verdict is delivered.
         let mut il = Interleaver::new();
         begin(&mut il);
-        let (done, armed_removed, removed) = il.thread_left_critical_sections(ThreadId(1));
+        let (done, removed) = il.thread_left_critical_sections(ThreadId(1));
         assert!(done.is_empty());
-        assert_eq!(armed_removed, 1, "leaving an armed interleaving disarms");
         assert_eq!(removed, 1);
-        let (done, armed_removed, removed) = il.thread_left_critical_sections(ThreadId(2));
+        let (done, removed) = il.thread_left_critical_sections(ThreadId(2));
         assert_eq!(done.len(), 1);
-        assert_eq!(armed_removed, 1);
         assert_eq!(removed, 1);
         assert!(!done[0].resolved, "no verdict: candidate stays reported");
     }
@@ -414,28 +383,9 @@ mod tests {
     fn third_thread_observation_compares_against_all() {
         let mut il = Interleaver::new();
         begin(&mut il); // t2 read at offset 8.
-        let (verdict, disarmed, joined) = il.observe(ObjectId(1), obs(3, 8, AccessKind::Write));
+        let (verdict, joined) = il.observe(ObjectId(1), obs(3, 8, AccessKind::Write));
         assert!(matches!(verdict, Verdict::Confirmed(_)));
-        assert_eq!(
-            disarmed,
-            vec![ThreadId(1), ThreadId(2)],
-            "the observer was not a participant, so it is not disarmed"
-        );
         assert!(joined, "the third thread newly joined the participant set");
-    }
-
-    #[test]
-    fn armed_participation_tracks_phase() {
-        let mut il = Interleaver::new();
-        begin(&mut il);
-        assert!(il.has_armed_participant(ThreadId(1)));
-        assert!(il.has_armed_participant(ThreadId(2)));
-        assert!(!il.has_armed_participant(ThreadId(3)));
-        il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
-        assert!(
-            !il.has_armed_participant(ThreadId(1)),
-            "suspended interleavings need no delay"
-        );
     }
 
     #[test]
@@ -450,7 +400,7 @@ mod tests {
             vec![ThreadId(1), ThreadId(2)],
             "forgetting returns the participants for counter settlement"
         );
-        assert!(gone.was_armed, "still armed: participants also disarm");
+        assert!(gone.was_armed, "no counterpart fault came: expired");
         assert!(il.forget(ObjectId(1)).is_none(), "nothing left to forget");
     }
 
@@ -460,10 +410,7 @@ mod tests {
         begin(&mut il);
         il.observe(ObjectId(1), obs(1, 8, AccessKind::Write));
         let gone = il.forget(ObjectId(1)).expect("state existed");
-        assert!(
-            !gone.was_armed,
-            "the verdict already disarmed the participants"
-        );
+        assert!(!gone.was_armed, "the verdict ended the armed phase");
         assert_eq!(gone.participants, vec![ThreadId(1), ThreadId(2)]);
     }
 

@@ -9,7 +9,6 @@
 
 use crate::thread::SimThread;
 use kard_core::LockId;
-use kard_sim::CodeSite;
 use std::fmt;
 
 /// A mutex whose acquisitions are visible to Kard.
@@ -85,17 +84,6 @@ impl fmt::Debug for SectionGuard<'_> {
     }
 }
 
-/// Convenience: run `body` inside a critical section.
-pub fn with_section<R>(
-    thread: &SimThread,
-    mutex: &KardMutex,
-    site: CodeSite,
-    body: impl FnOnce() -> R,
-) -> R {
-    let _guard = thread.enter(mutex, site);
-    body()
-}
-
 #[cfg(test)]
 mod tests {
     use crate::session::Session;
@@ -113,15 +101,5 @@ mod tests {
         // After drop, a second entry still works (lock released).
         let _g2 = t.enter(&mutex, CodeSite(0x10));
         assert_eq!(session.kard().stats().cs_entries, 2);
-    }
-
-    #[test]
-    fn with_section_returns_body_value() {
-        let session = Session::new();
-        let t = session.spawn_thread();
-        let mutex = session.new_mutex();
-        let v = super::with_section(&t, &mutex, CodeSite(0x1), || 42);
-        assert_eq!(v, 42);
-        assert_eq!(session.kard().stats().cs_entries, 1);
     }
 }

@@ -206,13 +206,6 @@ impl Session {
         &self.kard
     }
 
-    /// Human-readable description of the detector's key mode (direct vs.
-    /// virtualized), for experiment-output headers.
-    #[must_use]
-    pub fn key_mode(&self) -> String {
-        self.kard.key_mode()
-    }
-
     /// One coherent statistics picture of the run so far: detection
     /// counters, virtual-key cache counters, allocator counters,
     /// fault-shard counters, and the detector-lock total, as a single

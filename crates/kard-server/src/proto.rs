@@ -224,6 +224,7 @@ pub struct Statsz {
 /// Serialize a response as one JSON line (no trailing newline).
 #[must_use]
 pub fn response_line(response: &Response) -> String {
+    // Derived `Serialize` only, every map keyed by `String`: nothing can fail.
     serde_json::to_string(response).expect("responses always serialize")
 }
 
@@ -243,6 +244,7 @@ pub fn request_payload(request: &Request) -> String {
         Request::Batch(events) => {
             format!("{{\"Batch\":{}}}", kard_trace::wire::encode_batch(events))
         }
+        // Derived `Serialize` over plain fields and event lists: nothing can fail.
         other => serde_json::to_string(other).expect("requests always serialize"),
     }
 }

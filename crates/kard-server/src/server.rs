@@ -35,7 +35,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener};
 use std::os::unix::net::UnixListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -43,7 +43,10 @@ use std::time::{Duration, Instant};
 /// client to close its side before shutting the socket down.
 const LINGER: Duration = Duration::from_millis(250);
 
-/// Everything tunable about a server.
+/// Everything tunable about a server. Anomaly signals are not a policy
+/// input: a shard attributes each to the session owning its suspected
+/// thread and keeps it in `/statsz` `anomalies`, and evicts no session for
+/// it — signals are evidence, not verdicts.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Number of detector shards (one OS thread + one detector each).
@@ -51,10 +54,6 @@ pub struct ServerConfig {
     /// Per-session ingest budget, in events. A batch that would push the
     /// session past this bound is dropped whole and counted.
     pub queue_bound: usize,
-    /// Per-session cap on live allocated bytes.
-    pub max_session_bytes: u64,
-    /// Per-session cap on live objects.
-    pub max_session_objects: usize,
     /// Per-session cap on logical threads.
     pub max_session_threads: usize,
     /// Evict sessions idle this long (`None` disables eviction).
@@ -72,12 +71,6 @@ pub struct ServerConfig {
     /// budget controller's overhead observations come from those
     /// histograms.
     pub telemetry: bool,
-    /// The pathological-client policy hook: evict a session once this
-    /// many anomaly signals have been attributed to it by the drain-side
-    /// analyzer. `None` (the default) reports signals in `/statsz` but
-    /// never evicts — signals are evidence, not verdicts, so eviction is
-    /// strictly opt-in.
-    pub anomaly_evict_after: Option<u64>,
     /// TCP listen address (`None` disables TCP). Use port 0 to let the
     /// OS pick; [`Server::tcp_addr`] reports the bound address.
     pub tcp: Option<String>,
@@ -91,8 +84,6 @@ impl Default for ServerConfig {
         ServerConfig {
             shards: 4,
             queue_bound: 16_384,
-            max_session_bytes: 64 << 20,
-            max_session_objects: 65_536,
             max_session_threads: 64,
             idle_timeout: Some(Duration::from_secs(60)),
             apply_throttle: Duration::ZERO,
@@ -101,7 +92,6 @@ impl Default for ServerConfig {
                 ..KardConfig::paper()
             },
             telemetry: false,
-            anomaly_evict_after: None,
             tcp: Some("127.0.0.1:0".to_string()),
             unix: None,
         }
@@ -163,6 +153,8 @@ impl ServerInner {
                 .map(|(why, n)| (why.name().to_string(), n.load(Ordering::Relaxed)))
                 .filter(|&(_, n)| n > 0)
                 .collect();
+            // The anomaly buffer is a whole list after every update, so a
+            // lock poisoned by a panic in the shard still guards good data.
             let block = ShardStatsz {
                 shard: i,
                 active_sessions: shard.active_sessions.load(Ordering::Relaxed),
@@ -180,7 +172,7 @@ impl ServerInner {
                 anomalies: shard
                     .anomalies
                     .lock()
-                    .expect("anomaly buffer poisoned")
+                    .unwrap_or_else(PoisonError::into_inner)
                     .clone(),
             };
             out.active_sessions += block.active_sessions;
@@ -319,7 +311,7 @@ impl Server {
     #[doc(hidden)]
     #[must_use]
     pub fn connection_threads(&self) -> usize {
-        self.conns.lock().expect("conn registry poisoned").len()
+        self.conns.lock().unwrap_or_else(PoisonError::into_inner).len()
     }
 
     /// Begin graceful drain: stop accepting, close every shard, flush
@@ -337,7 +329,8 @@ impl Server {
             let _ = t.join();
         }
         // Acceptors are down; no new connection threads can appear.
-        let pending = std::mem::take(&mut *self.conns.lock().expect("conn registry poisoned"));
+        let pending =
+            std::mem::take(&mut *self.conns.lock().unwrap_or_else(PoisonError::into_inner));
         for t in pending {
             let _ = t.join();
         }
@@ -379,7 +372,9 @@ where
             Ok(sock) => {
                 let inner2 = Arc::clone(inner);
                 let handle = std::thread::spawn(move || serve_connection(&inner2, sock));
-                let mut conns = conns.lock().expect("conn registry poisoned");
+                // Like the anomaly buffer, the registry is a whole list
+                // after every update: a poisoned lock still guards it.
+                let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
                 // Join the connections that ended since the last accept: a
                 // finished thread keeps its stack mapped until it is joined,
                 // so the registry must track live connections, not every
@@ -630,5 +625,33 @@ mod tests {
         assert_eq!(shard.dropped.load(Ordering::Relaxed), 6);
         assert_eq!(handle.queued.load(Ordering::Relaxed), 0);
         assert_eq!(shard.queue_depth.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn statsz_survives_a_poisoned_anomaly_buffer() {
+        let (sender, _receiver) = mpsc::channel();
+        let shard = Arc::new(ShardShared::new(sender));
+        let rt = kard_rt::Session::new();
+        let inner = ServerInner {
+            config: ServerConfig::default(),
+            shards: vec![Arc::clone(&shard)],
+            telemetry: vec![Arc::clone(rt.telemetry())],
+            detectors: vec![Arc::clone(rt.kard())],
+            shutdown: AtomicBool::new(false),
+            next_serial: AtomicU64::new(1),
+            sessions_total: AtomicU64::new(0),
+            protocol_errors: AtomicU64::new(0),
+        };
+        let holder = Arc::clone(&shard);
+        let panicked = std::thread::spawn(move || {
+            let _buf = holder.anomalies.lock();
+            panic!("shard panics while holding its anomaly buffer");
+        })
+        .join();
+        assert!(panicked.is_err());
+        assert!(shard.anomalies.is_poisoned());
+        let stats = inner.statsz();
+        assert_eq!(stats.shards.len(), 1);
+        assert!(stats.shards[0].anomalies.is_empty());
     }
 }

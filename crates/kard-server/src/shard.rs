@@ -32,7 +32,7 @@ use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often an idle shard wakes to scan for evictable sessions. Also
@@ -45,6 +45,12 @@ const EVICT_TICK: Duration = Duration::from_millis(25);
 /// How many session-attributed anomaly signals a shard keeps for
 /// `/statsz` before the oldest age out.
 const ANOMALY_KEEP: usize = 32;
+
+/// Per-session cap on live allocated bytes.
+const MAX_SESSION_BYTES: u64 = 64 << 20;
+
+/// Per-session cap on live objects.
+const MAX_SESSION_OBJECTS: usize = 65_536;
 
 /// Upper bound on a single `Compute` charge, protecting the shard's
 /// shared virtual clock from one absurd event freezing the timestamp
@@ -203,9 +209,6 @@ struct ClientState {
     /// ([`Kard::withdrawn_from`]); those of this session's records below
     /// `delivered` are recalled from the client.
     withdrawn: usize,
-    /// Anomaly signals attributed to this session so far (the
-    /// pathological-client eviction policy's meter).
-    anomaly_signals: u64,
     /// Last time the shard applied work for this session.
     last_activity: Instant,
 }
@@ -229,7 +232,6 @@ impl ClientState {
             races: 0,
             delivered,
             withdrawn,
-            anomaly_signals: 0,
             last_activity: Instant::now(),
         }
     }
@@ -350,8 +352,8 @@ impl ShardEngine {
                 self.shared.active_sessions.fetch_add(1, Ordering::Relaxed);
                 let caps = Caps {
                     threads: self.config.max_session_threads,
-                    objects: self.config.max_session_objects,
-                    bytes: self.config.max_session_bytes,
+                    objects: MAX_SESSION_OBJECTS,
+                    bytes: MAX_SESSION_BYTES,
                     compute_cycles: MAX_COMPUTE_CYCLES,
                 };
                 let kard = self.rt.kard();
@@ -524,8 +526,7 @@ impl ShardEngine {
     /// Drain the telemetry rings through the runtime's consumer pipeline
     /// (analyzer, production tick, any registered exporters), then take
     /// the anomaly signals that fired, attribute each to the session
-    /// owning its suspected detector thread, and apply the
-    /// pathological-client eviction policy.
+    /// owning its suspected detector thread, and keep them for `/statsz`.
     ///
     /// Attribution is best-effort evidence ("signals, not truth"): a
     /// suspect thread that no live session owns — or no suspect at all —
@@ -537,7 +538,9 @@ impl ShardEngine {
         if signals.is_empty() {
             return;
         }
-        let mut evict: Vec<u64> = Vec::new();
+        // Every update leaves the buffer a whole list, so the data behind a
+        // lock poisoned by a panic elsewhere is still good.
+        let mut buf = self.shared.anomalies.lock().unwrap_or_else(PoisonError::into_inner);
         for mut signal in signals {
             signal.suspected_session = signal.suspected_thread.and_then(|t| {
                 self.sessions
@@ -545,26 +548,10 @@ impl ShardEngine {
                     .find(|(_, s)| s.applier.client_thread(ThreadId(t as usize)).is_some())
                     .map(|(&serial, _)| serial)
             });
-            if let Some(serial) = signal.suspected_session {
-                if let Some(state) = self.sessions.get_mut(&serial) {
-                    state.anomaly_signals += 1;
-                    let over = self
-                        .config
-                        .anomaly_evict_after
-                        .is_some_and(|cap| state.anomaly_signals >= cap);
-                    if over && !evict.contains(&serial) {
-                        evict.push(serial);
-                    }
-                }
-            }
-            let mut buf = self.shared.anomalies.lock().expect("anomaly buffer poisoned");
             if buf.len() >= ANOMALY_KEEP {
                 buf.remove(0);
             }
             buf.push(signal);
-        }
-        for serial in evict {
-            self.end_session(serial, true, true);
         }
     }
 

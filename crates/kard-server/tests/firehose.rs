@@ -617,9 +617,9 @@ fn fault_storm_burst(objects: u64) -> Vec<Event> {
 }
 
 #[test]
-fn anomaly_signals_attribute_sessions_and_evict_pathological_clients() {
+fn anomaly_signals_attribute_sessions() {
     // Aggressive analyzer knobs so one fault storm fires within a window
-    // or two, plus the opt-in eviction policy at its tightest.
+    // or two.
     let analyzer = kard_core::AnalyzerConfig {
         warmup_windows: 1,
         cusum_threshold_permille: 100,
@@ -634,7 +634,6 @@ fn anomaly_signals_attribute_sessions_and_evict_pathological_clients() {
             anomaly: analyzer,
             ..ServerConfig::default().detector
         },
-        anomaly_evict_after: Some(1),
         ..ServerConfig::default()
     });
     let addr = server.tcp_addr().unwrap();
@@ -647,24 +646,30 @@ fn anomaly_signals_attribute_sessions_and_evict_pathological_clients() {
     std::thread::sleep(Duration::from_millis(80));
     storm.send_batch(&fault_storm_burst(64)).unwrap();
 
-    // The drain-side analyzer flags the storm, attribution maps the
-    // suspect thread back to the storm session, and the policy hook
-    // evicts it — the client just sees a server-initiated Bye.
-    let summary = storm.wait_bye().expect("pathological session is evicted");
-    assert!(summary.evicted, "server-initiated end");
-
-    let stats = observer.stats().unwrap();
-    let shard = &stats.shards[0];
-    assert!(shard.detector.anomaly.signals > 0, "the analyzer fired");
-    let attributed = shard
-        .anomalies
-        .iter()
-        .find(|s| s.suspected_session == Some(storm_session))
-        .expect("a signal names the storm session");
+    // The drain-side analyzer flags the storm on a later tick, and
+    // attribution maps the suspect thread back to the storm session.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let (stats, attributed) = loop {
+        let stats = observer.stats().unwrap();
+        let attributed = stats.shards[0]
+            .anomalies
+            .iter()
+            .find(|s| s.suspected_session == Some(storm_session))
+            .cloned();
+        if let Some(signal) = attributed {
+            break (stats, signal);
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "no signal names the storm session"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(stats.shards[0].detector.anomaly.signals > 0, "the analyzer fired");
     assert!(attributed.value > attributed.baseline, "excess over baseline");
-    assert!(shard.evictions > 0, "the policy hook counted an eviction");
 
     observer.bye().unwrap();
+    storm.bye().unwrap();
     server.shutdown();
     server.join();
 }

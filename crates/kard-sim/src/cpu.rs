@@ -344,12 +344,6 @@ impl Machine {
             .sum()
     }
 
-    /// `RDTSCP`: read the timestamp counter, charging its cost.
-    pub fn rdtscp(&self, thread: ThreadId) -> u64 {
-        self.charge(thread, self.config.cost.rdtscp);
-        self.now()
-    }
-
     /// `RDPKRU`: read `thread`'s protection-key rights register.
     pub fn rdpkru(&self, thread: ThreadId) -> Pkru {
         let entry = self.entry(thread);
@@ -973,15 +967,6 @@ mod tests {
         );
         assert_eq!(m.counters().context_pkru_updates, 1);
         assert_eq!(m.counters().wrpkru, 0);
-    }
-
-    #[test]
-    fn rdtscp_is_monotonic() {
-        let m = machine();
-        let t = m.register_thread();
-        let a = m.rdtscp(t);
-        let b = m.rdtscp(t);
-        assert!(b > a);
     }
 
     #[test]
