@@ -101,10 +101,11 @@ pub struct KardConfig {
     /// equivalent number for this reproduction.
     ///
     /// The filter cannot tell one width `d ≥ 1` from another: it takes the
-    /// handler's time as `fault.tsc + d` and asks whether the last release
-    /// falls after `fault.tsc` and less than `d` before the handler, which
-    /// for every `d ≥ 1` is exactly "after `fault.tsc`". Only `Some(0)`
-    /// changes a verdict: it never counts a release as recent.
+    /// handler's time as `fault.seq + d` and asks whether the last release
+    /// falls after `fault.seq` and less than `d` before the handler, which
+    /// for every `d ≥ 1` is exactly "after `fault.seq`" — after the fault
+    /// was raised. Only `Some(0)` changes a verdict: it never counts a
+    /// release as recent.
     pub measured_fault_delay: Option<u64>,
     /// Key assignment: direct (the paper) or virtualized.
     pub keys: KeyMode,

@@ -409,13 +409,16 @@ impl Kard {
                     .min_by_key(|&(h, _)| h),
             };
 
-            // §5.5 timestamp check. The fault is raised at `fault.tsc` but
+            // §5.5 timestamp check. The fault is raised at `fault.seq` but
             // the handler runs roughly one fault-handling delay later, so a
             // holder may release the key in between. Kard compares the
             // release stamp against the handler invocation time: a release
             // within one average delay of handler entry means the key *was*
             // held when the fault occurred — i.e. the release postdates
-            // `fault.tsc`.
+            // the raise. Releases are stamped with the machine's
+            // fault-raise count (`Machine::faults_raised`), so `rel >
+            // fault.seq` holds exactly when the release read the count
+            // after this fault was raised.
             // The window width is the *measured* average delay when one
             // has been fed back (`kard-tables faultlatency`), else the
             // cost model's assumed constant.
@@ -426,8 +429,8 @@ impl Kard {
             let recent_release = self.config.timestamp_filter
                 && conflicting_holder.is_none()
                 && key_state.last_writer_release.is_some_and(|rel| {
-                    let handler_now = fault.tsc + fault_delay;
-                    rel > fault.tsc && handler_now.saturating_sub(rel) < fault_delay
+                    let handler_now = fault.seq + fault_delay;
+                    rel > fault.seq && handler_now.saturating_sub(rel) < fault_delay
                 });
             if conflicting_holder.is_none()
                 && !recent_release

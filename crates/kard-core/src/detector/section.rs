@@ -3,6 +3,35 @@
 //! publishes it, and the exit that releases keys and restores finished
 //! interleavings. The plan words and their protocol are in
 //! [`super::plan`].
+//!
+//! # The concurrency count
+//!
+//! `active_sections` is the last word every entry and exit of every
+//! thread writes (one add, one subtract). What it must yield, stated for
+//! whatever replaces it:
+//!
+//! * **One OS thread driving.** Each entry's count — the `SectionEnter`
+//!   payload, and what `max_concurrent_sections` is raised to — is exactly
+//!   the number of frames open on all threads once that entry's frame is
+//!   counted: entries minus exits so far, plus one. `max_concurrent_sections`
+//!   is the largest such value. Table 5's "Max concurrent CS" prints it, so
+//!   it is golden, and `DetectorStats::from_events` recomputes it from the
+//!   payloads, so payload and stat must agree event for event. The
+//!   applier's property test reads it to prove no section outlives its
+//!   session.
+//! * **Several OS threads.** Which entries overlap is schedule-dependent,
+//!   so the exact values are too; `tests/shard_contention.rs` scrubs the
+//!   max for that reason. A replacement may yield, at each entry, the
+//!   count that *some* sequential order of the run's entries and exits —
+//!   one keeping each thread's own order — gives there: at least the
+//!   entering thread's own open frames, and the max still the largest
+//!   payload emitted. Today's single word yields its modification order,
+//!   one such order.
+//!
+//! A per-thread count summed at entry meets both points, but loads a
+//! line per registered thread on every entry, the cost the exit avoids by
+//! stamping releases with the fault-raise count rather than `now()`; that
+//! is why the word stays.
 
 use super::plan::{Plan, SectionBook, SectionPlans};
 use super::thread::{Frame, ThreadCtx, TinyVec};
@@ -293,11 +322,14 @@ impl Kard {
         let slot = self.slot(t);
         let cost = &self.cost;
         // One charge covers the exit bookkeeping plus the RDTSCP that
-        // timestamps key releases (§5.4); the clock is read after the
-        // fold, so the stamp matches what separate charges would yield.
+        // timestamps key releases (§5.4). The stamp itself is the
+        // machine's fault-raise count, not the summed clock: §5.5 asks of
+        // a release only whether it followed a fault's raise, which the
+        // count answers exactly with one load of a word only faults write,
+        // where `Machine::now()` would load every thread's counter.
         self.machine
             .charge(t, cost.lock_op + cost.atomic_op + cost.rdtscp);
-        let now = self.machine.now();
+        let stamp = self.machine.faults_raised();
 
         let (frame, releases, outside_now) = slot.ctx.with(|ctx| {
             let frame = ctx.frames.pop().expect("unlock without lock");
@@ -320,14 +352,14 @@ impl Kard {
 
         // Undo the frame's key-table changes. A newly-acquired key whose
         // holder word is still fast-published releases with one CAS
-        // (stamping the §5.4 release time into the word's side slots);
+        // (writing the §5.4 release stamp into the word's side slots);
         // everything else — downgrades, materialized holds — batches
         // under one key-table guard.
         let mut slow_releases: Vec<(ProtectionKey, Option<Perm>)> = Vec::new();
         for &(key, prev, eff) in releases.iter() {
             self.machine.charge(t, cost.map_op);
             let fast_done = prev.is_none()
-                && eff.is_some_and(|perm| self.words.try_fast_release(key, t, perm, now));
+                && eff.is_some_and(|perm| self.words.try_fast_release(key, t, perm, stamp));
             if !fast_done {
                 slow_releases.push((key, prev));
             }
@@ -336,7 +368,7 @@ impl Kard {
             let mut keys = self.lock_keys();
             for &(key, prev) in &slow_releases {
                 match prev {
-                    None => keys.release(key, t, now),
+                    None => keys.release(key, t, stamp),
                     Some(perm) => keys.downgrade(key, t, perm),
                 }
             }

@@ -600,6 +600,67 @@ fn timestamp_filter_counts_stale_candidates() {
 }
 
 #[test]
+fn release_after_raise_is_reported() {
+    // §5.5's recent-release branch: the holder releases after the fault
+    // was raised but before its handler runs, so the key *was* held when
+    // the fault occurred. The faulter's clock runs far ahead of the
+    // holder's, so a stamp from the holder's own timeline would read as
+    // long before the raise and filter the race away.
+    let (machine, kard) = setup();
+    let t1 = kard.register_thread();
+    let t2 = kard.register_thread();
+    let o = kard.on_alloc(t1, 32);
+
+    kard.lock_enter(t1, LockId(1), site(0xa));
+    kard.write(t1, o.base, site(0xa1));
+    machine.charge(t2, 1_000_000);
+    let fault = machine
+        .access(t2, o.base, AccessKind::Write, site(0xc))
+        .expect_err("t1 holds the key, so t2's unlocked write faults");
+    kard.lock_exit(t1, LockId(1));
+    kard.handle_fault(fault).expect("a managed object");
+
+    let reports = kard.reports();
+    assert_eq!(reports.len(), 1);
+    assert_eq!(reports[0].faulting.thread, t2);
+    assert_eq!(reports[0].holding.thread, t1);
+    assert_eq!(kard.stats().races_filtered_timestamp, 0);
+}
+
+#[test]
+fn release_stamp_is_the_fault_raise_count_whatever_idle_threads_ran() {
+    // Idle registered threads' cycles move `Machine::now()` but not the
+    // stamp a write release leaves for §5.5, on either release path.
+    let (machine, kard) = setup();
+    let t = kard.register_thread();
+    for _ in 0..1_000 {
+        let idle = machine.register_thread();
+        machine.charge(idle, 1_000_000_000);
+    }
+    let o = kard.on_alloc(t, 32);
+    let before = machine.faults_raised();
+    // The first round's write faults, identifies the object and acquires
+    // its key in the table (locked release); the second rebuilds the
+    // section's plan; the third replays it, acquiring the key on its
+    // holder word (fast release).
+    for round in 0..3 {
+        kard.lock_enter(t, LockId(1), site(0xa));
+        kard.write(t, o.base, site(0xa1));
+        let stamp = machine.faults_raised();
+        kard.lock_exit(t, LockId(1));
+        let Some(Domain::ReadWrite(key)) = kard.domain_of(o.id) else {
+            panic!("a section write identifies into the Read-write domain");
+        };
+        let state = kard.lock_keys().state(key).clone();
+        assert_eq!(state.last_writer_release, Some(stamp), "round {round}");
+        assert_eq!(state.last_writer, Some(t), "round {round}");
+    }
+    assert!(machine.faults_raised() > before, "the first write faulted");
+    assert_eq!(kard.section_cache_stats().0, 1, "the third entry replayed its plan");
+    assert!(machine.now() >= 1_000 * 1_000_000_000);
+}
+
+#[test]
 fn stale_fault_is_dropped_not_replayed() {
     // A fault raised against `k_na` whose handler only gets the
     // object's fault shard after another handler identified the
@@ -617,6 +678,7 @@ fn stale_fault_is_dropped_not_replayed() {
         access: AccessKind::Read,
         ip: site(0xa2),
         tsc: machine.now(),
+        seq: machine.faults_raised(),
     };
     assert_eq!(kard.handle_fault(stale), Ok(FaultAction::Retry));
     assert_eq!(kard.stats().objects_identified, 1, "not identified twice");
@@ -645,6 +707,7 @@ fn interleave_fault_without_an_armed_interleaving_falls_through() {
         access: AccessKind::Write,
         ip: site(0xa2),
         tsc: machine.now(),
+        seq: machine.faults_raised(),
     };
     assert_eq!(kard.handle_interleave_fault(&fault, &o, 0), None);
     assert_eq!(kard.stats().interleave_faults, 0);

@@ -36,7 +36,10 @@ pub struct KeyState {
     pub objects: BTreeSet<ObjectId>,
     /// Threads currently holding the key.
     pub holders: HashMap<ThreadId, HolderInfo>,
-    /// Timestamp of the last release by a write-permission holder.
+    /// Stamp of the last release by a write-permission holder: the
+    /// machine's fault-raise count at that release
+    /// (`Machine::faults_raised`), so §5.5 can ask whether it followed a
+    /// fault's raise (`GpFault::seq`).
     pub last_writer_release: Option<u64>,
     /// The thread that performed that last write-permission release (for
     /// race records produced by the release-timestamp check, §5.5).
@@ -193,7 +196,7 @@ impl KeyTable {
         }
     }
 
-    /// Remove `t`'s hold on `key` *without* stamping a release time.
+    /// Remove `t`'s hold on `key` *without* a release stamp.
     /// Key-cache eviction revokes keys libmpk-style rather than observing
     /// a program release, and the §5.5 timestamp filter must not mistake a
     /// revocation for a recent release by the program.
@@ -201,14 +204,15 @@ impl KeyTable {
         self.state_mut(key).holders.remove(&t);
     }
 
-    /// Release `t`'s hold on `key`, stamping `now` (RDTSCP at release,
-    /// §5.4 "Key release") so the timestamp filter can later decide whether
-    /// the key was effectively held when a fault was raised.
-    pub fn release(&mut self, key: ProtectionKey, t: ThreadId, now: u64) {
+    /// Release `t`'s hold on `key`, stamping `stamp` — the machine's
+    /// fault-raise count at release, where Kard's §5.4 "Key release" reads
+    /// RDTSCP — so the timestamp filter can later decide whether the key
+    /// was effectively held when a fault was raised.
+    pub fn release(&mut self, key: ProtectionKey, t: ThreadId, stamp: u64) {
         let state = self.state_mut(key);
         if let Some(info) = state.holders.remove(&t) {
             if info.perm == Perm::Write {
-                state.last_writer_release = Some(now);
+                state.last_writer_release = Some(stamp);
                 state.last_writer = Some(t);
             }
         }
@@ -313,8 +317,9 @@ struct KeyWord {
     /// `EMPTY → BUSY` and `BUSY → FAST` transitions, so it is stable
     /// whenever the state reads as a fast holder.
     section: AtomicU64,
-    /// Pending `last_writer_release` stamp (+1; 0 = none), written by fast
-    /// write-permission releases and folded into the table on `sync`.
+    /// Pending `last_writer_release` stamp (the fault-raise count at the
+    /// release, +1; 0 = none), written by fast write-permission releases
+    /// and folded into the table on `sync`.
     release_stamp: AtomicU64,
     /// Thread (+1) of the pending release stamp.
     release_writer: AtomicU64,
@@ -422,15 +427,16 @@ impl KeyWords {
         true
     }
 
-    /// Release a fast hold, stamping the write-release time into the side
-    /// slots exactly as [`KeyTable::release`] would into the table. Fails
-    /// when a concurrent `sync` materialized the hold into the table
-    /// (release via the mutex instead).
-    pub fn try_fast_release(&self, key: ProtectionKey, t: ThreadId, perm: Perm, now: u64) -> bool {
+    /// Release a fast hold, stamping the write release's `stamp` (the
+    /// fault-raise count, as for [`KeyTable::release`]) into the side
+    /// slots exactly as that would into the table. Fails when a concurrent
+    /// `sync` materialized the hold into the table (release via the mutex
+    /// instead).
+    pub fn try_fast_release(&self, key: ProtectionKey, t: ThreadId, perm: Perm, stamp: u64) -> bool {
         let word = self.word(key);
         if perm == Perm::Write {
             word.release_writer.store(t.0 as u64 + 1, Ordering::SeqCst);
-            word.release_stamp.store(now + 1, Ordering::SeqCst);
+            word.release_stamp.store(stamp + 1, Ordering::SeqCst);
         }
         word.state
             .compare_exchange(pack_fast(t, perm), WORD_EMPTY, Ordering::SeqCst, Ordering::SeqCst)
@@ -449,8 +455,13 @@ impl KeyWords {
 
     /// Park the pool and make `table` authoritative: fast holders are
     /// force-acquired into it, pending release stamps are folded in (the
-    /// clock is global and monotone, so newest-wins). Must be called with
-    /// the `keys` mutex held, before the table is read.
+    /// fault-raise count is global and monotone, so the larger stamp
+    /// wins). On a tie — two releases with no fault raised between them —
+    /// the table keeps its releaser: the stamp §5.5 compares is the same
+    /// either way, and only which releaser a recent-release report names
+    /// can differ, which needs a release after an unhandled raise and so
+    /// several OS threads. Must be called with the `keys` mutex held,
+    /// before the table is read.
     pub fn sync(&self, table: &mut KeyTable) {
         self.parked.0.store(true, Ordering::SeqCst);
         for (i, word) in self.words.iter().enumerate() {

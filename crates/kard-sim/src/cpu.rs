@@ -134,8 +134,9 @@ impl PkruCell {
 /// the same way (each only grows, and per-location coherence makes every
 /// summed read monotonic for the reading thread). Memory accesses are not
 /// counted here: each probes the dTLB exactly once, so its lookup count is
-/// the access count. Aligned so no two threads' counters share a cache
-/// line.
+/// the access count. Nor are faults: the machine's raise count
+/// ([`Machine::faults_raised`]) is their total. Aligned so no two threads'
+/// counters share a cache line.
 #[repr(align(128))]
 struct ThreadEntry {
     tlb: Tlb,
@@ -155,7 +156,6 @@ struct ThreadEntry {
     mmap: AtomicU64,
     munmap: AtomicU64,
     ftruncate: AtomicU64,
-    faults: AtomicU64,
     context_pkru_updates: AtomicU64,
     /// Raised while an OS thread is inside [`Machine::access`] for this
     /// thread: debug builds' check that one OS thread drives it at a time.
@@ -205,7 +205,7 @@ pub struct MachineCounters {
     /// Memory accesses checked: every one probes its thread's dTLB once,
     /// so this is [`Machine::tlb_stats`]' lookups.
     pub accesses: u64,
-    /// Simulated #GP faults raised.
+    /// Simulated #GP faults raised ([`Machine::faults_raised`]).
     pub faults: u64,
     /// Saved-context PKRU updates performed by a fault handler.
     pub context_pkru_updates: u64,
@@ -226,6 +226,12 @@ fn apply_prefix<T, E>(
     (items.len(), Ok(()))
 }
 
+/// The count of #GP faults the machine has raised, alone on its cache
+/// lines: only a fault writes it, and every section exit loads it (the
+/// §5.4 release stamp), so no other word's writes may evict it.
+#[repr(align(128))]
+struct FaultsRaised(AtomicU64);
+
 /// The simulated machine. See the [crate-level documentation](crate) for an
 /// end-to-end example.
 pub struct Machine {
@@ -242,6 +248,8 @@ pub struct Machine {
     /// Serialises registration — the cold path — so birth stamps and ids
     /// are assigned atomically.
     registration: Mutex<()>,
+    /// Faults raised so far; each raise takes its [`GpFault::seq`] here.
+    faults_raised: FaultsRaised,
 }
 
 impl Machine {
@@ -255,6 +263,7 @@ impl Machine {
             aspace: AddressSpace::new(total_keys),
             threads: Registry::new(),
             registration: Mutex::new(()),
+            faults_raised: FaultsRaised(AtomicU64::new(0)),
         }
     }
 
@@ -303,7 +312,6 @@ impl Machine {
                 mmap: AtomicU64::new(0),
                 munmap: AtomicU64::new(0),
                 ftruncate: AtomicU64::new(0),
-                faults: AtomicU64::new(0),
                 context_pkru_updates: AtomicU64::new(0),
                 #[cfg(debug_assertions)]
                 driven: AtomicBool::new(false),
@@ -336,12 +344,29 @@ impl Machine {
     /// sum of the per-thread cycle counters. Monotonic for any observer —
     /// the counters only grow, and coherence keeps repeated reads of each
     /// one non-decreasing.
+    ///
+    /// It loads every registered thread's counter, lines other cores are
+    /// writing, so no per-section path reads it. Its callers: the fault
+    /// raise ([`GpFault::tsc`]), telemetry's event stamps and latencies,
+    /// the production-mode budget tick, and the telemetry drain. Key
+    /// releases are stamped with [`Machine::faults_raised`] instead.
     #[must_use]
     pub fn now(&self) -> u64 {
         self.threads
             .iter()
             .map(|e| e.cycles.load(Ordering::Relaxed))
             .sum()
+    }
+
+    /// Number of #GP faults raised so far (no cost charged): one load of
+    /// a word only a fault writes. A fault whose [`GpFault::seq`] is `s`
+    /// raised before this read exactly when it returns more than `s`, in
+    /// the `SeqCst` order of the raise and the read — the question §5.5's
+    /// timestamp check asks of a key release, so releases are stamped
+    /// with this count.
+    #[must_use]
+    pub fn faults_raised(&self) -> u64 {
+        self.faults_raised.0.load(Ordering::SeqCst)
     }
 
     /// `RDPKRU`: read `thread`'s protection-key rights register.
@@ -643,7 +668,7 @@ impl Machine {
         if allowed {
             Ok(())
         } else {
-            entry.faults.fetch_add(1, Ordering::Relaxed);
+            let seq = self.faults_raised.0.fetch_add(1, Ordering::SeqCst);
             Err(GpFault {
                 thread,
                 addr,
@@ -652,6 +677,7 @@ impl Machine {
                 access: kind,
                 ip,
                 tsc: self.now(),
+                seq,
             })
         }
     }
@@ -659,7 +685,10 @@ impl Machine {
     /// Snapshot of the operation counters (summed over the threads).
     #[must_use]
     pub fn counters(&self) -> MachineCounters {
-        let mut total = MachineCounters::default();
+        let mut total = MachineCounters {
+            faults: self.faults_raised(),
+            ..MachineCounters::default()
+        };
         for s in self.threads.iter() {
             total.wrpkru += s.wrpkru.load(Ordering::Relaxed);
             total.rdpkru += s.rdpkru.load(Ordering::Relaxed);
@@ -668,7 +697,6 @@ impl Machine {
             total.munmap += s.munmap.load(Ordering::Relaxed);
             total.ftruncate += s.ftruncate.load(Ordering::Relaxed);
             total.accesses += s.tlb.stats().lookups();
-            total.faults += s.faults.load(Ordering::Relaxed);
             total.context_pkru_updates += s.context_pkru_updates.load(Ordering::Relaxed);
         }
         total
@@ -819,6 +847,37 @@ mod tests {
         assert_eq!(fault.access, AccessKind::Write);
         assert_eq!(fault.addr, addr);
         assert_eq!(fault.thread, t);
+    }
+
+    #[test]
+    fn faults_are_numbered_in_raise_order_across_threads() {
+        let m = machine();
+        let t0 = m.register_thread();
+        let t1 = m.register_thread();
+        let page = m.mmap_one_page().unwrap();
+        let key = ProtectionKey(4);
+        m.pkey_mprotect(t0, &[(page, 1)], key).unwrap();
+        for t in [t0, t1] {
+            let mut pkru = m.rdpkru(t);
+            pkru.set_permission(key, Permission::NoAccess);
+            m.wrpkru(t, pkru);
+        }
+        assert_eq!(m.faults_raised(), 0);
+        let addr = page.base_addr();
+        let mut seqs = Vec::new();
+        for t in [t0, t1, t0] {
+            // Charged cycles move the clock, never the raise count.
+            m.charge(t, 1_000_000);
+            assert_eq!(m.faults_raised(), seqs.len() as u64);
+            let fault = m.access(t, addr, AccessKind::Read, CodeSite(0)).unwrap_err();
+            assert_eq!(fault.thread, t);
+            seqs.push(fault.seq);
+        }
+        assert_eq!(seqs, [0, 1, 2]);
+        assert_eq!(m.faults_raised(), 3);
+        assert!(m.access(t1, addr, AccessKind::Read, CodeSite(0)).is_err());
+        m.charge(t1, 5);
+        assert_eq!(m.faults_raised(), 4);
     }
 
     #[test]

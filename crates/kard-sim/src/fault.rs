@@ -61,6 +61,10 @@ pub struct GpFault {
     pub ip: CodeSite,
     /// Virtual timestamp (RDTSCP analog) at which the fault was raised.
     pub tsc: u64,
+    /// Number of faults the machine raised before this one: the raise's
+    /// place in the order §5.5's timestamp check compares key releases
+    /// against (see [`crate::Machine::faults_raised`]).
+    pub seq: u64,
 }
 
 impl fmt::Display for GpFault {
@@ -88,6 +92,7 @@ mod tests {
             access: AccessKind::Write,
             ip: CodeSite(0x40_0000),
             tsc: 123,
+            seq: 0,
         };
         let text = fault.to_string();
         assert!(text.contains("write"));
