@@ -1,6 +1,6 @@
 //! Experiments on the subsystems grown around the paper's detector: the
-//! virtualized key cache, production-mode budgets, the anomaly analyzer,
-//! the sharded fault path, and the three-tier allocator.
+//! virtualized key cache, production-mode budgets, the sharded fault
+//! path, and the three-tier allocator.
 //!
 //! Like every experiment in this crate they read only the simulator's
 //! virtual clock, so each is a pure function of its size arguments and
@@ -13,7 +13,6 @@
 use kard_core::DetectorStats;
 
 pub mod alloctiers;
-pub mod anomaly;
 pub mod faultlatency;
 pub mod keypressure;
 pub mod production;

@@ -28,7 +28,6 @@
 //! | DESIGN.md ablations | [`extras::ablation`] |
 //! | Key pressure: direct vs virtualized keys | [`extensions::keypressure::sweep`] |
 //! | Production-mode budget Pareto curve | [`extensions::production::sweep`] |
-//! | Anomaly analyzer on injected regressions | [`extensions::anomaly::sweep`] |
 //! | Fault-path latency and the disjoint storm | [`extensions::faultlatency::sweep`] |
 //! | Allocator tiers: sharded vs magazine | [`extensions::alloctiers::sweep`] |
 
@@ -37,6 +36,7 @@
 pub mod extensions;
 pub mod extras;
 pub mod figures;
+pub mod registry;
 pub mod tables;
 
 /// What `kard-tables` prints for `sections`: the key-assignment mode the

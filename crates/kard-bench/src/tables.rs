@@ -536,8 +536,7 @@ pub fn table5(requests: u64) -> Vec<Table5Col> {
 #[derive(Clone, Copy, Debug)]
 pub struct FinalStats {
     /// The run's full detector snapshot: detection counters, virtual-key
-    /// cache, allocator, fault shards, production-mode controller, and
-    /// the drain-side anomaly analyzer.
+    /// cache, allocator, fault shards, and the production-mode controller.
     pub snapshot: kard_core::KardSnapshot,
 }
 

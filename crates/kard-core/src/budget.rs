@@ -40,7 +40,6 @@
 //! contract as the other fast paths.
 
 use crate::config::ProductionConfig;
-use kard_telemetry::{AnomalySignal, MetricKind};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 
@@ -104,10 +103,6 @@ pub struct ProductionStats {
     /// Smoothed (EWMA) observed overhead, permille of elapsed cycles —
     /// the value the controller steers on.
     pub overhead_permille: u64,
-    /// Sample narrowings triggered by anomaly signals
-    /// ([`BudgetController::note_anomaly`]) rather than by the budget
-    /// integral itself.
-    pub anomaly_narrowings: u64,
     /// Estimated retained detection rate in permille: the share of
     /// identified sharable objects still monitored (1000 = nothing was
     /// skipped, so detection matches full mode).
@@ -143,7 +138,6 @@ pub struct BudgetController {
     skipped: AtomicU64,
     transitions: AtomicU64,
     suppressed: AtomicU64,
-    anomaly_narrowings: AtomicU64,
     /// Sum of the heats seen at decision time, for the adaptive threshold.
     heat_sum: AtomicU64,
     last_now: AtomicU64,
@@ -171,7 +165,6 @@ impl BudgetController {
             skipped: AtomicU64::new(0),
             transitions: AtomicU64::new(0),
             suppressed: AtomicU64::new(0),
-            anomaly_narrowings: AtomicU64::new(0),
             heat_sum: AtomicU64::new(0),
             last_now: AtomicU64::new(0),
             last_work: AtomicU64::new(0),
@@ -294,39 +287,6 @@ impl BudgetController {
         Some(out)
     }
 
-    /// React to an anomaly signal from the drain-side analyzer: when a
-    /// budget is set and the signal's metric reflects *detector* cost
-    /// (fault rate, fault-delay tail, key-cache pressure), narrow the
-    /// sample target one multiplicative step — the same ×3/4 step an
-    /// over-budget tick takes — so a thrashing workload throttles itself
-    /// before the work integral blows the budget. Application-behaviour
-    /// metrics (section hold, remote frees) are reported but never
-    /// steer: narrowing protection would not change them. Returns
-    /// whether the signal narrowed anything.
-    pub fn note_anomaly(&self, signal: &AnomalySignal) -> bool {
-        if !self.enabled || self.budget.is_none() {
-            // No budget ⇒ the controller never narrows, anomalies
-            // included: an unbounded run must stay decision-identical
-            // to full mode.
-            return false;
-        }
-        match signal.metric {
-            MetricKind::FaultRate | MetricKind::FaultDelayP95 | MetricKind::KeyPressure => {}
-            MetricKind::SectionHoldP95 | MetricKind::RemoteFreeRate => return false,
-        }
-        let target = self.sample_target.load(Ordering::Relaxed);
-        let narrowed = (target.saturating_mul(3) / 4).max(1);
-        if narrowed == target {
-            return false;
-        }
-        self.sample_target.store(narrowed, Ordering::Relaxed);
-        self.hot_threshold
-            .store(2u64.max(2 * self.average_heat()), Ordering::Relaxed);
-        self.transitions.fetch_add(1, Ordering::Relaxed);
-        self.anomaly_narrowings.fetch_add(1, Ordering::Relaxed);
-        true
-    }
-
     /// Mean side-metadata heat over every decision so far (0 before the
     /// first decision).
     fn average_heat(&self) -> u64 {
@@ -361,7 +321,6 @@ impl BudgetController {
                 u64::MAX => 0, // No tick yet.
                 e => e,
             },
-            anomaly_narrowings: self.anomaly_narrowings.load(Ordering::Relaxed),
             estimated_detection_permille: ((sampled + promoted) * u64::from(PERMILLE))
                 .checked_div(decisions)
                 .unwrap_or(u64::from(PERMILLE)),
@@ -502,45 +461,6 @@ mod tests {
         assert_eq!(c.stats().sample_permille, 1000);
         // Stats report the smoothed overhead: (0 * 3 + 900) / 4.
         assert_eq!(c.stats().overhead_permille, 225);
-    }
-
-    fn signal(metric: MetricKind) -> AnomalySignal {
-        AnomalySignal {
-            metric,
-            window: 10,
-            now: 1_000_000,
-            value: 500,
-            baseline: 50,
-            score: 9_000,
-            suspected_thread: Some(3),
-            suspected_session: None,
-        }
-    }
-
-    #[test]
-    fn anomaly_signal_narrows_budgeted_controller() {
-        let c = production(Some(100), 1000, 0);
-        assert!(c.note_anomaly(&signal(MetricKind::KeyPressure)));
-        let s = c.stats();
-        assert_eq!(s.sample_permille, 750, "one ×3/4 step");
-        assert_eq!(s.anomaly_narrowings, 1);
-        assert_eq!(s.throttle_transitions, 1);
-        assert!(c.note_anomaly(&signal(MetricKind::FaultRate)));
-        assert_eq!(c.stats().sample_permille, 562);
-    }
-
-    #[test]
-    fn application_metrics_and_unbounded_budgets_never_narrow() {
-        let budgeted = production(Some(100), 1000, 0);
-        assert!(!budgeted.note_anomaly(&signal(MetricKind::SectionHoldP95)));
-        assert!(!budgeted.note_anomaly(&signal(MetricKind::RemoteFreeRate)));
-        assert_eq!(budgeted.stats().sample_permille, 1000);
-        let unbounded = production(None, 1000, 0);
-        assert!(!unbounded.note_anomaly(&signal(MetricKind::FaultRate)));
-        assert_eq!(unbounded.stats().sample_permille, 1000);
-        assert_eq!(unbounded.stats().anomaly_narrowings, 0);
-        let off = BudgetController::new(None);
-        assert!(!off.note_anomaly(&signal(MetricKind::FaultRate)));
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! pick a value.
 
 use crate::vkey::KeyCachePolicy;
-use kard_telemetry::AnalyzerConfig;
 
 /// Behaviour of the key-assignment policy when every read-write pool key is
 /// already assigned (§5.4, rule three).
@@ -116,13 +115,6 @@ pub struct KardConfig {
     /// detection-rate cost. `None` — the paper's detector monitors
     /// everything.
     pub production: Option<ProductionConfig>,
-    /// Sensitivity knobs of the drain-side anomaly analyzer
-    /// ([`kard_telemetry::analyze`]: warmup, EWMA weight, CUSUM
-    /// slack/threshold; see docs/TUNING.md). The analyzer is a pure
-    /// telemetry consumer with zero recording-path cost
-    /// (`tests/no_lock_overhead.rs`) that only works when drains happen,
-    /// so it has no off switch.
-    pub anomaly: AnalyzerConfig,
 }
 
 impl KardConfig {
@@ -139,7 +131,6 @@ impl KardConfig {
                 fresh_key_per_object: false,
             },
             production: None,
-            anomaly: AnalyzerConfig::default(),
         }
     }
 
@@ -210,7 +201,6 @@ mod tests {
         assert_eq!(c.measured_fault_delay, None, "cost-model delay by default");
         assert_eq!(c.keys, PAPER_KEYS, "the paper's detector works on raw keys");
         assert_eq!(c.production, None, "the paper's detector monitors everything");
-        assert_eq!(c.anomaly, AnalyzerConfig::default());
         let p = ProductionConfig::default();
         assert_eq!(p.overhead_budget, None, "no budget until asked for one");
         assert_eq!(p.sample_permille, 1000, "full-width sample by default");

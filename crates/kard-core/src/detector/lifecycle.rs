@@ -1,7 +1,6 @@
 //! Lifecycle and observation: what enters and leaves the detector's books
 //! (allocation, free, thread exit) and what it reports back out (race
-//! records, statistics, snapshots, the drain-side anomaly and production
-//! ticks).
+//! records, statistics, snapshots, the drain-side production tick).
 
 use super::Kard;
 use crate::budget::{BudgetTick, ProductionStats};
@@ -13,7 +12,7 @@ use crate::types::{Perm, SectionId};
 use crate::vkey::VKeyStats;
 use kard_alloc::{ObjectId, ObjectInfo};
 use kard_sim::ThreadId;
-use kard_telemetry::{AnomalySignal, AnomalyStats, Drained, EventKind};
+use kard_telemetry::EventKind;
 use std::sync::atomic::Ordering;
 
 impl Kard {
@@ -160,56 +159,7 @@ impl Kard {
             fault_shards: self.fault_shards.stats(),
             lock_acquisitions: self.detector_lock_acquisitions(),
             production: self.production_stats(),
-            anomaly: self.anomaly_stats(),
         }
-    }
-
-    /// Anomaly-analyzer state (baselines, CUSUM accumulations, fired
-    /// signals).
-    #[must_use]
-    pub fn anomaly_stats(&self) -> AnomalyStats {
-        self.analyzer.stats()
-    }
-
-    /// Run the anomaly analyzer over one drained batch. The drain-side
-    /// half of ROADMAP item 5: reduce the batch (plus histogram deltas)
-    /// to a window sample, advance every CUSUM/EWMA detector, and feed
-    /// whatever fires back into the budget controller
-    /// ([`crate::BudgetController::note_anomaly`]) so a thrashing workload
-    /// narrows its own sample before the work integral blows the global
-    /// budget. Fired signals are returned *and* queued for
-    /// [`Kard::take_anomaly_signals`].
-    ///
-    /// Touches only drain-side state — no detector lock, no ring write,
-    /// no allocation on any recording path.
-    pub fn observe_drained(&self, batch: &Drained) -> Vec<AnomalySignal> {
-        let now = self.machine.now();
-        let signals = self.analyzer.observe(batch, self.telemetry.histograms(), now);
-        if signals.is_empty() {
-            return signals;
-        }
-        for signal in &signals {
-            self.budget.note_anomaly(signal);
-            if self.telemetry.enabled() {
-                self.telemetry.record(
-                    0,
-                    EventKind::AnomalySignal,
-                    now,
-                    signal.metric as u64,
-                    signal.score,
-                );
-            }
-        }
-        self.pending_anomalies.lock().extend_from_slice(&signals);
-        signals
-    }
-
-    /// Collect (and clear) the signals fired since the last call. The
-    /// firehose server uses this to enrich suspects with session identity
-    /// and apply its eviction policy; embedded sessions can read the same
-    /// state via [`Kard::anomaly_stats`].
-    pub fn take_anomaly_signals(&self) -> Vec<AnomalySignal> {
-        std::mem::take(&mut *self.pending_anomalies.lock())
     }
 
     /// Production-mode controller counters (see [`crate::budget`]).
@@ -227,8 +177,8 @@ impl Kard {
     /// arming backoff). Returns `None` when production mode is off or no
     /// virtual time has elapsed.
     ///
-    /// Call it wherever telemetry is drained — `Session::drain` and the
-    /// firehose shard loops do. The work integral only grows while
+    /// `Session::drain` calls it, and the firehose shard loop calls it on
+    /// every work item or idle wake. The work integral only grows while
     /// telemetry is enabled (the cycle histograms gate on it), so a
     /// production run that wants *adaptive* budgeting must record
     /// telemetry; without it the controller still applies the static

@@ -147,7 +147,7 @@ use crate::vkey::{KeyCachePolicy, VKeyTable};
 use kard_alloc::KardAlloc;
 use kard_sim::{CostModel, KeyLayout, Machine, Permission, Pkru, Registry, ThreadId};
 use kard_telemetry::sync::{TrackedMutex, TrackedRwLock};
-use kard_telemetry::{Analyzer, AnomalySignal, EventKind, Telemetry};
+use kard_telemetry::{EventKind, Telemetry};
 use parking_lot::MutexGuard;
 use plan::SectionBook;
 use std::collections::HashSet;
@@ -275,14 +275,6 @@ pub struct Kard {
     /// loads, and its control loop runs only in [`Kard::production_tick`]
     /// on the drain side.
     budget: BudgetController,
-    /// Drain-side anomaly analyzer ([`kard_telemetry::analyze`]). Pure
-    /// telemetry consumer: it runs only in [`Kard::observe_drained`], holds
-    /// an untracked drain-side mutex, and never touches the recording path.
-    analyzer: Analyzer,
-    /// Signals fired but not yet collected by
-    /// [`Kard::take_anomaly_signals`] (the firehose server drains these
-    /// to attribute suspects to sessions). Drain-side only.
-    pending_anomalies: parking_lot::Mutex<Vec<AnomalySignal>>,
 }
 
 impl Kard {
@@ -324,8 +316,6 @@ impl Kard {
             lock_acquisitions: counter,
             telemetry,
             budget: BudgetController::new(config.production),
-            analyzer: Analyzer::new(config.anomaly),
-            pending_anomalies: parking_lot::Mutex::new(Vec::new()),
         }
     }
 

@@ -68,7 +68,6 @@ pub mod types;
 pub mod vkey;
 
 pub use budget::{BudgetController, BudgetDecision, ProductionStats};
-pub use kard_telemetry::{AnalyzerConfig, AnomalySignal, AnomalyStats, MetricKind};
 pub use config::{ExhaustionPolicy, KardConfig, KeyMode, ProductionConfig};
 pub use detector::Kard;
 pub use domains::Domain;

@@ -169,10 +169,6 @@ pub struct KardSnapshot {
     /// cost. All defaults (with `enabled = false`) when
     /// [`crate::KardConfig::production`] is `None`.
     pub production: crate::budget::ProductionStats,
-    /// Drain-side anomaly-analyzer state: per-metric baselines, CUSUM
-    /// accumulations, and fired signals ("signals, not truth"). All
-    /// defaults until a drain has run.
-    pub anomaly: kard_telemetry::AnomalyStats,
 }
 
 /// Lock-free accumulator behind [`DetectorStats`].

@@ -12,18 +12,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Built-in drain consumer, registered first by [`SessionBuilder::build`]:
-/// runs the detector's anomaly analyzer ([`Kard::observe_drained`]) over
-/// the batch, then the production-mode controller heartbeat
-/// ([`Kard::production_tick`]) — in that order, so analyzer verdicts (and
-/// any resulting budget narrowing) land before the same drain's tick, and
-/// the overhead budget is steered at the cadence telemetry is collected.
+/// runs the production-mode controller heartbeat
+/// ([`Kard::production_tick`]), so the overhead budget is steered at the
+/// cadence telemetry is collected.
 struct DetectorObserver {
     kard: Arc<Kard>,
 }
 
 impl TelemetryConsumer for DetectorObserver {
-    fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext<'_>) {
-        self.kard.observe_drained(batch);
+    fn on_drain(&mut self, _batch: &Drained, _ctx: &DrainContext) {
         self.kard.production_tick();
     }
 }
@@ -105,8 +102,8 @@ impl SessionBuilder {
 
     /// Register a drain-time observer: every [`Session::drain`] fans the
     /// single drained batch out to each registered consumer, in
-    /// registration order, after the built-in one (the anomaly analyzer
-    /// and the production tick). Exporter sinks
+    /// registration order, after the built-in one (the production tick).
+    /// Exporter sinks
     /// ([`kard_telemetry::JsonLinesSink`],
     /// [`kard_telemetry::ChromeTraceSink`]) and plain closures both
     /// qualify:
@@ -116,7 +113,7 @@ impl SessionBuilder {
     ///
     /// let mut session = Session::builder()
     ///     .telemetry(true)
-    ///     .observe(|batch: &kard_telemetry::Drained, _ctx: &kard_telemetry::DrainContext<'_>| {
+    ///     .observe(|batch: &kard_telemetry::Drained, _ctx: &kard_telemetry::DrainContext| {
     ///         let _ = batch.events.len();
     ///     })
     ///     .build();
@@ -128,9 +125,9 @@ impl SessionBuilder {
     }
 
     /// Wire machine, allocator, and detector together. The built-in
-    /// drain consumer (anomaly analyzer, then production tick) is
-    /// registered ahead of any [`SessionBuilder::observe`] ones, so user
-    /// observers see detector state already advanced for their batch.
+    /// drain consumer (the production tick) is registered ahead of any
+    /// [`SessionBuilder::observe`] ones, so user observers see detector
+    /// state already advanced for their batch.
     #[must_use]
     pub fn build(self) -> Session {
         let machine = Arc::new(Machine::new(self.machine));
@@ -253,19 +250,16 @@ impl Session {
     /// timestamp-sorted batch out to every registered
     /// [`TelemetryConsumer`] — the one collection step of the session.
     ///
-    /// The built-in consumer runs first: the anomaly analyzer
-    /// ([`Kard::observe_drained`]) advances its CUSUM/EWMA detectors and
-    /// couples any fired signal into the budget controller, then the
-    /// production tick ([`Kard::production_tick`]) steers the overhead
-    /// budget. User consumers registered via `observe` follow, in
-    /// registration order. Takes only collector-side locks (telemetry
-    /// cursors, the consumer list) — never a detector lock.
+    /// The built-in consumer runs first: the production tick
+    /// ([`Kard::production_tick`]) steers the overhead budget. User
+    /// consumers registered via `observe` follow, in registration order.
+    /// Takes only collector-side locks (telemetry cursors, the consumer
+    /// list) — never a detector lock.
     #[must_use]
     pub fn drain(&self) -> Drained {
         let batch = self.telemetry().drain();
         let ctx = DrainContext {
             now: self.machine.now(),
-            histograms: self.telemetry().histograms(),
         };
         for consumer in self.consumers.lock().iter_mut() {
             consumer.on_drain(&batch, &ctx);
@@ -412,10 +406,10 @@ mod tests {
         let (a, b) = (Arc::clone(&first), Arc::clone(&second));
         let session = Session::builder()
             .telemetry(true)
-            .observe(move |batch: &Drained, _ctx: &kard_telemetry::DrainContext<'_>| {
+            .observe(move |batch: &Drained, _ctx: &kard_telemetry::DrainContext| {
                 a.fetch_add(batch.events.len(), Ordering::Relaxed);
             })
-            .observe(move |batch: &Drained, ctx: &kard_telemetry::DrainContext<'_>| {
+            .observe(move |batch: &Drained, ctx: &kard_telemetry::DrainContext| {
                 b.fetch_add(batch.events.len(), Ordering::Relaxed);
                 assert!(ctx.now > 0, "context carries the virtual clock");
             })
@@ -436,19 +430,6 @@ mod tests {
         assert_eq!(
             first.load(Ordering::Relaxed),
             batch.events.len() + more.events.len()
-        );
-    }
-
-    #[test]
-    fn drain_runs_the_analyzer_as_builtin_consumer() {
-        let session = Session::builder().telemetry(true).build();
-        assert_eq!(session.snapshot().anomaly.windows, 0);
-        let _ = session.drain();
-        let _ = session.drain();
-        assert_eq!(
-            session.snapshot().anomaly.windows,
-            2,
-            "each drain is one analyzer window"
         );
     }
 

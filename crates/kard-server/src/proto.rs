@@ -15,7 +15,7 @@
 
 use kard_core::KardSnapshot;
 use kard_sim::AccessKind;
-use kard_telemetry::{AnomalySignal, HistogramSummary};
+use kard_telemetry::HistogramSummary;
 use kard_trace::Event;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -184,12 +184,8 @@ pub struct ShardStatsz {
     /// --stats-json` emit, so every stats surface serializes one shape.
     /// Carries the production-mode controller block (all-default unless
     /// [`ServerConfig::detector`](crate::ServerConfig::detector) runs in
-    /// production mode) and the anomaly-detector block.
+    /// production mode).
     pub detector: KardSnapshot,
-    /// Recent anomaly signals, enriched with the suspected session where
-    /// the suspected thread maps to one (newest last; bounded, older
-    /// signals age out).
-    pub anomalies: Vec<AnomalySignal>,
 }
 
 /// The `/statsz` snapshot: per-shard blocks plus server totals.
@@ -306,18 +302,7 @@ mod tests {
             faulting: WireSide { thread: 1, section: Some(0xa), ip: 0xa1, offset: Some(8) },
             holding: WireSide { thread: 0, section: Some(0xb), ip: 0xb1, offset: None },
         };
-        let mut shard = ShardStatsz::default();
-        shard.detector.anomaly.windows = 9;
-        shard.anomalies.push(kard_telemetry::AnomalySignal {
-            metric: kard_telemetry::MetricKind::KeyPressure,
-            window: 9,
-            now: 1_000_000,
-            value: 420,
-            baseline: 20,
-            score: 5_000,
-            suspected_thread: Some(4),
-            suspected_session: Some(7),
-        });
+        let shard = ShardStatsz::default();
         for r in [
             Response::Hello { session: 3, shard: 1 },
             Response::Race(race.clone()),

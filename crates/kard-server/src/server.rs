@@ -43,10 +43,7 @@ use std::time::{Duration, Instant};
 /// client to close its side before shutting the socket down.
 const LINGER: Duration = Duration::from_millis(250);
 
-/// Everything tunable about a server. Anomaly signals are not a policy
-/// input: a shard attributes each to the session owning its suspected
-/// thread and keeps it in `/statsz` `anomalies`, and evicts no session for
-/// it — signals are evidence, not verdicts.
+/// Everything tunable about a server.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Number of detector shards (one OS thread + one detector each).
@@ -153,8 +150,6 @@ impl ServerInner {
                 .map(|(why, n)| (why.name().to_string(), n.load(Ordering::Relaxed)))
                 .filter(|&(_, n)| n > 0)
                 .collect();
-            // The anomaly buffer is a whole list after every update, so a
-            // lock poisoned by a panic in the shard still guards good data.
             let block = ShardStatsz {
                 shard: i,
                 active_sessions: shard.active_sessions.load(Ordering::Relaxed),
@@ -169,11 +164,6 @@ impl ServerInner {
                 fault_delay_cycles: hists.fault_delay.summary(),
                 section_hold_cycles: hists.section_hold.summary(),
                 detector: self.detectors[i].snapshot(),
-                anomalies: shard
-                    .anomalies
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone(),
             };
             out.active_sessions += block.active_sessions;
             out.applied += block.applied;
@@ -372,8 +362,8 @@ where
             Ok(sock) => {
                 let inner2 = Arc::clone(inner);
                 let handle = std::thread::spawn(move || serve_connection(&inner2, sock));
-                // Like the anomaly buffer, the registry is a whole list
-                // after every update: a poisoned lock still guards it.
+                // The registry is a whole list after every update, so a
+                // lock poisoned by a panic elsewhere still guards it.
                 let mut conns = conns.lock().unwrap_or_else(PoisonError::into_inner);
                 // Join the connections that ended since the last accept: a
                 // finished thread keeps its stack mapped until it is joined,
@@ -625,33 +615,5 @@ mod tests {
         assert_eq!(shard.dropped.load(Ordering::Relaxed), 6);
         assert_eq!(handle.queued.load(Ordering::Relaxed), 0);
         assert_eq!(shard.queue_depth.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn statsz_survives_a_poisoned_anomaly_buffer() {
-        let (sender, _receiver) = mpsc::channel();
-        let shard = Arc::new(ShardShared::new(sender));
-        let rt = kard_rt::Session::new();
-        let inner = ServerInner {
-            config: ServerConfig::default(),
-            shards: vec![Arc::clone(&shard)],
-            telemetry: vec![Arc::clone(rt.telemetry())],
-            detectors: vec![Arc::clone(rt.kard())],
-            shutdown: AtomicBool::new(false),
-            next_serial: AtomicU64::new(1),
-            sessions_total: AtomicU64::new(0),
-            protocol_errors: AtomicU64::new(0),
-        };
-        let holder = Arc::clone(&shard);
-        let panicked = std::thread::spawn(move || {
-            let _buf = holder.anomalies.lock();
-            panic!("shard panics while holding its anomaly buffer");
-        })
-        .join();
-        assert!(panicked.is_err());
-        assert!(shard.anomalies.is_poisoned());
-        let stats = inner.statsz();
-        assert_eq!(stats.shards.len(), 1);
-        assert!(stats.shards[0].anomalies.is_empty());
     }
 }

@@ -25,26 +25,18 @@ use crate::proto::{Response, SessionSummary, WireRace, WireSide};
 use crate::ServerConfig;
 use kard_core::{RaceRecord, RaceSide};
 use kard_rt::{Applier, Caps, Rejection};
-use kard_sim::{CodeSite, ThreadId};
-use kard_telemetry::{AnomalySignal, LatencyHistogram};
+use kard_sim::CodeSite;
+use kard_telemetry::LatencyHistogram;
 use kard_trace::{Event, Op};
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often an idle shard wakes to scan for evictable sessions. Also
-/// the telemetry drain cadence: the shard fans one drained batch through
-/// the runtime's consumer pipeline (analyzer, production tick) at most
-/// once per tick, so anomaly windows stay coarse enough to be meaningful
-/// under a busy queue.
+/// How often an idle shard wakes to scan for evictable sessions.
 const EVICT_TICK: Duration = Duration::from_millis(25);
-
-/// How many session-attributed anomaly signals a shard keeps for
-/// `/statsz` before the oldest age out.
-const ANOMALY_KEEP: usize = 32;
 
 /// Per-session cap on live allocated bytes.
 const MAX_SESSION_BYTES: u64 = 64 << 20;
@@ -153,10 +145,6 @@ pub(crate) struct ShardShared {
     pub evictions: AtomicU64,
     /// Queue→apply latency, nanoseconds.
     pub ingest_latency: LatencyHistogram,
-    /// Recent anomaly signals, session-enriched by the shard (newest
-    /// last, capped at [`ANOMALY_KEEP`]). `/statsz` clones this without
-    /// disturbing the shard thread.
-    pub anomalies: Mutex<Vec<AnomalySignal>>,
 }
 
 impl ShardShared {
@@ -171,7 +159,6 @@ impl ShardShared {
             races: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             ingest_latency: LatencyHistogram::new(),
-            anomalies: Mutex::new(Vec::new()),
         }
     }
 
@@ -291,9 +278,6 @@ pub(crate) struct ShardEngine {
     sessions: HashMap<u64, ClientState>,
     /// Shard-wide well for the per-session lock-site namespaces.
     next_site: u64,
-    /// Last telemetry drain (throttles the consumer pipeline to one
-    /// window per [`EVICT_TICK`] even when the queue is busy).
-    last_drain: Instant,
 }
 
 impl ShardEngine {
@@ -308,7 +292,6 @@ impl ShardEngine {
             config,
             sessions: HashMap::new(),
             next_site: SITE_NAMESPACE_BASE,
-            last_drain: Instant::now(),
         }
     }
 
@@ -329,17 +312,10 @@ impl ShardEngine {
             // wake, so the sampling width tracks the shard's actual
             // apply-side overhead. A no-op when production mode is off.
             self.rt.kard().production_tick();
-            if self.last_drain.elapsed() >= EVICT_TICK {
-                self.last_drain = Instant::now();
-                self.observe_telemetry();
-            }
         }
         while let Ok(work) = self.queue.try_recv() {
             self.handle(work);
         }
-        // One final drain so last-window signals are attributed while
-        // their sessions are still alive.
-        self.observe_telemetry();
         let serials: Vec<u64> = self.sessions.keys().copied().collect();
         for serial in serials {
             self.end_session(serial, true, false);
@@ -521,38 +497,6 @@ impl ShardEngine {
             self.shared.evictions.fetch_add(1, Ordering::Relaxed);
         }
         state.handle.send(Response::Bye(state.summary(evicted)));
-    }
-
-    /// Drain the telemetry rings through the runtime's consumer pipeline
-    /// (analyzer, production tick, any registered exporters), then take
-    /// the anomaly signals that fired, attribute each to the session
-    /// owning its suspected detector thread, and keep them for `/statsz`.
-    ///
-    /// Attribution is best-effort evidence ("signals, not truth"): a
-    /// suspect thread that no live session owns — or no suspect at all —
-    /// leaves `suspected_session` as `None`, and the signal still lands
-    /// in the `/statsz` buffer.
-    fn observe_telemetry(&mut self) {
-        let _ = self.rt.drain();
-        let signals = self.rt.kard().take_anomaly_signals();
-        if signals.is_empty() {
-            return;
-        }
-        // Every update leaves the buffer a whole list, so the data behind a
-        // lock poisoned by a panic elsewhere is still good.
-        let mut buf = self.shared.anomalies.lock().unwrap_or_else(PoisonError::into_inner);
-        for mut signal in signals {
-            signal.suspected_session = signal.suspected_thread.and_then(|t| {
-                self.sessions
-                    .iter()
-                    .find(|(_, s)| s.applier.client_thread(ThreadId(t as usize)).is_some())
-                    .map(|(&serial, _)| serial)
-            });
-            if buf.len() >= ANOMALY_KEEP {
-                buf.remove(0);
-            }
-            buf.push(signal);
-        }
     }
 
     /// Evict sessions idle past the configured timeout. Only sessions

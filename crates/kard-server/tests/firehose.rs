@@ -583,97 +583,6 @@ fn overhead_budget_knob_surfaces_controller_state_in_statsz() {
     server.join();
 }
 
-/// A fault storm in client vocabulary: thread 0 claims a pile of objects
-/// under lock A, then thread 1 writes every one under lock B, so each of
-/// thread 1's accesses faults (and reports an ILU race).
-fn fault_storm_burst(objects: u64) -> Vec<Event> {
-    let mut events = Vec::new();
-    for tag in 0..objects {
-        events.push(Event { thread: 0, op: Op::Alloc { tag: ObjectTag(tag), size: 64 } });
-    }
-    events.push(Event {
-        thread: 0,
-        op: Op::Lock { lock: kard_core::LockId(1), site: CodeSite(0xaaa0) },
-    });
-    for tag in 0..objects {
-        events.push(Event {
-            thread: 0,
-            op: Op::Write { tag: ObjectTag(tag), offset: 0, ip: CodeSite(0x100) },
-        });
-    }
-    events.push(Event { thread: 0, op: Op::Unlock { lock: kard_core::LockId(1) } });
-    events.push(Event {
-        thread: 1,
-        op: Op::Lock { lock: kard_core::LockId(2), site: CodeSite(0xbbb0) },
-    });
-    for tag in 0..objects {
-        events.push(Event {
-            thread: 1,
-            op: Op::Write { tag: ObjectTag(tag), offset: 0, ip: CodeSite(0x200) },
-        });
-    }
-    events.push(Event { thread: 1, op: Op::Unlock { lock: kard_core::LockId(2) } });
-    events
-}
-
-#[test]
-fn anomaly_signals_attribute_sessions() {
-    // Aggressive analyzer knobs so one fault storm fires within a window
-    // or two.
-    let analyzer = kard_core::AnalyzerConfig {
-        warmup_windows: 1,
-        cusum_threshold_permille: 100,
-        cusum_slack_permille: 0,
-        min_baseline: 1,
-        ..Default::default()
-    };
-    let server = start(ServerConfig {
-        shards: 1,
-        telemetry: true,
-        detector: kard_core::KardConfig {
-            anomaly: analyzer,
-            ..ServerConfig::default().detector
-        },
-        ..ServerConfig::default()
-    });
-    let addr = server.tcp_addr().unwrap();
-    let mut observer = FirehoseClient::connect(addr, "observer").unwrap();
-    let mut storm = FirehoseClient::connect(addr, "storm").unwrap();
-    let storm_session = storm.session();
-
-    // Let the warmup window(s) pass while the shard is quiet, so the
-    // baselines learn "nothing happening".
-    std::thread::sleep(Duration::from_millis(80));
-    storm.send_batch(&fault_storm_burst(64)).unwrap();
-
-    // The drain-side analyzer flags the storm on a later tick, and
-    // attribution maps the suspect thread back to the storm session.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let (stats, attributed) = loop {
-        let stats = observer.stats().unwrap();
-        let attributed = stats.shards[0]
-            .anomalies
-            .iter()
-            .find(|s| s.suspected_session == Some(storm_session))
-            .cloned();
-        if let Some(signal) = attributed {
-            break (stats, signal);
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "no signal names the storm session"
-        );
-        std::thread::sleep(Duration::from_millis(10));
-    };
-    assert!(stats.shards[0].detector.anomaly.signals > 0, "the analyzer fired");
-    assert!(attributed.value > attributed.baseline, "excess over baseline");
-
-    observer.bye().unwrap();
-    storm.bye().unwrap();
-    server.shutdown();
-    server.join();
-}
-
 #[test]
 fn ended_connections_are_joined_while_the_server_runs() {
     let server = start(ServerConfig::default());

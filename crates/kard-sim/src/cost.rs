@@ -148,12 +148,6 @@ impl CostModel {
     }
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel::paper()
-    }
-}
-
 /// The one charge rule of a simulated system call over `n ≥ 1` items:
 /// syscall entry, VMA bookkeeping and the TLB shootdown IPI are paid once
 /// (`base`), and each item past the first pays only its own page-table

@@ -1,28 +1,23 @@
 //! The unified drain-side observer API.
 //!
-//! Everything that runs at drain time — trace exporters, the anomaly
-//! analyzer, the overhead-budget tick — implements one trait:
-//! [`TelemetryConsumer`]. A session drains its rings once and fans the
-//! single [`Drained`] batch out to every registered consumer.
+//! Everything that runs at drain time — trace exporters and the
+//! overhead-budget tick — implements one trait: [`TelemetryConsumer`].
+//! A session drains its rings once and fans the single [`Drained`] batch
+//! out to every registered consumer.
 //!
 //! Consumers run on the collector's side of the telemetry protocol:
 //! they are free to allocate, take their own locks, and do I/O. The one
 //! contract is that they never touch the recording path — a consumer
-//! receives a borrowed batch and borrowed histogram references, nothing
-//! that can write back into the rings.
+//! receives a borrowed batch, nothing that can write back into the rings.
 
-use crate::{Drained, Histograms};
+use crate::Drained;
 use std::io::Write;
 
 /// Context handed to every consumer alongside the drained batch.
 #[derive(Debug)]
-pub struct DrainContext<'a> {
+pub struct DrainContext {
     /// Virtual-clock timestamp at drain time.
     pub now: u64,
-    /// The live (cumulative) latency histograms. Consumers that want
-    /// per-window distributions snapshot bucket counts and diff across
-    /// calls, as the analyzer does.
-    pub histograms: &'a Histograms,
 }
 
 /// A drain-time observer: receives every drained batch, in registration
@@ -30,16 +25,16 @@ pub struct DrainContext<'a> {
 pub trait TelemetryConsumer: Send {
     /// Observe one drained batch. `batch.events` is timestamp-sorted;
     /// `batch.dropped` counts ring overflow since the previous drain.
-    fn on_drain(&mut self, batch: &Drained, ctx: &DrainContext<'_>);
+    fn on_drain(&mut self, batch: &Drained, ctx: &DrainContext);
 }
 
 /// Blanket impl so plain closures register as consumers:
 /// `builder.observe(|batch, ctx| ...)`.
 impl<F> TelemetryConsumer for F
 where
-    F: FnMut(&Drained, &DrainContext<'_>) + Send,
+    F: FnMut(&Drained, &DrainContext) + Send,
 {
-    fn on_drain(&mut self, batch: &Drained, ctx: &DrainContext<'_>) {
+    fn on_drain(&mut self, batch: &Drained, ctx: &DrainContext) {
         self(batch, ctx);
     }
 }
@@ -64,7 +59,7 @@ impl<W: Write + Send> JsonLinesSink<W> {
 }
 
 impl<W: Write + Send> TelemetryConsumer for JsonLinesSink<W> {
-    fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext<'_>) {
+    fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext) {
         let text = crate::export::json_lines(&batch.events);
         let _ = self.writer.write_all(text.as_bytes());
         let _ = self.writer.flush();
@@ -96,7 +91,7 @@ impl ChromeTraceSink {
 }
 
 impl TelemetryConsumer for ChromeTraceSink {
-    fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext<'_>) {
+    fn on_drain(&mut self, batch: &Drained, _ctx: &DrainContext) {
         self.events.extend_from_slice(&batch.events);
     }
 }
@@ -119,9 +114,8 @@ mod tests {
     #[test]
     fn closures_are_consumers() {
         let mut seen = 0usize;
-        let hists = Histograms::default();
-        let ctx = DrainContext { now: 42, histograms: &hists };
-        let mut consumer = |b: &Drained, c: &DrainContext<'_>| {
+        let ctx = DrainContext { now: 42 };
+        let mut consumer = |b: &Drained, c: &DrainContext| {
             seen += b.events.len();
             assert_eq!(c.now, 42);
         };
@@ -131,8 +125,7 @@ mod tests {
 
     #[test]
     fn json_lines_sink_appends_batches() {
-        let hists = Histograms::default();
-        let ctx = DrainContext { now: 0, histograms: &hists };
+        let ctx = DrainContext { now: 0 };
         let mut sink = JsonLinesSink::new(Vec::new());
         sink.on_drain(&batch(), &ctx);
         sink.on_drain(&batch(), &ctx);
@@ -145,8 +138,7 @@ mod tests {
 
     #[test]
     fn chrome_sink_renders_accumulated_trace() {
-        let hists = Histograms::default();
-        let ctx = DrainContext { now: 0, histograms: &hists };
+        let ctx = DrainContext { now: 0 };
         let mut sink = ChromeTraceSink::new();
         sink.on_drain(&batch(), &ctx);
         let text = sink.render();

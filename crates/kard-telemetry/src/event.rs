@@ -93,7 +93,6 @@ pub fn unpack_domains(b: u64) -> Option<(DomainCode, DomainCode)> {
 /// | `BudgetSkip` | object id left unprotected | side-metadata heat at decision time |
 /// | `BudgetAdjust` | new sample permille | new hotness threshold |
 /// | `BudgetBackoff` | 1 entering / 0 leaving backoff | observed overhead in permille |
-/// | `AnomalySignal` | [`crate::analyze::MetricKind`] discriminant | CUSUM score in permille-of-baseline |
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 #[allow(missing_docs)] // The table above is the per-variant documentation.
@@ -132,12 +131,11 @@ pub enum EventKind {
     BudgetSkip = 31,
     BudgetAdjust = 32,
     BudgetBackoff = 33,
-    AnomalySignal = 34,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 35] = [
+    pub const ALL: [EventKind; 34] = [
         EventKind::SectionEnter,
         EventKind::SectionExit,
         EventKind::ObjectAlloc,
@@ -172,7 +170,6 @@ impl EventKind {
         EventKind::BudgetSkip,
         EventKind::BudgetAdjust,
         EventKind::BudgetBackoff,
-        EventKind::AnomalySignal,
     ];
 
     /// Decode a raw discriminant, if valid.
@@ -219,7 +216,6 @@ impl EventKind {
             EventKind::BudgetSkip => "budget_skip",
             EventKind::BudgetAdjust => "budget_adjust",
             EventKind::BudgetBackoff => "budget_backoff",
-            EventKind::AnomalySignal => "anomaly_signal",
         }
     }
 }

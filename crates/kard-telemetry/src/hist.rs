@@ -96,9 +96,8 @@ impl LatencyHistogram {
         }
     }
 
-    /// A relaxed snapshot of the raw per-bucket counts. Drain-side code
-    /// diffs two snapshots to get a per-window distribution (the analyzer's
-    /// windowed p95s) without disturbing the recording path.
+    /// A relaxed snapshot of the raw per-bucket counts, read without
+    /// disturbing the recording path.
     #[must_use]
     pub fn bucket_counts(&self) -> [u64; BUCKETS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))

@@ -22,7 +22,6 @@
 
 #![deny(missing_docs)]
 
-pub mod analyze;
 pub mod consumer;
 pub mod event;
 pub mod export;
@@ -30,7 +29,6 @@ pub mod hist;
 pub mod ring;
 pub mod sync;
 
-pub use analyze::{Analyzer, AnalyzerConfig, AnomalySignal, AnomalyStats, MetricKind, WindowSample};
 pub use consumer::{ChromeTraceSink, DrainContext, JsonLinesSink, TelemetryConsumer};
 pub use event::{Event, EventKind};
 pub use hist::{merged_summary, HistogramSummary, LatencyHistogram};

@@ -18,10 +18,7 @@
 //! Baseline / Alloc / Kard / TSan-model configurations and reports
 //! overheads; [`apps`] models NGINX, memcached, pigz, and Aget including
 //! their documented real races (Table 6); [`racegen`] generates the random
-//! race corpus behind the §3.1 ILU-share analysis; [`regress`] builds
-//! the windowed regression-injection shapes (fault storm, key thrash,
-//! latency creep) that gate the drain-side anomaly detector; [`storm`]
-//! generates
+//! race corpus behind the §3.1 ILU-share analysis; [`storm`] generates
 //! the connect/blast/disconnect session traffic that drives the
 //! `kard-server` firehose benchmarks and overload tests; [`work_steal`]
 //! adds work-stealing deque and async task-pool shapes (plus the
@@ -33,7 +30,6 @@
 pub mod apps;
 pub mod native;
 pub mod racegen;
-pub mod regress;
 pub mod runner;
 pub mod spec;
 pub mod storm;

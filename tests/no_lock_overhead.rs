@@ -581,58 +581,6 @@ fn production_controller_keeps_fault_free_path_lock_and_alloc_free() {
     );
 }
 
-/// The anomaly analyzer's zero-cost contract: with detection on (the
-/// default) and telemetry enabled, the fault-free access path still
-/// takes zero detector locks and performs zero heap allocations — the
-/// analyzer's mutex is taken only inside [`Session::drain`], and a
-/// drain touches telemetry and analyzer state, never detector locks.
-#[test]
-fn anomaly_analyzer_keeps_fault_free_path_lock_and_alloc_free() {
-    let program = lock_free_program(4, 50);
-    let trace = program.trace_seeded(19);
-    let session = kard::rt::Session::builder().telemetry(true).build();
-    let mut kard = KardExecutor::new(session.kard().clone());
-    replay(&trace, &mut kard);
-
-    let objects = session.alloc().live_objects();
-    let t = session.kard().register_thread();
-    // Warm-up pass so lazy per-thread state exists before counting.
-    for (i, o) in objects.iter().enumerate() {
-        session.kard().write(t, o.base, CodeSite(0x900 + i as u64 % 2));
-    }
-
-    let before = session.kard().detector_lock_acquisitions();
-    let allocs_before = SCOPED_ALLOCS.load(Ordering::Relaxed);
-    COUNT_ALLOCS.with(|f| f.set(true));
-    for i in 0..1000u64 {
-        let o = &objects[(i % 16) as usize];
-        session.kard().write(t, o.base.offset((i % 8) * 8), CodeSite(0x900));
-        session.kard().read(t, o.base.offset((i % 8) * 8), CodeSite(0x901));
-    }
-    COUNT_ALLOCS.with(|f| f.set(false));
-    let allocs = SCOPED_ALLOCS.load(Ordering::Relaxed) - allocs_before;
-    let after = session.kard().detector_lock_acquisitions();
-
-    assert_eq!(after - before, 0, "the analyzer must not add detector locks");
-    assert_eq!(allocs, 0, "the analyzer must not allocate on the access path");
-
-    // The drain actually runs the analyzer (a window is ingested), and
-    // still takes no detector locks: the analyzer state sits behind its
-    // own untracked mutex on the drain side.
-    let windows_before = session.kard().anomaly_stats().windows;
-    let _ = session.drain();
-    assert_eq!(
-        session.kard().anomaly_stats().windows,
-        windows_before + 1,
-        "a drain feeds the analyzer exactly one window"
-    );
-    assert_eq!(
-        session.kard().detector_lock_acquisitions(),
-        after,
-        "an analyzer window must take no detector locks"
-    );
-}
-
 #[test]
 fn lock_free_objects_stay_not_accessed() {
     let program = lock_free_program(2, 50);
