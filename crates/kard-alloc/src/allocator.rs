@@ -344,15 +344,16 @@ impl KardAlloc {
         let mut guard = mag.engage();
         let inner = guard.inner();
         let class = class_of(rounded);
-        let fast = !inner.classes[class].prepared.is_empty();
+        let fast = !inner.class(class).prepared.is_empty();
         if !fast {
             self.refill(thread, inner, mag, class, rounded);
         }
-        let slot = inner.classes[class]
+        let slot = inner
+            .class(class)
             .prepared
             .pop()
             .expect("refill provisions at least one slot");
-        let remaining = inner.classes[class].prepared.len() as u64;
+        let remaining = inner.class(class).prepared.len() as u64;
         drop(guard);
 
         let info = self.index(&Record {
@@ -407,7 +408,7 @@ impl KardAlloc {
         }
         self.flush_dirty(thread, inner);
 
-        let cache = &mut inner.classes[class];
+        let cache = inner.class(class);
         let batch = cache.next_batch.max(INITIAL_BATCH);
         let first = self.machine.reserve_pages(batch as u64);
         cache.next_batch = (batch * 2).min(MAX_BATCH);
@@ -433,7 +434,7 @@ impl KardAlloc {
             self.retag(thread, &ranges, key)
                 .expect("provision key must be valid for the machine");
         }
-        let cache = &mut inner.classes[class];
+        let cache = inner.class(class);
         cache.prepared.extend(
             raws.into_iter()
                 .enumerate()
@@ -466,14 +467,17 @@ impl KardAlloc {
             .pages_retired
             .fetch_add(pages.len() as u64, Ordering::Relaxed);
         let raw_cap = MAX_BATCH * 2;
-        for slot in inner.dirty.drain(..) {
-            let cache = &mut inner.classes[class_of(slot.rounded)];
+        // Taken out and put back, so the buffer keeps its capacity.
+        let mut dirty = std::mem::take(&mut inner.dirty);
+        for slot in dirty.drain(..) {
+            let cache = inner.class(class_of(slot.rounded));
             if cache.raw.len() < raw_cap {
                 cache.raw.push((slot.frame, slot.offset));
             } else {
                 self.return_extents(slot.rounded, [(slot.frame, slot.offset)]);
             }
         }
+        inner.dirty = dirty;
     }
 
     /// Retire one slot immediately (a sharded-mode free, or the owner has
@@ -715,13 +719,15 @@ impl KardAlloc {
     }
 
     /// Flush a departing thread's allocation state: drain **and close**
-    /// its remote-free queue, retire every dirty and prepared page, and
-    /// hand all recycled extents to the global pool. After this, remote
-    /// frees targeting the thread fall back to the global pool directly,
-    /// so no slot is ever stranded. Kard's runtime calls this from the
-    /// thread-exit hook; it is idempotent and the thread may even
-    /// allocate again afterwards (with a fresh, open-pool-backed
-    /// magazine whose remote queue stays closed).
+    /// its remote-free queue, retire every dirty and prepared page, hand
+    /// all recycled extents to the global pool, and free the magazine's
+    /// size-class caches and dirty buffer, so an exited thread keeps only
+    /// its magazine's header. After this, remote frees targeting the
+    /// thread fall back to the global pool directly, so no slot is ever
+    /// stranded. Kard's runtime calls this from the thread-exit hook; it
+    /// is idempotent and the thread may even allocate again afterwards
+    /// (its next allocation rebuilds the caches; the remote queue stays
+    /// closed).
     pub fn on_thread_exit(&self, thread: ThreadId) {
         // No magazine: sharded mode, or the thread never allocated.
         let Some(mag) = self.magazines.get(thread.0).and_then(OnceLock::get) else {
@@ -760,8 +766,8 @@ impl KardAlloc {
             if !cache.raw.is_empty() {
                 self.return_extents(rounded, cache.raw.drain(..));
             }
-            cache.next_batch = INITIAL_BATCH;
         }
+        *inner = MagInner::default();
     }
 
     /// Metadata of the live object containing `addr`, if any.
@@ -856,6 +862,7 @@ impl fmt::Debug for KardAlloc {
 mod tests {
     use super::*;
     use kard_sim::{page_slot, AccessKind, CodeSite, MachineConfig, PageSpine};
+    use crate::magazine::NUM_CLASSES;
 
     /// Paper-semantics fixture: the sharded baseline, whose per-object
     /// `mmap` and strict bump order are what Figure 2 describes.
@@ -1155,6 +1162,37 @@ mod tests {
         // The extent is reusable from the global pool.
         let o = alloc.alloc(t_free, 32);
         assert_eq!(alloc.object_at(o.base).unwrap().id, o.id);
+    }
+
+    /// An exited thread's magazine gives its caches and dirty buffer
+    /// back; its next allocation rebuilds them, and its remote queue
+    /// stays closed.
+    #[test]
+    fn thread_exit_frees_the_magazine_caches_and_the_next_alloc_rebuilds_them() {
+        let (machine, t, alloc) = setup_magazine();
+        let other = machine.register_thread();
+        let kept = alloc.alloc(t, 32);
+        alloc.free(t, alloc.alloc(t, 64).id);
+        let held = |alloc: &KardAlloc| {
+            let mut guard = alloc.magazine(t).engage();
+            let inner = guard.inner();
+            (inner.classes.len(), inner.dirty.capacity())
+        };
+        assert_eq!(held(&alloc).0, NUM_CLASSES);
+        alloc.on_thread_exit(t);
+        assert_eq!(held(&alloc), (0, 0), "no class array, no dirty buffer");
+        alloc.on_thread_exit(t);
+        assert_eq!(held(&alloc), (0, 0), "a second exit builds nothing");
+
+        let again = alloc.alloc(t, 32);
+        assert_eq!(alloc.object_at(again.base).unwrap().id, again.id);
+        assert_eq!(held(&alloc).0, NUM_CLASSES);
+        // The queue closed at the first exit stays closed.
+        alloc.free(other, kept.id);
+        assert_eq!(alloc.stats().remote_free_pushes, 0);
+        alloc.free(t, again.id);
+        alloc.on_thread_exit(t);
+        assert_eq!(machine.mapped_pages(), 0, "no page stranded");
     }
 
     #[test]

@@ -63,12 +63,25 @@ pub struct ClassCache {
 }
 
 /// The owner-only interior of a magazine.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MagInner {
-    /// Per-size-class stock.
+    /// Per-size-class stock: [`NUM_CLASSES`] caches once the magazine has
+    /// stocked a class, none before and none after its thread exits
+    /// (reach a class through [`MagInner::class`], which builds them).
     pub classes: Box<[ClassCache]>,
     /// Freed slots whose pages await batched unmapping.
     pub dirty: Vec<RetiredSlot>,
+}
+
+impl MagInner {
+    /// The stock of size class `class`, building every class's cache
+    /// first if the magazine holds none.
+    pub fn class(&mut self, class: usize) -> &mut ClassCache {
+        if self.classes.is_empty() {
+            self.classes = (0..NUM_CLASSES).map(|_| ClassCache::default()).collect();
+        }
+        &mut self.classes[class]
+    }
 }
 
 /// One thread's allocation cache (see module docs).
@@ -92,10 +105,7 @@ impl Magazine {
         Magazine {
             engaged: AtomicBool::new(false),
             remote: RemoteFreeQueue::new(),
-            inner: UnsafeCell::new(MagInner {
-                classes: (0..NUM_CLASSES).map(|_| ClassCache::default()).collect(),
-                dirty: Vec::new(),
-            }),
+            inner: UnsafeCell::new(MagInner::default()),
         }
     }
 
@@ -174,10 +184,11 @@ mod tests {
         let m = Magazine::new();
         {
             let mut g = m.engage();
-            g.inner().dirty.clear();
+            g.inner().class(3).next_batch = 8;
         }
         let mut g2 = m.engage();
-        assert!(g2.inner().classes.len() == NUM_CLASSES);
+        assert_eq!(g2.inner().classes.len(), NUM_CLASSES);
+        assert_eq!(g2.inner().class(3).next_batch, 8);
     }
 
     #[test]

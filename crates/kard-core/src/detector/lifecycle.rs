@@ -82,7 +82,10 @@ impl Kard {
     /// Program-thread exit: flush the thread's allocation magazine —
     /// drain and close its remote-free queue (late cross-thread frees
     /// then route to the global pool instead of stranding slots), retire
-    /// its dirty pages, and return its cached slots to the pool.
+    /// its dirty pages, return its cached slots to the pool and free the
+    /// magazine's buffers — then retire the thread from the machine
+    /// ([`kard_sim::Machine::retire_thread`]), so no later clock read or shootdown
+    /// walks it. `t` must not be driven afterwards; its id is not reused.
     ///
     /// Takes every fault shard (ascending, the multi-shard ordering
     /// rule): retirement unmaps pages, and a fault handler mid-resolution
@@ -92,6 +95,7 @@ impl Kard {
         let shard = self.fault_shards.enter_all();
         self.note_fault_entry(t, &shard);
         self.alloc.on_thread_exit(t);
+        self.machine.retire_thread(t);
     }
 
     /// Filtered race reports.

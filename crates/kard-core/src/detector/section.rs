@@ -29,7 +29,7 @@
 //!   one such order.
 //!
 //! A per-thread count summed at entry meets both points, but loads a
-//! line per registered thread on every entry, the cost the exit avoids by
+//! line per live thread on every entry, the cost the exit avoids by
 //! stamping releases with the fault-raise count rather than `now()`; that
 //! is why the word stays.
 
@@ -108,7 +108,7 @@ impl Kard {
         // Retract k_na: first accesses to Not-accessed objects must fault.
         new_pkru.set_permission(self.layout.not_accessed, Permission::NoAccess);
         // The entry stamp feeds only the telemetry hold time, and
-        // `Machine::now()` loads every registered thread's counter: read it
+        // `Machine::now()` loads every live thread's counter: read it
         // only while telemetry records. Kard's hardware stamps releases,
         // not entries (§5.4), so this is the simulator's cost, not Kard's.
         let entered = self.telemetry.enabled().then(|| self.machine.now());

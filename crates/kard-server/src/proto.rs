@@ -157,6 +157,13 @@ pub struct ShardStatsz {
     pub shard: usize,
     /// Sessions currently attached.
     pub active_sessions: u64,
+    /// Threads of the shard's machine not yet retired: those of its
+    /// attached sessions (a session's threads retire when it ends).
+    pub threads_live: usize,
+    /// Threads the shard's machine ever registered, retired ones
+    /// included: thread ids are never reused, so this is what
+    /// `kard_sim::THREAD_CAPACITY` bounds.
+    pub threads_registered: usize,
     /// Events currently queued (ingest backlog).
     pub queue_depth: u64,
     /// Events applied to the detector.
@@ -302,7 +309,7 @@ mod tests {
             faulting: WireSide { thread: 1, section: Some(0xa), ip: 0xa1, offset: Some(8) },
             holding: WireSide { thread: 0, section: Some(0xb), ip: 0xb1, offset: None },
         };
-        let shard = ShardStatsz::default();
+        let shard = ShardStatsz { threads_live: 2, threads_registered: 6, ..Default::default() };
         for r in [
             Response::Hello { session: 3, shard: 1 },
             Response::Race(race.clone()),

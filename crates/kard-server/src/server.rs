@@ -1,22 +1,26 @@
 //! The server front end: listeners, connection threads, shard routing,
 //! `/statsz`, and graceful drain.
 //!
-//! Threading model: one acceptor per listener, one reader thread plus
-//! one writer thread per connection, one shard thread per shard. The
-//! accept and reader loops never block on a shard — events either fit
-//! the session's queue budget and are enqueued, or are dropped and
-//! counted (fail-open). Both hand-offs are `std::sync::mpsc` channels:
-//! a reader's send to its shard never blocks, and the only blocking
-//! edge is the writer's receive from its session's response channel,
-//! which it stops reading after `Bye`. Shutdown is one [`Work::Close`]
-//! per shard; a send after the shard has exited fails and is counted (a
-//! batch as dropped, an `Attach` answered "server is draining"), never
-//! lost silently. After `Bye` the writer ends the stream and waits up to
-//! [`LINGER`] while the reader drains what the client still sends, so the
-//! close never resets the connection under its last lines. A connection
-//! thread that has ended is joined at the next accept (the rest in
-//! [`Server::join`]), so the server holds thread handles, and their
-//! stacks, for live connections only.
+//! Threading model: one acceptor thread per listener, blocked in
+//! `accept` (no poll: a connection is served the moment it arrives), one
+//! reader thread plus one writer thread per connection, one shard thread
+//! per shard. The accept and reader loops never block on a shard —
+//! events either fit the session's queue budget and are enqueued, or are
+//! dropped and counted (fail-open). Both hand-offs are `std::sync::mpsc`
+//! channels: a reader's send to its shard never blocks, and the only
+//! blocking edge is the writer's receive from its session's response
+//! channel, which it stops reading after `Bye`. Shutdown is one
+//! [`Work::Close`] per shard, then one connection to each listener's own
+//! address, which wakes its acceptor to see the switch and exit (it drops
+//! that connection, and any other that arrives after shutdown); a send
+//! after the shard has exited fails and is counted (a batch as dropped,
+//! an `Attach` answered "server is draining"), never lost silently. After
+//! `Bye` the writer ends the stream and waits up to [`LINGER`] while the
+//! reader drains what the client still sends, so the close never resets
+//! the connection under its last lines. A connection thread that has
+//! ended is joined at the next accept (the rest in [`Server::join`]), so
+//! the server holds thread handles, and their stacks, for live
+//! connections only.
 
 use crate::proto::{
     parse_request, response_line, Request, Response, ShardStatsz, Statsz,
@@ -31,8 +35,8 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, BufReader, BufWriter, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener};
-use std::os::unix::net::UnixListener;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
@@ -117,15 +121,27 @@ struct ServerInner {
     next_serial: AtomicU64,
     sessions_total: AtomicU64,
     protocol_errors: AtomicU64,
+    /// The bound TCP address, when TCP is enabled.
+    tcp_addr: Option<SocketAddr>,
+    /// The bound Unix socket path, when the Unix listener is enabled.
+    unix_path: Option<PathBuf>,
 }
 
 impl ServerInner {
-    /// Flip the shutdown switch once: accepting stops, every shard gets
-    /// [`Work::Close`] (drain-then-exit), readers drop late events.
+    /// Flip the shutdown switch once: every shard gets [`Work::Close`]
+    /// (drain-then-exit), readers drop late events, and each acceptor,
+    /// blocked in `accept`, is woken by a connection to its own listener
+    /// and exits.
     fn trigger_shutdown(&self) {
         if !self.shutdown.swap(true, Ordering::SeqCst) {
             for shard in &self.shards {
                 shard.send(Work::Close);
+            }
+            if let Some(addr) = self.tcp_addr {
+                let _ = TcpStream::connect(addr);
+            }
+            if let Some(path) = &self.unix_path {
+                let _ = UnixStream::connect(path);
             }
         }
     }
@@ -153,6 +169,8 @@ impl ServerInner {
             let block = ShardStatsz {
                 shard: i,
                 active_sessions: shard.active_sessions.load(Ordering::Relaxed),
+                threads_live: self.detectors[i].machine().live_threads(),
+                threads_registered: self.detectors[i].machine().thread_count(),
                 queue_depth: shard.queue_depth.load(Ordering::Relaxed),
                 applied: shard.applied.load(Ordering::Relaxed),
                 dropped: shard.dropped.load(Ordering::Relaxed),
@@ -184,8 +202,6 @@ impl ServerInner {
 /// and then [`Server::join`].
 pub struct Server {
     inner: Arc<ServerInner>,
-    tcp_addr: Option<SocketAddr>,
-    unix_path: Option<PathBuf>,
     threads: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
@@ -198,6 +214,16 @@ impl Server {
     ///
     /// Returns the bind error when a listener address is unusable.
     pub fn start(config: ServerConfig) -> io::Result<Server> {
+        let tcp = config.tcp.as_ref().map(TcpListener::bind).transpose()?;
+        let tcp_addr = tcp.as_ref().map(TcpListener::local_addr).transpose()?;
+        let unix_path = config.unix.clone();
+        let unix = match &unix_path {
+            Some(path) => {
+                let _ = std::fs::remove_file(path);
+                Some(UnixListener::bind(path)?)
+            }
+            None => None,
+        };
         let mut shards = Vec::new();
         let mut telemetry = Vec::new();
         let mut detectors = Vec::new();
@@ -222,48 +248,35 @@ impl Server {
             next_serial: AtomicU64::new(1),
             sessions_total: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            tcp_addr,
+            unix_path,
         });
         let conns: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
 
-        let mut tcp_addr = None;
-        if let Some(addr) = inner.config.tcp.clone() {
-            let listener = TcpListener::bind(&addr)?;
-            listener.set_nonblocking(true)?;
-            tcp_addr = Some(listener.local_addr()?);
+        if let Some(listener) = tcp {
             let inner2 = Arc::clone(&inner);
             let conns2 = Arc::clone(&conns);
             threads.push(std::thread::spawn(move || {
                 accept_loop(&inner2, &conns2, || {
                     listener.accept().map(|(s, _)| {
                         let _ = s.set_nodelay(true);
-                        let _ = s.set_nonblocking(false);
                         Sock::Tcp(s)
                     })
                 });
             }));
         }
-        let mut unix_path = None;
-        if let Some(path) = inner.config.unix.clone() {
-            let _ = std::fs::remove_file(&path);
-            let listener = UnixListener::bind(&path)?;
-            listener.set_nonblocking(true)?;
-            unix_path = Some(path);
+        if let Some(listener) = unix {
             let inner2 = Arc::clone(&inner);
             let conns2 = Arc::clone(&conns);
             threads.push(std::thread::spawn(move || {
                 accept_loop(&inner2, &conns2, || {
-                    listener.accept().map(|(s, _)| {
-                        let _ = s.set_nonblocking(false);
-                        Sock::Unix(s)
-                    })
+                    listener.accept().map(|(s, _)| Sock::Unix(s))
                 });
             }));
         }
 
         Ok(Server {
             inner,
-            tcp_addr,
-            unix_path,
             threads,
             conns,
         })
@@ -272,13 +285,13 @@ impl Server {
     /// The bound TCP address, when TCP is enabled.
     #[must_use]
     pub fn tcp_addr(&self) -> Option<SocketAddr> {
-        self.tcp_addr
+        self.inner.tcp_addr
     }
 
     /// The bound Unix socket path, when the Unix listener is enabled.
     #[must_use]
     pub fn unix_path(&self) -> Option<&Path> {
-        self.unix_path.as_deref()
+        self.inner.unix_path.as_deref()
     }
 
     /// A `/statsz` snapshot, taken without disturbing the shards.
@@ -324,7 +337,7 @@ impl Server {
         for t in pending {
             let _ = t.join();
         }
-        if let Some(path) = &self.unix_path {
+        if let Some(path) = &self.inner.unix_path {
             let _ = std::fs::remove_file(path);
         }
     }
@@ -351,14 +364,17 @@ impl StatsHandle {
     }
 }
 
-/// Poll one nonblocking listener until shutdown, spawning a connection
-/// thread per accepted socket.
+/// Accept on one listener until shutdown, spawning a connection thread
+/// per accepted socket. The thread blocks in `accept`; shutdown wakes it
+/// with a connection of its own, which, like any connection accepted
+/// after the switch, is dropped unserved.
 fn accept_loop<F>(inner: &Arc<ServerInner>, conns: &Arc<Mutex<Vec<JoinHandle<()>>>>, mut accept: F)
 where
     F: FnMut() -> io::Result<Sock>,
 {
     while !inner.shutdown.load(Ordering::SeqCst) {
         match accept() {
+            Ok(_) if inner.shutdown.load(Ordering::SeqCst) => break,
             Ok(sock) => {
                 let inner2 = Arc::clone(inner);
                 let handle = std::thread::spawn(move || serve_connection(&inner2, sock));
@@ -377,9 +393,9 @@ where
                 live.push(handle);
                 *conns = live;
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            // A failing accept (`EMFILE` when the process is out of
+            // descriptors, say) fails again at once until a connection
+            // closes: back off rather than spin on it.
             Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
@@ -605,6 +621,8 @@ mod tests {
             next_serial: AtomicU64::new(1),
             sessions_total: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
+            tcp_addr: None,
+            unix_path: None,
         });
         let handle = Arc::new(SessionHandle::new(1).0);
         let batch = vec![Event { thread: 0, op: Op::Compute { cycles: 1 } }; 3];

@@ -621,3 +621,76 @@ fn ended_connections_are_joined_while_the_server_runs() {
     server.shutdown();
     server.join();
 }
+
+/// Shut `server` down with `stop` and join it, failing if that takes a
+/// second: each acceptor sits blocked in `accept`, so the join returns
+/// only if shutdown wakes it.
+fn stops_within_a_second(server: Server, stop: impl FnOnce(&Server) + Send + 'static) {
+    let (done, stopped) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        stop(&server);
+        server.join();
+        let _ = done.send(());
+    });
+    assert!(
+        stopped.recv_timeout(Duration::from_secs(1)).is_ok(),
+        "shutdown and join took over a second"
+    );
+}
+
+#[test]
+fn shutdown_wakes_an_acceptor_no_client_ever_reached() {
+    stops_within_a_second(start(ServerConfig::default()), Server::shutdown);
+
+    let path = std::env::temp_dir().join(format!("kard-idle-{}.sock", std::process::id()));
+    let both = start(ServerConfig {
+        unix: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    stops_within_a_second(both, Server::shutdown);
+    assert!(!path.exists(), "socket file removed on shutdown");
+}
+
+#[test]
+fn a_client_shutdown_request_wakes_every_acceptor() {
+    let path = std::env::temp_dir().join(format!("kard-asked-{}.sock", std::process::id()));
+    let server = start(ServerConfig {
+        unix: Some(path.clone()),
+        ..ServerConfig::default()
+    });
+    let addr = server.tcp_addr().unwrap();
+    stops_within_a_second(server, move |_| {
+        let mut asking = TcpStream::connect(addr).unwrap();
+        asking.write_all(&frame(&Request::Shutdown)).unwrap();
+        // The server closes the connection once it has acted on it.
+        assert!(read_to_eof(&asking).is_empty());
+    });
+}
+
+/// A session's threads retire when it ends, so a shard's live threads
+/// are its attached sessions' and its walks do not grow with its
+/// history; its ids are still never reused, and the last of 300 racy
+/// sessions reports exactly what the first did.
+#[test]
+fn a_shard_holds_no_live_thread_of_an_ended_session() {
+    let server = start(ServerConfig {
+        shards: 1,
+        ..ServerConfig::default()
+    });
+    let addr = server.tcp_addr().unwrap();
+    let session = storm::session(&racy_storm(), 0);
+    let mut lines = Vec::new();
+    for _ in 0..300 {
+        let mut client = FirehoseClient::connect(addr, &session.name).unwrap();
+        assert_eq!(play(&mut client, &session).races, 1);
+        let live = server.statsz().shards[0].threads_live;
+        assert_eq!(live, 2, "the attached session's two threads");
+        lines.push(client.race_lines().to_vec());
+        client.bye().unwrap();
+    }
+    let shard = &server.statsz().shards[0];
+    assert_eq!((shard.threads_live, shard.threads_registered), (0, 600));
+    assert_eq!(lines[299], lines[0], "report lines must not depend on history");
+    server.shutdown();
+    server.join();
+}

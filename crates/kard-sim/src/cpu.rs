@@ -21,14 +21,16 @@ use crate::mem::{PhysFrame, VirtAddr, VirtPage};
 use crate::page_table::{AddressSpace, MapError, ProtectError};
 use crate::phys::{MemStats, PhysMemory};
 use crate::pkru::Pkru;
-use crate::spine::Registry;
+use crate::spine::{Registry, THREAD_CAPACITY};
 use crate::tlb::{Tlb, TlbConfig, TlbStats};
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::hint::spin_loop;
 #[cfg(debug_assertions)]
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Identifier of a simulated thread, assigned by [`Machine::register_thread`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize)]
@@ -127,7 +129,8 @@ impl PkruCell {
 /// [`PkruCell`], and the cycle and operation counters as bare atomics, so
 /// neither [`Machine::charge`] — executed for every simulated instruction
 /// — nor a dTLB hit takes a lock. The per-thread cycle counters double as
-/// the virtual clock: [`Machine::now`] sums them, so no global clock word
+/// the virtual clock: [`Machine::now`] sums the live threads' and adds
+/// what the retired ones ran (`Liveness`), so no global clock word
 /// exists to contend on; [`Machine::counters`] sums the operation counters
 /// the same way (each only grows, and per-location coherence makes every
 /// summed read monotonic for the reading thread). Memory accesses are not
@@ -230,6 +233,94 @@ fn apply_prefix<T, E>(
 #[repr(align(128))]
 struct FaultsRaised(AtomicU64);
 
+/// Words of [`Liveness::leaves`]: one bit per thread id.
+const LEAF_WORDS: usize = THREAD_CAPACITY / 64;
+const _: () = assert!(LEAF_WORDS <= 64, "one summary word covers every leaf");
+
+/// The set bits of `word`, lowest first.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+        word &= word - 1;
+        Some(bit)
+    })
+}
+
+/// Which registered threads are live, and what the retired ones left
+/// behind: what lets [`Machine::now`], [`Machine::shoot_down`] and the
+/// birth frontier walk live threads only. A two-level bitmap, so a walk
+/// visits one summary word, one leaf word per 64-id block holding a live
+/// thread, and the live entries — never a retired one.
+///
+/// It is built at a machine's first retirement, with every thread
+/// registered so far live. Until then every registered thread is live and
+/// the walks take the registry: a machine whose threads never exit —
+/// every embedded run — holds no bitmap at all. (Allocating these 640
+/// bytes eagerly in [`Machine::new`] was enough, through where later
+/// allocations landed, to cost `embed_threads` 8–10% on a 2-vCPU host.)
+/// Only registration and retirement write these words, under the
+/// registration lock; they stay off [`ThreadEntry`] and off the lines of
+/// `Machine` the section path reads.
+///
+/// **What a concurrent [`Machine::now`] reader may see.** A retirement
+/// folds the thread's counter into `retired_cycles` and clears its bit
+/// between two bumps of `retiring`, a seqlock: a reader that saw
+/// `retiring` odd, or changed across its walk, walks again. So a reader
+/// never counts the retiring thread twice (folded and still live) nor
+/// not at all (cleared and not yet folded); it sees the sum either before
+/// or after the fold, and the two are equal, because a retired thread is
+/// never charged again. A reader that found no bitmap walks every
+/// registered counter, which a retirement leaves as it is, so it too sees
+/// that sum. A registration only sets bits: a reader racing it may miss
+/// the newcomer, whose counter is zero until its registration returns.
+#[repr(align(128))]
+struct Liveness {
+    /// Bit `w` is set while leaf word `w` has a bit set.
+    summary: AtomicU64,
+    /// Bit `i % 64` of word `i / 64` is set while thread `i` is live.
+    leaves: [AtomicU64; LEAF_WORDS],
+    /// Cycles charged to every retired thread: the base [`Machine::now`]
+    /// adds the live counters to.
+    retired_cycles: AtomicU64,
+    /// The seqlock around a retirement: odd while one runs.
+    retiring: AtomicU64,
+    /// The largest timeline (`birth + cycles`) a retired thread reached,
+    /// which a newcomer's birth still accounts for.
+    retired_frontier: AtomicU64,
+}
+
+impl Liveness {
+    /// Threads `0..registered` live, none retired.
+    fn new(registered: usize) -> Liveness {
+        let live = Liveness {
+            summary: AtomicU64::new(0),
+            leaves: std::array::from_fn(|_| AtomicU64::new(0)),
+            retired_cycles: AtomicU64::new(0),
+            retiring: AtomicU64::new(0),
+            retired_frontier: AtomicU64::new(0),
+        };
+        (0..registered).for_each(|index| live.add(index));
+        live
+    }
+
+    /// Mark thread `index` live (under the registration lock).
+    fn add(&self, index: usize) {
+        self.leaves[index / 64].fetch_or(1 << (index % 64), Ordering::Release);
+        self.summary.fetch_or(1 << (index / 64), Ordering::Release);
+    }
+
+    /// The live thread ids, ascending.
+    fn ids(&self) -> impl Iterator<Item = usize> + '_ {
+        bits(self.summary.load(Ordering::Acquire)).flat_map(move |w| {
+            bits(self.leaves[w].load(Ordering::Acquire)).map(move |b| w * 64 + b)
+        })
+    }
+
+    fn is_live(&self, thread: ThreadId) -> bool {
+        self.leaves[thread.0 / 64].load(Ordering::Acquire) & 1 << (thread.0 % 64) != 0
+    }
+}
+
 /// The simulated machine. See the [crate-level documentation](crate) for an
 /// end-to-end example.
 pub struct Machine {
@@ -247,11 +338,14 @@ pub struct Machine {
     /// per-instruction cycle charge nor a dTLB hit touches a shared word
     /// or a lock.
     threads: Registry<ThreadEntry>,
-    /// Serialises registration — the cold path — so birth stamps and ids
-    /// are assigned atomically.
+    /// Serialises registration and retirement — the cold paths — so
+    /// birth stamps and ids are assigned atomically.
     registration: Mutex<()>,
     /// Faults raised so far; each raise takes its [`GpFault::seq`] here.
     faults_raised: FaultsRaised,
+    /// The live set and the retired threads' cycles, built at the first
+    /// retirement.
+    retired: OnceLock<Box<Liveness>>,
 }
 
 impl Machine {
@@ -267,6 +361,7 @@ impl Machine {
             threads: Registry::new(),
             registration: Mutex::new(()),
             faults_raised: FaultsRaised(AtomicU64::new(0)),
+            retired: OnceLock::new(),
         }
     }
 
@@ -283,24 +378,29 @@ impl Machine {
     }
 
     /// Register a new thread. Its PKRU starts fully permissive, matching
-    /// the architectural reset state (PKRU = 0).
+    /// the architectural reset state (PKRU = 0). Its birth is the
+    /// frontier of the common timeline: the largest `birth + cycles` over
+    /// the live threads and the retired frontier.
     ///
     /// # Panics
     ///
     /// Panics once [`crate::THREAD_CAPACITY`] threads are registered
-    /// (ids are never reused); a caller registering on behalf of an
-    /// outside client checks [`Machine::thread_count`] first.
+    /// (ids are never reused, retired ones included); a caller
+    /// registering on behalf of an outside client checks
+    /// [`Machine::thread_count`] first.
     pub fn register_thread(&self) -> ThreadId {
         let _registration = self.registration.lock();
-        // Stamp the newcomer's birth at the frontier of every live
-        // thread's timeline (under the registration lock, so two
-        // concurrent registrations cannot miss each other).
+        // Under the registration lock, so two concurrent registrations
+        // cannot miss each other and no retirement moves a thread from
+        // the walk to the frontier meanwhile.
+        let retired_frontier = self
+            .retired
+            .get()
+            .map_or(0, |live| live.retired_frontier.load(Ordering::Relaxed));
         let birth = self
-            .threads
-            .iter()
+            .live_entries()
             .map(|e| e.birth + e.cycles.load(Ordering::Relaxed))
-            .max()
-            .unwrap_or(0);
+            .fold(retired_frontier, u64::max);
         let index = self.threads.len();
         self.threads.publish(
             index,
@@ -320,13 +420,74 @@ impl Machine {
                 driven: AtomicBool::new(false),
             },
         );
+        if let Some(live) = self.retired.get() {
+            live.add(index);
+        }
         ThreadId(index)
     }
 
-    /// Number of registered threads.
+    /// Retire `thread`: it has exited and is never driven again. Its
+    /// cycles fold into the base [`Machine::now`] adds to, its timeline
+    /// into the retired frontier, and it leaves the live set, so neither
+    /// the clock, nor a shootdown, nor a newcomer's birth walks it again.
+    /// [`Machine::counters`] and [`Machine::tlb_stats`] still count it,
+    /// and its id is not reused. Retiring a retired thread does nothing.
+    /// Debug builds panic when a retired thread is driven.
+    pub fn retire_thread(&self, thread: ThreadId) {
+        let _registration = self.registration.lock();
+        let live = self
+            .retired
+            .get_or_init(|| Box::new(Liveness::new(self.threads.len())));
+        if !live.is_live(thread) {
+            return;
+        }
+        let entry = self.entry(thread);
+        let cycles = entry.cycles.load(Ordering::Relaxed);
+        live.retired_frontier
+            .fetch_max(entry.birth + cycles, Ordering::Relaxed);
+        // The seqlock's write side (see `Liveness`): odd, fold and clear,
+        // even. Only this lock's holder writes these words.
+        let seq = live.retiring.load(Ordering::Relaxed);
+        live.retiring.store(seq + 1, Ordering::Relaxed);
+        fence(Ordering::Release);
+        live.retired_cycles.fetch_add(cycles, Ordering::Relaxed);
+        let (word, bit) = (thread.0 / 64, 1u64 << (thread.0 % 64));
+        if live.leaves[word].fetch_and(!bit, Ordering::Relaxed) == bit {
+            live.summary.fetch_and(!(1 << word), Ordering::Relaxed);
+        }
+        live.retiring.store(seq + 2, Ordering::Release);
+    }
+
+    /// Number of threads ever registered, retired ones included: ids are
+    /// never reused, so this is also the next id and what
+    /// [`crate::THREAD_CAPACITY`] bounds.
     #[must_use]
     pub fn thread_count(&self) -> usize {
         self.threads.len()
+    }
+
+    /// Number of registered threads not yet retired.
+    #[must_use]
+    pub fn live_threads(&self) -> usize {
+        self.retired.get().map_or_else(
+            || self.threads.len(),
+            |live| {
+                live.leaves
+                    .iter()
+                    .map(|w| w.load(Ordering::Relaxed).count_ones() as usize)
+                    .sum()
+            },
+        )
+    }
+
+    /// The entries of the live threads, in id order: the whole registry
+    /// until a thread has retired.
+    fn live_entries(&self) -> impl Iterator<Item = &ThreadEntry> {
+        let (all, live) = match self.retired.get() {
+            None => (Some(self.threads.iter()), None),
+            Some(live) => (None, Some(live.ids().filter_map(|i| self.threads.get(i)))),
+        };
+        all.into_iter().flatten().chain(live.into_iter().flatten())
     }
 
     fn entry(&self, thread: ThreadId) -> &ThreadEntry {
@@ -335,30 +496,59 @@ impl Machine {
             .unwrap_or_else(|| panic!("unregistered thread {thread}"))
     }
 
+    /// [`Machine::entry`] of a thread about to be driven. Debug builds
+    /// check that it has not retired: its work would be charged to a
+    /// counter [`Machine::now`] no longer reads.
+    #[inline]
+    fn driven(&self, thread: ThreadId) -> &ThreadEntry {
+        #[cfg(debug_assertions)]
+        assert!(
+            self.retired.get().is_none_or(|live| live.is_live(thread)),
+            "{thread} is driven after it retired"
+        );
+        self.entry(thread)
+    }
+
     /// Charge `cycles` to `thread` and advance the global clock: one
     /// relaxed addition to a counter only this thread writes — no lock
     /// and no shared clock word, which matters because every simulated
     /// instruction lands here.
     pub fn charge(&self, thread: ThreadId, cycles: CycleCount) {
-        self.entry(thread).cycles.fetch_add(cycles, Ordering::Relaxed);
+        self.driven(thread).cycles.fetch_add(cycles, Ordering::Relaxed);
     }
 
     /// Current value of the global virtual clock (no cost charged): the
-    /// sum of the per-thread cycle counters. Monotonic for any observer —
-    /// the counters only grow, and coherence keeps repeated reads of each
-    /// one non-decreasing.
+    /// cycles every thread ever registered has been charged — the retired
+    /// threads' folded into one base word, plus each live thread's
+    /// counter. Monotonic for any observer — the counters only grow,
+    /// coherence keeps repeated reads of each one non-decreasing, and a
+    /// retirement moves cycles from a counter to the base without
+    /// changing the sum (`Liveness` says what a reader racing it sees).
     ///
-    /// It loads every registered thread's counter, lines other cores are
-    /// writing, so no per-section path reads it. Its callers: the fault
-    /// raise ([`GpFault::tsc`]), telemetry's event stamps and latencies,
-    /// the production-mode budget tick, and the telemetry drain. Key
-    /// releases are stamped with [`Machine::faults_raised`] instead.
+    /// It loads every live thread's counter, lines other cores are
+    /// writing, so no per-section path reads it; retired threads cost it
+    /// nothing. Its callers: the fault raise ([`GpFault::tsc`]),
+    /// telemetry's event stamps and latencies, the production-mode budget
+    /// tick, and the telemetry drain. Key releases are stamped with
+    /// [`Machine::faults_raised`] instead.
     #[must_use]
     pub fn now(&self) -> u64 {
-        self.threads
-            .iter()
-            .map(|e| e.cycles.load(Ordering::Relaxed))
-            .sum()
+        let Some(live) = self.retired.get() else {
+            return self.threads.iter().map(|e| e.cycles.load(Ordering::Relaxed)).sum();
+        };
+        loop {
+            let seq = live.retiring.load(Ordering::Acquire);
+            let sum = live.retired_cycles.load(Ordering::Relaxed)
+                + self
+                    .live_entries()
+                    .map(|e| e.cycles.load(Ordering::Relaxed))
+                    .sum::<u64>();
+            fence(Ordering::Acquire);
+            if seq.is_multiple_of(2) && live.retiring.load(Ordering::Relaxed) == seq {
+                return sum;
+            }
+            spin_loop();
+        }
     }
 
     /// Number of #GP faults raised so far (no cost charged): one load of
@@ -374,7 +564,7 @@ impl Machine {
 
     /// `RDPKRU`: read `thread`'s protection-key rights register.
     pub fn rdpkru(&self, thread: ThreadId) -> Pkru {
-        let entry = self.entry(thread);
+        let entry = self.driven(thread);
         entry.rdpkru.fetch_add(1, Ordering::Relaxed);
         entry.cycles.fetch_add(self.cost.rdpkru, Ordering::Relaxed);
         entry.pkru.load()
@@ -388,7 +578,7 @@ impl Machine {
     /// permission changed costs a page-table update and the thread's TLB
     /// is flushed, modelling the §8 software schemes.
     pub fn wrpkru(&self, thread: ThreadId, pkru: Pkru) {
-        let entry = self.entry(thread);
+        let entry = self.driven(thread);
         entry.wrpkru.fetch_add(1, Ordering::Relaxed);
         match self.config.mechanism {
             ProtectionMechanism::Mpk => {
@@ -580,16 +770,19 @@ impl Machine {
     }
 
     /// TLB shootdown of `pages`, run after their new PTEs are stored and
-    /// the writer mutex released: each registered thread whose dTLB holds
-    /// some of them gets those entries posted, in one `fetch_or`, to drop
+    /// the writer mutex released: each live thread whose dTLB holds some
+    /// of them gets those entries posted, in one `fetch_or`, to drop
     /// before its next probe. A thread that caches none of them is read,
-    /// never written, and no lock is taken. Why this leaves no stale entry
-    /// behind is [`crate::page_table`]'s argument.
+    /// never written, and no lock is taken. A retired thread is not
+    /// visited at all, as a kernel sends no IPI to a CPU the address space
+    /// no longer runs on: it never probes again, so its stale entries
+    /// are never read. Why this leaves no stale entry behind is
+    /// [`crate::page_table`]'s argument.
     fn shoot_down(&self, pages: impl Iterator<Item = VirtPage> + Clone) {
         // Orders the PTE stores before the reads of every set below; pairs
         // with the fence after an install in `access`.
         fence(Ordering::SeqCst);
-        for entry in self.threads.iter() {
+        for entry in self.live_entries() {
             entry.tlb.post_held(pages.clone());
         }
     }
@@ -621,7 +814,7 @@ impl Machine {
         kind: AccessKind,
         ip: CodeSite,
     ) -> Result<(), GpFault> {
-        let entry = self.entry(thread);
+        let entry = self.driven(thread);
         #[cfg(debug_assertions)]
         let _driving = Driving::claim(entry, thread);
         let page = addr.page();
@@ -685,7 +878,8 @@ impl Machine {
         }
     }
 
-    /// Snapshot of the operation counters (summed over the threads).
+    /// Snapshot of the operation counters (summed over every thread ever
+    /// registered, retired ones included).
     #[must_use]
     pub fn counters(&self) -> MachineCounters {
         let mut total = MachineCounters {
@@ -725,7 +919,8 @@ impl Machine {
         entry.birth + entry.cycles.load(Ordering::Relaxed)
     }
 
-    /// Sum of all threads' dTLB statistics.
+    /// Sum of the dTLB statistics of every thread ever registered,
+    /// retired ones included.
     #[must_use]
     pub fn tlb_stats(&self) -> TlbStats {
         let mut total = TlbStats::default();
@@ -1010,6 +1205,97 @@ mod tests {
         let t = m.register_thread();
         let page = m.mmap_one_page().unwrap();
         let _elsewhere = Driving::claim(m.entry(t), t);
+        let _ = m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0));
+    }
+
+    /// Retiring threads moves their cycles into the base word: the clock
+    /// still sums every cycle ever charged, and the counters still total
+    /// every thread ever registered.
+    #[test]
+    fn now_after_retirement_sums_every_cycle_ever_charged() {
+        let m = machine();
+        let threads: Vec<ThreadId> = (0..200).map(|_| m.register_thread()).collect();
+        let mut charged = 0;
+        for (i, &t) in threads.iter().enumerate() {
+            m.charge(t, 1_000 + i as u64);
+            charged += 1_000 + i as u64;
+            let _ = m.rdpkru(t);
+            charged += m.cost_model().rdpkru;
+        }
+        assert!(m.retired.get().is_none(), "no live set before a retirement");
+        assert_eq!(m.live_threads(), 200);
+        for &t in threads.iter().step_by(3) {
+            m.retire_thread(t);
+            m.retire_thread(t); // A second retirement does nothing.
+            assert_eq!(m.now(), charged);
+        }
+        assert_eq!(m.live_threads(), 200 - threads.iter().step_by(3).count());
+        assert_eq!(m.thread_count(), 200);
+        m.charge(threads[1], 7);
+        assert_eq!(m.now(), charged + 7);
+        threads.iter().for_each(|&t| m.retire_thread(t));
+        assert_eq!((m.now(), m.live_threads()), (charged + 7, 0));
+        assert_eq!(m.counters().rdpkru, 200);
+        let t = m.register_thread();
+        assert_eq!(t, ThreadId(200), "ids are not reused");
+        m.charge(t, 3);
+        assert_eq!(m.now(), charged + 10);
+    }
+
+    #[test]
+    fn a_thread_registered_after_the_frontier_retired_is_born_past_it() {
+        let m = machine();
+        let (ahead, behind) = (m.register_thread(), m.register_thread());
+        m.charge(ahead, 5_000_000);
+        m.charge(behind, 10);
+        let frontier = m.thread_timeline(ahead);
+        m.retire_thread(ahead);
+        let late = m.register_thread();
+        assert!(m.thread_timeline(late) >= frontier);
+        // And once every thread has retired.
+        m.retire_thread(behind);
+        m.retire_thread(late);
+        assert!(m.thread_timeline(m.register_thread()) >= frontier);
+    }
+
+    /// A shootdown walks live threads only: a thousand retired threads
+    /// that each cached the page are posted nothing, and the walk's
+    /// entries are the live ones, whatever the history.
+    #[test]
+    fn a_shootdown_posts_nothing_to_a_retired_thread() {
+        let m = machine();
+        let writer = m.register_thread();
+        let page = m.mmap_one_page().unwrap();
+        let cache = |t| {
+            m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0))
+                .unwrap();
+        };
+        let retired: Vec<ThreadId> = (0..1_000).map(|_| m.register_thread()).collect();
+        retired.iter().for_each(|&t| cache(t));
+        let holder = m.register_thread();
+        cache(holder);
+        retired.iter().for_each(|&t| m.retire_thread(t));
+        assert_eq!(m.live_entries().count(), 2);
+
+        m.pkey_mprotect(writer, &[(page, 1)], ProtectionKey(4)).unwrap();
+        let posted = |t| m.entry(t).tlb.posted();
+        assert_eq!(posted(holder), 1);
+        assert!(retired.iter().all(|&t| posted(t) == 0));
+        m.unmap_pages(writer, &[page]).unwrap();
+        assert!(retired.iter().all(|&t| posted(t) == 0));
+        // Every thread's probes still count.
+        assert_eq!(m.tlb_stats().lookups(), 1_001);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "t1 is driven after it retired")]
+    fn driving_a_retired_thread_panics_in_debug_builds() {
+        let m = machine();
+        let _t0 = m.register_thread();
+        let t = m.register_thread();
+        let page = m.mmap_one_page().unwrap();
+        m.retire_thread(t);
         let _ = m.access(t, page.base_addr(), AccessKind::Read, CodeSite(0));
     }
 

@@ -54,8 +54,9 @@
 //! Two rules in [`crate::Machine`] keep cached keys fresh:
 //!
 //! 1. a writer **stores the PTEs**, releases the writer mutex, issues a
-//!    `SeqCst` fence, and then reads, in every registered thread's dTLB,
-//!    the set of each page it changed. Where the page is cached it posts
+//!    `SeqCst` fence, and then reads, in every live thread's dTLB, the
+//!    set of each page it changed (a retired thread never probes again,
+//!    so its dTLB is left as it is). Where the page is cached it posts
 //!    that entry to the thread (one `fetch_or` on the thread's `posted`
 //!    word), which the thread's next probe loads (acquire) and drops first;
 //! 2. an access that misses walks, **installs, issues a `SeqCst` fence,

@@ -235,8 +235,7 @@ impl<T> Registry<T> {
 
     /// Every published value in index order, bounded to what was
     /// published before the call. Walks the chunk slices directly and
-    /// carries no indices: [`crate::Machine::now`] sums this at every
-    /// section entry and exit.
+    /// carries no indices.
     pub fn iter(&self) -> impl Iterator<Item = &T> {
         self.slots
             .chunks
