@@ -1,6 +1,6 @@
 .PHONY: verify build test test-races test-benchmark clippy doc tables trace-demo serve loc bench-pairs ledger flake
 
-verify: build test test-races test-benchmark clippy doc
+verify: build test test-races test-benchmark clippy doc trace-demo
 
 build:
 	cargo build --release
@@ -103,5 +103,8 @@ flake:
 serve:
 	cargo run --release -p kard-server -- --telemetry
 
+# The observability walkthrough, run rather than only compiled: a traced
+# NGINX replay exported to target/trace-demo/{events.jsonl,trace.json}
+# (under the ignored target/, so verify leaves the tree clean).
 trace-demo:
 	cargo run --release --example telemetry

@@ -353,7 +353,6 @@ impl KardAlloc {
             .prepared
             .pop()
             .expect("refill provisions at least one slot");
-        let remaining = inner.class(class).prepared.len() as u64;
         drop(guard);
 
         let info = self.index(&Record {
@@ -374,12 +373,6 @@ impl KardAlloc {
             .fetch_add(rounded - size, Ordering::Relaxed);
         if fast {
             self.stats.fast_path_hits.fetch_add(1, Ordering::Relaxed);
-        }
-        if self.telemetry.enabled() {
-            self.telemetry.histograms().magazine_occupancy.record(remaining);
-            if fast {
-                self.emit(thread, EventKind::AllocFastHit, id.0, rounded);
-            }
         }
         self.emit(thread, EventKind::ObjectAlloc, id.0, size);
         info
@@ -1079,6 +1072,22 @@ mod tests {
         pages.sort();
         pages.dedup();
         assert_eq!(pages.len(), 16);
+    }
+
+    #[test]
+    fn a_fast_path_allocation_records_one_event() {
+        let (_, t, alloc) = setup_magazine();
+        // The first allocation refills a batch of 4, leaving 3 prepared.
+        let _ = alloc.alloc(t, 32);
+        alloc.telemetry().set_enabled(true);
+        let hits = alloc.stats().fast_path_hits;
+        let infos: Vec<_> = (0..3).map(|_| alloc.alloc(t, 32)).collect();
+        assert_eq!(alloc.stats().fast_path_hits - hits, 3, "all three rode the fast path");
+        let drained = alloc.telemetry().drain();
+        assert_eq!(drained.dropped, 0);
+        let events: Vec<_> = drained.events.iter().map(|e| (e.kind, e.a)).collect();
+        let expected: Vec<_> = infos.iter().map(|o| (EventKind::ObjectAlloc, o.id.0)).collect();
+        assert_eq!(events, expected, "one ObjectAlloc per allocation and nothing else");
     }
 
     #[test]

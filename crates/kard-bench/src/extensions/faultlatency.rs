@@ -6,11 +6,8 @@
 //! previous owner and takes the slow path: identification faults first,
 //! then ownership-change faults with reactive key grants on every
 //! handoff. The detector records each fault resolution's delay into the
-//! `fault_delay` histogram. The headline is
-//! `suggested_measured_fault_delay`: the p50 handling delay of the most
-//! contended run, the measured counterpart of the cost model's assumed
-//! delay. As `KardConfig::measured_fault_delay` it changes no §5.5
-//! verdict (see that field's doc comment).
+//! `fault_delay` histogram, the measured counterpart of the cost model's
+//! assumed delay.
 //!
 //! **Disjoint fault storm.** Logical threads fault on unrelated objects
 //! at 1/2/4/8 threads. The p50/p95/p99 of the faulting write on the
@@ -64,8 +61,6 @@ pub struct StormRow {
 /// Both measurements.
 #[derive(Clone, Debug, Serialize)]
 pub struct FaultLatency {
-    /// p50 handling delay of the 8-thread handoff, cycles.
-    pub suggested_measured_fault_delay: u64,
     /// Handoff at 2/4/8 threads.
     pub samples: Vec<HandoffRow>,
     /// Disjoint storm at 1/2/4/8 threads.
@@ -170,10 +165,8 @@ fn storm(threads: usize, rounds: u64) -> StormRow {
 /// Run both measurements at `rounds` (> 0) rounds each.
 #[must_use]
 pub fn sweep(rounds: u64) -> FaultLatency {
-    let samples: Vec<HandoffRow> = [2, 4, 8].map(|t| handoff(t, rounds)).into();
     FaultLatency {
-        suggested_measured_fault_delay: samples[2].fault_delay.p50,
-        samples,
+        samples: [2, 4, 8].map(|t| handoff(t, rounds)).into(),
         storm: [1, 2, 4, 8].map(|t| storm(t, rounds)).into(),
     }
 }
@@ -200,11 +193,9 @@ pub fn text(rounds: u64) -> String {
             s.pkey_mprotect.p99,
         ));
     }
-    out.push_str(&format!(
-        "suggested KardConfig::measured_fault_delay: {}\n\
-         disjoint fault storm (private objects and locks, one reacquisition fault per round):\n",
-        r.suggested_measured_fault_delay
-    ));
+    out.push_str(
+        "disjoint fault storm (private objects and locks, one reacquisition fault per round):\n",
+    );
     for s in &r.storm {
         out.push_str(&format!(
             "{:>2} threads: {:>7} faults, p50={} p95={} p99={} (queued {} cycles total)\n",

@@ -89,23 +89,9 @@ pub struct KardConfig {
     pub proactive_acquisition: bool,
     /// Run the protection-interleaving false-positive filter (§5.5).
     pub protection_interleaving: bool,
-    /// Apply the release-timestamp filter: treat a key released less than
-    /// one fault-handling delay before the fault as still held (§5.5).
+    /// Apply the release-timestamp filter: treat a key released after the
+    /// fault was raised, inside the handler's delay, as still held (§5.5).
     pub timestamp_filter: bool,
-    /// Measured average fault-handling delay in cycles, the window width
-    /// of the release-timestamp filter (§5.5) in place of the cost model's
-    /// *assumed* delay; `None` falls back to `CostModel::fault_handling`.
-    /// The paper derives its 24,000-cycle threshold from measurement on
-    /// the evaluation machine, and `kard-tables faultlatency` prints the
-    /// equivalent number for this reproduction.
-    ///
-    /// The filter cannot tell one width `d ≥ 1` from another: it takes the
-    /// handler's time as `fault.seq + d` and asks whether the last release
-    /// falls after `fault.seq` and less than `d` before the handler, which
-    /// for every `d ≥ 1` is exactly "after `fault.seq`" — after the fault
-    /// was raised. Only `Some(0)` changes a verdict: it never counts a
-    /// release as recent.
-    pub measured_fault_delay: Option<u64>,
     /// Key assignment: direct (the paper) or virtualized.
     pub keys: KeyMode,
     /// Production mode ([`crate::budget`]): `Some` runs the
@@ -125,7 +111,6 @@ impl KardConfig {
             proactive_acquisition: true,
             protection_interleaving: true,
             timestamp_filter: true,
-            measured_fault_delay: None,
             keys: KeyMode::Direct {
                 exhaustion: ExhaustionPolicy::RecycleThenShare,
                 fresh_key_per_object: false,
@@ -198,7 +183,6 @@ mod tests {
         assert!(c.proactive_acquisition);
         assert!(c.protection_interleaving);
         assert!(c.timestamp_filter);
-        assert_eq!(c.measured_fault_delay, None, "cost-model delay by default");
         assert_eq!(c.keys, PAPER_KEYS, "the paper's detector works on raw keys");
         assert_eq!(c.production, None, "the paper's detector monitors everything");
         let p = ProductionConfig::default();
@@ -211,7 +195,6 @@ mod tests {
     fn struct_update_composes_over_presets() {
         let c = KardConfig {
             keys: KeyMode::Virtual(KeyCachePolicy::Hotness),
-            measured_fault_delay: Some(24_000),
             timestamp_filter: false,
             production: Some(ProductionConfig {
                 overhead_budget: Some(50),
@@ -223,7 +206,6 @@ mod tests {
         assert_eq!(c.keys, KeyMode::Virtual(KeyCachePolicy::Hotness));
         let p = c.production.expect("production mode is on");
         assert_eq!((p.overhead_budget, p.sample_permille, p.sample_seed), (Some(50), 250, 0));
-        assert_eq!(c.measured_fault_delay, Some(24_000));
         assert!(!c.timestamp_filter);
         assert!(c.proactive_acquisition, "untouched fields keep the preset");
     }

@@ -206,7 +206,7 @@ impl Kard {
         // pick the next candidate. The claims stay held until
         // `apply_eviction` below has finished the demotions.
         let mut claims = self.fault_shards.claims(shard);
-        let (va, pressure) = {
+        let va = {
             let mut keys = self.lock_keys();
             let mut vkeys = self.vkeys.lock();
             let va = choose_virtual(
@@ -231,7 +231,7 @@ impl Kard {
             // Forced, as on the direct path: joining a held group's key
             // must not be refused by its other holders.
             keys.force_acquire(key, t, Perm::Write, section);
-            let pressure = vkeys.note_pressure();
+            vkeys.note_pressure();
             let stats = vkeys.stats_mut();
             match &va {
                 VAssignment::Hit { .. } | VAssignment::Join { .. } => stats.hits += 1,
@@ -250,11 +250,8 @@ impl Kard {
             // lock-free "was this object ever grouped?" question on the
             // free path. Idempotent on hits.
             self.sidemeta.set_vkey(info.id, va.vkey());
-            (va, pressure)
+            va
         };
-        if self.telemetry.enabled() {
-            self.telemetry.histograms().key_pressure.record(pressure);
-        }
 
         let key = va.key();
         let vkey = va.vkey();

@@ -29,17 +29,10 @@ pub(super) enum FaultAction {
 }
 
 impl Kard {
-    /// Telemetry for a fault-path entry: feed the concurrency histogram,
-    /// and emit a contention event when the entry had to wait for a shard
-    /// — exactly the waits the old global fault mutex imposed on *every*
-    /// concurrent fault.
+    /// Telemetry for a fault-path entry: a contention event when the
+    /// entry had to wait for a shard — exactly the waits the old global
+    /// fault mutex imposed on *every* concurrent fault.
     pub(super) fn note_fault_entry(&self, t: ThreadId, guard: &FaultPathGuard<'_>) {
-        if self.telemetry.enabled() {
-            self.telemetry
-                .histograms()
-                .fault_concurrency
-                .record(guard.concurrency());
-        }
         if guard.contended() {
             self.emit(
                 t,
@@ -183,8 +176,7 @@ impl Kard {
         if self.telemetry.enabled() {
             // Handling latency: fault raise to resolution on the virtual
             // clock (covers the #GP delivery charge plus everything the
-            // handler itself charged). Its distribution feeds the §5.5
-            // delay-filter threshold via `measured_fault_delay`.
+            // handler itself charged).
             let latency = self.machine.now().saturating_sub(fault.tsc);
             let emulated = matches!(action, FaultAction::Emulated) as u64;
             self.emit(fault.thread, EventKind::FaultResolve, latency, emulated);
@@ -418,20 +410,11 @@ impl Kard {
             // the raise. Releases are stamped with the machine's
             // fault-raise count (`Machine::faults_raised`), so `rel >
             // fault.seq` holds exactly when the release read the count
-            // after this fault was raised.
-            // The window width is the *measured* average delay when one
-            // has been fed back (`kard-tables faultlatency`), else the
-            // cost model's assumed constant.
-            let fault_delay = self
-                .config
-                .measured_fault_delay
-                .unwrap_or(cost.fault_handling);
+            // after this fault was raised. Any window width of one or
+            // more reduces to that comparison, so no width is configured.
             let recent_release = self.config.timestamp_filter
                 && conflicting_holder.is_none()
-                && key_state.last_writer_release.is_some_and(|rel| {
-                    let handler_now = fault.seq + fault_delay;
-                    rel > fault.seq && handler_now.saturating_sub(rel) < fault_delay
-                });
+                && key_state.last_writer_release.is_some_and(|rel| rel > fault.seq);
             if conflicting_holder.is_none()
                 && !recent_release
                 && key_state.last_writer_release.is_some()

@@ -2,6 +2,7 @@
 //! (allocation, free, thread exit) and what it reports back out (race
 //! records, statistics, snapshots, the drain-side production tick).
 
+use super::thread::ThreadCtx;
 use super::Kard;
 use crate::budget::{BudgetTick, ProductionStats};
 use crate::config::KeyMode;
@@ -85,7 +86,10 @@ impl Kard {
     /// its dirty pages, return its cached slots to the pool and free the
     /// magazine's buffers — then retire the thread from the machine
     /// ([`kard_sim::Machine::retire_thread`]), so no later clock read or shootdown
-    /// walks it. `t` must not be driven afterwards; its id is not reused.
+    /// walks it. A thread that exits outside every section also gives back
+    /// its detector context (frames, held keys, section-plan handles); one
+    /// still inside a section keeps it. `t` must not be driven afterwards;
+    /// its id is not reused.
     ///
     /// Takes every fault shard (ascending, the multi-shard ordering
     /// rule): retirement unmaps pages, and a fault handler mid-resolution
@@ -96,6 +100,11 @@ impl Kard {
         self.note_fault_entry(t, &shard);
         self.alloc.on_thread_exit(t);
         self.machine.retire_thread(t);
+        self.slot(t).ctx.with(|ctx| {
+            if ctx.frames.is_empty() {
+                *ctx = ThreadCtx::default();
+            }
+        });
     }
 
     /// Filtered race reports.
@@ -185,7 +194,8 @@ impl Kard {
     /// every work item or idle wake. The work integral only grows while
     /// telemetry is enabled (the cycle histograms gate on it), so a
     /// production run that wants *adaptive* budgeting must record
-    /// telemetry; without it the controller still applies the static
+    /// telemetry — a `kard_rt` session built with production set does;
+    /// without it the controller still applies the static
     /// [`ProductionConfig::sample_permille`](crate::ProductionConfig::sample_permille)
     /// but observes zero overhead.
     pub fn production_tick(&self) -> Option<BudgetTick> {
@@ -195,7 +205,6 @@ impl Kard {
         let hists = self.telemetry.histograms();
         let work = hists.fault_delay.sum().saturating_add(hists.mprotect.sum());
         let tick = self.budget.tick(self.machine.now(), work)?;
-        hists.overhead.record(tick.observed_permille);
         // Controller events ride thread 0's ring: ticks have no thread.
         if let Some((target, threshold)) = tick.adjusted {
             self.emit(ThreadId(0), EventKind::BudgetAdjust, u64::from(target), threshold);

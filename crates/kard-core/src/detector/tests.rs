@@ -1023,3 +1023,31 @@ fn an_identification_by_read_patches_the_plan_for_every_thread() {
     assert_eq!(entry_cycles(&kard, &machine, a, 0xa), empty + map_op * 4);
     assert_eq!(kard.section_cache_stats(), (hits + 2, misses));
 }
+
+/// A thread that exits outside every section gives its context's buffers
+/// back; one that exits inside a section keeps its frames, since the key
+/// table still names it a holder.
+#[test]
+fn thread_exit_outside_sections_frees_the_context() {
+    let (_, kard) = setup();
+    let (t, u) = (kard.register_thread(), kard.register_thread());
+    let o = kard.on_alloc(t, 32);
+    kard.lock_enter(t, LockId(1), site(0xa));
+    kard.write(t, o.base, site(0xa1));
+    kard.lock_exit(t, LockId(1));
+    let capacities = |t| {
+        kard.slot(t).ctx.with(|ctx| {
+            (ctx.frames.capacity(), ctx.held.capacity(), ctx.section_cache.capacity())
+        })
+    };
+    let (frames, held, cache) = capacities(t);
+    assert!(frames > 0 && held > 0 && cache > 0, "the section left buffers behind");
+
+    kard.on_thread_exit(t);
+    assert_eq!(capacities(t), (0, 0, 0));
+
+    kard.lock_enter(u, LockId(2), site(0xb));
+    kard.on_thread_exit(u);
+    let frames = kard.slot(u).ctx.with(|ctx| ctx.frames.len());
+    assert_eq!(frames, 1, "a thread inside a section keeps its context");
+}

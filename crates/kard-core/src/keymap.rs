@@ -309,7 +309,13 @@ fn unpack_fast(word: u64) -> (ThreadId, Perm) {
 }
 
 /// One pool key's lock-free face: its holder word plus side slots for the
-/// data the slow path would have written into the table.
+/// data the slow path would have written into the table. Each fast
+/// section entry and exit writes its key's word, so every key's word sits
+/// alone on its cache lines: packed two to a line, two threads running
+/// private sections under neighbouring keys missed on every entry and
+/// exit — whether they did followed the heap's placement of the array and
+/// which keys the threads drew, and cost `embed_threads` up to 26%.
+#[repr(align(128))]
 struct KeyWord {
     /// `WORD_EMPTY`, `WORD_BUSY`, `WORD_SLOW`, or a packed `(thread, perm)`.
     state: AtomicU64,

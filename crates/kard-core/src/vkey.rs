@@ -337,12 +337,10 @@ impl VKeyTable {
         self.stats
     }
 
-    /// Record the current pressure into the peak-pressure high-water mark
-    /// and return it.
-    pub fn note_pressure(&mut self) -> u64 {
+    /// Record the current pressure into the peak-pressure high-water mark.
+    pub fn note_pressure(&mut self) {
         let p = self.pressure() as u64;
         self.stats.peak_pressure = self.stats.peak_pressure.max(p);
-        p
     }
 }
 
@@ -494,11 +492,14 @@ mod tests {
         let a = t.create();
         let b = t.create();
         t.add_member(a, ObjectId(1));
-        assert_eq!(t.note_pressure(), 1);
+        t.note_pressure();
+        assert_eq!(t.stats().peak_pressure, 1);
         t.add_member(b, ObjectId(2));
-        assert_eq!(t.note_pressure(), 2);
-        t.remove_member(ObjectId(2));
-        assert_eq!(t.note_pressure(), 1);
+        t.note_pressure();
         assert_eq!(t.stats().peak_pressure, 2);
+        t.remove_member(ObjectId(2));
+        t.note_pressure();
+        assert_eq!(t.pressure(), 1);
+        assert_eq!(t.stats().peak_pressure, 2, "the high-water mark stays");
     }
 }

@@ -3,27 +3,12 @@
 use crate::mutex::KardMutex;
 use crate::thread::SimThread;
 use kard_alloc::KardAlloc;
-use kard_core::{Kard, KardConfig, KardSnapshot, ProductionConfig};
+use kard_core::{Kard, KardConfig, KardSnapshot};
 use kard_sim::{Machine, MachineConfig};
-use kard_telemetry::{DrainContext, Drained, Telemetry, TelemetryConsumer};
-use parking_lot::Mutex;
+use kard_telemetry::{Drained, Telemetry};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Built-in drain consumer, registered first by [`SessionBuilder::build`]:
-/// runs the production-mode controller heartbeat
-/// ([`Kard::production_tick`]), so the overhead budget is steered at the
-/// cadence telemetry is collected.
-struct DetectorObserver {
-    kard: Arc<Kard>,
-}
-
-impl TelemetryConsumer for DetectorObserver {
-    fn on_drain(&mut self, _batch: &Drained, _ctx: &DrainContext) {
-        self.kard.production_tick();
-    }
-}
 
 /// Assembles a [`Session`] from named parts.
 ///
@@ -44,24 +29,12 @@ impl TelemetryConsumer for DetectorObserver {
 ///     .build();
 /// assert_eq!(session.kard().config().keys, virtualized);
 /// ```
-#[derive(Default)]
+#[derive(Debug, Default)]
 #[must_use = "a builder does nothing until `build` is called"]
 pub struct SessionBuilder {
     machine: MachineConfig,
     config: KardConfig,
     telemetry: bool,
-    consumers: Vec<Box<dyn TelemetryConsumer>>,
-}
-
-impl fmt::Debug for SessionBuilder {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SessionBuilder")
-            .field("machine", &self.machine)
-            .field("config", &self.config)
-            .field("telemetry", &self.telemetry)
-            .field("consumers", &self.consumers.len())
-            .finish()
-    }
 }
 
 impl SessionBuilder {
@@ -79,55 +52,16 @@ impl SessionBuilder {
 
     /// Start the session with fault-path event tracing already enabled
     /// (equivalent to calling [`Session::enable_telemetry`] right after
-    /// construction, but declared with the rest of the setup).
+    /// construction, but declared with the rest of the setup). A config
+    /// with [`KardConfig::production`] set turns it on regardless: the
+    /// controller's overhead observations come from the cycle histograms,
+    /// which record only while telemetry is on.
     pub fn telemetry(mut self, on: bool) -> SessionBuilder {
         self.telemetry = on;
         self
     }
 
-    /// Run this session in production mode under `budget` (permille of
-    /// elapsed cycles; `None` = observe-only, never narrow), keeping any
-    /// sample width and seed the config already names. Convenience over
-    /// writing [`KardConfig::production`] by hand; also enables telemetry,
-    /// because the controller's overhead observations come from the cycle
-    /// histograms, which only record while telemetry is on.
-    pub fn production(mut self, budget: Option<u32>) -> SessionBuilder {
-        self.config.production = Some(ProductionConfig {
-            overhead_budget: budget,
-            ..self.config.production.unwrap_or_default()
-        });
-        self.telemetry = true;
-        self
-    }
-
-    /// Register a drain-time observer: every [`Session::drain`] fans the
-    /// single drained batch out to each registered consumer, in
-    /// registration order, after the built-in one (the production tick).
-    /// Exporter sinks
-    /// ([`kard_telemetry::JsonLinesSink`],
-    /// [`kard_telemetry::ChromeTraceSink`]) and plain closures both
-    /// qualify:
-    ///
-    /// ```
-    /// use kard_rt::Session;
-    ///
-    /// let mut session = Session::builder()
-    ///     .telemetry(true)
-    ///     .observe(|batch: &kard_telemetry::Drained, _ctx: &kard_telemetry::DrainContext| {
-    ///         let _ = batch.events.len();
-    ///     })
-    ///     .build();
-    /// let _ = session.drain();
-    /// ```
-    pub fn observe(mut self, consumer: impl TelemetryConsumer + 'static) -> SessionBuilder {
-        self.consumers.push(Box::new(consumer));
-        self
-    }
-
-    /// Wire machine, allocator, and detector together. The built-in
-    /// drain consumer (the production tick) is registered ahead of any
-    /// [`SessionBuilder::observe`] ones, so user observers see detector
-    /// state already advanced for their batch.
+    /// Wire machine, allocator, and detector together.
     #[must_use]
     pub fn build(self) -> Session {
         let machine = Arc::new(Machine::new(self.machine));
@@ -137,18 +71,13 @@ impl SessionBuilder {
             Arc::clone(&alloc),
             self.config,
         ));
-        let mut consumers: Vec<Box<dyn TelemetryConsumer>> = vec![Box::new(DetectorObserver {
-            kard: Arc::clone(&kard),
-        })];
-        consumers.extend(self.consumers);
         let session = Session {
             machine,
             alloc,
             kard,
             next_lock: AtomicU64::new(1),
-            consumers: Mutex::new(consumers),
         };
-        if self.telemetry {
+        if self.telemetry || self.config.production.is_some() {
             session.enable_telemetry(true);
         }
         session
@@ -166,10 +95,6 @@ pub struct Session {
     alloc: Arc<KardAlloc>,
     kard: Arc<Kard>,
     next_lock: AtomicU64,
-    /// Drain-time observers, fanned one batch per [`Session::drain`].
-    /// A collector-side lock: taken only at drain time, never on any
-    /// recording path.
-    consumers: Mutex<Vec<Box<dyn TelemetryConsumer>>>,
 }
 
 impl Session {
@@ -246,24 +171,16 @@ impl Session {
         self.telemetry().set_enabled(on);
     }
 
-    /// Drain all per-thread event rings once and fan the single
-    /// timestamp-sorted batch out to every registered
-    /// [`TelemetryConsumer`] — the one collection step of the session.
-    ///
-    /// The built-in consumer runs first: the production tick
-    /// ([`Kard::production_tick`]) steers the overhead budget. User
-    /// consumers registered via `observe` follow, in registration order.
-    /// Takes only collector-side locks (telemetry cursors, the consumer
-    /// list) — never a detector lock.
+    /// Drain all per-thread event rings into one timestamp-sorted batch,
+    /// then run the production-mode controller's step
+    /// ([`Kard::production_tick`]), so the overhead budget is steered at
+    /// the cadence telemetry is collected. Takes only the telemetry
+    /// cursor lock — never a detector lock. Export the batch with
+    /// [`kard_telemetry::export`].
     #[must_use]
     pub fn drain(&self) -> Drained {
         let batch = self.telemetry().drain();
-        let ctx = DrainContext {
-            now: self.machine.now(),
-        };
-        for consumer in self.consumers.lock().iter_mut() {
-            consumer.on_drain(&batch, &ctx);
-        }
+        self.kard.production_tick();
         batch
     }
 }
@@ -319,18 +236,39 @@ mod tests {
     }
 
     #[test]
-    fn production_builder_enables_controller_and_telemetry() {
-        let session = Session::builder().production(Some(50)).build();
-        let production = session.kard().config().production;
-        assert_eq!(production.map(|p| p.overhead_budget), Some(Some(50)));
+    fn production_config_enables_telemetry_and_drain_ticks_the_controller() {
+        use kard_core::ProductionConfig;
+        use kard_sim::CodeSite;
+
+        let session = Session::builder()
+            .config(KardConfig {
+                production: Some(ProductionConfig {
+                    overhead_budget: Some(50),
+                    ..ProductionConfig::default()
+                }),
+                ..KardConfig::paper()
+            })
+            .build();
         assert!(session.telemetry().enabled(), "controller needs histograms");
         let snap = session.snapshot();
         assert!(snap.production.enabled);
         assert_eq!(snap.production.budget_permille, Some(50));
         assert_eq!(snap.production.sample_permille, 1000, "starts full-width");
         assert_eq!(snap.production.estimated_detection_permille, 1000);
+        assert_eq!(snap.production.overhead_permille, 0, "no tick yet");
         let json = serde_json::to_string(&snap).expect("snapshot serializes");
         assert!(json.contains("\"production\""));
+
+        let t = session.spawn_thread();
+        let o = t.alloc(32);
+        let m = session.new_mutex();
+        {
+            let _g = t.enter(&m, CodeSite(0x10));
+            t.write(&o, 0, CodeSite(0x11));
+        }
+        let _ = session.drain();
+        let observed = session.snapshot().production.overhead_permille;
+        assert!(observed > 0, "the drain's tick observed the fault's cycles");
     }
 
     #[test]
@@ -394,77 +332,5 @@ mod tests {
         }
         let tsc: Vec<u64> = drained.events.iter().map(|e| e.tsc).collect();
         assert!(tsc.windows(2).all(|w| w[0] <= w[1]), "sorted by timestamp");
-    }
-
-    #[test]
-    fn drain_fans_one_batch_to_every_consumer() {
-        use kard_sim::CodeSite;
-        use std::sync::atomic::AtomicUsize;
-
-        let first = Arc::new(AtomicUsize::new(0));
-        let second = Arc::new(AtomicUsize::new(0));
-        let (a, b) = (Arc::clone(&first), Arc::clone(&second));
-        let session = Session::builder()
-            .telemetry(true)
-            .observe(move |batch: &Drained, _ctx: &kard_telemetry::DrainContext| {
-                a.fetch_add(batch.events.len(), Ordering::Relaxed);
-            })
-            .observe(move |batch: &Drained, ctx: &kard_telemetry::DrainContext| {
-                b.fetch_add(batch.events.len(), Ordering::Relaxed);
-                assert!(ctx.now > 0, "context carries the virtual clock");
-            })
-            .build();
-        let t = session.spawn_thread();
-        let o = t.alloc(32);
-        let m = session.new_mutex();
-        {
-            let _g = t.enter(&m, CodeSite(0x10));
-            t.write(&o, 0, CodeSite(0x11));
-        }
-        let batch = session.drain();
-        assert!(!batch.events.is_empty());
-        assert_eq!(first.load(Ordering::Relaxed), batch.events.len());
-        assert_eq!(second.load(Ordering::Relaxed), batch.events.len());
-        // A second drain fans only the new tail, not the old batch again.
-        let more = session.drain();
-        assert_eq!(
-            first.load(Ordering::Relaxed),
-            batch.events.len() + more.events.len()
-        );
-    }
-
-    #[test]
-    fn exporter_sinks_register_as_consumers() {
-        use kard_sim::CodeSite;
-        use kard_telemetry::JsonLinesSink;
-        use std::io::{self, Write};
-
-        #[derive(Clone, Default)]
-        struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedBuf {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.lock().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let buf = SharedBuf::default();
-        let session = Session::builder()
-            .telemetry(true)
-            .observe(JsonLinesSink::new(buf.clone()))
-            .build();
-        let t = session.spawn_thread();
-        let o = t.alloc(32);
-        let m = session.new_mutex();
-        {
-            let _g = t.enter(&m, CodeSite(0x10));
-            t.write(&o, 0, CodeSite(0x11));
-        }
-        let batch = session.drain();
-        let text = String::from_utf8(buf.0.lock().clone()).unwrap();
-        assert_eq!(text.lines().count(), batch.events.len());
     }
 }

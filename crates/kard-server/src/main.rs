@@ -30,7 +30,8 @@ OPTIONS:
     --queue-bound N       per-session ingest budget in events (default 16384)
     --idle-timeout-ms N   evict sessions idle for N ms (0 disables; default 60000)
     --throttle-us N       artificial per-event apply cost, microseconds (default 0)
-    --telemetry           enable fault-path telemetry (richer /statsz histograms)
+    --telemetry           fill the /statsz cycle histograms; also records a
+                          per-thread event ring that nothing reads or frees
     --stats-every SECS    print a /statsz JSON line every SECS seconds
     --help                print this help
 ";

@@ -66,11 +66,11 @@ pub struct ServerConfig {
     /// configuration with virtualized keys, so detection quality does
     /// not depend on how many sessions share a shard's key pool.
     pub detector: KardConfig,
-    /// Enable fault-path telemetry rings (feeds the `/statsz` cycle
-    /// histograms, at some per-event cost). Forced on when `detector`
-    /// runs in production mode ([`KardConfig::production`]), because the
-    /// budget controller's overhead observations come from those
-    /// histograms.
+    /// Enable fault-path telemetry. It fills the cycle histograms that
+    /// `/statsz` summarises and production mode steers on, and it also
+    /// records every session thread's event ring (1.25 MiB each), which
+    /// nothing on the server reads or frees. Forced on when `detector`
+    /// runs in production mode ([`KardConfig::production`]).
     pub telemetry: bool,
     /// TCP listen address (`None` disables TCP). Use port 0 to let the
     /// OS pick; [`Server::tcp_addr`] reports the bound address.
@@ -231,7 +231,7 @@ impl Server {
         for _ in 0..config.shards.max(1) {
             let rt = kard_rt::Session::builder()
                 .config(config.detector)
-                .telemetry(config.telemetry || config.detector.production.is_some())
+                .telemetry(config.telemetry)
                 .build();
             telemetry.push(Arc::clone(rt.telemetry()));
             detectors.push(Arc::clone(rt.kard()));

@@ -84,7 +84,6 @@ pub fn unpack_domains(b: u64) -> Option<(DomainCode, DomainCode)> {
 /// | `VKeyHit` | virtual key | hardware key |
 /// | `VKeyMiss` | virtual key | hardware key bound (fill or revival) |
 /// | `VKeyEvict` | evicted virtual key | objects demoted |
-/// | `AllocFastHit` | object id | rounded size in bytes |
 /// | `AllocSlabRefill` | rounded size in bytes | slots provisioned |
 /// | `RemoteFreePush` | object id | owning thread |
 /// | `RemoteFreeDrain` | slots drained | pages retired |
@@ -122,20 +121,19 @@ pub enum EventKind {
     VKeyHit = 22,
     VKeyMiss = 23,
     VKeyEvict = 24,
-    AllocFastHit = 25,
-    AllocSlabRefill = 26,
-    RemoteFreePush = 27,
-    RemoteFreeDrain = 28,
-    FaultShardContended = 29,
-    VKeyDemoteBatch = 30,
-    BudgetSkip = 31,
-    BudgetAdjust = 32,
-    BudgetBackoff = 33,
+    AllocSlabRefill = 25,
+    RemoteFreePush = 26,
+    RemoteFreeDrain = 27,
+    FaultShardContended = 28,
+    VKeyDemoteBatch = 29,
+    BudgetSkip = 30,
+    BudgetAdjust = 31,
+    BudgetBackoff = 32,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order.
-    pub const ALL: [EventKind; 34] = [
+    pub const ALL: [EventKind; 33] = [
         EventKind::SectionEnter,
         EventKind::SectionExit,
         EventKind::ObjectAlloc,
@@ -161,7 +159,6 @@ impl EventKind {
         EventKind::VKeyHit,
         EventKind::VKeyMiss,
         EventKind::VKeyEvict,
-        EventKind::AllocFastHit,
         EventKind::AllocSlabRefill,
         EventKind::RemoteFreePush,
         EventKind::RemoteFreeDrain,
@@ -207,7 +204,6 @@ impl EventKind {
             EventKind::VKeyHit => "vkey_hit",
             EventKind::VKeyMiss => "vkey_miss",
             EventKind::VKeyEvict => "vkey_evict",
-            EventKind::AllocFastHit => "alloc_fast_hit",
             EventKind::AllocSlabRefill => "alloc_slab_refill",
             EventKind::RemoteFreePush => "remote_free_push",
             EventKind::RemoteFreeDrain => "remote_free_drain",

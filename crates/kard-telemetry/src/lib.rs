@@ -22,14 +22,12 @@
 
 #![deny(missing_docs)]
 
-pub mod consumer;
 pub mod event;
 pub mod export;
 pub mod hist;
 pub mod ring;
 pub mod sync;
 
-pub use consumer::{ChromeTraceSink, DrainContext, JsonLinesSink, TelemetryConsumer};
 pub use event::{Event, EventKind};
 pub use hist::{merged_summary, HistogramSummary, LatencyHistogram};
 pub use ring::EventRing;
@@ -43,39 +41,19 @@ use std::sync::{Arc, OnceLock};
 pub const DEFAULT_RING_CAPACITY: usize = 1 << 15;
 
 /// The log-bucketed distributions recorded alongside the event stream.
+/// Each has a reader: `Kard::production_tick` integrates `fault_delay`
+/// and `mprotect`, the firehose's `/statsz` summarises `fault_delay` and
+/// `section_hold`, and `kard-tables faultlatency` prints `fault_delay`
+/// and `mprotect`.
 #[derive(Debug, Default)]
 pub struct Histograms {
     /// Fault-handling delay: virtual cycles from fault raise to resolve.
-    /// Its p99 feeds the §5.5 timestamp-filter threshold.
     pub fault_delay: LatencyHistogram,
     /// Per-call `pkey_mprotect` charge (cycles; one grouped call records
     /// its whole batched charge).
     pub mprotect: LatencyHistogram,
     /// Critical-section hold time (cycles between lock enter and exit).
     pub section_hold: LatencyHistogram,
-    /// Key pressure: the number of live shared-object groups (virtual
-    /// keys) observed at each virtualized key assignment. A distribution
-    /// wholly below 14 means the 13 hardware pool keys were never
-    /// oversubscribed; the tail above it measures how hard the eviction
-    /// cache is working.
-    pub key_pressure: LatencyHistogram,
-    /// Magazine occupancy: prepared slots remaining in the owning
-    /// thread's magazine class at each fast-path allocation. A
-    /// distribution hugging zero means refills are too small (every
-    /// allocation rides the refill slow path); mass in the upper buckets
-    /// means the batch size has adapted to the allocation rate.
-    pub magazine_occupancy: LatencyHistogram,
-    /// Fault concurrency: how many fault-path operations were in flight
-    /// (across all fault shards, including this one) when each fault
-    /// handler entered. Mass above 1 is parallelism the per-group fault
-    /// shards provide and a single global fault lock would have
-    /// serialized away.
-    pub fault_concurrency: LatencyHistogram,
-    /// Observed detection overhead in permille of elapsed virtual cycles,
-    /// recorded once per overhead-budget controller tick (drain side only;
-    /// nothing on the recording path writes here). The distribution shows
-    /// how tightly the controller tracked its budget over the run.
-    pub overhead: LatencyHistogram,
 }
 
 /// A drained batch of events plus how many were lost to ring overflow.

@@ -3,18 +3,18 @@
 //! Runs the NGINX model (§7.2, Table 6) with fault-path event tracing
 //! enabled, writes `target/trace-demo/events.jsonl` and
 //! `target/trace-demo/trace.json` (open the latter in Perfetto or
-//! `chrome://tracing`), and prints the latency histograms the detector
-//! recorded along the way — including the measured fault-handling delay
-//! that can seed [`kard::core::KardConfig::measured_fault_delay`].
+//! `chrome://tracing`), both exported from the one batch
+//! [`kard::Session::drain`] returns, and prints the latency histograms the
+//! detector recorded along the way.
 //!
 //! Run with: `cargo run --example telemetry` (or `make trace-demo`).
 
 use kard::rt::KardExecutor;
-use kard::telemetry::{export, HistogramSummary, JsonLinesSink};
+use kard::telemetry::{export, HistogramSummary};
 use kard::workloads::apps;
 use kard::Session;
 use kard_trace::replay::replay;
-use std::fs::{self, File};
+use std::fs;
 use std::path::Path;
 
 fn print_summary(name: &str, s: &HistogramSummary) {
@@ -34,19 +34,15 @@ fn main() {
     let model = apps::nginx(workers, requests);
     println!("Tracing the NGINX model: 1 master + {workers} workers, {requests} requests each\n");
 
-    // `events.jsonl` streams out of every drain through a registered
-    // sink; `trace.json` is one whole document, rendered from the batch.
-    let dir = Path::new("target/trace-demo");
-    fs::create_dir_all(dir).expect("create trace dir");
-    let jsonl = File::create(dir.join("events.jsonl")).expect("create events.jsonl");
-    let session = Session::builder()
-        .telemetry(true)
-        .observe(JsonLinesSink::new(jsonl))
-        .build();
+    let session = Session::builder().telemetry(true).build();
     let mut exec = KardExecutor::new(session.kard().clone());
     replay(&model.program.trace_round_robin(), &mut exec);
 
     let drained = session.drain();
+    let dir = Path::new("target/trace-demo");
+    fs::create_dir_all(dir).expect("create trace dir");
+    fs::write(dir.join("events.jsonl"), export::json_lines(&drained.events))
+        .expect("write events.jsonl");
     fs::write(dir.join("trace.json"), export::chrome_trace(&drained.events))
         .expect("write trace.json");
     println!(
@@ -63,14 +59,8 @@ fn main() {
     print_summary("fault handling delay", &hists.fault_delay.summary());
     print_summary("pkey_mprotect charge", &hists.mprotect.summary());
     print_summary("section hold time", &hists.section_hold.summary());
-
-    let fault_delay = hists.fault_delay.summary();
     println!(
-        "\nSuggested KardConfig::measured_fault_delay: {} cycles (p50)",
-        fault_delay.p50
-    );
-    println!(
-        "Races reported: {} (the paper's initialization race)",
+        "\nRaces reported: {} (the paper's initialization race)",
         exec.stats().races_reported
     );
 }

@@ -526,7 +526,7 @@ fn free_of_a_never_shared_object_takes_only_its_fault_shard() {
 }
 
 /// The overhead-budget controller's zero-cost contract: with production
-/// mode on (controller live, telemetry forced on by the builder), the
+/// mode on (controller live, telemetry turned on by the builder), the
 /// fault-free access path still takes zero detector locks and performs
 /// zero heap allocations — `decide` runs only at identification faults,
 /// and `tick` runs only on the drain side.
@@ -537,13 +537,12 @@ fn production_controller_keeps_fault_free_path_lock_and_alloc_free() {
     let session = kard::rt::Session::builder()
         .config(kard::KardConfig {
             production: Some(kard::core::ProductionConfig {
+                overhead_budget: Some(100),
                 sample_permille: 700,
                 sample_seed: 9,
-                ..Default::default()
             }),
             ..kard::KardConfig::paper()
         })
-        .production(Some(100))
         .build();
     assert!(session.telemetry().enabled(), "production forces telemetry");
     let mut kard = KardExecutor::new(session.kard().clone());
