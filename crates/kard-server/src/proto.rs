@@ -31,8 +31,10 @@ pub enum Request {
     },
     /// One event.
     Event(Event),
-    /// A batch of events (the efficient form; readers decode it with the
-    /// fast codec).
+    /// A batch of events, the efficient form. The connection's reader
+    /// thread decodes it with [`kard_trace::wire::decode_batch`]: one
+    /// strict pass over the bytes [`request_payload`] writes, with serde
+    /// behind it for any other spelling.
     Batch(Vec<Event>),
     /// Apply everything accepted so far, then deliver pending race
     /// reports followed by a [`Response::Flushed`] summary.
@@ -252,8 +254,10 @@ pub fn request_payload(request: &Request) -> String {
     }
 }
 
-/// Parse a request frame payload. `{"Batch":[...]}` payloads take the
-/// fast-codec path; everything else goes through serde.
+/// Parse a request frame payload. In a payload of the form
+/// `{"Batch":[...]}` the array goes to [`kard_trace::wire::decode_batch`]
+/// (the strict pass, then serde); every other payload, and a batch that
+/// does not decode, is decided by serde over the whole payload.
 ///
 /// # Errors
 ///

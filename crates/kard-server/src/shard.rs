@@ -235,31 +235,30 @@ impl ClientState {
         }
     }
 
-    /// `op` with its client lock site replaced by the shard's. A site the
-    /// session has not used yet gets the well's next value, which
-    /// [`ClientState::record`] claims only if the applier accepts `op`.
-    fn namespace(&self, op: Op, next_site: u64) -> Op {
+    /// `op` with its client lock site replaced by the shard's, and that
+    /// client site if the session has not used it yet: it then gets the
+    /// well's next value, which [`ClientState::record`] claims only if the
+    /// applier accepts `op`.
+    fn namespace(&self, op: Op, next_site: u64) -> (Op, Option<u64>) {
         match op {
-            Op::Lock { lock, site } => Op::Lock {
-                lock,
-                site: self.sites.get(&site.0).copied().unwrap_or(CodeSite(next_site + 1)),
+            Op::Lock { lock, site } => match self.sites.get(&site.0) {
+                Some(&at) => (Op::Lock { lock, site: at }, None),
+                None => (Op::Lock { lock, site: CodeSite(next_site + 1) }, Some(site.0)),
             },
-            other => other,
+            other => (other, None),
         }
     }
 
-    /// Record the names an accepted event introduced: `sent` is the event
-    /// as the client sent it, `op` as the applier took it.
-    fn record(&mut self, sent: Op, op: Op, next_site: &mut u64) {
-        match (sent, op) {
-            (Op::Lock { site, .. }, Op::Lock { site: at, .. })
-                if !self.sites.contains_key(&site.0) =>
-            {
-                self.sites.insert(site.0, at);
-                self.site_names.insert(at.0, site.0);
+    /// Record the names an accepted event introduced: `op` as the applier
+    /// took it, and `new_site` as [`ClientState::namespace`] found it.
+    fn record(&mut self, op: Op, new_site: Option<u64>, next_site: &mut u64) {
+        match (op, new_site) {
+            (Op::Lock { site: at, .. }, Some(site)) => {
+                self.sites.insert(site, at);
+                self.site_names.insert(at.0, site);
                 *next_site = at.0;
             }
-            (_, Op::Alloc { tag, .. } | Op::Global { tag, .. }) => {
+            (Op::Alloc { tag, .. } | Op::Global { tag, .. }, _) => {
                 if let Some(info) = self.applier.object(tag) {
                     self.object_names.insert(info.id.0, tag.0);
                 }
@@ -376,11 +375,11 @@ impl ShardEngine {
         let throttle = self.config.apply_throttle;
         let applied = state.applied;
         for event in events {
-            let op = state.namespace(event.op, self.next_site);
+            let (op, new_site) = state.namespace(event.op, self.next_site);
             match state.applier.apply(event.thread, &op) {
                 Ok(()) => {
                     state.applied += 1;
-                    state.record(event.op, op, &mut self.next_site);
+                    state.record(op, new_site, &mut self.next_site);
                 }
                 Err(why) => {
                     self.shared.rejected[why as usize].fetch_add(1, Ordering::Relaxed);

@@ -6,17 +6,25 @@
 //! and lets a reader reject oversized or truncated input before parsing
 //! it. Responses travel back as JSON-Lines and need no special support.
 //!
-//! Two codecs produce byte-identical JSON for events:
+//! The derived serde path (`serde_json::to_string` / `from_str`) is the
+//! source of truth for the wire shape. [`encode_event`] writes the same
+//! bytes directly, and decoding has two tiers:
 //!
-//! * the derived serde path (`serde_json::to_string` / `from_str`) — the
-//!   source of truth for the wire shape;
-//! * [`encode_event`] / [`decode_event`] — a specialized fast path that
-//!   writes and scans the known shapes directly, with no intermediate
-//!   `Value` tree. The decoder falls back to the serde path for any
-//!   input it does not recognize, so it accepts everything serde accepts.
+//! * **the strict pass** reads exactly what [`encode_event`] and
+//!   [`encode_batch`] write: compact separators, keys in lexicographic
+//!   order, every number a plain run of decimal digits that fits a `u64`
+//!   (leading zeros included), and nothing before or after the event or
+//!   array. It matches each variant's key runs as whole literals, with no
+//!   intermediate `Value` tree;
+//! * **serde decides everything else.** At the first byte the strict pass
+//!   does not expect, the whole text goes to `serde_json::from_str`:
+//!   whitespace, other key orders, numbers past `u64::MAX`, and every
+//!   malformed payload.
 //!
-//! The equivalence of the two paths is property-tested in
-//! `tests/serde_roundtrip.rs`.
+//! So the accepted set is serde's, and where the strict pass accepts it
+//! yields what serde would. `tests/serde_roundtrip.rs` property-tests
+//! both: the encoders against serde's bytes, and one-byte mutations of
+//! encoded batches through both decoders.
 
 use crate::event::{Event, Op};
 use crate::ObjectTag;
@@ -181,203 +189,117 @@ pub fn encode_batch(events: &[Event]) -> String {
     out
 }
 
-/// Decode one event. Tries the specialized scanner first and falls back
-/// to the serde path, so any JSON serde accepts is accepted here.
+/// Decode one event: the strict pass, then serde if it does not match.
 ///
 /// # Errors
 ///
 /// [`WireError::Malformed`] when the text is not a valid event.
 pub fn decode_event(text: &str) -> Result<Event, WireError> {
-    let mut s = Scanner::new(text.as_bytes());
-    if let Some(e) = s.event() {
-        if s.at_end() {
-            return Ok(e);
-        }
+    let mut strict = Strict { b: text.as_bytes(), i: 0 };
+    match strict.event() {
+        Some(event) if strict.i == text.len() => Ok(event),
+        _ => from_serde(text),
     }
-    serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-/// Decode a JSON array of events (a `Batch` payload).
+/// Decode a JSON array of events (a `Batch` payload): the strict pass,
+/// then serde if it does not match.
 ///
 /// # Errors
 ///
 /// [`WireError::Malformed`] when the text is not a valid event array.
 pub fn decode_batch(text: &str) -> Result<Vec<Event>, WireError> {
-    let mut s = Scanner::new(text.as_bytes());
-    if let Some(events) = s.batch() {
-        if s.at_end() {
-            return Ok(events);
-        }
-    }
+    Strict { b: text.as_bytes(), i: 0 }.batch().map_or_else(|| from_serde(text), Ok)
+}
+
+fn from_serde<T: serde::Deserialize>(text: &str) -> Result<T, WireError> {
     serde_json::from_str(text).map_err(|e| WireError::Malformed(e.to_string()))
 }
 
-/// Byte scanner for the exact shapes [`encode_event`] (and the stub
-/// serde path) produce: compact separators, lexicographic keys, optional
-/// whitespace between tokens. Any mismatch returns `None` and the caller
-/// falls back to serde.
-struct Scanner<'a> {
+/// The strict pass: a cursor over exactly the bytes [`encode_event`]
+/// writes. Each method returns `None` at the first byte that differs,
+/// and the caller hands the whole text to serde.
+struct Strict<'a> {
     b: &'a [u8],
     i: usize,
 }
 
-impl<'a> Scanner<'a> {
-    fn new(b: &'a [u8]) -> Scanner<'a> {
-        Scanner { b, i: 0 }
-    }
-
-    fn ws(&mut self) {
-        while matches!(self.b.get(self.i), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.i += 1;
+impl Strict<'_> {
+    /// Step over `lit` if the input continues with it.
+    fn lit(&mut self, lit: &[u8]) -> Option<()> {
+        if !self.b[self.i..].starts_with(lit) {
+            return None;
         }
+        self.i += lit.len();
+        Some(())
     }
 
-    fn at_end(&mut self) -> bool {
-        self.ws();
-        self.i == self.b.len()
-    }
-
-    fn tok(&mut self, t: &str) -> Option<()> {
-        self.ws();
-        if self.b[self.i..].starts_with(t.as_bytes()) {
-            self.i += t.len();
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        self.ws();
+    /// `lit`, then a decimal `u64`. No digit, or a value past `u64::MAX`,
+    /// is a mismatch; leading zeros are not, as serde reads them too.
+    fn field(&mut self, lit: &[u8]) -> Option<u64> {
+        self.lit(lit)?;
         let start = self.i;
-        while matches!(self.b.get(self.i), Some(b) if b.is_ascii_digit()) {
+        let mut n = 0u64;
+        while let Some(&c @ b'0'..=b'9') = self.b.get(self.i) {
+            n = n.checked_mul(10)?.checked_add(u64::from(c - b'0'))?;
             self.i += 1;
         }
-        if self.i == start {
-            return None;
-        }
-        std::str::from_utf8(&self.b[start..self.i]).ok()?.parse().ok()
+        (self.i > start).then_some(n)
     }
 
+    /// `[`, events separated by `,`, `]`, and nothing after it.
     fn batch(&mut self) -> Option<Vec<Event>> {
-        self.tok("[")?;
-        self.ws();
-        let mut events = Vec::new();
-        if self.tok("]").is_some() {
-            return Some(events);
-        }
-        loop {
-            events.push(self.event()?);
-            self.ws();
-            if self.tok(",").is_some() {
-                continue;
+        self.lit(b"[")?;
+        // Never more bytes than the payload itself. An encoded event is
+        // seldom shorter than a decoded one, so a batch seldom regrows.
+        let mut events = Vec::with_capacity(self.b.len() / std::mem::size_of::<Event>());
+        if self.lit(b"]").is_none() {
+            loop {
+                events.push(self.event()?);
+                if self.lit(b",").is_none() {
+                    break;
+                }
             }
-            self.tok("]")?;
-            return Some(events);
+            self.lit(b"]")?;
         }
+        (self.i == self.b.len()).then_some(events)
     }
 
+    /// One event. Struct fields evaluate in the order written, which is
+    /// the order of the keys on the wire.
     fn event(&mut self) -> Option<Event> {
-        self.tok("{")?;
-        self.tok("\"op\"")?;
-        self.tok(":")?;
-        let op = self.op()?;
-        self.tok(",")?;
-        self.tok("\"thread\"")?;
-        self.tok(":")?;
-        let thread = usize::try_from(self.u64()?).ok()?;
-        self.tok("}")?;
-        Some(Event { thread, op })
-    }
-
-    fn op(&mut self) -> Option<Op> {
-        self.tok("{")?;
-        self.ws();
-        let op = if self.tok("\"Alloc\"").is_some() {
-            let (size, tag) = self.size_tag()?;
-            Op::Alloc { tag, size }
-        } else if self.tok("\"Global\"").is_some() {
-            let (size, tag) = self.size_tag()?;
-            Op::Global { tag, size }
-        } else if self.tok("\"Free\"").is_some() {
-            self.tok(":")?;
-            self.tok("{")?;
-            self.tok("\"tag\"")?;
-            self.tok(":")?;
-            let tag = ObjectTag(self.u64()?);
-            self.tok("}")?;
-            Op::Free { tag }
-        } else if self.tok("\"Lock\"").is_some() {
-            self.tok(":")?;
-            self.tok("{")?;
-            self.tok("\"lock\"")?;
-            self.tok(":")?;
-            let lock = LockId(self.u64()?);
-            self.tok(",")?;
-            self.tok("\"site\"")?;
-            self.tok(":")?;
-            let site = CodeSite(self.u64()?);
-            self.tok("}")?;
-            Op::Lock { lock, site }
-        } else if self.tok("\"Unlock\"").is_some() {
-            self.tok(":")?;
-            self.tok("{")?;
-            self.tok("\"lock\"")?;
-            self.tok(":")?;
-            let lock = LockId(self.u64()?);
-            self.tok("}")?;
-            Op::Unlock { lock }
-        } else if self.tok("\"Read\"").is_some() {
-            let (ip, offset, tag) = self.ip_offset_tag()?;
-            Op::Read { tag, offset, ip }
-        } else if self.tok("\"Write\"").is_some() {
-            let (ip, offset, tag) = self.ip_offset_tag()?;
-            Op::Write { tag, offset, ip }
-        } else if self.tok("\"Compute\"").is_some() {
-            self.tok(":")?;
-            self.tok("{")?;
-            self.tok("\"cycles\"")?;
-            self.tok(":")?;
-            let cycles = self.u64()?;
-            self.tok("}")?;
-            Op::Compute { cycles }
-        } else {
-            return None;
+        self.lit(b"{\"op\":{\"")?;
+        let op = match *self.b.get(self.i)? {
+            b'A' => Op::Alloc {
+                size: self.field(b"Alloc\":{\"size\":")?,
+                tag: ObjectTag(self.field(b",\"tag\":")?),
+            },
+            b'G' => Op::Global {
+                size: self.field(b"Global\":{\"size\":")?,
+                tag: ObjectTag(self.field(b",\"tag\":")?),
+            },
+            b'F' => Op::Free { tag: ObjectTag(self.field(b"Free\":{\"tag\":")?) },
+            b'L' => Op::Lock {
+                lock: LockId(self.field(b"Lock\":{\"lock\":")?),
+                site: CodeSite(self.field(b",\"site\":")?),
+            },
+            b'U' => Op::Unlock { lock: LockId(self.field(b"Unlock\":{\"lock\":")?) },
+            b'R' => Op::Read {
+                ip: CodeSite(self.field(b"Read\":{\"ip\":")?),
+                offset: self.field(b",\"offset\":")?,
+                tag: ObjectTag(self.field(b",\"tag\":")?),
+            },
+            b'W' => Op::Write {
+                ip: CodeSite(self.field(b"Write\":{\"ip\":")?),
+                offset: self.field(b",\"offset\":")?,
+                tag: ObjectTag(self.field(b",\"tag\":")?),
+            },
+            b'C' => Op::Compute { cycles: self.field(b"Compute\":{\"cycles\":")? },
+            _ => return None,
         };
-        self.tok("}")?;
-        Some(op)
-    }
-
-    fn size_tag(&mut self) -> Option<(u64, ObjectTag)> {
-        self.tok(":")?;
-        self.tok("{")?;
-        self.tok("\"size\"")?;
-        self.tok(":")?;
-        let size = self.u64()?;
-        self.tok(",")?;
-        self.tok("\"tag\"")?;
-        self.tok(":")?;
-        let tag = ObjectTag(self.u64()?);
-        self.tok("}")?;
-        Some((size, tag))
-    }
-
-    fn ip_offset_tag(&mut self) -> Option<(CodeSite, u64, ObjectTag)> {
-        self.tok(":")?;
-        self.tok("{")?;
-        self.tok("\"ip\"")?;
-        self.tok(":")?;
-        let ip = CodeSite(self.u64()?);
-        self.tok(",")?;
-        self.tok("\"offset\"")?;
-        self.tok(":")?;
-        let offset = self.u64()?;
-        self.tok(",")?;
-        self.tok("\"tag\"")?;
-        self.tok(":")?;
-        let tag = ObjectTag(self.u64()?);
-        self.tok("}")?;
-        Some((ip, offset, tag))
+        let thread = usize::try_from(self.field(b"}},\"thread\":")?).ok()?;
+        self.lit(b"}")?;
+        Some(Event { thread, op })
     }
 }
 
