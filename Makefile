@@ -9,13 +9,16 @@ test:
 	cargo test -q --workspace
 
 # The real-thread races (kard-sim's: a dTLB entry against the shootdown
-# of its page, lock-free PTE readers against the writer; kard-core's: a
-# fast key holder against a key-table guard) only overlap in an optimised
-# build; in debug the tests pass without racing. One release run each
-# here; `make flake TEST=page_table_concurrency PACKAGE=kard-sim` and
-# `make flake TEST=holder_words PACKAGE=kard-core` size them.
+# of its page, lock-free PTE readers against the writer, owners' load-and-
+# store counter bumps against a visitor's; kard-core's: a fast key holder
+# against a key-table guard) only overlap in an optimised build; in debug
+# the tests pass without racing. One release run each here; `make flake
+# TEST=page_table_concurrency PACKAGE=kard-sim`, `make flake
+# TEST=counter_words PACKAGE=kard-sim` and `make flake TEST=holder_words
+# PACKAGE=kard-core` size them.
 test-races:
 	cargo test --release -q -p kard-sim --test page_table_concurrency
+	cargo test --release -q -p kard-sim --test counter_words
 	cargo test --release -q -p kard-core --test holder_words
 
 # `benchmark/` is its own workspace (BENCHMARK.json drives it from a

@@ -307,6 +307,9 @@ impl Kard {
     /// frame's acquisition journal (its keymap entries are already gone)
     /// and saved PKRU, and the live PKRU, so `h` faults on its next access
     /// to the rebound key instead of silently reaching the new group.
+    /// `h` is in general driven by another OS thread, so its register is
+    /// read with [`kard_sim::Machine::rdpkru_of`], which charges `h`
+    /// through the words its own OS thread never writes.
     fn strip_holder_context(&self, h: ThreadId, key: ProtectionKey) {
         if let Some(slot) = self.try_slot(h) {
             slot.ctx.with(|ctx| {
@@ -317,7 +320,7 @@ impl Kard {
                 }
             });
         }
-        let mut pkru = self.machine.rdpkru(h);
+        let mut pkru = self.machine.rdpkru_of(h);
         pkru.set_permission(key, Permission::NoAccess);
         self.machine.set_pkru_in_saved_context(h, pkru);
     }

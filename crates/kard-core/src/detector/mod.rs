@@ -165,6 +165,7 @@ use thread::ThreadSlot;
 /// of `embed_threads`' throughput.
 #[repr(align(128))]
 struct ActiveSections(AtomicU64);
+const _: () = assert!(align_of::<ActiveSections>() >= 128);
 
 /// Race records plus the dedup fingerprints guarding them — one concern,
 /// one lock.

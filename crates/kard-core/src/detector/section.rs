@@ -32,6 +32,28 @@
 //! line per live thread on every entry, the cost the exit avoids by
 //! stamping releases with the fault-raise count rather than `now()`; that
 //! is why the word stays.
+//!
+//! # What a fast round still locks
+//!
+//! Every per-thread counter a round bumps — the machine's cycles and
+//! `RDPKRU` / `WRPKRU` counts, the dTLB's, and [`ThreadSlot`]'s section
+//! statistics — is an owner word, bumped with a relaxed load and store
+//! ([`kard_sim::bump_owned`]). A warmed private round (entry replayed from
+//! the plan, exit by the fast release) still executes these `lock`-prefixed
+//! instructions on x86, each a full barrier:
+//!
+//! * the thread's context cell engage, at entry and at exit (a CAS each);
+//! * the key's holder word: the acquire's CAS and the release's CAS;
+//! * `active_sections`: the entry's add and the exit's subtract;
+//! * the holder word's `SeqCst` stores, which x86 compiles to `xchg`, an
+//!   implicitly locked instruction: the acquire's `section` and holder
+//!   stores, and a write release's `release_writer` and `release_stamp`.
+//!
+//! Six read-modify-writes and two to four `xchg` stores per round. Debug
+//! builds add one swap per machine call, the claim that checks the owner
+//! contract.
+//!
+//! [`ThreadSlot`]: super::thread::ThreadSlot
 
 use super::plan::{Plan, SectionBook, SectionPlans};
 use super::thread::{Frame, ThreadCtx, TinyVec};
@@ -40,7 +62,7 @@ use crate::domains::Domain;
 use crate::config::KeyMode;
 use crate::stats::AtomicStats;
 use crate::types::{LockId, Perm, SectionId, SectionMode};
-use kard_sim::{CodeSite, Permission, Pkru, ProtectionKey, ThreadId};
+use kard_sim::{bump_owned, CodeSite, Permission, Pkru, ProtectionKey, ThreadId};
 use kard_telemetry::event::{DomainCode, GRANT_PROACTIVE};
 use kard_telemetry::EventKind;
 use std::sync::atomic::Ordering;
@@ -81,7 +103,7 @@ impl Kard {
         let section = SectionId(site);
         let slot = self.slot(t);
 
-        slot.cs_entries.fetch_add(1, Ordering::Relaxed);
+        bump_owned(&slot.cs_entries, 1);
         let active = self.active_sections.0.fetch_add(1, Ordering::Relaxed) + 1;
         AtomicStats::raise_to(&self.stats.max_concurrent_sections, active);
         self.emit(t, EventKind::SectionEnter, section.0 .0, active);
@@ -131,12 +153,12 @@ impl Kard {
                     let mut map_ops = plan.wanted_len + 1;
                     if let Some((key, perm)) = plan.target {
                         map_ops += 1;
-                        slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
+                        bump_owned(&slot.proactive_acquisitions, 1);
                         self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
                         new_pkru.set_permission(key, perm_to_permission(perm));
                     }
                     self.machine.charge(t, cost.map_op * map_ops);
-                    slot.cache_hits.fetch_add(1, Ordering::Relaxed);
+                    bump_owned(&slot.cache_hits, 1);
                 }
                 self.machine.wrpkru(t, new_pkru);
                 return;
@@ -146,7 +168,7 @@ impl Kard {
                     self.lock_keys().strip_holder(key, t);
                 }
                 if eligible && proactive {
-                    slot.cache_misses.fetch_add(1, Ordering::Relaxed);
+                    bump_owned(&slot.cache_misses, 1);
                 }
                 plans
             }
@@ -210,7 +232,7 @@ impl Kard {
                 }
                 self.machine.charge(t, cost.map_op);
                 if keys.try_acquire(key, t, perm, section) {
-                    slot.proactive_acquisitions.fetch_add(1, Ordering::Relaxed);
+                    bump_owned(&slot.proactive_acquisitions, 1);
                     self.emit(t, EventKind::KeyGrant, u64::from(key.0), GRANT_PROACTIVE);
                     frame.acquired.push((key, prev));
                     let eff = keys.holder_perm(key, t).expect("just acquired");

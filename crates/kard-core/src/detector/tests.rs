@@ -296,6 +296,48 @@ fn key_exhaustion_shares_when_all_keys_held() {
     );
 }
 
+/// A vkey eviction of a held group strips its holder from the evicting
+/// thread, which reads the holder's PKRU with `Machine::rdpkru_of`: the
+/// holder is charged exactly the one `RDPKRU` it was charged when the
+/// strip ran `rdpkru` on its id — its cycles rise by `cost.rdpkru`, and
+/// the machine's count by one more than the same eviction with no holder
+/// left to strip.
+#[test]
+fn a_strip_charges_the_holder_one_rdpkru() {
+    // 5 total keys -> 2 pool keys, one held by each of t0 and t1: t2's
+    // write must evict t0's group, the least recently used.
+    let evict = |holder_stays: bool| {
+        let config = KardConfig {
+            keys: KeyMode::Virtual(KeyCachePolicy::Lru),
+            ..KardConfig::default()
+        };
+        let (machine, kard) = setup_with(config, 5);
+        let threads: Vec<ThreadId> = (0..3).map(|_| kard.register_thread()).collect();
+        let objs: Vec<_> = threads.iter().map(|&t| kard.on_alloc(t, 32)).collect();
+        for (i, &t) in threads.iter().enumerate() {
+            kard.lock_enter(t, LockId(i as u64), site(0x100 + i as u64));
+        }
+        for i in 0..2 {
+            kard.write(threads[i], objs[i].base, site(0x200 + i as u64));
+        }
+        if !holder_stays {
+            kard.lock_exit(threads[0], LockId(0));
+        }
+        let (holder, rdpkru) = (machine.thread_cycles(threads[0]), machine.counters().rdpkru);
+        kard.write(threads[2], objs[2].base, site(0x202));
+        let vkeys = kard.vkey_stats();
+        assert_eq!(vkeys.evictions, 1);
+        assert_eq!(vkeys.synced_evictions, u64::from(holder_stays));
+        let charged = machine.thread_cycles(threads[0]) - holder;
+        (charged, machine.counters().rdpkru - rdpkru, machine.cost_model().rdpkru)
+    };
+    let (stripped, rdpkrus, cost) = evict(true);
+    let (untouched, rdpkrus_without_strip, _) = evict(false);
+    assert_eq!(stripped, cost, "the stripped holder pays one RDPKRU");
+    assert_eq!(untouched, 0, "a holder that left is not visited");
+    assert_eq!(rdpkrus, rdpkrus_without_strip + 1);
+}
+
 #[test]
 fn sharing_causes_false_negative_on_same_object() {
     // Table 4: sharing is the one false-negative window. With a single

@@ -82,6 +82,15 @@ pub(super) struct ThreadCtx {
 /// side in the registry's chunks, so each is aligned to its own cache
 /// lines: the owning thread's entry/exit traffic (the engage CAS, the
 /// per-thread counters) never false-shares with a neighbour's.
+///
+/// The four statistics counters are owner words: only the OS thread
+/// driving the slot's thread writes them, in
+/// [`Kard::lock_enter_mode`](super::Kard::lock_enter_mode), with
+/// [`kard_sim::bump_owned`]'s load and store; [`Kard::stats`] and
+/// [`Kard::section_cache_stats`] only read them.
+///
+/// [`Kard::stats`]: super::Kard::stats
+/// [`Kard::section_cache_stats`]: super::Kard::section_cache_stats
 #[repr(align(128))]
 pub(super) struct ThreadSlot {
     /// Frames, held keys, and per-thread caches — engaged by the owning
@@ -92,20 +101,26 @@ pub(super) struct ThreadSlot {
     /// contains this thread. Zero means
     /// `Interleaver::thread_left_critical_sections` would be a no-op, so
     /// the lock-free exit path skips the interleaver lock entirely.
+    /// Written by whichever thread's fault handler, free or exit adds or
+    /// removes a participation, so every write is a read-modify-write.
     pub(super) participating: AtomicUsize,
-    /// Section entries by this thread. Written only by the owning thread
-    /// and summed into [`crate::DetectorStats::cs_entries`] at snapshot time, so
-    /// the entry path never touches a shared stats cache line.
+    /// Owner word: section entries by this thread, summed into
+    /// [`crate::DetectorStats::cs_entries`] at snapshot time, so the entry
+    /// path never touches a shared stats cache line.
     pub(super) cs_entries: AtomicU64,
-    /// Proactive key grants performed by this thread's entries (summed
-    /// into [`crate::DetectorStats::proactive_acquisitions`]).
+    /// Owner word: proactive key grants performed by this thread's
+    /// entries (summed into
+    /// [`crate::DetectorStats::proactive_acquisitions`]).
     pub(super) proactive_acquisitions: AtomicU64,
-    /// Section-plan hits (entries replayed from the section's plan).
+    /// Owner word: section-plan hits (entries replayed from the section's
+    /// plan).
     pub(super) cache_hits: AtomicU64,
-    /// Section-plan misses (eligible entries that fell back to the locked
-    /// path: first entry, stale or multi-key plan, or contended key).
+    /// Owner word: section-plan misses (eligible entries that fell back to
+    /// the locked path: first entry, stale or multi-key plan, or contended
+    /// key).
     pub(super) cache_misses: AtomicU64,
 }
+const _: () = assert!(align_of::<ThreadSlot>() >= 128);
 
 impl ThreadSlot {
     pub(super) fn new() -> ThreadSlot {

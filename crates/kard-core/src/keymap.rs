@@ -330,6 +330,7 @@ struct KeyWord {
     /// Thread (+1) of the pending release stamp.
     release_writer: AtomicU64,
 }
+const _: () = assert!(align_of::<KeyWord>() >= 128);
 
 /// The pool's park flag: set for the whole of every key-table guard. Every
 /// guard writes it twice and every fast acquire reads it, so it sits alone
@@ -337,6 +338,7 @@ struct KeyWord {
 /// read-mostly fields.
 #[repr(align(128))]
 struct Parked(AtomicBool);
+const _: () = assert!(align_of::<Parked>() >= 128);
 
 /// CAS-published holder words for the read-write pool (§5.4 key-section
 /// map, lock-free face), and one `parked` word for the whole pool.

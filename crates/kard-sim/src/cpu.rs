@@ -9,12 +9,16 @@
 //! thread at a time, as a hardware thread runs one instruction stream.
 //! Different simulated threads may run on as many OS threads as they like,
 //! and one OS thread may drive many of them; what must not happen is two
-//! OS threads calling [`Machine::access`] (or [`Machine::wrpkru`]) for the
-//! same `ThreadId` at once, because that thread's dTLB has exactly one
-//! writer (see [`crate::tlb`]). Debug builds check it on every access and
-//! panic on a violation; release builds pay nothing for the check.
+//! OS threads calling into the machine for the same `ThreadId` at once,
+//! because that thread's dTLB and its counters each have exactly one
+//! writer (see [`crate::tlb`] and [`crate::counter`]). Debug builds check
+//! it in every call that charges the thread and panic on a violation;
+//! release builds pay nothing for the check. The one call that charges a
+//! thread from another OS thread, [`Machine::rdpkru_of`], writes words the
+//! owner never writes.
 
 use crate::cost::{CostModel, CycleCount};
+use crate::counter::bump_owned;
 use crate::fault::{AccessKind, CodeSite, GpFault};
 use crate::keys::{KeyLayout, ProtectionKey};
 use crate::mem::{PhysFrame, VirtAddr, VirtPage};
@@ -138,10 +142,21 @@ impl PkruCell {
 /// the access count. Nor are faults: the machine's raise count
 /// ([`Machine::faults_raised`]) is their total. Aligned so no two threads'
 /// counters share a cache line.
+///
+/// **Who writes which word.** The *owner words* — `cycles`, `wrpkru`,
+/// `rdpkru` and the dTLB's counters — are written only by the OS thread
+/// driving this thread, with [`bump_owned`]'s load and store. The
+/// *visitor words*, `visited_cycles` and `visited_rdpkru`, are written
+/// only from other OS threads' [`Machine::rdpkru_of`], with `fetch_add`;
+/// every reader adds them to the owner words ([`ThreadEntry::charged`]).
+/// The rare counters (`pkey_mprotect`, `mmap`, `munmap`, `ftruncate`) keep
+/// `fetch_add`, and so does `context_pkru_updates`, which a key eviction
+/// on another OS thread bumps ([`Machine::set_pkru_in_saved_context`]).
 #[repr(align(128))]
 struct ThreadEntry {
     tlb: Tlb,
     pkru: PkruCell,
+    /// Owner word: cycles this thread's own OS thread charged it.
     cycles: AtomicU64,
     /// Virtual time at which the thread was registered: the maximum
     /// timeline (`birth + cycles`) over the threads alive at that moment.
@@ -151,20 +166,38 @@ struct ThreadEntry {
     /// a thread spawned later can never appear to run *before* work its
     /// parent had already completed.
     birth: u64,
+    /// Owner word: `WRPKRU` executions.
     wrpkru: AtomicU64,
+    /// Owner word: `RDPKRU` executions by this thread's own OS thread.
     rdpkru: AtomicU64,
     pkey_mprotect: AtomicU64,
     mmap: AtomicU64,
     munmap: AtomicU64,
     ftruncate: AtomicU64,
     context_pkru_updates: AtomicU64,
-    /// Raised while an OS thread is inside [`Machine::access`] for this
-    /// thread: debug builds' check that one OS thread drives it at a time.
+    /// Visitor word: cycles charged to this thread from other OS threads.
+    visited_cycles: AtomicU64,
+    /// Visitor word: `RDPKRU`s of this thread's register made from other
+    /// OS threads.
+    visited_rdpkru: AtomicU64,
+    /// Raised while an OS thread is inside a call that bumps this thread's
+    /// owner words: debug builds' check that one OS thread drives it at a
+    /// time.
     #[cfg(debug_assertions)]
     driven: AtomicBool,
 }
+const _: () = assert!(align_of::<ThreadEntry>() >= 128);
 
-/// Held by [`Machine::access`] in debug builds: claims the thread's
+impl ThreadEntry {
+    /// Every cycle charged to the thread: its owner word plus its visitor
+    /// word.
+    fn charged(&self) -> u64 {
+        self.cycles.load(Ordering::Relaxed) + self.visited_cycles.load(Ordering::Relaxed)
+    }
+}
+
+/// Held in debug builds by each call that bumps a thread's owner words,
+/// once per public entry point: claims the thread's
 /// [`ThreadEntry::driven`] flag, panicking if another OS thread holds it,
 /// and lowers it on drop.
 #[cfg(debug_assertions)]
@@ -232,6 +265,7 @@ fn apply_prefix<T, E>(
 /// §5.4 release stamp), so no other word's writes may evict it.
 #[repr(align(128))]
 struct FaultsRaised(AtomicU64);
+const _: () = assert!(align_of::<FaultsRaised>() >= 128);
 
 /// Words of [`Liveness::leaves`]: one bit per thread id.
 const LEAF_WORDS: usize = THREAD_CAPACITY / 64;
@@ -288,6 +322,7 @@ struct Liveness {
     /// which a newcomer's birth still accounts for.
     retired_frontier: AtomicU64,
 }
+const _: () = assert!(align_of::<Liveness>() >= 128);
 
 impl Liveness {
     /// Threads `0..registered` live, none retired.
@@ -399,7 +434,7 @@ impl Machine {
             .map_or(0, |live| live.retired_frontier.load(Ordering::Relaxed));
         let birth = self
             .live_entries()
-            .map(|e| e.birth + e.cycles.load(Ordering::Relaxed))
+            .map(|e| e.birth + e.charged())
             .fold(retired_frontier, u64::max);
         let index = self.threads.len();
         self.threads.publish(
@@ -416,6 +451,8 @@ impl Machine {
                 munmap: AtomicU64::new(0),
                 ftruncate: AtomicU64::new(0),
                 context_pkru_updates: AtomicU64::new(0),
+                visited_cycles: AtomicU64::new(0),
+                visited_rdpkru: AtomicU64::new(0),
                 #[cfg(debug_assertions)]
                 driven: AtomicBool::new(false),
             },
@@ -442,7 +479,7 @@ impl Machine {
             return;
         }
         let entry = self.entry(thread);
-        let cycles = entry.cycles.load(Ordering::Relaxed);
+        let cycles = entry.charged();
         live.retired_frontier
             .fetch_max(entry.birth + cycles, Ordering::Relaxed);
         // The seqlock's write side (see `Liveness`): odd, fold and clear,
@@ -496,9 +533,9 @@ impl Machine {
             .unwrap_or_else(|| panic!("unregistered thread {thread}"))
     }
 
-    /// [`Machine::entry`] of a thread about to be driven. Debug builds
-    /// check that it has not retired: its work would be charged to a
-    /// counter [`Machine::now`] no longer reads.
+    /// [`Machine::entry`] of a thread about to be driven or charged.
+    /// Debug builds check that it has not retired: its work would be
+    /// charged to a counter [`Machine::now`] no longer reads.
     #[inline]
     fn driven(&self, thread: ThreadId) -> &ThreadEntry {
         #[cfg(debug_assertions)]
@@ -509,12 +546,17 @@ impl Machine {
         self.entry(thread)
     }
 
-    /// Charge `cycles` to `thread` and advance the global clock: one
-    /// relaxed addition to a counter only this thread writes — no lock
-    /// and no shared clock word, which matters because every simulated
-    /// instruction lands here.
+    /// Charge `cycles` to `thread` and advance the global clock: a relaxed
+    /// load and store ([`bump_owned`]) of a counter only the OS thread
+    /// driving `thread` writes — no lock, no read-modify-write and no
+    /// shared clock word, which matters because every simulated
+    /// instruction lands here. Must run on that OS thread; debug builds
+    /// panic when another OS thread is inside a call for `thread` at once.
     pub fn charge(&self, thread: ThreadId, cycles: CycleCount) {
-        self.driven(thread).cycles.fetch_add(cycles, Ordering::Relaxed);
+        let entry = self.driven(thread);
+        #[cfg(debug_assertions)]
+        let _driving = Driving::claim(entry, thread);
+        bump_owned(&entry.cycles, cycles);
     }
 
     /// Current value of the global virtual clock (no cost charged): the
@@ -534,15 +576,12 @@ impl Machine {
     #[must_use]
     pub fn now(&self) -> u64 {
         let Some(live) = self.retired.get() else {
-            return self.threads.iter().map(|e| e.cycles.load(Ordering::Relaxed)).sum();
+            return self.threads.iter().map(ThreadEntry::charged).sum();
         };
         loop {
             let seq = live.retiring.load(Ordering::Acquire);
             let sum = live.retired_cycles.load(Ordering::Relaxed)
-                + self
-                    .live_entries()
-                    .map(|e| e.cycles.load(Ordering::Relaxed))
-                    .sum::<u64>();
+                + self.live_entries().map(ThreadEntry::charged).sum::<u64>();
             fence(Ordering::Acquire);
             if seq.is_multiple_of(2) && live.retiring.load(Ordering::Relaxed) == seq {
                 return sum;
@@ -562,11 +601,29 @@ impl Machine {
         self.faults_raised.0.load(Ordering::SeqCst)
     }
 
-    /// `RDPKRU`: read `thread`'s protection-key rights register.
+    /// `RDPKRU`: read `thread`'s protection-key rights register, on the
+    /// OS thread driving `thread`.
     pub fn rdpkru(&self, thread: ThreadId) -> Pkru {
         let entry = self.driven(thread);
-        entry.rdpkru.fetch_add(1, Ordering::Relaxed);
-        entry.cycles.fetch_add(self.cost.rdpkru, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        let _driving = Driving::claim(entry, thread);
+        bump_owned(&entry.rdpkru, 1);
+        bump_owned(&entry.cycles, self.cost.rdpkru);
+        entry.pkru.load()
+    }
+
+    /// `RDPKRU` of `thread`'s register from any OS thread, charged to
+    /// `thread` exactly as [`Machine::rdpkru`] charges it: one `RDPKRU`
+    /// and its cycles. They go to `thread`'s visitor words, with
+    /// `fetch_add`, which the owner never writes, so a visit racing the
+    /// owner's own load-and-store bumps loses neither side's count (see
+    /// [`crate::counter`]). Every reader of the clock and the counters
+    /// adds them in. For the rare cross-thread read: a key eviction
+    /// stripping a holder's context.
+    pub fn rdpkru_of(&self, thread: ThreadId) -> Pkru {
+        let entry = self.driven(thread);
+        entry.visited_rdpkru.fetch_add(1, Ordering::Relaxed);
+        entry.visited_cycles.fetch_add(self.cost.rdpkru, Ordering::Relaxed);
         entry.pkru.load()
     }
 
@@ -579,10 +636,12 @@ impl Machine {
     /// is flushed, modelling the §8 software schemes.
     pub fn wrpkru(&self, thread: ThreadId, pkru: Pkru) {
         let entry = self.driven(thread);
-        entry.wrpkru.fetch_add(1, Ordering::Relaxed);
+        #[cfg(debug_assertions)]
+        let _driving = Driving::claim(entry, thread);
+        bump_owned(&entry.wrpkru, 1);
         match self.config.mechanism {
             ProtectionMechanism::Mpk => {
-                entry.cycles.fetch_add(self.cost.wrpkru, Ordering::Relaxed);
+                bump_owned(&entry.cycles, self.cost.wrpkru);
                 entry.pkru.store(pkru);
             }
             ProtectionMechanism::MprotectFallback => {
@@ -598,8 +657,8 @@ impl Machine {
                 if changed > 0 {
                     entry.tlb.flush();
                 }
-                self.charge(
-                    thread,
+                bump_owned(
+                    &entry.cycles,
                     self.cost.wrpkru + changed * self.cost.pkey_mprotect,
                 );
             }
@@ -859,7 +918,7 @@ impl Machine {
                 (mapping.pkey, allowed)
             }
         };
-        entry.cycles.fetch_add(cost, Ordering::Relaxed);
+        bump_owned(&entry.cycles, cost);
 
         if allowed {
             Ok(())
@@ -888,7 +947,8 @@ impl Machine {
         };
         for s in self.threads.iter() {
             total.wrpkru += s.wrpkru.load(Ordering::Relaxed);
-            total.rdpkru += s.rdpkru.load(Ordering::Relaxed);
+            total.rdpkru +=
+                s.rdpkru.load(Ordering::Relaxed) + s.visited_rdpkru.load(Ordering::Relaxed);
             total.pkey_mprotect += s.pkey_mprotect.load(Ordering::Relaxed);
             total.mmap += s.mmap.load(Ordering::Relaxed);
             total.munmap += s.munmap.load(Ordering::Relaxed);
@@ -902,7 +962,7 @@ impl Machine {
     /// Cycles charged to one thread so far.
     #[must_use]
     pub fn thread_cycles(&self, thread: ThreadId) -> CycleCount {
-        self.entry(thread).cycles.load(Ordering::Relaxed)
+        self.entry(thread).charged()
     }
 
     /// `thread`'s position on the common virtual timeline: its birth
@@ -916,7 +976,7 @@ impl Machine {
     #[must_use]
     pub fn thread_timeline(&self, thread: ThreadId) -> u64 {
         let entry = self.entry(thread);
-        entry.birth + entry.cycles.load(Ordering::Relaxed)
+        entry.birth + entry.charged()
     }
 
     /// Sum of the dTLB statistics of every thread ever registered,

@@ -69,6 +69,7 @@
 #![deny(missing_docs)]
 
 pub mod cost;
+pub mod counter;
 pub mod cpu;
 pub mod fault;
 pub mod keys;
@@ -80,6 +81,7 @@ pub mod spine;
 pub mod tlb;
 
 pub use cost::{CostModel, CycleCount};
+pub use counter::bump_owned;
 pub use cpu::{Machine, MachineConfig, MachineCounters, ProtectionMechanism, ThreadId};
 pub use fault::{AccessKind, CodeSite, GpFault};
 pub use keys::{KeyLayout, ProtectionKey};

@@ -38,6 +38,7 @@
 //! most-recent-last list per set, which is the reference model
 //! `tests/simulator_properties.rs` holds this table to.
 
+use crate::counter::bump_owned;
 use crate::keys::ProtectionKey;
 use crate::mem::VirtPage;
 use serde::{Deserialize, Serialize};
@@ -133,6 +134,7 @@ const ENTRIES_PER_LINE: usize = 8;
 #[derive(Default)]
 #[repr(align(128))]
 struct Line([Entry; ENTRIES_PER_LINE]);
+const _: () = assert!(align_of::<Line>() >= 128);
 
 /// The most entries a TLB may have: one bit each in the posted mask.
 const MAX_ENTRIES: usize = u64::BITS as usize;
@@ -209,15 +211,14 @@ impl Tlb {
     #[inline]
     pub(crate) fn probe(&self, page: VirtPage) -> Option<ProtectionKey> {
         self.drain();
-        let clock = self.lookups.load(Ordering::Relaxed) + 1;
-        self.lookups.store(clock, Ordering::Relaxed);
+        let clock = bump_owned(&self.lookups, 1);
         match self.lookup(page) {
             Some((e, word)) => {
                 self.entry(e).stamp.store(clock, Ordering::Relaxed);
                 Some(ProtectionKey((word >> KEY_SHIFT) as u16))
             }
             None => {
-                self.misses.store(self.misses.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+                bump_owned(&self.misses, 1);
                 None
             }
         }
